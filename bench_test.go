@@ -21,6 +21,7 @@ import (
 	"repro/internal/secure"
 	"repro/internal/tree"
 	"repro/internal/vfl"
+	"repro/internal/wire"
 )
 
 // benchOpts is the reduced-scale option set shared by the experiment
@@ -341,27 +342,24 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 	go func() { done <- srv.Serve(ctx, ln) }()
 	defer func() { cancel(); <-done }()
 
-	for _, codec := range []string{CodecGob, CodecJSON} {
-		b.Run(codec, func(b *testing.B) {
-			client, err := Dial(context.Background(), ln.Addr().String(),
-				WithCodec(codec),
-				WithSession(engine.Session()),
-				WithGains(engine.CatalogGains()),
-			)
+	b.Run(wire.CodecBinary, func(b *testing.B) {
+		client, err := Dial(context.Background(), ln.Addr().String(),
+			WithSession(engine.Session()),
+			WithGains(engine.CatalogGains()),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := client.Bargain(context.Background(), BargainOptions{Seed: uint64(i + 1)})
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := client.Bargain(context.Background(), BargainOptions{Seed: uint64(i + 1)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = res
-			}
-		})
-	}
+			_ = res
+		}
+	})
 }
 
 // BenchmarkBatchOverWire measures a batch of 8 deterministic sessions
@@ -655,26 +653,23 @@ func BenchmarkImperfectServiceRoundTrip(b *testing.B) {
 	go func() { done <- srv.Serve(ctx, ln) }()
 	defer func() { cancel(); <-done }()
 
-	for _, codec := range []string{CodecGob, CodecJSON} {
-		b.Run(codec, func(b *testing.B) {
-			client, err := Dial(context.Background(), ln.Addr().String(),
-				WithCodec(codec),
-				WithSession(engine.SessionImperfect()),
-				WithGains(engine.CatalogGains()),
-				WithImperfect(ImperfectParams{ExplorationRounds: 40, PricePool: 100}),
-			)
-			if err != nil {
+	b.Run(wire.CodecBinary, func(b *testing.B) {
+		client, err := Dial(context.Background(), ln.Addr().String(),
+			WithSession(engine.SessionImperfect()),
+			WithGains(engine.CatalogGains()),
+			WithImperfect(ImperfectParams{ExplorationRounds: 40, PricePool: 100}),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.BargainImperfect(context.Background(), BargainOptions{Seed: uint64(i + 1)}); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := client.BargainImperfect(context.Background(), BargainOptions{Seed: uint64(i + 1)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkShardRouting prices the fabric's routing tax: a full Dial

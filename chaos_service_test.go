@@ -96,13 +96,12 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 	const perfectRepeats, imperfectRepeats, secureRepeats = 3, 6, 8
 	perfectJobs := []struct {
 		market string
-		codec  string
 		seed   uint64
 	}{
-		{"titanic", CodecGob, 100},
-		{"credit", CodecGob, 110},
-		{"titanic", CodecJSON, 120},
-		{"credit", CodecJSON, 130},
+		{"titanic", 100},
+		{"credit", 110},
+		{"titanic", 120},
+		{"credit", 130},
 	}
 	wantPerfect := make([][]*Result, len(perfectJobs))
 	for i, job := range perfectJobs {
@@ -169,10 +168,9 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 
 	for i, job := range perfectJobs {
 		i, job := i, job
-		run(fmt.Sprintf("perfect/%s/%s/seed=%d", job.market, job.codec, job.seed), func() error {
+		run(fmt.Sprintf("perfect/%s/seed=%d", job.market, job.seed), func() error {
 			client, err := Dial(ctx, proxy.Addr(),
 				WithMarket(job.market),
-				WithCodec(job.codec),
 				WithSession(engines[job.market].Session()),
 				WithGains(engines[job.market].CatalogGains()),
 				WithSessionTimeout(1500*time.Millisecond),
@@ -457,7 +455,7 @@ func TestChaosStatsStalledPeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := wire.FetchStats(ctx, conn, CodecGob, time.Minute); err == nil {
+	if _, err := wire.FetchStats(ctx, conn, time.Minute); err == nil {
 		t.Fatal("stats fetch from a stalled peer succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {

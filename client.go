@@ -20,7 +20,6 @@ import (
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	codec        string
 	market       string
 	dialTimeout  time.Duration
 	ioTimeout    time.Duration
@@ -65,10 +64,6 @@ func WithCircuitBreaker(p BreakerPolicy) DialOption {
 func WithFallbackAddrs(addrs ...string) DialOption {
 	return func(c *dialConfig) { c.fallbacks = append(c.fallbacks, addrs...) }
 }
-
-// WithCodec selects the wire framing: CodecGob (default, Go-native) or
-// CodecJSON (interoperable with non-Go task parties).
-func WithCodec(name string) DialOption { return func(c *dialConfig) { c.codec = name } }
 
 // WithMarket names the market to bargain in on a multi-market server. ""
 // (the default) picks the server's default market.
@@ -231,7 +226,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := dialConfig{codec: CodecGob, ioTimeout: 30 * time.Second, connsPerAddr: 1}
+	cfg := dialConfig{ioTimeout: 30 * time.Second, connsPerAddr: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -325,7 +320,7 @@ func (c *Client) dialMux(ctx context.Context, addr string) (*wire.MuxConn, error
 	}
 	// Poking the deadline on cancellation unblocks the handshake read.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	mc, _, err := wire.OpenMux(conn, c.cfg.codec, wire.ClientHello{Market: c.cfg.market, ListOnly: true}, c.cfg.ioTimeout)
+	mc, _, err := wire.OpenMux(conn, wire.CodecBinary, wire.ClientHello{Market: c.cfg.market, ListOnly: true}, c.cfg.ioTimeout)
 	stop()
 	if err != nil {
 		conn.Close()

@@ -69,7 +69,6 @@ type Cluster struct {
 	factory EngineFactory
 	shards  []*clusterShard
 	rb      *fabric.Rebalancer
-	codec   string
 	timeout time.Duration
 
 	mu      sync.Mutex
@@ -120,7 +119,6 @@ func NewCluster(n int, baseDir string, factory EngineFactory, opts ...ServerOpti
 	c := &Cluster{
 		factory: factory,
 		markets: make(map[string]bool),
-		codec:   CodecGob,
 		timeout: 30 * time.Second,
 	}
 	entries := make([]fabric.Shard, 0, n)
@@ -180,7 +178,7 @@ func (c *Cluster) fetchStats(ctx context.Context, shard fabric.Shard) (*wire.Sta
 		return nil, err
 	}
 	defer conn.Close()
-	return wire.FetchStats(ctx, conn, c.codec, c.timeout)
+	return wire.FetchStats(ctx, conn, c.timeout)
 }
 
 // Register places a market on the shard the registry assigns it and builds

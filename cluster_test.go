@@ -362,3 +362,76 @@ func TestResumeBackoffSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterChurnNoDroppedSessions: many short sessions, each on a fresh
+// Client that closes its connection the moment the session ends, against a
+// 2-shard fleet where every other dial lands on the wrong shard and follows
+// a redirect. The server sees each session's final frame and the client's
+// EOF back to back; a session that completed must never be counted as
+// dropped (or failed) fleet-wide.
+func TestClusterChurnNoDroppedSessions(t *testing.T) {
+	cluster := startCluster(t, 2, "", "alpha", "beta")
+	engine := clusterEngine(t)
+	addrs := cluster.Addrs()
+	markets := []string{"alpha", "beta"}
+
+	const sessions, workers = 400, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < sessions; i += workers {
+				client, err := Dial(context.Background(), addrs[i%2],
+					WithMarket(markets[(i/2)%2]),
+					WithSession(engine.Session()),
+					WithGains(engine.CatalogGains()),
+				)
+				if err != nil {
+					errs <- fmt.Errorf("session %d: dial: %w", i, err)
+					return
+				}
+				_, err = client.Bargain(context.Background(), BargainOptions{Seed: uint64(i + 1)})
+				client.Close()
+				if err != nil {
+					errs <- fmt.Errorf("session %d: %w", i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Wait for every shard to finish accounting the sessions it served.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var served, active uint64
+		var dropped, failed uint64
+		for id := range addrs {
+			srv, err := cluster.Shard(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := srv.Metrics()
+			served += m.Sessions
+			active += uint64(m.Active)
+			dropped += m.Dropped
+			failed += m.Failed
+		}
+		if served >= sessions && active == 0 {
+			if dropped != 0 || failed != 0 {
+				t.Fatalf("%d completed sessions: fleet counted %d dropped and %d failed", served, dropped, failed)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet served %d of %d sessions, %d still active", served, sessions, active)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	go run ./cmd/vflmarket -dataset titanic [-model forest] [-imperfect] [-seed 1]
-//	go run ./cmd/vflmarket -connect 127.0.0.1:7070 -market credit [-codec json] [-imperfect]
+//	go run ./cmd/vflmarket -connect 127.0.0.1:7070 -market credit [-imperfect]
 package main
 
 import (
@@ -45,7 +45,6 @@ func main() {
 	verbose := flag.Bool("v", false, "stream every round as it is played")
 	connect := flag.String("connect", "", "bargain against a market service at this address instead of in-process")
 	market := flag.String("market", "", "market name on the service (default: the server's default market)")
-	codec := flag.String("codec", vflmarket.CodecGob, "wire codec with -connect: gob or json")
 	engineSeed := flag.Uint64("engineseed", 1, "with -connect: the server's engine seed (the local market view must mirror the server's -seed/-scale/-model/-synthetic); -seed then only picks the bargaining stream")
 	flag.Parse()
 
@@ -101,7 +100,6 @@ func main() {
 	if *connect != "" {
 		dialOpts := []vflmarket.DialOption{
 			vflmarket.WithMarket(*market),
-			vflmarket.WithCodec(*codec),
 			vflmarket.WithDialTimeout(5 * time.Second),
 			vflmarket.WithSession(session),
 			vflmarket.WithGains(engine.CatalogGains()),
@@ -121,8 +119,8 @@ func main() {
 			log.Fatalf("server resolved market %q but the local engine models %q; pass -market %s",
 				client.Market(), *ds, client.Market())
 		}
-		fmt.Printf("Connected: market %q of %v (%s codec, modes %v, secure=%v)\n\n",
-			client.Market(), client.Markets(), *codec, client.Modes(), client.Secure())
+		fmt.Printf("Connected: market %q of %v (modes %v, secure=%v)\n\n",
+			client.Market(), client.Markets(), client.Modes(), client.Secure())
 		opts := vflmarket.BargainOptions{Seed: *seed, Observers: observers}
 		if *imperfect {
 			res, err := client.BargainImperfect(ctx, opts)

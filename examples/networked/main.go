@@ -2,8 +2,9 @@
 // engines ("titanic" and "credit") behind a single listener — the
 // two-organisation deployment shape the paper's production setting implies,
 // scaled to a service. Two task-party clients connect concurrently, one per
-// market, one speaking gob and one JSON (the codec-agnostic wire format
-// that opens the service to non-Go parties). Settlement runs under Paillier
+// market, each multiplexing its sessions over one connection in the wire's
+// binary envelope encoding (documented byte for byte in the README, so
+// non-Go parties can speak it too). Settlement runs under Paillier
 // encryption (§3.6), so the realized performance gains never cross the
 // connection in clear — and each client's trace is bit-identical to what an
 // in-process engine run with the same seed would produce.
@@ -72,17 +73,13 @@ func main() {
 	// builds its own engine view of the market (same dataset and seed) for
 	// its private session template and pre-trained gains.
 	var wg sync.WaitGroup
-	for _, tc := range []struct{ market, codec string }{
-		{"titanic", vflmarket.CodecGob},
-		{"credit", vflmarket.CodecJSON},
-	} {
+	for _, market := range []string{"titanic", "credit"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			engine := engines[tc.market]
+			engine := engines[market]
 			client, err := vflmarket.Dial(ctx, ln.Addr().String(),
-				vflmarket.WithMarket(tc.market),
-				vflmarket.WithCodec(tc.codec),
+				vflmarket.WithMarket(market),
 				vflmarket.WithSession(engine.Session()),
 				vflmarket.WithGains(engine.CatalogGains()),
 			)
@@ -96,8 +93,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  [client] %s over %s: %v after %d rounds, ΔG=%.4f, expects to pay %.4f\n",
-				tc.market, tc.codec, res.Outcome, len(res.Rounds), res.Final.Gain, res.Final.Payment)
+			fmt.Printf("  [client] %s: %v after %d rounds, ΔG=%.4f, expects to pay %.4f\n",
+				market, res.Outcome, len(res.Rounds), res.Final.Gain, res.Final.Payment)
 
 			// The same seed in-process reproduces the networked trace
 			// bit for bit: the wire client runs the identical game loop.
@@ -107,9 +104,9 @@ func main() {
 			}
 			if local.Outcome != res.Outcome || local.Final != res.Final {
 				log.Fatalf("%s: networked result diverged from the in-process engine:\n  wire:   %v %+v\n  engine: %v %+v",
-					tc.market, res.Outcome, res.Final, local.Outcome, local.Final)
+					market, res.Outcome, res.Final, local.Outcome, local.Final)
 			}
-			fmt.Printf("  [client] %s: networked result matches the in-process engine exactly\n", tc.market)
+			fmt.Printf("  [client] %s: networked result matches the in-process engine exactly\n", market)
 		}()
 	}
 	wg.Wait()

@@ -25,7 +25,6 @@ func TestServiceRefusesAbusiveImperfectHello(t *testing.T) {
 
 	abusive, err := Dial(context.Background(), addr,
 		WithMarket("titanic"),
-		WithCodec(CodecGob),
 		WithSession(engine.SessionImperfect()),
 		WithGains(engine.CatalogGains()),
 		WithImperfect(ImperfectParams{ExplorationRounds: 10_000, PricePool: 100}),
@@ -41,7 +40,6 @@ func TestServiceRefusesAbusiveImperfectHello(t *testing.T) {
 
 	replayHog, err := Dial(context.Background(), addr,
 		WithMarket("titanic"),
-		WithCodec(CodecGob),
 		WithSession(engine.SessionImperfect()),
 		WithGains(engine.CatalogGains()),
 		WithImperfect(ImperfectParams{ExplorationRounds: 30, ReplaySteps: 512, PricePool: 100}),
@@ -67,7 +65,6 @@ func TestServiceRefusesAbusiveImperfectHello(t *testing.T) {
 	// A compliant client on the same server still bargains end to end.
 	polite, err := Dial(context.Background(), addr,
 		WithMarket("titanic"),
-		WithCodec(CodecGob),
 		WithSession(engine.SessionImperfect()),
 		WithGains(engine.CatalogGains()),
 		WithImperfect(ImperfectParams{ExplorationRounds: 30, PricePool: 100}),

@@ -26,10 +26,9 @@ var imperfectTestParams = ImperfectParams{ExplorationRounds: 30, PricePool: 100}
 // dialImperfect dials the market with the imperfect template of its
 // mirrored engine. It returns errors rather than failing the test so it
 // is safe to call from worker goroutines.
-func dialImperfect(addr, mkt, codec string, engine *Engine) (*Client, error) {
+func dialImperfect(addr, mkt string, engine *Engine) (*Client, error) {
 	return Dial(context.Background(), addr,
 		WithMarket(mkt),
-		WithCodec(codec),
 		WithSession(engine.SessionImperfect()),
 		WithGains(engine.CatalogGains()),
 		WithImperfect(imperfectTestParams),
@@ -38,7 +37,7 @@ func dialImperfect(addr, mkt, codec string, engine *Engine) (*Client, error) {
 
 // TestServiceImperfectConcurrentClients is the acceptance scenario: one
 // server, two named markets, four concurrent imperfect clients split
-// across markets and codecs, every ImperfectResult — trace, outcome, and
+// across markets, every ImperfectResult — trace, outcome, and
 // both MSE learning curves — bit-identical to the in-process engine run
 // with the same seed.
 func TestServiceImperfectConcurrentClients(t *testing.T) {
@@ -54,23 +53,19 @@ func TestServiceImperfectConcurrentClients(t *testing.T) {
 		if i%2 == 1 {
 			market = "credit"
 		}
-		codec := CodecGob
-		if i >= 2 {
-			codec = CodecJSON
-		}
 		seed := uint64(200 + i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			engine := engines[market]
-			client, err := dialImperfect(addr, market, codec, engine)
+			client, err := dialImperfect(addr, market, engine)
 			if err != nil {
-				errs <- fmt.Errorf("%s/%s: dial: %w", market, codec, err)
+				errs <- fmt.Errorf("%s: dial: %w", market, err)
 				return
 			}
 			got, err := client.BargainImperfect(context.Background(), BargainOptions{Seed: seed})
 			if err != nil {
-				errs <- fmt.Errorf("%s/%s: %w", market, codec, err)
+				errs <- fmt.Errorf("%s: %w", market, err)
 				return
 			}
 			want, err := engine.BargainImperfectWith(context.Background(),
@@ -81,8 +76,8 @@ func TestServiceImperfectConcurrentClients(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
-				errs <- fmt.Errorf("%s/%s seed %d: networked imperfect result diverges from in-process:\nwire:   %v rounds=%d final=%+v\nengine: %v rounds=%d final=%+v",
-					market, codec, seed, got.Outcome, len(got.Rounds), got.Final,
+				errs <- fmt.Errorf("%s seed %d: networked imperfect result diverges from in-process:\nwire:   %v rounds=%d final=%+v\nengine: %v rounds=%d final=%+v",
+					market, seed, got.Outcome, len(got.Rounds), got.Final,
 					want.Outcome, len(want.Rounds), want.Final)
 			}
 		}()
@@ -125,7 +120,7 @@ func TestServiceImperfectCancelMidExploration(t *testing.T) {
 	defer shutdown()
 
 	engine := engines["titanic"]
-	client, err := dialImperfect(addr, "titanic", CodecGob, engine)
+	client, err := dialImperfect(addr, "titanic", engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +245,7 @@ func TestServiceImperfectMalformedGainEnvelope(t *testing.T) {
 
 	// A healthy imperfect client still gets served.
 	engine := engines["titanic"]
-	client, err := dialImperfect(addr, "titanic", CodecJSON, engine)
+	client, err := dialImperfect(addr, "titanic", engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +273,7 @@ func TestServiceImperfectRefusedUnderPaillier(t *testing.T) {
 	defer shutdown()
 
 	engine := engines["titanic"]
-	client, err := dialImperfect(addr, "titanic", CodecGob, engine)
+	client, err := dialImperfect(addr, "titanic", engine)
 	if err != nil {
 		t.Fatal(err)
 	}

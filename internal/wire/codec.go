@@ -14,10 +14,12 @@ import (
 	"time"
 )
 
-// Codec names accepted in the v2 handshake preamble.
+// Codec names accepted in the handshake preamble. The serial (v2–v6
+// one-session) endpoints speak the two stream codecs below; the v6 mux
+// speaks CodecBinary (see frame.go) and framed gob.
 const (
-	CodecGob  = "gob"  // Go-native, compact (the default)
-	CodecJSON = "json" // newline-delimited JSON, for non-Go task parties
+	CodecGob  = "gob"  // Go-native stream codec
+	CodecJSON = "json" // newline-delimited JSON, serial endpoints only
 )
 
 // ErrPeerTimeout marks a session that died because the peer stalled past
@@ -63,7 +65,7 @@ func (e *RedirectError) Is(target error) bool { return target == ErrRedirected }
 // safe for concurrent use; the protocol is strictly half-duplex per
 // session.
 type Codec interface {
-	// Name returns the handshake name of the codec ("gob", "json").
+	// Name returns the handshake name of the codec ("bin", "gob", "json").
 	Name() string
 	Send(e *Envelope) error
 	Recv() (*Envelope, error)
@@ -83,7 +85,7 @@ func NewCodec(name string, r io.Reader, w io.Writer) (Codec, error) {
 	}
 }
 
-// CodecNames lists the supported codec names.
+// CodecNames lists the codec names the serial endpoints accept.
 func CodecNames() []string { return []string{CodecGob, CodecJSON} }
 
 type gobCodec struct {
@@ -140,11 +142,13 @@ func (l link) send(e *Envelope) error {
 	return nil
 }
 
-func (l link) recv(want Kind) (*Envelope, error) { return l.recvAny(want) }
+func (l link) recv(want Kind) (*Envelope, error) { return l.recvEither(want, want) }
 
-// recvAny receives the next envelope and checks it is one of the wanted
-// kinds. A KindError envelope surfaces as an error regardless of wants.
-func (l link) recvAny(wants ...Kind) (*Envelope, error) {
+// recvEither receives the next envelope and checks it is of kind want or
+// alt. A KindError envelope surfaces as an error regardless. The wanted
+// kinds are scalars rather than a slice so that the per-round receive
+// does not allocate for its own error message.
+func (l link) recvEither(want, alt Kind) (*Envelope, error) {
 	e, err := l.c.Recv()
 	if err != nil {
 		return nil, classify(fmt.Errorf("wire: recv: %w", err))
@@ -165,15 +169,16 @@ func (l link) recvAny(wants ...Kind) (*Envelope, error) {
 		}
 		return nil, &RedirectError{Market: e.Redirect.Market, Addr: e.Redirect.Addr, Epoch: e.Redirect.Epoch}
 	}
-	for _, w := range wants {
-		if e.Kind == w {
-			if payloadMissing(e) {
-				return nil, fmt.Errorf("wire: %v envelope without payload", e.Kind)
-			}
-			return e, nil
+	if e.Kind == want || e.Kind == alt {
+		if payloadMissing(e) {
+			return nil, fmt.Errorf("wire: %v envelope without payload", e.Kind)
 		}
+		return e, nil
 	}
-	return nil, fmt.Errorf("wire: got message kind %v, want %v", e.Kind, wants)
+	if want == alt {
+		return nil, fmt.Errorf("wire: got message kind %v, want %v", e.Kind, want)
+	}
+	return nil, fmt.Errorf("wire: got message kind %v, want %v or %v", e.Kind, want, alt)
 }
 
 // payloadMissing reports a well-framed envelope whose kind-matching payload
@@ -287,7 +292,7 @@ const (
 
 // muxToken is the third preamble field that upgrades a v6 connection to
 // multiplexed length-prefixed framing. It lives in the preamble — not in
-// the ClientHello — because both gob and JSON decoders read ahead of the
+// the ClientHello — because the serial stream decoders read ahead of the
 // envelope they decode, so the framing discriminator must be consumed
 // before any codec touches the stream.
 const muxToken = "mux"

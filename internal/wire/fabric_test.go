@@ -3,7 +3,8 @@ package wire
 // Protocol-level tests of the v5 fabric envelopes: KindRedirect and
 // KindStats round-trip both codecs bit-exactly, a redirect surfaces as the
 // typed *RedirectError (matching the ErrRedirected sentinel), and
-// FetchStats runs the full admin exchange over a real connection.
+// FetchStats runs the full admin exchange over a real connection, on the
+// binary mux wire.
 
 import (
 	"bytes"
@@ -95,8 +96,8 @@ func TestRedirectSurfacesAsTypedError(t *testing.T) {
 }
 
 // TestFetchStatsOverConnection runs the admin exchange end to end: a
-// server goroutine answers the StatsOnly hello with a snapshot, and
-// FetchStats returns it intact.
+// server goroutine accepts the binary mux preamble, answers the StatsOnly
+// hello with a snapshot, and FetchStats returns it intact.
 func TestFetchStatsOverConnection(t *testing.T) {
 	want := &StatsReport{
 		Server:  ServerStats{Accepted: 5, Sessions: 4, Closed: 3},
@@ -107,17 +108,18 @@ func TestFetchStatsOverConnection(t *testing.T) {
 	defer clientConn.Close()
 	go func() {
 		defer serverConn.Close()
-		codec, ch, err := AcceptHandshake(serverConn)
+		codec, ch, mux, err := AcceptHandshakeMux(serverConn, 5*time.Second)
 		if err != nil {
 			return
 		}
-		if !ch.StatsOnly || ch.Version != ProtocolVersion {
-			SendError(codec, "not a stats hello")
+		if !mux || codec.Name() != CodecBinary || !ch.StatsOnly || ch.Version != ProtocolVersion {
+			SendError(codec, "not a binary mux stats hello")
 			return
 		}
 		_ = codec.Send(&Envelope{Kind: KindStats, Stats: want})
+		_ = Flush(codec)
 	}()
-	got, err := FetchStats(context.Background(), clientConn, CodecGob, 5*time.Second)
+	got, err := FetchStats(context.Background(), clientConn, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

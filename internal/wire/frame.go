@@ -5,23 +5,30 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 )
 
 // The v6 fast wire replaces one-decoder-per-connection stream codecs with
 // length-prefixed frames: every envelope travels as a 4-byte big-endian
-// length followed by that many payload bytes in the negotiated codec. The
-// frame boundary is what makes multiplexing safe — the demux loop can hand
-// whole envelopes to per-session inboxes without any session's decoder
-// reading past its own bytes — and the explicit boundary lets both ends
-// keep one persistent encoder and decoder per connection (gob's type
-// dictionary is transmitted once, not per session) writing through reused
-// buffers, which is where the allocation win comes from.
+// length followed by that many payload bytes in the negotiated encoding.
+// The frame boundary is what makes multiplexing safe — the demux loop can
+// hand whole envelopes to per-session inboxes without any session's decoder
+// reading past its own bytes.
+//
+// Two encodings ride the frames. CodecBinary is the wire's own: the
+// hand-rolled layout of envelope.go, encoded by appending into one reused
+// buffer and decoded in place from the buffered reader, with no per-conn
+// codec state at all. Framed gob stays for mux callers that name it; it
+// keeps one persistent encoder and decoder per connection, so its type
+// dictionary crosses once per connection rather than per session, but that
+// once still costs hundreds of allocations on every fresh connection.
+
+// CodecBinary names the binary envelope encoding in the mux preamble. It is
+// the encoding vflmarket clients speak; the serial endpoints do not offer it.
+const CodecBinary = "bin"
 
 // maxFrameSize bounds a single frame so a corrupt or hostile length prefix
 // fails the connection instead of provoking a giant allocation. Listings
@@ -29,9 +36,9 @@ import (
 const maxFrameSize = 16 << 20
 
 // ErrBadFrame tags frame-layer violations — a zero or oversized length
-// prefix. Fuzzing and chaos tests match on it to prove a corrupted stream
-// fails the connection with a typed error rather than a panic or a giant
-// allocation.
+// prefix, or a binary envelope that does not decode (*EnvelopeError).
+// Fuzzing and chaos tests match on it to prove a corrupted stream fails the
+// connection with a typed error rather than a panic or a giant allocation.
 var ErrBadFrame = errors.New("wire: invalid frame")
 
 // connBufSize sizes the pooled bufio readers and writers on both ends of a
@@ -61,28 +68,45 @@ func putEnvelope(e *Envelope) {
 	envelopePool.Put(e)
 }
 
-// frameReader presents the payload bytes of successive frames as one
-// continuous logical stream: Read and ReadByte serve the current frame and
-// transparently open the next when it is exhausted. Implementing
-// io.ByteReader matters — without it gob wraps the reader in its own
-// bufio.Reader, which reads ahead past frame boundaries it knows nothing
-// about.
-type frameReader struct {
-	br   *bufio.Reader
-	n    int // payload bytes remaining in the current frame
-	head [4]byte
+// readFrameHeader consumes one 4-byte length prefix and validates it. A
+// stream that ends inside the prefix is io.ErrUnexpectedEOF; one that ends
+// cleanly before it is io.EOF.
+func readFrameHeader(br *bufio.Reader) (int, error) {
+	h, err := br.Peek(4)
+	if err != nil {
+		return 0, tornAt(len(h), err)
+	}
+	n := binary.BigEndian.Uint32(h)
+	_, _ = br.Discard(4)
+	if n == 0 || n > maxFrameSize {
+		return 0, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
+	}
+	return int(n), nil
 }
 
-func (f *frameReader) next() error {
-	if _, err := io.ReadFull(f.br, f.head[:]); err != nil {
-		return err
+// tornAt turns an EOF after got > 0 bytes of a unit into the unexpected EOF
+// of a torn frame.
+func tornAt(got int, err error) error {
+	if got > 0 && err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	n := binary.BigEndian.Uint32(f.head[:])
-	if n == 0 || n > maxFrameSize {
-		return fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
-	}
-	f.n = int(n)
-	return nil
+	return err
+}
+
+// frameReader presents the payload bytes of successive frames as one
+// continuous logical stream for framed gob: Read and ReadByte serve the
+// current frame and transparently open the next when it is exhausted.
+// Implementing io.ByteReader matters — without it gob wraps the reader in
+// its own bufio.Reader, which reads ahead past frame boundaries it knows
+// nothing about.
+type frameReader struct {
+	br *bufio.Reader
+	n  int // payload bytes remaining in the current frame
+}
+
+func (f *frameReader) next() (err error) {
+	f.n, err = readFrameHeader(f.br)
+	return err
 }
 
 func (f *frameReader) Read(p []byte) (int, error) {
@@ -115,76 +139,117 @@ func (f *frameReader) ReadByte() (byte, error) {
 	return c, err
 }
 
-// encoder and decoder are the common surface of gob and JSON codec state.
-type encoder interface{ Encode(e any) error }
-type decoder interface{ Decode(e any) error }
+// gobFrames is the per-connection state of framed gob.
+type gobFrames struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+	fr  frameReader
+	dec *gob.Decoder
+}
 
-// framedCodec is the v6 wire format: persistent codec state on both sides
-// of a length-prefixed frame stream. Send encodes into a reused scratch
-// buffer and appends length+payload to a buffered writer WITHOUT flushing —
-// callers batch envelopes and flush before blocking on a read (see Flush),
-// which is what coalesces a pipelined Settle+Quote into a single segment.
-// Not safe for concurrent use; the mux layer serializes access.
+// framedCodec is the v6 wire format: envelopes in length-prefixed frames
+// over a buffered connection. Send appends length+payload to the buffered
+// writer WITHOUT flushing — callers batch envelopes and flush before
+// blocking on a read (see Flush), which is what coalesces a pipelined
+// Settle+Quote into a single segment. Not safe for concurrent use; the mux
+// layer serializes access.
 type framedCodec struct {
 	name string
-
-	// send path
-	buf  bytes.Buffer
-	enc  encoder
 	bw   *bufio.Writer
-	head [4]byte
+	br   *bufio.Reader
 
-	// receive path
-	fr  frameReader
-	dec decoder
+	// buf is the reused send scratch: the length prefix, followed by the
+	// envelope for CodecBinary. big receives the rare binary frame larger
+	// than br's buffer.
+	buf []byte
+	big bytes.Buffer
+
+	gob *gobFrames // non-nil only for CodecGob
 }
 
 // newFramedCodec builds the framed codec over a connection whose preamble
 // has already been consumed from br (which must wrap the same stream w
 // writes to).
 func newFramedCodec(name string, br *bufio.Reader, w io.Writer) (*framedCodec, error) {
-	f := &framedCodec{name: name}
-	f.fr.br = br
+	f := &framedCodec{name: name, br: br}
+	switch name {
+	case CodecBinary:
+	case CodecGob:
+		g := &gobFrames{fr: frameReader{br: br}}
+		g.enc = gob.NewEncoder(&g.buf)
+		g.dec = gob.NewDecoder(&g.fr)
+		f.gob = g
+	default:
+		return nil, fmt.Errorf("wire: unknown mux codec %q (have %s, %s)", name, CodecBinary, CodecGob)
+	}
 	f.bw = frameWriterPool.Get().(*bufio.Writer)
 	f.bw.Reset(w)
-	switch name {
-	case CodecGob:
-		f.enc = gob.NewEncoder(&f.buf)
-		f.dec = gob.NewDecoder(&f.fr)
-	case CodecJSON:
-		f.enc = json.NewEncoder(&f.buf)
-		f.dec = json.NewDecoder(&f.fr)
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (have %s)", name, strings.Join(CodecNames(), ", "))
-	}
 	return f, nil
 }
 
 func (f *framedCodec) Name() string { return f.name }
 
 func (f *framedCodec) Send(e *Envelope) error {
-	f.buf.Reset()
-	if err := f.enc.Encode(e); err != nil {
+	if f.gob != nil {
+		return f.sendGob(e)
+	}
+	f.buf = appendEnvelope(append(f.buf[:0], 0, 0, 0, 0), e)
+	n := len(f.buf) - 4
+	if n > maxFrameSize {
+		return fmt.Errorf("%w: %v envelope of %d bytes exceeds the frame limit", ErrBadFrame, e.Kind, n)
+	}
+	binary.BigEndian.PutUint32(f.buf, uint32(n))
+	_, err := f.bw.Write(f.buf)
+	return err
+}
+
+func (f *framedCodec) sendGob(e *Envelope) error {
+	g := f.gob
+	g.buf.Reset()
+	if err := g.enc.Encode(e); err != nil {
 		// A failed encode may leave half a payload in the scratch buffer but
 		// nothing on the wire; the connection is still framed correctly. gob
 		// stream state could be inconsistent though, so callers treat this
 		// as fatal for the connection.
 		return err
 	}
-	binary.BigEndian.PutUint32(f.head[:], uint32(f.buf.Len()))
-	if _, err := f.bw.Write(f.head[:]); err != nil {
+	f.buf = binary.BigEndian.AppendUint32(f.buf[:0], uint32(g.buf.Len()))
+	if _, err := f.bw.Write(f.buf); err != nil {
 		return err
 	}
-	_, err := f.bw.Write(f.buf.Bytes())
+	_, err := f.bw.Write(g.buf.Bytes())
 	return err
 }
 
+// Recv reads the next envelope. A binary frame is decoded in place from the
+// reader's buffer (Peek, decode, Discard); only a frame larger than the
+// buffer is copied out first.
 func (f *framedCodec) Recv() (*Envelope, error) {
-	var e Envelope
-	if err := f.dec.Decode(&e); err != nil {
+	if f.gob != nil {
+		var e Envelope
+		if err := f.gob.dec.Decode(&e); err != nil {
+			return nil, err
+		}
+		return &e, nil
+	}
+	n, err := readFrameHeader(f.br)
+	if err != nil {
 		return nil, err
 	}
-	return &e, nil
+	if n > f.br.Size() {
+		f.big.Reset()
+		if _, err := io.CopyN(&f.big, f.br, int64(n)); err != nil {
+			return nil, tornAt(1, err)
+		}
+		return decodeEnvelope(f.big.Bytes())
+	}
+	p, err := f.br.Peek(n)
+	if err != nil {
+		return nil, tornAt(1, err)
+	}
+	e, err := decodeEnvelope(p)
+	_, _ = f.br.Discard(n)
+	return e, err
 }
 
 // Flush pushes buffered frames to the connection. The framed wire's flush
@@ -207,9 +272,9 @@ func (f *framedCodec) release() {
 		frameWriterPool.Put(f.bw)
 		f.bw = nil
 	}
-	if f.fr.br != nil {
-		f.fr.br.Reset(eofReader{})
-		frameReaderPool.Put(f.fr.br)
-		f.fr.br = nil
+	if f.br != nil {
+		f.br.Reset(eofReader{})
+		frameReaderPool.Put(f.br)
+		f.br = nil
 	}
 }

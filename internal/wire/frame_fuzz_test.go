@@ -29,11 +29,16 @@ func validFrameStream(t testing.TB, codec string, envs ...*Envelope) []byte {
 	return buf.Bytes()
 }
 
+// framedCodecs are the encodings the mux speaks: the binary envelope and
+// framed gob, kept for OpenMux callers that name it.
+var framedCodecs = []string{CodecBinary, CodecGob}
+
 // FuzzFrameDecode feeds arbitrary bytes to the framed decoder: truncated,
 // oversized, zero-length, and bit-flipped frames must all surface as
-// errors — never a panic, a hang, or a giant allocation.
+// errors — never a panic, a hang, or a giant allocation. The seeds are
+// binary frame streams; every input is also fed to framed gob.
 func FuzzFrameDecode(f *testing.F) {
-	valid := validFrameStream(f, CodecGob,
+	valid := validFrameStream(f, CodecBinary,
 		&Envelope{Kind: KindClientHello, Client: &ClientHello{Version: ProtocolVersion, Market: "titanic"}},
 		&Envelope{Kind: KindQuote, Quote: &Quote{Round: 3, Rate: 12.5}},
 	)
@@ -48,9 +53,10 @@ func FuzzFrameDecode(f *testing.F) {
 	corrupt[7] ^= 0xFF
 	f.Add(corrupt) // bit flip inside a payload
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
+	f.Add(validFrameStream(f, CodecGob, &Envelope{Kind: KindQuote, Quote: &Quote{Round: 3, Rate: 12.5}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range CodecNames() {
+		for _, codec := range framedCodecs {
 			fc, err := newFramedCodec(codec, bufio.NewReader(bytes.NewReader(data)), io.Discard)
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +78,7 @@ func FuzzFrameDecode(f *testing.F) {
 // codec garbage.
 func TestFrameDecodeTypedErrors(t *testing.T) {
 	recvErr := func(data []byte) error {
-		fc, err := newFramedCodec(CodecGob, bufio.NewReader(bytes.NewReader(data)), io.Discard)
+		fc, err := newFramedCodec(CodecBinary, bufio.NewReader(bytes.NewReader(data)), io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +94,22 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 	if err := recvErr(oversize); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized frame: err = %v, want ErrBadFrame", err)
 	}
-	valid := validFrameStream(t, CodecGob, &Envelope{Kind: KindQuote, Quote: &Quote{Round: 1}})
-	if err := recvErr(valid[:len(valid)-2]); err == nil {
-		t.Fatal("torn frame decoded cleanly")
+	valid := validFrameStream(t, CodecBinary, &Envelope{Kind: KindQuote, Quote: &Quote{Round: 1}})
+	if err := recvErr(valid[:len(valid)-2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := recvErr(valid[:2]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn length prefix: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if err := recvErr(nil); err != io.EOF {
+		t.Fatalf("clean end of stream: err = %v, want io.EOF", err)
+	}
+	// A well-framed payload that is not an envelope is an *EnvelopeError.
+	garbage := binary.BigEndian.AppendUint32(nil, 3)
+	garbage = append(garbage, 0x04, 0x00, 0xFF)
+	var ee *EnvelopeError
+	if err := recvErr(garbage); !errors.As(err, &ee) || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("undecodable payload: err = %v, want *EnvelopeError wrapping ErrBadFrame", err)
 	}
 }
 
@@ -98,7 +117,7 @@ func TestFrameDecodeTypedErrors(t *testing.T) {
 // envelopes occupy: after decoding everything, trailing bytes that belong
 // to the next protocol layer are still unread in the buffered reader.
 func TestFrameDecodeNoOverRead(t *testing.T) {
-	for _, codec := range CodecNames() {
+	for _, codec := range framedCodecs {
 		t.Run(codec, func(t *testing.T) {
 			stream := validFrameStream(t, codec,
 				&Envelope{Kind: KindClientHello, Client: &ClientHello{Version: ProtocolVersion, Market: "adult"}},

@@ -327,13 +327,11 @@ func (s *MuxSession) Send(e *Envelope) error {
 func (s *MuxSession) Flush() error { return s.mc.flush() }
 
 func (s *MuxSession) Recv() (*Envelope, error) {
-	select {
-	case e := <-s.inbox:
+	if e, ok := queued(s.inbox); ok {
 		return e, nil
-	default:
 	}
 	if err := s.mc.flush(); err != nil {
-		return nil, err
+		return queuedOr(s.inbox, err)
 	}
 	var timerC <-chan time.Time
 	if s.io > 0 {
@@ -355,7 +353,7 @@ func (s *MuxSession) Recv() (*Envelope, error) {
 	case <-timerC:
 		return nil, fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, s.sid, s.io)
 	case <-s.mc.dead:
-		return nil, s.mc.Err()
+		return queuedOr(s.inbox, s.mc.Err())
 	case <-ctxDone:
 		s.Close()
 		return nil, s.ctx.Err()
@@ -644,13 +642,11 @@ func (st *MuxStream) Send(e *Envelope) error {
 func (st *MuxStream) Flush() error { return st.sc.flush() }
 
 func (st *MuxStream) Recv() (*Envelope, error) {
-	select {
-	case e := <-st.inbox:
+	if e, ok := queued(st.inbox); ok {
 		return e, nil
-	default:
 	}
 	if err := st.sc.flush(); err != nil {
-		return nil, err
+		return queuedOr(st.inbox, err)
 	}
 	var timerC <-chan time.Time
 	if st.io > 0 {
@@ -668,8 +664,30 @@ func (st *MuxStream) Recv() (*Envelope, error) {
 	case <-timerC:
 		return nil, fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, st.sid, st.io)
 	case <-st.dead:
-		return nil, st.Err()
+		return queuedOr(st.inbox, st.Err())
 	}
+}
+
+// queued takes an envelope already delivered to inbox, without blocking.
+func queued(inbox chan *Envelope) (*Envelope, bool) {
+	select {
+	case e := <-inbox:
+		return e, true
+	default:
+		return nil, false
+	}
+}
+
+// queuedOr prefers an envelope already delivered to inbox over the
+// connection error err. The demux loop queues a peer's last frame before it
+// reads the EOF behind it, so when a receive wakes on a dead connection
+// while that frame is queued — select picks at random between ready cases —
+// the frame wins and a session that completed is not reported as dropped.
+func queuedOr(inbox chan *Envelope, err error) (*Envelope, error) {
+	if e, ok := queued(inbox); ok {
+		return e, nil
+	}
+	return nil, err
 }
 
 // Err returns the stream's terminal error, if any.

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -59,7 +61,7 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, hello, err := OpenMux(conn, CodecGob, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
+	mc, hello, err := OpenMux(conn, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestMuxSessionCapAnswersBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, _, err := OpenMux(conn, CodecGob, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
+	mc, _, err := OpenMux(conn, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,4 +215,91 @@ func TestMuxSessionCapAnswersBusy(t *testing.T) {
 		t.Fatalf("cap refusal killed the connection: %v", err)
 	}
 	s1.Close()
+}
+
+// hookConn is a net.Conn whose writes run a callback first. Only Write and
+// Close are used by the tests below.
+type hookConn struct {
+	net.Conn
+	onWrite func() error
+}
+
+func (c *hookConn) Write(p []byte) (int, error) {
+	if err := c.onWrite(); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (c *hookConn) Close() error { return nil }
+
+// TestMuxRecvPrefersQueuedEnvelope pins the teardown race behind spurious
+// Dropped sessions: a peer's last frame and its EOF arrive together, so by
+// the time a receive blocks, the envelope is queued AND the connection is
+// dead. Recv must return the envelope every time, on both ends of the mux.
+// The hook makes the window deterministic: Recv's pre-block flush writes
+// to the connection, and that write queues the envelope and fails the
+// connection before Recv reaches its select. Every other iteration the
+// flush itself fails too.
+func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
+	want := &Envelope{Kind: KindSettle, Settle: &Settle{Round: 9, Decision: DecisionAccept}}
+	conn := &hookConn{}
+	newCodec := func() *framedCodec {
+		fc, err := newFramedCodec(CodecBinary, bufio.NewReader(eofReader{}), conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fc
+	}
+
+	t.Run("server-stream", func(t *testing.T) {
+		for i := 0; i < 1000; i++ {
+			sc := &MuxServerConn{conn: conn, fc: newCodec(), sessions: make(map[uint64]*MuxStream)}
+			st, ok := sc.admit(1)
+			if !ok {
+				t.Fatal("admit refused")
+			}
+			// A buffered frame, so Recv's flush reaches the connection.
+			if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: i}}); err != nil {
+				t.Fatal(err)
+			}
+			conn.onWrite = func() error {
+				st.inbox <- want
+				st.fail(io.EOF)
+				if i%2 == 1 {
+					return io.ErrClosedPipe
+				}
+				return nil
+			}
+			got, err := st.Recv()
+			if err != nil || got != want {
+				t.Fatalf("iteration %d: Recv = %v, %v; want the queued envelope", i, got, err)
+			}
+		}
+	})
+
+	t.Run("client-session", func(t *testing.T) {
+		for i := 0; i < 1000; i++ {
+			m := &MuxConn{conn: conn, fc: newCodec(), sessions: make(map[uint64]*MuxSession), dead: make(chan struct{})}
+			s, err := m.register(context.Background(), time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Send(&Envelope{Kind: KindQuote, Quote: &Quote{Round: i}}); err != nil {
+				t.Fatal(err)
+			}
+			conn.onWrite = func() error {
+				s.inbox <- want
+				m.fail(io.EOF)
+				if i%2 == 1 {
+					return io.ErrClosedPipe
+				}
+				return nil
+			}
+			got, err := s.Recv()
+			if err != nil || got != want {
+				t.Fatalf("iteration %d: Recv = %v, %v; want the queued envelope", i, got, err)
+			}
+		}
+	})
 }

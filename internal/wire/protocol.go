@@ -29,8 +29,10 @@
 //
 // The legacy endpoints (DataServer.ServeConn, TaskClient.Bargain) skip the
 // handshake and speak gob with a server-first Hello, exactly as before; v2
-// preambles are still accepted. Envelope framing is codec-agnostic (see
-// Codec): gob for Go peers, JSON for everyone else.
+// preambles are still accepted. The serial endpoints speak gob or JSON
+// stream codecs; the v6 mux frames every envelope in the binary layout of
+// envelope.go (CodecBinary), which non-Go task parties implement from the
+// README's byte table.
 //
 // Secure key handling is pipelined: the server's Paillier key pair comes
 // from a secure.KeyProvider (generation runs off the registration path;

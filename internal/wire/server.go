@@ -603,11 +603,11 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 		// on — and from the first on a resume, whose buyer may have nothing
 		// left to ask — a Settle in place of a Quote is a legal walk-away
 		// notice.
-		wants := []Kind{KindQuote}
+		alt := KindQuote
 		if quotes > 1 || start > 1 {
-			wants = append(wants, KindSettle)
+			alt = KindSettle
 		}
-		e, err := l.recvAny(wants...)
+		e, err := l.recvEither(KindQuote, alt)
 		if err != nil {
 			return sum, err
 		}

@@ -11,9 +11,11 @@ package vflmarket
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 	"net"
 	"reflect"
 	"sync"
@@ -21,7 +23,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/secure"
 	"repro/internal/wire"
 )
 
@@ -114,7 +118,8 @@ func TestServiceDialSingleConnection(t *testing.T) {
 // Client.BargainBatch fans its specs over pooled multiplexed connections,
 // and the result slice is bit-identical to Engine.BargainBatch — same seed
 // derivation, same sessions — whether the batch rode one connection or
-// four, under either codec.
+// four, over the Client's bin codec or the gob and serial JSON transports
+// the server keeps for other callers.
 func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
@@ -129,28 +134,145 @@ func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []string{CodecGob, CodecJSON} {
+	for _, conns := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%s/conns=%d", wire.CodecBinary, conns), func(t *testing.T) {
+			client, err := Dial(context.Background(), addr,
+				WithConnsPerAddr(conns),
+				WithSession(engine.Session()),
+				WithGains(engine.CatalogGains()),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			got, err := client.BargainBatch(context.Background(), specs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch over %d conns diverges from Engine.BargainBatch", conns)
+			}
+		})
+	}
+
+	// The transports the Client no longer speaks but the server still
+	// serves play the same batch bit-identically: framed gob on the mux
+	// (what wire.OpenMux callers name) and the serial JSON endpoint.
+	for _, codec := range []string{wire.CodecGob, wire.CodecJSON} {
 		for _, conns := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/conns=%d", codec, conns), func(t *testing.T) {
-				client, err := Dial(context.Background(), addr,
-					WithCodec(codec),
-					WithConnsPerAddr(conns),
-					WithSession(engine.Session()),
-					WithGains(engine.CatalogGains()),
-				)
+				rt, err := dialRawTransport(addr, codec, "titanic", conns)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer client.Close()
-				got, err := client.BargainBatch(context.Background(), specs, opts)
+				defer rt.Close()
+				got := make([]*Result, len(specs))
+				err = core.ForEach(context.Background(), len(specs), rt.workers(opts.Workers),
+					func(ctx context.Context, i int) error {
+						cfg := engine.Session()
+						if seedIsSet(specs[i].Seed) {
+							cfg.Seed = specs[i].Seed
+						} else if !seedIsSet(cfg.Seed) {
+							cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(i))
+						}
+						res, err := rt.bargain(ctx, cfg, engine.CatalogGains(), -1)
+						got[i] = res
+						return err
+					})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batch over %d conns diverges from Engine.BargainBatch", conns)
+					t.Fatalf("%s batch over %d conns diverges from Engine.BargainBatch", codec, conns)
 				}
 			})
 		}
+	}
+}
+
+// rawTransport plays perfect sessions over a transport the Client no
+// longer speaks but the server still serves: framed gob multiplexed over a
+// pool of conns connections, or serial JSON with one connection per
+// session, at most conns open at once.
+type rawTransport struct {
+	addr, codec, market string
+	conns               int
+	mcs                 []*wire.MuxConn
+	next                atomic.Uint64
+}
+
+func dialRawTransport(addr, codec, market string, conns int) (*rawTransport, error) {
+	rt := &rawTransport{addr: addr, codec: codec, market: market, conns: conns}
+	if codec != wire.CodecGob {
+		return rt, nil
+	}
+	for i := 0; i < conns; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			rt.Close()
+			return nil, err
+		}
+		mc, _, err := wire.OpenMux(conn, codec,
+			wire.ClientHello{Market: market, ListOnly: true}, 5*time.Second)
+		if err != nil {
+			conn.Close()
+			rt.Close()
+			return nil, err
+		}
+		rt.mcs = append(rt.mcs, mc)
+	}
+	return rt, nil
+}
+
+// workers caps a batch's concurrency for the transport: serial sessions
+// each hold a connection, so at most conns of them run at once.
+func (rt *rawTransport) workers(n int) int {
+	if rt.codec != wire.CodecGob && n > rt.conns {
+		return rt.conns
+	}
+	return n
+}
+
+// bargain plays one session. pool sizes the task party's randomizer pool
+// against a secure server exactly as WithClientNoisePool does: 0 is the
+// default size, and pool < 0 encrypts inline.
+func (rt *rawTransport) bargain(ctx context.Context, cfg SessionConfig, gains GainProvider, pool int) (*Result, error) {
+	var (
+		c     wire.Codec
+		hello *wire.Hello
+	)
+	if rt.codec == wire.CodecGob {
+		mc := rt.mcs[rt.next.Add(1)%uint64(len(rt.mcs))]
+		s, h, err := mc.Open(ctx, wire.ClientHello{Market: rt.market}, 10*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		defer s.CloseClean()
+		c, hello = s, h
+	} else {
+		conn, err := net.Dial("tcp", rt.addr)
+		if err != nil {
+			return nil, err
+		}
+		defer conn.Close()
+		c, hello, err = wire.ClientHandshake(wire.WithIOTimeout(conn, 10*time.Second),
+			rt.codec, wire.ClientHello{Market: rt.market})
+		if err != nil {
+			return nil, err
+		}
+	}
+	tc := &wire.TaskClient{Session: cfg, Gains: gains}
+	if hello.Secure && pool >= 0 {
+		pk := secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
+		tc.Noise = secure.NewNoiseSource(pk, pool, 0, rand.Reader)
+		defer tc.Noise.Close()
+	}
+	return tc.BargainCodec(ctx, c, hello)
+}
+
+func (rt *rawTransport) Close() {
+	for _, mc := range rt.mcs {
+		mc.Close()
 	}
 }
 
@@ -178,7 +300,7 @@ func TestServiceImperfectBatchMatchesEngineLoop(t *testing.T) {
 		want[i] = res
 	}
 
-	client, err := dialImperfect(addr, "titanic", CodecGob, engine)
+	client, err := dialImperfect(addr, "titanic", engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +325,7 @@ func TestServiceMuxCancelOneSessionLeavesSibling(t *testing.T) {
 	defer shutdown()
 
 	engine := engines["titanic"]
-	client, err := dialImperfect(addr, "titanic", CodecGob, engine)
+	client, err := dialImperfect(addr, "titanic", engine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package vflmarket
 
 // End-to-end tests of the pipelined secure regime: quantized-exact payment
-// parity over the wire under both codecs (with and without the client's
+// parity over the wire under every served codec (with and without the client's
 // randomizer pool), the public batched secure settlement path, and the
 // oracle flight metrics surfaced per market.
 
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/secure"
+	"repro/internal/wire"
 )
 
 // quantize is the fixed-point resolution the secure regime settles at:
@@ -20,8 +21,10 @@ func quantize(p float64) float64 {
 	return math.Round(p*secure.GainScale) / secure.GainScale
 }
 
-// TestSecureSettlementQuantizedParityOverWire is the wire golden: for both
-// codecs, and for both the pooled and the inline client encryption paths,
+// TestSecureSettlementQuantizedParityOverWire is the wire golden: for the
+// Client's bin codec and for the gob mux and serial JSON transports the
+// server still serves, and for both the pooled and the inline client
+// encryption paths,
 // the payment the server decrypts must equal the client's cleartext
 // payment quantized to the fixed-point grid — exactly, which pins the
 // pooled-encrypt and CRT-decrypt rebuild to the pre-refactor settlement
@@ -56,25 +59,41 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 		codec string
 		pool  int // WithClientNoisePool argument
 	}{
-		{"gob-pooled", CodecGob, 0},
-		{"gob-inline", CodecGob, -1},
-		{"json-pooled", CodecJSON, 0},
-		{"json-inline", CodecJSON, -1},
+		{"bin-pooled", wire.CodecBinary, 0},
+		{"bin-inline", wire.CodecBinary, -1},
+		{"gob-pooled", wire.CodecGob, 0},
+		{"gob-inline", wire.CodecGob, -1},
+		{"json-pooled", wire.CodecJSON, 0},
+		{"json-inline", wire.CodecJSON, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			client, err := Dial(context.Background(), addr,
-				WithCodec(tc.codec),
-				WithClientNoisePool(tc.pool),
-				WithSession(engine.Session()),
-				WithGains(engine.CatalogGains()),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			res, err := client.Bargain(context.Background(), BargainOptions{Seed: 5})
-			if err != nil {
-				t.Fatal(err)
+			var res *Result
+			if tc.codec == wire.CodecBinary {
+				client, err := Dial(context.Background(), addr,
+					WithClientNoisePool(tc.pool),
+					WithSession(engine.Session()),
+					WithGains(engine.CatalogGains()),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				if res, err = client.Bargain(context.Background(), BargainOptions{Seed: 5}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// The gob mux and the serial JSON endpoint are served for
+				// callers other than the Client; settle over them directly.
+				rt, err := dialRawTransport(addr, tc.codec, "titanic", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				cfg := engine.Session()
+				cfg.Seed = 5
+				if res, err = rt.bargain(context.Background(), cfg, engine.CatalogGains(), tc.pool); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// The clear-side trace is bit-identical to the in-process run;
 			// the gain never crossed the wire.

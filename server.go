@@ -31,12 +31,6 @@ type (
 	MarketStats = wire.MarketStats
 )
 
-// Codec names for WithCodec.
-const (
-	CodecGob  = wire.CodecGob
-	CodecJSON = wire.CodecJSON
-)
-
 // ErrPeerTimeout marks session errors caused by a peer stalling past the
 // configured IO timeout (errors.Is).
 var ErrPeerTimeout = wire.ErrPeerTimeout

@@ -1,7 +1,7 @@
 package vflmarket
 
 // End-to-end tests of the public market service: one multi-market Server
-// process, concurrent clients over both codecs, cancellation, malformed
+// process, concurrent clients, cancellation, malformed
 // peers, and the bit-identical-to-in-process contract. All of it runs
 // under -race in CI.
 
@@ -9,12 +9,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // testEngines builds the two synthetic market engines every service test
@@ -64,8 +67,8 @@ func startServer(t testing.TB, engines map[string]*Engine, opts ...ServerOption)
 }
 
 // TestServiceMultiMarketConcurrentClients is the acceptance scenario: one
-// server, two named markets, eight concurrent clients split across markets
-// and codecs, every result bit-identical to the in-process engine run with
+// server, two named markets, eight concurrent clients split across
+// markets, every result bit-identical to the in-process engine run with
 // the same seed.
 func TestServiceMultiMarketConcurrentClients(t *testing.T) {
 	engines := testEngines(t)
@@ -80,10 +83,6 @@ func TestServiceMultiMarketConcurrentClients(t *testing.T) {
 		if i%2 == 1 {
 			market = "credit"
 		}
-		codec := CodecGob
-		if i%4 >= 2 {
-			codec = CodecJSON
-		}
 		seed := uint64(100 + i)
 		wg.Add(1)
 		go func() {
@@ -91,7 +90,6 @@ func TestServiceMultiMarketConcurrentClients(t *testing.T) {
 			engine := engines[market]
 			client, err := Dial(context.Background(), addr,
 				WithMarket(market),
-				WithCodec(codec),
 				WithSession(engine.Session()),
 				WithGains(engine.CatalogGains()),
 			)
@@ -101,7 +99,7 @@ func TestServiceMultiMarketConcurrentClients(t *testing.T) {
 			}
 			got, err := client.Bargain(context.Background(), BargainOptions{Seed: seed})
 			if err != nil {
-				errs <- fmt.Errorf("%s/%s: %w", market, codec, err)
+				errs <- fmt.Errorf("%s: %w", market, err)
 				return
 			}
 			want, err := engine.Bargain(context.Background(), BargainOptions{Seed: seed})
@@ -110,8 +108,8 @@ func TestServiceMultiMarketConcurrentClients(t *testing.T) {
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
-				errs <- fmt.Errorf("%s/%s seed %d: networked result diverges from in-process:\nwire:   %+v\nengine: %+v",
-					market, codec, seed, got, want)
+				errs <- fmt.Errorf("%s seed %d: networked result diverges from in-process:\nwire:   %+v\nengine: %+v",
+					market, seed, got, want)
 			}
 		}()
 	}
@@ -274,7 +272,9 @@ func TestServiceMalformedClient(t *testing.T) {
 	}
 }
 
-// TestServiceUnknownMarketAndCodec verifies the fail-fast paths of Dial.
+// TestServiceUnknownMarketAndCodec verifies the fail-fast paths of Dial,
+// and that the server hangs up on a mux preamble naming an encoding the mux
+// does not speak — JSON included, which only the serial endpoints offer.
 func TestServiceUnknownMarketAndCodec(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines)
@@ -285,8 +285,17 @@ func TestServiceUnknownMarketAndCodec(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nasdaq") {
 		t.Fatalf("unknown-market error does not name the market: %v", err)
 	}
-	if _, err := Dial(context.Background(), addr, WithCodec("xml")); err == nil {
-		t.Fatal("dial with unknown codec succeeded")
+	for _, codec := range []string{"xml", wire.CodecJSON} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "VFLM/6 %s mux\n", codec)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+			t.Fatalf("mux preamble naming %q: read %d bytes, err %v; want the server to hang up", codec, n, err)
+		}
+		conn.Close()
 	}
 
 	client, err := Dial(context.Background(), addr)

@@ -30,7 +30,7 @@
 // with a bounded session pool, IO deadlines, metrics, and graceful
 // shutdown; Dial returns a Client whose Bargain mirrors Engine.Bargain —
 // same options merging, observers, and cancellation — over a
-// codec-agnostic wire protocol (gob or JSON framing), optionally settling
+// multiplexed wire protocol with a compact binary envelope, optionally settling
 // under Paillier encryption (§3.6). Because the networked client plays the
 // exact same game loop as the in-process engine, its results are
 // bit-identical for the same seed and catalog.
