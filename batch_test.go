@@ -277,25 +277,3 @@ func TestNewEngineOptionsMatchConfig(t *testing.T) {
 		t.Fatal("unknown dataset accepted")
 	}
 }
-
-func TestDeprecatedMarketDelegatesToEngine(t *testing.T) {
-	m, err := New(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := m.Engine()
-	if e == nil {
-		t.Fatal("no engine behind the facade")
-	}
-	a, err := m.Bargain(BargainOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Bargain(t.Context(), BargainOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Market.Bargain and Engine.Bargain disagree")
-	}
-}

@@ -152,7 +152,7 @@ func BenchmarkAblationGainCache(b *testing.B) {
 func BenchmarkAblationPriceSampler(b *testing.B) {
 	for _, poolSize := range []int{60, 300, 1200} {
 		b.Run("pool-"+strconv.Itoa(poolSize), func(b *testing.B) {
-			m, err := New(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
+			m, err := NewEngineFromConfig(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func BenchmarkAblationPriceSampler(b *testing.B) {
 				cfg := m.Session()
 				cfg.PriceSamples = poolSize
 				cfg.Seed = uint64(i)
-				res, err := m.BargainWith(cfg)
+				res, err := m.BargainWith(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +194,7 @@ func BenchmarkAblationBisection(b *testing.B) {
 		{"bisection", TaskBisection},
 	} {
 		b.Run(strat.name, func(b *testing.B) {
-			m, err := New(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
+			m, err := NewEngineFromConfig(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func BenchmarkAblationBisection(b *testing.B) {
 			var rounds, pay float64
 			n := 0
 			for i := 0; i < b.N; i++ {
-				res, err := m.Bargain(BargainOptions{Seed: uint64(i), TaskGreed: strat.s})
+				res, err := m.Bargain(context.Background(), BargainOptions{Seed: uint64(i), TaskGreed: strat.s})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -560,13 +560,13 @@ func BenchmarkSecureSettlement(b *testing.B) {
 
 // BenchmarkBargainPerfect measures one strategic perfect-information game.
 func BenchmarkBargainPerfect(b *testing.B) {
-	m, err := New(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
+	m, err := NewEngineFromConfig(Config{Dataset: "titanic", Synthetic: true, Scale: 0.5, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Bargain(BargainOptions{Seed: uint64(i)}); err != nil {
+		if _, err := m.Bargain(context.Background(), BargainOptions{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

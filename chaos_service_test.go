@@ -12,7 +12,6 @@ package vflmarket
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -361,58 +360,38 @@ func TestChaosCircuitBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosWatchdogSeversStalledSession defeats the per-read IO deadline
-// the way a wedged-but-alive peer does — one whitespace byte at a time,
-// each read succeeding, no envelope ever completing — and asserts the
-// watchdog severs the session within its budget and counts it as a
-// watchdog kill, not a dropped transport or a failed session.
+// TestChaosWatchdogSeversStalledSession opens a session and stalls it —
+// the peer alive, its connection open, no envelope ever arriving — under a
+// 2s IO timeout and a 300ms watchdog budget. The watchdog must sever the
+// session well before the stream's own receive timer could fire, and count
+// it as a watchdog kill, not a dropped transport or a failed session.
 func TestChaosWatchdogSeversStalledSession(t *testing.T) {
+	const ioTimeout = 2 * time.Second
 	engines := testEngines(t)
 	srv, addr, shutdown := startServer(t, engines,
-		WithIOTimeout(2*time.Second), WithWatchdogBudget(300*time.Millisecond))
+		WithIOTimeout(ioTimeout), WithWatchdogBudget(300*time.Millisecond))
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "VFLM/6 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":6,"Market":"titanic"}}`+"\n")
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var hello wire.Envelope
-	if err := json.NewDecoder(conn).Decode(&hello); err != nil {
-		t.Fatalf("no hello: %v", err)
-	}
-	if hello.Kind != wire.KindHello {
-		t.Fatalf("handshake answered %+v, want a Hello", hello)
-	}
+	mc, s := openRawSession(t, addr, wire.ClientHello{Market: "titanic"})
+	defer mc.Close()
+	opened := time.Now()
 
-	// Trickle valid JSON whitespace: every server read succeeds inside its
-	// 2s deadline, but no envelope ever arrives. Only the watchdog can end
-	// this session. The write loop runs until the server's sever surfaces
-	// as a write error (or a generous timeout trips the test).
-	start := time.Now()
-	for time.Since(start) < 5*time.Second {
-		if _, err := conn.Write([]byte(" ")); err != nil {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
 	var m ServerMetrics
-	for time.Now().Before(deadline) {
+	for time.Since(opened) < ioTimeout {
 		if m = srv.Metrics(); m.Watchdog >= 1 {
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	if m.Watchdog != 1 {
-		t.Fatalf("watchdog severed %d sessions, want 1 (metrics %+v)", m.Watchdog, m)
+		t.Fatalf("watchdog severed %d sessions within the %v stream timer, want 1 (metrics %+v)", m.Watchdog, ioTimeout, m)
 	}
 	if m.Failed != 0 || m.Dropped != 0 {
 		t.Fatalf("watchdog kill misclassified: %+v, want Failed=0 Dropped=0", m)
+	}
+	// The severed stream is told to back off, like an evicted one.
+	if e, err := s.Recv(); err != nil || e.Kind != wire.KindBusy {
+		t.Fatalf("severed stream recv = %+v, %v; want KindBusy", e, err)
 	}
 }
 

@@ -42,10 +42,6 @@ func WithRetryPolicy(p RetryPolicy) DialOption {
 	return func(c *dialConfig) { c.backoff = p }
 }
 
-// WithResumeBackoff is the historical name of WithRetryPolicy, kept for
-// callers configuring the policy for the resume loop it originally paced.
-func WithResumeBackoff(b ResumeBackoff) DialOption { return WithRetryPolicy(b) }
-
 // WithCircuitBreaker tunes the per-address circuit breakers guarding the
 // connection pool: after Threshold consecutive dial failures an address
 // is suppressed (dials fast-fail with ErrCircuitOpen) until the Cooldown

@@ -59,7 +59,7 @@ type clusterShard struct {
 //
 // Routing is cooperative: every shard knows the registry, so a client may
 // dial any shard — a hello for a market the shard does not own is answered
-// with a redirect to the owner (protocol v5), and the client re-dials
+// with a redirect to the owner, and the client re-dials
 // there transparently. During a migration the market's sessions are
 // severed on the source, the answer degrades to a retryable busy, and the
 // clients' auto-resume loop lands them on the destination once it opens —
@@ -287,7 +287,7 @@ func (c *Cluster) Health(ctx context.Context) map[int]bool {
 }
 
 // StopShard kills one shard abruptly: the listener closes, every live
-// connection — multiplexed and serial — is hard-severed, and the Serve
+// connection is hard-severed, and the Serve
 // goroutine is reaped. In-flight sessions die with transport errors, the
 // shard's final durable state flushes on the way down, and the registry
 // still names the corpse as owner until Failover re-homes its markets.

@@ -338,7 +338,7 @@ func TestClusterRebalance(t *testing.T) {
 // growth, defaults where fields are zero, jitter bounded by the configured
 // fraction and disabled by a negative one.
 func TestResumeBackoffSchedule(t *testing.T) {
-	det := ResumeBackoff{Attempts: 6, Base: 100 * time.Millisecond, Max: 500 * time.Millisecond, Jitter: -1}.withDefaults()
+	det := RetryPolicy{Attempts: 6, Base: 100 * time.Millisecond, Max: 500 * time.Millisecond, Jitter: -1}.withDefaults()
 	wantWaits := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
 		500 * time.Millisecond, 500 * time.Millisecond,
@@ -349,7 +349,7 @@ func TestResumeBackoffSchedule(t *testing.T) {
 		}
 	}
 
-	def := ResumeBackoff{}.withDefaults()
+	def := RetryPolicy{}.withDefaults()
 	if def.Attempts != 12 || def.Base != 150*time.Millisecond || def.Max != 2*time.Second || def.Jitter != 0.2 {
 		t.Fatalf("zero policy defaulted to %+v", def)
 	}

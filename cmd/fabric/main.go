@@ -11,7 +11,7 @@
 //
 // Each market is registered on the shard the registry assigns it; clients
 // may dial ANY shard address — a hello for a market served elsewhere is
-// answered with a protocol-v5 redirect the client follows transparently.
+// answered with a redirect the client follows transparently.
 // With -rebalance, the fleet polls its own per-shard stats over the wire
 // on that interval and migrates at most one market per pass off the
 // hottest shard; in-flight sessions on a migrated market are severed and

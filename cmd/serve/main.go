@@ -16,11 +16,11 @@
 // imperfect sessions mid-game.
 //
 // Clients select a market by name (see cmd/vflmarket -connect, or the
-// vflmarket.Dial API) over the multiplexed binary wire (serial gob and
-// JSON preambles are still answered), in both information regimes:
-// perfect (closed-form pricing over the catalog) and imperfect (§3.5
-// estimation-based bargaining, unless -secure — the imperfect regime needs
-// realized gains in clear).
+// vflmarket.Dial API) over the multiplexed wire — the one protocol the
+// server speaks, "VFLM/6 bin mux" (or framed gob for callers that name
+// it) — in both information regimes: perfect (closed-form pricing over the
+// catalog) and imperfect (§3.5 estimation-based bargaining, unless -secure
+// — the imperfect regime needs realized gains in clear).
 package main
 
 import (

@@ -29,9 +29,10 @@ func Example() {
 	// equilibrium: realized ΔG 0.1395 at knee 0.1395
 }
 
-// The deprecated Market façade still compiles and delegates to the engine.
-func ExampleNew() {
-	market, err := vflmarket.New(vflmarket.Config{
+// The struct form of the engine configuration: the same engine as the
+// functional options build.
+func ExampleNewEngineFromConfig() {
+	engine, err := vflmarket.NewEngineFromConfig(vflmarket.Config{
 		Dataset:   "titanic",
 		Synthetic: true,
 		Seed:      42,
@@ -39,7 +40,7 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := market.Bargain(vflmarket.BargainOptions{Seed: 7})
+	res, err := engine.Bargain(context.Background(), vflmarket.BargainOptions{Seed: 7})
 	if err != nil {
 		panic(err)
 	}
@@ -120,8 +121,8 @@ func ExampleEquilibriumPrice() {
 
 // Comparing the paper's strategic bargaining against the Increase Price
 // baseline on the same market: the strategic buyer nets more.
-func ExampleMarket_Bargain_strategies() {
-	market, err := vflmarket.New(vflmarket.Config{
+func ExampleEngine_Bargain_strategies() {
+	engine, err := vflmarket.NewEngineFromConfig(vflmarket.Config{
 		Dataset:   "titanic",
 		Synthetic: true,
 		Seed:      42,
@@ -129,11 +130,11 @@ func ExampleMarket_Bargain_strategies() {
 	if err != nil {
 		panic(err)
 	}
-	strategic, err := market.Bargain(vflmarket.BargainOptions{Seed: 3})
+	strategic, err := engine.Bargain(context.Background(), vflmarket.BargainOptions{Seed: 3})
 	if err != nil {
 		panic(err)
 	}
-	baseline, err := market.Bargain(vflmarket.BargainOptions{
+	baseline, err := engine.Bargain(context.Background(), vflmarket.BargainOptions{
 		Seed:      3,
 		TaskGreed: vflmarket.TaskIncreasePrice,
 	})

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -152,8 +151,8 @@ func TestServiceImperfectCancelMidExploration(t *testing.T) {
 }
 
 // TestServiceImperfectStalledPeer wedges a hand-rolled client mid-
-// exploration: the server's IO deadline must end the session with an
-// ErrPeerTimeout-wrapped error instead of pinning a worker forever.
+// exploration: the stream's receive timer must end the session with an
+// ErrPeerTimeout-wrapped error instead of pinning it forever.
 func TestServiceImperfectStalledPeer(t *testing.T) {
 	engines := testEngines(t)
 	events := make(chan SessionEvent, 8)
@@ -163,13 +162,8 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 	)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	tmpl := engines["titanic"].SessionImperfect()
-	codec, hello, err := wire.ClientHandshake(conn, wire.CodecGob, wire.ClientHello{
+	mc, s := openRawSession(t, addr, wire.ClientHello{
 		Market: "titanic",
 		Mode:   wire.ModeImperfect,
 		Imperfect: &wire.ImperfectHello{
@@ -177,14 +171,9 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 			ExplorationRounds: imperfectTestParams.ExplorationRounds,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hello.Market != "titanic" {
-		t.Fatalf("market = %q", hello.Market)
-	}
+	defer mc.Close()
 	// One exploration round: quote, take the offer... then go silent.
-	err = codec.Send(&wire.Envelope{Kind: wire.KindQuote, Quote: &wire.Quote{
+	err := s.Send(&wire.Envelope{Kind: wire.KindQuote, Quote: &wire.Quote{
 		Round: 1, Rate: tmpl.InitRate, Base: tmpl.InitBase,
 		High: tmpl.InitBase + tmpl.InitRate*tmpl.TargetGain,
 		U:    tmpl.U, Target: tmpl.TargetGain,
@@ -192,7 +181,7 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codec.Recv(); err != nil {
+	if _, err := s.Recv(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,24 +213,32 @@ func TestServiceImperfectMalformedGainEnvelope(t *testing.T) {
 	srv, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
-	conn, err := net.Dial("tcp", addr)
+	tmpl := engines["titanic"].SessionImperfect()
+	mc, s := openRawSession(t, addr, wire.ClientHello{
+		Market: "titanic",
+		Mode:   wire.ModeImperfect,
+		Imperfect: &wire.ImperfectHello{
+			Seed: 3, Target: tmpl.TargetGain, ExplorationRounds: 30,
+		},
+	})
+	// Quote → Offer, then a well-framed Settle with no payload in the
+	// settlement slot (the "realized gain" that never arrives).
+	err := s.Send(&wire.Envelope{Kind: wire.KindQuote, Quote: &wire.Quote{
+		Round: 1, Rate: tmpl.InitRate, Base: tmpl.InitBase,
+		High: tmpl.InitBase + tmpl.InitRate*tmpl.TargetGain,
+		U:    tmpl.U, Target: tmpl.TargetGain,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := engines["titanic"].SessionImperfect()
-	fmt.Fprintf(conn, "VFLM/3 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":3,"Market":"titanic","Mode":"imperfect","Imperfect":{"Seed":3,"Target":%g,"ExplorationRounds":30}}}`+"\n", tmpl.TargetGain)
-	// Quote → Offer, then a well-framed Settle with no payload in the
-	// settlement slot (the "realized gain" that never arrives).
-	fmt.Fprintf(conn, `{"Kind":2,"Quote":{"Round":1,"Rate":%g,"Base":%g,"High":%g,"U":%g,"Target":%g}}`+"\n",
-		tmpl.InitRate, tmpl.InitBase, tmpl.InitBase+tmpl.InitRate*tmpl.TargetGain, tmpl.U, tmpl.TargetGain)
-	fmt.Fprintf(conn, `{"Kind":4}`+"\n")
-	buf := make([]byte, 1<<16)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(buf); err != nil { // the Hello
-		t.Fatalf("no hello: %v", err)
+	if _, err := s.Recv(); err != nil {
+		t.Fatal(err)
 	}
-	conn.Close()
+	if err := s.Send(&wire.Envelope{Kind: wire.KindSettle}); err != nil {
+		t.Fatal(err)
+	}
+	s.CloseClean()
+	mc.Close()
 
 	// A healthy imperfect client still gets served.
 	engine := engines["titanic"]

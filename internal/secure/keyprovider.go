@@ -1,9 +1,6 @@
 package secure
 
-import (
-	"io"
-	"sync"
-)
+import "io"
 
 // KeyProvider supplies a Paillier key pair. It decouples key generation —
 // seconds of prime search at production sizes — from the code path that
@@ -62,28 +59,4 @@ func EagerKey(random io.Reader, bits int) (KeyProvider, error) {
 		return nil, err
 	}
 	return StaticKey(sk), nil
-}
-
-// lazyKey generates on first use.
-type lazyKey struct {
-	random io.Reader
-	bits   int
-	once   sync.Once
-	sk     *PrivateKey
-	err    error
-}
-
-func (l *lazyKey) Key() (*PrivateKey, error) {
-	l.once.Do(func() { l.sk, l.err = GenerateKey(l.random, l.bits) })
-	return l.sk, l.err
-}
-
-// LazyKey defers key generation to the first Key call — for callers that
-// may never open a secure session and do not want to pay generation (or
-// burn entropy) up front. The key size is validated synchronously.
-func LazyKey(random io.Reader, bits int) (KeyProvider, error) {
-	if err := ValidateKeyBits(bits); err != nil {
-		return nil, err
-	}
-	return &lazyKey{random: random, bits: bits}, nil
 }

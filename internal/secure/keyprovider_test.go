@@ -37,20 +37,6 @@ func TestKeyProviders(t *testing.T) {
 		t.Fatalf("EagerKey = %v, %v", k, err)
 	}
 
-	// Lazy: generates on first use, then memoizes.
-	lazy, err := LazyKey(rand.Reader, MinKeyBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, err := lazy.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, _ := lazy.Key()
-	if l1 != l2 {
-		t.Fatal("LazyKey regenerated")
-	}
-
 	// A provider's key must actually work.
 	ct, err := k1.Encrypt(rand.Reader, big.NewInt(99))
 	if err != nil {
@@ -64,9 +50,6 @@ func TestKeyProviders(t *testing.T) {
 func TestKeyProvidersValidateBitsSynchronously(t *testing.T) {
 	if _, err := AsyncKey(rand.Reader, 64); err == nil {
 		t.Fatal("AsyncKey accepted a weak key size")
-	}
-	if _, err := LazyKey(rand.Reader, 64); err == nil {
-		t.Fatal("LazyKey accepted a weak key size")
 	}
 	if _, err := EagerKey(rand.Reader, 64); err == nil {
 		t.Fatal("EagerKey accepted a weak key size")

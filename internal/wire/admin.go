@@ -14,10 +14,10 @@ import (
 // fabric rebalancer and the cluster health prober consume in place of
 // in-process Server.Metrics calls.
 //
-// The per-attempt IO deadline is derived from ctx: the effective timeout
-// is the smaller of ioTimeout and the time remaining until ctx's
-// deadline, so a probe against a stalled shard returns when the caller's
-// budget expires instead of inheriting the raw connection deadline.
+// The exchange runs under one IO deadline derived from ctx: the smaller of
+// ioTimeout and the time remaining until ctx's deadline, so a probe
+// against a stalled shard returns when the caller's budget expires instead
+// of inheriting the raw connection deadline.
 // Cancelling ctx severs the connection immediately. The caller owns the
 // connection; ioTimeout <= 0 with no ctx deadline means no deadline.
 func FetchStats(ctx context.Context, conn net.Conn, ioTimeout time.Duration) (*StatsReport, error) {
@@ -31,13 +31,17 @@ func FetchStats(ctx context.Context, conn net.Conn, ioTimeout time.Duration) (*S
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	tconn := WithIOTimeout(conn, ioTimeout)
-	if err := WriteMuxHandshake(tconn, CodecBinary); err != nil {
+	if ioTimeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
+			return nil, err
+		}
+	}
+	if err := writeMuxHandshake(conn, CodecBinary); err != nil {
 		return nil, err
 	}
 	br := frameReaderPool.Get().(*bufio.Reader)
-	br.Reset(tconn)
-	c, err := newFramedCodec(CodecBinary, br, tconn)
+	br.Reset(conn)
+	c, err := newFramedCodec(CodecBinary, br, conn)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestServeImperfectRefusesAbusiveHello(t *testing.T) {
 	}
 	_, serverConn := net.Pipe()
 	defer serverConn.Close()
-	c, _ := NewCodec(CodecGob, serverConn, serverConn)
+	c := newPipeCodec(serverConn)
 	abusive := &ImperfectHello{Seed: 1, Target: cfg.TargetGain,
 		ExplorationRounds: DefaultMaxExplorationRounds + 1}
 	// The refusal happens before any write, so the unread pipe never blocks.

@@ -5,8 +5,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-	"net"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -24,10 +22,6 @@ type TaskClient struct {
 	// Observers stream the session's realized rounds and outcome, exactly
 	// as in-process observers do.
 	Observers []core.RoundObserver
-	// IOTimeout bounds every read and write on connections passed to
-	// Bargain, surfacing a stalled server as an ErrPeerTimeout-wrapped
-	// error. 0 means no deadline.
-	IOTimeout time.Duration
 	// Noise, when non-nil, is a pool of precomputed encryption randomizers
 	// for the server's public key: secure settlements then cost one mulmod
 	// each in steady state instead of a full modexp. Callers running many
@@ -36,34 +30,14 @@ type TaskClient struct {
 	Noise *secure.NoiseSource
 	// Checkpoint, when non-nil, receives the task party's frozen session
 	// state after every mutually settled non-terminal round of an imperfect
-	// session — the client half of v4 resume. Feed the last one received to
+	// session — the client half of resume. Feed the last one received to
 	// ResumeImperfectCodec on a fresh connection to continue after a broken
 	// one.
 	Checkpoint func(*core.ImperfectCheckpoint)
 }
 
-// Bargain runs one full legacy (v1) session over the connection and
-// returns the result trace: gob framing, server-first Hello, no handshake.
-func (t *TaskClient) Bargain(conn net.Conn) (*core.Result, error) {
-	return t.BargainContext(context.Background(), conn)
-}
-
-// BargainContext is Bargain with cancellation between bargaining rounds.
-func (t *TaskClient) BargainContext(ctx context.Context, conn net.Conn) (*core.Result, error) {
-	if err := t.Session.Validate(); err != nil {
-		return nil, err
-	}
-	l := newCodec(WithIOTimeout(conn, t.IOTimeout))
-	he, err := l.recv(KindHello)
-	if err != nil {
-		return nil, err
-	}
-	return t.BargainCodec(ctx, l.c, he.Hello)
-}
-
-// BargainCodec runs the session over an established codec after the
-// server's Hello has been received — the entry point for the handshake
-// flow, where the frontend negotiated codec and market first.
+// BargainCodec runs one perfect-information session over an established
+// codec (a mux session) after the server's Hello has been received.
 func (t *TaskClient) BargainCodec(ctx context.Context, c Codec, hello *Hello) (*core.Result, error) {
 	var reporter *secure.TaskReporter
 	if hello.Secure {
@@ -81,31 +55,16 @@ func (t *TaskClient) BargainCodec(ctx context.Context, c Codec, hello *Hello) (*
 }
 
 // BargainImperfectCodec runs one imperfect-information session over an
-// established codec after the v3 handshake opened it in ModeImperfect: the
-// identical estimation-based game loop as core.Session.RunImperfect, with
-// the remote data party serving bundles and acknowledging every settlement
-// with its estimator's MSE. The server must have been helloed with the
-// same ImperfectHello this client derived its session from, or the streams
+// established codec opened in ModeImperfect: the identical
+// estimation-based game loop as core.Session.RunImperfect, with the remote
+// data party serving bundles and acknowledging every settlement with its
+// estimator's MSE. The server must have been helloed with the same
+// ImperfectHello this client derived its session from, or the streams
 // diverge.
 func (t *TaskClient) BargainImperfectCodec(ctx context.Context, c Codec, hello *Hello, params core.ImperfectParams) (*core.ImperfectResult, error) {
-	if hello.Secure {
-		return nil, fmt.Errorf("wire: the imperfect regime needs cleartext settlement; the server settles under Paillier")
-	}
-	seller := &remoteSeller{
-		l:        link{c},
-		u:        t.Session.U,
-		target:   t.Session.TargetGain,
-		ackMSE:   true,
-		pipeline: hello.Version >= 6,
-	}
-	sess := core.NewSession(nil, t.Session).Observe(t.Observers...)
-	if t.Checkpoint != nil {
-		if seller.pipeline {
-			seller.sink = t.Checkpoint
-			sess.OnCheckpoint(seller.holdCheckpoint)
-		} else {
-			sess.OnCheckpoint(t.Checkpoint)
-		}
+	sess, seller, err := t.imperfectSession(c, hello)
+	if err != nil {
+		return nil, err
 	}
 	return sess.RunImperfectWith(ctx, params, seller, t.Gains)
 }
@@ -117,32 +76,38 @@ func (t *TaskClient) BargainImperfectCodec(ctx context.Context, c Codec, hello *
 // bit-identically to the uninterrupted run. The server's Hello must confirm
 // the granted resume, or the streams would silently diverge.
 func (t *TaskClient) ResumeImperfectCodec(ctx context.Context, c Codec, hello *Hello, params core.ImperfectParams, ck *core.ImperfectCheckpoint) (*core.ImperfectResult, error) {
-	if hello.Secure {
-		return nil, fmt.Errorf("wire: the imperfect regime needs cleartext settlement; the server settles under Paillier")
-	}
 	if ck == nil {
 		return nil, fmt.Errorf("wire: resume needs a checkpoint")
 	}
 	if hello.Resumed != ck.Round {
 		return nil, fmt.Errorf("wire: server confirmed resume through round %d, checkpoint is at round %d", hello.Resumed, ck.Round)
 	}
+	sess, seller, err := t.imperfectSession(c, hello)
+	if err != nil {
+		return nil, err
+	}
+	return sess.ResumeImperfectWith(ctx, params, ck, seller, t.Gains)
+}
+
+// imperfectSession builds the session and remote seller both imperfect
+// entry points drive; checkpoints reach t.Checkpoint through the seller's
+// hold, which completes them with the pipelined Ack's MSE.
+func (t *TaskClient) imperfectSession(c Codec, hello *Hello) (*core.Session, *remoteSeller, error) {
+	if hello.Secure {
+		return nil, nil, fmt.Errorf("wire: the imperfect regime needs cleartext settlement; the server settles under Paillier")
+	}
 	seller := &remoteSeller{
-		l:        link{c},
-		u:        t.Session.U,
-		target:   t.Session.TargetGain,
-		ackMSE:   true,
-		pipeline: hello.Version >= 6,
+		l:      link{c},
+		u:      t.Session.U,
+		target: t.Session.TargetGain,
+		ackMSE: true,
+		sink:   t.Checkpoint,
 	}
 	sess := core.NewSession(nil, t.Session).Observe(t.Observers...)
 	if t.Checkpoint != nil {
-		if seller.pipeline {
-			seller.sink = t.Checkpoint
-			sess.OnCheckpoint(seller.holdCheckpoint)
-		} else {
-			sess.OnCheckpoint(t.Checkpoint)
-		}
+		sess.OnCheckpoint(seller.holdCheckpoint)
 	}
-	return sess.ResumeImperfectWith(ctx, params, ck, seller, t.Gains)
+	return sess, seller, nil
 }
 
 // remoteSeller adapts the wire protocol's data party to core.Seller: each
@@ -152,18 +117,17 @@ func (t *TaskClient) ResumeImperfectCodec(ctx context.Context, c Codec, hello *H
 // (ackMSE) every settlement additionally collects the server's Ack with its
 // estimator MSE, implementing core.MSEReporter.
 //
-// Against a v6 server (pipeline) the rounds are pipelined: a non-terminal
-// Settle returns without reading its Ack, the next Offer's Quote goes out
-// immediately (one buffered write with the Settle on the framed wire), and
-// the pending Ack is drained right before that Offer's reply — so a
-// steady-state round costs one RTT instead of two. The envelope sequence
-// on the wire is byte-identical to the serial protocol, which is what
-// keeps v4 resume and bit-identity intact: the server being "one round
-// ahead" at any cut point is exactly the state its checkpoint replay
+// The rounds are pipelined: a non-terminal Settle returns without reading
+// its Ack, the next Offer's Quote goes out immediately (one buffered write
+// with the Settle on the framed wire), and the pending Ack is drained right
+// before that Offer's reply — so a steady-state round costs one RTT instead
+// of two. The envelope sequence is the same as a lockstep exchange, which
+// is what keeps resume and bit-identity intact: the server being "one
+// round ahead" at any cut point is exactly the state its checkpoint replay
 // machinery handles. The session checkpoint taken between a Settle and the
 // Ack drain is held back (holdCheckpoint) and completed with the drained
 // MSE before reaching the caller's sink, so a resumed run sees the same
-// checkpoint a serial run would have produced.
+// checkpoint a lockstep run would have produced.
 type remoteSeller struct {
 	l        link
 	reporter *secure.TaskReporter
@@ -172,10 +136,9 @@ type remoteSeller struct {
 	ackMSE   bool
 	mse      []float64
 
-	pipeline bool
-	ackWait  bool
-	held     *core.ImperfectCheckpoint
-	sink     func(*core.ImperfectCheckpoint)
+	ackWait bool
+	held    *core.ImperfectCheckpoint
+	sink    func(*core.ImperfectCheckpoint)
 
 	// Send-path scratch, reused every round: the codec does not retain its
 	// argument past Send, and a session drives its seller from one
@@ -212,7 +175,7 @@ func (r *remoteSeller) drainAck() error {
 	return nil
 }
 
-// holdCheckpoint is the session's OnCheckpoint hook under pipelining: a
+// holdCheckpoint is the session's OnCheckpoint hook: a
 // checkpoint cut while an Ack is still in flight is missing that round's
 // MSE, so it waits for the drain. If the session dies before the drain the
 // checkpoint is never delivered — the caller resumes one round earlier and
@@ -268,7 +231,7 @@ func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDeci
 		return err
 	}
 	if r.ackMSE {
-		if r.pipeline && d == core.SettleContinue {
+		if d == core.SettleContinue {
 			// Leave the Ack in flight; the next Offer drains it together
 			// with its own reply.
 			r.ackWait = true

@@ -3,9 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
-	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,80 +27,84 @@ func sampleEnvelopes() []*Envelope {
 	}
 }
 
+// roundTrip frames envs in the named encoding and decodes them back.
+func roundTrip(t *testing.T, name string, envs []*Envelope) []*Envelope {
+	t.Helper()
+	stream := validFrameStream(t, name, envs...)
+	fc, err := newFramedCodec(name, bufio.NewReader(bytes.NewReader(stream)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Envelope
+	for range envs {
+		e, err := fc.Recv()
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		got = append(got, e)
+	}
+	return got
+}
+
 // TestCodecsRoundTripEnvelopes: every envelope shape must survive both
-// codecs bit-exactly (floats included — both gob and Go's JSON encoder
-// round-trip float64 exactly).
+// framed encodings bit-exactly (floats included).
 func TestCodecsRoundTripEnvelopes(t *testing.T) {
-	for _, name := range CodecNames() {
+	for _, name := range framedCodecs {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			c, err := NewCodec(name, &buf, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range sampleEnvelopes() {
-				if err := c.Send(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, want := range sampleEnvelopes() {
-				got, err := c.Recv()
-				if err != nil {
-					t.Fatalf("recv %v: %v", want.Kind, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
-				}
+			if got := roundTrip(t, name, sampleEnvelopes()); !reflect.DeepEqual(got, sampleEnvelopes()) {
+				t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, sampleEnvelopes())
 			}
 		})
 	}
-	if _, err := NewCodec("xml", nil, nil); err == nil {
+	if _, err := newFramedCodec("xml", bufio.NewReader(nil), nil); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
 }
 
+// TestHandshakeRoundTrip pins the preamble grammar: "VFLM/6 <bin|gob> mux"
+// and nothing else, every refusal an ErrBadHandshake.
 func TestHandshakeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHandshake(&buf, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	name, err := ReadHandshake(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != CodecJSON {
-		t.Fatalf("codec = %q", name)
+	for _, name := range framedCodecs {
+		var buf bytes.Buffer
+		if err := writeMuxHandshake(&buf, name); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readHandshake(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != name {
+			t.Fatalf("codec = %q, want %q", got, name)
+		}
 	}
 
-	for _, bad := range []string{"", "HTTP/1.1 GET /\n", "VFLM/1 gob\n", "VFLM/2 gob json extra\n",
-		"VFLM/2 " + string(bytes.Repeat([]byte("x"), 100)) + "\n"} {
-		if _, err := ReadHandshake(bufio.NewReader(bytes.NewBufferString(bad))); err == nil {
-			t.Fatalf("bad preamble %q accepted", bad)
+	for _, bad := range []string{"", "HTTP/1.1 GET /\n", "VFLM/1 gob\n", "VFLM/6 gob\n", "VFLM/6 json mux\n",
+		"VFLM/5 bin mux\n", "VFLM/7 bin mux\n", "VFLM/6 bin mux extra\n",
+		"VFLM/6 " + strings.Repeat("x", 100) + " mux\n"} {
+		if _, err := readHandshake(bufio.NewReader(strings.NewReader(bad))); !errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("preamble %q: err = %v, want ErrBadHandshake", bad, err)
 		}
 	}
 }
 
-// TestServeConnTimesOutOnStalledClient is the deadline fix: a client that
-// connects and then goes silent must fail the session with an
-// ErrPeerTimeout-classified error instead of hanging ServeConn forever.
+// TestServeConnTimesOutOnStalledClient: a client that opens a session and
+// then goes silent fails the server's session on the stream's own receive
+// timer with an ErrPeerTimeout-classified error, instead of hanging it.
 func TestServeConnTimesOutOnStalledClient(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 61)
 	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.IOTimeout = 50 * time.Millisecond
-
-	clientConn, serverConn := net.Pipe()
-	defer clientConn.Close()
+	hello := mustHello(t, srv)
 	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
+	mc, shutdown := startMux(t, 50*time.Millisecond, func(st *MuxStream, _ *ClientHello) {
+		_, err := srv.ServeCodec(st, hello)
 		errCh <- err
-	}()
-	// Read the Hello, then stall without ever quoting.
-	if _, err := newCodec(clientConn).recv(KindHello); err != nil {
+	})
+	defer shutdown()
+	// Take the Hello, then stall without ever quoting.
+	if _, _, err := mc.Open(context.Background(), ClientHello{}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -108,26 +113,36 @@ func TestServeConnTimesOutOnStalledClient(t *testing.T) {
 			t.Fatalf("err = %v, want ErrPeerTimeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("server hung on a stalled client despite IOTimeout")
+		t.Fatal("server hung on a stalled client despite its stream timer")
 	}
 }
 
 // TestClientTimesOutOnStalledServer is the client-side mirror: a server
-// that never answers the first quote must not hang Bargain.
+// that never answers the first quote fails the client's session on its own
+// receive timer.
 func TestClientTimesOutOnStalledServer(t *testing.T) {
 	_, cfg, gains := buildMarket(t, 67)
-	clientConn, serverConn := net.Pipe()
-	defer serverConn.Close()
-	go func() {
-		// Say hello, then go silent (swallow the client's quote).
-		l := newCodec(serverConn)
-		l.send(&Envelope{Kind: KindHello, Hello: &Hello{}}) //nolint:errcheck
-		l.recv(KindQuote)                                   //nolint:errcheck
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains, IOTimeout: 50 * time.Millisecond}
+	mc, shutdown := startMux(t, time.Minute, func(st *MuxStream, _ *ClientHello) {
+		// Say hello, then go silent (swallow the client's quote) until the
+		// stream dies.
+		if st.Send(&Envelope{Kind: KindHello, Hello: &Hello{}}) != nil {
+			return
+		}
+		for {
+			if _, err := st.Recv(); err != nil {
+				return
+			}
+		}
+	})
+	defer shutdown()
+	s, hello, err := mc.Open(context.Background(), ClientHello{}, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &TaskClient{Session: cfg, Gains: gains}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		_, err := client.BargainCodec(context.Background(), s, hello)
 		done <- err
 	}()
 	select {
@@ -136,7 +151,7 @@ func TestClientTimesOutOnStalledServer(t *testing.T) {
 			t.Fatalf("err = %v, want ErrPeerTimeout", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("client hung on a stalled server despite IOTimeout")
+		t.Fatal("client hung on a stalled server despite its stream timer")
 	}
-	clientConn.Close()
+	s.Close()
 }

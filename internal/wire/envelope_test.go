@@ -270,7 +270,8 @@ func TestEnvelopeCountsCappedBeforeAlloc(t *testing.T) {
 // must match testdata/envelope-v1.golden, one "kind hex" line per
 // envelope. The file doubles as test vectors for implementations of the
 // layout in other languages. Run with -update after an intentional layout
-// change; that also regenerates the FuzzEnvelopeDecode seed corpus.
+// change; that also regenerates the FuzzEnvelopeDecode and FuzzHandshake
+// seed corpora.
 func TestEnvelopeGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Binary envelope layout v1: one envelope per line, \"<kind> <frame payload hex>\".\n")
@@ -279,7 +280,8 @@ func TestEnvelopeGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "envelope-v1.golden")
 	if *updateGolden {
-		writeEnvelopeCorpus(t) // creates testdata/ on the way
+		writeCorpus(t, "FuzzEnvelopeDecode", envelopeCorpus()) // creates testdata/ on the way
+		writeCorpus(t, "FuzzHandshake", handshakeCorpus(t))
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -323,13 +325,14 @@ func envelopeCorpus() [][]byte {
 	return seeds
 }
 
-// writeEnvelopeCorpus commits envelopeCorpus in the go test fuzz format.
-func writeEnvelopeCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzEnvelopeDecode")
+// writeCorpus commits seeds as the named fuzz target's corpus in the go
+// test fuzz format.
+func writeCorpus(t *testing.T, target string, seeds [][]byte) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, seed := range envelopeCorpus() {
+	for i, seed := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)

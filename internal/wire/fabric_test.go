@@ -1,13 +1,12 @@
 package wire
 
-// Protocol-level tests of the v5 fabric envelopes: KindRedirect and
-// KindStats round-trip both codecs bit-exactly, a redirect surfaces as the
+// Protocol-level tests of the fabric envelopes: KindRedirect and
+// KindStats round-trip both framed encodings bit-exactly, a redirect surfaces as the
 // typed *RedirectError (matching the ErrRedirected sentinel), and
 // FetchStats runs the full admin exchange over a real connection, on the
 // binary mux wire.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -33,26 +32,10 @@ func fabricEnvelopes() []*Envelope {
 }
 
 func TestFabricEnvelopesRoundTripBothCodecs(t *testing.T) {
-	for _, name := range CodecNames() {
+	for _, name := range framedCodecs {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			c, err := NewCodec(name, &buf, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range fabricEnvelopes() {
-				if err := c.Send(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, want := range fabricEnvelopes() {
-				got, err := c.Recv()
-				if err != nil {
-					t.Fatalf("recv %v: %v", want.Kind, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
-				}
+			if got := roundTrip(t, name, fabricEnvelopes()); !reflect.DeepEqual(got, fabricEnvelopes()) {
+				t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, fabricEnvelopes())
 			}
 		})
 	}
@@ -63,8 +46,7 @@ func TestFabricEnvelopesRoundTripBothCodecs(t *testing.T) {
 // address, matching ErrRedirected and NOT the terminal ErrRejected (a
 // redirect is an instruction, not a refusal).
 func TestRedirectSurfacesAsTypedError(t *testing.T) {
-	var buf bytes.Buffer
-	c, _ := NewCodec(CodecGob, &buf, &buf)
+	c := loopCodec(t, CodecBinary)
 	SendRedirect(c, &Redirect{Market: "credit", Addr: "127.0.0.1:9999", Epoch: 3})
 	_, err := link{c}.recv(KindHello)
 	if err == nil {
@@ -85,8 +67,7 @@ func TestRedirectSurfacesAsTypedError(t *testing.T) {
 	}
 
 	// A redirect without its payload is a framing violation, not a panic.
-	var buf2 bytes.Buffer
-	c2, _ := NewCodec(CodecGob, &buf2, &buf2)
+	c2 := loopCodec(t, CodecBinary)
 	if err2 := c2.Send(&Envelope{Kind: KindRedirect}); err2 != nil {
 		t.Fatal(err2)
 	}
@@ -108,16 +89,17 @@ func TestFetchStatsOverConnection(t *testing.T) {
 	defer clientConn.Close()
 	go func() {
 		defer serverConn.Close()
-		codec, ch, mux, err := AcceptHandshakeMux(serverConn, 5*time.Second)
+		codec, ch, err := AcceptHandshakeMux(serverConn, 5*time.Second)
 		if err != nil {
 			return
 		}
-		if !mux || codec.Name() != CodecBinary || !ch.StatsOnly || ch.Version != ProtocolVersion {
+		defer Release(codec)
+		if codec.Name() != CodecBinary || !ch.StatsOnly || ch.Version != ProtocolVersion {
 			SendError(codec, "not a binary mux stats hello")
 			return
 		}
 		_ = codec.Send(&Envelope{Kind: KindStats, Stats: want})
-		_ = Flush(codec)
+		_ = codec.Flush()
 	}()
 	got, err := FetchStats(context.Background(), clientConn, 5*time.Second)
 	if err != nil {

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"net"
+	"context"
 	"testing"
 	"time"
 )
@@ -16,21 +16,14 @@ func TestServerSurvivesClientDisconnectAfterHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	if _, err := (link{c}).recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
-	clientConn.Close() // vanish before quoting
+	c.conn.Close() // vanish before quoting
 	select {
-	case err := <-errCh:
-		if err == nil {
+	case r := <-done:
+		if r.err == nil {
 			t.Fatal("server treated a dropped client as a clean session")
 		}
 	case <-time.After(5 * time.Second):
@@ -44,28 +37,22 @@ func TestServerSurvivesClientDisconnectMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	l := link{c}
+	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
 	// Quote, take the offer, then vanish before settling.
-	if err := c.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: 10, Base: 2, High: 4}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: 10, Base: 2, High: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.recv(KindOffer); err != nil {
+	if _, err := l.recv(KindOffer); err != nil {
 		t.Fatal(err)
 	}
-	clientConn.Close()
+	c.conn.Close()
 	select {
-	case err := <-errCh:
-		if err == nil {
+	case r := <-done:
+		if r.err == nil {
 			t.Fatal("server treated a mid-round drop as clean")
 		}
 	case <-time.After(5 * time.Second):
@@ -74,19 +61,19 @@ func TestServerSurvivesClientDisconnectMidRound(t *testing.T) {
 }
 
 func TestClientSurvivesServerDisconnect(t *testing.T) {
-	cat, cfg, gains := buildMarket(t, 47)
-	_ = cat
-	clientConn, serverConn := net.Pipe()
-	go func() {
-		// A "server" that sends Hello and dies.
-		c := newCodec(serverConn)
-		c.send(&Envelope{Kind: KindHello, Hello: &Hello{}}) //nolint:errcheck
-		serverConn.Close()
-	}()
+	_, cfg, gains := buildMarket(t, 47)
+	// A "server" that sends Hello and dies.
+	c, _ := servePipe(t, func(c Codec) (*SessionSummary, error) {
+		return nil, c.Send(&Envelope{Kind: KindHello, Hello: &Hello{}})
+	})
+	he, err := link{c}.recv(KindHello)
+	if err != nil {
+		t.Fatal(err)
+	}
 	client := &TaskClient{Session: cfg, Gains: gains}
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		_, err := client.BargainCodec(context.Background(), c, he.Hello)
 		done <- err
 	}()
 	select {
@@ -97,22 +84,19 @@ func TestClientSurvivesServerDisconnect(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("client hung on server disconnect")
 	}
-	clientConn.Close()
 }
 
+// TestClientRejectsMalformedHello: a stream whose server answers the open
+// with anything but a Hello fails the open instead of starting a session.
 func TestClientRejectsMalformedHello(t *testing.T) {
-	_, cfg, gains := buildMarket(t, 53)
-	clientConn, serverConn := net.Pipe()
-	go func() {
-		c := newCodec(serverConn)
+	mc, shutdown := startMux(t, 5*time.Second, func(st *MuxStream, _ *ClientHello) {
 		// Wrong kind first.
-		c.send(&Envelope{Kind: KindOffer, Offer: &Offer{}}) //nolint:errcheck
-		serverConn.Close()
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
+		_ = st.Send(&Envelope{Kind: KindOffer, Offer: &Offer{}})
+	})
+	defer shutdown()
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Bargain(clientConn)
+		_, _, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
 		done <- err
 	}()
 	select {
@@ -123,7 +107,6 @@ func TestClientRejectsMalformedHello(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("client hung on malformed hello")
 	}
-	clientConn.Close()
 }
 
 func TestServerRoundCapEndsRunawaySession(t *testing.T) {
@@ -133,42 +116,36 @@ func TestServerRoundCapEndsRunawaySession(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.MaxRounds = 3
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	l := link{c}
+	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
 	// A client that quotes forever without ever accepting.
 	for i := 0; i < 4; i++ {
-		if err := c.send(&Envelope{Kind: KindQuote,
+		if err := l.send(&Envelope{Kind: KindQuote,
 			Quote: &Quote{Rate: 10, Base: 2, High: 4 + float64(i)*0.01}}); err != nil {
 			break // server already gave up — also acceptable
 		}
-		oe, err := c.recv(KindOffer)
+		oe, err := l.recv(KindOffer)
 		if err != nil {
 			break
 		}
 		if oe.Offer.Fail {
 			t.Fatal("unexpected Case 1")
 		}
-		if err := c.send(&Envelope{Kind: KindSettle,
+		if err := l.send(&Envelope{Kind: KindSettle,
 			Settle: &Settle{Gain: 0.01, Decision: DecisionContinue}}); err != nil {
 			break
 		}
 	}
+	_ = c.Flush()
 	select {
-	case err := <-errCh:
-		if err == nil {
+	case r := <-done:
+		if r.err == nil {
 			t.Fatal("server allowed a runaway session past its round cap")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server hung past its round cap")
 	}
-	clientConn.Close()
 }

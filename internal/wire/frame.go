@@ -11,12 +11,11 @@ import (
 	"sync"
 )
 
-// The v6 fast wire replaces one-decoder-per-connection stream codecs with
-// length-prefixed frames: every envelope travels as a 4-byte big-endian
-// length followed by that many payload bytes in the negotiated encoding.
-// The frame boundary is what makes multiplexing safe — the demux loop can
-// hand whole envelopes to per-session inboxes without any session's decoder
-// reading past its own bytes.
+// The wire frames every envelope: a 4-byte big-endian length followed by
+// that many payload bytes in the negotiated encoding. The frame boundary is
+// what makes multiplexing safe — the demux loop can hand whole envelopes to
+// per-session inboxes without any session's decoder reading past its own
+// bytes.
 //
 // Two encodings ride the frames. CodecBinary is the wire's own: the
 // hand-rolled layout of envelope.go, encoded by appending into one reused
@@ -27,7 +26,7 @@ import (
 // once still costs hundreds of allocations on every fresh connection.
 
 // CodecBinary names the binary envelope encoding in the mux preamble. It is
-// the encoding vflmarket clients speak; the serial endpoints do not offer it.
+// the encoding vflmarket clients speak.
 const CodecBinary = "bin"
 
 // maxFrameSize bounds a single frame so a corrupt or hostile length prefix
@@ -147,7 +146,7 @@ type gobFrames struct {
 	dec *gob.Decoder
 }
 
-// framedCodec is the v6 wire format: envelopes in length-prefixed frames
+// framedCodec is the wire format: envelopes in length-prefixed frames
 // over a buffered connection. Send appends length+payload to the buffered
 // writer WITHOUT flushing — callers batch envelopes and flush before
 // blocking on a read (see Flush), which is what coalesces a pipelined
@@ -264,6 +263,12 @@ type eofReader struct{}
 
 func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
+// putReader parks a bufio.Reader from frameReaderPool and recycles it.
+func putReader(br *bufio.Reader) {
+	br.Reset(eofReader{})
+	frameReaderPool.Put(br)
+}
+
 // release returns the pooled bufio state. Call once, after the connection
 // is done; the codec must not be used afterwards.
 func (f *framedCodec) release() {
@@ -273,8 +278,7 @@ func (f *framedCodec) release() {
 		f.bw = nil
 	}
 	if f.br != nil {
-		f.br.Reset(eofReader{})
-		frameReaderPool.Put(f.br)
+		putReader(f.br)
 		f.br = nil
 	}
 }

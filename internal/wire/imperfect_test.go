@@ -9,7 +9,6 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -34,40 +33,28 @@ func runImperfectSession(t *testing.T, seed uint64) (*core.ImperfectResult, *Ses
 		t.Fatal(err)
 	}
 	srv.EpsImperfect = cfg.EpsData
-	clientConn, serverConn := net.Pipe()
-	var (
-		sum    *SessionSummary
-		srvErr error
-		wg     sync.WaitGroup
-	)
 	ih := &ImperfectHello{
 		Seed: cfg.Seed, Target: cfg.TargetGain,
 		ExplorationRounds: params.ExplorationRounds, ReplaySteps: params.ReplaySteps,
 	}
 	hello := mustHello(t, srv)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer serverConn.Close()
-		c, _ := NewCodec(CodecGob, serverConn, serverConn)
-		sum, srvErr = srv.ServeImperfectCodec(c, hello, ih)
-	}()
-	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) { return srv.ServeImperfectCodec(c, hello, ih) })
 	he, err := link{c}.recv(KindHello)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &TaskClient{Session: cfg, Gains: gains}
 	res, err := client.BargainImperfectCodec(nil, c, he.Hello, params)
-	clientConn.Close()
-	wg.Wait()
+	_ = c.Flush()
+	c.conn.Close()
+	srvSide := <-done
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
+	if srvSide.err != nil {
+		t.Fatalf("server: %v", srvSide.err)
 	}
-	return res, sum
+	return res, srvSide.sum
 }
 
 func TestWireImperfectMatchesInProcess(t *testing.T) {
@@ -98,7 +85,7 @@ func TestServeImperfectRefusesSecure(t *testing.T) {
 	}
 	_, serverConn := net.Pipe()
 	defer serverConn.Close()
-	c, _ := NewCodec(CodecGob, serverConn, serverConn)
+	c := newPipeCodec(serverConn)
 	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 1, Target: 0.1}); err == nil {
 		t.Fatal("secure server accepted an imperfect session")
 	}
@@ -112,7 +99,7 @@ func TestServeImperfectRejectsBadHello(t *testing.T) {
 	}
 	_, serverConn := net.Pipe()
 	defer serverConn.Close()
-	c, _ := NewCodec(CodecGob, serverConn, serverConn)
+	c := newPipeCodec(serverConn)
 	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), nil); err == nil {
 		t.Fatal("server accepted an imperfect session without parameters")
 	}
@@ -132,15 +119,10 @@ func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		c, _ := NewCodec(CodecGob, serverConn, serverConn)
-		_, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
-		errCh <- err
-	}()
-	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	hello := mustHello(t, srv)
+	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
+		return srv.ServeImperfectCodec(c, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
+	})
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
@@ -154,10 +136,10 @@ func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: math.NaN(), Decision: DecisionContinue}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
+	_ = c.Flush()
+	if r := <-done; r.err == nil {
 		t.Fatal("server trained on a NaN realized gain")
 	}
-	clientConn.Close()
 }
 
 // A well-framed Settle with no payload in the settlement slot must fail
@@ -168,15 +150,10 @@ func TestServeImperfectRejectsPayloadlessSettle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		c, _ := NewCodec(CodecGob, serverConn, serverConn)
-		_, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
-		errCh <- err
-	}()
-	c, _ := NewCodec(CodecGob, clientConn, clientConn)
+	hello := mustHello(t, srv)
+	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
+		return srv.ServeImperfectCodec(c, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
+	})
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
@@ -190,8 +167,8 @@ func TestServeImperfectRejectsPayloadlessSettle(t *testing.T) {
 	if err := l.send(&Envelope{Kind: KindSettle}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
+	_ = c.Flush()
+	if r := <-done; r.err == nil {
 		t.Fatal("server accepted a payloadless settlement")
 	}
-	clientConn.Close()
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// The v6 session mux turns one framed connection into a fabric of
+// The session mux turns one framed connection into a fabric of
 // independent bargaining sessions. Both ends share the same shape: a single
 // reader goroutine demultiplexes inbound frames by session ID into buffered
 // per-session inboxes, and a mutex-serialized writer shares the buffered
@@ -43,7 +43,7 @@ var ErrSessionEvicted = errors.New("wire: session evicted")
 // nothing wrong. Transport-class, not a protocol violation.
 var ErrSessionCancelled = errors.New("wire: session cancelled by peer")
 
-// MuxConn is the client end of a v6 multiplexed connection: one dial, one
+// MuxConn is the client end of a multiplexed connection: one dial, one
 // handshake, many concurrent sessions. Safe for concurrent use.
 type MuxConn struct {
 	conn  net.Conn
@@ -61,7 +61,7 @@ type MuxConn struct {
 	dead     chan struct{}
 }
 
-// OpenMux upgrades a freshly dialed connection to a multiplexed v6 session
+// OpenMux upgrades a freshly dialed connection to a multiplexed session
 // fabric: mux preamble, connection-level ClientHello (its Market names the
 // market used for shard routing; ListOnly semantics — no session starts),
 // and the server's Hello, which doubles as the listing probe. The caller
@@ -74,13 +74,14 @@ func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Dur
 			return nil, nil, err
 		}
 	}
-	if err := WriteMuxHandshake(conn, codecName); err != nil {
+	if err := writeMuxHandshake(conn, codecName); err != nil {
 		return nil, nil, err
 	}
 	br := frameReaderPool.Get().(*bufio.Reader)
 	br.Reset(conn)
 	fc, err := newFramedCodec(codecName, br, conn)
 	if err != nil {
+		putReader(br)
 		return nil, nil, err
 	}
 	l := link{fc}
@@ -247,9 +248,9 @@ func (m *MuxConn) drop(s *MuxSession) {
 
 // Open starts one session over the connection: a KindOpen carrying the
 // per-session ClientHello, answered on the same SID with the server's
-// Hello (or a typed refusal — rejection, busy, redirect — surfaced exactly
-// like a serial handshake failure). The session's receives are bounded by
-// ioTimeout and watch ctx.
+// Hello (or a typed refusal — rejection, busy, redirect — surfaced as
+// ErrRejected, ErrServerBusy or a *RedirectError). The session's receives
+// are bounded by ioTimeout and watch ctx.
 func (m *MuxConn) Open(ctx context.Context, ch ClientHello, ioTimeout time.Duration) (*MuxSession, *Hello, error) {
 	ch.Version = ProtocolVersion
 	s, err := m.register(ctx, ioTimeout)
@@ -383,7 +384,7 @@ func (s *MuxSession) CloseClean() {
 	_ = s.mc.flush()
 }
 
-// MuxServerConn is the server end of a v6 multiplexed connection: it owns
+// MuxServerConn is the server end of a multiplexed connection: it owns
 // the demux loop, spawns one handler per KindOpen, and shares the framed
 // send path between the streams.
 type MuxServerConn struct {
@@ -401,8 +402,9 @@ type MuxServerConn struct {
 	err      error
 }
 
-// NewMuxServerConn wraps a connection whose mux handshake AcceptHandshakeMux
-// already completed. maxSessions bounds concurrently open streams per
+// NewMuxServerConn wraps a connection whose handshake AcceptHandshakeMux
+// already completed, with the codec it returned; Serve takes the codec over
+// and releases it. maxSessions bounds concurrently open streams per
 // connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
 // idle is the whole-connection read deadline between envelopes: 0 picks the
 // default of idleFactor x the IO timeout, < 0 disables the idle deadline.

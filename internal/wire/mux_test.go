@@ -11,10 +11,11 @@ import (
 	"time"
 )
 
-// startMuxEcho runs a MuxServerConn over loopback whose per-stream handler
-// answers every received envelope with an echo of its kind stamped KindAck
-// — enough protocol to measure liveness per stream without a full market.
-func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
+// startMux runs a MuxServerConn over loopback that calls handler for every
+// stream, and returns the client end of the connection. ioTimeout is the
+// per-stream receive timer on both ends; the handshake itself gets a fixed
+// 5s. The connection hello names the market "echo".
+func startMux(t *testing.T, ioTimeout time.Duration, handler func(st *MuxStream, ch *ClientHello)) (*MuxConn, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -28,9 +29,9 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 			return
 		}
 		defer conn.Close()
-		c, _, isMux, err := AcceptHandshakeMux(conn, ioTimeout)
-		if err != nil || !isMux {
-			t.Errorf("mux handshake: isMux=%v err=%v", isMux, err)
+		c, _, err := AcceptHandshakeMux(conn, 5*time.Second)
+		if err != nil {
+			t.Errorf("mux handshake: %v", err)
 			return
 		}
 		sc, err := NewMuxServerConn(conn, c, ioTimeout, 0, 0)
@@ -42,26 +43,13 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 			t.Error(err)
 			return
 		}
-		_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
-			if err := st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}); err != nil {
-				return
-			}
-			for {
-				e, err := st.Recv()
-				if err != nil {
-					return
-				}
-				if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: e.Quote.Round}}); err != nil {
-					return
-				}
-			}
-		})
+		_ = sc.Serve(handler)
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, hello, err := OpenMux(conn, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, ioTimeout)
+	mc, hello, err := OpenMux(conn, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +61,26 @@ func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
 		ln.Close()
 		<-done
 	}
+}
+
+// startMuxEcho is startMux with a handler that answers every received
+// envelope with an echo of its round stamped KindAck — enough protocol to
+// measure liveness per stream without a full market.
+func startMuxEcho(t *testing.T, ioTimeout time.Duration) (*MuxConn, func()) {
+	return startMux(t, ioTimeout, func(st *MuxStream, ch *ClientHello) {
+		if err := st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}); err != nil {
+			return
+		}
+		for {
+			e, err := st.Recv()
+			if err != nil {
+				return
+			}
+			if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: e.Quote.Round}}); err != nil {
+				return
+			}
+		}
+	})
 }
 
 // TestMuxStalledStreamDoesNotBlockSiblings is the head-of-line-blocking
@@ -172,7 +180,7 @@ func TestMuxSessionCapAnswersBusy(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		c, _, _, err := AcceptHandshakeMux(conn, ioTimeout)
+		c, _, err := AcceptHandshakeMux(conn, ioTimeout)
 		if err != nil {
 			return
 		}

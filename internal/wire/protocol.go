@@ -6,18 +6,24 @@
 // plus the §3.6 option of settling payments under Paillier encryption so
 // the realized ΔG never crosses the wire in clear.
 //
-// Protocol (codec-framed envelopes over one connection):
+// Protocol (length-prefixed envelope frames over one connection, every
+// session a stream of it):
 //
-//	v3 handshake:
-//	  client → server  "VFLM/3 <codec>\n"      (ASCII preamble naming the codec)
-//	  client → server  ClientHello{version, market, mode, imperfect knobs, listOnly}
-//	server → client  Hello{market, modes, listing, optional public key} | Error
-//	loop (either information regime):
-//	  client → server  Quote{p, P0, Ph}
-//	  server → client  Offer{bundle} | Offer{Fail}      (Cases 1–3 / I–II)
-//	  client → server  Settle{ΔG or Enc(payment), decision}  (Cases 4–6 / IV–VI)
-//	  server → client  Ack{g's pre-update MSE}          (imperfect mode only)
-//	                   (a Settle sent instead of a Quote is a clean walk-away)
+//	connection opening:
+//	  client → server  "VFLM/6 <bin|gob> mux\n"   (the only accepted preamble)
+//	  client → server  ClientHello{version, market, listOnly | statsOnly}
+//	  server → client  Hello{market, markets, modes, listing, public key}
+//	                   | Stats | Error | Busy | Redirect
+//	each session (SID chosen by the client, stamped on every frame):
+//	  client → server  Open{ClientHello{market, mode, imperfect knobs}}
+//	  server → client  Hello | Error | Busy | Redirect
+//	  loop (either information regime):
+//	    client → server  Quote{p, P0, Ph}
+//	    server → client  Offer{bundle} | Offer{Fail}      (Cases 1–3 / I–II)
+//	    client → server  Settle{ΔG or Enc(payment), decision}  (Cases 4–6 / IV–VI)
+//	    server → client  Ack{g's pre-update MSE}          (imperfect mode only)
+//	                     (a Settle sent instead of a Quote is a clean walk-away)
+//	  client → server  Cancel                             (abandons the session)
 //
 // The handshake advertises the information regime: ClientHello.Mode selects
 // perfect (closed-form Eq. 5 pricing against the catalog policy) or
@@ -27,12 +33,11 @@
 // realized ΔG is the data party's training signal — so they are refused on
 // Paillier-settling servers.
 //
-// The legacy endpoints (DataServer.ServeConn, TaskClient.Bargain) skip the
-// handshake and speak gob with a server-first Hello, exactly as before; v2
-// preambles are still accepted. The serial endpoints speak gob or JSON
-// stream codecs; the v6 mux frames every envelope in the binary layout of
-// envelope.go (CodecBinary), which non-Go task parties implement from the
-// README's byte table.
+// Envelopes travel in the binary layout of envelope.go (CodecBinary), which
+// non-Go task parties implement from the README's byte table; framed gob
+// (CodecGob) is the one alternative a preamble may name. Clients pipeline
+// their rounds: Settle(n) and Quote(n+1) leave in one write, and the
+// settlement Ack is read together with the next Offer.
 //
 // Secure key handling is pipelined: the server's Paillier key pair comes
 // from a secure.KeyProvider (generation runs off the registration path;
@@ -49,22 +54,8 @@ import (
 	"repro/internal/core"
 )
 
-// ProtocolVersion is the current wire protocol version, carried in
-// ClientHello and echoed in Hello. v6 is the fast-wire revision: the "mux"
-// handshake upgrades a connection to a multiplexed session fabric
-// (length-prefixed frames, envelopes carrying a session ID, KindOpen /
-// KindCancel to start and tear down individual sessions over one
-// connection), and v6 clients pipeline their rounds — Settle(n) and
-// Quote(n+1) leave in one write, the settlement Ack is read together with
-// the next Offer — so a steady-state imperfect round costs one RTT instead
-// of two. The envelope sequence per session is unchanged from v5, which is
-// what keeps resume and bit-identity intact. v5 added the sharded-fabric
-// envelopes: KindRedirect (a shard that no longer owns a market answers
-// with the current owner and shard-map epoch instead of an error) and
-// KindStats (the admin metrics snapshot rebalancers consume), plus
-// ClientHello.StatsOnly. v4 added session resume (client identity and
-// resume round in ImperfectHello, Resumed in Hello) and the KindBusy
-// admission-control envelope; v2–v5 clients are still accepted.
+// ProtocolVersion is the wire protocol version, carried in ClientHello and
+// echoed in Hello; the preamble's "VFLM/6" names the same version.
 const ProtocolVersion = 6
 
 // Information regimes named in the handshake.
@@ -90,27 +81,27 @@ const (
 	KindClientHello
 	KindError
 	KindAck
-	// KindBusy is the v4 admission-control rejection: the server's session
+	// KindBusy is the admission-control rejection: the server's session
 	// pool is saturated and the connection is refused rather than queued.
 	// Clients surface it as ErrServerBusy and may retry with backoff.
 	KindBusy
-	// KindRedirect is the v5 shard-routing answer: the server does not own
+	// KindRedirect is the shard-routing answer: the server does not own
 	// the requested market, and instead of a terminal error it names the
 	// shard that does (plus the shard-map epoch of that knowledge). Clients
 	// surface it as a *RedirectError and transparently redial the owner.
 	KindRedirect
-	// KindStats is the v5 admin metrics envelope: a server answers a
+	// KindStats is the admin metrics envelope: a server answers a
 	// StatsOnly hello with its counter snapshot — server totals plus the
 	// per-market load the fabric rebalancer plans transfers from — and
 	// closes.
 	KindStats
-	// KindOpen is the v6 mux session opener: a ClientHello carried inside
+	// KindOpen is the mux session opener: a ClientHello carried inside
 	// the multiplexed stream, stamped with the fresh session ID every frame
 	// of the session will carry. The server answers on the same SID with a
 	// Hello (or a typed refusal: error, busy, redirect) and the session then
 	// speaks the ordinary envelope sequence.
 	KindOpen
-	// KindCancel is the v6 mux session teardown: the client abandons one
+	// KindCancel is the mux session teardown: the client abandons one
 	// session of a multiplexed connection without touching its siblings.
 	// Either side may also receive it for an already-finished SID, which is
 	// ignored.
@@ -156,9 +147,10 @@ type BundleInfo struct {
 	Features []int
 }
 
-// ClientHello opens a v2/v3 session: the task party names the protocol
-// version it speaks, the market it wants to bargain in, and the
-// information regime it wants to play.
+// ClientHello opens a connection (the connection-level hello) or a session
+// (inside KindOpen): the task party names the protocol version it speaks,
+// the market it wants to bargain in, and the information regime it wants to
+// play.
 type ClientHello struct {
 	// Version is the client's protocol version (ProtocolVersion).
 	Version int
@@ -166,7 +158,7 @@ type ClientHello struct {
 	// server's default (first registered) market.
 	Market string
 	// Mode names the information regime (ModePerfect, ModeImperfect); ""
-	// means perfect (and is what v2 clients send).
+	// means perfect.
 	Mode string
 	// Imperfect carries the imperfect-regime parameters; required when Mode
 	// is ModeImperfect, ignored otherwise.
@@ -174,7 +166,7 @@ type ClientHello struct {
 	// ListOnly asks for the Hello (markets, listing, key) without opening a
 	// bargaining session; the server answers and closes.
 	ListOnly bool
-	// StatsOnly (v5) asks for the server's metrics snapshot (a KindStats
+	// StatsOnly asks for the server's metrics snapshot (a KindStats
 	// envelope) instead of a session; the server answers and closes. It is
 	// the admin read the fabric rebalancer consumes — no Hello, no listing,
 	// no market resolution.
@@ -191,31 +183,31 @@ type ImperfectHello struct {
 	// seed and exploration/replay streams from it.
 	Seed uint64
 	// Target is the task party's target gain ΔG* (scales the server's
-	// estimator; also carried per-quote for legacy reasons).
+	// estimator; also carried per quote).
 	Target float64
 	// ExplorationRounds is N of Case VII; <= 0 means the core default.
 	ExplorationRounds int
 	// ReplaySteps is the per-round experience-replay budget; <= 0 means
 	// the core default.
 	ReplaySteps int
-	// ClientID (v4) is a client-chosen stable identity — filename-safe,
+	// ClientID is a client-chosen stable identity — filename-safe,
 	// [A-Za-z0-9_-], at most 64 bytes — under which the server checkpoints
 	// this session's estimator state. "" disables checkpointing.
 	ClientID string
-	// ResumeRound (v4) asks the server to resume this identity's
+	// ResumeRound asks the server to resume this identity's
 	// checkpointed session from after round ResumeRound instead of starting
 	// fresh. 0 starts fresh; > 0 requires ClientID. The server refuses
 	// (error envelope) when it has no matching checkpoint.
 	ResumeRound int
 }
 
-// Hello announces a session: the data party publishes its listing and, when
-// the session settles securely, its Paillier public key. v2 servers also
-// name the resolved market and every market they serve.
+// Hello announces a connection or a session: the data party publishes its
+// listing and, when the session settles securely, its Paillier public key,
+// and names the resolved market and every market it serves.
 type Hello struct {
-	// Version is the server's protocol version (0 on legacy v1 endpoints).
+	// Version is the server's protocol version.
 	Version int
-	// Market is the resolved market name ("" on legacy v1 endpoints).
+	// Market is the resolved market name.
 	Market string
 	// Markets lists every market the server serves.
 	Markets []string
@@ -225,7 +217,7 @@ type Hello struct {
 	Bundles []BundleInfo
 	Secure  bool
 	PubN    []byte // Paillier modulus when Secure
-	// Resumed (v4) confirms a granted resume: the round the server's
+	// Resumed confirms a granted resume: the round the server's
 	// restored state is settled through (echoing ImperfectHello.ResumeRound).
 	// 0 on fresh sessions.
 	Resumed int
@@ -238,8 +230,8 @@ type Quote struct {
 	Round            int
 	Rate, Base, High float64
 	U                float64
-	// Target is the task party's exact target gain ΔG* (v2; legacy clients
-	// leave it 0 and the server derives it from the quote's knee).
+	// Target is the task party's exact target gain ΔG*; a client that
+	// leaves it 0 lets the server derive it from the quote's knee.
 	Target float64
 }
 
@@ -254,8 +246,7 @@ type Offer struct {
 	Fail   bool
 	Reason string
 	// TargetBundleID is the catalog bundle closest to the buyer's target
-	// gain — the hint that fills core.Result.TargetBundleID on the client
-	// (-1 or 0-valued on legacy servers that never set it on Fail offers).
+	// gain — the hint that fills core.Result.TargetBundleID on the client.
 	TargetBundleID int
 }
 
@@ -298,7 +289,7 @@ type ErrorMsg struct {
 	Msg string
 }
 
-// Redirect is the v5 shard-routing payload: the answering server does not
+// Redirect is the shard-routing payload: the answering server does not
 // own Market, and Addr is where it lives per the shard map at Epoch. The
 // connection closes after it; the client redials Addr with the same hello
 // (including any resume state — which is how an in-flight imperfect
@@ -313,7 +304,7 @@ type Redirect struct {
 	Epoch uint64
 }
 
-// ServerStats is the server-totals half of the v5 stats envelope, mirroring
+// ServerStats is the server-totals half of the stats envelope, mirroring
 // the frontend's counter snapshot field for field.
 type ServerStats struct {
 	Accepted    uint64
@@ -330,7 +321,7 @@ type ServerStats struct {
 	Active      int64
 }
 
-// MarketStats is one market's slice of the v5 stats envelope: session load
+// MarketStats is one market's slice of the stats envelope: session load
 // split by regime plus the valuation-oracle counters — the per-market load
 // signal the fabric rebalancer plans transfers from.
 type MarketStats struct {
@@ -348,7 +339,7 @@ type MarketStats struct {
 	CheckpointedClients int
 }
 
-// StatsReport is the v5 admin metrics snapshot a server answers a
+// StatsReport is the admin metrics snapshot a server answers a
 // StatsOnly hello with.
 type StatsReport struct {
 	Server  ServerStats
@@ -361,19 +352,19 @@ type StatsReport struct {
 // Envelope is the single wire frame.
 type Envelope struct {
 	Kind Kind
-	// SID is the session ID on v6 multiplexed connections: every frame of a
-	// muxed session carries the ID its KindOpen allocated, and the per-conn
-	// demux on both ends routes by it. 0 on serial (one-session) conns.
-	SID      uint64       `json:",omitempty"`
-	Hello    *Hello       `json:",omitempty"`
-	Quote    *Quote       `json:",omitempty"`
-	Offer    *Offer       `json:",omitempty"`
-	Settle   *Settle      `json:",omitempty"`
-	Client   *ClientHello `json:",omitempty"`
-	Err      *ErrorMsg    `json:",omitempty"`
-	Ack      *Ack         `json:",omitempty"`
-	Redirect *Redirect    `json:",omitempty"`
-	Stats    *StatsReport `json:",omitempty"`
+	// SID is the session ID: every frame of a session carries the ID its
+	// KindOpen allocated, and the per-conn demux on both ends routes by it.
+	// 0 on the connection-level hello exchange.
+	SID      uint64
+	Hello    *Hello
+	Quote    *Quote
+	Offer    *Offer
+	Settle   *Settle
+	Client   *ClientHello
+	Err      *ErrorMsg
+	Ack      *Ack
+	Redirect *Redirect
+	Stats    *StatsReport
 }
 
 func decisionOf(d core.SettleDecision) Decision {

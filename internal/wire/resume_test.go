@@ -8,7 +8,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"crypto/rand"
 	"errors"
 	"net"
@@ -84,23 +83,17 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	}
 
 	// First connection: dies at the installed cut.
-	clientConn, serverConn := net.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer serverConn.Close()
-		c, _ := NewCodec(CodecGob, serverConn, serverConn)
-		_, _ = srv.ServeImperfectCodec(c, mustHello(t, srv), ih) // dies with the cut
-	}()
+	hello := mustHello(t, srv)
+	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
+		return srv.ServeImperfectCodec(c, hello, ih) // dies with the cut
+	})
 	var last *core.ImperfectCheckpoint
 	client := &TaskClient{Session: cfg, Gains: gains, Checkpoint: func(ck *core.ImperfectCheckpoint) {
 		last = ck
 		if clientCut != nil {
-			clientCut(clientConn, ck)
+			clientCut(c.conn, ck)
 		}
 	}}
-	c, _ := NewCodec(CodecGob, clientConn, clientConn)
 	he, err := link{c}.recv(KindHello)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +101,8 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	if _, err := client.BargainImperfectCodec(nil, c, he.Hello, params); err == nil {
 		t.Fatal("interrupted session finished cleanly; the cut never fired")
 	}
-	clientConn.Close()
-	wg.Wait()
+	c.conn.Close()
+	<-done
 	if last == nil {
 		t.Fatal("no client checkpoint captured before the cut")
 	}
@@ -117,19 +110,9 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	// Second connection: resume from the last checkpoint the client holds.
 	ih2 := *ih
 	ih2.ResumeRound = last.Round
-	clientConn2, serverConn2 := net.Pipe()
-	var (
-		srvErr error
-		wg2    sync.WaitGroup
-	)
-	wg2.Add(1)
-	go func() {
-		defer wg2.Done()
-		defer serverConn2.Close()
-		c2, _ := NewCodec(CodecGob, serverConn2, serverConn2)
-		_, srvErr = srv.ServeImperfectCodec(c2, mustHello(t, srv), &ih2)
-	}()
-	c2, _ := NewCodec(CodecGob, clientConn2, clientConn2)
+	c2, done2 := servePipe(t, func(c Codec) (*SessionSummary, error) {
+		return srv.ServeImperfectCodec(c, hello, &ih2)
+	})
 	he2, err := link{c2}.recv(KindHello)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +121,14 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 		t.Fatalf("server confirmed resume through round %d, want %d", he2.Hello.Resumed, last.Round)
 	}
 	got, err := client.ResumeImperfectCodec(nil, c2, he2.Hello, params, last)
-	clientConn2.Close()
-	wg2.Wait()
+	_ = c2.Flush()
+	c2.conn.Close()
+	srvSide := <-done2
 	if err != nil {
 		t.Fatalf("resumed client: %v", err)
 	}
-	if srvErr != nil {
-		t.Fatalf("resumed server: %v", srvErr)
+	if srvSide.err != nil {
+		t.Fatalf("resumed server: %v", srvSide.err)
 	}
 	return got, want
 }
@@ -207,7 +191,7 @@ func TestServeImperfectRefusesBadResume(t *testing.T) {
 	}
 	_, serverConn := net.Pipe()
 	defer serverConn.Close()
-	c, _ := NewCodec(CodecGob, serverConn, serverConn)
+	c := newPipeCodec(serverConn)
 	base := ImperfectHello{Seed: 7, Target: cfg.TargetGain}
 
 	anon := base
@@ -253,9 +237,7 @@ func TestValidateClientID(t *testing.T) {
 // A KindBusy envelope surfaces as ErrServerBusy (retryable), a KindError as
 // ErrRejected (not), and both are distinguishable via errors.Is.
 func TestBusyAndRejectedSentinels(t *testing.T) {
-	var buf bytes.Buffer
-	c, _ := NewCodec(CodecGob, &buf, &buf)
-	l := link{c}
+	l := link{loopCodec(t, CodecBinary)}
 	if err := l.send(&Envelope{Kind: KindBusy, Err: &ErrorMsg{Msg: "session pool saturated"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -308,29 +290,8 @@ func TestWireKeyRotationDrainsOldSessions(t *testing.T) {
 
 	// run plays one full session whose server-side hello is h.
 	run := func(h *Hello) (*core.Result, *SessionSummary, error, error) {
-		clientConn, serverConn := net.Pipe()
-		var (
-			sum    *SessionSummary
-			srvErr error
-			wg     sync.WaitGroup
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer serverConn.Close()
-			c, _ := NewCodec(CodecGob, serverConn, serverConn)
-			sum, srvErr = srv.ServeCodec(c, h)
-		}()
-		c, _ := NewCodec(CodecGob, clientConn, clientConn)
-		he, err := link{c}.recv(KindHello)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client := &TaskClient{Session: cfg, Gains: gains}
-		res, cliErr := client.BargainCodec(context.Background(), c, he.Hello)
-		clientConn.Close()
-		wg.Wait()
-		return res, sum, cliErr, srvErr
+		res, srvSide, cliErr := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, h)
+		return res, srvSide.sum, cliErr, srvSide.err
 	}
 
 	// A session under the drained old key still settles...

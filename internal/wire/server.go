@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -48,12 +46,6 @@ type DataServer struct {
 	// budget (ImperfectHello.ReplaySteps), the multiplier on the server's
 	// per-settlement estimator compute. <= 0 means DefaultMaxReplaySteps.
 	MaxReplaySteps int
-	// IOTimeout bounds every read and write on connections handled by
-	// ServeConn, so a stalled or vanished client ends the session with an
-	// ErrPeerTimeout-wrapped error instead of hanging it forever. 0 means
-	// no deadline (callers serving pre-wrapped connections through
-	// ServeCodec apply their own).
-	IOTimeout time.Duration
 	// DataCost and EpsDataC enable the Eq. 6 cost-aware acceptance (Case 3)
 	// on the server, mirroring SessionConfig.DataCost/EpsDataC in-process.
 	DataCost core.CostModel
@@ -66,7 +58,7 @@ type DataServer struct {
 	OnRound func(rec core.RoundRecord)
 	// Checkpoints, when non-nil, makes imperfect sessions durable: after
 	// every settled round the seller's frozen state is saved under the
-	// client identity of the v4 hello, and a ResumeRound hello restores it
+	// client identity of the hello, and a ResumeRound hello restores it
 	// instead of starting fresh. Sessions share the registry, so it must be
 	// safe for concurrent use. vflmarket.Server backs it with the snapshot
 	// store.
@@ -92,7 +84,7 @@ type DataServer struct {
 }
 
 // SellerCheckpoints is the durable registry imperfect sessions checkpoint
-// into, keyed by the client identity of the v4 hello. Implementations must
+// into, keyed by the client identity of the hello. Implementations must
 // be safe for concurrent use; Save takes ownership of the checkpoint.
 type SellerCheckpoints interface {
 	Save(clientID string, ck *core.SellerCheckpoint)
@@ -156,7 +148,7 @@ func (s *DataServer) ValidateImperfectHello(ih *ImperfectHello) error {
 	return nil
 }
 
-// ValidateClientID checks a v4 client identity: empty (checkpointing off)
+// ValidateClientID checks a client identity: empty (checkpointing off)
 // or 1–64 bytes of [A-Za-z0-9_-]. The charset is filename-safe by
 // construction — no dots, no separators — so an identity can never escape
 // the server's checkpoint namespace.
@@ -257,9 +249,6 @@ func (s *DataServer) secureFor(pubN []byte) (*secureState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(pubN) == 0 {
-		return cur, nil // legacy v1 path: hello and settlement share a key
-	}
 	want := new(big.Int).SetBytes(pubN)
 	if cur.recv.PublicKey().N.Cmp(want) == 0 {
 		return cur, nil
@@ -351,8 +340,8 @@ type SessionSummary struct {
 }
 
 // Hello builds the server's announcement: the public listing and, in
-// secure mode, the Paillier public key. Callers serving the v2 protocol
-// fill the Version/Market/Markets fields before sending. The listing is
+// secure mode, the Paillier public key. Frontends fill the
+// Version/Market/Markets/Modes fields before sending. The listing is
 // built once per server (the catalog is immutable) and shared across
 // concurrent sessions; receivers must not mutate it. In secure mode Hello
 // blocks until an in-flight key generation lands — the only error path.
@@ -374,24 +363,9 @@ func (s *DataServer) Hello() (*Hello, error) {
 	return hello, nil
 }
 
-// ServeConn runs one legacy (v1) bargaining session over the connection
-// and returns its summary: gob framing, server-first Hello, no handshake.
-// The caller owns the connection lifecycle. When IOTimeout is set, reads
-// and writes that stall past it fail the session with an error wrapping
-// ErrPeerTimeout.
-func (s *DataServer) ServeConn(conn net.Conn) (*SessionSummary, error) {
-	hello, err := s.Hello()
-	if err != nil {
-		return nil, err
-	}
-	return s.ServeCodec(newCodec(WithIOTimeout(conn, s.IOTimeout)).c, hello)
-}
-
 // ServeCodec runs one perfect-information bargaining session over an
-// established codec: send the hello, then answer quotes until the session
-// settles or a party walks away. It is the serving core shared by
-// ServeConn and the multi-market Server frontend (which performs the
-// handshake first).
+// established codec (a mux stream): send the hello, then answer quotes
+// until the session settles or a party walks away.
 func (s *DataServer) ServeCodec(c Codec, hello *Hello) (*SessionSummary, error) {
 	return s.serve(link{c}, hello, catalogAnswerer{s}, 1)
 }
@@ -577,8 +551,8 @@ func (a *estimatorAnswerer) settled(round int, rec core.RoundRecord, d core.Sett
 // serve runs one bargaining session over an established link with the
 // given answerer — the single server-side loop both information regimes
 // share. start is the first round number served: 1 on fresh sessions, the
-// resumed round on v4 resumes (where the very first exchange may already be
-// a walk-away Settle).
+// resumed round when resuming (where the very first exchange may already
+// be a walk-away Settle).
 func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*SessionSummary, error) {
 	if err := l.send(&Envelope{Kind: KindHello, Hello: hello}); err != nil {
 		return nil, err
@@ -593,8 +567,8 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 	// Send, so one Offer and one envelope serve every round of the session.
 	var offer Offer
 	var oenv Envelope
-	// The buyer's target gain is constant for a session (v2+ sends it
-	// verbatim; a legacy quote's knee equals it under Eq. 5), so the
+	// The buyer's target gain is constant for a session (clients send it
+	// verbatim; an Eq. 5 quote's knee equals it when they do not), so the
 	// closest-bundle hint is computed once and refreshed only if the
 	// announced target actually moves.
 	lastTarget, targetBundle := -1.0, -1
@@ -628,9 +602,8 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 		so := a.answer(quotes, q, e.Quote.U)
 		if so.TargetBundleID < 0 {
 			// The catalog policy leaves the hint to the transport: derive
-			// it from the announced target (legacy clients do not send the
-			// exact ΔG*, but the knee of an Eq. 5-conforming quote equals
-			// it). The estimator seller computes its own hint, which must
+			// it from the announced target (a quote without the exact ΔG*
+			// falls back to its knee, which equals it under Eq. 5). The estimator seller computes its own hint, which must
 			// flow through untouched to preserve bit-identity.
 			target := e.Quote.Target
 			if target <= 0 {

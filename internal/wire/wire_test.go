@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"math"
 	"net"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -38,6 +41,82 @@ func buildMarket(t testing.TB, seed uint64) (*core.Catalog, core.SessionConfig, 
 	return cat, cfg, gains
 }
 
+// pipeCodec is one end of a framed CodecBinary connection over net.Pipe.
+// Like a mux session it flushes before every blocking receive, which is
+// what lets a pipelining client and the server share an unbuffered pipe.
+type pipeCodec struct {
+	*framedCodec
+	conn net.Conn
+}
+
+func newPipeCodec(conn net.Conn) pipeCodec {
+	fc, _ := newFramedCodec(CodecBinary, bufio.NewReader(conn), conn) // bin never fails
+	return pipeCodec{framedCodec: fc, conn: conn}
+}
+
+func (c pipeCodec) Recv() (*Envelope, error) {
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	return c.framedCodec.Recv()
+}
+
+// loopCodec is a framed codec whose sends come back as its own receives.
+func loopCodec(t testing.TB, name string) pipeCodec {
+	t.Helper()
+	var buf bytes.Buffer
+	fc, err := newFramedCodec(name, bufio.NewReader(&buf), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipeCodec{framedCodec: fc}
+}
+
+// served is the server end's view of one piped session.
+type served struct {
+	sum *SessionSummary
+	err error
+}
+
+// servePipe runs serve on the server end of a fresh net.Pipe and returns
+// the client end. The server end flushes its closing frames and closes
+// once serve returns, then reports on the channel.
+func servePipe(t testing.TB, serve func(c Codec) (*SessionSummary, error)) (pipeCodec, <-chan served) {
+	clientConn, serverConn := net.Pipe()
+	t.Cleanup(func() { clientConn.Close() })
+	done := make(chan served, 1)
+	go func() {
+		defer serverConn.Close()
+		c := newPipeCodec(serverConn)
+		sum, err := serve(c)
+		_ = c.Flush()
+		done <- served{sum, err}
+	}()
+	return newPipeCodec(clientConn), done
+}
+
+// serveCatalogPipe serves one perfect session of srv on a fresh pipe (see
+// servePipe).
+func serveCatalogPipe(t testing.TB, srv *DataServer) (pipeCodec, <-chan served) {
+	hello := mustHello(t, srv)
+	return servePipe(t, func(c Codec) (*SessionSummary, error) { return srv.ServeCodec(c, hello) })
+}
+
+// bargainPipe plays one perfect session of client against srv, announced
+// with hello, over net.Pipe and returns both sides' views.
+func bargainPipe(t *testing.T, srv *DataServer, client *TaskClient, hello *Hello) (*core.Result, served, error) {
+	t.Helper()
+	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) { return srv.ServeCodec(c, hello) })
+	he, err := link{c}.recv(KindHello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.BargainCodec(context.Background(), c, he.Hello)
+	_ = c.Flush() // the closing settlement
+	c.conn.Close()
+	return res, <-done, err
+}
+
 // runSession wires a client and server over net.Pipe and returns both
 // sides' views.
 func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *SessionSummary) {
@@ -47,29 +126,14 @@ func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *Sess
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	var (
-		sum    *SessionSummary
-		srvErr error
-		wg     sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer serverConn.Close()
-		sum, srvErr = srv.ServeConn(serverConn)
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(clientConn)
-	clientConn.Close()
-	wg.Wait()
+	res, srvSide, err := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, mustHello(t, srv))
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
+	if srvSide.err != nil {
+		t.Fatalf("server: %v", srvSide.err)
 	}
-	return res, sum
+	return res, srvSide.sum
 }
 
 func TestWireSessionReachesEquilibrium(t *testing.T) {
@@ -131,14 +195,7 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	go func() {
-		defer serverConn.Close()
-		srv.ServeConn(serverConn) //nolint:errcheck // client sees the failure
-	}()
-	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(clientConn)
-	clientConn.Close()
+	res, _, err := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, mustHello(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,44 +204,37 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 	}
 }
 
+// TestWireOverTCP plays a full session through the real accept path: mux
+// handshake over loopback TCP, one stream, DataServer.ServeCodec behind it.
 func TestWireOverTCP(t *testing.T) {
 	cat, cfg, gains := buildMarket(t, 17)
 	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan *SessionSummary, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			done <- nil
-			return
-		}
-		defer conn.Close()
-		sum, _ := srv.ServeConn(conn)
-		done <- sum
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
+	hello := mustHello(t, srv)
+	done := make(chan served, 1)
+	mc, shutdown := startMux(t, 5*time.Second, func(st *MuxStream, _ *ClientHello) {
+		sum, err := srv.ServeCodec(st, hello)
+		done <- served{sum, err}
+	})
+	defer shutdown()
+	s, opened, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &TaskClient{Session: cfg, Gains: gains}
-	res, err := client.Bargain(conn)
-	conn.Close()
+	res, err := client.BargainCodec(context.Background(), s, opened)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.CloseClean()
 	sum := <-done
-	if sum == nil {
-		t.Fatal("server saw no session")
+	if sum.err != nil {
+		t.Fatalf("server: %v", sum.err)
 	}
-	if res.Outcome != core.Success || !sum.Closed {
-		t.Fatalf("TCP session: client %v, server closed=%v", res.Outcome, sum.Closed)
+	if res.Outcome != core.Success || !sum.sum.Closed {
+		t.Fatalf("TCP session: client %v, server closed=%v", res.Outcome, sum.sum.Closed)
 	}
 }
 
@@ -194,24 +244,18 @@ func TestServerRejectsInvalidQuote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	l := link{c}
+	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: -1, Base: 1, High: 2}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: -1, Base: 1, High: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
+	_ = c.Flush()
+	if r := <-done; r.err == nil {
 		t.Fatal("server accepted an invalid quote")
 	}
-	clientConn.Close()
 }
 
 func TestServerRejectsWrongMessageKind(t *testing.T) {
@@ -220,24 +264,18 @@ func TestServerRejectsWrongMessageKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	l := link{c}
+	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(&Envelope{Kind: KindSettle, Settle: &Settle{}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
+	_ = c.Flush()
+	if r := <-done; r.err == nil {
 		t.Fatal("server accepted an out-of-order message")
 	}
-	clientConn.Close()
 }
 
 func TestSecureSessionRequiresCiphertext(t *testing.T) {
@@ -246,31 +284,25 @@ func TestSecureSessionRequiresCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientConn, serverConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		defer serverConn.Close()
-		_, err := srv.ServeConn(serverConn)
-		errCh <- err
-	}()
-	c := newCodec(clientConn)
-	if _, err := c.recv(KindHello); err != nil {
+	c, done := serveCatalogPipe(t, srv)
+	l := link{c}
+	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: 10, Base: 2, High: 4}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Rate: 10, Base: 2, High: 4}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.recv(KindOffer); err != nil {
+	if _, err := l.recv(KindOffer); err != nil {
 		t.Fatal(err)
 	}
 	// Settle in clear on a secure session: the server must refuse.
-	if err := c.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: 0.1, Decision: DecisionAccept}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: 0.1, Decision: DecisionAccept}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
+	_ = c.Flush()
+	if r := <-done; r.err == nil {
 		t.Fatal("secure server accepted a cleartext settlement")
 	}
-	clientConn.Close()
 }
 
 func TestClientValidatesConfig(t *testing.T) {
@@ -279,7 +311,8 @@ func TestClientValidatesConfig(t *testing.T) {
 	client := &TaskClient{Session: cfg, Gains: gains}
 	clientConn, _ := net.Pipe()
 	defer clientConn.Close()
-	if _, err := client.Bargain(clientConn); err == nil {
+	// Validation runs before the first quote, so the unread pipe never blocks.
+	if _, err := client.BargainCodec(context.Background(), newPipeCodec(clientConn), &Hello{}); err == nil {
 		t.Fatal("client accepted invalid config")
 	}
 }

@@ -1,23 +1,27 @@
 package vflmarket
 
-// End-to-end tests of the protocol v6 fast wire through the public API:
+// End-to-end tests of the multiplexed wire through the public API:
 // single-dial clients whose handshake doubles as the listing probe, batch
 // bargaining multiplexed over pooled connections bit-identical to the
-// in-process engine across connection counts and codecs, round pipelining
-// (one client write per steady-state round), per-session teardown that
-// leaves sibling sessions untouched, eviction severing exactly the evicted
-// market's streams on a shared connection, the accepted-version matrix,
-// and a forced live migration mid-batch. All of it runs under -race in CI.
+// in-process engine across connection counts and encodings, round
+// pipelining (one client write per steady-state round), per-session
+// teardown that leaves sibling sessions untouched, eviction severing
+// exactly the evicted market's streams on a shared connection, the
+// handshake grammar, the pooled buffers of connections that end at their
+// hello, and a forced live migration mid-batch. All of it runs under -race
+// in CI.
 
 import (
 	"context"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,8 +122,8 @@ func TestServiceDialSingleConnection(t *testing.T) {
 // Client.BargainBatch fans its specs over pooled multiplexed connections,
 // and the result slice is bit-identical to Engine.BargainBatch — same seed
 // derivation, same sessions — whether the batch rode one connection or
-// four, over the Client's bin codec or the gob and serial JSON transports
-// the server keeps for other callers.
+// four, over the Client's bin encoding or the framed gob the server keeps
+// for other callers.
 func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
@@ -155,64 +159,56 @@ func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 		})
 	}
 
-	// The transports the Client no longer speaks but the server still
-	// serves play the same batch bit-identically: framed gob on the mux
-	// (what wire.OpenMux callers name) and the serial JSON endpoint.
-	for _, codec := range []string{wire.CodecGob, wire.CodecJSON} {
-		for _, conns := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/conns=%d", codec, conns), func(t *testing.T) {
-				rt, err := dialRawTransport(addr, codec, "titanic", conns)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rt.Close()
-				got := make([]*Result, len(specs))
-				err = core.ForEach(context.Background(), len(specs), rt.workers(opts.Workers),
-					func(ctx context.Context, i int) error {
-						cfg := engine.Session()
-						if seedIsSet(specs[i].Seed) {
-							cfg.Seed = specs[i].Seed
-						} else if !seedIsSet(cfg.Seed) {
-							cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(i))
-						}
-						res, err := rt.bargain(ctx, cfg, engine.CatalogGains(), -1)
-						got[i] = res
-						return err
-					})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s batch over %d conns diverges from Engine.BargainBatch", codec, conns)
-				}
-			})
-		}
+	// Framed gob, which the Client no longer speaks but wire.OpenMux
+	// callers may name, plays the same batch bit-identically.
+	for _, conns := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%s/conns=%d", wire.CodecGob, conns), func(t *testing.T) {
+			rt, err := dialRawTransport(addr, "titanic", conns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			got := make([]*Result, len(specs))
+			err = core.ForEach(context.Background(), len(specs), opts.Workers,
+				func(ctx context.Context, i int) error {
+					cfg := engine.Session()
+					if seedIsSet(specs[i].Seed) {
+						cfg.Seed = specs[i].Seed
+					} else if !seedIsSet(cfg.Seed) {
+						cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(i))
+					}
+					res, err := rt.bargain(ctx, cfg, engine.CatalogGains(), -1)
+					got[i] = res
+					return err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gob batch over %d conns diverges from Engine.BargainBatch", conns)
+			}
+		})
 	}
 }
 
-// rawTransport plays perfect sessions over a transport the Client no
-// longer speaks but the server still serves: framed gob multiplexed over a
-// pool of conns connections, or serial JSON with one connection per
-// session, at most conns open at once.
+// rawTransport plays perfect sessions over framed gob, multiplexed over a
+// pool of conns connections: the encoding the Client no longer speaks but
+// the server serves for wire.OpenMux callers that name it.
 type rawTransport struct {
-	addr, codec, market string
-	conns               int
-	mcs                 []*wire.MuxConn
-	next                atomic.Uint64
+	market string
+	mcs    []*wire.MuxConn
+	next   atomic.Uint64
 }
 
-func dialRawTransport(addr, codec, market string, conns int) (*rawTransport, error) {
-	rt := &rawTransport{addr: addr, codec: codec, market: market, conns: conns}
-	if codec != wire.CodecGob {
-		return rt, nil
-	}
+func dialRawTransport(addr, market string, conns int) (*rawTransport, error) {
+	rt := &rawTransport{market: market}
 	for i := 0; i < conns; i++ {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			rt.Close()
 			return nil, err
 		}
-		mc, _, err := wire.OpenMux(conn, codec,
+		mc, _, err := wire.OpenMux(conn, wire.CodecGob,
 			wire.ClientHello{Market: market, ListOnly: true}, 5*time.Second)
 		if err != nil {
 			conn.Close()
@@ -224,50 +220,23 @@ func dialRawTransport(addr, codec, market string, conns int) (*rawTransport, err
 	return rt, nil
 }
 
-// workers caps a batch's concurrency for the transport: serial sessions
-// each hold a connection, so at most conns of them run at once.
-func (rt *rawTransport) workers(n int) int {
-	if rt.codec != wire.CodecGob && n > rt.conns {
-		return rt.conns
-	}
-	return n
-}
-
 // bargain plays one session. pool sizes the task party's randomizer pool
 // against a secure server exactly as WithClientNoisePool does: 0 is the
 // default size, and pool < 0 encrypts inline.
 func (rt *rawTransport) bargain(ctx context.Context, cfg SessionConfig, gains GainProvider, pool int) (*Result, error) {
-	var (
-		c     wire.Codec
-		hello *wire.Hello
-	)
-	if rt.codec == wire.CodecGob {
-		mc := rt.mcs[rt.next.Add(1)%uint64(len(rt.mcs))]
-		s, h, err := mc.Open(ctx, wire.ClientHello{Market: rt.market}, 10*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		defer s.CloseClean()
-		c, hello = s, h
-	} else {
-		conn, err := net.Dial("tcp", rt.addr)
-		if err != nil {
-			return nil, err
-		}
-		defer conn.Close()
-		c, hello, err = wire.ClientHandshake(wire.WithIOTimeout(conn, 10*time.Second),
-			rt.codec, wire.ClientHello{Market: rt.market})
-		if err != nil {
-			return nil, err
-		}
+	mc := rt.mcs[rt.next.Add(1)%uint64(len(rt.mcs))]
+	s, hello, err := mc.Open(ctx, wire.ClientHello{Market: rt.market}, 10*time.Second)
+	if err != nil {
+		return nil, err
 	}
+	defer s.CloseClean()
 	tc := &wire.TaskClient{Session: cfg, Gains: gains}
 	if hello.Secure && pool >= 0 {
 		pk := secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
 		tc.Noise = secure.NewNoiseSource(pk, pool, 0, rand.Reader)
 		defer tc.Noise.Close()
 	}
-	return tc.BargainCodec(ctx, c, hello)
+	return tc.BargainCodec(ctx, s, hello)
 }
 
 func (rt *rawTransport) Close() {
@@ -441,9 +410,9 @@ func TestServiceEvictionSeversOnlyAffectedMarket(t *testing.T) {
 		t.Fatal("credit session over shared conn diverges from engine")
 	}
 
-	// Evict titanic: only stream 1 is severed — with KindBusy, the same
-	// retryable notice a serial v4 client gets, so pooled clients back off
-	// and follow the migration redirect.
+	// Evict titanic: only stream 1 is severed — with KindBusy, the
+	// retryable notice, so pooled clients back off and follow the
+	// migration redirect.
 	if err := srv.Unregister("titanic"); err != nil {
 		t.Fatal(err)
 	}
@@ -466,11 +435,11 @@ func TestServiceEvictionSeversOnlyAffectedMarket(t *testing.T) {
 	}
 }
 
-// TestServicePipelinedRoundSingleWrite pins the 1-RTT round: under the
-// pipelined v6 wire the client coalesces each round's Settle with the next
-// round's Quote into one buffered write, so the client-side write count is
-// about one per round — the serial protocol paid two (quote flush + settle
-// flush). The session still finishes bit-identical to the engine.
+// TestServicePipelinedRoundSingleWrite pins the 1-RTT round: the client
+// coalesces each round's Settle with the next round's Quote into one
+// buffered write, so the client-side write count is about one per round —
+// a lockstep exchange pays two (quote flush + settle flush). The session
+// still finishes bit-identical to the engine.
 func TestServicePipelinedRoundSingleWrite(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines)
@@ -527,7 +496,7 @@ func TestServicePipelinedRoundSingleWrite(t *testing.T) {
 	}
 	sessionWrites := writes.Load() - base
 	// One write per round plus a small constant (final settle drain,
-	// teardown flush). The serial wire's floor is two per round.
+	// teardown flush). A lockstep exchange's floor is two per round.
 	if sessionWrites > rounds+5 {
 		t.Fatalf("%d rounds took %d client writes, want <= rounds+5 (pipelining lost)", rounds, sessionWrites)
 	}
@@ -545,55 +514,135 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestServiceVersionMatrix pins the compatibility window: serial preambles
-// v2 through v6 are all answered with a Hello, while an unknown future
-// version and a mux token on a non-current version are refused at the
-// handshake.
+// TestServiceVersionMatrix pins the handshake grammar: "VFLM/6 bin mux"
+// and "VFLM/6 gob mux" are answered with a Hello; every serial preamble of
+// the retired one-session wire (v2–v6, gob or JSON), a mux token on any
+// other version, and any other envelope encoding are refused at the
+// handshake — the server hangs up without a reply.
 func TestServiceVersionMatrix(t *testing.T) {
+	engines := testEngines(t)
+	srv, addr, shutdown := startServer(t, engines)
+	defer shutdown()
+
+	for _, codec := range []string{wire.CodecBinary, wire.CodecGob} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, hello, err := wire.OpenMux(conn, codec, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+		if err != nil {
+			t.Fatalf("VFLM/6 %s mux: %v", codec, err)
+		}
+		if hello.Market != "titanic" || hello.Version != wire.ProtocolVersion {
+			t.Fatalf("VFLM/6 %s mux: hello = %+v, want a titanic v%d Hello", codec, hello, wire.ProtocolVersion)
+		}
+		mc.Close()
+	}
+
+	var refused []string
+	for v := 2; v <= 6; v++ {
+		for _, codec := range []string{"gob", "json"} {
+			refused = append(refused, fmt.Sprintf("VFLM/%d %s\n", v, codec))
+		}
+	}
+	refused = append(refused,
+		"VFLM/5 bin mux\n",  // mux on a retired version
+		"VFLM/7 bin mux\n",  // future version
+		"VFLM/6 json mux\n", // JSON is no envelope encoding of the mux
+		"VFLM/6 xml mux\n",  // unknown encoding
+	)
+	before := srv.Metrics().Rejected
+	for _, preamble := range refused {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprint(conn, preamble)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+			t.Fatalf("preamble %q: read %d bytes, err %v; want the server to hang up", preamble, n, err)
+		}
+		conn.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().Rejected-before < uint64(len(refused)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected %d of %d refused preambles", srv.Metrics().Rejected-before, len(refused))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServiceHelloOnlyConnsRecyclePooledBuffers pins the accept side's
+// codec ownership rule: a connection that ends at its hello — a stats
+// probe, or an open the server refuses, as it does a redirect — returns
+// its framed codec's 32 KiB bufio reader and writer to their pools, so
+// each such exchange costs a few KiB instead of two fresh buffers. The
+// parent commit dropped both buffers on these paths and fails this test
+// (about 71 KB per stats probe, 68 KB per refused open).
+func TestServiceHelloOnlyConnsRecyclePooledBuffers(t *testing.T) {
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a random quarter of its Puts")
+	}
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
-	for v := 2; v <= 6; v++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
+	const n = 200
+	const budget = 32 << 10 // one pooled buffer; a leak costs two per conn
+	perConn := func(name string, exchange func() error) {
+		t.Helper()
+		if err := exchange(); err != nil { // warm the pools
 			t.Fatal(err)
 		}
-		fmt.Fprintf(conn, "VFLM/%d json\n", v)
-		fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":%d,"Market":"titanic","ListOnly":true}}`+"\n", v)
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var e wire.Envelope
-		if err := json.NewDecoder(conn).Decode(&e); err != nil {
-			t.Fatalf("v%d: no reply: %v", v, err)
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if err := exchange(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if e.Kind != wire.KindHello || e.Hello == nil || e.Hello.Market != "titanic" {
-			t.Fatalf("v%d: reply = %+v, want a titanic Hello", v, e)
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / n
+		t.Logf("%s: %d bytes allocated per connection", name, per)
+		if per >= budget {
+			t.Fatalf("%s: %d bytes allocated per connection, want < %d", name, per, budget)
 		}
-		if e.Hello.Version != wire.ProtocolVersion {
-			t.Fatalf("v%d: server advertises version %d, want %d", v, e.Hello.Version, wire.ProtocolVersion)
-		}
-		conn.Close()
 	}
+	perConn("stats probe", func() error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		_, err = wire.FetchStats(context.Background(), conn, 5*time.Second)
+		return err
+	})
+	perConn("refused open", func() error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		_, _, err = wire.OpenMux(conn, wire.CodecBinary, wire.ClientHello{Market: "nasdaq", ListOnly: true}, 5*time.Second)
+		if !errors.Is(err, ErrRejected) {
+			return fmt.Errorf("open of an unknown market: %v, want ErrRejected", err)
+		}
+		return nil
+	})
+}
 
-	for _, preamble := range []string{
-		"VFLM/7 json\n",     // future version
-		"VFLM/1 json\n",     // pre-handshake legacy has no preamble
-		"VFLM/5 json mux\n", // mux token is v6-only
-		"VFLM/6 xml\n",      // unknown codec
-	} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
 		}
-		fmt.Fprintf(conn, "%s", preamble)
-		fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":6,"Market":"titanic","ListOnly":true}}`+"\n")
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		var e wire.Envelope
-		if err := json.NewDecoder(conn).Decode(&e); err == nil && e.Kind == wire.KindHello {
-			t.Fatalf("preamble %q was served a Hello, want a refusal", preamble)
-		}
-		conn.Close()
 	}
+	return false
 }
 
 // TestClusterBatchSurvivesMidBatchMigration forces a live migration while

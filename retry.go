@@ -36,11 +36,6 @@ type RetryPolicy struct {
 	Rand *mrand.Rand
 }
 
-// ResumeBackoff is the historical name of RetryPolicy, kept as an alias:
-// it predates the policy's generalization beyond the imperfect-session
-// resume loop.
-type ResumeBackoff = RetryPolicy
-
 func (b RetryPolicy) withDefaults() RetryPolicy {
 	if b.Attempts <= 0 {
 		b.Attempts = 12

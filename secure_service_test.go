@@ -22,10 +22,9 @@ func quantize(p float64) float64 {
 }
 
 // TestSecureSettlementQuantizedParityOverWire is the wire golden: for the
-// Client's bin codec and for the gob mux and serial JSON transports the
-// server still serves, and for both the pooled and the inline client
-// encryption paths,
-// the payment the server decrypts must equal the client's cleartext
+// Client's bin encoding and for the framed gob the server still serves,
+// and for both the pooled and the inline client encryption paths, the
+// payment the server decrypts must equal the client's cleartext
 // payment quantized to the fixed-point grid — exactly, which pins the
 // pooled-encrypt and CRT-decrypt rebuild to the pre-refactor settlement
 // values bit for bit.
@@ -63,8 +62,6 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 		{"bin-inline", wire.CodecBinary, -1},
 		{"gob-pooled", wire.CodecGob, 0},
 		{"gob-inline", wire.CodecGob, -1},
-		{"json-pooled", wire.CodecJSON, 0},
-		{"json-inline", wire.CodecJSON, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res *Result
@@ -82,9 +79,9 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				// The gob mux and the serial JSON endpoint are served for
-				// callers other than the Client; settle over them directly.
-				rt, err := dialRawTransport(addr, tc.codec, "titanic", 1)
+				// Framed gob is served for callers other than the Client;
+				// settle over it directly.
+				rt, err := dialRawTransport(addr, "titanic", 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -62,7 +62,7 @@ type Route struct {
 
 // MarketDirectory tells a shard where markets it does not serve live. A
 // directory-attached server answers a hello for an unregistered market
-// with a protocol-v5 redirect to the owning shard (or a retryable busy
+// with a redirect to the owning shard (or a retryable busy
 // while the market migrates) instead of a terminal unknown-market error.
 // Implementations must be safe for concurrent use; vflmarket.Cluster backs
 // it with the fabric registry.
@@ -75,8 +75,7 @@ type MarketDirectory interface {
 
 // WithDirectory attaches the server to a market directory — the shard-map
 // half of the fabric. Helloes for markets the server does not serve are
-// answered with a redirect to the owner named by the directory (v5
-// clients; older clients get the address in an error message), or with a
+// answered with a redirect to the owner named by the directory, or with a
 // retryable busy while the directory reports the market mid-migration.
 func WithDirectory(d MarketDirectory) ServerOption {
 	return func(c *serverConfig) { c.directory = d }
@@ -170,7 +169,7 @@ type ServerMetrics struct {
 	// Dropped counts sessions that ended on a transport fault — a peer
 	// timeout, a reset, a torn connection — as classified by the wire
 	// layer. Not included in Failed: a dropped session is the network's
-	// doing, and v4 identified clients resume it; Failed is reserved for
+	// doing, and identified clients resume it; Failed is reserved for
 	// protocol violations and engine errors.
 	Dropped uint64
 	// Watchdog counts sessions the server's progress watchdog severed: the
@@ -209,9 +208,10 @@ type serverConfig struct {
 	watchdog       time.Duration
 }
 
-// WithWorkers bounds the session worker pool: at most n sessions bargain
-// concurrently, further connections queue in the listener backlog (the
-// same bounded-pool discipline core.RunBatch uses). <= 0 means GOMAXPROCS.
+// WithWorkers bounds the accept-side worker pool: at most n connections
+// run their handshake concurrently, further ones queue in the backlog (see
+// WithBacklog), and each connection admits at most n plus the backlog
+// concurrent sessions. <= 0 means GOMAXPROCS.
 func WithWorkers(n int) ServerOption { return func(c *serverConfig) { c.workers = n } }
 
 // WithIOTimeout bounds every read and write on served connections: a
@@ -226,12 +226,10 @@ func WithIOTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithIdleTimeout bounds how long a multiplexed (v6) connection may sit
-// with no open sessions and no traffic before the server closes it. The
-// default is 4x the IO timeout; a negative d disables the idle deadline
-// (connections linger until the client closes or the server drains).
-// Serial connections are unaffected — they carry exactly one session,
-// already bounded by the IO timeout.
+// WithIdleTimeout bounds how long a connection may sit with no open
+// sessions and no traffic before the server closes it. The default is 4x
+// the IO timeout; a negative d disables the idle deadline (connections
+// linger until the client closes or the server drains).
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.idleTimeout = d }
 }
@@ -314,7 +312,7 @@ func WithMarketState(ms *MarketState) ServerOption { return func(c *serverConfig
 
 // WithBacklog sizes the accept-side session queue: connections beyond the
 // worker pool wait in a queue of n before the server starts refusing them
-// with a KindBusy envelope (ErrServerBusy on v4 clients, who may retry
+// with a KindBusy envelope (ErrServerBusy on the client, which may retry
 // with backoff). 0 means no queue — a connection is refused the moment
 // every worker is busy; < 0 keeps the default (128).
 func WithBacklog(n int) ServerOption {
@@ -374,13 +372,16 @@ type Server struct {
 	wdMu       sync.Mutex
 	wdSessions map[*wdEntry]struct{}
 
-	// muxMu guards the registry of live v6 multiplexed connections. Mux
-	// conns serve sessions on their own goroutines, off the worker pool —
+	// muxMu guards the registry of live connections past their handshake.
+	// They serve sessions on their own goroutines, off the worker pool —
 	// the per-conn session cap is their admission control — and Serve
-	// drains them at shutdown.
-	muxMu    sync.Mutex
-	muxConns map[*wire.MuxServerConn]struct{}
-	muxWG    sync.WaitGroup
+	// drains them at shutdown. muxDraining is set from that drain until
+	// the next Serve, so a connection whose handshake finished while Serve
+	// was draining drains itself on registration instead of outliving it.
+	muxMu       sync.Mutex
+	muxConns    map[*wire.MuxServerConn]struct{}
+	muxDraining bool
+	muxWG       sync.WaitGroup
 }
 
 // market is one registry entry: the wire endpoint, the engine behind it
@@ -403,10 +404,9 @@ type market struct {
 	// flips once, under the same lock, so a handler that resolved the
 	// market just before Unregister either lands in conns (and is severed)
 	// or observes evicted and backs off with a retryable busy. An entry is
-	// a whole net.Conn for a serial session, or a single wire.MuxStream for
-	// a session multiplexed onto a shared v6 connection — closing the
-	// stream severs exactly that session, so a migration never tears down
-	// sibling sessions of other markets riding the same conn.
+	// one session's wire.MuxStream — closing the stream severs exactly that
+	// session, so a migration never tears down sibling sessions of other
+	// markets riding the same conn.
 	connMu  sync.Mutex
 	conns   map[io.Closer]struct{}
 	evicted bool
@@ -451,35 +451,18 @@ func (m *market) isEvicted() bool {
 	return m.evicted
 }
 
-// sever closes every tracked session carrier WITHOUT marking the market
-// evicted: the chaos lever behind Server.Sever. Sessions die with
-// transport errors (counted Dropped), the market keeps serving redials.
-func (m *market) sever() {
-	m.connMu.Lock()
-	defer m.connMu.Unlock()
-	for c := range m.conns {
-		c.Close()
-	}
-}
-
-// Sever hard-closes every live connection of the server — multiplexed
-// conns and serial session carriers alike — without evicting any market
-// or stopping the listener. In-flight sessions die with transport errors
-// (Dropped, not Failed) and their identified clients resume on redial;
-// the server itself keeps serving. This is the fault-injection lever a
-// failover drill pulls to simulate a shard's network dying ahead of the
-// process.
+// Sever hard-closes every live connection of the server without evicting
+// any market or stopping the listener. In-flight sessions die with
+// transport errors (Dropped, not Failed) and their identified clients
+// resume on redial; the server itself keeps serving. This is the
+// fault-injection lever a failover drill pulls to simulate a shard's
+// network dying ahead of the process.
 func (s *Server) Sever() {
 	s.muxMu.Lock()
+	defer s.muxMu.Unlock()
 	for sc := range s.muxConns {
 		sc.Close()
 	}
-	s.muxMu.Unlock()
-	s.mu.RLock()
-	for _, m := range s.markets {
-		m.sever()
-	}
-	s.mu.RUnlock()
 }
 
 // wdEntry is one session under watchdog patrol: the carrier to sever and
@@ -491,8 +474,7 @@ type wdEntry struct {
 }
 
 // progressCodec wraps a session's codec so every successful Send or Recv
-// refreshes the watchdog timestamp. Flush forwards to the underlying
-// codec (wire.Flush type-asserts, so the wrapper must re-export it).
+// refreshes the watchdog timestamp.
 type progressCodec struct {
 	wire.Codec
 	wd *wdEntry
@@ -513,8 +495,6 @@ func (p progressCodec) Recv() (*wire.Envelope, error) {
 	}
 	return e, err
 }
-
-func (p progressCodec) Flush() error { return wire.Flush(p.Codec) }
 
 // watchdogBudget resolves the configured progress budget: explicit if
 // set, 4x the IO timeout by default, disabled (0) when negative.
@@ -893,6 +873,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ln.Close()
 		return fmt.Errorf("vflmarket: serve with no registered markets")
 	}
+	s.muxMu.Lock()
+	s.muxDraining = false
+	s.muxMu.Unlock()
 	workers := s.cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -1002,6 +985,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// them symmetrically — no new session opens, in-flight ones finish
 	// (each bounded by its per-stream IO timer), idle conns close now.
 	s.muxMu.Lock()
+	s.muxDraining = true
 	for sc := range s.muxConns {
 		sc.Drain()
 	}
@@ -1031,59 +1015,47 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// rejectBusy turns away one connection whose arrival found the session
-// pool and backlog saturated: it still reads the client's handshake (so
-// the refusal lands on a framed codec), answers with the v4 busy envelope
-// — or a plain error for older clients, which have no KindBusy — and
+// rejectBusy turns away one connection whose arrival found the handshake
+// pool and backlog saturated: it still reads the client's handshake (so the
+// refusal lands on a framed codec), answers with the busy envelope, and
 // closes. Runs on its own goroutine so a slow-writing client cannot stall
 // the accept loop.
 func (s *Server) rejectBusy(conn net.Conn) {
 	defer conn.Close()
-	remote := ""
-	if addr := conn.RemoteAddr(); addr != nil {
-		remote = addr.String()
-	}
 	busyErr := fmt.Errorf("vflmarket: session pool saturated; retry later")
-	codec, ch, _, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
-	if err == nil {
-		if ch.Version >= 4 {
-			wire.SendBusy(codec, "%v", busyErr)
-		} else {
-			wire.SendError(codec, "%v", busyErr)
-		}
+	if codec, _, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout); err == nil {
+		wire.SendBusy(codec, "%v", busyErr)
+		wire.Release(codec)
 	}
-	if s.cfg.hook != nil {
-		s.cfg.hook(SessionEvent{Remote: remote, Err: busyErr})
-	}
+	s.notify("", remoteAddr(conn), nil, busyErr)
 }
 
-// handle runs one connection end to end: handshake, market resolution, and
-// the bargaining session. A v6 mux handshake hands the connection to its
-// own goroutine instead — the worker slot frees immediately, and the
-// connection serves many concurrent sessions under its per-conn cap.
+// handle completes one connection's handshake on a pool worker, then hands
+// the connection to its own goroutine — the worker slot frees immediately,
+// and the connection serves many concurrent sessions under its per-conn
+// cap.
 func (s *Server) handle(conn net.Conn) {
-	remote := ""
-	if addr := conn.RemoteAddr(); addr != nil {
-		remote = addr.String()
-	}
-	codec, ch, mux, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
+	remote := remoteAddr(conn)
+	codec, ch, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
 	if err != nil {
 		conn.Close()
 		s.rejected.Add(1)
 		s.notify("", remote, nil, err)
 		return
 	}
-	if mux {
-		s.muxWG.Add(1)
-		go func() {
-			defer s.muxWG.Done()
-			defer conn.Close()
-			s.serveMux(conn, codec, ch, remote)
-		}()
-		return
+	s.muxWG.Add(1)
+	go func() {
+		defer s.muxWG.Done()
+		defer conn.Close()
+		s.serveMux(conn, codec, ch, remote)
+	}()
+}
+
+func remoteAddr(conn net.Conn) string {
+	if addr := conn.RemoteAddr(); addr != nil {
+		return addr.String()
 	}
-	defer conn.Close()
-	s.serveSession(codec, ch, remote, conn)
+	return ""
 }
 
 // notify delivers one session event to the configured hook.
@@ -1093,9 +1065,9 @@ func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
 	}
 }
 
-// muxSessionCap bounds concurrently open sessions per multiplexed
-// connection — the mux counterpart of the serial worker pool plus its
-// backlog (mux sessions run on their own goroutines, off the pool).
+// muxSessionCap bounds concurrently open sessions per connection: the
+// worker count plus the backlog (sessions run on their own goroutines, off
+// the handshake pool).
 func (s *Server) muxSessionCap() int {
 	w := s.cfg.workers
 	if w <= 0 {
@@ -1104,69 +1076,26 @@ func (s *Server) muxSessionCap() int {
 	return w + s.cfg.backlog
 }
 
-// serveMux drives one v6 multiplexed connection: the connection-level
-// hello doubles as the listing probe (market resolution included, so a
-// wrong-door dial is redirected before any session starts), then every
-// KindOpen becomes an independent session handled exactly like a serial
-// connection's. The connection itself is never tracked by a market — only
-// its per-session streams are — so evicting a migrating market severs
-// exactly that market's sessions and leaves the connection warm for the
-// rest.
+// serveMux drives one connection: openMux answers the connection-level
+// hello, then every KindOpen becomes an independent session. The
+// connection itself is never tracked by a market — only its per-session
+// streams are — so evicting a migrating market severs exactly that
+// market's sessions and leaves the connection warm for the rest. The codec
+// goes back to its pool here unless Serve took it over.
 func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) {
-	notify := func(market string, sum *SessionSummary, err error) {
-		s.notify(market, remote, sum, err)
-	}
-	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
-		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion)
-		wire.SendError(codec, "%v", err)
-		notify("", nil, err)
+	sc := s.openMux(conn, codec, ch, remote)
+	if sc == nil {
+		wire.Release(codec)
 		return
 	}
-	if ch.StatsOnly {
-		_ = codec.Send(&wire.Envelope{Kind: wire.KindStats, Stats: s.statsReport()})
-		_ = wire.Flush(codec)
-		notify("", nil, nil)
-		return
-	}
-	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
-	if !ok {
-		return
-	}
-	_, modes, ok := s.resolveMode(codec, ch, notify)
-	if !ok {
-		return
-	}
-	hello, err := mkt.ds.Hello()
-	if err != nil {
-		s.rejected.Add(1)
-		wire.SendError(codec, "%v", err)
-		notify(name, nil, err)
-		return
-	}
-	hello.Version = wire.ProtocolVersion
-	hello.Market = name
-	hello.Markets = markets
-	hello.Modes = modes
-
-	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.muxSessionCap())
-	if err != nil {
-		s.rejected.Add(1)
-		notify(name, nil, err)
-		return
-	}
-	if err := sc.SendHello(hello); err != nil {
-		s.rejected.Add(1)
-		notify(name, nil, err)
-		return
-	}
-	notify(name, nil, nil) // the probe half: a listing, like ListOnly
-
 	s.muxMu.Lock()
 	if s.muxConns == nil {
 		s.muxConns = make(map[*wire.MuxServerConn]struct{})
 	}
 	s.muxConns[sc] = struct{}{}
+	if s.muxDraining {
+		sc.Drain()
+	}
 	s.muxMu.Unlock()
 	defer func() {
 		s.muxMu.Lock()
@@ -1175,70 +1104,127 @@ func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello,
 	}()
 
 	_ = sc.Serve(func(st *wire.MuxStream, sch *wire.ClientHello) {
-		s.serveSession(st, sch, remote, st)
+		s.serveSession(st, sch, remote)
 	})
 }
 
-// serveSession runs one session end to end on an established codec — a
-// whole serial connection, or one stream of a multiplexed one. closer is
-// what a market eviction severs: the connection itself in the serial
-// case, the single stream in the mux case.
-func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote string, closer io.Closer) {
+// openMux answers a connection's hello. The hello doubles as the listing
+// probe — market resolution included, so a wrong-door dial is redirected
+// before any session starts — and a stats-only hello is answered here. It
+// returns the connection ready to Serve, or nil when the exchange ended at
+// the hello (answered, refused, or failed).
+func (s *Server) openMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) *wire.MuxServerConn {
 	notify := func(market string, sum *SessionSummary, err error) {
 		s.notify(market, remote, sum, err)
 	}
+	if s.answeredBeforeMarket(codec, ch, notify) {
+		return nil
+	}
+	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
+	if !ok {
+		return nil
+	}
+	_, modes, ok := s.resolveMode(codec, ch, notify)
+	if !ok {
+		return nil
+	}
+	hello, ok := s.marketHello(codec, mkt, name, markets, modes, notify)
+	if !ok {
+		return nil
+	}
+	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.muxSessionCap())
+	if err == nil {
+		err = sc.SendHello(hello)
+	}
+	if err != nil {
+		s.rejected.Add(1)
+		notify(name, nil, err)
+		return nil
+	}
+	notify(name, nil, nil) // the probe half: a listing, like ListOnly
+	return sc
+}
+
+// answeredBeforeMarket answers what a hello asks before any market is
+// involved, reporting whether it did: an unsupported protocol version is
+// refused, and a stats-only hello gets the metrics snapshot. The stats read
+// resolves no market and opens no session — the rebalancer's periodic poll
+// must stay cheap and must work even when every market is mid-move.
+func (s *Server) answeredBeforeMarket(codec wire.Codec, ch *wire.ClientHello, notify func(string, *SessionSummary, error)) bool {
 	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
 		s.rejected.Add(1)
 		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion)
 		wire.SendError(codec, "%v", err)
 		notify("", nil, err)
-		return
+		return true
 	}
-
-	// Admin read: a stats-only hello gets the metrics snapshot and closes.
-	// No market resolution, no session — the rebalancer's periodic poll
-	// must stay cheap and must work even when every market is mid-move.
 	if ch.StatsOnly {
 		_ = codec.Send(&wire.Envelope{Kind: wire.KindStats, Stats: s.statsReport()})
-		_ = wire.Flush(codec)
+		_ = codec.Flush()
 		notify("", nil, nil)
+		return true
+	}
+	return false
+}
+
+// marketHello builds the resolved market's Hello, answering the refusal
+// itself when the market cannot produce one. In secure mode the Hello
+// carries the market's public key, so this blocks until a background key
+// generation lands (first use only).
+func (s *Server) marketHello(codec wire.Codec, mkt *market, name string, markets, modes []string, notify func(string, *SessionSummary, error)) (*wire.Hello, bool) {
+	hello, err := mkt.ds.Hello()
+	if err != nil {
+		s.rejected.Add(1)
+		wire.SendError(codec, "%v", err)
+		notify(name, nil, err)
+		return nil, false
+	}
+	hello.Version = wire.ProtocolVersion
+	hello.Market = name
+	hello.Markets = markets
+	hello.Modes = modes
+	return hello, true
+}
+
+// serveSession runs one session — one stream of a connection — end to end.
+// The stream is also what a market eviction or the watchdog severs.
+func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote string) {
+	notify := func(market string, sum *SessionSummary, err error) {
+		s.notify(market, remote, sum, err)
+	}
+	if s.answeredBeforeMarket(st, ch, notify) {
 		return
 	}
-
-	mode, modes, ok := s.resolveMode(codec, ch, notify)
+	mode, modes, ok := s.resolveMode(st, ch, notify)
 	if !ok {
 		return
 	}
-	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
+	mkt, name, markets, ok := s.resolveMarket(st, ch, notify)
 	if !ok {
 		return
 	}
 
-	// From here the session is the market's: register its carrier with the
+	// From here the session is the market's: register its stream with the
 	// market so a migration can sever it. A market evicted between lookup
 	// and here answers busy — the redial after backoff gets the redirect.
-	if !mkt.track(closer) {
+	if !mkt.track(st) {
 		s.busy.Add(1)
 		err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-		if ch.Version >= 4 {
-			wire.SendBusy(codec, "%v", err)
-		} else {
-			wire.SendError(codec, "%v", err)
-		}
+		wire.SendBusy(st, "%v", err)
 		notify(name, nil, err)
 		return
 	}
-	defer mkt.untrack(closer)
+	defer mkt.untrack(st)
 
-	// Protocol v3 hardening: the handshake's work factors are client
-	// input, so an abusive hello (exploration rounds or replay budget over
-	// the market's caps) is refused here — with an error envelope in place
-	// of the Hello, before any session state exists — and counted as a
-	// rejection, not a failed session.
+	// The handshake's work factors are client input, so an abusive hello
+	// (exploration rounds or replay budget over the market's caps) is
+	// refused here — with an error envelope in place of the Hello, before
+	// any session state exists — and counted as a rejection, not a failed
+	// session.
 	if mode == wire.ModeImperfect && !ch.ListOnly {
 		if err := mkt.ds.ValidateImperfectHello(ch.Imperfect); err != nil {
 			s.rejected.Add(1)
-			wire.SendError(codec, "%v", err)
+			wire.SendError(st, "%v", err)
 			notify(name, nil, err)
 			return
 		}
@@ -1247,29 +1233,19 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 		// (its direct callers own the codec), so the frontend speaks.
 		if err := mkt.ds.CheckResume(ch.Imperfect); err != nil {
 			s.rejected.Add(1)
-			wire.SendError(codec, "%v", err)
+			wire.SendError(st, "%v", err)
 			notify(name, nil, err)
 			return
 		}
 	}
 
-	// In secure mode the Hello carries the market's public key, so this
-	// blocks until a background key generation lands (first session only).
-	hello, err := mkt.ds.Hello()
-	if err != nil {
-		s.rejected.Add(1)
-		wire.SendError(codec, "%v", err)
-		notify(name, nil, err)
+	hello, ok := s.marketHello(st, mkt, name, markets, modes, notify)
+	if !ok {
 		return
 	}
-	hello.Version = wire.ProtocolVersion
-	hello.Market = name
-	hello.Markets = markets
-	hello.Modes = modes
-
 	if ch.ListOnly {
-		_ = codec.Send(&wire.Envelope{Kind: wire.KindHello, Hello: hello})
-		_ = wire.Flush(codec)
+		_ = st.Send(&wire.Envelope{Kind: wire.KindHello, Hello: hello})
+		_ = st.Flush()
 		notify(name, nil, nil)
 		return
 	}
@@ -1279,13 +1255,13 @@ func (s *Server) serveSession(codec wire.Codec, ch *wire.ClientHello, remote str
 	s.active.Add(1)
 	mkt.active.Add(1)
 	// The bargaining loop runs under watchdog patrol: the codec wrapper
-	// stamps every successful envelope, the reaper severs the carrier when
+	// stamps every successful envelope, the reaper severs the stream when
 	// the stamp goes stale past the budget.
 	var wd *wdEntry
-	sessionCodec := codec
+	var sessionCodec wire.Codec = st
 	if s.watchdogBudget() > 0 {
-		wd = s.watchdogTrack(closer)
-		sessionCodec = progressCodec{Codec: codec, wd: wd}
+		wd = s.watchdogTrack(st)
+		sessionCodec = progressCodec{Codec: st, wd: wd}
 		defer s.watchdogUntrack(wd)
 	}
 	var sum *SessionSummary
@@ -1381,24 +1357,13 @@ func (s *Server) resolveMarket(codec wire.Codec, ch *wire.ClientHello, notify fu
 			if rt.Moving || rt.Addr == "" {
 				s.busy.Add(1)
 				err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-				if ch.Version >= 4 {
-					wire.SendBusy(codec, "%v", err)
-				} else {
-					wire.SendError(codec, "%v", err)
-				}
+				wire.SendBusy(codec, "%v", err)
 				notify(name, nil, err)
 				return nil, "", nil, false
 			}
 			s.redirected.Add(1)
-			rerr := &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch}
-			if ch.Version >= 5 {
-				wire.SendRedirect(codec, &wire.Redirect{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
-			} else {
-				// Pre-v5 clients cannot follow a redirect envelope; name
-				// the owner in the error so the operator can re-point them.
-				wire.SendError(codec, "vflmarket: market %q is served at %s", name, rt.Addr)
-			}
-			notify(name, nil, rerr)
+			wire.SendRedirect(codec, &wire.Redirect{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
+			notify(name, nil, &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
 			return nil, "", nil, false
 		}
 	}

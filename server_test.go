@@ -66,6 +66,28 @@ func startServer(t testing.TB, engines map[string]*Engine, opts ...ServerOption)
 	return srv, ln.Addr().String(), shutdown
 }
 
+// openRawSession dials addr over the binary mux and opens one session with
+// ch, for tests that drive the envelope sequence by hand. The caller closes
+// both.
+func openRawSession(t *testing.T, addr string, ch wire.ClientHello) (*wire.MuxConn, *wire.MuxSession) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, _, err := wire.OpenMux(conn, wire.CodecBinary, wire.ClientHello{Market: ch.Market, ListOnly: true}, 5*time.Second)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	s, _, err := mc.Open(context.Background(), ch, 5*time.Second)
+	if err != nil {
+		mc.Close()
+		t.Fatal(err)
+	}
+	return mc, s
+}
+
 // TestServiceMultiMarketConcurrentClients is the acceptance scenario: one
 // server, two named markets, eight concurrent clients split across
 // markets, every result bit-identical to the in-process engine run with
@@ -211,30 +233,23 @@ func TestServiceCancellationMidSession(t *testing.T) {
 	}
 }
 
-// TestServiceMalformedClient feeds the server a valid handshake followed by
-// a malformed envelope, then raw preamble garbage: both must fail their own
-// session cleanly and leave the server serving.
+// TestServiceMalformedClient feeds the server a valid session open followed
+// by a malformed envelope, then raw preamble garbage: both must fail their
+// own session cleanly and leave the server serving.
 func TestServiceMalformedClient(t *testing.T) {
 	engines := testEngines(t)
 	srv, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 
-	// A JSON client that opens correctly and then sends a well-framed Quote
-	// envelope with no payload — the session must fail cleanly, not panic
-	// the server on a nil dereference.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	// A client that opens a session correctly and then sends a well-framed
+	// Quote envelope with no payload — the session must fail cleanly, not
+	// panic the server on a nil dereference.
+	mc, s := openRawSession(t, addr, wire.ClientHello{Market: "titanic"})
+	if err := s.Send(&wire.Envelope{Kind: wire.KindQuote}); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "VFLM/2 json\n")
-	fmt.Fprintf(conn, `{"Kind":5,"Client":{"Version":2,"Market":"titanic"}}`+"\n")
-	fmt.Fprintf(conn, `{"Kind":2}`+"\n")
-	buf := make([]byte, 4096)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(buf); err != nil { // the Hello
-		t.Fatalf("no hello: %v", err)
-	}
-	conn.Close()
+	s.CloseClean()
+	mc.Close()
 
 	// Raw garbage instead of a preamble.
 	conn2, err := net.Dial("tcp", addr)
@@ -274,7 +289,7 @@ func TestServiceMalformedClient(t *testing.T) {
 
 // TestServiceUnknownMarketAndCodec verifies the fail-fast paths of Dial,
 // and that the server hangs up on a mux preamble naming an encoding the mux
-// does not speak — JSON included, which only the serial endpoints offer.
+// does not speak, JSON included.
 func TestServiceUnknownMarketAndCodec(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines)
@@ -285,7 +300,7 @@ func TestServiceUnknownMarketAndCodec(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nasdaq") {
 		t.Fatalf("unknown-market error does not name the market: %v", err)
 	}
-	for _, codec := range []string{"xml", wire.CodecJSON} {
+	for _, codec := range []string{"xml", "json"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

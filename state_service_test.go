@@ -16,6 +16,7 @@ package vflmarket
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -274,7 +275,7 @@ func TestServiceStateWarmOracleZeroTrainings(t *testing.T) {
 }
 
 // TestServiceStateBusyAdmission pins a one-worker, zero-backlog server
-// with a half-open session and checks the next connection is refused with
+// with a half-open handshake and checks the next connection is refused with
 // the typed busy envelope — surfaced as ErrServerBusy, counted in
 // ServerMetrics.Busy, and distinct from a protocol rejection.
 func TestServiceStateBusyAdmission(t *testing.T) {
@@ -282,16 +283,14 @@ func TestServiceStateBusyAdmission(t *testing.T) {
 	srv, addr, shutdown := startServer(t, engines, WithWorkers(1), WithBacklog(0))
 	defer shutdown()
 
-	// Complete a handshake and then go silent: the lone worker is now
-	// parked in the session loop waiting for a quote that never comes.
+	// Send the preamble and then go silent: the lone worker is now parked
+	// in the handshake waiting for a hello that never comes.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, _, err := wire.ClientHandshake(conn, wire.CodecGob, wire.ClientHello{}); err != nil {
-		t.Fatal(err)
-	}
+	fmt.Fprintf(conn, "VFLM/6 %s mux\n", wire.CodecBinary)
 
 	_, err = Dial(context.Background(), addr)
 	if err == nil {

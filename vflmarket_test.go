@@ -1,13 +1,14 @@
 package vflmarket
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
-func fastMarket(t testing.TB, ds string) *Market {
+func fastMarket(t testing.TB, ds string) *Engine {
 	t.Helper()
-	m, err := New(Config{Dataset: ds, Synthetic: true, Scale: 0.5, Seed: 5})
+	m, err := NewEngineFromConfig(Config{Dataset: ds, Synthetic: true, Scale: 0.5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +16,7 @@ func fastMarket(t testing.TB, ds string) *Market {
 }
 
 func TestNewDefaultsToTitanic(t *testing.T) {
-	m, err := New(Config{Synthetic: true, Scale: 0.5})
+	m, err := NewEngineFromConfig(Config{Synthetic: true, Scale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +26,17 @@ func TestNewDefaultsToTitanic(t *testing.T) {
 }
 
 func TestNewRejectsUnknowns(t *testing.T) {
-	if _, err := New(Config{Dataset: "mnist"}); err == nil {
+	if _, err := NewEngineFromConfig(Config{Dataset: "mnist"}); err == nil {
 		t.Fatal("expected dataset error")
 	}
-	if _, err := New(Config{Dataset: "titanic", Model: "transformer"}); err == nil {
+	if _, err := NewEngineFromConfig(Config{Dataset: "titanic", Model: "transformer"}); err == nil {
 		t.Fatal("expected model error")
 	}
 }
 
 func TestBargainSucceeds(t *testing.T) {
 	m := fastMarket(t, "titanic")
-	res, err := m.Bargain(BargainOptions{Seed: 3})
+	res, err := m.Bargain(context.Background(), BargainOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBargainWithCustomSession(t *testing.T) {
 	cfg := m.Session()
 	cfg.Seed = 11
 	cfg.MaxRounds = 5 // force exhaustion
-	res, err := m.BargainWith(cfg)
+	res, err := m.BargainWith(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestBargainWithCustomSession(t *testing.T) {
 
 func TestBargainImperfectRuns(t *testing.T) {
 	m := fastMarket(t, "titanic")
-	res, err := m.BargainImperfect(7, 30)
+	res, err := m.BargainImperfect(context.Background(), 7, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestBargainImperfectRuns(t *testing.T) {
 
 func TestBargainBaselinesThroughFacade(t *testing.T) {
 	m := fastMarket(t, "titanic")
-	res, err := m.Bargain(BargainOptions{Seed: 1, DataGreed: DataRandomBundle})
+	res, err := m.Bargain(context.Background(), BargainOptions{Seed: 1, DataGreed: DataRandomBundle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestBargainBaselinesThroughFacade(t *testing.T) {
 	default:
 		t.Fatalf("unexpected outcome %v", res.Outcome)
 	}
-	res2, err := m.Bargain(BargainOptions{Seed: 1, TaskGreed: TaskIncreasePrice})
+	res2, err := m.Bargain(context.Background(), BargainOptions{Seed: 1, TaskGreed: TaskIncreasePrice})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestBargainBaselinesThroughFacade(t *testing.T) {
 
 func TestBargainWithCost(t *testing.T) {
 	m := fastMarket(t, "titanic")
-	free, err := m.Bargain(BargainOptions{Seed: 2})
+	free, err := m.Bargain(context.Background(), BargainOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	costly, err := m.Bargain(BargainOptions{
+	costly, err := m.Bargain(context.Background(), BargainOptions{
 		Seed:     2,
 		TaskCost: CostModel{Kind: LinearCost, Factor: 1},
 		DataCost: CostModel{Kind: LinearCost, Factor: 1},
@@ -140,11 +141,11 @@ func TestRealVFLMarketSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real VFL training in -short mode")
 	}
-	m, err := New(Config{Dataset: "titanic", Scale: 0.3, Seed: 2})
+	m, err := NewEngineFromConfig(Config{Dataset: "titanic", Scale: 0.3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Bargain(BargainOptions{Seed: 1})
+	res, err := m.Bargain(context.Background(), BargainOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
