@@ -2,16 +2,17 @@ package vflmarket
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -356,7 +357,7 @@ func (c *Cluster) Failover(ctx context.Context, dead int) ([]Transfer, error) {
 		if _, err := c.reg.BeginMove(market, dst.shard.ID); err != nil {
 			return out, err
 		}
-		if err := copyMarketSnapshots(src.shard.StateDir, dst.shard.StateDir, market); err != nil {
+		if err := copyMarketSnapshots(src.state, dst.state, market); err != nil {
 			c.reg.AbortMove(market)
 			return out, fmt.Errorf("vflmarket: failover %q: copy state: %w", market, err)
 		}
@@ -411,7 +412,7 @@ func (c *Cluster) Migrate(ctx context.Context, market string, to int) error {
 	if err := src.server.Unregister(market); err != nil {
 		return rollback(fmt.Errorf("vflmarket: migrate %q: evict: %w", market, err))
 	}
-	if err := copyMarketSnapshots(src.shard.StateDir, dst.shard.StateDir, market); err != nil {
+	if err := copyMarketSnapshots(src.state, dst.state, market); err != nil {
 		return rollback(fmt.Errorf("vflmarket: migrate %q: copy state: %w", market, err))
 	}
 	eng, err := c.factory(market, dst.state)
@@ -467,67 +468,38 @@ func (c *Cluster) Close() error {
 }
 
 // copyMarketSnapshots carries a market's durable snapshots between shard
-// state directories: its estimator checkpoints (estimators/<slug>/), its
-// Paillier key (keys/<slug>.snap), and the shared oracle memo tree
-// (oracle/ — keyed by dataset config, not market, so extra entries are
-// harmless and warm the destination). Same or empty directories are a
-// no-op: the shards already share (or have no) state.
-func copyMarketSnapshots(srcDir, dstDir, market string) error {
-	if srcDir == "" || dstDir == "" || srcDir == dstDir {
+// stores: its Paillier key (keys/<slug>), its estimator checkpoints
+// (estimators/<slug>/), and the shared oracle memo tree (oracle/ — keyed by
+// dataset config, not market, so extra entries are harmless and warm the
+// destination). Each snapshot passes the source store's checksum on the way
+// out and lands through the destination store's fsynced atomic rename, so a
+// crash mid-copy never leaves a torn snapshot behind. A corrupt source
+// snapshot is skipped: the destination would quarantine it as a cold miss
+// anyway. Memory-only shards, or shards sharing one directory, are a no-op.
+func copyMarketSnapshots(src, dst *MarketState, market string) error {
+	if src == nil || dst == nil || src.dir == dst.dir {
 		return nil
 	}
 	slug := marketSlug(market)
-	trees := []string{
-		filepath.Join("estimators", slug),
-		"oracle",
-	}
-	for _, tree := range trees {
-		root := filepath.Join(srcDir, tree)
-		err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-			if err != nil || info.IsDir() {
-				return err
-			}
-			rel, rerr := filepath.Rel(srcDir, path)
-			if rerr != nil {
-				return rerr
-			}
-			return copyFile(path, filepath.Join(dstDir, rel))
-		})
-		if err != nil && !os.IsNotExist(err) {
+	names := []string{"keys/" + slug}
+	for _, prefix := range []string{"estimators/" + slug + "/", "oracle/"} {
+		listed, err := src.st.List(prefix)
+		if err != nil {
 			return err
 		}
+		names = append(names, listed...)
 	}
-	key := filepath.Join("keys", slug+".snap")
-	if _, err := os.Stat(filepath.Join(srcDir, key)); err == nil {
-		if err := copyFile(filepath.Join(srcDir, key), filepath.Join(dstDir, key)); err != nil {
+	for _, name := range names {
+		payload, version, err := src.st.Load(name, math.MaxUint32)
+		if errors.Is(err, store.ErrNotExist) || store.IsCorrupt(err) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := dst.st.Save(name, version, payload); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	tmp := dst + ".tmp"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, dst)
 }

@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -185,6 +187,17 @@ func TestClusterLiveMigrationBitIdentical(t *testing.T) {
 	to := (from + 1) % 3
 	epochBefore := cluster.Epoch()
 
+	// A damaged snapshot in the source's state must not travel: the copy
+	// checks every snapshot on the way out and skips a corrupt one.
+	planted := filepath.Join("estimators", "titanic", "planted.snap")
+	plantedSrc := filepath.Join(cluster.shards[from].state.Dir(), planted)
+	if err := os.MkdirAll(filepath.Dir(plantedSrc), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(plantedSrc, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// The migration fires from the client's round observer the first time
 	// the session reaches the cut round — mid-exploration, with the
 	// session's connection live on the source shard.
@@ -250,6 +263,9 @@ func TestClusterLiveMigrationBitIdentical(t *testing.T) {
 	}
 	if cluster.Epoch() <= epochBefore {
 		t.Fatalf("migration did not bump the epoch: %d -> %d", epochBefore, cluster.Epoch())
+	}
+	if _, err := os.Stat(filepath.Join(cluster.shards[to].state.Dir(), planted)); !os.IsNotExist(err) {
+		t.Fatalf("corrupt source snapshot reached the destination (stat err %v)", err)
 	}
 
 	// A fresh dial finds the market at its new home with no redirect dance

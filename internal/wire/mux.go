@@ -5,19 +5,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // The session mux turns one framed connection into a fabric of
-// independent bargaining sessions. Both ends share the same shape: a single
-// reader goroutine demultiplexes inbound frames by session ID into buffered
-// per-session inboxes, and a mutex-serialized writer shares the buffered
-// send path. Stall detection moves from per-read connection deadlines
-// (which would kill idle pooled connections, and would let one wedged
-// session starve its siblings) to per-session receive timers — that is what
-// gives each stream its own deadline and rules out head-of-line blocking.
+// independent bargaining sessions. Both ends are built from one core,
+// muxEnd: a single reader goroutine routes inbound frames by session ID
+// into bounded per-session inboxes, one mutex-serialized writer shares the
+// buffered send path, and every session — a client MuxSession or a server
+// MuxStream — is a muxSlot. Stall detection is per session: receive timers,
+// not connection read deadlines (which would kill idle pooled connections
+// and let one wedged session starve its siblings), so no stream can
+// head-of-line-block another.
 
 // muxInboxCap bounds the per-session inbox. The protocol is half-duplex
 // per session with at most two server frames in flight (a pipelined Ack
@@ -43,151 +46,84 @@ var ErrSessionEvicted = errors.New("wire: session evicted")
 // nothing wrong. Transport-class, not a protocol violation.
 var ErrSessionCancelled = errors.New("wire: session cancelled by peer")
 
-// MuxConn is the client end of a multiplexed connection: one dial, one
-// handshake, many concurrent sessions. Safe for concurrent use.
-type MuxConn struct {
-	conn  net.Conn
-	fc    *framedCodec
-	name  string
-	hello *Hello
-	io    time.Duration
+// fate is a terminal error and the channel closed once it is set. A
+// connection's fate also closes the connection.
+type fate struct {
+	closer io.Closer // nil for a session's own fate
+	mu     sync.Mutex
+	reason error
+	dead   chan struct{}
+}
+
+// fail sets the terminal error, reporting whether this call was the one
+// that set it.
+func (f *fate) fail(err error) bool {
+	f.mu.Lock()
+	first := f.reason == nil
+	if first {
+		f.reason = err
+		close(f.dead)
+	}
+	f.mu.Unlock()
+	if first && f.closer != nil {
+		_ = f.closer.Close()
+	}
+	return first
+}
+
+func (f *fate) err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reason
+}
+
+// muxEnd is the core both ends of a mux connection share: the framed codec
+// behind one locked write path, the table that routes inbound frames to
+// open sessions by SID, and the connection's fate.
+type muxEnd struct {
+	conn net.Conn
+	fc   *framedCodec
+	io   time.Duration // the write deadline of every send and flush
+	fate fate
 
 	wmu sync.Mutex // serializes fc's send path and flushes
 
-	mu       sync.Mutex
-	sessions map[uint64]*MuxSession
-	nextSID  uint64
-	err      error
-	dead     chan struct{}
+	mu    sync.Mutex // guards slots
+	slots map[uint64]*muxSlot
 }
 
-// OpenMux upgrades a freshly dialed connection to a multiplexed session
-// fabric: mux preamble, connection-level ClientHello (its Market names the
-// market used for shard routing; ListOnly semantics — no session starts),
-// and the server's Hello, which doubles as the listing probe. The caller
-// owns the connection; on error it should close it. The handshake is
-// bounded by ioTimeout; afterwards the connection idles without deadlines
-// and individual sessions arm their own receive timers.
-func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Duration) (*MuxConn, *Hello, error) {
-	if ioTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := writeMuxHandshake(conn, codecName); err != nil {
-		return nil, nil, err
-	}
-	br := frameReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	fc, err := newFramedCodec(codecName, br, conn)
-	if err != nil {
-		putReader(br)
-		return nil, nil, err
-	}
-	l := link{fc}
-	ch.Version = ProtocolVersion
-	if err := l.send(&Envelope{Kind: KindClientHello, Client: &ch}); err != nil {
-		fc.release()
-		return nil, nil, err
-	}
-	if err := fc.Flush(); err != nil {
-		fc.release()
-		return nil, nil, classify(err)
-	}
-	e, err := l.recv(KindHello)
-	if err != nil {
-		fc.release()
-		return nil, nil, err
-	}
-	if ioTimeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			fc.release()
-			return nil, nil, err
-		}
-	}
-	m := &MuxConn{
-		conn:     conn,
-		fc:       fc,
-		name:     codecName,
-		hello:    e.Hello,
-		io:       ioTimeout,
-		sessions: make(map[uint64]*MuxSession),
-		dead:     make(chan struct{}),
-	}
-	go m.readLoop()
-	return m, e.Hello, nil
+func (m *muxEnd) init(conn net.Conn, fc *framedCodec, ioTimeout time.Duration) {
+	m.conn, m.fc, m.io = conn, fc, ioTimeout
+	m.fate.closer = conn
+	m.fate.dead = make(chan struct{})
+	m.slots = make(map[uint64]*muxSlot)
 }
 
-// Hello returns the connection-level Hello — the market listing the
-// handshake probe used to require a second dial for.
-func (m *MuxConn) Hello() *Hello { return m.hello }
-
-// Err returns the terminal connection error, or nil while the connection
-// is healthy. Pools use it to prune dead warm connections.
-func (m *MuxConn) Err() error {
+// fail ends the connection with err: its fate closes the conn, and every
+// open session fails with it.
+func (m *muxEnd) fail(err error) {
+	if !m.fate.fail(err) {
+		return
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-// Active returns the number of open sessions, for least-loaded pool
-// distribution.
-func (m *MuxConn) Active() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.sessions)
-}
-
-// Close tears the connection down; every open session fails with
-// ErrMuxClosed.
-func (m *MuxConn) Close() error {
-	m.fail(ErrMuxClosed)
-	return nil
-}
-
-func (m *MuxConn) fail(err error) {
-	m.mu.Lock()
-	first := m.err == nil
-	if first {
-		m.err = err
-		close(m.dead)
+	for _, s := range m.slots {
+		s.fate.fail(err)
 	}
 	m.mu.Unlock()
-	if first {
-		_ = m.conn.Close()
-	}
 }
 
-func (m *MuxConn) readLoop() {
-	for {
-		e, err := m.fc.Recv()
-		if err != nil {
-			m.fail(classify(fmt.Errorf("wire: mux conn: %w", err)))
-			// The send path checks Err before touching the codec, so the
-			// buffers can be recycled once the writer mutex is free.
-			m.wmu.Lock()
-			m.fc.release()
-			m.wmu.Unlock()
-			return
-		}
-		m.mu.Lock()
-		s := m.sessions[e.SID]
-		m.mu.Unlock()
-		if s == nil {
-			continue // a late frame for a finished session
-		}
-		select {
-		case s.inbox <- e:
-		default:
-			m.fail(fmt.Errorf("wire: mux conn: session %d inbox overflow", e.SID))
-		}
-	}
-}
+// send buffers e on the shared writer and flush pushes the buffer to the
+// connection, both under the writer lock and the write deadline. A failed
+// write fails the whole connection: bufio.Writer errors are sticky, so no
+// sibling session could send after it anyway.
+func (m *muxEnd) send(e *Envelope) error { return m.write(e) }
 
-func (m *MuxConn) send(e *Envelope) error {
+func (m *muxEnd) flush() error { return m.write(nil) }
+
+func (m *muxEnd) write(e *Envelope) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	if err := m.Err(); err != nil {
+	if err := m.fate.err(); err != nil {
 		return err
 	}
 	if m.io > 0 {
@@ -195,143 +131,111 @@ func (m *MuxConn) send(e *Envelope) error {
 			return err
 		}
 	}
-	if err := m.fc.Send(e); err != nil {
-		err = classify(fmt.Errorf("wire: mux send: %w", err))
-		m.fail(err)
-		return err
+	var err error
+	if e != nil {
+		err = m.fc.Send(e)
+	} else {
+		err = m.fc.Flush()
 	}
-	return nil
+	if err != nil {
+		err = classify(fmt.Errorf("wire: mux write: %w", err))
+		m.fail(err)
+	}
+	return err
 }
 
-func (m *MuxConn) flush() error {
+// reply sends one control envelope on sid and flushes it, best effort.
+func (m *muxEnd) reply(kind Kind, sid uint64, msg *ErrorMsg) {
+	env := getEnvelope()
+	env.Kind, env.SID, env.Err = kind, sid, msg
+	if m.send(env) == nil {
+		_ = m.flush()
+	}
+	putEnvelope(env)
+}
+
+// shutdown fails the connection with the error that ended its read side
+// and returns the codec's pooled buffers. The write path checks the fate
+// before it touches the codec, so they can go once the writer lock is free.
+func (m *muxEnd) shutdown(err error) error {
+	err = classify(fmt.Errorf("wire: mux conn: %w", err))
+	m.fail(err)
 	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	if err := m.Err(); err != nil {
-		return err
-	}
-	if m.io > 0 {
-		if err := m.conn.SetWriteDeadline(time.Now().Add(m.io)); err != nil {
-			return err
-		}
-	}
-	if err := m.fc.Flush(); err != nil {
-		err = classify(fmt.Errorf("wire: mux flush: %w", err))
-		m.fail(err)
-		return err
-	}
-	return nil
+	m.fc.release()
+	m.wmu.Unlock()
+	return err
 }
 
-func (m *MuxConn) register(ctx context.Context, ioTimeout time.Duration) (*MuxSession, error) {
+func (m *muxEnd) lookup(sid uint64) *muxSlot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.err
-	}
-	m.nextSID++
-	s := &MuxSession{
-		mc:    m,
-		sid:   m.nextSID,
-		ctx:   ctx,
-		io:    ioTimeout,
-		inbox: make(chan *Envelope, muxInboxCap),
-	}
-	m.sessions[s.sid] = s
-	return s, nil
+	return m.slots[sid]
 }
 
-func (m *MuxConn) drop(s *MuxSession) {
+// route hands e to its session's inbox. A frame for a session that is gone
+// is dropped (a late frame for a finished session); a full inbox means a
+// broken peer and fails the session's fate — on the client end, that is
+// its connection's.
+func (m *muxEnd) route(e *Envelope) {
+	s := m.lookup(e.SID)
+	if s == nil {
+		return
+	}
+	select {
+	case s.inbox <- e:
+	default:
+		s.fate.fail(fmt.Errorf("wire: mux conn: session %d inbox overflow", e.SID))
+	}
+}
+
+// slot builds a session's end of the connection; the caller registers it.
+func (m *muxEnd) slot(ctx context.Context, sid uint64, io time.Duration, f *fate) muxSlot {
+	return muxSlot{m: m, sid: sid, io: io, ctx: ctx, fate: f, inbox: make(chan *Envelope, muxInboxCap)}
+}
+
+func (m *muxEnd) drop(s *muxSlot) {
 	m.mu.Lock()
-	delete(m.sessions, s.sid)
+	delete(m.slots, s.sid)
 	m.mu.Unlock()
 }
 
-// Open starts one session over the connection: a KindOpen carrying the
-// per-session ClientHello, answered on the same SID with the server's
-// Hello (or a typed refusal — rejection, busy, redirect — surfaced as
-// ErrRejected, ErrServerBusy or a *RedirectError). The session's receives
-// are bounded by ioTimeout and watch ctx.
-func (m *MuxConn) Open(ctx context.Context, ch ClientHello, ioTimeout time.Duration) (*MuxSession, *Hello, error) {
-	ch.Version = ProtocolVersion
-	s, err := m.register(ctx, ioTimeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := getEnvelope()
-	env.Kind = KindOpen
-	env.SID = s.sid
-	env.Client = &ch
-	err = m.send(env)
-	putEnvelope(env)
-	if err != nil {
-		m.drop(s)
-		return nil, nil, err
-	}
-	e, err := link{s}.recv(KindHello)
-	if err != nil {
-		m.drop(s)
-		return nil, nil, err
-	}
-	return s, e.Hello, nil
-}
-
-// Stats performs the admin metrics read over an open session slot — the
-// pooled-connection replacement for a fresh StatsOnly dial.
-func (m *MuxConn) Stats(ctx context.Context, ioTimeout time.Duration) (*StatsReport, error) {
-	s, err := m.register(ctx, ioTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer m.drop(s)
-	env := getEnvelope()
-	env.Kind = KindOpen
-	env.SID = s.sid
-	env.Client = &ClientHello{Version: ProtocolVersion, StatsOnly: true}
-	err = m.send(env)
-	putEnvelope(env)
-	if err != nil {
-		return nil, err
-	}
-	e, err := link{s}.recv(KindStats)
-	if err != nil {
-		return nil, fmt.Errorf("wire: fetch stats: %w", err)
-	}
-	return e.Stats, nil
-}
-
-// MuxSession is one client session of a multiplexed connection. It
-// implements Codec: sends stamp the session ID and buffer on the shared
+// muxSlot is one session's end of a mux connection, the same on both ends.
+// It implements Codec: sends stamp the session ID and buffer on the shared
 // writer, receives flush pending output first (the framed wire's
 // flush-before-blocking-read discipline) and then wait on this session's
-// inbox under its own timer — a stalled sibling stream cannot block it.
-type MuxSession struct {
-	mc    *MuxConn
+// inbox under its own timer — a stalled sibling cannot block it.
+type muxSlot struct {
+	m     *muxEnd
 	sid   uint64
-	ctx   context.Context
 	io    time.Duration
+	ctx   context.Context // a client session's; Background on a server stream
+	fate  *fate           // a client session's is its connection's
 	inbox chan *Envelope
 	timer *time.Timer // reused across Recvs; Recv is serialized per session
 }
 
 // SID returns the session's ID on its connection.
-func (s *MuxSession) SID() uint64 { return s.sid }
+func (s *muxSlot) SID() uint64 { return s.sid }
 
-func (s *MuxSession) Name() string { return s.mc.name }
+func (s *muxSlot) Name() string { return s.m.fc.name }
 
-func (s *MuxSession) Send(e *Envelope) error {
+func (s *muxSlot) Send(e *Envelope) error {
+	if err := s.fate.err(); err != nil {
+		return err
+	}
 	e.SID = s.sid
-	return s.mc.send(e)
+	return s.m.send(e)
 }
 
-// Flush exposes the connection flush so Codec helpers can push a final
-// buffered frame.
-func (s *MuxSession) Flush() error { return s.mc.flush() }
+// Flush pushes the connection's buffered frames, this session's and its
+// siblings', to the peer.
+func (s *muxSlot) Flush() error { return s.m.flush() }
 
-func (s *MuxSession) Recv() (*Envelope, error) {
+func (s *muxSlot) Recv() (*Envelope, error) {
 	if e, ok := queued(s.inbox); ok {
 		return e, nil
 	}
-	if err := s.mc.flush(); err != nil {
+	if err := s.m.flush(); err != nil {
 		return queuedOr(s.inbox, err)
 	}
 	var timerC <-chan time.Time
@@ -344,330 +248,25 @@ func (s *MuxSession) Recv() (*Envelope, error) {
 		defer s.timer.Stop()
 		timerC = s.timer.C
 	}
-	var ctxDone <-chan struct{}
-	if s.ctx != nil {
-		ctxDone = s.ctx.Done()
-	}
 	select {
 	case e := <-s.inbox:
 		return e, nil
 	case <-timerC:
 		return nil, fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, s.sid, s.io)
-	case <-s.mc.dead:
-		return queuedOr(s.inbox, s.mc.Err())
-	case <-ctxDone:
-		s.Close()
+	case <-s.fate.dead:
+		return queuedOr(s.inbox, s.fate.err())
+	case <-s.ctx.Done():
+		s.cancel()
 		return nil, s.ctx.Err()
 	}
 }
 
-// Close abandons the session: it is unregistered locally and a KindCancel
-// tells the server to tear down its end without touching sibling sessions.
-// Best effort and idempotent.
-func (s *MuxSession) Close() {
-	s.mc.drop(s)
-	env := getEnvelope()
-	env.Kind = KindCancel
-	env.SID = s.sid
-	if s.mc.send(env) == nil {
-		_ = s.mc.flush()
-	}
-	putEnvelope(env)
-}
-
-// CloseClean unregisters a session whose protocol ran to completion,
-// flushing any buffered closing frames (a final walk-away or accept
-// settlement the server is still owed). No cancel is sent — the server's
-// end finishes on its own.
-func (s *MuxSession) CloseClean() {
-	s.mc.drop(s)
-	_ = s.mc.flush()
-}
-
-// MuxServerConn is the server end of a multiplexed connection: it owns
-// the demux loop, spawns one handler per KindOpen, and shares the framed
-// send path between the streams.
-type MuxServerConn struct {
-	conn net.Conn
-	fc   *framedCodec
-	io   time.Duration
-	idle time.Duration
-	max  int
-
-	wmu sync.Mutex
-
-	mu       sync.Mutex
-	sessions map[uint64]*MuxStream
-	draining bool
-	err      error
-}
-
-// NewMuxServerConn wraps a connection whose handshake AcceptHandshakeMux
-// already completed, with the codec it returned; Serve takes the codec over
-// and releases it. maxSessions bounds concurrently open streams per
-// connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
-// idle is the whole-connection read deadline between envelopes: 0 picks the
-// default of idleFactor x the IO timeout, < 0 disables the idle deadline.
-func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, error) {
-	fc, ok := c.(*framedCodec)
-	if !ok {
-		return nil, fmt.Errorf("wire: mux serve needs the framed codec from AcceptHandshakeMux, got %T", c)
-	}
-	if idle == 0 && ioTimeout > 0 {
-		idle = idleFactor * ioTimeout
-	}
-	return &MuxServerConn{
-		conn:     conn,
-		fc:       fc,
-		io:       ioTimeout,
-		idle:     idle,
-		max:      maxSessions,
-		sessions: make(map[uint64]*MuxStream),
-	}, nil
-}
-
-// SendHello writes the connection-level Hello that answers the handshake
-// probe, flushing it to the client.
-func (sc *MuxServerConn) SendHello(h *Hello) error {
-	if err := sc.send(&Envelope{Kind: KindHello, Hello: h}); err != nil {
-		return err
-	}
-	return sc.flush()
-}
-
-// Serve runs the demux loop until the connection dies or is closed: every
-// KindOpen spawns handler in its own goroutine with a MuxStream scoped to
-// that session. Serve returns after all handlers have finished. The idle
-// read deadline defaults to a generous idleFactor x the IO timeout (see
-// NewMuxServerConn) so active streams' own receive timers fire first,
-// while abandoned connections are still reaped.
-func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) error {
-	var wg sync.WaitGroup
-	idle := sc.idle
-	if idle < 0 {
-		idle = 0
-	}
-	var err error
-	for {
-		if idle > 0 {
-			if derr := sc.conn.SetReadDeadline(time.Now().Add(idle)); derr != nil {
-				err = derr
-				break
-			}
-		}
-		e, rerr := sc.fc.Recv()
-		if rerr != nil {
-			err = classify(fmt.Errorf("wire: mux conn: %w", rerr))
-			break
-		}
-		switch e.Kind {
-		case KindOpen:
-			if e.Client == nil {
-				sc.replySID(e.SID, KindError, "open without a client hello")
-				continue
-			}
-			st, ok := sc.admit(e.SID)
-			if !ok {
-				sc.replySID(e.SID, KindBusy, "connection session limit reached")
-				continue
-			}
-			wg.Add(1)
-			go func(st *MuxStream, ch *ClientHello) {
-				defer wg.Done()
-				handler(st, ch)
-				_ = sc.flush() // push any buffered closing frames
-				sc.dropStream(st)
-			}(st, e.Client)
-		case KindCancel:
-			sc.mu.Lock()
-			st := sc.sessions[e.SID]
-			sc.mu.Unlock()
-			if st != nil {
-				st.fail(fmt.Errorf("%w: session %d", ErrSessionCancelled, e.SID))
-			}
-		default:
-			sc.mu.Lock()
-			st := sc.sessions[e.SID]
-			sc.mu.Unlock()
-			if st == nil {
-				continue // late frame for a finished session
-			}
-			select {
-			case st.inbox <- e:
-			default:
-				st.fail(fmt.Errorf("wire: session %d inbox overflow", e.SID))
-			}
-		}
-	}
-	sc.failAll(err)
-	wg.Wait()
-	sc.wmu.Lock()
-	sc.fc.release()
-	sc.wmu.Unlock()
-	return err
-}
-
-// admit registers a stream for a client-chosen SID, enforcing the drain
-// state and the per-conn session cap.
-func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.err != nil || sc.draining {
-		return nil, false
-	}
-	if sid == 0 || sc.sessions[sid] != nil {
-		return nil, false
-	}
-	if sc.max > 0 && len(sc.sessions) >= sc.max {
-		return nil, false
-	}
-	st := &MuxStream{
-		sc:    sc,
-		sid:   sid,
-		io:    sc.io,
-		inbox: make(chan *Envelope, muxInboxCap),
-		dead:  make(chan struct{}),
-	}
-	sc.sessions[sid] = st
-	return st, true
-}
-
-func (sc *MuxServerConn) dropStream(st *MuxStream) {
-	sc.mu.Lock()
-	delete(sc.sessions, st.sid)
-	idle := sc.draining && len(sc.sessions) == 0
-	sc.mu.Unlock()
-	if idle {
-		_ = sc.conn.Close()
-	}
-}
-
-func (sc *MuxServerConn) failAll(err error) {
-	sc.mu.Lock()
-	if sc.err == nil {
-		sc.err = err
-	}
-	streams := make([]*MuxStream, 0, len(sc.sessions))
-	for _, st := range sc.sessions {
-		streams = append(streams, st)
-	}
-	sc.mu.Unlock()
-	for _, st := range streams {
-		st.fail(err)
-	}
-}
-
-// Drain stops admitting new streams and closes the connection as soon as
-// the open ones finish (immediately if idle) — the mux half of graceful
-// shutdown.
-func (sc *MuxServerConn) Drain() {
-	sc.mu.Lock()
-	sc.draining = true
-	idle := len(sc.sessions) == 0
-	sc.mu.Unlock()
-	if idle {
-		_ = sc.conn.Close()
-	}
-}
-
-// Close severs the connection; Serve unwinds and fails every open stream.
-func (sc *MuxServerConn) Close() error { return sc.conn.Close() }
-
-func (sc *MuxServerConn) send(e *Envelope) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.io > 0 {
-		if err := sc.conn.SetWriteDeadline(time.Now().Add(sc.io)); err != nil {
-			return err
-		}
-	}
-	if err := sc.fc.Send(e); err != nil {
-		return classify(fmt.Errorf("wire: mux send: %w", err))
-	}
-	return nil
-}
-
-func (sc *MuxServerConn) flush() error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if sc.io > 0 {
-		if err := sc.conn.SetWriteDeadline(time.Now().Add(sc.io)); err != nil {
-			return err
-		}
-	}
-	if err := sc.fc.Flush(); err != nil {
-		return classify(fmt.Errorf("wire: mux flush: %w", err))
-	}
-	return nil
-}
-
-// replySID answers a session-less protocol event (bad open, session cap)
-// on the offending SID, best effort.
-func (sc *MuxServerConn) replySID(sid uint64, kind Kind, msg string) {
-	_ = sc.send(&Envelope{Kind: kind, SID: sid, Err: &ErrorMsg{Msg: msg}})
-	_ = sc.flush()
-}
-
-// MuxStream is one server-side session of a multiplexed connection. It
-// implements Codec with the same discipline as the client end: stamped,
-// buffered sends; flush-before-blocking receives under a per-stream timer.
-// It also implements io.Closer so market eviction (live migration) can
-// sever exactly the streams of the evicted market.
-type MuxStream struct {
-	sc    *MuxServerConn
-	sid   uint64
-	io    time.Duration
-	inbox chan *Envelope
-	timer *time.Timer // reused across Recvs; Recv is serialized per stream
-
-	mu      sync.Mutex
-	err     error
-	dead    chan struct{}
-	evicted bool
-}
-
-// SID returns the stream's session ID on its connection.
-func (st *MuxStream) SID() uint64 { return st.sid }
-
-func (st *MuxStream) Name() string { return st.sc.fc.name }
-
-func (st *MuxStream) Send(e *Envelope) error {
-	if err := st.Err(); err != nil {
-		return err
-	}
-	e.SID = st.sid
-	return st.sc.send(e)
-}
-
-// Flush pushes this stream's buffered frames (shared with its siblings) to
-// the connection.
-func (st *MuxStream) Flush() error { return st.sc.flush() }
-
-func (st *MuxStream) Recv() (*Envelope, error) {
-	if e, ok := queued(st.inbox); ok {
-		return e, nil
-	}
-	if err := st.sc.flush(); err != nil {
-		return queuedOr(st.inbox, err)
-	}
-	var timerC <-chan time.Time
-	if st.io > 0 {
-		if st.timer == nil {
-			st.timer = time.NewTimer(st.io)
-		} else {
-			st.timer.Reset(st.io)
-		}
-		defer st.timer.Stop()
-		timerC = st.timer.C
-	}
-	select {
-	case e := <-st.inbox:
-		return e, nil
-	case <-timerC:
-		return nil, fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, st.sid, st.io)
-	case <-st.dead:
-		return queuedOr(st.inbox, st.Err())
-	}
+// cancel unregisters the session and tells the peer with a KindCancel to
+// tear down its end without touching sibling sessions. Best effort and
+// idempotent.
+func (s *muxSlot) cancel() {
+	s.m.drop(s)
+	s.m.reply(KindCancel, s.sid, nil)
 }
 
 // queued takes an envelope already delivered to inbox, without blocking.
@@ -692,21 +291,361 @@ func queuedOr(inbox chan *Envelope, err error) (*Envelope, error) {
 	return nil, err
 }
 
-// Err returns the stream's terminal error, if any.
-func (st *MuxStream) Err() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
+// openConn performs a connection's opening under one deadline, lifted once
+// answered: the mux preamble naming codecName, the connection-level
+// ClientHello ch, and the server's one answer of kind want (or a typed
+// refusal). On success the caller owns the returned codec.
+func openConn(conn net.Conn, codecName string, ch *ClientHello, ioTimeout time.Duration, want Kind) (*framedCodec, *Envelope, error) {
+	if ioTimeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := writeMuxHandshake(conn, codecName); err != nil {
+		return nil, nil, err
+	}
+	br := frameReaderPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	fc, err := newFramedCodec(codecName, br, conn)
+	if err != nil {
+		putReader(br)
+		return nil, nil, err
+	}
+	ch.Version = ProtocolVersion
+	l := link{fc}
+	var e *Envelope
+	if err = l.send(&Envelope{Kind: KindClientHello, Client: ch}); err == nil {
+		if err = classify(fc.Flush()); err == nil {
+			e, err = l.recv(want)
+		}
+	}
+	if err == nil && ioTimeout > 0 {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		fc.release()
+		return nil, nil, err
+	}
+	return fc, e, nil
 }
 
-func (st *MuxStream) fail(err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-		close(st.dead)
-	}
-	st.mu.Unlock()
+// MuxConn is the client end of a multiplexed connection: one dial, one
+// handshake, many concurrent sessions. Safe for concurrent use.
+type MuxConn struct {
+	muxEnd
+	hello   *Hello
+	nextSID uint64 // guarded by mu
 }
+
+// OpenMux upgrades a freshly dialed connection to a multiplexed session
+// fabric: mux preamble, connection-level ClientHello (its Market names the
+// market used for shard routing; ListOnly semantics — no session starts),
+// and the server's Hello, which doubles as the listing probe. The caller
+// owns the connection; on error it should close it. The handshake is
+// bounded by ioTimeout; afterwards the connection idles without deadlines
+// and individual sessions arm their own receive timers.
+func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Duration) (*MuxConn, *Hello, error) {
+	fc, e, err := openConn(conn, codecName, &ch, ioTimeout, KindHello)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &MuxConn{hello: e.Hello}
+	m.init(conn, fc, ioTimeout)
+	go m.readLoop()
+	return m, e.Hello, nil
+}
+
+// FetchStats performs the admin exchange on a fresh connection: the mux
+// preamble naming CodecBinary, a connection-level StatsOnly hello, and the
+// server's KindStats answer. It is the over-the-wire metrics read the
+// fabric rebalancer and the cluster health prober consume in place of
+// in-process Server.Metrics calls.
+//
+// The exchange runs under one IO deadline: the smaller of ioTimeout and the
+// time left until ctx's deadline, so a probe against a stalled shard
+// returns when the caller's budget expires. Cancelling ctx severs the
+// connection at once. The caller owns the connection; ioTimeout <= 0 with
+// no ctx deadline means no deadline.
+func FetchStats(ctx context.Context, conn net.Conn, ioTimeout time.Duration) (*StatsReport, error) {
+	if dl, ok := ctx.Deadline(); ok {
+		if remain := time.Until(dl); ioTimeout <= 0 || remain < ioTimeout {
+			ioTimeout = remain
+		}
+	}
+	if ioTimeout < 0 {
+		ioTimeout = time.Nanosecond // already expired: fail fast, not hang
+	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
+	fc, e, err := openConn(conn, CodecBinary, &ClientHello{StatsOnly: true}, ioTimeout, KindStats)
+	if err != nil {
+		if ctx.Err() != nil {
+			err = ctx.Err()
+		}
+		return nil, fmt.Errorf("wire: fetch stats: %w", err)
+	}
+	fc.release()
+	return e.Stats, nil
+}
+
+// Hello returns the connection-level Hello — the market listing the
+// handshake probe used to require a second dial for.
+func (m *MuxConn) Hello() *Hello { return m.hello }
+
+// Err returns the terminal connection error, or nil while the connection
+// is healthy. Pools use it to prune dead warm connections.
+func (m *MuxConn) Err() error { return m.fate.err() }
+
+// Active returns the number of open sessions, for least-loaded pool
+// distribution.
+func (m *MuxConn) Active() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.slots)
+}
+
+// Close tears the connection down; every open session fails with
+// ErrMuxClosed.
+func (m *MuxConn) Close() error {
+	m.fail(ErrMuxClosed)
+	return nil
+}
+
+func (m *MuxConn) readLoop() {
+	for {
+		e, err := m.fc.Recv()
+		if err != nil {
+			m.shutdown(err)
+			return
+		}
+		m.route(e)
+	}
+}
+
+func (m *MuxConn) register(ctx context.Context, ioTimeout time.Duration) (*MuxSession, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.fate.err(); err != nil {
+		return nil, err
+	}
+	m.nextSID++
+	s := &MuxSession{m.slot(ctx, m.nextSID, ioTimeout, &m.fate)}
+	m.slots[s.sid] = &s.muxSlot
+	return s, nil
+}
+
+// open starts one session over the connection: a KindOpen carrying ch,
+// answered on the same SID by one envelope of kind want or a typed refusal.
+func (m *MuxConn) open(ctx context.Context, ch *ClientHello, ioTimeout time.Duration, want Kind) (*MuxSession, *Envelope, error) {
+	ch.Version = ProtocolVersion
+	s, err := m.register(ctx, ioTimeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	env := getEnvelope()
+	env.Kind, env.SID, env.Client = KindOpen, s.sid, ch
+	err = m.send(env)
+	putEnvelope(env)
+	var e *Envelope
+	if err == nil {
+		e, err = link{s}.recv(want)
+	}
+	if err != nil {
+		m.drop(&s.muxSlot)
+		return nil, nil, err
+	}
+	return s, e, nil
+}
+
+// Open starts one session over the connection: a KindOpen carrying the
+// per-session ClientHello, answered on the same SID with the server's
+// Hello (or a typed refusal — rejection, busy, redirect — surfaced as
+// ErrRejected, ErrServerBusy or a *RedirectError). The session's receives
+// are bounded by ioTimeout and watch ctx.
+func (m *MuxConn) Open(ctx context.Context, ch ClientHello, ioTimeout time.Duration) (*MuxSession, *Hello, error) {
+	s, e, err := m.open(ctx, &ch, ioTimeout, KindHello)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, e.Hello, nil
+}
+
+// Stats performs the admin metrics read over an open session slot — the
+// pooled-connection replacement for a fresh StatsOnly dial.
+func (m *MuxConn) Stats(ctx context.Context, ioTimeout time.Duration) (*StatsReport, error) {
+	s, e, err := m.open(ctx, &ClientHello{StatsOnly: true}, ioTimeout, KindStats)
+	if err != nil {
+		return nil, fmt.Errorf("wire: fetch stats: %w", err)
+	}
+	m.drop(&s.muxSlot)
+	return e.Stats, nil
+}
+
+// MuxSession is one client session of a multiplexed connection. It
+// implements Codec through its muxSlot and shares its connection's fate.
+type MuxSession struct {
+	muxSlot
+}
+
+// Close abandons the session: it is unregistered locally and a KindCancel
+// tells the server to tear down its end without touching sibling sessions.
+// Best effort and idempotent.
+func (s *MuxSession) Close() { s.cancel() }
+
+// CloseClean unregisters a session whose protocol ran to completion,
+// flushing any buffered closing frames (a final walk-away or accept
+// settlement the server is still owed). No cancel is sent — the server's
+// end finishes on its own.
+func (s *MuxSession) CloseClean() {
+	s.m.drop(&s.muxSlot)
+	_ = s.m.flush()
+}
+
+// MuxServerConn is the server end of a multiplexed connection: it owns
+// the demux loop, spawns one handler per KindOpen, and shares the framed
+// send path between the streams.
+type MuxServerConn struct {
+	muxEnd
+	idle     time.Duration
+	max      int
+	draining bool // guarded by mu
+}
+
+// NewMuxServerConn wraps a connection whose handshake AcceptHandshakeMux
+// already completed, with the codec it returned; Serve takes the codec over
+// and releases it. maxSessions bounds concurrently open streams per
+// connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
+// idle is the whole-connection read deadline between envelopes: 0 picks the
+// default of idleFactor x the IO timeout, < 0 disables the idle deadline.
+func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, error) {
+	fc, ok := c.(*framedCodec)
+	if !ok {
+		return nil, fmt.Errorf("wire: mux serve needs the framed codec from AcceptHandshakeMux, got %T", c)
+	}
+	if idle == 0 && ioTimeout > 0 {
+		idle = idleFactor * ioTimeout
+	}
+	sc := &MuxServerConn{idle: idle, max: maxSessions}
+	sc.init(conn, fc, ioTimeout)
+	return sc, nil
+}
+
+// SendHello writes the connection-level Hello that answers the handshake
+// probe, flushing it to the client.
+func (sc *MuxServerConn) SendHello(h *Hello) error {
+	if err := sc.send(&Envelope{Kind: KindHello, Hello: h}); err != nil {
+		return err
+	}
+	return sc.flush()
+}
+
+// Serve runs the demux loop until the connection dies or is closed: every
+// KindOpen spawns handler in its own goroutine with a MuxStream scoped to
+// that session. Serve returns after all handlers have finished. The idle
+// read deadline defaults to a generous idleFactor x the IO timeout (see
+// NewMuxServerConn) so active streams' own receive timers fire first,
+// while abandoned connections are still reaped.
+func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) error {
+	var wg sync.WaitGroup
+	var err error
+	for {
+		if sc.idle > 0 {
+			if err = sc.conn.SetReadDeadline(time.Now().Add(sc.idle)); err != nil {
+				break
+			}
+		}
+		var e *Envelope
+		if e, err = sc.fc.Recv(); err != nil {
+			break
+		}
+		switch e.Kind {
+		case KindOpen:
+			if e.Client == nil {
+				sc.reply(KindError, e.SID, &ErrorMsg{Msg: "open without a client hello"})
+				continue
+			}
+			st, ok := sc.admit(e.SID)
+			if !ok {
+				sc.reply(KindBusy, e.SID, &ErrorMsg{Msg: "connection session limit reached"})
+				continue
+			}
+			wg.Add(1)
+			go func(st *MuxStream, ch *ClientHello) {
+				defer wg.Done()
+				handler(st, ch)
+				_ = sc.flush() // push any buffered closing frames
+				sc.dropStream(st)
+			}(st, e.Client)
+		case KindCancel:
+			if s := sc.lookup(e.SID); s != nil {
+				s.fate.fail(fmt.Errorf("%w: session %d", ErrSessionCancelled, e.SID))
+			}
+		default:
+			sc.route(e)
+		}
+	}
+	err = sc.shutdown(err)
+	wg.Wait()
+	return err
+}
+
+// admit registers a stream for a client-chosen SID, enforcing the drain
+// state and the per-conn session cap.
+func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.fate.err() != nil || sc.draining || sid == 0 || sc.slots[sid] != nil ||
+		(sc.max > 0 && len(sc.slots) >= sc.max) {
+		return nil, false
+	}
+	st := &MuxStream{own: fate{dead: make(chan struct{})}}
+	st.muxSlot = sc.slot(context.Background(), sid, sc.io, &st.own)
+	sc.slots[sid] = &st.muxSlot
+	return st, true
+}
+
+func (sc *MuxServerConn) dropStream(st *MuxStream) {
+	sc.mu.Lock()
+	delete(sc.slots, st.sid)
+	idle := sc.draining && len(sc.slots) == 0
+	sc.mu.Unlock()
+	if idle {
+		_ = sc.conn.Close()
+	}
+}
+
+// Drain stops admitting new streams and closes the connection as soon as
+// the open ones finish (immediately if idle) — the mux half of graceful
+// shutdown.
+func (sc *MuxServerConn) Drain() {
+	sc.mu.Lock()
+	sc.draining = true
+	idle := len(sc.slots) == 0
+	sc.mu.Unlock()
+	if idle {
+		_ = sc.conn.Close()
+	}
+}
+
+// Close severs the connection; Serve unwinds and fails every open stream.
+func (sc *MuxServerConn) Close() error { return sc.conn.Close() }
+
+// MuxStream is one server-side session of a multiplexed connection. It
+// implements Codec through its muxSlot, with a fate of its own: a cancel,
+// an eviction or an inbox overflow ends this stream only. It also
+// implements io.Closer so market eviction (live migration) can sever
+// exactly the streams of the evicted market.
+type MuxStream struct {
+	muxSlot
+	own     fate
+	evicted atomic.Bool
+}
+
+// Err returns the stream's terminal error, if any.
+func (st *MuxStream) Err() error { return st.own.err() }
 
 // Close severs this stream only: the client is told (KindBusy on the SID,
 // so it backs off and retries — after a migration the retry follows the
@@ -714,14 +653,10 @@ func (st *MuxStream) fail(err error) {
 // ErrSessionEvicted. Sibling streams and the connection are untouched.
 // Implements io.Closer for the market eviction path.
 func (st *MuxStream) Close() error {
-	st.mu.Lock()
-	already := st.evicted
-	st.evicted = true
-	st.mu.Unlock()
-	if already {
+	if st.evicted.Swap(true) {
 		return nil
 	}
-	st.sc.replySID(st.sid, KindBusy, "session severed: market evicted for migration")
-	st.fail(ErrSessionEvicted)
+	st.m.reply(KindBusy, st.sid, &ErrorMsg{Msg: "session severed: market evicted for migration"})
+	st.own.fail(ErrSessionEvicted)
 	return nil
 }

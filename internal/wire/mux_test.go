@@ -262,7 +262,10 @@ func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
 
 	t.Run("server-stream", func(t *testing.T) {
 		for i := 0; i < 1000; i++ {
-			sc := &MuxServerConn{conn: conn, fc: newCodec(), sessions: make(map[uint64]*MuxStream)}
+			sc, err := NewMuxServerConn(conn, newCodec(), 0, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			st, ok := sc.admit(1)
 			if !ok {
 				t.Fatal("admit refused")
@@ -273,7 +276,7 @@ func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
 			}
 			conn.onWrite = func() error {
 				st.inbox <- want
-				st.fail(io.EOF)
+				st.own.fail(io.EOF)
 				if i%2 == 1 {
 					return io.ErrClosedPipe
 				}
@@ -288,7 +291,8 @@ func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
 
 	t.Run("client-session", func(t *testing.T) {
 		for i := 0; i < 1000; i++ {
-			m := &MuxConn{conn: conn, fc: newCodec(), sessions: make(map[uint64]*MuxSession), dead: make(chan struct{})}
+			m := &MuxConn{}
+			m.init(conn, newCodec(), 0)
 			s, err := m.register(context.Background(), time.Minute)
 			if err != nil {
 				t.Fatal(err)
@@ -310,4 +314,76 @@ func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMuxServerWriteFailureFailsConnection pins the rule of the one write
+// path on the server end: a write that fails on one stream fails the whole
+// connection, as it does on the client end. bufio.Writer errors are
+// sticky, so no sibling could send again anyway; a sibling blocked in Recv
+// must learn at once with a transport error, not when its IO timer fires.
+func TestMuxServerWriteFailureFailsConnection(t *testing.T) {
+	const ioTimeout = 5 * time.Second
+	clientConn, serverConn := net.Pipe()
+	defer clientConn.Close()
+	// Every server write fails. Only stream 2 ever writes: stream 1's
+	// pre-block flush finds an empty buffer and writes nothing.
+	conn := &hookConn{Conn: serverConn, onWrite: func() error { return io.ErrClosedPipe }}
+	fc, err := newFramedCodec(CodecBinary, bufio.NewReader(serverConn), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewMuxServerConn(conn, fc, ioTimeout, -1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type recvResult struct {
+		err  error
+		took time.Duration
+	}
+	sibling := make(chan recvResult, 1)
+	parked := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
+			if st.SID() == 1 {
+				close(parked)
+				start := time.Now()
+				_, err := st.Recv()
+				sibling <- recvResult{err, time.Since(start)}
+				return
+			}
+			<-parked
+			// Give stream 1 time to block in Recv's select, so the failing
+			// write lands on a parked sibling. The assertions hold in either
+			// order; this only picks the order worth testing.
+			time.Sleep(50 * time.Millisecond)
+			if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: 1}}); err == nil {
+				_ = st.Flush()
+			}
+		})
+	}()
+
+	client := newPipeCodec(clientConn)
+	for sid := uint64(1); sid <= 2; sid++ {
+		if err := client.Send(&Envelope{Kind: KindOpen, SID: sid, Client: &ClientHello{Version: ProtocolVersion}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case r := <-sibling:
+		if !IsTransportError(r.err) {
+			t.Fatalf("sibling Recv = %v, want a transport error", r.err)
+		}
+		if r.took > ioTimeout/4 {
+			t.Fatalf("sibling Recv returned after %v, want well before its %v timer", r.took, ioTimeout)
+		}
+	case <-time.After(2 * ioTimeout):
+		t.Fatal("sibling Recv still blocked")
+	}
+	clientConn.Close()
+	<-served
 }

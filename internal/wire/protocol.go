@@ -33,6 +33,13 @@
 // realized ΔG is the data party's training signal — so they are refused on
 // Paillier-settling servers.
 //
+// Both ends of a connection run on one mux core (mux.go): one locked write
+// path, one demux routing frames by SID into bounded per-session inboxes,
+// one session receive, and one opener each for connections and sessions.
+// A client MuxSession and a server MuxStream are the same session type;
+// they differ only in values (a ctx, and whether a session shares its
+// connection's fate). A failed write fails the connection on either end.
+//
 // Envelopes travel in the binary layout of envelope.go (CodecBinary), which
 // non-Go task parties implement from the README's byte table; framed gob
 // (CodecGob) is the one alternative a preamble may name. Clients pipeline
@@ -304,38 +311,80 @@ type Redirect struct {
 	Epoch uint64
 }
 
-// ServerStats is the server-totals half of the stats envelope, mirroring
-// the frontend's counter snapshot field for field.
+// ServerStats is a point-in-time snapshot of a server's counters, and the
+// server-totals half of the stats envelope. The field order is the binary
+// envelope layout's.
 type ServerStats struct {
-	Accepted    uint64
-	Sessions    uint64
-	Closed      uint64
-	Failed      uint64
-	Rejected    uint64
-	Busy        uint64
-	Redirected  uint64
-	Evicted     uint64
-	Dropped     uint64
-	Watchdog    uint64
+	// Accepted counts accepted connections.
+	Accepted uint64
+	// Sessions counts bargaining sessions that ran (handshake + market
+	// resolution succeeded, listing-only connections excluded).
+	Sessions uint64
+	// Closed counts sessions that ended in a settled transaction.
+	Closed uint64
+	// Failed counts sessions that ended with a protocol or transport error.
+	Failed uint64
+	// Rejected counts connections turned away before bargaining: malformed
+	// handshakes, unsupported versions, unknown markets.
+	Rejected uint64
+	// Busy counts connections refused by admission control (the worker
+	// pool and its backlog were saturated): load, not in Rejected.
+	Busy uint64
+	// Redirected counts connections answered with a redirect to another
+	// shard (directory-attached servers only); not in Rejected.
+	Redirected uint64
+	// Evicted counts sessions a migration (Unregister) cut mid-bargain so
+	// their clients re-dial the new owner: choreography, not in Failed.
+	Evicted uint64
+	// Dropped counts sessions that ended on a transport fault (a peer
+	// timeout, a reset, a torn connection), which identified clients
+	// resume. Not in Failed, which is kept for protocol violations and
+	// engine errors.
+	Dropped uint64
+	// Watchdog counts sessions the progress watchdog severed: no envelope
+	// moved either way within its budget. Disjoint from Dropped and Failed.
+	Watchdog uint64
+	// Quarantined counts corrupt snapshots the durable state renamed aside
+	// (.corrupt) at load and treated as cold misses.
 	Quarantined uint64
-	Active      int64
+	// Active is the number of sessions being served right now.
+	Active int64
 }
 
-// MarketStats is one market's slice of the stats envelope: session load
-// split by regime plus the valuation-oracle counters — the per-market load
-// signal the fabric rebalancer plans transfers from.
+// MarketStats is a point-in-time snapshot of one registered market, and
+// its slice of the stats envelope: session load split by information
+// regime plus the valuation-oracle counters — the VFL training load an
+// operator pays for, and the signal the fabric rebalancer plans transfers
+// from. The oracle counters are 0 for synthetic-gain engines, which never
+// train. The field order is the binary envelope layout's.
 type MarketStats struct {
-	Sessions          uint64
+	// Sessions counts bargaining sessions served in this market (both
+	// regimes; listing-only connections excluded).
+	Sessions uint64
+	// ImperfectSessions is the subset of Sessions run under the imperfect
+	// information regime.
 	ImperfectSessions uint64
-	ResumedSessions   uint64
-	ActiveSessions    int64
-	OracleTrainings   int
+	// ResumedSessions counts imperfect sessions granted a resume: a
+	// reconnecting client's identity had a live checkpoint.
+	ResumedSessions uint64
+	// ActiveSessions is the number of this market's sessions being served
+	// right now.
+	ActiveSessions int64
+	// OracleTrainings counts VFL courses the gain oracle trained (misses).
+	OracleTrainings int
+	// OracleCachedGains counts the bundle valuations the oracle memoized.
 	OracleCachedGains int
-	OracleHits        int
-	OracleCoalesced   int
-	OracleRestored    int
-	// CheckpointedClients counts the client identities with live estimator
-	// checkpoints — sessions a migration must carry to the next owner.
+	// OracleHits counts valuations served straight from the memo.
+	OracleHits int
+	// OracleCoalesced counts callers the oracle's singleflight folded into
+	// an already-running training of the same bundle.
+	OracleCoalesced int
+	// OracleRestored counts memoized valuations preloaded from the durable
+	// store (0 without a bound state).
+	OracleRestored int
+	// CheckpointedClients counts the client identities whose estimator
+	// checkpoints the market holds in memory — sessions a migration must
+	// carry to the next owner (0 without a bound state).
 	CheckpointedClients int
 }
 

@@ -25,10 +25,13 @@ type (
 	// stats-only hello with: server counters, per-market counters, and the
 	// shard-map epoch when the server belongs to a fabric.
 	StatsReport = wire.StatsReport
-	// ServerStats is the server-level half of a StatsReport.
-	ServerStats = wire.ServerStats
-	// MarketStats is the per-market half of a StatsReport.
-	MarketStats = wire.MarketStats
+	// ServerMetrics is a point-in-time snapshot of a server's counters:
+	// the Server half of a StatsReport.
+	ServerMetrics = wire.ServerStats
+	// MarketMetrics is a point-in-time snapshot of one registered market's
+	// session load and valuation-oracle counters: one entry of a
+	// StatsReport's Markets.
+	MarketMetrics = wire.MarketStats
 )
 
 // ErrPeerTimeout marks session errors caused by a peer stalling past the
@@ -94,95 +97,6 @@ type SessionEvent struct {
 	Summary *SessionSummary
 	// Err is the session's failure, nil on clean completion.
 	Err error
-}
-
-// MarketMetrics is a point-in-time snapshot of one registered market:
-// session load split by information regime, plus the valuation-oracle
-// counters behind the market's catalog — the actual VFL training load an
-// operator pays for, not just connection counts. The oracle counters are 0
-// for synthetic-gain engines, which never train.
-type MarketMetrics struct {
-	// Sessions counts bargaining sessions served in this market (both
-	// regimes; listing-only connections excluded).
-	Sessions uint64
-	// ImperfectSessions is the subset of Sessions run under the imperfect
-	// information regime.
-	ImperfectSessions uint64
-	// OracleTrainings counts VFL courses the market's gain oracle actually
-	// trained (cache misses).
-	OracleTrainings int
-	// OracleCachedGains counts the bundle valuations the oracle has
-	// memoized.
-	OracleCachedGains int
-	// OracleHits counts bundle valuations the oracle served straight from
-	// its memo — training the sessions did not pay for.
-	OracleHits int
-	// OracleCoalesced counts callers the oracle's singleflight folded into
-	// an already-running training of the same bundle — the duplicate work
-	// concurrency would otherwise have multiplied.
-	OracleCoalesced int
-	// OracleRestored counts memoized valuations preloaded from the durable
-	// store at oracle registration — answers this process never trained for.
-	// 0 without a bound state.
-	OracleRestored int
-	// ResumedSessions counts imperfect sessions this market granted a resume
-	// to: a reconnecting client presented an identity with a live
-	// checkpoint and continued mid-game instead of re-exploring.
-	ResumedSessions uint64
-	// ActiveSessions is the number of this market's sessions being served
-	// right now — the signal the fabric's rebalancer weighs alongside the
-	// windowed counters.
-	ActiveSessions int64
-	// CheckpointedClients counts the client identities whose estimator
-	// checkpoints the market currently holds in memory (restored entries
-	// included). 0 without a bound state.
-	CheckpointedClients int
-}
-
-// ServerMetrics is a point-in-time snapshot of a server's counters.
-type ServerMetrics struct {
-	// Accepted counts accepted connections.
-	Accepted uint64
-	// Sessions counts bargaining sessions that ran (handshake + market
-	// resolution succeeded, listing-only connections excluded).
-	Sessions uint64
-	// Closed counts sessions that ended in a settled transaction.
-	Closed uint64
-	// Failed counts sessions that ended with a protocol or transport error.
-	Failed uint64
-	// Rejected counts connections turned away before bargaining: malformed
-	// handshakes, unsupported versions, unknown markets.
-	Rejected uint64
-	// Busy counts connections refused by admission control: the worker pool
-	// and its backlog were saturated when they arrived. Busy refusals are
-	// not included in Rejected — they are load, not client error.
-	Busy uint64
-	// Redirected counts connections answered with a redirect to another
-	// shard (directory-attached servers only). Not included in Rejected —
-	// the client lands elsewhere, nothing was refused.
-	Redirected uint64
-	// Evicted counts sessions severed by Unregister — connections a
-	// migration cut mid-bargain so their clients would re-dial the new
-	// owner. Not included in Failed: an evicted session is fabric
-	// choreography, not an error.
-	Evicted uint64
-	// Dropped counts sessions that ended on a transport fault — a peer
-	// timeout, a reset, a torn connection — as classified by the wire
-	// layer. Not included in Failed: a dropped session is the network's
-	// doing, and identified clients resume it; Failed is reserved for
-	// protocol violations and engine errors.
-	Dropped uint64
-	// Watchdog counts sessions the server's progress watchdog severed: the
-	// session made no envelope progress (no successful send or receive)
-	// within the watchdog budget, so its carrier was closed to free the
-	// worker. Disjoint from Dropped and Failed.
-	Watchdog uint64
-	// Quarantined counts corrupt snapshots the durable state quarantined at
-	// load: the damaged file was renamed aside (.corrupt) and the entry
-	// treated as a cold miss instead of poisoning the boot.
-	Quarantined uint64
-	// Active is the number of sessions being served right now.
-	Active int64
 }
 
 // ServerOption configures a Server at construction time.
@@ -773,38 +687,7 @@ func (s *Server) MarketMetrics() map[string]MarketMetrics {
 // per-market counters, and — when the attached directory is versioned —
 // the shard-map epoch this shard is operating under.
 func (s *Server) statsReport() *wire.StatsReport {
-	sm := s.Metrics()
-	rep := &wire.StatsReport{
-		Server: wire.ServerStats{
-			Accepted:    sm.Accepted,
-			Sessions:    sm.Sessions,
-			Closed:      sm.Closed,
-			Failed:      sm.Failed,
-			Rejected:    sm.Rejected,
-			Busy:        sm.Busy,
-			Redirected:  sm.Redirected,
-			Evicted:     sm.Evicted,
-			Dropped:     sm.Dropped,
-			Watchdog:    sm.Watchdog,
-			Quarantined: sm.Quarantined,
-			Active:      sm.Active,
-		},
-		Markets: make(map[string]wire.MarketStats),
-	}
-	for name, mm := range s.MarketMetrics() {
-		rep.Markets[name] = wire.MarketStats{
-			Sessions:            mm.Sessions,
-			ImperfectSessions:   mm.ImperfectSessions,
-			ResumedSessions:     mm.ResumedSessions,
-			ActiveSessions:      mm.ActiveSessions,
-			OracleTrainings:     mm.OracleTrainings,
-			OracleCachedGains:   mm.OracleCachedGains,
-			OracleHits:          mm.OracleHits,
-			OracleCoalesced:     mm.OracleCoalesced,
-			OracleRestored:      mm.OracleRestored,
-			CheckpointedClients: mm.CheckpointedClients,
-		}
-	}
+	rep := &wire.StatsReport{Server: s.Metrics(), Markets: s.MarketMetrics()}
 	if ep, ok := s.cfg.directory.(interface{ Epoch() uint64 }); ok {
 		rep.Epoch = ep.Epoch()
 	}
