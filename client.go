@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/secure"
 	"repro/internal/wire"
 )
@@ -245,26 +244,11 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	// capped tighter than a session's resume loop — a Dial against a truly
 	// dead fleet should fail in a bounded handful of attempts. Busy and
 	// rejection answers come from a live server and surface immediately.
-	bo := cfg.backoff.withDefaults()
-	attempts := bo.Attempts
-	if attempts > 3 {
-		attempts = 3
-	}
 	var mc *wire.MuxConn
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(bo.wait(attempt)):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("vflmarket: dial abandoned: %w", context.Cause(ctx))
-			}
-		}
+	err := cfg.backoff.do(ctx, 3, transportErr, func() (err error) {
 		mc, err = c.connectMux(ctx)
-		if err == nil || !transportErr(err) || ctx.Err() != nil {
-			break
-		}
-	}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -510,41 +494,21 @@ func (c *Client) Stats(ctx context.Context) (*StatsReport, error) {
 	if timeout < 0 {
 		timeout = time.Nanosecond // expired budget: fail fast, not hang
 	}
-	bo := c.cfg.backoff.withDefaults()
-	attempts := bo.Attempts
-	if attempts > 3 {
-		attempts = 3
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(bo.wait(attempt)):
-			case <-ctx.Done():
-				return nil, wrapCtx(ctx, lastErr)
-			}
-		}
+	var rep *StatsReport
+	err := c.cfg.backoff.do(ctx, 3, transportErr, func() error {
 		mc, err := c.connectMux(ctx)
 		if err != nil {
-			lastErr = err
-			if transportErr(err) && ctx.Err() == nil {
-				continue
-			}
-			return nil, wrapCtx(ctx, err)
+			return err
 		}
-		rep, err := mc.Stats(ctx, timeout)
-		if err == nil {
-			return rep, nil
-		}
-		lastErr = err
-		if mc.Err() != nil {
+		if rep, err = mc.Stats(ctx, timeout); err != nil && mc.Err() != nil {
 			c.dropConn(mc)
 		}
-		if !transportErr(err) || ctx.Err() != nil {
-			return nil, wrapCtx(ctx, err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, wrapCtx(ctx, err)
 	}
-	return nil, wrapCtx(ctx, lastErr)
+	return rep, nil
 }
 
 // Market returns the resolved market name this client bargains in.
@@ -657,29 +621,23 @@ func (c *Client) bargainImperfect(ctx context.Context, cfg SessionConfig, params
 	// the failure (a per-session eviction severs only the stream) and
 	// dials a replacement only when the connection itself died — resume no
 	// longer pays a dial and handshake unless it must.
-	bo := c.cfg.backoff.withDefaults()
 	attempts := 1
 	if identity != "" {
-		attempts = bo.Attempts
+		attempts = 0 // the policy's full budget
 	}
 	var res *ImperfectResult
 	var last *core.ImperfectCheckpoint
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(bo.wait(attempt)):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("vflmarket: bargaining abandoned: %w", context.Cause(ctx))
-			}
-		}
+	// A typed rejection is final — the server told us why, and retrying
+	// replays the same refusal. Everything else (transport death, busy,
+	// timeout) gets another attempt.
+	notRejected := func(err error) bool { return !errors.Is(err, wire.ErrRejected) }
+	err := c.cfg.backoff.do(ctx, attempts, notRejected, func() error {
 		ck := last
+		hs.Imperfect.ResumeRound = 0
 		if ck != nil {
 			hs.Imperfect.ResumeRound = ck.Round
-		} else {
-			hs.Imperfect.ResumeRound = 0
 		}
-		err = c.withSession(ctx, gains, hs, func(ctx context.Context, tc *wire.TaskClient, codec wire.Codec, hello *wire.Hello) error {
+		return c.withSession(ctx, gains, hs, func(ctx context.Context, tc *wire.TaskClient, codec wire.Codec, hello *wire.Hello) error {
 			tc.Checkpoint = func(k *core.ImperfectCheckpoint) { last = k }
 			var rerr error
 			if ck != nil {
@@ -689,18 +647,11 @@ func (c *Client) bargainImperfect(ctx context.Context, cfg SessionConfig, params
 			}
 			return rerr
 		}, cfg, obs)
-		if err == nil {
-			return res, nil
-		}
-		// A typed rejection is final — the server told us why, and retrying
-		// replays the same refusal. Cancellation is the caller's word.
-		// Everything else (transport death, busy, timeout) gets another
-		// attempt.
-		if errors.Is(err, wire.ErrRejected) || ctx.Err() != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	return res, nil
 }
 
 // BargainWith plays one session with a fully custom session configuration,
@@ -717,32 +668,18 @@ func (c *Client) BargainWith(ctx context.Context, cfg SessionConfig, gains GainP
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bo := c.cfg.backoff.withDefaults()
 	var res *Result
-	var err error
-	for attempt := 0; attempt < bo.Attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(bo.wait(attempt)):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("vflmarket: bargaining abandoned: %w", context.Cause(ctx))
-			}
-		}
-		res = nil
-		err = c.withSession(ctx, gains, wire.ClientHello{Market: c.cfg.market},
-			func(ctx context.Context, tc *wire.TaskClient, codec wire.Codec, hello *wire.Hello) error {
-				var serr error
-				res, serr = tc.BargainCodec(ctx, codec, hello)
-				return serr
+	err := c.cfg.backoff.do(ctx, 0, retryableErr, func() error {
+		return c.withSession(ctx, gains, wire.ClientHello{Market: c.cfg.market},
+			func(ctx context.Context, tc *wire.TaskClient, codec wire.Codec, hello *wire.Hello) (err error) {
+				res, err = tc.BargainCodec(ctx, codec, hello)
+				return err
 			}, cfg, obs)
-		if err == nil {
-			return res, nil
-		}
-		if !retryableErr(err) || ctx.Err() != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	return res, nil
 }
 
 // BargainBatch plays one perfect-information session per spec across a
@@ -809,25 +746,18 @@ func (c *Client) BargainImperfectBatch(ctx context.Context, specs []BatchSpec, o
 	return results, err
 }
 
-// batchConfig resolves one batch spec against the dial template under the
-// exact seed convention of Engine.batchJobs, so a client batch and an
-// engine batch with the same specs play the same sessions.
+// batchConfig resolves one batch spec against the dial template with the
+// engine's resolveBatchConfig, so a client batch and an engine batch with
+// the same specs play the same sessions.
 func (c *Client) batchConfig(sp BatchSpec, opts BatchOptions, i int) (SessionConfig, error) {
-	var cfg SessionConfig
+	var tmpl SessionConfig
 	switch {
-	case sp.Session != nil:
-		cfg = *sp.Session
 	case c.cfg.session != nil:
-		cfg = *c.cfg.session
-	default:
+		tmpl = *c.cfg.session
+	case sp.Session == nil:
 		return SessionConfig{}, fmt.Errorf("vflmarket: batch spec %d needs a session: Dial with WithSession or set BatchSpec.Session", i)
 	}
-	if seedIsSet(sp.Seed) {
-		cfg.Seed = sp.Seed
-	} else if !seedIsSet(cfg.Seed) {
-		cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(i))
-	}
-	return cfg, nil
+	return resolveBatchConfig(tmpl, sp, opts, i), nil
 }
 
 // withSession opens one session stream over a pooled connection and runs

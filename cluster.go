@@ -357,18 +357,9 @@ func (c *Cluster) Failover(ctx context.Context, dead int) ([]Transfer, error) {
 		if _, err := c.reg.BeginMove(market, dst.shard.ID); err != nil {
 			return out, err
 		}
-		if err := copyMarketSnapshots(src.state, dst.state, market); err != nil {
+		if err := c.openMoved(market, src, dst); err != nil {
 			c.reg.AbortMove(market)
-			return out, fmt.Errorf("vflmarket: failover %q: copy state: %w", market, err)
-		}
-		eng, err := c.factory(market, dst.state)
-		if err != nil {
-			c.reg.AbortMove(market)
-			return out, fmt.Errorf("vflmarket: failover %q: build engine: %w", market, err)
-		}
-		if err := dst.server.Register(market, eng); err != nil {
-			c.reg.AbortMove(market)
-			return out, fmt.Errorf("vflmarket: failover %q: open on shard %d: %w", market, dst.shard.ID, err)
+			return out, fmt.Errorf("vflmarket: failover %q: %w", market, err)
 		}
 		if _, err := c.reg.CommitMove(market); err != nil {
 			return out, err
@@ -412,20 +403,32 @@ func (c *Cluster) Migrate(ctx context.Context, market string, to int) error {
 	if err := src.server.Unregister(market); err != nil {
 		return rollback(fmt.Errorf("vflmarket: migrate %q: evict: %w", market, err))
 	}
-	if err := copyMarketSnapshots(src.state, dst.state, market); err != nil {
-		return rollback(fmt.Errorf("vflmarket: migrate %q: copy state: %w", market, err))
-	}
-	eng, err := c.factory(market, dst.state)
-	if err != nil {
-		return rollback(fmt.Errorf("vflmarket: migrate %q: build engine: %w", market, err))
-	}
-	if err := dst.server.Register(market, eng); err != nil {
-		return rollback(fmt.Errorf("vflmarket: migrate %q: open on shard %d: %w", market, to, err))
+	if err := c.openMoved(market, src, dst); err != nil {
+		return rollback(fmt.Errorf("vflmarket: migrate %q: %w", market, err))
 	}
 	if _, err := c.reg.CommitMove(market); err != nil {
 		return err
 	}
 	return ctx.Err()
+}
+
+// openMoved opens a moving market warm on its destination shard: its
+// durable snapshots are copied over from the source, the factory builds
+// its engine on the destination's state, and the destination registers
+// it. The registry move around it, and undoing it on error, stay with the
+// caller.
+func (c *Cluster) openMoved(market string, src, dst *clusterShard) error {
+	if err := copyMarketSnapshots(src.state, dst.state, market); err != nil {
+		return fmt.Errorf("copy state: %w", err)
+	}
+	eng, err := c.factory(market, dst.state)
+	if err != nil {
+		return fmt.Errorf("build engine: %w", err)
+	}
+	if err := dst.server.Register(market, eng); err != nil {
+		return fmt.Errorf("open on shard %d: %w", dst.shard.ID, err)
+	}
+	return nil
 }
 
 // Rebalance runs one planning pass over live shard stats and executes the

@@ -11,11 +11,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -288,5 +291,73 @@ func TestServiceImperfectRefusedUnderPaillier(t *testing.T) {
 			t.Fatalf("metrics = %+v, want >= 1 rejected", srv.Metrics())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServiceImperfectRefusalsAnswerBeforeHello opens imperfect sessions
+// the data party cannot serve — a target gain of 0, −1 or +Inf, and a
+// resume whose stored checkpoint matches the hello but fails to restore —
+// and requires each to be refused with an error envelope in place of the
+// Hello: ErrRejected well inside the IO timeout, counted as Rejected, with
+// no session opened or failed.
+func TestServiceImperfectRefusalsAnswerBeforeHello(t *testing.T) {
+	const ioTimeout = 2 * time.Second
+	engines := testEngines(t)
+	ms, err := OpenMarketState(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, shutdown := startServer(t, engines, WithIOTimeout(ioTimeout), WithMarketState(ms))
+	defer shutdown()
+
+	tmpl := engines["titanic"].SessionImperfect()
+	hello := func(target float64) wire.ClientHello {
+		return wire.ClientHello{Market: "titanic", Mode: wire.ModeImperfect, Imperfect: &wire.ImperfectHello{
+			Seed: 3, Target: target, ExplorationRounds: imperfectTestParams.ExplorationRounds,
+		}}
+	}
+	// A checkpoint pinned to exactly the resume hello's parameters, but with
+	// no estimator weights: it passes the match and fails the restore.
+	ms.book("titanic").Save("broken-1", &core.SellerCheckpoint{Round: 3, Config: core.EstimatorSellerConfig{
+		Seed: 3, Target: tmpl.TargetGain, EpsData: tmpl.EpsData,
+		Params: core.ImperfectParams{ExplorationRounds: imperfectTestParams.ExplorationRounds},
+	}})
+	resume := hello(tmpl.TargetGain)
+	resume.Imperfect.ClientID, resume.Imperfect.ResumeRound = "broken-1", 3
+
+	opens := []struct {
+		name string
+		ch   wire.ClientHello
+	}{
+		{"target 0", hello(0)},
+		{"target -1", hello(-1)},
+		{"target +Inf", hello(math.Inf(1))},
+		{"unrestorable checkpoint", resume},
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, _, err := wire.OpenMux(conn, wire.CodecBinary, wire.ClientHello{Market: "titanic", ListOnly: true}, ioTimeout)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	before := srv.Metrics()
+	for _, o := range opens {
+		start := time.Now()
+		s, _, err := mc.Open(context.Background(), o.ch, ioTimeout)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: session opened", o.name)
+		}
+		if took := time.Since(start); !errors.Is(err, ErrRejected) || took > ioTimeout/4 {
+			t.Fatalf("%s: err = %v after %v; want ErrRejected well inside the %v IO timeout", o.name, err, took, ioTimeout)
+		}
+	}
+	after := srv.Metrics()
+	if after.Rejected != before.Rejected+uint64(len(opens)) || after.Sessions != before.Sessions || after.Failed != before.Failed {
+		t.Fatalf("metrics %+v -> %+v: want Rejected up by %d, Sessions and Failed unchanged", before, after, len(opens))
 	}
 }

@@ -303,28 +303,3 @@ func Release(c Codec) {
 		fc.release()
 	}
 }
-
-// SendError sends a rejection envelope (best effort; the caller closes the
-// connection or session afterwards).
-func SendError(c Codec, format string, args ...any) {
-	_ = c.Send(&Envelope{Kind: KindError, Err: &ErrorMsg{Msg: fmt.Sprintf(format, args...)}})
-	_ = c.Flush()
-}
-
-// SendBusy sends the admission-control rejection: the server's session
-// pool is saturated and the connection or session closes without a
-// bargain. Clients see ErrServerBusy and may retry with backoff. Best
-// effort, like SendError.
-func SendBusy(c Codec, format string, args ...any) {
-	_ = c.Send(&Envelope{Kind: KindBusy, Err: &ErrorMsg{Msg: fmt.Sprintf(format, args...)}})
-	_ = c.Flush()
-}
-
-// SendRedirect sends the shard-routing answer in place of the Hello: the
-// server does not own the market, and the client should redial Addr. The
-// connection (or the session) closes after it. Best effort, like
-// SendError.
-func SendRedirect(c Codec, r *Redirect) {
-	_ = c.Send(&Envelope{Kind: KindRedirect, Redirect: r})
-	_ = c.Flush()
-}

@@ -47,7 +47,9 @@ func TestFabricEnvelopesRoundTripBothCodecs(t *testing.T) {
 // redirect is an instruction, not a refusal).
 func TestRedirectSurfacesAsTypedError(t *testing.T) {
 	c := loopCodec(t, CodecBinary)
-	SendRedirect(c, &Redirect{Market: "credit", Addr: "127.0.0.1:9999", Epoch: 3})
+	if err := c.Send(&Envelope{Kind: KindRedirect, Redirect: &Redirect{Market: "credit", Addr: "127.0.0.1:9999", Epoch: 3}}); err != nil {
+		t.Fatal(err)
+	}
 	_, err := link{c}.recv(KindHello)
 	if err == nil {
 		t.Fatal("redirect envelope accepted as a Hello")
@@ -95,7 +97,8 @@ func TestFetchStatsOverConnection(t *testing.T) {
 		}
 		defer Release(codec)
 		if codec.Name() != CodecBinary || !ch.StatsOnly || ch.Version != ProtocolVersion {
-			SendError(codec, "not a binary mux stats hello")
+			_ = codec.Send(&Envelope{Kind: KindError, Err: &ErrorMsg{Msg: "not a binary mux stats hello"}})
+			_ = codec.Flush()
 			return
 		}
 		_ = codec.Send(&Envelope{Kind: KindStats, Stats: want})

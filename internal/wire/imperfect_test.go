@@ -1,13 +1,12 @@
 package wire
 
 // Tests of the imperfect information regime over the wire: the §3.5
-// estimation-based game played through ServeImperfectCodec /
+// estimation-based game played through AdmitImperfect + Serve /
 // BargainImperfectCodec must be bit-identical to the in-process engine,
 // and every imperfect-specific failure path must end sessions cleanly.
 
 import (
 	"math"
-	"net"
 	"reflect"
 	"testing"
 
@@ -24,6 +23,17 @@ func imperfectMarket(t testing.TB, seed uint64) (*core.Catalog, core.SessionConf
 	return cat, cfg, gains, core.ImperfectParams{ExplorationRounds: 40, PricePool: 120}
 }
 
+// admitted admits ih on srv, failing the test on a refusal, and returns the
+// session body servePipe runs.
+func admitted(t testing.TB, srv *DataServer, hello *Hello, ih *ImperfectHello) func(Codec) (*SessionSummary, error) {
+	t.Helper()
+	sess, err := srv.AdmitImperfect(ih)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(c Codec) (*SessionSummary, error) { return sess.Serve(c, hello) }
+}
+
 // runImperfectSession wires an imperfect client and server over net.Pipe.
 func runImperfectSession(t *testing.T, seed uint64) (*core.ImperfectResult, *SessionSummary) {
 	t.Helper()
@@ -38,7 +48,7 @@ func runImperfectSession(t *testing.T, seed uint64) (*core.ImperfectResult, *Ses
 		ExplorationRounds: params.ExplorationRounds, ReplaySteps: params.ReplaySteps,
 	}
 	hello := mustHello(t, srv)
-	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) { return srv.ServeImperfectCodec(c, hello, ih) })
+	c, done := servePipe(t, admitted(t, srv, hello, ih))
 	he, err := link{c}.recv(KindHello)
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +93,8 @@ func TestServeImperfectRefusesSecure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serverConn := net.Pipe()
-	defer serverConn.Close()
-	c := newPipeCodec(serverConn)
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 1, Target: 0.1}); err == nil {
-		t.Fatal("secure server accepted an imperfect session")
+	if _, err := srv.AdmitImperfect(&ImperfectHello{Seed: 1, Target: 0.1}); err == nil {
+		t.Fatal("secure server admitted an imperfect session")
 	}
 }
 
@@ -97,17 +104,13 @@ func TestServeImperfectRejectsBadHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serverConn := net.Pipe()
-	defer serverConn.Close()
-	c := newPipeCodec(serverConn)
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), nil); err == nil {
-		t.Fatal("server accepted an imperfect session without parameters")
+	if _, err := srv.AdmitImperfect(nil); err == nil {
+		t.Fatal("server admitted an imperfect session without parameters")
 	}
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 1, Target: -2}); err == nil {
-		t.Fatal("server accepted a non-positive target gain")
-	}
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &ImperfectHello{Seed: 1, Target: math.Inf(1)}); err == nil {
-		t.Fatal("server accepted an infinite target gain")
+	for _, target := range []float64{0, -2, math.Inf(1), math.NaN()} {
+		if _, err := srv.AdmitImperfect(&ImperfectHello{Seed: 1, Target: target}); err == nil {
+			t.Fatalf("server admitted target gain %v", target)
+		}
 	}
 }
 
@@ -120,9 +123,7 @@ func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := mustHello(t, srv)
-	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
-		return srv.ServeImperfectCodec(c, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
-	})
+	c, done := servePipe(t, admitted(t, srv, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain}))
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
@@ -151,9 +152,7 @@ func TestServeImperfectRejectsPayloadlessSettle(t *testing.T) {
 		t.Fatal(err)
 	}
 	hello := mustHello(t, srv)
-	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
-		return srv.ServeImperfectCodec(c, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain})
-	})
+	c, done := servePipe(t, admitted(t, srv, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain}))
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)

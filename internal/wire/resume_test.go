@@ -20,12 +20,14 @@ import (
 	"repro/internal/secure"
 )
 
-// memCheckpoints is an in-memory SellerCheckpoints registry; onSave, when
-// non-nil, observes every save synchronously (the replay-branch test uses
-// it to cut the connection between the server's save and its ack).
+// memCheckpoints is an in-memory SellerCheckpoints registry that counts
+// its loads; onSave, when non-nil, observes every save synchronously (the
+// replay-branch test uses it to cut the connection between the server's
+// save and its ack).
 type memCheckpoints struct {
 	mu     sync.Mutex
 	m      map[string]*core.SellerCheckpoint
+	loads  int
 	onSave func(ck *core.SellerCheckpoint)
 }
 
@@ -45,6 +47,7 @@ func (r *memCheckpoints) Save(id string, ck *core.SellerCheckpoint) {
 func (r *memCheckpoints) Load(id string) (*core.SellerCheckpoint, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.loads++
 	ck, ok := r.m[id]
 	return ck, ok
 }
@@ -84,9 +87,7 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 
 	// First connection: dies at the installed cut.
 	hello := mustHello(t, srv)
-	c, done := servePipe(t, func(c Codec) (*SessionSummary, error) {
-		return srv.ServeImperfectCodec(c, hello, ih) // dies with the cut
-	})
+	c, done := servePipe(t, admitted(t, srv, hello, ih)) // dies with the cut
 	var last *core.ImperfectCheckpoint
 	client := &TaskClient{Session: cfg, Gains: gains, Checkpoint: func(ck *core.ImperfectCheckpoint) {
 		last = ck
@@ -110,9 +111,11 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	// Second connection: resume from the last checkpoint the client holds.
 	ih2 := *ih
 	ih2.ResumeRound = last.Round
-	c2, done2 := servePipe(t, func(c Codec) (*SessionSummary, error) {
-		return srv.ServeImperfectCodec(c, hello, &ih2)
-	})
+	loads := reg.loads
+	c2, done2 := servePipe(t, admitted(t, srv, hello, &ih2))
+	if n := reg.loads - loads; n != 1 {
+		t.Fatalf("resume admission loaded the checkpoint %d times, want once", n)
+	}
 	he2, err := link{c2}.recv(KindHello)
 	if err != nil {
 		t.Fatal(err)
@@ -189,35 +192,44 @@ func TestServeImperfectRefusesBadResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serverConn := net.Pipe()
-	defer serverConn.Close()
-	c := newPipeCodec(serverConn)
 	base := ImperfectHello{Seed: 7, Target: cfg.TargetGain}
 
 	anon := base
 	anon.ResumeRound = 3
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &anon); err == nil {
-		t.Fatal("server accepted a resume without a client identity")
+	if _, err := srv.AdmitImperfect(&anon); err == nil {
+		t.Fatal("server admitted a resume without a client identity")
 	}
 	noStore := base
 	noStore.ClientID, noStore.ResumeRound = "b", 3
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &noStore); err == nil {
-		t.Fatal("checkpoint-less server accepted a resume")
+	if _, err := srv.AdmitImperfect(&noStore); err == nil {
+		t.Fatal("checkpoint-less server admitted a resume")
 	}
-	srv.Checkpoints = newMemCheckpoints()
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &noStore); err == nil {
-		t.Fatal("server accepted a resume for an unknown identity")
+	reg := newMemCheckpoints()
+	srv.Checkpoints = reg
+	if _, err := srv.AdmitImperfect(&noStore); err == nil {
+		t.Fatal("server admitted a resume for an unknown identity")
 	}
-	srv.Checkpoints.Save("b", &core.SellerCheckpoint{Round: 9, Config: core.EstimatorSellerConfig{
+	reg.Save("b", &core.SellerCheckpoint{Round: 9, Config: core.EstimatorSellerConfig{
 		Seed: 7, Target: cfg.TargetGain, EpsData: cfg.EpsData,
 	}})
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &noStore); err == nil {
+	if _, err := srv.AdmitImperfect(&noStore); err == nil {
 		t.Fatal("server resumed from a checkpoint 6 rounds ahead")
 	}
 	mismatched := base
 	mismatched.ClientID, mismatched.ResumeRound, mismatched.Seed = "b", 9, 8
-	if _, err := srv.ServeImperfectCodec(c, mustHello(t, srv), &mismatched); err == nil {
+	if _, err := srv.AdmitImperfect(&mismatched); err == nil {
 		t.Fatal("server resumed a checkpoint under different session parameters")
+	}
+	// A checkpoint that matches the hello but holds no estimator state
+	// passes every check up to the restore, which must refuse it too.
+	unrestorable := base
+	unrestorable.ClientID, unrestorable.ResumeRound = "b", 9
+	loads := reg.loads
+	if _, err := srv.AdmitImperfect(&unrestorable); err == nil || !strings.Contains(err.Error(), "restore") {
+		t.Fatalf("unrestorable checkpoint: err = %v, want a restore refusal", err)
+	}
+	if n := reg.loads - loads; n != 1 {
+		t.Fatalf("resume admission loaded the checkpoint %d times, want once", n)
 	}
 }
 

@@ -50,12 +50,6 @@ type DataServer struct {
 	// on the server, mirroring SessionConfig.DataCost/EpsDataC in-process.
 	DataCost core.CostModel
 	EpsDataC float64
-	// OnRound, when non-nil, observes every realized round from the
-	// server's side: the quote, the offered bundle, and — in clear
-	// settlement mode — the reported gain and payment (zero under Paillier;
-	// that is the point). Sessions served concurrently share the hook, so
-	// it must be safe for concurrent use.
-	OnRound func(rec core.RoundRecord)
 	// Checkpoints, when non-nil, makes imperfect sessions durable: after
 	// every settled round the seller's frozen state is saved under the
 	// client identity of the hello, and a ResumeRound hello restores it
@@ -105,48 +99,6 @@ const (
 	DefaultMaxExplorationRounds = 1000
 	DefaultMaxReplaySteps       = 64
 )
-
-// ValidateImperfectHello checks the hello's work factors against the
-// server's caps, returning the refusal error for an abusive ask. The caps
-// apply to the values the session will actually run with — a zero hello
-// field means the core default (100 exploration rounds, 4 replay steps),
-// and that resolved value is what must clear the cap, so a server capped
-// below the defaults cannot be bypassed by asking for "default". The serve
-// path runs this before any session state is built and sends the error
-// back as a refusal envelope.
-func (s *DataServer) ValidateImperfectHello(ih *ImperfectHello) error {
-	if ih == nil {
-		return fmt.Errorf("wire: imperfect session opened without parameters")
-	}
-	eff := core.ImperfectParams{
-		ExplorationRounds: ih.ExplorationRounds,
-		ReplaySteps:       ih.ReplaySteps,
-	}.WithDefaults()
-	maxN := s.MaxExplorationRounds
-	if maxN <= 0 {
-		maxN = DefaultMaxExplorationRounds
-	}
-	if eff.ExplorationRounds > maxN {
-		return fmt.Errorf("wire: refused: %d exploration rounds exceed this server's cap of %d", eff.ExplorationRounds, maxN)
-	}
-	maxReplay := s.MaxReplaySteps
-	if maxReplay <= 0 {
-		maxReplay = DefaultMaxReplaySteps
-	}
-	if eff.ReplaySteps > maxReplay {
-		return fmt.Errorf("wire: refused: %d replay steps per round exceed this server's cap of %d", eff.ReplaySteps, maxReplay)
-	}
-	if err := ValidateClientID(ih.ClientID); err != nil {
-		return err
-	}
-	if ih.ResumeRound < 0 {
-		return fmt.Errorf("wire: negative resume round %d", ih.ResumeRound)
-	}
-	if ih.ResumeRound > 0 && ih.ClientID == "" {
-		return fmt.Errorf("wire: resuming a session requires a client identity")
-	}
-	return nil
-}
 
 // ValidateClientID checks a client identity: empty (checkpointing off)
 // or 1–64 bytes of [A-Za-z0-9_-]. The charset is filename-safe by
@@ -370,37 +322,71 @@ func (s *DataServer) ServeCodec(c Codec, hello *Hello) (*SessionSummary, error) 
 	return s.serve(link{c}, hello, catalogAnswerer{s}, 1)
 }
 
-// ServeImperfectCodec runs one imperfect-information session over an
-// established codec: the server plays the §3.5 estimation-based data party
-// (core.EstimatorSeller), training its bundle estimator online from the
-// realized gains the client settles with and acknowledging every
-// settlement with the estimator's pre-update MSE — the feedback loop that
-// keeps a networked ImperfectResult bit-identical to an in-process one.
-func (s *DataServer) ServeImperfectCodec(c Codec, hello *Hello, ih *ImperfectHello) (*SessionSummary, error) {
+// ImperfectSession is an imperfect hello the data party admitted: its
+// estimator seller, built fresh or restored from the client identity's
+// checkpoint, ready to serve. AdmitImperfect is the only way to get one.
+type ImperfectSession struct {
+	s       *DataServer
+	a       *estimatorAnswerer
+	resumed int // the client's last settled round; 0 for a fresh session
+}
+
+// AdmitImperfect vets an imperfect hello completely, before any Hello is
+// written, and returns either the session ready to serve or the refusal a
+// frontend sends back in an error envelope in place of the Hello. It
+// checks the cleartext regime, the parameters' presence, the work factors
+// against the server's caps, the client identity, the resume round, the
+// target gain, and — for a resume — the checkpoint's load, match and
+// restore. The caps apply to the values the session will actually run
+// with: a zero hello field means the core default (100 exploration rounds,
+// 4 replay steps), and that resolved value is what must clear the cap, so
+// a server capped below the defaults cannot be bypassed by asking for
+// "default".
+func (s *DataServer) AdmitImperfect(ih *ImperfectHello) (*ImperfectSession, error) {
 	if s.Secure {
 		return nil, fmt.Errorf("wire: the imperfect regime trains on realized gains and needs cleartext settlement; this server settles under Paillier")
 	}
-	// The handshake frontends (vflmarket.Server) send this refusal back as
-	// an error envelope in place of the Hello before opening the session;
-	// here it only guards direct callers.
-	if err := s.ValidateImperfectHello(ih); err != nil {
+	if ih == nil {
+		return nil, fmt.Errorf("wire: imperfect session opened without parameters")
+	}
+	params := core.ImperfectParams{ExplorationRounds: ih.ExplorationRounds, ReplaySteps: ih.ReplaySteps}
+	eff := params.WithDefaults()
+	maxN := s.MaxExplorationRounds
+	if maxN <= 0 {
+		maxN = DefaultMaxExplorationRounds
+	}
+	if eff.ExplorationRounds > maxN {
+		return nil, fmt.Errorf("wire: refused: %d exploration rounds exceed this server's cap of %d", eff.ExplorationRounds, maxN)
+	}
+	maxReplay := s.MaxReplaySteps
+	if maxReplay <= 0 {
+		maxReplay = DefaultMaxReplaySteps
+	}
+	if eff.ReplaySteps > maxReplay {
+		return nil, fmt.Errorf("wire: refused: %d replay steps per round exceed this server's cap of %d", eff.ReplaySteps, maxReplay)
+	}
+	if err := ValidateClientID(ih.ClientID); err != nil {
 		return nil, err
+	}
+	if ih.ResumeRound < 0 {
+		return nil, fmt.Errorf("wire: negative resume round %d", ih.ResumeRound)
+	}
+	if ih.ResumeRound > 0 && ih.ClientID == "" {
+		return nil, fmt.Errorf("wire: resuming a session requires a client identity")
 	}
 	if !(ih.Target > 0) || math.IsInf(ih.Target, 0) {
 		return nil, fmt.Errorf("wire: imperfect session needs a positive finite target gain, got %v", ih.Target)
 	}
-	cfg := s.sellerConfigFor(ih)
-
+	eps := s.EpsImperfect
+	if eps == 0 {
+		eps = s.EpsData
+	}
+	cfg := core.EstimatorSellerConfig{Seed: ih.Seed, Target: ih.Target, EpsData: eps, Params: params}
 	a := &estimatorAnswerer{}
-	start := 1
 	if ih.ResumeRound > 0 {
-		ck, err := s.resumeCheckpoint(ih, cfg)
+		seller, ck, err := s.restoreSeller(ih, cfg)
 		if err != nil {
 			return nil, err
-		}
-		seller, err := core.RestoreEstimatorSeller(s.Catalog, ck)
-		if err != nil {
-			return nil, fmt.Errorf("wire: restore checkpoint for identity %q: %v", ih.ClientID, err)
 		}
 		a.seller = seller
 		if ck.Round == ih.ResumeRound+1 {
@@ -412,10 +398,6 @@ func (s *DataServer) ServeImperfectCodec(c Codec, hello *Hello, ih *ImperfectHel
 			a.replayOffer = ck.LastOffer
 			a.replayMSE = ck.LastMSE
 		}
-		start = ih.ResumeRound + 1
-		resumed := *hello
-		resumed.Resumed = ih.ResumeRound
-		hello = &resumed
 	} else {
 		a.seller = core.NewEstimatorSeller(s.Catalog, cfg)
 	}
@@ -423,59 +405,49 @@ func (s *DataServer) ServeImperfectCodec(c Codec, hello *Hello, ih *ImperfectHel
 		id := ih.ClientID
 		a.save = func(ck *core.SellerCheckpoint) { s.Checkpoints.Save(id, ck) }
 	}
-	return s.serve(link{c}, hello, a, start)
+	return &ImperfectSession{s: s, a: a, resumed: ih.ResumeRound}, nil
 }
 
-// sellerConfigFor derives the estimator-seller configuration a hello pins:
-// the checkpoint identity a resume must match.
-func (s *DataServer) sellerConfigFor(ih *ImperfectHello) core.EstimatorSellerConfig {
-	eps := s.EpsImperfect
-	if eps == 0 {
-		eps = s.EpsData
-	}
-	return core.EstimatorSellerConfig{
-		Seed:    ih.Seed,
-		Target:  ih.Target,
-		EpsData: eps,
-		Params: core.ImperfectParams{
-			ExplorationRounds: ih.ExplorationRounds,
-			ReplaySteps:       ih.ReplaySteps,
-		},
-	}
-}
-
-// resumeCheckpoint loads and validates the checkpoint a resume hello names.
-// The server checkpoints after its settlement, the client after the ack
-// lands, so a crash between the two leaves the server exactly one round
-// ahead: R and R+1 are the only resumable offsets.
-func (s *DataServer) resumeCheckpoint(ih *ImperfectHello, cfg core.EstimatorSellerConfig) (*core.SellerCheckpoint, error) {
+// restoreSeller loads the checkpoint a resume hello names, checks it
+// against the hello's seller configuration, and restores the seller from
+// it. The server checkpoints after its settlement, the client after the
+// ack lands, so a crash between the two leaves the server exactly one
+// round ahead: R and R+1 are the only resumable offsets.
+func (s *DataServer) restoreSeller(ih *ImperfectHello, cfg core.EstimatorSellerConfig) (*core.EstimatorSeller, *core.SellerCheckpoint, error) {
 	if s.Checkpoints == nil {
-		return nil, fmt.Errorf("wire: this server does not checkpoint sessions; cannot resume")
+		return nil, nil, fmt.Errorf("wire: this server does not checkpoint sessions; cannot resume")
 	}
 	ck, ok := s.Checkpoints.Load(ih.ClientID)
 	if !ok {
-		return nil, fmt.Errorf("wire: no checkpoint for identity %q; start fresh", ih.ClientID)
+		return nil, nil, fmt.Errorf("wire: no checkpoint for identity %q; start fresh", ih.ClientID)
 	}
 	if !ck.Matches(cfg) {
-		return nil, fmt.Errorf("wire: checkpoint for identity %q was taken under different session parameters; start fresh", ih.ClientID)
+		return nil, nil, fmt.Errorf("wire: checkpoint for identity %q was taken under different session parameters; start fresh", ih.ClientID)
 	}
 	if ck.Round != ih.ResumeRound && ck.Round != ih.ResumeRound+1 {
-		return nil, fmt.Errorf("wire: checkpoint for identity %q is settled through round %d; cannot resume after round %d", ih.ClientID, ck.Round, ih.ResumeRound)
+		return nil, nil, fmt.Errorf("wire: checkpoint for identity %q is settled through round %d; cannot resume after round %d", ih.ClientID, ck.Round, ih.ResumeRound)
 	}
-	return ck, nil
+	seller, err := core.RestoreEstimatorSeller(s.Catalog, ck)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: restore checkpoint for identity %q: %v", ih.ClientID, err)
+	}
+	return seller, ck, nil
 }
 
-// CheckResume reports whether the resume a hello asks for can be granted,
-// without building any session state — what handshake frontends run so a
-// doomed resume is refused with an error envelope in place of the Hello
-// instead of a dropped connection. A hello that does not ask for a resume
-// passes trivially.
-func (s *DataServer) CheckResume(ih *ImperfectHello) error {
-	if ih == nil || ih.ResumeRound <= 0 {
-		return nil
+// Serve runs the admitted imperfect-information session over an
+// established codec: the server plays the §3.5 estimation-based data party
+// (core.EstimatorSeller), training its bundle estimator online from the
+// realized gains the client settles with and acknowledging every
+// settlement with the estimator's pre-update MSE — the feedback loop that
+// keeps a networked ImperfectResult bit-identical to an in-process one. A
+// resumed session confirms its round in the Hello.
+func (p *ImperfectSession) Serve(c Codec, hello *Hello) (*SessionSummary, error) {
+	if p.resumed > 0 {
+		resumed := *hello
+		resumed.Resumed = p.resumed
+		hello = &resumed
 	}
-	_, err := s.resumeCheckpoint(ih, s.sellerConfigFor(ih))
-	return err
+	return p.s.serve(link{c}, hello, p.a, p.resumed+1)
 }
 
 // answerer is the data party's per-session quoting brain: the stateless
@@ -642,9 +614,6 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 		rec := core.RoundRecord{
 			Round: quotes, Price: q, BundleID: offer.BundleID,
 			Gain: se.Settle.Gain, Payment: pay,
-		}
-		if s.OnRound != nil {
-			s.OnRound(rec)
 		}
 		ack, aerr := a.settled(quotes, rec, coreDecision(se.Settle.Decision))
 		if aerr != nil {

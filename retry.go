@@ -1,7 +1,9 @@
 package vflmarket
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	mrand "math/rand"
 	"sync"
 	"time"
@@ -83,6 +85,32 @@ func (b RetryPolicy) wait(k int) time.Duration {
 		d = time.Duration(float64(d) * (1 + b.Jitter*(2*r-1)))
 	}
 	return d
+}
+
+// do runs op under the policy: at most attempts tries (<= 0, or more
+// than the policy's Attempts, means the policy's Attempts), each retry
+// after the policy's wait. It returns op's first success, or its error once
+// retryable rejects it, ctx has ended, or the attempts are spent. A ctx
+// that ends during a wait abandons the call with the context's cause.
+func (b RetryPolicy) do(ctx context.Context, attempts int, retryable func(error) bool, op func() error) error {
+	b = b.withDefaults()
+	if attempts <= 0 || attempts > b.Attempts {
+		attempts = b.Attempts
+	}
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-time.After(b.wait(attempt)):
+			case <-ctx.Done():
+				return fmt.Errorf("vflmarket: abandoned after %d attempts: %w", attempt, context.Cause(ctx))
+			}
+		}
+		if err = op(); err == nil || !retryable(err) || ctx.Err() != nil {
+			return err
+		}
+	}
+	return err
 }
 
 // ErrCircuitOpen reports a dial refused locally by the client's per-address

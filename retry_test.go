@@ -1,13 +1,15 @@
 package vflmarket
 
 // Unit tests of the client resilience primitives: the per-address circuit
-// breaker's state machine and the seeded-jitter retry schedule. The
+// breaker's state machine, the seeded-jitter retry schedule and the retry
+// loop every client call runs. The
 // service-level behavior (a breaker tripping under injected resets, the
 // resume loop riding a failover) lives in chaos_service_test.go and
 // cluster_failover_test.go; these tests pin the state transitions and the
 // determinism contract in isolation.
 
 import (
+	"context"
 	"errors"
 	mrand "math/rand"
 	"testing"
@@ -166,5 +168,37 @@ func TestRetryPolicySeededJitter(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 7 and 8 produced identical jitter schedules")
+	}
+}
+
+// TestRetryPolicyDo pins the one retry loop behind Dial, Stats and both
+// bargaining regimes: the caller's attempt cap clamped to the policy's, a
+// stop at the first error the predicate rejects, and a cancellation during
+// a wait surfacing as the context's cause.
+func TestRetryPolicyDo(t *testing.T) {
+	p := RetryPolicy{Attempts: 5, Base: time.Millisecond, Jitter: -1}
+	transient := errors.New("transient")
+	always := func(error) bool { return true }
+	count := func(attempts int, retryable func(error) bool) (int, error) {
+		n := 0
+		err := p.do(context.Background(), attempts, retryable, func() error { n++; return transient })
+		return n, err
+	}
+	for _, c := range []struct{ attempts, want int }{{0, 5}, {3, 3}, {1, 1}, {9, 5}} {
+		if n, err := count(c.attempts, always); n != c.want || !errors.Is(err, transient) {
+			t.Fatalf("cap %d: %d attempts ending in %v, want %d ending in the op's error", c.attempts, n, err, c.want)
+		}
+	}
+	if n, _ := count(0, func(error) bool { return false }); n != 1 {
+		t.Fatalf("a final error was retried: %d attempts", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := time.AfterFunc(10*time.Millisecond, cancel)
+	defer stop.Stop()
+	err := RetryPolicy{Base: time.Hour}.do(ctx, 0, always, func() error { return transient })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait: err = %v, want context.Canceled", err)
 	}
 }

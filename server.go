@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,15 +109,12 @@ type serverConfig struct {
 	secureBits     int
 	eagerKeys      bool
 	noisePool      int
-	maxRounds      int
 	maxExploration int
 	maxReplay      int
 	hook           func(SessionEvent)
-	roundObs       RoundObserver
 	stateDir       string
 	state          *MarketState
 	backlog        int
-	flushEvery     time.Duration
 	directory      MarketDirectory
 	idleTimeout    time.Duration
 	watchdog       time.Duration
@@ -189,10 +187,6 @@ func WithNoisePool(n int) ServerOption {
 	return func(c *serverConfig) { c.noisePool = n }
 }
 
-// WithSessionRounds caps the quotes a single session may send before the
-// server gives up on it. <= 0 keeps the wire default (1000).
-func WithSessionRounds(n int) ServerOption { return func(c *serverConfig) { c.maxRounds = n } }
-
 // WithImperfectCaps caps the client-supplied work factors of the imperfect
 // handshake: maxExploration bounds N (the Case VII exploration rounds the
 // server must keep its estimator alive for) and maxReplay bounds the
@@ -237,17 +231,6 @@ func WithBacklog(n int) ServerOption {
 	}
 }
 
-// WithStateFlushInterval sets how often Serve spills dirty durable state
-// (estimator checkpoints, valuation memos) to disk. <= 0 keeps the default
-// (1 minute). Inert without a bound state.
-func WithStateFlushInterval(d time.Duration) ServerOption {
-	return func(c *serverConfig) {
-		if d > 0 {
-			c.flushEvery = d
-		}
-	}
-}
-
 // WithSessionHook installs a per-session callback, invoked once per
 // connection after it completes (or is rejected). Sessions run
 // concurrently, so the hook must be safe for concurrent use.
@@ -255,21 +238,13 @@ func WithSessionHook(hook func(SessionEvent)) ServerOption {
 	return func(c *serverConfig) { c.hook = hook }
 }
 
-// WithServerObserver streams every realized round of every session, as the
-// server sees it: quote, bundle, and — in clear settlement mode — gain and
-// payment (zeros under Paillier). The observer is shared across concurrent
-// sessions and must be safe for concurrent use; OnOutcome never fires
-// (use WithSessionHook for completions).
-func WithServerObserver(obs RoundObserver) ServerOption {
-	return func(c *serverConfig) { c.roundObs = obs }
-}
-
 // Server exposes one or more named Engines — a multi-market registry — as
 // a network service speaking the wire protocol. One listener serves every
 // registered market; clients select one in their hello. Construct with
 // NewServer, add markets with Register, then run Serve.
 type Server struct {
-	cfg serverConfig
+	cfg   serverConfig
+	modes []string // the information regimes served, announced in every Hello
 
 	mu      sync.RWMutex
 	markets map[string]*market
@@ -457,14 +432,24 @@ func (s *Server) reapStalled(budget time.Duration) {
 	}
 }
 
+// stateFlushInterval is how often Serve spills a bound state's dirty
+// estimator checkpoints and valuation memos to disk.
+const stateFlushInterval = time.Minute
+
 // NewServer builds an empty multi-market server. Register at least one
 // market before calling Serve.
 func NewServer(opts ...ServerOption) *Server {
-	cfg := serverConfig{ioTimeout: 30 * time.Second, backlog: 128, flushEvery: time.Minute}
+	cfg := serverConfig{ioTimeout: 30 * time.Second, backlog: 128}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Server{cfg: cfg, markets: make(map[string]*market)}
+	// Imperfect sessions train on realized gains, which must cross in clear,
+	// so a Paillier-settling server serves the perfect regime only.
+	modes := []string{wire.ModePerfect}
+	if cfg.secureBits <= 0 {
+		modes = append(modes, wire.ModeImperfect)
+	}
+	return &Server{cfg: cfg, modes: modes, markets: make(map[string]*market)}
 }
 
 // ensureStateLocked resolves the server's durable state on first use:
@@ -550,7 +535,6 @@ func (s *Server) Register(name string, e *Engine) error {
 			return fmt.Errorf("vflmarket: market %q: %w", name, err)
 		}
 	}
-	ds.MaxRounds = s.cfg.maxRounds
 	ds.MaxExplorationRounds = s.cfg.maxExploration
 	ds.MaxReplaySteps = s.cfg.maxReplay
 	// Carry the template's data-party cost model so Case 3 (Eq. 6)
@@ -561,9 +545,6 @@ func (s *Server) Register(name string, e *Engine) error {
 	// carrying it here is what keeps networked imperfect sessions
 	// bit-identical to Engine.BargainImperfect on a mirrored engine.
 	ds.EpsImperfect = e.SessionImperfect().EpsData
-	if obs := s.cfg.roundObs; obs != nil {
-		ds.OnRound = obs.OnRound
-	}
 	var book *ckptBook
 	if st != nil {
 		// The market's estimator checkpoints live in the durable book: the
@@ -777,7 +758,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		flushDone = make(chan struct{})
 		go func() {
 			defer close(flushDone)
-			t := time.NewTicker(s.cfg.flushEvery)
+			t := time.NewTicker(stateFlushInterval)
 			defer t.Stop()
 			for {
 				select {
@@ -854,7 +835,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			// only block momentarily (a worker between sessions).
 			conns <- conn
 		default:
-			s.busy.Add(1)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -905,12 +885,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // the accept loop.
 func (s *Server) rejectBusy(conn net.Conn) {
 	defer conn.Close()
-	busyErr := fmt.Errorf("vflmarket: session pool saturated; retry later")
-	if codec, _, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout); err == nil {
-		wire.SendBusy(codec, "%v", busyErr)
-		wire.Release(codec)
-	}
-	s.notify("", remoteAddr(conn), nil, busyErr)
+	// A failed handshake leaves no codec: the refusal is counted, not sent.
+	codec, _, _ := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
+	s.refuse(codec, remoteAddr(conn), &refusal{kind: wire.KindBusy, err: fmt.Errorf("vflmarket: session pool saturated; retry later")})
+	wire.Release(codec)
 }
 
 // handle completes one connection's handshake on a pool worker, then hands
@@ -922,8 +900,7 @@ func (s *Server) handle(conn net.Conn) {
 	codec, ch, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
 	if err != nil {
 		conn.Close()
-		s.rejected.Add(1)
-		s.notify("", remote, nil, err)
+		s.refuse(nil, remote, reject("", err))
 		return
 	}
 	s.muxWG.Add(1)
@@ -993,143 +970,45 @@ func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello,
 
 // openMux answers a connection's hello. The hello doubles as the listing
 // probe — market resolution included, so a wrong-door dial is redirected
-// before any session starts — and a stats-only hello is answered here. It
-// returns the connection ready to Serve, or nil when the exchange ended at
-// the hello (answered, refused, or failed).
+// before any session starts. It returns the connection ready to Serve, or
+// nil when the exchange ended at the hello (answered, refused, or failed).
 func (s *Server) openMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) *wire.MuxServerConn {
-	notify := func(market string, sum *SessionSummary, err error) {
-		s.notify(market, remote, sum, err)
-	}
-	if s.answeredBeforeMarket(codec, ch, notify) {
-		return nil
-	}
-	mkt, name, markets, ok := s.resolveMarket(codec, ch, notify)
-	if !ok {
-		return nil
-	}
-	_, modes, ok := s.resolveMode(codec, ch, notify)
-	if !ok {
-		return nil
-	}
-	hello, ok := s.marketHello(codec, mkt, name, markets, modes, notify)
-	if !ok {
+	adm := s.admit(codec, ch, remote)
+	if adm == nil {
 		return nil
 	}
 	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.muxSessionCap())
 	if err == nil {
-		err = sc.SendHello(hello)
+		err = sc.SendHello(adm.hello)
 	}
 	if err != nil {
-		s.rejected.Add(1)
-		notify(name, nil, err)
+		s.refuse(nil, remote, reject(adm.name, err))
 		return nil
 	}
-	notify(name, nil, nil) // the probe half: a listing, like ListOnly
+	s.notify(adm.name, remote, nil, nil) // the probe half: a listing, like ListOnly
 	return sc
-}
-
-// answeredBeforeMarket answers what a hello asks before any market is
-// involved, reporting whether it did: an unsupported protocol version is
-// refused, and a stats-only hello gets the metrics snapshot. The stats read
-// resolves no market and opens no session — the rebalancer's periodic poll
-// must stay cheap and must work even when every market is mid-move.
-func (s *Server) answeredBeforeMarket(codec wire.Codec, ch *wire.ClientHello, notify func(string, *SessionSummary, error)) bool {
-	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
-		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion)
-		wire.SendError(codec, "%v", err)
-		notify("", nil, err)
-		return true
-	}
-	if ch.StatsOnly {
-		_ = codec.Send(&wire.Envelope{Kind: wire.KindStats, Stats: s.statsReport()})
-		_ = codec.Flush()
-		notify("", nil, nil)
-		return true
-	}
-	return false
-}
-
-// marketHello builds the resolved market's Hello, answering the refusal
-// itself when the market cannot produce one. In secure mode the Hello
-// carries the market's public key, so this blocks until a background key
-// generation lands (first use only).
-func (s *Server) marketHello(codec wire.Codec, mkt *market, name string, markets, modes []string, notify func(string, *SessionSummary, error)) (*wire.Hello, bool) {
-	hello, err := mkt.ds.Hello()
-	if err != nil {
-		s.rejected.Add(1)
-		wire.SendError(codec, "%v", err)
-		notify(name, nil, err)
-		return nil, false
-	}
-	hello.Version = wire.ProtocolVersion
-	hello.Market = name
-	hello.Markets = markets
-	hello.Modes = modes
-	return hello, true
 }
 
 // serveSession runs one session — one stream of a connection — end to end.
 // The stream is also what a market eviction or the watchdog severs.
 func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote string) {
-	notify := func(market string, sum *SessionSummary, err error) {
-		s.notify(market, remote, sum, err)
-	}
-	if s.answeredBeforeMarket(st, ch, notify) {
+	adm := s.admit(st, ch, remote)
+	if adm == nil {
 		return
 	}
-	mode, modes, ok := s.resolveMode(st, ch, notify)
-	if !ok {
-		return
-	}
-	mkt, name, markets, ok := s.resolveMarket(st, ch, notify)
-	if !ok {
-		return
-	}
-
+	mkt, name := adm.mkt, adm.name
 	// From here the session is the market's: register its stream with the
-	// market so a migration can sever it. A market evicted between lookup
-	// and here answers busy — the redial after backoff gets the redirect.
+	// market so a migration can sever it. A market evicted since it was
+	// resolved answers busy — the redial after backoff gets the redirect.
 	if !mkt.track(st) {
-		s.busy.Add(1)
-		err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-		wire.SendBusy(st, "%v", err)
-		notify(name, nil, err)
+		s.refuse(st, remote, migrating(name))
 		return
 	}
 	defer mkt.untrack(st)
-
-	// The handshake's work factors are client input, so an abusive hello
-	// (exploration rounds or replay budget over the market's caps) is
-	// refused here — with an error envelope in place of the Hello, before
-	// any session state exists — and counted as a rejection, not a failed
-	// session.
-	if mode == wire.ModeImperfect && !ch.ListOnly {
-		if err := mkt.ds.ValidateImperfectHello(ch.Imperfect); err != nil {
-			s.rejected.Add(1)
-			wire.SendError(st, "%v", err)
-			notify(name, nil, err)
-			return
-		}
-		// A resume request is vetted here, while an error envelope can still
-		// take the Hello's place: the wire layer refuses without sending
-		// (its direct callers own the codec), so the frontend speaks.
-		if err := mkt.ds.CheckResume(ch.Imperfect); err != nil {
-			s.rejected.Add(1)
-			wire.SendError(st, "%v", err)
-			notify(name, nil, err)
-			return
-		}
-	}
-
-	hello, ok := s.marketHello(st, mkt, name, markets, modes, notify)
-	if !ok {
-		return
-	}
 	if ch.ListOnly {
-		_ = st.Send(&wire.Envelope{Kind: wire.KindHello, Hello: hello})
+		_ = st.Send(&wire.Envelope{Kind: wire.KindHello, Hello: adm.hello})
 		_ = st.Flush()
-		notify(name, nil, nil)
+		s.notify(name, remote, nil, nil)
 		return
 	}
 
@@ -1149,14 +1028,14 @@ func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote s
 	}
 	var sum *SessionSummary
 	var serr error
-	if mode == wire.ModeImperfect {
+	if adm.imperfect != nil {
 		mkt.imperfect.Add(1)
 		if ch.Imperfect.ResumeRound > 0 {
 			mkt.resumed.Add(1)
 		}
-		sum, serr = mkt.ds.ServeImperfectCodec(sessionCodec, hello, ch.Imperfect)
+		sum, serr = adm.imperfect.Serve(sessionCodec, adm.hello)
 	} else {
-		sum, serr = mkt.ds.ServeCodec(sessionCodec, hello)
+		sum, serr = mkt.ds.ServeCodec(sessionCodec, adm.hello)
 	}
 	mkt.active.Add(-1)
 	s.active.Add(-1)
@@ -1177,48 +1056,140 @@ func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote s
 	case sum != nil && sum.Closed:
 		s.closed.Add(1)
 	}
-	notify(name, sum, serr)
+	s.notify(name, remote, sum, serr)
 }
 
-// resolveMode resolves the information regime the client asked for,
-// answering the refusal itself when unsupported. Imperfect sessions train
-// on realized gains, which must cross in clear, so a Paillier-settling
-// server serves the perfect regime only.
-func (s *Server) resolveMode(codec wire.Codec, ch *wire.ClientHello, notify func(string, *SessionSummary, error)) (string, []string, bool) {
+// admission is a hello the server accepted: the resolved market, the Hello
+// to answer with, and — for an imperfect session — the vetted session
+// ready to serve. A stats-only hello is admitted with its report alone.
+type admission struct {
+	mkt       *market
+	name      string
+	hello     *wire.Hello
+	imperfect *wire.ImperfectSession
+	stats     *wire.StatsReport
+}
+
+// refusal is a hello the server turns away in place of its Hello: the
+// envelope kind that carries it (KindError, KindBusy or KindRedirect), the
+// market it resolved ("" before market selection), and the cause — for a
+// redirect, the *wire.RedirectError naming the owner.
+type refusal struct {
+	kind   wire.Kind
+	market string
+	err    error
+}
+
+// reject is the terminal refusal: an error envelope, ErrRejected on the
+// client.
+func reject(market string, err error) *refusal {
+	return &refusal{kind: wire.KindError, market: market, err: err}
+}
+
+// migrating is the retryable answer for a market that is moving shards.
+func migrating(name string) *refusal {
+	return &refusal{kind: wire.KindBusy, market: name, err: fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)}
+}
+
+// refuse turns a hello away: it counts the refusal, answers it on c in
+// place of the Hello — a nil c means nothing can be framed (the handshake
+// or the Hello write itself failed) — and reports it to the session hook.
+// The count lands before the envelope, so a refused client always finds
+// its refusal in the metrics.
+func (s *Server) refuse(c wire.Codec, remote string, r *refusal) {
+	switch r.kind {
+	case wire.KindBusy:
+		s.busy.Add(1)
+	case wire.KindRedirect:
+		s.redirected.Add(1)
+	default:
+		s.rejected.Add(1)
+	}
+	if c != nil {
+		e := &wire.Envelope{Kind: r.kind}
+		if rd, ok := r.err.(*wire.RedirectError); ok {
+			e.Redirect = &wire.Redirect{Market: rd.Market, Addr: rd.Addr, Epoch: rd.Epoch}
+		} else {
+			e.Err = &wire.ErrorMsg{Msg: r.err.Error()}
+		}
+		_ = c.Send(e)
+		_ = c.Flush()
+	}
+	s.notify(r.market, remote, nil, r.err)
+}
+
+// admit resolves a hello and answers on c whatever ends the exchange at the
+// hello: a refusal or a stats report. It returns the admission when a
+// Hello is still to go out, nil when the exchange is over.
+func (s *Server) admit(c wire.Codec, ch *wire.ClientHello, remote string) *admission {
+	adm, rf := s.resolve(ch)
+	switch {
+	case rf != nil:
+		s.refuse(c, remote, rf)
+		return nil
+	case adm.stats != nil:
+		_ = c.Send(&wire.Envelope{Kind: wire.KindStats, Stats: adm.stats})
+		_ = c.Flush()
+		s.notify("", remote, nil, nil)
+		return nil
+	}
+	return adm
+}
+
+// resolve is the server's one admission sequence, run on the connection
+// hello and on every session hello alike: protocol version, stats read,
+// market, information regime, imperfect vetting, and the market's Hello.
+// It returns the admission or the refusal, and sends nothing — so every
+// refusal, whatever its cause, can still take the Hello's place. The stats
+// read resolves no market and opens no session: the rebalancer's periodic
+// poll must stay cheap and must work even when every market is mid-move.
+func (s *Server) resolve(ch *wire.ClientHello) (*admission, *refusal) {
+	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
+		return nil, reject("", fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion))
+	}
+	if ch.StatsOnly {
+		return &admission{stats: s.statsReport()}, nil
+	}
+	mkt, name, markets, rf := s.resolveMarket(ch)
+	if rf != nil {
+		return nil, rf
+	}
 	mode := ch.Mode
 	if mode == "" {
 		mode = wire.ModePerfect
 	}
-	modes := []string{wire.ModePerfect}
-	if s.cfg.secureBits <= 0 {
-		modes = append(modes, wire.ModeImperfect)
+	if !slices.Contains(s.modes, mode) {
+		return nil, reject(name, fmt.Errorf("vflmarket: unsupported information regime %q (serving %v)", ch.Mode, s.modes))
 	}
-	supported := false
-	for _, m := range modes {
-		supported = supported || m == mode
+	adm := &admission{mkt: mkt, name: name}
+	// The imperfect handshake's seed, target and work factors are client
+	// input: an abusive or unservable ask is refused here, before any
+	// session state exists, and counted as a rejection, not a failed session.
+	if mode == wire.ModeImperfect && !ch.ListOnly {
+		var err error
+		if adm.imperfect, err = mkt.ds.AdmitImperfect(ch.Imperfect); err != nil {
+			return nil, reject(name, err)
+		}
 	}
-	if !supported {
-		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: unsupported information regime %q (serving %v)", ch.Mode, modes)
-		wire.SendError(codec, "%v", err)
-		notify("", nil, err)
-		return "", nil, false
+	// In secure mode the Hello carries the market's public key, so this
+	// blocks until a background key generation lands (first use only).
+	hello, err := mkt.ds.Hello()
+	if err != nil {
+		return nil, reject(name, err)
 	}
-	if mode == wire.ModeImperfect && !ch.ListOnly && ch.Imperfect == nil {
-		s.rejected.Add(1)
-		err := fmt.Errorf("vflmarket: imperfect session opened without parameters (seed, target, exploration rounds)")
-		wire.SendError(codec, "%v", err)
-		notify("", nil, err)
-		return "", nil, false
-	}
-	return mode, modes, true
+	hello.Version = wire.ProtocolVersion
+	hello.Market = name
+	hello.Markets = markets
+	hello.Modes = s.modes
+	adm.hello = hello
+	return adm, nil
 }
 
-// resolveMarket resolves the hello's market against the registry,
-// answering directory redirects, migration busies, and the unknown-market
-// rejection itself. ok=false means the refusal was already sent and
-// counted.
-func (s *Server) resolveMarket(codec wire.Codec, ch *wire.ClientHello, notify func(string, *SessionSummary, error)) (*market, string, []string, bool) {
+// resolveMarket resolves the hello's market against the registry. A
+// market this server does not serve is refused: with a redirect to the
+// owner the directory names, a retryable busy while it migrates, or the
+// terminal unknown-market rejection.
+func (s *Server) resolveMarket(ch *wire.ClientHello) (*market, string, []string, *refusal) {
 	s.mu.RLock()
 	name := ch.Market
 	if name == "" && len(s.order) > 0 {
@@ -1228,7 +1199,7 @@ func (s *Server) resolveMarket(codec wire.Codec, ch *wire.ClientHello, notify fu
 	markets := append([]string(nil), s.order...)
 	s.mu.RUnlock()
 	if mkt != nil {
-		return mkt, name, markets, true
+		return mkt, name, markets, nil
 	}
 	// A directory-attached shard knows where markets it does not serve
 	// live: answer with the owner instead of a terminal rejection. While
@@ -1238,21 +1209,11 @@ func (s *Server) resolveMarket(codec wire.Codec, ch *wire.ClientHello, notify fu
 	if d := s.cfg.directory; d != nil && name != "" {
 		if rt, ok := d.Route(name); ok {
 			if rt.Moving || rt.Addr == "" {
-				s.busy.Add(1)
-				err := fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)
-				wire.SendBusy(codec, "%v", err)
-				notify(name, nil, err)
-				return nil, "", nil, false
+				return nil, "", nil, migrating(name)
 			}
-			s.redirected.Add(1)
-			wire.SendRedirect(codec, &wire.Redirect{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
-			notify(name, nil, &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch})
-			return nil, "", nil, false
+			return nil, "", nil, &refusal{kind: wire.KindRedirect, market: name,
+				err: &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch}}
 		}
 	}
-	s.rejected.Add(1)
-	err := fmt.Errorf("vflmarket: unknown market %q (serving %v)", ch.Market, markets)
-	wire.SendError(codec, "%v", err)
-	notify("", nil, err)
-	return nil, "", nil, false
+	return nil, "", nil, reject("", fmt.Errorf("vflmarket: unknown market %q (serving %v)", ch.Market, markets))
 }
