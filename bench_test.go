@@ -322,8 +322,8 @@ func BenchmarkEngineConstruction(b *testing.B) {
 
 // BenchmarkServiceRoundTrip measures one full networked bargaining session
 // — dial, handshake, quote/offer/settle rounds, teardown — against a
-// loopback multi-market Server, once per codec. Together with
-// BenchmarkBargainBatch it anchors the perf trajectory in BENCH_PR2.json.
+// loopback multi-market Server over the binary mux wire.
+// TestAllocationBudgets holds its allocs/op to a committed budget.
 func BenchmarkServiceRoundTrip(b *testing.B) {
 	engine, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.25), WithSeed(11))
 	if err != nil {
@@ -378,9 +378,7 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 // stream-open envelope on an already-handshaked connection. The sessions
 // use a small candidate-price pool so they close in a few rounds —
 // this benchmark prices the transport, not the game (that is
-// BenchmarkServiceRoundTrip's job). Allocations are reported; together
-// with BenchmarkServiceRoundTrip this anchors the perf trajectory in
-// BENCH_PR8.json.
+// BenchmarkServiceRoundTrip's job). Allocations are reported.
 func BenchmarkBatchOverWire(b *testing.B) {
 	engine, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.25), WithSeed(11))
 	if err != nil {
@@ -480,9 +478,7 @@ func BenchmarkBatchOverWire(b *testing.B) {
 // Allocations are reported; the per-op gap between inline and pooled is
 // the amortized-randomness win, and BenchmarkPaillier{Encrypt,Decrypt} in
 // internal/secure isolate the same effects per primitive (including at
-// 1024-bit production-shaped primes). On a single-core runner the pooled
-// numbers include the background refill competing for the CPU; see
-// EXPERIMENTS.md.
+// 1024-bit production-shaped primes).
 func BenchmarkSecureSettlement(b *testing.B) {
 	quote := core.QuotedPrice{Rate: 9.5, Base: 1.4, High: 3.0}
 	const gain = 0.12
@@ -522,8 +518,9 @@ func BenchmarkSecureSettlement(b *testing.B) {
 
 	b.Run("secure-pooled", func(b *testing.B) {
 		// A prime-only pool (no background workers) refilled outside the
-		// timer isolates the steady-state per-round cost; in production
-		// the refill overlaps bargaining on spare cores instead.
+		// timer isolates the steady-state per-round cost. In production
+		// the pool's workers refill it in the background, within the
+		// process-wide refill budget that leaves one core to the sessions.
 		const chunk = 128 // two draws per round (seal + blind)
 		ns := secure.NewNoiseSource(recv.PublicKey(), chunk, -1, crand.Reader)
 		defer ns.Close()
@@ -574,9 +571,9 @@ func BenchmarkBargainPerfect(b *testing.B) {
 
 // BenchmarkImperfectBargain measures one estimation-based game through the
 // Engine API — exploration, both online estimators, experience replay —
-// the in-process half of the imperfect perf trajectory. Allocations are
-// reported: the batched estimator scans and reused layer buffers are the
-// allocs/op trajectory anchored in BENCH_PR9.json, guarded by CI.
+// the in-process half of the imperfect regime. Allocations are reported:
+// the batched estimator scans and reused layer buffers keep them low, and
+// TestAllocationBudgets holds them to a committed budget.
 func BenchmarkImperfectBargain(b *testing.B) {
 	e, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.5), WithSeed(5))
 	if err != nil {
@@ -630,11 +627,9 @@ func BenchmarkImperfectBatch(b *testing.B) {
 }
 
 // BenchmarkImperfectServiceRoundTrip measures one full networked
-// imperfect-information session — dial, v3 handshake, exploration rounds
+// imperfect-information session — dial, handshake, exploration rounds
 // with per-settlement MSE acks, estimator-driven close, teardown — against
-// a loopback multi-market Server, once per codec. Together with
-// BenchmarkServiceRoundTrip it anchors the service half of the perf
-// trajectory in BENCH_PR3.json.
+// a loopback multi-market Server over the binary mux wire.
 func BenchmarkImperfectServiceRoundTrip(b *testing.B) {
 	engine, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.25), WithSeed(11))
 	if err != nil {

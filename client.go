@@ -136,7 +136,9 @@ func WithIdentity(id string) DialOption { return func(c *dialConfig) { c.identit
 // randomizers when the server settles securely: background workers keep
 // r^n mod n² factors ready for the server's key, so each settled round's
 // encryption costs one modular multiplication in steady state instead of
-// a full-width modexp. All of the client's sessions share the pool. n = 0
+// a full-width modexp. All of the client's sessions share the pool, and
+// its refill shares the process-wide budget of every other pool in the
+// process, which always leaves one core to the sessions. n = 0
 // (the default) keeps the default size (secure.DefaultNoisePool); n < 0
 // disables pooling, restoring the inline modexp per settlement. Inert
 // against clear-settling servers. Call Client.Close to release the pool's

@@ -18,6 +18,11 @@ import (
 // NoiseSource never blocks and never fails where plain encryption would
 // succeed.
 //
+// Every source in the process shares one budget of max(1, GOMAXPROCS−1)
+// concurrent refill modexps (workers and Prime take a slot per factor), so
+// refill never holds every core while a session waits for one. Inline
+// fallback draws are the session's own work and never wait for it.
+//
 // Every pooled factor is consumed by exactly one draw (the pool is a
 // channel, so a randomizer can never be double-spent), and Close stops the
 // workers without stranding callers: encryption keeps working inline on a
@@ -51,14 +56,22 @@ type NoiseStats struct {
 // DefaultNoisePool is the pool size used when a caller passes size <= 0.
 const DefaultNoisePool = 64
 
+// refillSlots is the process-wide refill budget: one slot per refill
+// modexp that may run at once across every NoiseSource, leaving one core
+// to the sessions the pools serve.
+var refillSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+
 // NewNoiseSource builds a pool of up to size precomputed randomizers for
 // the key, filled by the given number of background workers (workers = 0
 // means min(2, GOMAXPROCS); workers < 0 runs no background workers at all
 // — a prime-only pool, for callers that want precomputation strictly at
-// moments they choose via Prime; size <= 0 means DefaultNoisePool). random
-// is the entropy source for both pooled and fallback factors; it must be
-// safe for concurrent use (crypto/rand.Reader is). Callers own the
-// source's lifecycle: Close it when done to release the workers.
+// moments they choose via Prime; size <= 0 means DefaultNoisePool). The
+// workers are this source's goroutines; how many factors compute at once
+// is bounded by the refill budget every source shares. random is the
+// entropy source for both pooled and fallback factors; it must be safe
+// for concurrent use (crypto/rand.Reader is), and a refill reads it while
+// holding a budget slot. Callers own the source's lifecycle: Close it when
+// done to release the workers.
 func NewNoiseSource(pk *PublicKey, size, workers int, random io.Reader) *NoiseSource {
 	if size <= 0 {
 		size = DefaultNoisePool
@@ -89,15 +102,11 @@ func NewNoiseSource(pk *PublicKey, size, workers int, random io.Reader) *NoiseSo
 func (s *NoiseSource) fill() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		rn, err := s.pk.NoiseFactor(s.random)
-		if err != nil {
-			// Entropy failure: stop producing; draws fall back inline and
-			// surface the error to the caller that can handle it.
+		rn, _ := s.refill(context.Background())
+		if rn == nil {
+			// Closed, or an entropy failure: stop producing; draws fall
+			// back inline and surface the error to the caller that can
+			// handle it.
 			return
 		}
 		select {
@@ -109,10 +118,32 @@ func (s *NoiseSource) fill() {
 	}
 }
 
+// refill computes one factor for the pool while holding a slot of the
+// process-wide refill budget, releasing it before the caller blocks on the
+// pool. A closed source computes nothing and returns (nil, nil); waiting
+// for a slot gives way to Close and to ctx, so neither ever waits behind
+// another source's modexp.
+func (s *NoiseSource) refill(ctx context.Context) (*big.Int, error) {
+	select {
+	case <-s.done:
+		return nil, nil
+	default:
+	}
+	select {
+	case refillSlots <- struct{}{}:
+	case <-s.done:
+		return nil, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-refillSlots }()
+	return s.pk.NoiseFactor(s.random)
+}
+
 // Prime fills the pool to capacity from the calling goroutine, returning
 // once it is full (or ctx ends). Servers call it at market registration so
 // the first settlements hit a warm pool instead of racing the background
-// workers.
+// workers. Each factor it computes takes a slot of the refill budget.
 func (s *NoiseSource) Prime(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -128,14 +159,9 @@ func (s *NoiseSource) Prime(ctx context.Context) error {
 		if len(s.pool) == cap(s.pool) {
 			return nil
 		}
-		select {
-		case <-s.done:
-			return nil
-		default:
-		}
-		rn, err := s.pk.NoiseFactor(s.random)
-		if err != nil {
-			return err
+		rn, err := s.refill(ctx)
+		if rn == nil {
+			return err // closed (nil), cancelled, or out of entropy
 		}
 		select {
 		case s.pool <- rn:

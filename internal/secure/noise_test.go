@@ -2,15 +2,19 @@ package secure
 
 // Tests of the randomizer pool: pooled encryption must be indistinguishable
 // from inline encryption to the decryptor, a drained or closed pool must
-// degrade to inline computation (never deadlock), and no pooled randomizer
-// may ever serve two encryptions.
+// degrade to inline computation (never deadlock), no pooled randomizer
+// may ever serve two encryptions, and refill across every pool in the
+// process stays within the shared refill budget.
 
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPooledEncryptMatchesInline(t *testing.T) {
@@ -220,5 +224,113 @@ func TestNoiseStatsCountPooledDraws(t *testing.T) {
 	st := ns.Stats()
 	if st.Pooled == 0 {
 		t.Fatalf("primed pool served no draws: %+v", st)
+	}
+}
+
+// gaugeReader is crypto/rand behind a gauge of reads in flight. A refill
+// reads its entropy inside its budget slot, so the gauge's peak is the
+// most factors that were ever computing at once; each read dwells long
+// enough that unbudgeted workers would overlap.
+type gaugeReader struct{ cur, peak atomic.Int32 }
+
+func (g *gaugeReader) Read(p []byte) (int, error) {
+	n := g.cur.Add(1)
+	defer g.cur.Add(-1)
+	for old := g.peak.Load(); n > old && !g.peak.CompareAndSwap(old, n); old = g.peak.Load() {
+	}
+	time.Sleep(200 * time.Microsecond)
+	return rand.Read(p)
+}
+
+// TestNoiseRefillStaysWithinBudget drains several two-worker pools at once,
+// more workers than the budget has slots, and checks that every pool keeps
+// refilling while no more than cap(refillSlots) factors are ever computed
+// at once across all of them.
+func TestNoiseRefillStaysWithinBudget(t *testing.T) {
+	sk := testKeyPair(t)
+	const size, rounds = 4, 3
+	sources := cap(refillSlots) + 2
+	var gauge gaugeReader
+	var wg sync.WaitGroup
+	for i := 0; i < sources; i++ {
+		ns := NewNoiseSource(&sk.PublicKey, size, 2, &gauge)
+		defer ns.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Pool-only receives: an inline draw would read the gauge
+			// outside the budget.
+			for k := 0; k < rounds*size; k++ {
+				select {
+				case <-ns.pool:
+				case <-time.After(10 * time.Second):
+					t.Errorf("pool stopped refilling after %d factors", k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if peak := gauge.peak.Load(); peak < 1 || int(peak) > cap(refillSlots) {
+		t.Fatalf("peak concurrent refills = %d, budget %d", peak, cap(refillSlots))
+	}
+}
+
+// blockingReader parks every read until release closes, announcing each
+// parked read on entered, so a test can hold refill slots indefinitely.
+type blockingReader struct{ entered, release chan struct{} }
+
+func (b *blockingReader) Read(p []byte) (int, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	<-b.release
+	return rand.Read(p)
+}
+
+// TestNoiseBudgetNeverGatesCloseOrInline occupies every refill slot with
+// a source whose entropy blocks, then checks that another source still
+// encrypts inline on its drained pool, that its Prime honors ctx, and that
+// its Close returns while its workers are waiting for a slot.
+func TestNoiseBudgetNeverGatesCloseOrInline(t *testing.T) {
+	sk := testKeyPair(t)
+	pk := &sk.PublicKey
+	slots := cap(refillSlots)
+	blocker := &blockingReader{entered: make(chan struct{}, slots), release: make(chan struct{})}
+	hog := NewNoiseSource(pk, 4, slots, blocker)
+	defer hog.Close()
+	defer close(blocker.release)
+	for i := 0; i < slots; i++ {
+		select {
+		case <-blocker.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d refill slots taken", i, slots)
+		}
+	}
+
+	ns := NewNoiseSource(pk, 4, 2, rand.Reader)
+	ct, err := ns.Encrypt(big.NewInt(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decryptBothWays(t, sk, ct); got.Int64() != 42 {
+		t.Fatalf("inline encryption decrypted to %v", got)
+	}
+	if st := ns.Stats(); st.Inline != 1 || st.Produced != 0 {
+		t.Fatalf("refill ran without a slot: %+v", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := ns.Prime(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Prime waiting for a slot returned %v", err)
+	}
+
+	closed := make(chan struct{})
+	go func() { ns.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited for another source's refill slot")
 	}
 }

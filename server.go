@@ -181,8 +181,10 @@ func WithEagerSecureKeys() ServerOption {
 
 // WithNoisePool sizes each secure market's pool of precomputed Paillier
 // randomizers (r^n mod n² factors used to blind settlement decryptions).
-// Concurrent sessions of a market share its pool. <= 0 keeps the default
-// (secure.DefaultNoisePool); inert without WithSecureSettlement.
+// Concurrent sessions of a market share its pool. Every pool in the
+// process refills within one shared budget that leaves a core to the
+// sessions, so more markets add stock, not refill cores. <= 0 keeps the
+// default (secure.DefaultNoisePool); inert without WithSecureSettlement.
 func WithNoisePool(n int) ServerOption {
 	return func(c *serverConfig) { c.noisePool = n }
 }
