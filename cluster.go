@@ -470,27 +470,20 @@ func (c *Cluster) Close() error {
 	return c.closeErr
 }
 
-// copyMarketSnapshots carries a market's durable snapshots between shard
-// stores: its Paillier key (keys/<slug>), its estimator checkpoints
-// (estimators/<slug>/), and the shared oracle memo tree (oracle/ — keyed by
-// dataset config, not market, so extra entries are harmless and warm the
-// destination). Each snapshot passes the source store's checksum on the way
-// out and lands through the destination store's fsynced atomic rename, so a
-// crash mid-copy never leaves a torn snapshot behind. A corrupt source
-// snapshot is skipped: the destination would quarantine it as a cold miss
-// anyway. Memory-only shards, or shards sharing one directory, are a no-op.
+// copyMarketSnapshots carries a market's durable snapshots (see
+// MarketState.snapshots) between shard stores. Each snapshot passes the
+// source store's checksum on the way out and lands through the destination
+// store's fsynced atomic rename, so a crash mid-copy never leaves a torn
+// snapshot behind. A corrupt source snapshot is skipped: the destination
+// would quarantine it as a cold miss anyway. Memory-only shards, or shards
+// sharing one directory, are a no-op.
 func copyMarketSnapshots(src, dst *MarketState, market string) error {
 	if src == nil || dst == nil || src.dir == dst.dir {
 		return nil
 	}
-	slug := marketSlug(market)
-	names := []string{"keys/" + slug}
-	for _, prefix := range []string{"estimators/" + slug + "/", "oracle/"} {
-		listed, err := src.st.List(prefix)
-		if err != nil {
-			return err
-		}
-		names = append(names, listed...)
+	names, err := src.snapshots(market)
+	if err != nil {
+		return err
 	}
 	for _, name := range names {
 		payload, version, err := src.st.Load(name, math.MaxUint32)

@@ -69,8 +69,15 @@ func main() {
 			opts = append(opts, vflmarket.WithEagerSecureKeys())
 		}
 	}
+	// One state handle serves the server and every engine: they share its
+	// valuation-cache registry, and one flush spills everything.
+	var state *vflmarket.MarketState
 	if *stateDir != "" {
-		opts = append(opts, vflmarket.WithStateDir(*stateDir))
+		var err error
+		if state, err = vflmarket.OpenMarketState(*stateDir); err != nil {
+			log.Fatal(err)
+		}
+		opts = append(opts, vflmarket.WithMarketState(state))
 	}
 	if *verbose {
 		opts = append(opts, vflmarket.WithSessionHook(func(ev vflmarket.SessionEvent) {
@@ -98,7 +105,7 @@ func main() {
 			Seed:      *seed,
 			Scale:     *scale,
 			Synthetic: *synthetic,
-			StateDir:  *stateDir,
+			State:     state,
 		})
 		if err != nil {
 			log.Fatal(err)

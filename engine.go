@@ -42,9 +42,8 @@ func WithValuationWorkers(n int) Option {
 // WithState binds the engine to a durable MarketState: its valuation
 // oracle is resolved through the state's registry — preloading any memo a
 // previous process flushed, so a warm store prices the catalog with zero
-// new trainings — and Engine.FlushState spills the memo back. Most callers
-// want Config.StateDir (or the server's WithStateDir) instead; an explicit
-// handle is for tests simulating restarts with OpenMarketState.
+// new trainings — and Engine.FlushState spills the memo back. Hand the
+// server (WithMarketState) the same handle.
 func WithState(ms *MarketState) Option { return func(c *Config) { c.State = ms } }
 
 // Engine is a built market environment — the data party's priced catalog
@@ -97,24 +96,17 @@ func NewEngineFromConfig(cfg Config) (*Engine, error) {
 		p.GainSource = exp.GainSynthetic
 	}
 	p.ValuationWorkers = cfg.ValuationWorkers
-	ms := cfg.State
-	if ms == nil && cfg.StateDir != "" {
-		var err error
-		if ms, err = SharedMarketState(cfg.StateDir); err != nil {
-			return nil, err
-		}
-	}
-	if ms != nil {
+	if cfg.State != nil {
 		// Route the valuation oracle through the durable registry BEFORE the
 		// environment prices its catalog: a warm store then answers every
 		// pre-pricing valuation from the preloaded memo, with zero trainings.
-		p.Registry = ms.Registry()
+		p.Registry = cfg.State.Registry()
 	}
 	env, err := exp.BuildEnv(p, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{env: env, state: ms}, nil
+	return &Engine{env: env, state: cfg.State}, nil
 }
 
 // State returns the durable MarketState the engine was bound to, nil for a

@@ -31,8 +31,8 @@ var one = big.NewInt(1)
 const MinKeyBits = 128
 
 // ValidateKeyBits rejects key sizes below MinKeyBits. It is the synchronous
-// half of key generation: callers that generate keys asynchronously (see
-// AsyncKey) run it up front so a bad size fails fast instead of inside a
+// half of key generation: a RotatingKey that generates its boot key in the
+// background runs it up front, so a bad size fails fast instead of inside a
 // background goroutine.
 func ValidateKeyBits(bits int) error {
 	if bits < MinKeyBits {

@@ -5,26 +5,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"log"
 	"math/big"
 	"sync"
 
 	"repro/internal/store"
 )
-
-// KeyStore is the slice of the durable store key persistence needs: named,
-// versioned payloads. *store.Store satisfies it.
-type KeyStore interface {
-	Save(name string, version uint32, payload []byte) error
-	Load(name string, maxVersion uint32) (payload []byte, version uint32, err error)
-}
-
-// Quarantiner is the optional KeyStore extension that moves a damaged
-// snapshot aside. *store.Store satisfies it; backends without it simply
-// leave corrupt files in place (they still load cold).
-type Quarantiner interface {
-	Quarantine(name string) error
-}
 
 // keySchemaVersion is the payload schema of a persisted key record.
 const keySchemaVersion = 1
@@ -43,18 +28,23 @@ func (sk *PrivateKey) Primes() (p, q *big.Int) {
 	return new(big.Int).Set(sk.p), new(big.Int).Set(sk.q)
 }
 
-// RotatingKey is a KeyProvider whose key can be replaced at runtime and,
-// optionally, persisted. Key always returns the current generation's key
-// (blocking until the first generation lands); Rotate synchronously
-// generates a fresh pair, makes it current, and persists it. Sessions that
-// captured the previous key keep decrypting with it — rotation changes what
-// new sessions are announced, it does not revoke in-flight ones; the wire
-// layer drains old-key sessions against their captured key state.
+// RotatingKey is a market's Paillier key pair: generated at boot (in the
+// background, or eagerly), optionally persisted, and replaceable at
+// runtime. Key always returns the current generation's key (blocking until
+// the first generation lands); Rotate synchronously generates a fresh pair,
+// persists it, and makes it current. Sessions that captured the previous
+// key keep decrypting with it — rotation changes what new sessions are
+// announced, it does not revoke in-flight ones; the wire layer drains
+// old-key sessions against their captured key state.
 type RotatingKey struct {
 	random io.Reader
 	bits   int
-	st     KeyStore // nil: rotation without persistence
+	st     *store.Store // nil: memory-only
 	name   string
+
+	// rot serializes rotations from key generation through install, so k
+	// concurrent Rotates advance the generation by exactly k.
+	rot sync.Mutex
 
 	mu       sync.Mutex
 	ready    chan struct{} // closed once the first generation lands
@@ -64,8 +54,9 @@ type RotatingKey struct {
 	restored bool
 }
 
-// Key implements KeyProvider: the current generation's key, blocking until
-// the first generation lands.
+// Key returns the current generation's key, blocking until the first
+// generation lands. Every call between rotations returns the same key (or
+// the same boot error).
 func (r *RotatingKey) Key() (*PrivateKey, error) {
 	<-r.ready
 	r.mu.Lock()
@@ -112,52 +103,48 @@ func (r *RotatingKey) install(sk *PrivateKey, gen int, restored bool) error {
 }
 
 // Rotate synchronously generates a fresh key pair, persists it, and makes
-// it the provider's current key. The previous key remains valid for
-// sessions that already captured it.
+// it the current key. The previous key remains valid for sessions that
+// already captured it. Concurrent rotations run one after another.
 func (r *RotatingKey) Rotate() (*PrivateKey, error) {
 	<-r.ready // never interleave with boot generation
+	r.rot.Lock()
+	defer r.rot.Unlock()
 	sk, err := GenerateKey(r.random, r.bits)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	gen := r.gen + 1
-	r.mu.Unlock()
-	if err := r.install(sk, gen, false); err != nil {
+	if err := r.install(sk, r.Generation()+1, false); err != nil {
 		return nil, err
 	}
 	return sk, nil
 }
 
-// NewRotatingKey builds a rotation-capable provider without persistence:
-// the boot key generates in the background like AsyncKey.
+// NewRotatingKey builds a memory-only key whose boot key generates in the
+// background.
 func NewRotatingKey(random io.Reader, bits int) (*RotatingKey, error) {
 	return PersistedKey(nil, "", random, bits, false)
 }
 
-// PersistedKey builds a rotation-capable provider backed by the store: the
-// boot key is loaded from st (validated; a corrupt or missing record means
-// a cold start) or generated — in the background, unless eager — and every
-// installed key is written back, so a restarted market re-announces the
-// same modulus its clients knew. st may be nil for memory-only rotation.
-func PersistedKey(st KeyStore, name string, random io.Reader, bits int, eager bool) (*RotatingKey, error) {
+// PersistedKey builds a key backed by the store under the snapshot name:
+// the boot key is restored from st (a damaged, missing or mismatched record
+// means a cold start) or generated — in the background, unless eager — and
+// every installed key is written back, so a restarted market re-announces
+// the same modulus its clients knew. A nil st keeps the key in memory only.
+// The key size is validated synchronously either way.
+func PersistedKey(st *store.Store, name string, random io.Reader, bits int, eager bool) (*RotatingKey, error) {
 	if err := ValidateKeyBits(bits); err != nil {
 		return nil, err
 	}
 	r := &RotatingKey{random: random, bits: bits, st: st, name: name, ready: make(chan struct{})}
 	boot := func() error {
 		defer close(r.ready)
-		if sk, gen, ok := r.load(); ok {
-			return r.install(sk, gen, true)
-		}
-		sk, err := GenerateKey(random, bits)
+		err := r.bootKey()
 		if err != nil {
 			r.mu.Lock()
 			r.err = err
 			r.mu.Unlock()
-			return err
 		}
-		return r.install(sk, 1, false)
+		return err
 	}
 	if eager {
 		if err := boot(); err != nil {
@@ -169,35 +156,46 @@ func PersistedKey(st KeyStore, name string, random io.Reader, bits int, eager bo
 	return r, nil
 }
 
-// load reads and validates the persisted key record. Any failure — missing,
-// corrupt, wrong bit size, composite factors — reports ok=false and the
-// provider generates fresh.
-func (r *RotatingKey) load() (sk *PrivateKey, gen int, ok bool) {
+// bootKey installs the boot key: the persisted one, else a fresh one.
+func (r *RotatingKey) bootKey() error {
+	if sk, gen := r.load(); sk != nil {
+		return r.install(sk, gen, true)
+	}
+	sk, err := GenerateKey(r.random, r.bits)
+	if err != nil {
+		return err
+	}
+	return r.install(sk, 1, false)
+}
+
+// load restores the persisted key record, nil on any miss. A record that
+// does not decode to a valid key is damage, quarantined by the store; a
+// valid record of another bit size is a plain miss and stays put until the
+// fresh key overwrites it.
+func (r *RotatingKey) load() (sk *PrivateKey, gen int) {
 	if r.st == nil {
-		return nil, 0, false
+		return nil, 0
 	}
-	payload, _, err := r.st.Load(r.name, keySchemaVersion)
-	if err != nil {
-		// A damaged key snapshot is quarantined aside (when the backend can)
-		// so the fresh key about to be generated and persisted is not
-		// shadowed by the corpse, and the operator sees the disposition.
-		if q, ok := r.st.(Quarantiner); ok && store.IsCorrupt(err) {
-			if qerr := q.Quarantine(r.name); qerr == nil {
-				log.Printf("secure: quarantined corrupt key snapshot %s: %v", r.name, err)
-			}
+	err := r.st.Restore(r.name, keySchemaVersion, func(payload []byte) error {
+		var rec keyRecord
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+			return err
 		}
-		return nil, 0, false
-	}
-	var rec keyRecord
-	if gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec) != nil {
-		return nil, 0, false
-	}
-	if rec.Bits != r.bits || rec.Generation < 1 {
-		return nil, 0, false
-	}
-	sk, err = NewPrivateKeyFromPrimes(new(big.Int).SetBytes(rec.P), new(big.Int).SetBytes(rec.Q))
+		if rec.Bits != r.bits {
+			return nil
+		}
+		if rec.Generation < 1 {
+			return fmt.Errorf("secure: key record generation %d", rec.Generation)
+		}
+		k, err := NewPrivateKeyFromPrimes(new(big.Int).SetBytes(rec.P), new(big.Int).SetBytes(rec.Q))
+		if err != nil {
+			return err
+		}
+		sk, gen = k, rec.Generation
+		return nil
+	})
 	if err != nil {
-		return nil, 0, false
+		return nil, 0
 	}
-	return sk, rec.Generation, true
+	return sk, gen
 }

@@ -3,6 +3,7 @@ package secure
 import (
 	"crypto/rand"
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/store"
@@ -103,5 +104,87 @@ func TestPersistedKeyCorruptRecordBootsCold(t *testing.T) {
 	}
 	if sk1.N.Cmp(sk2.N) == 0 {
 		t.Fatal("corrupt record somehow reproduced the key")
+	}
+}
+
+// TestRotatingKeyBoot: the boot key generates in the background (Key
+// blocks until it lands) or eagerly (ready on return), and every call
+// returns the same working key.
+func TestRotatingKeyBoot(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		eager bool
+	}{{"background", false}, {"eager", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, err := PersistedKey(nil, "", rand.Reader, MinKeyBits, tc.eager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.eager && k.Generation() != 1 {
+				t.Fatalf("eager key not ready on return: generation %d", k.Generation())
+			}
+			k1, err := k.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k2, err := k.Key()
+			if err != nil || k1 != k2 {
+				t.Fatalf("Key returned different keys: %p vs %p (%v)", k1, k2, err)
+			}
+			if k.Restored() {
+				t.Fatal("memory-only key reported restored")
+			}
+			ct, err := k1.Encrypt(rand.Reader, big.NewInt(99))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := k1.Decrypt(ct); err != nil || got.Int64() != 99 {
+				t.Fatalf("key round trip: %v, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestRotatingKeyValidatesBitsSynchronously: a weak size is refused at
+// construction, never inside the background generation.
+func TestRotatingKeyValidatesBitsSynchronously(t *testing.T) {
+	for _, eager := range []bool{false, true} {
+		if _, err := PersistedKey(nil, "", rand.Reader, 64, eager); err == nil {
+			t.Fatalf("PersistedKey(eager=%v) accepted a weak key size", eager)
+		}
+	}
+	if _, err := NewRotatingKey(rand.Reader, 64); err == nil {
+		t.Fatal("NewRotatingKey accepted a weak key size")
+	}
+}
+
+// TestRotateConcurrentAdvancesGenerationByK: k concurrent Rotates run one
+// after another, so the generation advances by exactly k and the store
+// holds the key Key returns.
+func TestRotateConcurrentAdvancesGenerationByK(t *testing.T) {
+	st, _ := store.Open(t.TempDir())
+	k, err := PersistedKey(st, "keys/m", rand.Reader, MinKeyBits, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rotations = 4
+	var wg sync.WaitGroup
+	for i := 0; i < rotations; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := k.Rotate(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if g := k.Generation(); g != 1+rotations {
+		t.Fatalf("generation = %d after %d concurrent rotations, want %d", g, rotations, 1+rotations)
+	}
+	live, _ := k.Key()
+	restarted, _ := PersistedKey(st, "keys/m", rand.Reader, MinKeyBits, true)
+	if stored, _ := restarted.Key(); stored.N.Cmp(live.N) != 0 {
+		t.Fatal("the store does not hold the live key")
 	}
 }

@@ -16,7 +16,8 @@
 // renamed into place, so a crash mid-write never corrupts the previous
 // snapshot. Reads verify magic, versions, length, and checksum and fail with
 // a distinct sentinel error per corruption class (ErrTruncated, ErrChecksum,
-// ErrVersion, ErrMagic); callers treat any load failure as a cold start, so
+// ErrVersion, ErrMagic). Callers read state back through Restore, which
+// also quarantines damaged files, and treat any failure as a cold start, so
 // a damaged or future-format file degrades service state to "freshly
 // booted", never to a crash.
 package store
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -233,6 +235,35 @@ func decode(raw []byte, name string, maxVersion uint32) ([]byte, uint32, error) 
 // a rollback still needs. Absence is not corruption either.
 func IsCorrupt(err error) bool {
 	return errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrMagic)
+}
+
+// Restore loads the named snapshot and hands its payload to decode: the one
+// way durable state is read back. A missing snapshot, or one written by a
+// newer format or schema, is a plain miss and is left in place. A damaged
+// one (a torn or bit-rotted frame, or a payload decode rejects) is
+// quarantined and logged, so the fresh snapshot the caller writes next is
+// not shadowed by it. Every miss returns an error, which the caller treats
+// as a cold start. A decoded record that belongs to another configuration
+// is the caller's plain miss: decode should accept it and let the caller
+// ignore it.
+func (s *Store) Restore(name string, maxVersion uint32, decode func(payload []byte) error) error {
+	payload, _, err := s.Load(name, maxVersion)
+	switch {
+	case err == nil:
+		derr := decode(payload)
+		if derr == nil {
+			return nil
+		}
+		err = fmt.Errorf("store: decode %s: %w", name, derr)
+	case !IsCorrupt(err):
+		return err
+	}
+	if qerr := s.Quarantine(name); qerr != nil {
+		log.Printf("store: snapshot %s damaged (%v); quarantine failed: %v", name, err, qerr)
+	} else {
+		log.Printf("store: quarantined damaged snapshot %s: %v", name, err)
+	}
+	return err
 }
 
 // Quarantine moves a damaged snapshot aside instead of deleting it: the

@@ -212,6 +212,63 @@ func TestQuarantine(t *testing.T) {
 	}
 }
 
+// TestRestoreDisposition: Restore hands a verified payload to decode, and
+// quarantines (and counts) both a damaged frame and a payload decode
+// rejects; a missing snapshot or a newer schema is a miss left in place.
+func TestRestoreDisposition(t *testing.T) {
+	errUndecodable := errors.New("payload does not decode")
+	for _, tc := range []struct {
+		name        string
+		plant       func(s *Store, name string) error
+		decodeErr   error
+		wantErr     error // nil: Restore succeeds
+		quarantined bool
+	}{
+		{"decodes", saveV(1), nil, nil, false},
+		{"undecodable", saveV(1), errUndecodable, errUndecodable, true},
+		{"torn-frame", func(s *Store, name string) error {
+			if err := os.MkdirAll(filepath.Dir(s.Path(name)), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(s.Path(name), []byte("not a snapshot"), 0o644)
+		}, nil, ErrMagic, true},
+		{"future-schema", saveV(2), nil, ErrVersion, false},
+		{"missing", func(*Store, string) error { return nil }, nil, ErrNotExist, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := Open(t.TempDir())
+			const name = "keys/m"
+			if err := tc.plant(s, name); err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			err := s.Restore(name, 1, func(p []byte) error {
+				got = append([]byte(nil), p...)
+				return tc.decodeErr
+			})
+			if tc.wantErr == nil {
+				if err != nil || string(got) != "payload" {
+					t.Fatalf("Restore = %v, payload %q", err, got)
+				}
+			} else if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Restore = %v, want %v", err, tc.wantErr)
+			}
+			_, sidecar := os.Stat(s.Path(name) + ".corrupt")
+			if (sidecar == nil) != tc.quarantined {
+				t.Fatalf("quarantine sidecar present = %v, want %v", sidecar == nil, tc.quarantined)
+			}
+			if want := map[bool]uint64{false: 0, true: 1}[tc.quarantined]; s.Quarantined() != want {
+				t.Fatalf("Quarantined() = %d, want %d", s.Quarantined(), want)
+			}
+		})
+	}
+}
+
+// saveV plants a well-framed snapshot of the given payload schema.
+func saveV(version uint32) func(*Store, string) error {
+	return func(s *Store, name string) error { return s.Save(name, version, []byte("payload")) }
+}
+
 // TestGoldenFormat pins the on-disk byte layout to a checked-in fixture:
 // if the framing ever changes (magic, header layout, checksum polynomial),
 // this test fails and forces a deliberate container-version bump instead of

@@ -6,26 +6,10 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"log"
 	"sync"
 
 	"repro/internal/store"
 )
-
-// Snapshots is the slice of the durable store the registry needs: named,
-// versioned payloads. *store.Store satisfies it; a nil Snapshots makes the
-// registry memory-only (sharing without persistence).
-type Snapshots interface {
-	Save(name string, version uint32, payload []byte) error
-	Load(name string, maxVersion uint32) (payload []byte, version uint32, err error)
-}
-
-// Quarantiner is the optional Snapshots extension that moves a damaged
-// snapshot aside. *store.Store satisfies it; backends without it leave
-// corrupt files in place (they still load cold).
-type Quarantiner interface {
-	Quarantine(name string) error
-}
 
 // memoSchemaVersion is the payload schema of a persisted oracle memo.
 const memoSchemaVersion = 1
@@ -44,11 +28,12 @@ type memoFile struct {
 // that determines a gain value: dataset, oracle seed, and training config
 // (see bundlekey.Fields) — so two engines over the same data reuse one
 // oracle and every VFL course trains at most once per process. With a
-// Snapshots backend, each oracle's memo is pre-loaded when the oracle is
+// snapshot store, each oracle's memo is pre-loaded when the oracle is
 // first registered and spilled back on Flush, so a restarted process
 // answers valuations warm from its first session.
 type Registry struct {
-	st Snapshots
+	st     *store.Store
+	prefix string
 
 	mu      sync.Mutex
 	oracles map[string]*GainOracle
@@ -56,22 +41,22 @@ type Registry struct {
 	restored int
 }
 
-// NewRegistry builds a registry over the given snapshot backend (nil for
-// memory-only sharing).
-func NewRegistry(st Snapshots) *Registry {
-	return &Registry{st: st, oracles: make(map[string]*GainOracle)}
+// NewRegistry builds a registry whose memos persist in st under the
+// snapshot-name prefix (nil st for memory-only sharing).
+func NewRegistry(st *store.Store, prefix string) *Registry {
+	return &Registry{st: st, prefix: prefix, oracles: make(map[string]*GainOracle)}
 }
 
 // memoName maps an oracle key to its snapshot name: keys are free-form, so
 // they are digested into a fixed filename-safe form.
-func memoName(key string) string {
+func (r *Registry) memoName(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return "oracle/" + hex.EncodeToString(sum[:12])
+	return r.prefix + hex.EncodeToString(sum[:12])
 }
 
 // Oracle returns the registry's oracle for key, building it with build on
 // first use. The first registration also pre-loads the oracle's persisted
-// memo, if any — a corrupt, missing, or mismatched snapshot simply loads
+// memo, if any — a damaged, missing, or mismatched snapshot simply loads
 // nothing (cold start). The boolean reports whether an existing oracle was
 // shared (true) or build ran (false).
 func (r *Registry) Oracle(key string, build func() *GainOracle) (*GainOracle, bool) {
@@ -88,19 +73,14 @@ func (r *Registry) Oracle(key string, build func() *GainOracle) (*GainOracle, bo
 	o := build()
 	n := 0
 	if r.st != nil {
-		name := memoName(key)
-		if payload, _, err := r.st.Load(name, memoSchemaVersion); err == nil {
-			var f memoFile
-			if gob.NewDecoder(bytes.NewReader(payload)).Decode(&f) == nil && f.Key == key {
-				n = o.ImportMemo(f.Memo)
-			}
-		} else if q, ok := r.st.(Quarantiner); ok && store.IsCorrupt(err) {
-			// A damaged memo loads cold either way; quarantining it aside
-			// keeps the next Flush's snapshot from racing a stale corpse and
-			// leaves the bytes for forensics.
-			if qerr := q.Quarantine(name); qerr == nil {
-				log.Printf("vfl: quarantined corrupt oracle memo %s: %v", name, err)
-			}
+		var f memoFile
+		err := r.st.Restore(r.memoName(key), memoSchemaVersion, func(p []byte) error {
+			return gob.NewDecoder(bytes.NewReader(p)).Decode(&f)
+		})
+		// A memo stored under another key (a digest collision, or a renamed
+		// dataset reusing the file) is a miss, not damage: it stays put.
+		if err == nil && f.Key == key {
+			n = o.ImportMemo(f.Memo)
 		}
 	}
 
@@ -139,7 +119,7 @@ func (r *Registry) Flush() error {
 			}
 			continue
 		}
-		if err := r.st.Save(memoName(keys[i]), memoSchemaVersion, buf.Bytes()); err != nil && first == nil {
+		if err := r.st.Save(r.memoName(keys[i]), memoSchemaVersion, buf.Bytes()); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -14,7 +14,7 @@ func fakeOracle() *GainOracle {
 }
 
 func TestRegistrySharesOracles(t *testing.T) {
-	r := NewRegistry(nil)
+	r := NewRegistry(nil, "")
 	built := 0
 	build := func() *GainOracle { built++; return fakeOracle() }
 	a, shared := r.Oracle("k1", build)
@@ -42,7 +42,7 @@ func TestRegistrySpillAndPreload(t *testing.T) {
 	}
 
 	// First process: train (simulated via import), flush.
-	r1 := NewRegistry(st)
+	r1 := NewRegistry(st, "oracle/")
 	o1, _ := r1.Oracle("titanic|forest|seed:1", fakeOracle)
 	o1.ImportMemo(MemoSnapshot{
 		Baseline:    0.61,
@@ -55,7 +55,7 @@ func TestRegistrySpillAndPreload(t *testing.T) {
 
 	// Second process (fresh registry over the same dir): warm from disk.
 	st2, _ := store.Open(dir)
-	r2 := NewRegistry(st2)
+	r2 := NewRegistry(st2, "oracle/")
 	o2, shared := r2.Oracle("titanic|forest|seed:1", fakeOracle)
 	if shared {
 		t.Fatal("fresh registry cannot share")
@@ -80,7 +80,7 @@ func TestRegistrySpillAndPreload(t *testing.T) {
 	}
 
 	// A different key loads nothing from that snapshot.
-	r3 := NewRegistry(st2)
+	r3 := NewRegistry(st2, "oracle/")
 	o3, _ := r3.Oracle("credit|forest|seed:1", fakeOracle)
 	if o3.CacheSize() != 0 {
 		t.Fatal("foreign key preloaded another oracle's memo")
@@ -90,7 +90,7 @@ func TestRegistrySpillAndPreload(t *testing.T) {
 func TestRegistryCorruptSnapshotLoadsCold(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := store.Open(dir)
-	r1 := NewRegistry(st)
+	r1 := NewRegistry(st, "oracle/")
 	o1, _ := r1.Oracle("k", fakeOracle)
 	o1.ImportMemo(MemoSnapshot{Gains: map[string]float64{"5": 0.5}})
 	if err := r1.Flush(); err != nil {
@@ -105,7 +105,7 @@ func TestRegistryCorruptSnapshotLoadsCold(t *testing.T) {
 	if err := truncateFile(path, 10); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRegistry(st)
+	r2 := NewRegistry(st, "oracle/")
 	o2, _ := r2.Oracle("k", fakeOracle)
 	if o2.CacheSize() != 0 || r2.Restored() != 0 {
 		t.Fatal("corrupt snapshot must load cold")

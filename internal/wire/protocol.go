@@ -46,8 +46,8 @@
 // their rounds: Settle(n) and Quote(n+1) leave in one write, and the
 // settlement Ack is read together with the next Offer.
 //
-// Secure key handling is pipelined: the server's Paillier key pair comes
-// from a secure.KeyProvider (generation runs off the registration path;
+// Secure key handling is pipelined: the server's Paillier key pair is a
+// secure.RotatingKey (generation runs off the registration path;
 // the first Hello of a market blocks until it lands), clients rebuild the
 // public key from Hello.PubN via secure.NewPublicKey, and both endpoints
 // draw precomputed r^n randomizers from secure.NoiseSource pools — the

@@ -12,12 +12,16 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/secure"
+	"repro/internal/store"
 )
 
 // memCheckpoints is an in-memory SellerCheckpoints registry that counts
@@ -333,3 +337,80 @@ func TestWireKeyRotationDrainsOldSessions(t *testing.T) {
 		t.Fatalf("twice-rotated key settled: %v", srvErr)
 	}
 }
+
+// TestWireConcurrentKeyRotation: concurrent RotateKey calls on a persisted
+// key run one after another — k of them advance the generation by exactly
+// k, the live Hello announces the modulus a restart restores from the
+// store, and no replaced generation's pool refill goroutine outlives Close.
+func TestWireConcurrentKeyRotation(t *testing.T) {
+	cat, cfg, _ := buildMarket(t, 53)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pools are told apart by the NoiseSource each refill goroutine
+	// serves, so pools other tests left running never count. Several
+	// snapshots make sure each of those pools is seen.
+	others := map[string]bool{}
+	for i := 0; i < 5; i++ {
+		for _, p := range fillPools() {
+			others[p] = true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fillers := func() (n int) {
+		for _, p := range fillPools() {
+			if !others[p] {
+				n++
+			}
+		}
+		return n
+	}
+	keys, err := secure.PersistedKey(st, "keys/m", rand.Reader, 128, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewDataServerWithKeys(cat, cfg.EpsData, keys)
+
+	const k = 4
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.RotateKey(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if g := keys.Generation(); g != 1+k {
+		t.Fatalf("generation = %d after %d concurrent rotations, want %d", g, k, 1+k)
+	}
+	restarted, err := secure.PersistedKey(st, "keys/m", rand.Reader, 128, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := restarted.Key()
+	if !bytes.Equal(mustHello(t, srv).PubN, stored.N.Bytes()) {
+		t.Fatal("live Hello announces a modulus the store does not hold")
+	}
+
+	srv.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for fillers() > 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := fillers(); n > 0 {
+		t.Fatalf("%d pool refill goroutines outlived Close", n)
+	}
+}
+
+// fillPools lists, per live pool refill goroutine, the NoiseSource it
+// serves.
+func fillPools() []string {
+	buf := make([]byte, 1<<20)
+	return fillFrame.FindAllString(string(buf[:runtime.Stack(buf, true)]), -1)
+}
+
+var fillFrame = regexp.MustCompile(`\(\*NoiseSource\)\.fill\(0x[0-9a-f]+\)`)

@@ -24,10 +24,10 @@ type DataServer struct {
 	// falls back to EpsData.
 	EpsImperfect float64
 	// Secure enables Paillier settlement: the server publishes the public
-	// key in Hello and refuses cleartext settlements. The key pair comes
-	// from the key provider (NewDataServer starts an asynchronous
-	// generation so construction never blocks on prime search; see
-	// NewDataServerWithKeys for eager or imported keys).
+	// key in Hello and refuses cleartext settlements. The key pair is a
+	// secure.RotatingKey (NewDataServer generates one in the background so
+	// construction never blocks on prime search; NewDataServerWithKeys
+	// takes an eager or persisted one).
 	Secure bool
 	// NoisePool sizes the per-server pool of precomputed decryption
 	// blinding factors (see secure.NoiseSource); concurrent secure
@@ -58,7 +58,11 @@ type DataServer struct {
 	// store.
 	Checkpoints SellerCheckpoints
 
-	keys secure.KeyProvider
+	keys *secure.RotatingKey
+	// rotMu serializes RotateKey from key generation through the swap of
+	// secCur/secOld, so concurrent rotations neither skip a generation nor
+	// strand a replaced generation's pool unclosed.
+	rotMu sync.Mutex
 
 	// secCur/secOld are the decryption machinery of the current and the
 	// previous key generation: settled ciphertexts are blinded with pooled
@@ -130,7 +134,7 @@ func NewDataServer(cat *core.Catalog, epsData float64, secureMode bool, keyBits 
 	if !secureMode {
 		return &DataServer{Catalog: cat, EpsData: epsData}, nil
 	}
-	keys, err := secure.AsyncKey(rand.Reader, keyBits)
+	keys, err := secure.NewRotatingKey(rand.Reader, keyBits)
 	if err != nil {
 		return nil, err
 	}
@@ -138,17 +142,17 @@ func NewDataServer(cat *core.Catalog, epsData float64, secureMode bool, keyBits 
 }
 
 // NewDataServerWithKeys builds a Paillier-settling server over the catalog
-// with an explicit key provider — secure.StaticKey or secure.EagerKey for
-// deterministic tests and imported keys, secure.AsyncKey (what
-// NewDataServer uses) to keep prime search off the construction path.
-func NewDataServerWithKeys(cat *core.Catalog, epsData float64, keys secure.KeyProvider) *DataServer {
+// with an explicit key: secure.PersistedKey for an eager or persisted one,
+// secure.NewRotatingKey (what NewDataServer uses) to keep prime search off
+// the construction path.
+func NewDataServerWithKeys(cat *core.Catalog, epsData float64, keys *secure.RotatingKey) *DataServer {
 	return &DataServer{Catalog: cat, EpsData: epsData, Secure: true, keys: keys}
 }
 
 // key resolves the server's key pair, blocking on an in-flight generation.
 func (s *DataServer) key() (*secure.PrivateKey, error) {
 	if s.keys == nil {
-		return nil, fmt.Errorf("wire: secure server has no key provider")
+		return nil, fmt.Errorf("wire: secure server has no key")
 	}
 	return s.keys.Key()
 }
@@ -214,29 +218,25 @@ func (s *DataServer) secureFor(pubN []byte) (*secureState, error) {
 	return nil, fmt.Errorf("wire: session key rotated away; reconnect under the current key")
 }
 
-// RotateKey rotates the server's Paillier key pair: the provider generates
-// and persists a fresh pair (it must support rotation — secure.RotatingKey
-// and PersistedKey do), new sessions are announced the fresh modulus in
+// RotateKey rotates the server's Paillier key pair: the key generates and
+// persists a fresh pair, new sessions are announced the fresh modulus in
 // their Hello, and sessions opened under the previous key drain against its
 // retained state. One prior generation is kept: rotating twice strands
 // sessions of the first key, which then fail their settlements cleanly.
+// Concurrent rotations run one after another.
 func (s *DataServer) RotateKey() (pubN []byte, err error) {
 	if !s.Secure {
 		return nil, fmt.Errorf("wire: cannot rotate keys on a cleartext server")
 	}
-	rot, ok := s.keys.(interface {
-		Rotate() (*secure.PrivateKey, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("wire: key provider %T does not support rotation", s.keys)
-	}
+	s.rotMu.Lock()
+	defer s.rotMu.Unlock()
 	// Materialize the current generation first so draining sessions find it
 	// in the old slot.
 	cur, err := s.current()
 	if err != nil {
 		return nil, err
 	}
-	sk, err := rot.Rotate()
+	sk, err := s.keys.Rotate()
 	if err != nil {
 		return nil, err
 	}

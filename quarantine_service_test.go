@@ -10,21 +10,38 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // TestServiceStateQuarantineCorruptSnapshots plants garbage where the
-// store keeps an estimator checkpoint and a Paillier key, boots a secure
-// server over it, and asserts both snapshots are quarantined (renamed to
-// .corrupt, counted in ServerMetrics.Quarantined) while the server serves
-// a clean session.
+// store keeps an estimator checkpoint and a Paillier key, plus a correctly
+// framed key record whose payload does not decode, boots a secure server
+// over it, and asserts every one is quarantined (renamed to .corrupt,
+// counted in ServerMetrics.Quarantined) while the server serves a clean
+// session.
 func TestServiceStateQuarantineCorruptSnapshots(t *testing.T) {
 	dir := stateTestDir(t)
-	planted := []string{
-		"estimators/titanic/buyer-q.snap",
-		"keys/titanic.snap",
+	planted := []struct {
+		name   string
+		framed bool // a valid frame around an undecodable payload
+	}{
+		{"estimators/titanic/buyer-q", false},
+		{"keys/titanic", false},
+		{"keys/credit", true},
 	}
-	for _, name := range planted {
-		p := filepath.Join(dir, filepath.FromSlash(name))
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range planted {
+		if pl.framed {
+			if err := st.Save(pl.name, 1, []byte("not a gob key record")); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		p := st.Path(pl.name)
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -47,15 +64,15 @@ func TestServiceStateQuarantineCorruptSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eager keys force the corrupt key record through its load at Register.
-	srv, addr, shutdown := startServer(t, map[string]*Engine{"titanic": engine},
+	// Eager keys force the corrupt key records through their load at
+	// Register.
+	srv, addr, shutdown := startServer(t, map[string]*Engine{"titanic": engine, "credit": engine},
 		WithMarketState(ms), WithSecureSettlement(128), WithEagerSecureKeys())
 	defer shutdown()
 
-	for _, name := range planted {
-		p := filepath.Join(dir, filepath.FromSlash(name))
-		if _, err := os.Stat(p + ".corrupt"); err != nil {
-			t.Errorf("%s not quarantined: %v", name, err)
+	for _, pl := range planted {
+		if _, err := os.Stat(st.Path(pl.name) + ".corrupt"); err != nil {
+			t.Errorf("%s not quarantined: %v", pl.name, err)
 		}
 	}
 	if m := srv.Metrics(); m.Quarantined != uint64(len(planted)) {

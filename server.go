@@ -2,7 +2,6 @@ package vflmarket
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/secure"
 	"repro/internal/wire"
 )
 
@@ -112,7 +110,6 @@ type serverConfig struct {
 	maxExploration int
 	maxReplay      int
 	hook           func(SessionEvent)
-	stateDir       string
 	state          *MarketState
 	backlog        int
 	directory      MarketDirectory
@@ -204,20 +201,15 @@ func WithImperfectCaps(maxExploration, maxReplay int) ServerOption {
 	}
 }
 
-// WithStateDir binds the server to a durable state directory (shared
-// process-wide per directory — see SharedMarketState). Every market
-// registered afterwards persists its side of the bargain there: estimator
-// checkpoints keyed by client identity (so reconnecting imperfect buyers
-// resume instead of re-exploring), and — under WithSecureSettlement — the
-// market's Paillier key, so a restarted server re-announces the modulus its
-// clients already knew. Serve flushes the state periodically and at
-// shutdown; FlushState flushes on demand. Engines carry their own binding
-// (Config.StateDir / WithState) for the valuation memo.
-func WithStateDir(dir string) ServerOption { return func(c *serverConfig) { c.stateDir = dir } }
-
-// WithMarketState binds the server to an explicit MarketState handle,
-// taking precedence over WithStateDir. Used by tests that simulate
-// restarts with OpenMarketState.
+// WithMarketState binds the server to a durable MarketState (see
+// OpenMarketState). Every registered market persists its side of the
+// bargain there: estimator checkpoints keyed by client identity (so
+// reconnecting imperfect buyers resume instead of re-exploring), and —
+// under WithSecureSettlement — the market's Paillier key, so a restarted
+// server re-announces the modulus its clients already knew. Serve flushes
+// the state periodically and at shutdown; FlushState flushes on demand.
+// Hand the same MarketState to the engines (Config.State / WithState) so
+// their valuation memos persist alongside.
 func WithMarketState(ms *MarketState) ServerOption { return func(c *serverConfig) { c.state = ms } }
 
 // WithBacklog sizes the accept-side session queue: connections beyond the
@@ -251,7 +243,6 @@ type Server struct {
 	mu      sync.RWMutex
 	markets map[string]*market
 	order   []string // registration order; the first market is the default
-	state   *MarketState
 
 	accepted, sessions, closed, failed, rejected, busy atomic.Uint64
 	redirected, evicted, dropped, watchdog             atomic.Uint64
@@ -454,29 +445,6 @@ func NewServer(opts ...ServerOption) *Server {
 	return &Server{cfg: cfg, modes: modes, markets: make(map[string]*market)}
 }
 
-// ensureStateLocked resolves the server's durable state on first use:
-// an explicit handle wins, otherwise the configured directory opens through
-// the process-wide cache. nil state means the server runs memory-only.
-// Callers hold s.mu.
-func (s *Server) ensureStateLocked() (*MarketState, error) {
-	if s.state != nil {
-		return s.state, nil
-	}
-	if s.cfg.state != nil {
-		s.state = s.cfg.state
-		return s.state, nil
-	}
-	if s.cfg.stateDir == "" {
-		return nil, nil
-	}
-	ms, err := SharedMarketState(s.cfg.stateDir)
-	if err != nil {
-		return nil, err
-	}
-	s.state = ms
-	return ms, nil
-}
-
 // Register adds a named market backed by the engine: its catalog is the
 // listing, its session template's εd drives the data party's Case 2
 // acceptance. The first registered market is the default for clients that
@@ -488,34 +456,20 @@ func (s *Server) Register(name string, e *Engine) error {
 	if e == nil {
 		return fmt.Errorf("vflmarket: market %q needs an engine", name)
 	}
-	s.mu.Lock()
-	st, serr := s.ensureStateLocked()
-	s.mu.Unlock()
-	if serr != nil {
-		return fmt.Errorf("vflmarket: market %q: %w", name, serr)
-	}
+	st := s.cfg.state
 	tmpl := e.Session()
 	var ds *wire.DataServer
 	var stopPrime context.CancelFunc
 	if s.cfg.secureBits > 0 {
-		// Key generation stays off the Register path: an AsyncKey searches
+		// Key generation stays off the Register path: the key searches
 		// primes in the background and the market's randomizer pool is
 		// primed as soon as the key lands (the priming is cancelled if the
 		// server shuts down first). Eager mode generates the key AND fills
 		// the pool here, so the market is fully settled-in on return. A
-		// state-bound market persists its key instead: a restart reloads it
-		// and re-announces the same modulus — and gains runtime rotation
-		// through RotateMarketKey.
-		var keys secure.KeyProvider
-		var err error
-		switch {
-		case st != nil:
-			keys, err = secure.PersistedKey(st.st, "keys/"+marketSlug(name), rand.Reader, s.cfg.secureBits, s.cfg.eagerKeys)
-		case s.cfg.eagerKeys:
-			keys, err = secure.EagerKey(rand.Reader, s.cfg.secureBits)
-		default:
-			keys, err = secure.AsyncKey(rand.Reader, s.cfg.secureBits)
-		}
+		// state-bound market persists its key: a restart reloads it and
+		// re-announces the same modulus. Either way the key rotates at
+		// runtime through RotateMarketKey.
+		keys, err := st.marketKey(name, s.cfg.secureBits, s.cfg.eagerKeys)
 		if err != nil {
 			return fmt.Errorf("vflmarket: market %q: %w", name, err)
 		}
@@ -571,13 +525,9 @@ func (s *Server) Register(name string, e *Engine) error {
 	return nil
 }
 
-// State returns the durable MarketState the server resolved at Register,
-// nil for a memory-only server.
-func (s *Server) State() *MarketState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.state
-}
+// State returns the durable MarketState the server is bound to, nil for a
+// memory-only server.
+func (s *Server) State() *MarketState { return s.cfg.state }
 
 // FlushState spills the server's dirty durable state — estimator
 // checkpoints and valuation memos — to disk now. A no-op without a bound
@@ -595,7 +545,7 @@ func (s *Server) FlushState() error {
 // state-bound market), new sessions are announced the new modulus, and
 // sessions opened under the previous key drain against it — one prior
 // generation is retained. Returns the new public modulus. Errors if the
-// market is unknown, not secure, or its key provider cannot rotate.
+// market is unknown or not secure.
 func (s *Server) RotateMarketKey(name string) ([]byte, error) {
 	s.mu.RLock()
 	if name == "" && len(s.order) > 0 {

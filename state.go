@@ -2,32 +2,34 @@ package vflmarket
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"log"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/secure"
 	"repro/internal/store"
 	"repro/internal/vfl"
 )
 
 // MarketState is a handle on one durable state directory: the versioned
-// snapshot store underneath, the process-wide valuation-cache registry over
-// it, and the per-market estimator checkpoint books. Engines and Servers
-// opened on the same MarketState share one registry (one oracle per
-// dataset/seed/config — every VFL course trains at most once), and Flush
-// spills everything to disk so the next process boots warm.
+// snapshot store underneath, the valuation-cache registry over it, and the
+// per-market estimator checkpoint books. It is the only way a Server
+// (WithMarketState) or an Engine (Config.State / WithState) binds durable
+// state: components handed the same MarketState share one registry (one
+// oracle per dataset/seed/config — every VFL course trains at most once),
+// and Flush spills everything to disk so the next process boots warm.
 //
-// WithStateDir resolves directories through a process-wide cache, so every
-// component naming the same directory shares one MarketState.
-// OpenMarketState always builds a fresh handle over the directory —
-// deliberately bypassing the cache — which is how tests simulate a process
-// restart without forking: a fresh handle starts cold in memory and warms
-// itself from whatever the previous handle flushed.
+// A directory's snapshots are named in one place, here:
+//
+//	keys/<market>                  the market's Paillier key
+//	estimators/<market>/<client>   the market's estimator checkpoints
+//	oracle/<digest>                valuation memos, keyed by dataset config
+//
+// where <market> is the market's filename-safe slug.
 type MarketState struct {
 	dir string
 	st  *store.Store
@@ -40,8 +42,9 @@ type MarketState struct {
 // OpenMarketState opens (creating if needed) the state directory and
 // returns a fresh handle over it: an empty in-memory registry that warms
 // itself from the directory's snapshots as oracles and checkpoints are
-// first referenced. Most callers want WithStateDir (shared handle) instead;
-// open an explicit fresh handle to simulate a restart in-process.
+// first referenced. Open one handle per directory and process, and hand it
+// to the server and every engine; a second, fresh handle over the same
+// directory is how tests simulate a process restart without forking.
 func OpenMarketState(dir string) (*MarketState, error) {
 	st, err := store.Open(dir)
 	if err != nil {
@@ -50,38 +53,9 @@ func OpenMarketState(dir string) (*MarketState, error) {
 	return &MarketState{
 		dir:   st.Dir(),
 		st:    st,
-		reg:   vfl.NewRegistry(st),
+		reg:   vfl.NewRegistry(st, oracleMemos),
 		books: make(map[string]*ckptBook),
 	}, nil
-}
-
-// stateCache shares one MarketState per absolute directory across the
-// process, so a Server and the Engines registered into it (or several
-// Servers) agree on one registry.
-var stateCache = struct {
-	sync.Mutex
-	m map[string]*MarketState
-}{m: make(map[string]*MarketState)}
-
-// SharedMarketState resolves dir through the process-wide cache: the first
-// call opens the directory, later calls return the same handle. It is what
-// WithStateDir uses on both Engine and Server.
-func SharedMarketState(dir string) (*MarketState, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("vflmarket: state dir: %w", err)
-	}
-	stateCache.Lock()
-	defer stateCache.Unlock()
-	if ms, ok := stateCache.m[abs]; ok {
-		return ms, nil
-	}
-	ms, err := OpenMarketState(abs)
-	if err != nil {
-		return nil, err
-	}
-	stateCache.m[abs] = ms
-	return ms, nil
 }
 
 // Dir returns the state directory.
@@ -119,7 +93,7 @@ func (m *MarketState) book(market string) *ckptBook {
 	if !ok {
 		b = &ckptBook{
 			st:     m.st,
-			prefix: "estimators/" + marketSlug(market) + "/",
+			prefix: checkpointPrefix(market),
 			cache:  make(map[string]*core.SellerCheckpoint),
 			dirty:  make(map[string]bool),
 		}
@@ -141,18 +115,39 @@ func (m *MarketState) restoredCheckpoints() int {
 	return n
 }
 
-// quarantineCorrupt moves a snapshot aside when its load error indicates
-// damage (not mere absence or a future schema), logging the disposition —
-// the boot-time breadcrumb an operator greps for after a crash.
-func quarantineCorrupt(st *store.Store, name string, err error) {
-	if !store.IsCorrupt(err) {
-		return
+// oracleMemos prefixes the valuation memos. They are keyed by dataset
+// config, not market, so every market over a state shares the tree.
+const oracleMemos = "oracle/"
+
+// keyName names the market's Paillier key snapshot.
+func keyName(market string) string { return "keys/" + marketSlug(market) }
+
+// checkpointPrefix prefixes the market's estimator checkpoints, one per
+// client identity.
+func checkpointPrefix(market string) string { return "estimators/" + marketSlug(market) + "/" }
+
+// marketKey opens the market's Paillier key, persisted under keyName. A nil
+// state keeps it in memory only.
+func (m *MarketState) marketKey(market string, bits int, eager bool) (*secure.RotatingKey, error) {
+	if m == nil {
+		return secure.PersistedKey(nil, "", rand.Reader, bits, eager)
 	}
-	if qerr := st.Quarantine(name); qerr != nil {
-		log.Printf("vflmarket: snapshot %s corrupt (%v); quarantine failed: %v", name, err, qerr)
-		return
+	return secure.PersistedKey(m.st, keyName(market), rand.Reader, bits, eager)
+}
+
+// snapshots lists every snapshot the market's durable state consists of:
+// its key, its checkpoints, and the shared memo tree (extra memos are
+// harmless and warm whoever reads them).
+func (m *MarketState) snapshots(market string) ([]string, error) {
+	names := []string{keyName(market)}
+	for _, prefix := range []string{checkpointPrefix(market), oracleMemos} {
+		listed, err := m.st.List(prefix)
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, listed...)
 	}
-	log.Printf("vflmarket: quarantined corrupt snapshot %s: %v", name, err)
+	return names, nil
 }
 
 // marketSlug maps a market name to a filename-safe snapshot path segment.
@@ -230,23 +225,13 @@ func (b *ckptBook) Load(clientID string) (*core.SellerCheckpoint, bool) {
 	b.mu.Unlock()
 
 	// Cold: fall through to the snapshot store. Any failure — missing,
-	// corrupt, truncated, future-versioned — is a miss and the client is
-	// told to start fresh; a damaged file is additionally quarantined
-	// (renamed aside, logged) so it cannot shadow the fresh checkpoint the
-	// restarted session is about to write.
-	name := b.prefix + clientID
-	payload, _, err := b.st.Load(name, ckptSchemaVersion)
-	if err != nil {
-		quarantineCorrupt(b.st, name, err)
-		return nil, false
-	}
+	// damaged, future-versioned — is a miss and the client is told to start
+	// fresh; the store quarantines a damaged file so it cannot shadow the
+	// fresh checkpoint the restarted session is about to write.
 	var ck core.SellerCheckpoint
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); derr != nil {
-		// The frame verified but the payload did not decode: same
-		// disposition as a torn frame.
-		if qerr := b.st.Quarantine(name); qerr == nil {
-			log.Printf("vflmarket: quarantined undecodable snapshot %s: %v", name, derr)
-		}
+	if err := b.st.Restore(b.prefix+clientID, ckptSchemaVersion, func(p []byte) error {
+		return gob.NewDecoder(bytes.NewReader(p)).Decode(&ck)
+	}); err != nil {
 		return nil, false
 	}
 	b.mu.Lock()

@@ -5,8 +5,9 @@ package vflmarket
 // — kill the server mid-market, restart it on the same state directory,
 // and the reconnecting identified buyer continues bit-identically),
 // warm-store valuation (a restarted engine prices its catalog from the
-// persisted memo with zero new VFL trainings), admission control under a
-// saturated pool, and cold boot over corrupt snapshots.
+// persisted memo with zero new VFL trainings), Paillier key rotation that
+// survives a restart, admission control under a saturated pool, and cold
+// boot over corrupt snapshots.
 //
 // Set VFLMARKET_STATE_DIR to pin the state directories to a shared
 // location across runs: CI runs this file twice against one directory, so
@@ -14,6 +15,7 @@ package vflmarket
 // on both a cold and a pre-populated directory.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -271,6 +273,78 @@ func TestServiceStateWarmOracleZeroTrainings(t *testing.T) {
 	e3 := build(ms2)
 	if m3 := e3.OracleMetrics(); m3.Trainings != 0 {
 		t.Fatalf("registry-shared engine trained %d courses, want 0", m3.Trainings)
+	}
+}
+
+// TestServiceStateKeyRotation rotates a state-bound secure market's key:
+// the new modulus is what sessions dialed afterwards are announced and
+// settle under, and what a server restarted on a fresh handle over the
+// directory re-announces. A memory-only secure market rotates too.
+func TestServiceStateKeyRotation(t *testing.T) {
+	dir := stateTestDir(t)
+	engine, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.25), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]*Engine{"titanic": engine}
+	// announced dials addr and settles one session, returning the modulus
+	// the session was announced.
+	announced := func(addr string) []byte {
+		t.Helper()
+		client, err := Dial(context.Background(), addr,
+			WithSession(engine.Session()), WithGains(engine.CatalogGains()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		if !client.Secure() {
+			t.Fatal("secure market announced a cleartext hello")
+		}
+		if _, err := client.Bargain(context.Background(), BargainOptions{Seed: 23}); err != nil {
+			t.Fatalf("secure session: %v", err)
+		}
+		return client.hello.PubN
+	}
+
+	ms, err := OpenMarketState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, shutdown := startServer(t, engines,
+		WithMarketState(ms), WithSecureSettlement(128), WithEagerSecureKeys())
+	boot := announced(addr)
+	rotated, err := srv.RotateMarketKey("titanic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rotated, boot) {
+		t.Fatal("rotation kept the boot modulus")
+	}
+	if !bytes.Equal(announced(addr), rotated) {
+		t.Fatal("a session dialed after rotation was not announced the rotated modulus")
+	}
+	shutdown()
+
+	ms2, err := OpenMarketState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr2, shutdown2 := startServer(t, engines,
+		WithMarketState(ms2), WithSecureSettlement(128), WithEagerSecureKeys())
+	defer shutdown2()
+	if !bytes.Equal(announced(addr2), rotated) {
+		t.Fatal("restarted server does not announce the rotated modulus")
+	}
+
+	mem, addrMem, shutdownMem := startServer(t, engines, WithSecureSettlement(128))
+	defer shutdownMem()
+	bootMem := announced(addrMem)
+	rotatedMem, err := mem.RotateMarketKey("")
+	if err != nil {
+		t.Fatalf("memory-only secure market cannot rotate: %v", err)
+	}
+	if bytes.Equal(rotatedMem, bootMem) || !bytes.Equal(announced(addrMem), rotatedMem) {
+		t.Fatal("memory-only rotation did not change the announced modulus")
 	}
 }
 

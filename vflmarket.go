@@ -139,15 +139,10 @@ type Config struct {
 	// means min(GOMAXPROCS, bundles), 1 restores the serial pre-warming
 	// behavior. Synthetic engines never train, so it is inert for them.
 	ValuationWorkers int
-	// StateDir, when non-empty, binds the engine to a durable state
-	// directory (shared process-wide per directory — see SharedMarketState):
-	// the engine's valuation oracle is resolved through the directory's
-	// registry, so its memoized gains survive restarts and are shared with
-	// every engine of the same dataset/seed/config. Ignored when State is
-	// set.
-	StateDir string
-	// State binds the engine to an explicit MarketState handle, taking
-	// precedence over StateDir. Used by tests that simulate restarts with
-	// OpenMarketState.
+	// State, when non-nil, binds the engine to a durable MarketState (see
+	// OpenMarketState): the engine's valuation oracle is resolved through
+	// the state's registry, so its memoized gains survive restarts and are
+	// shared with every engine of the same dataset/seed/config on that
+	// state.
 	State *MarketState
 }
