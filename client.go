@@ -478,23 +478,13 @@ func (c *Client) openSession(ctx context.Context, hs wire.ClientHello) (*wire.Mu
 // stats stream on a pooled connection; no extra dial. The fabric's
 // rebalancer reads shards the same way on its own fresh connections.
 //
-// The per-attempt receive timeout is derived from ctx: a ctx deadline
-// tighter than the session timeout bounds each attempt, so a probe
-// against a stalled shard honors the caller's budget instead of the raw
-// connection deadline. Transport-dead connections are retried on the
-// shared policy, capped at three attempts.
+// Each attempt's receive waits under the session IO timeout and watches
+// ctx, so a probe against a stalled shard returns when the caller's
+// budget expires. Transport-dead connections are retried on the shared
+// policy, capped at three attempts.
 func (c *Client) Stats(ctx context.Context) (*StatsReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	timeout := c.cfg.ioTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		if remain := time.Until(dl); timeout <= 0 || remain < timeout {
-			timeout = remain
-		}
-	}
-	if timeout < 0 {
-		timeout = time.Nanosecond // expired budget: fail fast, not hang
 	}
 	var rep *StatsReport
 	err := c.cfg.backoff.do(ctx, 3, transportErr, func() error {
@@ -502,7 +492,7 @@ func (c *Client) Stats(ctx context.Context) (*StatsReport, error) {
 		if err != nil {
 			return err
 		}
-		if rep, err = mc.Stats(ctx, timeout); err != nil && mc.Err() != nil {
+		if rep, err = mc.Stats(ctx, c.cfg.ioTimeout); err != nil && mc.Err() != nil {
 			c.dropConn(mc)
 		}
 		return err

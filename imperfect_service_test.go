@@ -155,11 +155,12 @@ func TestServiceImperfectCancelMidExploration(t *testing.T) {
 
 // TestServiceImperfectStalledPeer wedges a hand-rolled client mid-
 // exploration: the stream's receive timer must end the session with an
-// ErrPeerTimeout-wrapped error instead of pinning it forever.
+// ErrPeerTimeout-wrapped error instead of pinning it forever, and the
+// server must count the stall as Watchdog, not Dropped or Failed.
 func TestServiceImperfectStalledPeer(t *testing.T) {
 	engines := testEngines(t)
 	events := make(chan SessionEvent, 8)
-	_, addr, shutdown := startServer(t, engines,
+	srv, addr, shutdown := startServer(t, engines,
 		WithIOTimeout(150*time.Millisecond),
 		WithSessionHook(func(ev SessionEvent) { events <- ev }),
 	)
@@ -200,6 +201,9 @@ func TestServiceImperfectStalledPeer(t *testing.T) {
 			}
 			if !errors.Is(ev.Err, ErrPeerTimeout) {
 				t.Fatalf("session error = %v, want ErrPeerTimeout", ev.Err)
+			}
+			if m := srv.Metrics(); m.Watchdog != 1 || m.Dropped != 0 || m.Failed != 0 {
+				t.Fatalf("stall counted as %+v, want Watchdog=1 Dropped=0 Failed=0", m)
 			}
 			return
 		case <-deadline:

@@ -291,10 +291,11 @@ func queuedOr(inbox chan *Envelope, err error) (*Envelope, error) {
 	return nil, err
 }
 
-// openConn performs a connection's opening under one deadline, lifted once
-// answered: the mux preamble naming codecName, the connection-level
-// ClientHello ch, and the server's one answer of kind want (or a typed
-// refusal). On success the caller owns the returned codec.
+// openConn performs a connection's opening under one deadline: the mux
+// preamble naming codecName, the connection-level ClientHello ch, and the
+// server's one answer of kind want (or a typed refusal). On success the
+// caller owns the returned codec, and lifts the deadline if the connection
+// outlives its opening.
 func openConn(conn net.Conn, codecName string, ch *ClientHello, ioTimeout time.Duration, want Kind) (*framedCodec, *Envelope, error) {
 	if ioTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
@@ -318,9 +319,6 @@ func openConn(conn net.Conn, codecName string, ch *ClientHello, ioTimeout time.D
 		if err = classify(fc.Flush()); err == nil {
 			e, err = l.recv(want)
 		}
-	}
-	if err == nil && ioTimeout > 0 {
-		err = conn.SetDeadline(time.Time{})
 	}
 	if err != nil {
 		fc.release()
@@ -346,6 +344,11 @@ type MuxConn struct {
 // and individual sessions arm their own receive timers.
 func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Duration) (*MuxConn, *Hello, error) {
 	fc, e, err := openConn(conn, codecName, &ch, ioTimeout, KindHello)
+	if err == nil && ioTimeout > 0 {
+		if err = conn.SetDeadline(time.Time{}); err != nil {
+			fc.release()
+		}
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,20 +364,12 @@ func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Dur
 // fabric rebalancer and the cluster health prober consume in place of
 // in-process Server.Metrics calls.
 //
-// The exchange runs under one IO deadline: the smaller of ioTimeout and the
-// time left until ctx's deadline, so a probe against a stalled shard
-// returns when the caller's budget expires. Cancelling ctx severs the
-// connection at once. The caller owns the connection; ioTimeout <= 0 with
-// no ctx deadline means no deadline.
+// The exchange runs under ioTimeout (<= 0 means no deadline), and ctx
+// bounds it too: cancelling ctx, or reaching its deadline, severs the
+// connection at once, so a probe against a stalled shard returns when the
+// caller's budget expires. The caller owns the connection, which keeps
+// the exchange's deadline: it is spent once the answer arrives.
 func FetchStats(ctx context.Context, conn net.Conn, ioTimeout time.Duration) (*StatsReport, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		if remain := time.Until(dl); ioTimeout <= 0 || remain < ioTimeout {
-			ioTimeout = remain
-		}
-	}
-	if ioTimeout < 0 {
-		ioTimeout = time.Nanosecond // already expired: fail fast, not hang
-	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 	fc, e, err := openConn(conn, CodecBinary, &ClientHello{StatsOnly: true}, ioTimeout, KindStats)

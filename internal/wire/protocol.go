@@ -336,13 +336,15 @@ type ServerStats struct {
 	// Evicted counts sessions a migration (Unregister) cut mid-bargain so
 	// their clients re-dial the new owner: choreography, not in Failed.
 	Evicted uint64
-	// Dropped counts sessions that ended on a transport fault (a peer
-	// timeout, a reset, a torn connection), which identified clients
-	// resume. Not in Failed, which is kept for protocol violations and
-	// engine errors.
+	// Dropped counts sessions that ended on a transport fault (a reset, a
+	// torn connection), which identified clients resume. A peer timeout
+	// counts in Watchdog instead. Not in Failed, which is kept for protocol
+	// violations and engine errors.
 	Dropped uint64
-	// Watchdog counts sessions the progress watchdog severed: no envelope
-	// moved either way within its budget. Disjoint from Dropped and Failed.
+	// Watchdog counts sessions that ended on a peer timeout
+	// (ErrPeerTimeout): no envelope moved either way within the IO
+	// timeout, so the stream's receive timer or a write deadline fired.
+	// Disjoint from Dropped and Failed.
 	Watchdog uint64
 	// Quarantined counts corrupt snapshots the durable state renamed aside
 	// (.corrupt) at load and treated as cold misses.

@@ -2,6 +2,7 @@ package vflmarket
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -114,7 +115,6 @@ type serverConfig struct {
 	backlog        int
 	directory      MarketDirectory
 	idleTimeout    time.Duration
-	watchdog       time.Duration
 }
 
 // WithWorkers bounds the accept-side worker pool: at most n connections
@@ -125,8 +125,9 @@ func WithWorkers(n int) ServerOption { return func(c *serverConfig) { c.workers 
 
 // WithIOTimeout bounds every read and write on served connections: a
 // stalled or vanished client fails its session with an
-// ErrPeerTimeout-wrapped error instead of pinning a worker forever. The
-// default is 30 seconds; <= 0 keeps the default.
+// ErrPeerTimeout-wrapped error, counted in ServerMetrics.Watchdog, instead
+// of pinning a worker forever. The default is 30 seconds; <= 0 keeps the
+// default.
 func WithIOTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
 		if d > 0 {
@@ -141,17 +142,6 @@ func WithIOTimeout(d time.Duration) ServerOption {
 // linger until the client closes or the server drains).
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.idleTimeout = d }
-}
-
-// WithWatchdogBudget sets the server's per-session progress budget: a
-// session that moves no envelope in either direction for d is severed by
-// the watchdog (its connection or stream is closed, the session counts as
-// Watchdog, not Failed). This is the backstop above the per-read IO
-// timeout — a peer trickling one byte per interval defeats a read
-// deadline but not the watchdog. The default is 4x the IO timeout; a
-// negative d disables the watchdog.
-func WithWatchdogBudget(d time.Duration) ServerOption {
-	return func(c *serverConfig) { c.watchdog = d }
 }
 
 // WithSecureSettlement enables §3.6 Paillier settlement on every market:
@@ -248,12 +238,6 @@ type Server struct {
 	redirected, evicted, dropped, watchdog             atomic.Uint64
 	active                                             atomic.Int64
 
-	// wdMu guards the set of sessions the progress watchdog patrols. Each
-	// entry carries the session's last-progress timestamp and the closer
-	// severing it; the reaper goroutine in Serve sweeps the set.
-	wdMu       sync.Mutex
-	wdSessions map[*wdEntry]struct{}
-
 	// muxMu guards the registry of live connections past their handshake.
 	// They serve sessions on their own goroutines, off the worker pool —
 	// the per-conn session cap is their admission control — and Serve
@@ -347,84 +331,6 @@ func (s *Server) Sever() {
 	}
 }
 
-// wdEntry is one session under watchdog patrol: the carrier to sever and
-// the wall-clock nanos of its last envelope progress.
-type wdEntry struct {
-	closer io.Closer
-	last   atomic.Int64
-	fired  atomic.Bool
-}
-
-// progressCodec wraps a session's codec so every successful Send or Recv
-// refreshes the watchdog timestamp.
-type progressCodec struct {
-	wire.Codec
-	wd *wdEntry
-}
-
-func (p progressCodec) Send(e *wire.Envelope) error {
-	err := p.Codec.Send(e)
-	if err == nil {
-		p.wd.last.Store(time.Now().UnixNano())
-	}
-	return err
-}
-
-func (p progressCodec) Recv() (*wire.Envelope, error) {
-	e, err := p.Codec.Recv()
-	if err == nil {
-		p.wd.last.Store(time.Now().UnixNano())
-	}
-	return e, err
-}
-
-// watchdogBudget resolves the configured progress budget: explicit if
-// set, 4x the IO timeout by default, disabled (0) when negative.
-func (s *Server) watchdogBudget() time.Duration {
-	switch {
-	case s.cfg.watchdog > 0:
-		return s.cfg.watchdog
-	case s.cfg.watchdog < 0:
-		return 0
-	default:
-		return 4 * s.cfg.ioTimeout
-	}
-}
-
-// watchdogTrack registers a session with the watchdog, stamped as having
-// just made progress (the handshake counts).
-func (s *Server) watchdogTrack(closer io.Closer) *wdEntry {
-	wd := &wdEntry{closer: closer}
-	wd.last.Store(time.Now().UnixNano())
-	s.wdMu.Lock()
-	if s.wdSessions == nil {
-		s.wdSessions = make(map[*wdEntry]struct{})
-	}
-	s.wdSessions[wd] = struct{}{}
-	s.wdMu.Unlock()
-	return wd
-}
-
-func (s *Server) watchdogUntrack(wd *wdEntry) {
-	s.wdMu.Lock()
-	delete(s.wdSessions, wd)
-	s.wdMu.Unlock()
-}
-
-// reapStalled severs every patrolled session whose last envelope progress
-// is older than the budget. The severed handler unwinds with a transport
-// error and classifies itself Watchdog via the fired flag.
-func (s *Server) reapStalled(budget time.Duration) {
-	cutoff := time.Now().Add(-budget).UnixNano()
-	s.wdMu.Lock()
-	defer s.wdMu.Unlock()
-	for wd := range s.wdSessions {
-		if wd.last.Load() < cutoff && !wd.fired.Swap(true) {
-			wd.closer.Close()
-		}
-	}
-}
-
 // stateFlushInterval is how often Serve spills a bound state's dirty
 // estimator checkpoints and valuation memos to disk.
 const stateFlushInterval = time.Minute
@@ -435,6 +341,9 @@ func NewServer(opts ...ServerOption) *Server {
 	cfg := serverConfig{ioTimeout: 30 * time.Second, backlog: 128}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	// Imperfect sessions train on realized gains, which must cross in clear,
 	// so a Paillier-settling server serves the perfect regime only.
@@ -692,10 +601,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.muxMu.Lock()
 	s.muxDraining = false
 	s.muxMu.Unlock()
-	workers := s.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Closing the listener is what breaks the accept loop on cancellation.
 	stop := context.AfterFunc(ctx, func() { ln.Close() })
@@ -723,37 +628,16 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}()
 	}
 
-	// The watchdog reaper patrols in-flight sessions: one that moves no
-	// envelope within the budget is severed so a wedged or glacial peer
-	// cannot pin a worker past the budget. Sweeping at budget/4 bounds the
-	// overshoot; the per-read IO timeout still handles total silence.
-	if budget := s.watchdogBudget(); budget > 0 {
-		wdCtx, wdStop := context.WithCancel(ctx)
-		defer wdStop()
-		go func() {
-			t := time.NewTicker(budget / 4)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.reapStalled(budget)
-				case <-wdCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-
 	// Admission control: sem counts in-flight connections (queued plus
 	// being served) against the pool size plus the backlog. A connection
 	// that finds every slot taken is refused on a side goroutine with a
 	// typed busy envelope instead of queueing unboundedly or silently
 	// stalling the accept loop. The slot count — not channel readiness —
 	// is the admission test, so an idle pool never spuriously refuses.
-	sem := make(chan struct{}, workers+s.cfg.backlog)
+	sem := make(chan struct{}, s.cfg.workers+s.cfg.backlog)
 	conns := make(chan net.Conn, s.cfg.backlog)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < s.cfg.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -877,17 +761,6 @@ func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
 	}
 }
 
-// muxSessionCap bounds concurrently open sessions per connection: the
-// worker count plus the backlog (sessions run on their own goroutines, off
-// the handshake pool).
-func (s *Server) muxSessionCap() int {
-	w := s.cfg.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w + s.cfg.backlog
-}
-
 // serveMux drives one connection: openMux answers the connection-level
 // hello, then every KindOpen becomes an independent session. The
 // connection itself is never tracked by a market — only its per-session
@@ -929,7 +802,7 @@ func (s *Server) openMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, 
 	if adm == nil {
 		return nil
 	}
-	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.muxSessionCap())
+	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.cfg.workers+s.cfg.backlog)
 	if err == nil {
 		err = sc.SendHello(adm.hello)
 	}
@@ -942,7 +815,9 @@ func (s *Server) openMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, 
 }
 
 // serveSession runs one session — one stream of a connection — end to end.
-// The stream is also what a market eviction or the watchdog severs.
+// The stream is also what a market eviction severs, and its receive timer
+// is the session's only stall defense: a peer that moves no envelope
+// within the IO timeout ends the session with ErrPeerTimeout.
 func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote string) {
 	adm := s.admit(st, ch, remote)
 	if adm == nil {
@@ -968,16 +843,6 @@ func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote s
 	mkt.sessions.Add(1)
 	s.active.Add(1)
 	mkt.active.Add(1)
-	// The bargaining loop runs under watchdog patrol: the codec wrapper
-	// stamps every successful envelope, the reaper severs the stream when
-	// the stamp goes stale past the budget.
-	var wd *wdEntry
-	var sessionCodec wire.Codec = st
-	if s.watchdogBudget() > 0 {
-		wd = s.watchdogTrack(st)
-		sessionCodec = progressCodec{Codec: st, wd: wd}
-		defer s.watchdogUntrack(wd)
-	}
 	var sum *SessionSummary
 	var serr error
 	if adm.imperfect != nil {
@@ -985,9 +850,9 @@ func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote s
 		if ch.Imperfect.ResumeRound > 0 {
 			mkt.resumed.Add(1)
 		}
-		sum, serr = adm.imperfect.Serve(sessionCodec, adm.hello)
+		sum, serr = adm.imperfect.Serve(st, adm.hello)
 	} else {
-		sum, serr = mkt.ds.ServeCodec(sessionCodec, adm.hello)
+		sum, serr = mkt.ds.ServeCodec(st, adm.hello)
 	}
 	mkt.active.Add(-1)
 	s.active.Add(-1)
@@ -996,12 +861,14 @@ func (s *Server) serveSession(st *wire.MuxStream, ch *wire.ClientHello, remote s
 		// The migration severed this session, the client resumes on the new
 		// owner: fabric choreography, not a failure.
 		s.evicted.Add(1)
-	case serr != nil && wd != nil && wd.fired.Load():
-		// The watchdog severed it: no envelope progress within the budget.
+	case errors.Is(serr, wire.ErrPeerTimeout):
+		// The peer stalled: no envelope moved either way within the IO
+		// timeout, so the stream's receive timer (or a write deadline)
+		// ended the session.
 		s.watchdog.Add(1)
 	case serr != nil && wire.IsTransportError(serr):
-		// The transport died under the session — a reset, a timeout, a torn
-		// conn. The client retries or resumes; the engine did nothing wrong.
+		// The transport died under the session — a reset, a torn conn. The
+		// client retries or resumes; the engine did nothing wrong.
 		s.dropped.Add(1)
 	case serr != nil:
 		s.failed.Add(1)
