@@ -2,9 +2,11 @@
 // activations, an embedding table, losses, optimizers, and minibatch
 // trainers. It implements exactly what the paper needs — the 3-layer MLP VFL
 // base model (embedding dims 64 and 32) and the two performance-gain
-// estimators f (price → ΔG) and g (feature bundle → ΔG) — on per-sample
-// forward/backward passes, which is the right trade-off for the small tabular
-// models involved.
+// estimators f (price → ΔG) and g (feature bundle → ΔG). Minibatch training
+// and batched prediction run through the tensor package's matrix kernels;
+// the per-sample Forward/Backward passes remain for online estimator
+// updates and single-sample prediction, and the batch path is
+// bit-identical to them.
 package nn
 
 import (
@@ -192,12 +194,12 @@ func (d *Dense) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 	return d.bY
 }
 
-// BackwardBatch takes dL/dY for the last ForwardBatch (rows are samples),
-// accumulates parameter gradients sample by sample in row order, and
-// returns dL/dX (an internal buffer, valid until the next BackwardBatch).
-// The accumulated gradients are bit-identical to running Backward over the
-// batch one sample at a time in the same order.
-func (d *Dense) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
+// AccumulateBatch takes dL/dY for the last ForwardBatch (rows are samples)
+// and accumulates the parameter gradients sample by sample in row order,
+// without the input gradient. It is the backward step of a first layer,
+// whose dL/dX nothing reads. The accumulated gradients are bit-identical to
+// running Backward over the batch one sample at a time in the same order.
+func (d *Dense) AccumulateBatch(grad *tensor.Matrix) {
 	if grad.Cols != d.Out || grad.Rows != d.bY.Rows {
 		panic(fmt.Sprintf("nn: Dense batch backward grad %dx%d, want %dx%d",
 			grad.Rows, grad.Cols, d.bY.Rows, d.Out))
@@ -213,6 +215,12 @@ func (d *Dense) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
 	for s := 0; s < d.bDZ.Rows; s++ {
 		d.dB.AddScaled(1, d.bDZ.Row(s))
 	}
+}
+
+// BackwardBatch is AccumulateBatch followed by the input gradient: it
+// returns dL/dX (an internal buffer, valid until the next BackwardBatch).
+func (d *Dense) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
+	d.AccumulateBatch(grad)
 	d.bDX = tensor.EnsureMatrix(d.bDX, grad.Rows, d.In)
 	tensor.MatMulInto(d.bDX, d.bDZ, d.W)
 	return d.bDX

@@ -5,6 +5,7 @@ package tensor
 // rests on exactly this), and the buffer helpers must reuse storage.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -112,5 +113,215 @@ func TestGatherRowsInto(t *testing.T) {
 	}
 	if again.Rows != 1 || again.At(0, 0) != src.At(1, 0) {
 		t.Fatal("GatherRowsInto reuse gathered wrong rows")
+	}
+}
+
+// The sweep tests below drive the register-blocked kernels through every
+// edge of their blocking: row counts on both sides of the 2-row block and
+// of a 128-sample minibatch, widths on both sides of the 4-column and
+// 8-coefficient blocks, coefficient groups long enough to fill several
+// 8-blocks, zero and negative-zero coefficients, and ±Inf/NaN operands
+// that only a zero coefficient ever meets.
+var (
+	sweepRows   = []int{1, 2, 3, 127, 128, 129}
+	sweepWidths = []int{1, 3, 4, 5, 7, 8, 9, 10, 14, 19, 32, 64}
+)
+
+// sweepMatrix fills a rows×cols matrix with Gaussian values, a quarter of
+// them replaced by 0 or -0.
+func sweepMatrix(src *rng.Source, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = src.Gauss(0, 1)
+		if src.IntN(4) == 0 {
+			m.Data[i] = 0
+			if src.IntN(2) == 0 {
+				m.Data[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return m
+}
+
+// poisonBehindZeros zeroes (with mixed signs) coefficient k of every group
+// — coefficient column k of coef when byCol, row k otherwise — and fills
+// row k of the multiplied operand with ±Inf and NaN. A kernel that applied
+// a zero coefficient would turn finite results into NaN.
+func poisonBehindZeros(coef, operand *Matrix, k int, byCol bool) {
+	neg := math.Copysign(0, -1)
+	if byCol {
+		for i := 0; i < coef.Rows; i++ {
+			coef.Set(i, k, []float64{0, neg}[i%2])
+		}
+	} else {
+		for j := 0; j < coef.Cols; j++ {
+			coef.Set(k, j, []float64{0, neg}[j%2])
+		}
+	}
+	row := operand.Row(k)
+	for j := range row {
+		row[j] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[j%3]
+	}
+}
+
+// maxNonzero returns the most nonzero entries in any row of m (any column
+// when byCol).
+func maxNonzero(m *Matrix, byCol bool) int {
+	outer, inner := m.Rows, m.Cols
+	if byCol {
+		outer, inner = inner, outer
+	}
+	best := 0
+	for o := 0; o < outer; o++ {
+		n := 0
+		for i := 0; i < inner; i++ {
+			r, c := o, i
+			if byCol {
+				r, c = i, o
+			}
+			if m.At(r, c) != 0 {
+				n++
+			}
+		}
+		best = max(best, n)
+	}
+	return best
+}
+
+func sameBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: Data[%d] (row %d col %d) = %v (%#x), reference %v (%#x)",
+				what, i, i/want.Cols, i%want.Cols, got.Data[i], math.Float64bits(got.Data[i]),
+				want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+func TestMulABtIntoSweep(t *testing.T) {
+	src := rng.New(21)
+	for _, m := range sweepRows {
+		for _, n := range sweepWidths {
+			for _, k := range sweepWidths {
+				X := sweepMatrix(src, m, k)
+				W := sweepMatrix(src, n, k)
+				dst := NewMatrix(m, n)
+				dst.Fill(math.NaN()) // stale contents must be overwritten
+				MulABtInto(dst, X, W)
+				want := NewMatrix(m, n)
+				for s := 0; s < m; s++ {
+					copy(want.Row(s), W.MulVec(X.Row(s)))
+				}
+				sameBits(t, fmt.Sprintf("MulABtInto %dx%d·(%dx%d)ᵀ", m, k, n, k), dst, want)
+			}
+		}
+	}
+}
+
+func TestMatMulIntoSweep(t *testing.T) {
+	src := rng.New(22)
+	filled := false
+	for _, m := range sweepRows {
+		for _, k := range sweepWidths {
+			for _, n := range sweepWidths {
+				DZ := sweepMatrix(src, m, k)
+				W := sweepMatrix(src, k, n)
+				poisonBehindZeros(DZ, W, k/2, true)
+				filled = filled || maxNonzero(DZ, false) >= 8
+				dst := NewMatrix(m, n)
+				dst.Fill(99) // stale contents must be overwritten
+				MatMulInto(dst, DZ, W)
+				want := NewMatrix(m, n)
+				for s := 0; s < m; s++ {
+					copy(want.Row(s), W.MulVecT(DZ.Row(s)))
+				}
+				what := fmt.Sprintf("MatMulInto %dx%d·%dx%d", m, k, k, n)
+				sameBits(t, what, dst, want)
+				for i, v := range dst.Data {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+					}
+				}
+			}
+		}
+	}
+	if !filled {
+		t.Fatal("no row had 8 nonzero coefficients: the blocked path went untested")
+	}
+}
+
+func TestAddMulAtBSweep(t *testing.T) {
+	src := rng.New(23)
+	filled := false
+	for _, s := range sweepRows {
+		for _, m := range sweepWidths {
+			for _, n := range sweepWidths {
+				DZ := sweepMatrix(src, s, m)
+				X := sweepMatrix(src, s, n)
+				poisonBehindZeros(DZ, X, s/2, false)
+				filled = filled || maxNonzero(DZ, true) >= 8
+				start := sweepMatrix(src, m, n) // accumulate onto nonzero contents
+				got := start.Clone()
+				AddMulAtB(got, DZ, X)
+				want := start.Clone()
+				for r := 0; r < s; r++ {
+					want.AddOuter(1, DZ.Row(r), X.Row(r))
+				}
+				what := fmt.Sprintf("AddMulAtB (%dx%d)ᵀ·%dx%d", s, m, s, n)
+				sameBits(t, what, got, want)
+				for i, v := range got.Data {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+					}
+				}
+			}
+		}
+	}
+	if !filled {
+		t.Fatal("no column had 8 nonzero coefficients: the blocked path went untested")
+	}
+}
+
+// TestKernelsAllocateNothing: the training kernels run once per layer per
+// minibatch and must not touch the heap.
+func TestKernelsAllocateNothing(t *testing.T) {
+	src := rng.New(24)
+	X, W, DZ := sweepMatrix(src, 128, 19), sweepMatrix(src, 64, 19), sweepMatrix(src, 128, 64)
+	Y, DX, DW := NewMatrix(128, 64), NewMatrix(128, 19), NewMatrix(64, 19)
+	for name, f := range map[string]func(){
+		"MulABtInto": func() { MulABtInto(Y, X, W) },
+		"MatMulInto": func() { MatMulInto(DX, DZ, W) },
+		"AddMulAtB":  func() { AddMulAtB(DW, DZ, X) },
+	} {
+		if allocs := testing.AllocsPerRun(5, f); allocs != 0 {
+			t.Errorf("%s allocates %v times per call", name, allocs)
+		}
+	}
+}
+
+// TestKernelsEmptyShapes: an empty batch or an empty inner dimension is a
+// no-op for the accumulating kernel and yields zeros for the overwriting
+// ones.
+func TestKernelsEmptyShapes(t *testing.T) {
+	dw := NewMatrix(3, 2)
+	dw.Fill(7)
+	AddMulAtB(dw, NewMatrix(0, 3), NewMatrix(0, 2))
+	dx := NewMatrix(4, 2)
+	dx.Fill(7)
+	MatMulInto(dx, NewMatrix(4, 0), NewMatrix(0, 2))
+	y := NewMatrix(4, 3)
+	y.Fill(7)
+	MulABtInto(y, NewMatrix(4, 0), NewMatrix(3, 0))
+	for _, c := range []struct {
+		name string
+		m    *Matrix
+		want float64
+	}{{"AddMulAtB", dw, 7}, {"MatMulInto", dx, 0}, {"MulABtInto", y, 0}} {
+		for i, v := range c.m.Data {
+			if v != c.want {
+				t.Fatalf("%s: Data[%d] = %v, want %v", c.name, i, v, c.want)
+			}
+		}
 	}
 }

@@ -35,6 +35,7 @@ type SplitMLP struct {
 	dataBottom *nn.Dense // dataD → h1, identity; nil when no data party
 	top        *nn.MLP   // h1 → h2 → 1 (ReLU hidden, identity out)
 	cfg        Config
+	ps         []nn.Param // params(), built once in NewSplitMLP
 	Comm       CommStats
 
 	lastFused tensor.Vector // ReLU output cached for backward (per-sample path)
@@ -60,6 +61,7 @@ func NewSplitMLP(taskD, dataD int, cfg Config) *SplitMLP {
 	if dataD > 0 {
 		m.dataBottom = nn.NewDense(dataD, cfg.Hidden1, nn.Identity, src.Split(3))
 	}
+	m.ps = m.params()
 	return m
 }
 
@@ -124,7 +126,8 @@ func (m *SplitMLP) forwardBatch(xt, xd *tensor.Matrix) *tensor.Matrix {
 // backwardBatch propagates per-sample output gradients through the batched
 // split model; the task party sends rows×h1 gradient floats back in one
 // message. Gradient accumulation is bit-identical to per-sample backward
-// calls in row order.
+// calls in row order. The bottoms are first layers, so they accumulate
+// their parameter gradients only: their input gradient has no reader.
 func (m *SplitMLP) backwardBatch(grad *tensor.Matrix) {
 	gz := m.top.BackwardBatch(grad)
 	for i, v := range m.fusedB.Data {
@@ -132,9 +135,9 @@ func (m *SplitMLP) backwardBatch(grad *tensor.Matrix) {
 			gz.Data[i] = 0
 		}
 	}
-	m.taskBottom.BackwardBatch(gz)
+	m.taskBottom.AccumulateBatch(gz)
 	if m.dataBottom != nil {
-		m.dataBottom.BackwardBatch(gz)
+		m.dataBottom.AccumulateBatch(gz)
 	}
 }
 
@@ -190,8 +193,8 @@ func (m *SplitMLP) Train(task *TaskParty, data *DataParty) {
 				m.gradB.Set(s, 0, g/float64(len(batch)))
 			}
 			m.backwardBatch(m.gradB)
-			nn.ClipGrads(m.params(), 5)
-			opt.Step(m.params())
+			nn.ClipGrads(m.ps, 5)
+			opt.Step(m.ps)
 			if data != nil {
 				// One activation batch up, one gradient batch down.
 				m.Comm.FloatsExchange += len(batch) * 2 * m.cfg.Hidden1
