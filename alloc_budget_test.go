@@ -7,15 +7,19 @@ package vflmarket
 
 import "testing"
 
-// TestAllocationBudgets holds two hot paths to committed allocs/op budgets,
-// each about 1.5x its measured value: room for runner noise, none for an
-// accidental per-round allocation.
+// TestAllocationBudgets holds two hot paths to committed allocs/op budgets.
+// Each budget is the measured value plus about half the rounds one session
+// plays, so runner noise fits under it and one accidental allocation per
+// round does not: that adds a whole round count.
 //
-//   - BenchmarkServiceRoundTrip/bin, 1800: one networked perfect session
-//     over the binary mux wire (~75 rounds), measured at ~1 200.
-//   - BenchmarkImperfectBargain, 450: one estimation-based game, measured at
-//     ~284; a per-round or per-candidate allocation (40 rounds × 100
-//     candidates) adds thousands.
+//   - BenchmarkServiceRoundTrip/bin, 400: one networked perfect session
+//     over the binary mux wire, measured at ~349 (345–366 across b.N);
+//     its sessions settle ~95 rounds, so one more allocation a round
+//     reads ~444.
+//   - BenchmarkImperfectBargain, 305: one estimation-based game, measured
+//     at 284 for every b.N; its sessions settle ~41 rounds (one more
+//     allocation a round reads 325), and a per-candidate allocation (100
+//     candidates a round) adds thousands.
 func TestAllocationBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two benchmarks for about a second each")
@@ -27,8 +31,8 @@ func TestAllocationBudgets(t *testing.T) {
 	}{
 		// bin is BenchmarkServiceRoundTrip's only sub-benchmark, so the
 		// aggregate testing.Benchmark returns is bin's own allocs/op.
-		{"BenchmarkServiceRoundTrip/bin", BenchmarkServiceRoundTrip, 1800},
-		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 450},
+		{"BenchmarkServiceRoundTrip/bin", BenchmarkServiceRoundTrip, 400},
+		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 305},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

@@ -4,8 +4,9 @@
 // (the valuation oracle's gain cache, the catalog's dedup and lookup index,
 // the synthetic gain memo) must agree on one canonical encoding. This
 // package is that single point of agreement: sorted indices, comma-joined,
-// built with strconv.AppendInt so keying a bundle costs one small
-// allocation instead of the fmt round trips it used to.
+// built with strconv.AppendInt so keying a bundle costs at most its one
+// string copy, and a map lookup of a sorted bundle through AppendKey
+// costs none.
 package bundlekey
 
 import (
@@ -16,24 +17,27 @@ import (
 // Key canonicalizes a feature set into a map key: the indices sorted
 // ascending and comma-joined ("0,3,7"). The input is not modified.
 func Key(features []int) string {
-	if len(features) == 0 {
-		return ""
-	}
+	var buf [64]byte
+	return string(AppendKey(buf[:0], features))
+}
+
+// AppendKey appends features' canonical key (Key's encoding) to dst and
+// returns the extended slice. The input is not modified. Looking up
+// m[string(AppendKey(buf[:0], features))] with a stack buffer costs no
+// allocation, since Go does not copy for a map index conversion.
+func AppendKey(dst []byte, features []int) []byte {
 	sorted := features
 	if !sort.IntsAreSorted(sorted) {
 		sorted = append([]int(nil), features...)
 		sort.Ints(sorted)
 	}
-	// 4 bytes per index covers catalogs up to three-digit feature counts
-	// without a second growth; the final string copy is the one allocation.
-	buf := make([]byte, 0, len(sorted)*4)
 	for i, f := range sorted {
 		if i > 0 {
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
-		buf = strconv.AppendInt(buf, int64(f), 10)
+		dst = strconv.AppendInt(dst, int64(f), 10)
 	}
-	return string(buf)
+	return dst
 }
 
 // Fields canonicalizes a composite identity — e.g. the (dataset, seed,

@@ -18,6 +18,9 @@ func TestKey(t *testing.T) {
 		if got := Key(c.in); got != c.want {
 			t.Errorf("Key(%v) = %q, want %q", c.in, got, c.want)
 		}
+		if got := string(AppendKey([]byte("k:"), c.in)); got != "k:"+c.want {
+			t.Errorf("AppendKey(\"k:\", %v) = %q, want %q", c.in, got, "k:"+c.want)
+		}
 	}
 }
 
@@ -26,6 +29,13 @@ func TestKeyDoesNotMutate(t *testing.T) {
 	_ = Key(in)
 	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
 		t.Errorf("Key mutated its input: %v", in)
+	}
+	// AppendKey sorts a copy, never the caller's slice, even when the
+	// caller's slice has spare capacity to sort in.
+	in = append(make([]int, 0, 8), 9, 4, 0, 7)
+	_ = AppendKey(nil, in)
+	if in[0] != 9 || in[1] != 4 || in[2] != 0 || in[3] != 7 {
+		t.Errorf("AppendKey mutated its input: %v", in)
 	}
 }
 

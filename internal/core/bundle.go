@@ -185,14 +185,9 @@ func NewCatalogFromBundles(bundles []Bundle, gains GainProvider) *Catalog {
 func (c *Catalog) buildIndex() {
 	c.byKey = make(map[string]int, len(c.Bundles))
 	for i, b := range c.Bundles {
-		c.byKey[featureKey(b.Features)] = i
+		c.byKey[bundlekey.Key(b.Features)] = i
 	}
 }
-
-// featureKey canonicalizes a feature set into a map key — the catalog-side
-// name of the repo-wide canonical encoding in internal/bundlekey, shared
-// with the valuation oracle so both layers key bundles identically.
-func featureKey(features []int) string { return bundlekey.Key(features) }
 
 // Len returns the number of bundles.
 func (c *Catalog) Len() int { return len(c.Bundles) }
@@ -200,9 +195,12 @@ func (c *Catalog) Len() int { return len(c.Bundles) }
 // FindBundle returns the id of the bundle with exactly this feature set
 // (order-insensitive), or ok=false when the catalog does not carry it.
 // Protocol frontends use it to resolve a peer's offered feature set back to
-// a local bundle; the lookup is O(|features|) through a prebuilt index.
+// a local bundle; the lookup is O(|features|) through a prebuilt index, and
+// a sorted feature set (every catalog bundle's) is keyed in a stack buffer,
+// so a hit allocates nothing.
 func (c *Catalog) FindBundle(features []int) (id int, ok bool) {
-	id, ok = c.byKey[featureKey(features)]
+	var buf [64]byte
+	id, ok = c.byKey[string(bundlekey.AppendKey(buf[:0], features))]
 	if !ok {
 		return -1, false
 	}
@@ -227,15 +225,10 @@ func (c *Catalog) MaxGain() (gain float64, id int) {
 	return c.gains[id], id
 }
 
-// Affordable returns the bundle ids whose reserved prices admit the quoted
-// price (the data party's filtering step).
-func (c *Catalog) Affordable(q QuotedPrice) []int {
-	return c.AffordableInto(nil, q)
-}
-
-// AffordableInto appends the affordable bundle ids to dst (reset to length
-// 0 first) and returns it — the allocation-free form of Affordable for
-// callers that filter every round, like the estimator seller.
+// AffordableInto collects the bundle ids whose reserved prices admit the
+// quoted price (the data party's filtering step) into dst, reset to length
+// 0 first, and returns it. Every caller filters once a round and passes a
+// reused or stack buffer, so the filter allocates nothing.
 func (c *Catalog) AffordableInto(dst []int, q QuotedPrice) []int {
 	dst = dst[:0]
 	for i, b := range c.Bundles {
@@ -360,7 +353,7 @@ func NewSyntheticGains(numFeatures int, maxGain, noiseFrac float64, src *rng.Sou
 // the same value (the noise is memoized), matching the determinism of a
 // cached third-party evaluation.
 func (s *SyntheticGains) Gain(features []int) float64 {
-	key := featureKey(features)
+	key := bundlekey.Key(features)
 	if g, ok := s.memo[key]; ok {
 		return g
 	}

@@ -73,6 +73,11 @@ type Seller interface {
 	Abandon(round int) error
 }
 
+// affordableInline is the stack capacity for one round's affordable set:
+// more than the default 32-bundle catalog, so the per-round filter stays
+// off the heap. A bigger catalog's set grows onto the heap.
+const affordableInline = 64
+
 // AnswerQuote applies the strategic data party's policy to one quote: the
 // reserved-price filter, the Case 4 viability filter (u is mutually known,
 // §3.3), the closest-below-knee bundle selection, and the Case 2 (and, with
@@ -84,7 +89,8 @@ type Seller interface {
 // NoCostModel and 0 tolerances to disable cost-aware acceptance.
 func AnswerQuote(cat *Catalog, q QuotedPrice, u, epsData float64,
 	dataCost CostModel, round int, epsDataC float64) SellerOffer {
-	affordable := cat.Affordable(q)
+	var buf [affordableInline]int
+	affordable := cat.AffordableInto(buf[:0], q)
 	if len(affordable) == 0 {
 		return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1,
 			Reason: "no bundle satisfies the quoted price (Case 1)"}
@@ -96,7 +102,7 @@ func AnswerQuote(cat *Catalog, q QuotedPrice, u, epsData float64,
 	// the market's own validation u > p always holds.
 	if u > q.Rate {
 		breakEven := BreakEvenGain(u, q)
-		viable := affordable[:0:0]
+		viable := affordable[:0] // in place: each write trails its read
 		for _, id := range affordable {
 			if cat.Gain(id) >= breakEven {
 				viable = append(viable, id)
@@ -138,7 +144,8 @@ type catalogSeller struct {
 
 func (s *catalogSeller) Offer(round int, q QuotedPrice) (SellerOffer, error) {
 	if s.cfg.DataStrategy == DataRandomBundle {
-		affordable := s.cat.Affordable(q)
+		var buf [affordableInline]int
+		affordable := s.cat.AffordableInto(buf[:0], q)
 		if len(affordable) == 0 {
 			return SellerOffer{BundleID: -1, Fail: true, TargetBundleID: -1}, nil
 		}

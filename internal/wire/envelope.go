@@ -317,12 +317,21 @@ func (d *envelopeDecoder) bytes() []byte {
 	return append(make([]byte, 0, n), d.raw(uint64(n))...)
 }
 
-func (d *envelopeDecoder) ints() []int {
+func (d *envelopeDecoder) ints() []int { return d.intsInto(nil) }
+
+// intsInto decodes an int slice into dst's backing array when dst is
+// non-nil and its capacity holds the count, and into a fresh array
+// otherwise, so an empty slice never decodes as nil. The count is checked
+// against the bytes left either way, before anything is allocated.
+func (d *envelopeDecoder) intsInto(dst []int) []int {
 	n, isNil := d.count(1)
 	if isNil {
 		return nil
 	}
-	vs := make([]int, n)
+	if dst == nil || n > cap(dst) {
+		dst = make([]int, n)
+	}
+	vs := dst[:n]
 	for i := range vs {
 		vs[i] = d.int()
 	}
@@ -386,7 +395,7 @@ func decodeEnvelope(b []byte) (*Envelope, error) {
 	if mask&bitOffer != 0 {
 		o := e.Offer
 		o.BundleID = d.int()
-		o.Features = d.ints()
+		o.Features = d.intsInto(o.Features)
 		o.Accept = d.bool()
 		o.Fail = d.bool()
 		o.Reason = d.string()
@@ -481,11 +490,23 @@ type boxed[T any] struct {
 	p T
 }
 
+// offerBox is an Offer envelope allocated together with its payload and
+// room for offerInline features, more than any titanic bundle has; a
+// longer bundle decodes into an array of its own.
+type offerBox struct {
+	boxed[Offer]
+	f [offerInline]int
+}
+
+const offerInline = 16
+
 // newEnvelope allocates the envelope for a payload mask. The per-round
 // envelopes carry exactly one of Quote, Offer, Settle or Ack; those come
 // out of a single allocation holding both the envelope and its payload,
-// with the payload pointer set. Any other mask gets a bare envelope plus
-// the fixed-size payloads it names, and the decoder allocates the rest.
+// with the payload pointer set (and, for an Offer, Features set to the
+// box's empty inline array, which the decoder fills when it fits). Any
+// other mask gets a bare envelope plus the fixed-size payloads it names,
+// and the decoder allocates the rest.
 func newEnvelope(mask uint64) *Envelope {
 	switch mask {
 	case bitQuote:
@@ -493,8 +514,9 @@ func newEnvelope(mask uint64) *Envelope {
 		b.e.Quote = &b.p
 		return &b.e
 	case bitOffer:
-		b := new(boxed[Offer])
+		b := new(offerBox)
 		b.e.Offer = &b.p
+		b.p.Features = b.f[:0]
 		return &b.e
 	case bitSettle:
 		b := new(boxed[Settle])

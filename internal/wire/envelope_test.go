@@ -184,6 +184,58 @@ func TestEnvelopeNilVersusEmpty(t *testing.T) {
 	}
 }
 
+// offerWith returns a per-round Offer envelope carrying n features, or nil
+// features for n < 0. Like a live round's Offer it has no Reason, whose
+// decoded string would be an allocation of its own.
+func offerWith(n int) *Envelope {
+	o := &Offer{BundleID: 9, Accept: true, TargetBundleID: 2}
+	if n >= 0 {
+		o.Features = make([]int, n)
+		for i := range o.Features {
+			o.Features[i] = 3*i + 1 - n
+		}
+	}
+	return &Envelope{Kind: KindOffer, SID: 5, Offer: o}
+}
+
+// TestEnvelopeOfferFeatures: an Offer's features decode into the envelope's
+// inline array up to its capacity and into their own array past it, and
+// either way the envelope compares DeepEqual to the sent one and
+// re-encodes to the same bytes: nil, empty, one, a full inline array and
+// one past it.
+func TestEnvelopeOfferFeatures(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, offerInline, offerInline + 1} {
+		want := offerWith(n)
+		raw := encodeOne(want)
+		got, err := decodeEnvelope(raw)
+		if err != nil {
+			t.Fatalf("%d features: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d features round trip:\ngot  %#v\nwant %#v", n, got.Offer, want.Offer)
+		}
+		if again := encodeOne(got); !bytes.Equal(again, raw) {
+			t.Fatalf("%d features re-encode:\n%x\n%x", n, again, raw)
+		}
+	}
+}
+
+// TestEnvelopeOfferDecodeAllocatesOnce: a per-round Offer is one
+// allocation, its features included, while they fit the inline array.
+func TestEnvelopeOfferDecodeAllocatesOnce(t *testing.T) {
+	for n, want := range map[int]float64{0: 1, 3: 1, offerInline: 1, offerInline + 1: 2} {
+		raw := encodeOne(offerWith(n))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := decodeEnvelope(raw); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("decoding an Offer with %d features allocates %v times, want %v", n, allocs, want)
+		}
+	}
+}
+
 // TestEnvelopeStatsBytesDeterministic: map iteration order is random, but
 // a StatsReport encodes to the same bytes every time, keys ascending.
 func TestEnvelopeStatsBytesDeterministic(t *testing.T) {
@@ -252,6 +304,9 @@ func TestEnvelopeCountsCappedBeforeAlloc(t *testing.T) {
 		append(append([]byte{byte(KindOffer) << 1, 0, bitOffer, 0}, huge...), pad...),
 		append(append(append([]byte{byte(KindSettle) << 1, 0, bitSettle, 0, 0}, make([]byte, 8)...), huge...), pad...),
 		append(append(append([]byte{byte(KindStats) << 1, 0, 0x80, 0x02}, make([]byte, 12)...), huge...), pad...),
+		// Offer.Features claiming 12 ints, which would fit the inline
+		// array, with 3 bytes left.
+		append(append([]byte{byte(KindOffer) << 1, 0, bitOffer, 0}, appendCount(nil, 12, false)...), 2, 4, 6),
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -309,7 +364,8 @@ func TestEnvelopeGolden(t *testing.T) {
 }
 
 // envelopeCorpus is the FuzzEnvelopeDecode seed set: one valid payload of
-// every Kind, each torn in the middle, and the oversize-count payloads.
+// every Kind, each torn in the middle, the oversize-count payloads, and
+// the two sides of an Offer's inline features array.
 func envelopeCorpus() [][]byte {
 	var seeds [][]byte
 	for _, e := range everyKindEnvelopes() {
@@ -321,6 +377,10 @@ func envelopeCorpus() [][]byte {
 		append(append([]byte{byte(KindHello) << 1, 0, bitHello, 0, 0}, huge...), 0, 0, 0),
 		append(append([]byte{byte(KindOffer) << 1, 0, bitOffer, 0}, huge...), 1, 2, 3),
 		append(append(append([]byte{byte(KindStats) << 1, 0, 0x80, 0x02}, make([]byte, 12)...), huge...), 0),
+		// Offer features past the inline array, and an Offer claiming 20
+		// ints with 5 bytes left.
+		encodeOne(offerWith(offerInline+1)),
+		append(append([]byte{byte(KindOffer) << 1, 0, bitOffer, 0}, appendCount(nil, 20, false)...), 1, 2, 3, 4, 5),
 	)
 	return seeds
 }
