@@ -3,8 +3,9 @@ package vflmarket
 // One benchmark per table and figure of the paper's evaluation section.
 // Each benchmark iteration regenerates the experiment's rows/series at a
 // reduced-but-faithful scale (synthetic gains, fewer runs); the cmd/figures
-// and cmd/tables binaries run the same code at paper scale. The two
-// Ablation benchmarks quantify the design choices DESIGN.md calls out.
+// and cmd/tables binaries run the same code at paper scale. The Ablation
+// benchmarks quantify design choices; EXPERIMENTS.md ("Benchmarks and the
+// perf trajectory") lists them.
 
 import (
 	"context"
@@ -134,7 +135,7 @@ func BenchmarkFigure4EstimatorMSE(b *testing.B) {
 
 // BenchmarkAblationGainCache quantifies the gain-memoization design choice:
 // it plays a real-VFL bargaining session and reports trained courses with
-// and without the cache (see DESIGN.md §5).
+// and without the cache.
 func BenchmarkAblationGainCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ab, err := exp.RunGainCacheAblation(dataset.Titanic, vfl.RandomForest, 0.25, 3)

@@ -40,9 +40,6 @@ type CostModel struct {
 	Scale float64
 }
 
-// NoCostModel is the zero-cost model of the base experiments.
-var NoCostModel = CostModel{Kind: NoCost}
-
 // At returns the party's cost at round T (1-based). Round 0 or negative
 // costs nothing.
 func (m CostModel) At(T int) float64 {
@@ -60,22 +57,6 @@ func (m CostModel) At(T int) float64 {
 		return scale * math.Pow(m.Factor, float64(T))
 	default:
 		return 0
-	}
-}
-
-// Monotone reports whether the model is non-decreasing in T (true for all
-// supported shapes with non-negative factors; exponential with a < 1 is
-// decreasing and not a valid bargaining cost).
-func (m CostModel) Monotone() bool {
-	switch m.Kind {
-	case NoCost:
-		return true
-	case LinearCost:
-		return m.Factor >= 0
-	case ExpCost:
-		return m.Factor >= 1
-	default:
-		return false
 	}
 }
 

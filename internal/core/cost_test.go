@@ -171,3 +171,24 @@ func TestCostReducesFinalRevenues(t *testing.T) {
 		t.Fatalf("cost did not reduce net revenue: %v vs %v", costly, free)
 	}
 }
+
+// Cost-model names no served path uses, kept for the tests above.
+
+// NoCostModel is the zero-cost model of the base experiments.
+var NoCostModel = CostModel{Kind: NoCost}
+
+// Monotone reports whether the model is non-decreasing in T (true for all
+// supported shapes with non-negative factors; exponential with a < 1 is
+// decreasing and not a valid bargaining cost).
+func (m CostModel) Monotone() bool {
+	switch m.Kind {
+	case NoCost:
+		return true
+	case LinearCost:
+		return m.Factor >= 0
+	case ExpCost:
+		return m.Factor >= 1
+	default:
+		return false
+	}
+}

@@ -56,11 +56,6 @@ func (e *PriceEstimator) input(q QuotedPrice) tensor.Vector {
 	return e.in
 }
 
-// Predict returns the estimated ΔG of offering quote q.
-func (e *PriceEstimator) Predict(q QuotedPrice) float64 {
-	return e.reg.Predict(e.input(q)) * e.gainScale
-}
-
 // PredictPool predicts the estimated ΔG of every quote in pool through one
 // batched forward pass — one matrix product per layer instead of a per-quote
 // MLP walk. The returned slice is reused by the next PredictPool call;
@@ -135,12 +130,6 @@ func NewBundleEstimator(numFeatures int, gainScale float64, seed uint64) *Bundle
 	return e
 }
 
-// Predict returns the estimated ΔG of a bundle.
-func (e *BundleEstimator) Predict(features []int) float64 {
-	pooled := e.emb.ForwardMean(features)
-	return e.mlp.Forward(pooled)[0] * e.gainScale
-}
-
 // PredictAll predicts the estimated ΔG of every feature bundle through one
 // batched forward pass — mean-pool every bundle's embeddings into one
 // matrix, then one matrix product per MLP layer. The returned slice is
@@ -175,34 +164,6 @@ func (e *BundleEstimator) Update(features []int, gain float64) float64 {
 	nn.ClipGrads(e.params, 5)
 	e.opt.Step(e.params)
 	return loss
-}
-
-// EvalMSE returns the mean squared normalized-gain error of the estimator
-// over a labelled evaluation set; used by tests to check convergence.
-func (e *BundleEstimator) EvalMSE(bundles [][]int, gains []float64) float64 {
-	if len(bundles) != len(gains) || len(bundles) == 0 {
-		panic("core: EvalMSE needs matched non-empty sets")
-	}
-	s := 0.0
-	for i, b := range bundles {
-		d := (e.Predict(b) - gains[i]) / e.gainScale
-		s += d * d
-	}
-	return s / float64(len(bundles))
-}
-
-// EvalMSE returns the mean squared normalized-gain error of f over a
-// labelled evaluation set.
-func (e *PriceEstimator) EvalMSE(quotes []QuotedPrice, gains []float64) float64 {
-	if len(quotes) != len(gains) || len(quotes) == 0 {
-		panic("core: EvalMSE needs matched non-empty sets")
-	}
-	s := 0.0
-	for i, q := range quotes {
-		d := (e.Predict(q) - gains[i]) / e.gainScale
-		s += d * d
-	}
-	return s / float64(len(quotes))
 }
 
 // gainScaleFor picks a numerically sensible output scale from a target

@@ -126,3 +126,46 @@ func TestGainScaleFor(t *testing.T) {
 		}
 	}
 }
+
+// Per-sample predictions and evaluation error no served path computes, kept
+// as the references the tests above check the batched scans and training
+// against.
+
+// Predict returns the estimated ΔG of offering quote q.
+func (e *PriceEstimator) Predict(q QuotedPrice) float64 {
+	return e.reg.Predict(e.input(q)) * e.gainScale
+}
+
+// Predict returns the estimated ΔG of a bundle.
+func (e *BundleEstimator) Predict(features []int) float64 {
+	pooled := e.emb.ForwardMean(features)
+	return e.mlp.Forward(pooled)[0] * e.gainScale
+}
+
+// EvalMSE returns the mean squared normalized-gain error of the estimator
+// over a labelled evaluation set; used by tests to check convergence.
+func (e *BundleEstimator) EvalMSE(bundles [][]int, gains []float64) float64 {
+	if len(bundles) != len(gains) || len(bundles) == 0 {
+		panic("core: EvalMSE needs matched non-empty sets")
+	}
+	s := 0.0
+	for i, b := range bundles {
+		d := (e.Predict(b) - gains[i]) / e.gainScale
+		s += d * d
+	}
+	return s / float64(len(bundles))
+}
+
+// EvalMSE returns the mean squared normalized-gain error of f over a
+// labelled evaluation set.
+func (e *PriceEstimator) EvalMSE(quotes []QuotedPrice, gains []float64) float64 {
+	if len(quotes) != len(gains) || len(quotes) == 0 {
+		panic("core: EvalMSE needs matched non-empty sets")
+	}
+	s := 0.0
+	for i, q := range quotes {
+		d := (e.Predict(q) - gains[i]) / e.gainScale
+		s += d * d
+	}
+	return s / float64(len(quotes))
+}

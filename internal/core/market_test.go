@@ -294,7 +294,7 @@ func TestStrategicDominatesBaselines(t *testing.T) {
 
 // The future-work bisection strategy must close successful sessions in far
 // fewer rounds than linear pool escalation, at an equal-or-higher payment —
-// the rounds-vs-overpayment trade DESIGN.md describes.
+// the rounds-vs-overpayment trade BenchmarkAblationBisection measures.
 func TestBisectionFasterButPricier(t *testing.T) {
 	cat := testCatalog(t, 8, 43)
 	const runs = 20

@@ -1,18 +1,15 @@
 // Package core implements the paper's primary contribution: the
 // bargaining-based feature-trading market for two-party VFL. It provides the
-// pricing primitives (quoted prices, reserved prices, the performance-gain
-// payment function of Eq. 2 and the revenue objectives of Eqs. 3–4), feature
-// bundles and catalogs, bargaining-cost models, the perfect-information
-// bargaining engine of Algorithm 1 with termination Cases 1–6 and the
-// cost-aware acceptance rules of Eqs. 6–7, the imperfect-information engine
-// with estimation-based strategies and Cases I–VII, and the non-strategic
-// baselines (Increase Price, Random Bundle) the paper compares against.
+// pricing primitives (quoted prices, reserved prices and the performance-gain
+// payment function of Eq. 2), feature bundles and catalogs, bargaining-cost
+// models, the perfect-information bargaining engine of Algorithm 1 with
+// termination Cases 1–6 and the cost-aware acceptance rules of Eqs. 6–7,
+// the imperfect-information engine with estimation-based strategies and
+// Cases I–VII, and the non-strategic baselines (Increase Price, Random
+// Bundle) the paper compares against.
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // QuotedPrice is the task party's offer p = (p, P0, Ph): payment rate, base
 // payment, and highest payment (Definition 2.2).
@@ -60,12 +57,6 @@ func EquilibriumPrice(rate, base, targetGain float64) QuotedPrice {
 	return QuotedPrice{Rate: rate, Base: base, High: base + rate*targetGain}
 }
 
-// TaskNetProfit implements the realized form of Eq. 3: u·ΔG minus the
-// payment, before bargaining costs.
-func TaskNetProfit(u, gain float64, q QuotedPrice) float64 {
-	return u*gain - q.Payment(gain)
-}
-
 // BreakEvenGain returns P0/(u - p), the gain below which the task party's
 // net profit is negative (the Case 4 failure threshold). It panics when
 // u <= p, which individual rationality (u > p) rules out.
@@ -74,17 +65,6 @@ func BreakEvenGain(u float64, q QuotedPrice) float64 {
 		panic("core: break-even gain requires u > p (individual rationality)")
 	}
 	return q.Base / (u - q.Rate)
-}
-
-// DataRegret implements the data party's objective of Eq. 4 for a realized
-// gain: |Ph - max{P0, P0 + p·ΔG}| — the shortfall from the ceiling the data
-// party tries to minimize by bundle choice.
-func DataRegret(gain float64, q QuotedPrice) float64 {
-	floor := q.Base + q.Rate*gain
-	if floor < q.Base {
-		floor = q.Base
-	}
-	return math.Abs(q.High - floor)
 }
 
 // ReservedPrice is the data party's private per-bundle floor (p_l, P_l)

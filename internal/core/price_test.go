@@ -185,3 +185,23 @@ func TestLemma31WeakDominanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The realized Eq. 3 and Eq. 4 objectives no served path computes, kept for
+// the property tests above.
+
+// TaskNetProfit implements the realized form of Eq. 3: u·ΔG minus the
+// payment, before bargaining costs.
+func TaskNetProfit(u, gain float64, q QuotedPrice) float64 {
+	return u*gain - q.Payment(gain)
+}
+
+// DataRegret implements the data party's objective of Eq. 4 for a realized
+// gain: |Ph - max{P0, P0 + p·ΔG}| — the shortfall from the ceiling the data
+// party tries to minimize by bundle choice.
+func DataRegret(gain float64, q QuotedPrice) float64 {
+	floor := q.Base + q.Rate*gain
+	if floor < q.Base {
+		floor = q.Base
+	}
+	return math.Abs(q.High - floor)
+}

@@ -86,7 +86,7 @@ const affordableInline = 64
 // identically.
 //
 // round is the 1-based bargaining round (used by the cost model); pass
-// NoCostModel and 0 tolerances to disable cost-aware acceptance.
+// the zero CostModel and 0 tolerances to disable cost-aware acceptance.
 func AnswerQuote(cat *Catalog, q QuotedPrice, u, epsData float64,
 	dataCost CostModel, round int, epsDataC float64) SellerOffer {
 	var buf [affordableInline]int

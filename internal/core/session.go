@@ -77,13 +77,6 @@ func (s *Session) Observe(obs ...RoundObserver) *Session {
 	return s
 }
 
-// Config returns the session's configuration as given (defaults not yet
-// applied).
-func (s *Session) Config() SessionConfig { return s.cfg }
-
-// Catalog returns the catalog the session bargains over.
-func (s *Session) Catalog() *Catalog { return s.cat }
-
 func (s *Session) notifyRound(rec RoundRecord) {
 	for _, o := range s.observers {
 		o.OnRound(rec)

@@ -1,8 +1,8 @@
 // Package dataset implements the tabular-data substrate of the VFL market:
 // column-typed datasets, indicator (one-hot) encoding of categorical
 // features, vertical feature splits between the task party and the data
-// party, train/test splitting, and deterministic synthetic generators for the
-// three evaluation datasets of the paper (Titanic, Credit, Adult).
+// party, and deterministic synthetic generators for the three evaluation
+// datasets of the paper (Titanic, Credit, Adult).
 //
 // As in the paper's preprocessing, indicator features derived from one
 // original categorical feature always stay together on one party.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -45,15 +44,6 @@ type Column struct {
 	Categories []string // category names; len is the cardinality (Categorical only)
 }
 
-// Cardinality returns the number of categories for a categorical column and
-// 0 for a numeric one.
-func (c Column) Cardinality() int {
-	if c.Kind != Categorical {
-		return 0
-	}
-	return len(c.Categories)
-}
-
 // EncodedWidth returns the number of encoded columns this feature expands to:
 // 1 for numeric, the cardinality for categorical.
 func (c Column) EncodedWidth() int {
@@ -78,65 +68,6 @@ func (d *Dataset) N() int { return d.Raw.Rows }
 // D returns the number of original features.
 func (d *Dataset) D() int { return len(d.Cols) }
 
-// Validate checks structural invariants: matching shapes, category indices in
-// range, and binary labels.
-func (d *Dataset) Validate() error {
-	if d.Raw.Cols != len(d.Cols) {
-		return fmt.Errorf("dataset %q: %d raw columns vs %d column specs", d.Name, d.Raw.Cols, len(d.Cols))
-	}
-	if len(d.Y) != d.Raw.Rows {
-		return fmt.Errorf("dataset %q: %d labels vs %d rows", d.Name, len(d.Y), d.Raw.Rows)
-	}
-	for j, c := range d.Cols {
-		if c.Kind == Categorical && len(c.Categories) == 0 {
-			return fmt.Errorf("dataset %q: column %q has no categories", d.Name, c.Name)
-		}
-		if c.Kind != Categorical {
-			continue
-		}
-		for i := 0; i < d.Raw.Rows; i++ {
-			v := d.Raw.At(i, j)
-			idx := int(v)
-			if float64(idx) != v || idx < 0 || idx >= len(c.Categories) {
-				return fmt.Errorf("dataset %q: row %d column %q holds invalid category %v", d.Name, i, c.Name, v)
-			}
-		}
-	}
-	for i, y := range d.Y {
-		if y != 0 && y != 1 {
-			return fmt.Errorf("dataset %q: label %d is %d, want 0/1", d.Name, i, y)
-		}
-	}
-	return nil
-}
-
-// Subset returns a new Dataset holding only the given rows (copied).
-func (d *Dataset) Subset(rows []int) *Dataset {
-	out := &Dataset{
-		Name: d.Name,
-		Cols: append([]Column(nil), d.Cols...),
-		Raw:  tensor.NewMatrix(len(rows), d.Raw.Cols),
-		Y:    make([]int, len(rows)),
-	}
-	for i, r := range rows {
-		copy(out.Raw.Data[i*out.Raw.Cols:(i+1)*out.Raw.Cols], d.Raw.Data[r*d.Raw.Cols:(r+1)*d.Raw.Cols])
-		out.Y[i] = d.Y[r]
-	}
-	return out
-}
-
-// TrainTestSplit shuffles the rows with src and splits them so that the test
-// set holds round(testFrac*n) samples. It panics if testFrac is outside
-// [0, 1].
-func (d *Dataset) TrainTestSplit(src *rng.Source, testFrac float64) (train, test *Dataset) {
-	if testFrac < 0 || testFrac > 1 {
-		panic("dataset: testFrac outside [0,1]")
-	}
-	perm := src.Perm(d.N())
-	nTest := int(float64(d.N())*testFrac + 0.5)
-	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest])
-}
-
 // Encoded is a dataset after indicator encoding and numeric standardization.
 type Encoded struct {
 	Name         string
@@ -145,12 +76,6 @@ type Encoded struct {
 	X            *tensor.Matrix
 	Y            []int
 }
-
-// D returns the number of encoded features.
-func (e *Encoded) D() int { return e.X.Cols }
-
-// N returns the number of samples.
-func (e *Encoded) N() int { return e.X.Rows }
 
 // Encode one-hot encodes categorical columns and standardizes numeric
 // columns to zero mean and unit variance (constant columns become all-zero).
@@ -216,25 +141,6 @@ func columnMoments(m *tensor.Matrix, j int) (mean, std float64) {
 		variance = 0
 	}
 	return mean, math.Sqrt(variance)
-}
-
-// Columns returns a new Encoded view restricted to the given encoded columns
-// (copied). Groups are not carried over; feature names are.
-func (e *Encoded) Columns(cols []int) *Encoded {
-	out := &Encoded{
-		Name: e.Name,
-		X:    tensor.NewMatrix(e.N(), len(cols)),
-		Y:    append([]int(nil), e.Y...),
-	}
-	for _, c := range cols {
-		out.FeatureNames = append(out.FeatureNames, e.FeatureNames[c])
-	}
-	for i := 0; i < e.N(); i++ {
-		for k, c := range cols {
-			out.X.Set(i, k, e.X.At(i, c))
-		}
-	}
-	return out
 }
 
 // Split is a vertical partition of an encoded dataset between the task party

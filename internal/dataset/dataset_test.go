@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -251,49 +251,6 @@ func TestTableStats(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	d := toyDataset()
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, "toy", d.Cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(got.Raw, d.Raw, 0) {
-		t.Fatalf("raw mismatch: %v vs %v", got.Raw.Data, d.Raw.Data)
-	}
-	for i := range d.Y {
-		if got.Y[i] != d.Y[i] {
-			t.Fatal("label mismatch")
-		}
-	}
-}
-
-func TestReadCSVRejectsBadHeader(t *testing.T) {
-	_, err := ReadCSV(bytes.NewBufferString("a,b\n"), "x", toyDataset().Cols)
-	if err == nil {
-		t.Fatal("expected header error")
-	}
-}
-
-func TestReadCSVRejectsUnknownCategory(t *testing.T) {
-	csv := "x,color,y2,label\n1,purple,2,0\n"
-	_, err := ReadCSV(bytes.NewBufferString(csv), "x", toyDataset().Cols)
-	if err == nil {
-		t.Fatal("expected category error")
-	}
-}
-
-func TestReadCSVRejectsBadLabel(t *testing.T) {
-	csv := "x,color,y2,label\n1,r,2,5\n"
-	_, err := ReadCSV(bytes.NewBufferString(csv), "x", toyDataset().Cols)
-	if err == nil {
-		t.Fatal("expected label error")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Numeric.String() != "numeric" || Categorical.String() != "categorical" {
 		t.Fatal("Kind.String wrong")
@@ -326,4 +283,100 @@ func BenchmarkGenerateCredit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Generate(Credit, uint64(i), 1000)
 	}
+}
+
+// Dataset helpers no production path calls. Validate checks the generators'
+// invariants above; the tests above exercise the rest.
+
+// Cardinality returns the number of categories for a categorical column and
+// 0 for a numeric one.
+func (c Column) Cardinality() int {
+	if c.Kind != Categorical {
+		return 0
+	}
+	return len(c.Categories)
+}
+
+// Validate checks structural invariants: matching shapes, category indices in
+// range, and binary labels.
+func (d *Dataset) Validate() error {
+	if d.Raw.Cols != len(d.Cols) {
+		return fmt.Errorf("dataset %q: %d raw columns vs %d column specs", d.Name, d.Raw.Cols, len(d.Cols))
+	}
+	if len(d.Y) != d.Raw.Rows {
+		return fmt.Errorf("dataset %q: %d labels vs %d rows", d.Name, len(d.Y), d.Raw.Rows)
+	}
+	for j, c := range d.Cols {
+		if c.Kind == Categorical && len(c.Categories) == 0 {
+			return fmt.Errorf("dataset %q: column %q has no categories", d.Name, c.Name)
+		}
+		if c.Kind != Categorical {
+			continue
+		}
+		for i := 0; i < d.Raw.Rows; i++ {
+			v := d.Raw.At(i, j)
+			idx := int(v)
+			if float64(idx) != v || idx < 0 || idx >= len(c.Categories) {
+				return fmt.Errorf("dataset %q: row %d column %q holds invalid category %v", d.Name, i, c.Name, v)
+			}
+		}
+	}
+	for i, y := range d.Y {
+		if y != 0 && y != 1 {
+			return fmt.Errorf("dataset %q: label %d is %d, want 0/1", d.Name, i, y)
+		}
+	}
+	return nil
+}
+
+// Subset returns a new Dataset holding only the given rows (copied).
+func (d *Dataset) Subset(rows []int) *Dataset {
+	out := &Dataset{
+		Name: d.Name,
+		Cols: append([]Column(nil), d.Cols...),
+		Raw:  tensor.NewMatrix(len(rows), d.Raw.Cols),
+		Y:    make([]int, len(rows)),
+	}
+	for i, r := range rows {
+		copy(out.Raw.Data[i*out.Raw.Cols:(i+1)*out.Raw.Cols], d.Raw.Data[r*d.Raw.Cols:(r+1)*d.Raw.Cols])
+		out.Y[i] = d.Y[r]
+	}
+	return out
+}
+
+// TrainTestSplit shuffles the rows with src and splits them so that the test
+// set holds round(testFrac*n) samples. It panics if testFrac is outside
+// [0, 1].
+func (d *Dataset) TrainTestSplit(src *rng.Source, testFrac float64) (train, test *Dataset) {
+	if testFrac < 0 || testFrac > 1 {
+		panic("dataset: testFrac outside [0,1]")
+	}
+	perm := src.Perm(d.N())
+	nTest := int(float64(d.N())*testFrac + 0.5)
+	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest])
+}
+
+// D returns the number of encoded features.
+func (e *Encoded) D() int { return e.X.Cols }
+
+// N returns the number of samples.
+func (e *Encoded) N() int { return e.X.Rows }
+
+// Columns returns a new Encoded view restricted to the given encoded columns
+// (copied). Groups are not carried over; feature names are.
+func (e *Encoded) Columns(cols []int) *Encoded {
+	out := &Encoded{
+		Name: e.Name,
+		X:    tensor.NewMatrix(e.N(), len(cols)),
+		Y:    append([]int(nil), e.Y...),
+	}
+	for _, c := range cols {
+		out.FeatureNames = append(out.FeatureNames, e.FeatureNames[c])
+	}
+	for i := 0; i < e.N(); i++ {
+		for k, c := range cols {
+			out.X.Set(i, k, e.X.At(i, c))
+		}
+	}
+	return out
 }

@@ -8,7 +8,7 @@
 // gains* matches the paper's shape: large gains on Titanic (ΔG ≈ 0.1–0.2),
 // tiny on Credit (ΔG ≈ 0.5e-2), moderate on Adult (ΔG ≈ 1–3e-2). The
 // bargaining market consumes only ΔG values, so this substitution preserves
-// the behaviour under study (see DESIGN.md §3).
+// the behaviour under study (see EXPERIMENTS.md, "Datasets and Table 2").
 package dataset
 
 import (

@@ -417,3 +417,13 @@ func TestKDECurveSmallSample(t *testing.T) {
 		t.Fatalf("KDE grid = %d", len(c.X))
 	}
 }
+
+// Table2Expected returns the paper's Table 2 values, used by tests and
+// EXPERIMENTS.md to confirm the schema match.
+func Table2Expected() []dataset.Stats {
+	return []dataset.Stats{
+		{Name: "titanic", Samples: 891, OriginalFeatures: 11, TaskPartyEncoded: 10, DataPartyEncoded: 19},
+		{Name: "credit", Samples: 30000, OriginalFeatures: 25, TaskPartyEncoded: 9, DataPartyEncoded: 21},
+		{Name: "adult", Samples: 48842, OriginalFeatures: 14, TaskPartyEncoded: 52, DataPartyEncoded: 36},
+	}
+}

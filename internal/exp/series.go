@@ -13,12 +13,6 @@ type RoundAgg struct {
 	CILo, CIHi float64
 }
 
-// Series is one metric's aggregated trajectory.
-type Series struct {
-	Name   string
-	Points []RoundAgg
-}
-
 // metricFn extracts one scalar from a round record.
 type metricFn func(core.RoundRecord) float64
 

@@ -224,3 +224,86 @@ func TestRegistryValidation(t *testing.T) {
 		t.Fatalf("Assign distributed %d of 10 markets", total)
 	}
 }
+
+// Registry operations no production path calls (the service changes
+// placement only through BeginMove and CommitMove), kept for the tests
+// above to drive the map directly.
+
+// Shard returns the entry with the given ID.
+func (r *Registry) Shard(id int) (Shard, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if id < 0 || id >= len(r.shards) {
+		return Shard{}, fmt.Errorf("fabric: no shard %d (have %d)", id, len(r.shards))
+	}
+	return r.shards[id], nil
+}
+
+// AddShard appends a fresh shard to the ring and bumps the epoch. Existing
+// pins are untouched; unpinned markets re-hash, which by the consistent-
+// hashing contract moves only ~1/(N+1) of them onto the newcomer. The
+// caller is responsible for actually migrating the markets the new map
+// says moved (see Rebalancer).
+func (r *Registry) AddShard(s Shard) (Shard, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.Addr == "" {
+		return Shard{}, fmt.Errorf("fabric: shard needs an address")
+	}
+	for _, have := range r.shards {
+		if have.Addr == s.Addr {
+			return Shard{}, fmt.Errorf("fabric: duplicate shard address %q", s.Addr)
+		}
+	}
+	s.ID = len(r.shards)
+	if s.Name == "" {
+		s.Name = fmt.Sprintf("shard-%d", s.ID)
+	}
+	r.shards = append(r.shards, s)
+	r.rebuildRingLocked()
+	r.epoch++
+	return s, nil
+}
+
+// Pin overrides the hash placement of a market and bumps the epoch — the
+// operator's explicit placement, and what CommitMove records so a migrated
+// market stays where it landed.
+func (r *Registry) Pin(market string, shardID int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if shardID < 0 || shardID >= len(r.shards) {
+		return fmt.Errorf("fabric: cannot pin %q to unknown shard %d", market, shardID)
+	}
+	if _, inFlight := r.moving[market]; inFlight {
+		return fmt.Errorf("fabric: market %q is mid-migration; commit or abort first", market)
+	}
+	r.pins[market] = shardID
+	r.epoch++
+	return nil
+}
+
+// Unpin removes a market's explicit placement, returning it to hash
+// ownership, and bumps the epoch. Unpinning an unpinned market is a no-op.
+func (r *Registry) Unpin(market string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.pins[market]; !ok {
+		return
+	}
+	delete(r.pins, market)
+	r.epoch++
+}
+
+// Assign distributes a list of markets over the current map: a helper for
+// boot-time registration (each shard registers the markets Assign puts on
+// it) and for tests asserting distribution.
+func (r *Registry) Assign(markets []string) map[int][]string {
+	out := make(map[int][]string)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, m := range markets {
+		id := r.ownerLocked(m)
+		out[id] = append(out[id], m)
+	}
+	return out
+}

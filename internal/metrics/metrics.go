@@ -1,13 +1,9 @@
 // Package metrics implements the evaluation metrics for the VFL base models.
 // The paper reports Accuracy as the performance measure M used in the
-// performance gain ΔG = (M - M0)/M0; AUC and the confusion counts are
-// provided for completeness and for the examples.
+// performance gain ΔG = (M - M0)/M0.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Accuracy returns the fraction of predictions matching labels. Both slices
 // hold class values (0/1 for the binary tasks in the paper). It panics on
@@ -26,146 +22,6 @@ func Accuracy(preds, labels []int) float64 {
 		}
 	}
 	return float64(hits) / float64(len(preds))
-}
-
-// ErrorRate returns 1 - Accuracy.
-func ErrorRate(preds, labels []int) float64 { return 1 - Accuracy(preds, labels) }
-
-// AccuracyFromScores thresholds probability scores at 0.5 and returns the
-// accuracy against binary labels.
-func AccuracyFromScores(scores []float64, labels []int) float64 {
-	preds := make([]int, len(scores))
-	for i, s := range scores {
-		if s >= 0.5 {
-			preds[i] = 1
-		}
-	}
-	return Accuracy(preds, labels)
-}
-
-// Confusion holds binary-classification confusion counts.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// NewConfusion tallies predictions against binary labels.
-func NewConfusion(preds, labels []int) Confusion {
-	if len(preds) != len(labels) {
-		panic("metrics: Confusion length mismatch")
-	}
-	var c Confusion
-	for i, p := range preds {
-		switch {
-		case p == 1 && labels[i] == 1:
-			c.TP++
-		case p == 1 && labels[i] == 0:
-			c.FP++
-		case p == 0 && labels[i] == 0:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c
-}
-
-// Precision returns TP/(TP+FP), or NaN when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return math.NaN()
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or NaN when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return math.NaN()
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall, or NaN when
-// undefined.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
-}
-
-// AUC returns the area under the ROC curve for probability scores against
-// binary labels, computed via the rank statistic with midrank tie handling.
-// It returns NaN if either class is absent.
-func AUC(scores []float64, labels []int) float64 {
-	if len(scores) != len(labels) {
-		panic("metrics: AUC length mismatch")
-	}
-	n := len(scores)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && scores[idx[j]] == scores[idx[i]] {
-			j++
-		}
-		mid := float64(i+j+1) / 2 // average 1-based rank of the tie group
-		for k := i; k < j; k++ {
-			ranks[idx[k]] = mid
-		}
-		i = j
-	}
-	var nPos, nNeg int
-	var sumPos float64
-	for i, l := range labels {
-		if l == 1 {
-			nPos++
-			sumPos += ranks[i]
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return math.NaN()
-	}
-	return (sumPos - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
-}
-
-// MSE returns the mean squared error of continuous predictions.
-func MSE(preds, targets []float64) float64 {
-	if len(preds) != len(targets) {
-		panic("metrics: MSE length mismatch")
-	}
-	if len(preds) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i, p := range preds {
-		d := p - targets[i]
-		s += d * d
-	}
-	return s / float64(len(preds))
-}
-
-// MAE returns the mean absolute error of continuous predictions.
-func MAE(preds, targets []float64) float64 {
-	if len(preds) != len(targets) {
-		panic("metrics: MAE length mismatch")
-	}
-	if len(preds) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i, p := range preds {
-		s += math.Abs(p - targets[i])
-	}
-	return s / float64(len(preds))
 }
 
 // PerformanceGain returns the relative improvement ΔG = (m - m0)/m0 defined

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -36,29 +37,6 @@ func TestAccuracyFromScores(t *testing.T) {
 	got := AccuracyFromScores([]float64{0.9, 0.2, 0.5}, []int{1, 0, 1})
 	if got != 1 {
 		t.Fatalf("AccuracyFromScores = %v (0.5 should threshold to 1)", got)
-	}
-}
-
-func TestConfusionCounts(t *testing.T) {
-	c := NewConfusion([]int{1, 1, 0, 0, 1}, []int{1, 0, 0, 1, 1})
-	if c.TP != 2 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if got := c.Precision(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Precision = %v", got)
-	}
-	if got := c.Recall(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Recall = %v", got)
-	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("F1 = %v", got)
-	}
-}
-
-func TestConfusionUndefined(t *testing.T) {
-	c := NewConfusion([]int{0, 0}, []int{0, 0})
-	if !math.IsNaN(c.Precision()) || !math.IsNaN(c.Recall()) || !math.IsNaN(c.F1()) {
-		t.Fatal("degenerate confusion should be NaN")
 	}
 }
 
@@ -192,4 +170,95 @@ func BenchmarkAUC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = AUC(scores, labels)
 	}
+}
+
+// Metrics the market does not report (the paper's measure is Accuracy),
+// kept as references for the tests above.
+
+// ErrorRate returns 1 - Accuracy.
+func ErrorRate(preds, labels []int) float64 { return 1 - Accuracy(preds, labels) }
+
+// AccuracyFromScores thresholds probability scores at 0.5 and returns the
+// accuracy against binary labels.
+func AccuracyFromScores(scores []float64, labels []int) float64 {
+	preds := make([]int, len(scores))
+	for i, s := range scores {
+		if s >= 0.5 {
+			preds[i] = 1
+		}
+	}
+	return Accuracy(preds, labels)
+}
+
+// AUC returns the area under the ROC curve for probability scores against
+// binary labels, computed via the rank statistic with midrank tie handling.
+// It returns NaN if either class is absent.
+func AUC(scores []float64, labels []int) float64 {
+	if len(scores) != len(labels) {
+		panic("metrics: AUC length mismatch")
+	}
+	n := len(scores)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+
+	ranks := make([]float64, n)
+	for i := 0; i < n; {
+		j := i
+		for j < n && scores[idx[j]] == scores[idx[i]] {
+			j++
+		}
+		mid := float64(i+j+1) / 2 // average 1-based rank of the tie group
+		for k := i; k < j; k++ {
+			ranks[idx[k]] = mid
+		}
+		i = j
+	}
+	var nPos, nNeg int
+	var sumPos float64
+	for i, l := range labels {
+		if l == 1 {
+			nPos++
+			sumPos += ranks[i]
+		} else {
+			nNeg++
+		}
+	}
+	if nPos == 0 || nNeg == 0 {
+		return math.NaN()
+	}
+	return (sumPos - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
+}
+
+// MSE returns the mean squared error of continuous predictions.
+func MSE(preds, targets []float64) float64 {
+	if len(preds) != len(targets) {
+		panic("metrics: MSE length mismatch")
+	}
+	if len(preds) == 0 {
+		return math.NaN()
+	}
+	s := 0.0
+	for i, p := range preds {
+		d := p - targets[i]
+		s += d * d
+	}
+	return s / float64(len(preds))
+}
+
+// MAE returns the mean absolute error of continuous predictions.
+func MAE(preds, targets []float64) float64 {
+	if len(preds) != len(targets) {
+		panic("metrics: MAE length mismatch")
+	}
+	if len(preds) == 0 {
+		return math.NaN()
+	}
+	s := 0.0
+	for i, p := range preds {
+		s += math.Abs(p - targets[i])
+	}
+	return s / float64(len(preds))
 }

@@ -1,6 +1,6 @@
 // Package nn is the from-scratch neural-network substrate: dense layers,
-// activations, an embedding table, losses, optimizers, and minibatch
-// trainers. It implements exactly what the paper needs — the 3-layer MLP VFL
+// activations, an embedding table, losses, optimizers, and an online
+// regressor. It implements exactly what the paper needs — the 3-layer MLP VFL
 // base model (embedding dims 64 and 32) and the two performance-gain
 // estimators f (price → ΔG) and g (feature bundle → ΔG). Minibatch training
 // and batched prediction run through the tensor package's matrix kernels;
@@ -314,9 +314,6 @@ func (m *MLP) Params() []Param {
 
 // In returns the input width.
 func (m *MLP) In() int { return m.Layers[0].In }
-
-// Out returns the output width.
-func (m *MLP) Out() int { return m.Layers[len(m.Layers)-1].Out }
 
 // Embedding is a lookup table mapping discrete IDs to dense vectors. The
 // data party's bundle encoder embeds each feature in a bundle and averages

@@ -40,104 +40,6 @@ func MSEGrad(pred, target float64) (loss, grad float64) {
 	return d * d, 2 * d
 }
 
-// TrainConfig controls the minibatch trainers.
-type TrainConfig struct {
-	Hidden    []int   // hidden layer sizes; defaults to {64, 32} (paper)
-	LR        float64 // defaults to 1e-2 (paper)
-	Epochs    int     // defaults to 200 (paper's isolated-training budget)
-	BatchSize int     // defaults to 128
-	Seed      uint64
-	ClipNorm  float64 // 0 disables clipping
-}
-
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Hidden == nil {
-		c.Hidden = []int{64, 32}
-	}
-	if c.LR == 0 {
-		c.LR = 1e-2
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 200
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 128
-	}
-	return c
-}
-
-// Classifier is a trained binary MLP classifier.
-type Classifier struct {
-	net *MLP
-}
-
-// TrainClassifier fits a binary MLP classifier on X (rows are samples) and
-// labels y using minibatch SGD on the BCE-with-logits loss. Training runs
-// the vectorized minibatch path — whole-batch matrix kernels with reused
-// buffers — which is bit-identical to the per-sample loop it replaced.
-func TrainClassifier(X *tensor.Matrix, y []int, cfg TrainConfig) *Classifier {
-	cfg = cfg.withDefaults()
-	src := rng.New(cfg.Seed)
-	sizes := append(append([]int{X.Cols}, cfg.Hidden...), 1)
-	net := NewMLP(sizes, ReLU, Identity, src.Split(1))
-	opt := NewSGD(cfg.LR)
-	opt.Momentum = 0.9
-	shuffle := src.Split(2)
-	n := X.Rows
-	var xb, gb *tensor.Matrix
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := shuffle.Perm(n)
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			batch := perm[start:end]
-			xb = tensor.GatherRowsInto(xb, X, batch)
-			net.ZeroGrad()
-			out := net.ForwardBatch(xb)
-			gb = tensor.EnsureMatrix(gb, len(batch), 1)
-			for s, i := range batch {
-				_, g := BCEWithLogitsGrad(out.At(s, 0), y[i])
-				gb.Set(s, 0, g/float64(len(batch)))
-			}
-			net.BackwardBatch(gb)
-			if cfg.ClipNorm > 0 {
-				ClipGrads(net.Params(), cfg.ClipNorm)
-			}
-			opt.Step(net.Params())
-		}
-	}
-	return &Classifier{net: net}
-}
-
-// PredictProba returns P(y=1 | x).
-func (c *Classifier) PredictProba(x tensor.Vector) float64 {
-	z := c.net.Forward(x)
-	return 1 / (1 + math.Exp(-z[0]))
-}
-
-// Predict returns the class decision at threshold 0.5.
-func (c *Classifier) Predict(x tensor.Vector) int {
-	if c.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// PredictAll returns class decisions for every row of X through one
-// vectorized forward pass (bit-identical to per-row Predict).
-func (c *Classifier) PredictAll(X *tensor.Matrix) []int {
-	z := c.net.ForwardBatch(X)
-	out := make([]int, X.Rows)
-	for i := range out {
-		if 1/(1+math.Exp(-z.At(i, 0))) >= 0.5 {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // Regressor is a trained scalar-output MLP regressor, used by the
 // performance-gain estimators.
 type Regressor struct {
@@ -175,24 +77,4 @@ func (r *Regressor) Update(x tensor.Vector, target float64) float64 {
 	ClipGrads(r.params, 5)
 	r.opt.Step(r.params)
 	return loss
-}
-
-// UpdateBatch performs one gradient step on a batch and returns the mean
-// pre-update squared error. It panics on length mismatch or an empty batch.
-func (r *Regressor) UpdateBatch(xs []tensor.Vector, targets []float64) float64 {
-	if len(xs) != len(targets) || len(xs) == 0 {
-		panic("nn: UpdateBatch needs a non-empty batch with matching targets")
-	}
-	r.net.ZeroGrad()
-	total := 0.0
-	for i, x := range xs {
-		pred := r.net.Forward(x)
-		loss, g := MSEGrad(pred[0], targets[i])
-		total += loss
-		r.gbuf[0] = g / float64(len(xs))
-		r.net.Backward(r.gbuf)
-	}
-	ClipGrads(r.params, 5)
-	r.opt.Step(r.params)
-	return total / float64(len(xs))
 }

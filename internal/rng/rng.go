@@ -94,9 +94,6 @@ func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // Choice returns a random index in [0, len(weights)) with probability
 // proportional to weights[i]. Non-positive weights are treated as zero; if all
 // weights are zero the choice is uniform.
@@ -139,15 +136,6 @@ func (s *Source) Sample(n, k int) []int {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]
-}
-
-// Exp returns an exponential variate with the given rate. It panics if
-// rate <= 0.
-func (s *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp requires rate > 0")
-	}
-	return -math.Log(1-s.r.Float64()) / rate
 }
 
 // LogNormal returns exp(N(mu, sigma)).

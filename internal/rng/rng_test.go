@@ -400,3 +400,12 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Exp returns an exponential variate with the given rate. It panics if
+// rate <= 0.
+func (s *Source) Exp(rate float64) float64 {
+	if rate <= 0 {
+		panic("rng: Exp requires rate > 0")
+	}
+	return -math.Log(1-s.r.Float64()) / rate
+}

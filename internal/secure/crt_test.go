@@ -206,19 +206,3 @@ func TestEncodeFixedRangeErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestPaymentFromEncGainGuards(t *testing.T) {
-	sk := testKeyPair(t)
-	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader)
-	encGain, err := task.ReportHomomorphic(0.12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := data.PaymentFromEncGain(encGain, MaxFixed*2, 1.4, 3.0); err == nil {
-		t.Fatal("overflowing rate accepted")
-	}
-	if _, err := data.PaymentFromEncGain(encGain, 9.5, MaxFixed, 3.0); err == nil {
-		t.Fatal("overflowing base accepted")
-	}
-}

@@ -72,11 +72,11 @@ type TaskReporter struct {
 // ReporterOption configures a TaskReporter at construction time.
 type ReporterOption func(*TaskReporter)
 
-// WithNoise attaches a randomizer pool to the reporter: Report and
-// ReportHomomorphic then draw precomputed r^n factors from it — one mulmod
-// per settlement instead of a modexp — falling back inline when drained. A
-// nil source is ignored. The pool must have been built for the same public
-// key the reporter encrypts under.
+// WithNoise attaches a randomizer pool to the reporter: Report then draws
+// precomputed r^n factors from it — one mulmod per settlement instead of a
+// modexp — falling back inline when drained. A nil source is ignored. The
+// pool must have been built for the same public key the reporter encrypts
+// under.
 func WithNoise(ns *NoiseSource) ReporterOption {
 	return func(t *TaskReporter) { t.noise = ns }
 }
@@ -128,19 +128,6 @@ func (t *TaskReporter) Report(rate, base, high, gain float64) (*GainReport, erro
 	return &GainReport{EncPayment: ct}, nil
 }
 
-// ReportHomomorphic is the stronger variant for audited markets: the task
-// party submits Enc(ΔG) and the *data party* (or the third party) computes
-// Enc(P0 + p·ΔG) homomorphically, so the reported gain is bound to the
-// payment — the task party cannot report one gain to the auditor and pay
-// per another.
-func (t *TaskReporter) ReportHomomorphic(gain float64) (*Ciphertext, error) {
-	m, err := EncodeFixed(t.pk, gain)
-	if err != nil {
-		return nil, err
-	}
-	return t.encrypt(m)
-}
-
 // DataReceiver is the data party's side: it owns the private key.
 type DataReceiver struct {
 	sk *PrivateKey
@@ -161,57 +148,4 @@ func (d *DataReceiver) OpenPayment(r *GainReport) (float64, error) {
 		return 0, err
 	}
 	return DecodeFixed(&d.sk.PublicKey, m), nil
-}
-
-// minHomomorphicBits is the modulus width the scale² encoding of
-// PaymentFromEncGain needs: rate and gain each occupy up to 63 scaled
-// bits, so their homomorphic product can reach 126 bits and must stay
-// below n/2.
-const minHomomorphicBits = 128
-
-// PaymentFromEncGain computes the unclamped payment P0 + p·ΔG from an
-// encrypted gain homomorphically and decrypts it. The linear form is exact
-// under Paillier; the [P0, Ph] clamp is applied on the decrypted value
-// (comparison under encryption needs SMC, which §3.6 cites as the extension
-// point — the linear part is what leaks ΔG and is what the encryption
-// protects during transport).
-//
-// The computation runs in scale² (both addends carry GainScale²), so it
-// demands more of the key than a plain settlement: moduli narrower than
-// 128 bits could wrap the product and settle a garbage payment, and are
-// rejected. Every key GenerateKey accepts is comfortably wide enough.
-func (d *DataReceiver) PaymentFromEncGain(encGain *Ciphertext, rate, base, high float64) (float64, error) {
-	pk := &d.sk.PublicKey
-	if pk.N.BitLen() < minHomomorphicBits {
-		return 0, fmt.Errorf("secure: modulus of %d bits too narrow for the scale² homomorphic payment (want >= %d)", pk.N.BitLen(), minHomomorphicBits)
-	}
-	if math.IsNaN(rate) || math.IsInf(rate, 0) || math.Abs(rate) >= MaxFixed {
-		return 0, fmt.Errorf("secure: rate %v outside the fixed-point range", rate)
-	}
-	// base feeds EncodeFixed below, but high only drives the clamp — and
-	// every float comparison against NaN is false, so a non-finite bound
-	// would silently drop the Eq. 2 ceiling instead of erroring.
-	if math.IsNaN(base) || math.IsInf(base, 0) || math.IsNaN(high) || math.IsInf(high, 0) {
-		return 0, fmt.Errorf("secure: payment bounds (base %v, high %v) must be finite", base, high)
-	}
-	rateFixed := big.NewInt(int64(math.Round(rate * GainScale)))
-	// Enc(rate·gain) in scale²; add base in scale² too, decode twice.
-	scaled := pk.MulPlain(encGain, rateFixed)
-	baseFixed, err := EncodeFixed(pk, base*GainScale)
-	if err != nil {
-		return 0, err
-	}
-	total := pk.AddPlain(scaled, baseFixed)
-	m, err := d.sk.Decrypt(total)
-	if err != nil {
-		return 0, err
-	}
-	pay := DecodeFixed(pk, m) / GainScale
-	if pay < base {
-		pay = base
-	}
-	if pay > high {
-		pay = high
-	}
-	return pay, nil
 }

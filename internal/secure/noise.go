@@ -12,9 +12,9 @@ import (
 // NoiseSource is a bounded concurrent pool of precomputed encryption
 // randomizers r^n mod n² — the message-independent modexp that dominates
 // Paillier encryption. Background workers keep the pool topped up, so
-// steady-state settlement encryption (Encrypt, Rerandomize, Blind) costs
-// one modular multiplication per draw; when the pool is drained faster
-// than it refills, draws fall back to computing the factor inline, so a
+// steady-state settlement encryption (Encrypt, Blind) costs one modular
+// multiplication per draw; when the pool is drained faster than it
+// refills, draws fall back to computing the factor inline, so a
 // NoiseSource never blocks and never fails where plain encryption would
 // succeed.
 //
@@ -204,16 +204,6 @@ func (s *NoiseSource) Encrypt(m *big.Int) (*Ciphertext, error) {
 		return nil, err
 	}
 	return s.pk.encryptWithFactor(m, rn)
-}
-
-// Rerandomize multiplies the ciphertext by a pooled encryption of zero,
-// unlinking it from the original without changing the plaintext.
-func (s *NoiseSource) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	rn, err := s.factor()
-	if err != nil {
-		return nil, err
-	}
-	return s.pk.Add(a, &Ciphertext{C: rn}), nil
 }
 
 // Blind multiplies the ciphertext by a pooled randomizer when one is

@@ -334,3 +334,13 @@ func TestNoiseBudgetNeverGatesCloseOrInline(t *testing.T) {
 		t.Fatal("Close waited for another source's refill slot")
 	}
 }
+
+// Rerandomize multiplies the ciphertext by a pooled encryption of zero,
+// unlinking it from the original without changing the plaintext.
+func (s *NoiseSource) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
+	rn, err := s.factor()
+	if err != nil {
+		return nil, err
+	}
+	return s.pk.Add(a, &Ciphertext{C: rn}), nil
+}

@@ -304,32 +304,3 @@ func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
 	c.Mod(c, pk.N2)
 	return &Ciphertext{C: c}
 }
-
-// AddPlain returns the ciphertext of m + k (mod n).
-func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	kk := new(big.Int).Mod(k, pk.N)
-	gm := new(big.Int).Mul(kk, pk.N)
-	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	c := gm.Mul(gm, a.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
-}
-
-// MulPlain returns the ciphertext of m·k (mod n): c^k mod n².
-func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	kk := new(big.Int).Mod(k, pk.N)
-	return &Ciphertext{C: new(big.Int).Exp(a.C, kk, pk.N2)}
-}
-
-// Rerandomize multiplies the ciphertext by a fresh encryption of zero,
-// unlinking it from the original without changing the plaintext. The
-// randomness is computed inline; pooled callers use
-// NoiseSource.Rerandomize.
-func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	rn, err := pk.NoiseFactor(random)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, &Ciphertext{C: rn}), nil
-}

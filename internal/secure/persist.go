@@ -73,15 +73,6 @@ func (r *RotatingKey) Generation() int {
 	return r.gen
 }
 
-// Restored reports whether the boot key was loaded from the store rather
-// than generated. It blocks until the first generation lands.
-func (r *RotatingKey) Restored() bool {
-	<-r.ready
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.restored
-}
-
 // install makes sk current and persists it; callers hold no lock.
 func (r *RotatingKey) install(sk *PrivateKey, gen int, restored bool) error {
 	if r.st != nil {

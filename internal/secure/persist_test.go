@@ -188,3 +188,12 @@ func TestRotateConcurrentAdvancesGenerationByK(t *testing.T) {
 		t.Fatal("the store does not hold the live key")
 	}
 }
+
+// Restored reports whether the boot key was loaded from the store rather
+// than generated. It blocks until the first generation lands.
+func (r *RotatingKey) Restored() bool {
+	<-r.ready
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.restored
+}

@@ -1,13 +1,10 @@
 // Package stats provides the descriptive statistics the experiment harness
 // reports: means, standard deviations, Student-t 95% confidence intervals
-// (the error bands in Figures 2 and 3), histograms, and Gaussian kernel
-// density estimation (the density columns of Figures 2 and 3).
+// (the error bands in Figures 2 and 3), and Gaussian kernel density
+// estimation (the density columns of Figures 2 and 3).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -56,32 +53,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Summary holds the aggregate the experiment tables report.
 type Summary struct {
 	N          int
@@ -123,84 +94,6 @@ func tCritical95(df int) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// Accumulator collects values online with O(1) memory (Welford's algorithm).
-// The zero value is ready to use.
-type Accumulator struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of values added.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean, or NaN before any Add.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.mean
-}
-
-// Std returns the running unbiased standard deviation, or NaN when fewer than
-// two values were added.
-func (a *Accumulator) Std() float64 {
-	if a.n < 2 {
-		return math.NaN()
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram bins xs into n equal-width buckets over [lo, hi]; values
-// outside the range clamp to the first/last bucket. It panics if n <= 0 or
-// hi <= lo.
-func NewHistogram(xs []float64, n int, lo, hi float64) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs n > 0")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		h.Counts[b]++
-		h.Total++
-	}
-	return h
-}
-
-// Density returns the normalized density of bucket i (integrates to 1).
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.Total) * w)
 }
 
 // KDE is a Gaussian kernel density estimate of a sample, the "Shape Density"
@@ -258,44 +151,4 @@ func (k *KDE) Grid(n int) (xs, ys []float64) {
 		ys[i] = k.At(x)
 	}
 	return xs, ys
-}
-
-// MSE returns the mean squared error between preds and targets. It panics on
-// length mismatch and returns NaN for empty input.
-func MSE(preds, targets []float64) float64 {
-	if len(preds) != len(targets) {
-		panic("stats: MSE length mismatch")
-	}
-	if len(preds) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i, p := range preds {
-		d := p - targets[i]
-		s += d * d
-	}
-	return s / float64(len(preds))
-}
-
-// Pearson returns the Pearson correlation coefficient of xs and ys, or NaN if
-// either sample is constant. It panics on length mismatch.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Pearson length mismatch")
-	}
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

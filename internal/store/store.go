@@ -42,8 +42,9 @@ import (
 var (
 	// ErrNotExist reports that no snapshot with the given name exists.
 	ErrNotExist = errors.New("store: snapshot does not exist")
-	// ErrTruncated reports a snapshot shorter than its header promises —
-	// a partial write from a crashed process or a torn copy.
+	// ErrTruncated reports a snapshot whose length disagrees with its
+	// header — a partial write from a crashed process, a torn copy, or
+	// bytes appended after the checksum.
 	ErrTruncated = errors.New("store: snapshot truncated")
 	// ErrChecksum reports a snapshot whose CRC-32C does not match its
 	// contents — bit rot or an out-of-band edit.
@@ -136,14 +137,7 @@ func (s *Store) Save(name string, version uint32, payload []byte) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, headerLen+len(payload)+trailerLen)
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, containerVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
+	buf := encode(version, payload)
 	path := s.Path(name)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: save %s: %w", name, err)
@@ -179,7 +173,7 @@ func (s *Store) Save(name string, version uint32, payload []byte) error {
 
 // Load reads and verifies a snapshot, returning its payload. maxVersion is
 // the newest payload schema the caller understands; snapshots with a newer
-// payload version (or a newer container format) fail with ErrVersion.
+// payload version (or another container format) fail with ErrVersion.
 // Missing snapshots fail with ErrNotExist; damaged ones with ErrTruncated,
 // ErrChecksum, or ErrMagic.
 func (s *Store) Load(name string, maxVersion uint32) (payload []byte, version uint32, err error) {
@@ -196,7 +190,21 @@ func (s *Store) Load(name string, maxVersion uint32) (payload []byte, version ui
 	return decode(raw, name, maxVersion)
 }
 
-// decode verifies one framed snapshot image.
+// encode frames a payload as one snapshot image: decode's inverse.
+func encode(version uint32, payload []byte) []byte {
+	buf := make([]byte, 0, headerLen+len(payload)+trailerLen)
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, containerVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// decode verifies one framed snapshot image. It accepts exactly the images
+// encode writes: the header's length must account for every byte between
+// the header and the checksum, so bytes appended after the checksum are
+// damage, not slack.
 func decode(raw []byte, name string, maxVersion uint32) ([]byte, uint32, error) {
 	if len(raw) < len(magic) {
 		return nil, 0, fmt.Errorf("%w: %s: %d bytes", ErrTruncated, name, len(raw))
@@ -210,10 +218,10 @@ func decode(raw []byte, name string, maxVersion uint32) ([]byte, uint32, error) 
 	cv := binary.LittleEndian.Uint32(raw[len(magic):])
 	pv := binary.LittleEndian.Uint32(raw[len(magic)+4:])
 	n := binary.LittleEndian.Uint64(raw[len(magic)+8:])
-	if cv > containerVersion {
-		return nil, 0, fmt.Errorf("%w: %s: container format %d > %d", ErrVersion, name, cv, containerVersion)
+	if cv != containerVersion {
+		return nil, 0, fmt.Errorf("%w: %s: container format %d, want %d", ErrVersion, name, cv, containerVersion)
 	}
-	if n > uint64(len(raw)-headerLen-trailerLen) {
+	if n != uint64(len(raw)-headerLen-trailerLen) {
 		return nil, 0, fmt.Errorf("%w: %s: header promises %d payload bytes, file has %d",
 			ErrTruncated, name, n, len(raw)-headerLen-trailerLen)
 	}
@@ -290,18 +298,6 @@ func (s *Store) Quarantine(name string) error {
 // Quarantined reports how many snapshots this store has quarantined since
 // it opened.
 func (s *Store) Quarantined() uint64 { return s.quarantined.Load() }
-
-// Remove deletes a snapshot. Removing a snapshot that does not exist is not
-// an error.
-func (s *Store) Remove(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if err := os.Remove(s.Path(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: remove %s: %w", name, err)
-	}
-	return nil
-}
 
 // List returns the names of every snapshot whose name starts with prefix
 // (pass "" for all), in lexical order. Files that do not carry the snapshot

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,6 +109,21 @@ func TestCorruptionClasses(t *testing.T) {
 		}
 		if _, _, err := s.Load("snap", 2); !errors.Is(err, ErrVersion) {
 			t.Fatalf("future container: got %v, want ErrVersion", err)
+		}
+	})
+
+	t.Run("trailing-bytes", func(t *testing.T) {
+		s, path := fresh(t)
+		raw, _ := os.ReadFile(path)
+		raw = append(raw, "appended"...)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Load("snap", 2); !IsCorrupt(err) {
+			t.Fatalf("bytes after the checksum: got %v, want a corruption error", err)
+		}
+		if err := s.Restore("snap", 2, func([]byte) error { return nil }); err == nil || s.Quarantined() != 1 {
+			t.Fatalf("Restore = %v with %d quarantined, want an error and 1", err, s.Quarantined())
 		}
 	})
 
@@ -298,4 +315,16 @@ func TestGoldenFormat(t *testing.T) {
 	if !bytes.Equal(now, raw) {
 		t.Fatalf("snapshot framing drifted from the golden fixture:\n got %x\nwant %x", now, raw)
 	}
+}
+
+// Remove deletes a snapshot. Removing a snapshot that does not exist is not
+// an error.
+func (s *Store) Remove(name string) error {
+	if err := validName(name); err != nil {
+		return err
+	}
+	if err := os.Remove(s.Path(name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: remove %s: %w", name, err)
+	}
+	return nil
 }

@@ -105,3 +105,27 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// Clone returns a deep copy of m.
+func (m *Matrix) Clone() *Matrix {
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
+}
+
+// AddScaled adds alpha*other to m in place. It panics on shape mismatch.
+func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
+	if m.Rows != other.Rows || m.Cols != other.Cols {
+		panic("tensor: AddScaled shape mismatch")
+	}
+	for i, v := range other.Data {
+		m.Data[i] += alpha * v
+	}
+}
+
+// Scale multiplies every element by alpha in place.
+func (m *Matrix) Scale(alpha float64) {
+	for i := range m.Data {
+		m.Data[i] *= alpha
+	}
+}

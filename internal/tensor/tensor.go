@@ -134,13 +134,6 @@ func (m *Matrix) Col(j int) Vector {
 	return out
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Fill sets every element to c.
 func (m *Matrix) Fill(c float64) {
 	for i := range m.Data {
@@ -179,23 +172,6 @@ func (m *Matrix) MulVecTInto(dst, v Vector) {
 		for j, mv := range row {
 			dst[j] += vi * mv
 		}
-	}
-}
-
-// AddScaled adds alpha*other to m in place. It panics on shape mismatch.
-func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("tensor: AddScaled shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element by alpha in place.
-func (m *Matrix) Scale(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
 	}
 }
 

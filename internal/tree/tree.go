@@ -192,29 +192,6 @@ func (t *Tree) PredictProba(x tensor.Vector) float64 {
 	}
 }
 
-// Depth returns the maximum depth of the tree (0 for a single leaf).
-func (t *Tree) Depth() int {
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		n := &t.nodes[i]
-		if n.leaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}
-
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // ForestConfig controls random-forest training.
 type ForestConfig struct {
 	NumTrees    int     // <= 0 means 20

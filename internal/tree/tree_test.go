@@ -230,3 +230,26 @@ func BenchmarkForestPredict(b *testing.B) {
 		_ = f.PredictProba(x)
 	}
 }
+
+// Depth returns the maximum depth of the tree (0 for a single leaf).
+func (t *Tree) Depth() int {
+	var walk func(i int32) int
+	walk = func(i int32) int {
+		n := &t.nodes[i]
+		if n.leaf {
+			return 0
+		}
+		l, r := walk(n.left), walk(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return walk(0)
+}
+
+// NumNodes returns the number of nodes in the tree.
+func (t *Tree) NumNodes() int { return len(t.nodes) }

@@ -125,18 +125,3 @@ func (r *Registry) Flush() error {
 	}
 	return first
 }
-
-// Restored reports how many memo entries the registry's oracles adopted
-// from disk — the valuations a restarted server answers without retraining.
-func (r *Registry) Restored() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.restored
-}
-
-// Len reports how many oracles are registered.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.oracles)
-}

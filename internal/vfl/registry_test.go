@@ -128,3 +128,11 @@ func TestImportMemoNeverOverwrites(t *testing.T) {
 func truncateFile(path string, n int64) error {
 	return os.Truncate(path, n)
 }
+
+// Restored reports how many memo entries the registry's oracles adopted
+// from disk — the valuations a restarted server answers without retraining.
+func (r *Registry) Restored() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.restored
+}

@@ -38,7 +38,7 @@ type SplitMLP struct {
 	ps         []nn.Param // params(), built once in NewSplitMLP
 	Comm       CommStats
 
-	lastFused tensor.Vector // ReLU output cached for backward (per-sample path)
+	lastFused tensor.Vector // ReLU output the tests' per-sample forward caches for backward
 
 	// Minibatch buffers, reused across batches and epochs by the vectorized
 	// training path.
@@ -63,39 +63,6 @@ func NewSplitMLP(taskD, dataD int, cfg Config) *SplitMLP {
 	}
 	m.ps = m.params()
 	return m
-}
-
-// forward runs one sample through the split model. xd must be nil exactly
-// when the model was built without a data party.
-func (m *SplitMLP) forward(xt, xd tensor.Vector) tensor.Vector {
-	z := m.taskBottom.Forward(xt).Clone()
-	if m.dataBottom != nil {
-		// Data party computes its partial activation and sends h1 floats.
-		z.AddScaled(1, m.dataBottom.Forward(xd))
-	}
-	z.Map(func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-	m.lastFused = z
-	return m.top.Forward(z)
-}
-
-// backward propagates the output gradient, accumulating gradients in both
-// parties' layers; the task party sends h1 gradient floats back.
-func (m *SplitMLP) backward(grad tensor.Vector) {
-	gz := m.top.Backward(grad)
-	for i := range gz {
-		if m.lastFused[i] <= 0 {
-			gz[i] = 0
-		}
-	}
-	m.taskBottom.Backward(gz)
-	if m.dataBottom != nil {
-		m.dataBottom.Backward(gz)
-	}
 }
 
 // forwardBatch runs a whole minibatch through the split model — both
@@ -202,12 +169,6 @@ func (m *SplitMLP) Train(task *TaskParty, data *DataParty) {
 			}
 		}
 	}
-}
-
-// PredictProba returns P(y=1) for one sample; xd is nil for isolated models.
-func (m *SplitMLP) PredictProba(xt, xd tensor.Vector) float64 {
-	z := m.forward(xt, xd)
-	return sigmoid(z[0])
 }
 
 // PredictProbaBatch returns P(y=1) for every row of Xt (with Xd's matching

@@ -295,3 +295,45 @@ func BenchmarkSplitMLPCourse(b *testing.B) {
 		_ = p.TrainVFL(cfg, []int{0, 1})
 	}
 }
+
+// The per-sample passes no production path runs: the ground truth the
+// batched training and prediction must match bit for bit.
+
+// forward runs one sample through the split model. xd must be nil exactly
+// when the model was built without a data party.
+func (m *SplitMLP) forward(xt, xd tensor.Vector) tensor.Vector {
+	z := m.taskBottom.Forward(xt).Clone()
+	if m.dataBottom != nil {
+		// Data party computes its partial activation and sends h1 floats.
+		z.AddScaled(1, m.dataBottom.Forward(xd))
+	}
+	z.Map(func(v float64) float64 {
+		if v < 0 {
+			return 0
+		}
+		return v
+	})
+	m.lastFused = z
+	return m.top.Forward(z)
+}
+
+// backward propagates the output gradient, accumulating gradients in both
+// parties' layers; the task party sends h1 gradient floats back.
+func (m *SplitMLP) backward(grad tensor.Vector) {
+	gz := m.top.Backward(grad)
+	for i := range gz {
+		if m.lastFused[i] <= 0 {
+			gz[i] = 0
+		}
+	}
+	m.taskBottom.Backward(gz)
+	if m.dataBottom != nil {
+		m.dataBottom.Backward(gz)
+	}
+}
+
+// PredictProba returns P(y=1) for one sample; xd is nil for isolated models.
+func (m *SplitMLP) PredictProba(xt, xd tensor.Vector) float64 {
+	z := m.forward(xt, xd)
+	return sigmoid(z[0])
+}

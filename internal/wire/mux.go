@@ -214,9 +214,6 @@ type muxSlot struct {
 	timer *time.Timer // reused across Recvs; Recv is serialized per session
 }
 
-// SID returns the session's ID on its connection.
-func (s *muxSlot) SID() uint64 { return s.sid }
-
 func (s *muxSlot) Name() string { return s.m.fc.name }
 
 func (s *muxSlot) Send(e *Envelope) error {
@@ -638,9 +635,6 @@ type MuxStream struct {
 	own     fate
 	evicted atomic.Bool
 }
-
-// Err returns the stream's terminal error, if any.
-func (st *MuxStream) Err() error { return st.own.err() }
 
 // Close severs this stream only: the client is told (KindBusy on the SID,
 // so it backs off and retries — after a migration the retry follows the

@@ -387,3 +387,6 @@ func TestMuxServerWriteFailureFailsConnection(t *testing.T) {
 	clientConn.Close()
 	<-served
 }
+
+// SID returns the session's ID on its connection.
+func (s *muxSlot) SID() uint64 { return s.sid }

@@ -102,19 +102,6 @@ func (m *MarketState) book(market string) *ckptBook {
 	return b
 }
 
-// restoredCheckpoints counts the estimator checkpoints loaded from disk
-// across every market book — the sessions a restarted server can resume
-// without re-exploring.
-func (m *MarketState) restoredCheckpoints() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, b := range m.books {
-		n += b.restoredCount()
-	}
-	return n
-}
-
 // oracleMemos prefixes the valuation memos. They are keyed by dataset
 // config, not market, so every market over a state shares the tree.
 const oracleMemos = "oracle/"
@@ -276,12 +263,6 @@ func (b *ckptBook) flush() error {
 		b.mu.Unlock()
 	}
 	return first
-}
-
-func (b *ckptBook) restoredCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.restored
 }
 
 // clientCount reports how many client identities the book holds in memory.

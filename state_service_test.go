@@ -483,3 +483,22 @@ func TestServiceStateCorruptSnapshotsBootCold(t *testing.T) {
 		t.Fatalf("cold boot granted %d resumes, want 0", mm.ResumedSessions)
 	}
 }
+
+// restoredCheckpoints counts the estimator checkpoints loaded from disk
+// across every market book — the sessions a restarted server can resume
+// without re-exploring.
+func (m *MarketState) restoredCheckpoints() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, b := range m.books {
+		n += b.restoredCount()
+	}
+	return n
+}
+
+func (b *ckptBook) restoredCount() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.restored
+}
