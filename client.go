@@ -125,7 +125,9 @@ func WithImperfect(p ImperfectParams) DialOption {
 // client automatic session resume — if the connection (or the server)
 // dies mid-game, BargainImperfect retries with the last acknowledged
 // round and both endpoints continue from their checkpoints, bit-identical
-// to an uninterrupted run, instead of re-exploring from round one. The
+// to an uninterrupted run, instead of re-exploring from round one. Without
+// an identity neither endpoint checkpoints: a failed session surfaces its
+// error, and no round pays for state nothing could resume from. The
 // identity should be unique per concurrent session: two live sessions
 // sharing one identity overwrite each other's checkpoints.
 // BargainImperfectBatch derives a distinct identity per spec ("<id>-<i>")
@@ -583,7 +585,8 @@ func (c *Client) BargainImperfectWith(ctx context.Context, cfg SessionConfig, pa
 // bargainImperfect is the shared imperfect-session driver behind
 // BargainImperfectWith and BargainImperfectBatch: one auto-resume loop
 // over session streams opened on pooled connections, under the given
-// identity.
+// identity. Only an identified session checkpoints its rounds; without an
+// identity it plays one attempt and takes no checkpoints.
 func (c *Client) bargainImperfect(ctx context.Context, cfg SessionConfig, params ImperfectParams, gains GainProvider, identity string, obs []RoundObserver) (*ImperfectResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -607,7 +610,8 @@ func (c *Client) bargainImperfect(ctx context.Context, cfg SessionConfig, params
 	// settled round checkpoints the buyer's estimator, and a transport
 	// failure retries presenting the last acknowledged round, so the
 	// session continues from its checkpoints instead of starting over.
-	// Without an identity a failure surfaces immediately, as before. The
+	// Without an identity a failure surfaces immediately, and since nothing
+	// could resume from them the session takes no checkpoints at all. The
 	// waits between attempts follow the (configurable) capped-exponential
 	// schedule. A retry reuses the pooled warm connection when it survived
 	// the failure (a per-session eviction severs only the stream) and
@@ -630,7 +634,9 @@ func (c *Client) bargainImperfect(ctx context.Context, cfg SessionConfig, params
 			hs.Imperfect.ResumeRound = ck.Round
 		}
 		return c.withSession(ctx, gains, hs, func(ctx context.Context, tc *wire.TaskClient, codec wire.Codec, hello *wire.Hello) error {
-			tc.Checkpoint = func(k *core.ImperfectCheckpoint) { last = k }
+			if identity != "" {
+				tc.Checkpoint = func(k *core.ImperfectCheckpoint) { last = k }
+			}
 			var rerr error
 			if ck != nil {
 				res, rerr = tc.ResumeImperfectCodec(ctx, codec, hello, params, ck)

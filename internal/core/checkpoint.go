@@ -27,44 +27,33 @@ type EstimatorState struct {
 	Adam    nn.AdamState
 }
 
-// captureEstimator snapshots params and their optimizer.
-func captureEstimator(params []nn.Param, opt nn.Optimizer) (EstimatorState, error) {
-	adam, ok := opt.(*nn.Adam)
-	if !ok {
-		return EstimatorState{}, fmt.Errorf("core: estimator snapshot needs an Adam optimizer, have %T", opt)
-	}
-	return EstimatorState{Weights: nn.CaptureParams(params), Adam: adam.State(params)}, nil
+// captureEstimator snapshots params and the optimizer bound to them.
+func captureEstimator(params []nn.Param, adam *nn.Adam) EstimatorState {
+	return EstimatorState{Weights: nn.CaptureParams(params), Adam: adam.State()}
 }
 
 // restoreEstimator loads a capture back into params and their optimizer.
-func restoreEstimator(params []nn.Param, opt nn.Optimizer, st EstimatorState) error {
-	adam, ok := opt.(*nn.Adam)
-	if !ok {
-		return fmt.Errorf("core: estimator restore needs an Adam optimizer, have %T", opt)
-	}
+func restoreEstimator(params []nn.Param, adam *nn.Adam, st EstimatorState) error {
 	if err := nn.RestoreParams(params, st.Weights); err != nil {
 		return err
 	}
-	return adam.Restore(params, st.Adam)
+	return adam.Restore(st.Adam)
 }
 
-// stateParams is g's canonical parameter order — the same order Update
-// steps the optimizer with, so moment tensors line up. It is the cached
-// combined list built at construction (mlp then embedding).
-func (e *BundleEstimator) stateParams() []nn.Param { return e.params }
-
-// State freezes the bundle estimator's weights and optimizer moments.
-func (e *BundleEstimator) State() (EstimatorState, error) {
-	return captureEstimator(e.stateParams(), e.opt)
+// State freezes the bundle estimator's weights and optimizer moments, in
+// its canonical parameter order (mlp then embedding, the list its Adam is
+// bound to).
+func (e *BundleEstimator) State() EstimatorState {
+	return captureEstimator(e.params, e.opt)
 }
 
 // SetState restores a capture taken from an identically shaped estimator.
 func (e *BundleEstimator) SetState(st EstimatorState) error {
-	return restoreEstimator(e.stateParams(), e.opt, st)
+	return restoreEstimator(e.params, e.opt, st)
 }
 
 // State freezes the price estimator's weights and optimizer moments.
-func (e *PriceEstimator) State() (EstimatorState, error) {
+func (e *PriceEstimator) State() EstimatorState {
 	return captureEstimator(e.reg.Params(), e.reg.Optimizer())
 }
 
@@ -109,10 +98,6 @@ type SellerCheckpoint struct {
 // Snapshotting an unsettled seller (Round 0) is valid and restores to a
 // fresh one.
 func (s *EstimatorSeller) Snapshot() (*SellerCheckpoint, error) {
-	g, err := s.g.State()
-	if err != nil {
-		return nil, err
-	}
 	explore, err := s.exploreSrc.State()
 	if err != nil {
 		return nil, err
@@ -128,7 +113,7 @@ func (s *EstimatorSeller) Snapshot() (*SellerCheckpoint, error) {
 	return &SellerCheckpoint{
 		Round:      s.settledRound,
 		Config:     s.cfg,
-		G:          g,
+		G:          s.g.State(),
 		ExploreRNG: explore,
 		ReplayRNG:  replay,
 		History:    hist,
@@ -188,10 +173,6 @@ type ImperfectCheckpoint struct {
 // snapshot freezes the policy (and the seller's reported MSE series) after
 // the settlement of round T.
 func (p *imperfectPolicy) snapshot(T int, res *Result, seller Seller) (*ImperfectCheckpoint, error) {
-	f, err := p.f.State()
-	if err != nil {
-		return nil, err
-	}
 	explore, err := p.exploreSrc.State()
 	if err != nil {
 		return nil, err
@@ -204,7 +185,7 @@ func (p *imperfectPolicy) snapshot(T int, res *Result, seller Seller) (*Imperfec
 		Round:          T,
 		Seed:           p.cfg.Seed,
 		Params:         p.params,
-		F:              f,
+		F:              p.f.State(),
 		ExploreRNG:     explore,
 		ReplayRNG:      replay,
 		Rounds:         append([]RoundRecord(nil), res.Rounds...),

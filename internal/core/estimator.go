@@ -91,7 +91,7 @@ func (e *PriceEstimator) Update(q QuotedPrice, gain float64) float64 {
 type BundleEstimator struct {
 	emb       *nn.Embedding
 	mlp       *nn.MLP
-	opt       nn.Optimizer
+	opt       *nn.Adam
 	gainScale float64
 	// params is the combined parameter list in the canonical
 	// mlp-then-embedding order (the checkpoint and Adam-moment order),
@@ -122,11 +122,11 @@ func NewBundleEstimator(numFeatures int, gainScale float64, seed uint64) *Bundle
 	e := &BundleEstimator{
 		emb:       nn.NewEmbedding(numFeatures, BundleEmbeddingDim, src.Split(1)),
 		mlp:       nn.NewMLP(sizes, nn.ReLU, nn.Identity, src.Split(2)),
-		opt:       nn.NewAdam(1e-3),
 		gainScale: gainScale,
 		gbuf:      make(tensor.Vector, 1),
 	}
 	e.params = append(e.mlp.Params(), e.emb.Params()...)
+	e.opt = nn.NewAdam(e.params, 1e-3)
 	return e
 }
 
@@ -153,16 +153,13 @@ func (e *BundleEstimator) PredictAll(bundles [][]int) []float64 {
 // pre-update squared error in normalized gain units — the data-party MSE
 // series of Figure 4.
 func (e *BundleEstimator) Update(features []int, gain float64) float64 {
-	e.emb.ZeroGrad()
-	e.mlp.ZeroGrad()
 	pooled := e.emb.ForwardMean(features)
 	pred := e.mlp.Forward(pooled)
 	loss, g := nn.MSEGrad(pred[0], gain/e.gainScale)
 	e.gbuf[0] = g
 	gradIn := e.mlp.Backward(e.gbuf)
 	e.emb.BackwardMean(gradIn)
-	nn.ClipGrads(e.params, 5)
-	e.opt.Step(e.params)
+	e.opt.Step(5)
 	return loss
 }
 

@@ -78,7 +78,8 @@ func (a Activation) derivFromOutput(y float64) float64 {
 }
 
 // Param is a flat view of one parameter tensor and its gradient accumulator,
-// consumed by the optimizers.
+// consumed by the optimizers. Backward passes add into G; an optimizer Step
+// zeroes it.
 type Param struct {
 	W []float64
 	G []float64
@@ -226,12 +227,6 @@ func (d *Dense) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
 	return d.bDX
 }
 
-// ZeroGrad clears the accumulated gradients.
-func (d *Dense) ZeroGrad() {
-	d.dW.Zero()
-	d.dB.Fill(0)
-}
-
 // Params exposes the layer parameters to an optimizer.
 func (d *Dense) Params() []Param {
 	return []Param{{W: d.W.Data, G: d.dW.Data}, {W: d.B, G: d.dB}}
@@ -294,13 +289,6 @@ func (m *MLP) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
 		grad = m.Layers[i].BackwardBatch(grad)
 	}
 	return grad
-}
-
-// ZeroGrad clears all accumulated gradients.
-func (m *MLP) ZeroGrad() {
-	for _, l := range m.Layers {
-		l.ZeroGrad()
-	}
 }
 
 // Params exposes all layer parameters.
@@ -373,9 +361,6 @@ func (e *Embedding) BackwardMean(grad tensor.Vector) {
 		row.AddScaled(scale, grad)
 	}
 }
-
-// ZeroGrad clears accumulated gradients.
-func (e *Embedding) ZeroGrad() { e.dTable.Zero() }
 
 // Params exposes the table to an optimizer.
 func (e *Embedding) Params() []Param {

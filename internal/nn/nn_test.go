@@ -314,35 +314,23 @@ func TestSGDMomentumConverges(t *testing.T) {
 	// Minimize (w-3)^2 with momentum SGD.
 	w := []float64{0}
 	g := []float64{0}
-	opt := &SGD{LR: 0.05, Momentum: 0.9}
+	opt := NewSGD([]Param{{W: w, G: g}}, 0.05, 0.9)
 	for i := 0; i < 200; i++ {
 		g[0] = 2 * (w[0] - 3)
-		opt.Step([]Param{{W: w, G: g}})
+		opt.Step(0)
 	}
 	if math.Abs(w[0]-3) > 1e-3 {
 		t.Fatalf("w = %v, want 3", w[0])
 	}
 }
 
-func TestSGDWeightDecayShrinks(t *testing.T) {
-	w := []float64{10}
-	g := []float64{0}
-	opt := &SGD{LR: 0.1, WeightDecay: 0.5}
-	for i := 0; i < 100; i++ {
-		opt.Step([]Param{{W: w, G: g}})
-	}
-	if math.Abs(w[0]) > 1 {
-		t.Fatalf("weight decay failed: w = %v", w[0])
-	}
-}
-
 func TestAdamConverges(t *testing.T) {
 	w := []float64{-5}
 	g := []float64{0}
-	opt := NewAdam(0.1)
+	opt := NewAdam([]Param{{W: w, G: g}}, 0.1)
 	for i := 0; i < 500; i++ {
 		g[0] = 2 * (w[0] - 1)
-		opt.Step([]Param{{W: w, G: g}})
+		opt.Step(0)
 	}
 	if math.Abs(w[0]-1) > 1e-2 {
 		t.Fatalf("Adam w = %v, want 1", w[0])
@@ -458,8 +446,7 @@ func TrainClassifier(X *tensor.Matrix, y []int, cfg TrainConfig) *Classifier {
 	src := rng.New(cfg.Seed)
 	sizes := append(append([]int{X.Cols}, cfg.Hidden...), 1)
 	net := NewMLP(sizes, ReLU, Identity, src.Split(1))
-	opt := NewSGD(cfg.LR)
-	opt.Momentum = 0.9
+	opt := NewSGD(net.Params(), cfg.LR, 0.9)
 	shuffle := src.Split(2)
 	n := X.Rows
 	var xb, gb *tensor.Matrix
@@ -472,7 +459,6 @@ func TrainClassifier(X *tensor.Matrix, y []int, cfg TrainConfig) *Classifier {
 			}
 			batch := perm[start:end]
 			xb = tensor.GatherRowsInto(xb, X, batch)
-			net.ZeroGrad()
 			out := net.ForwardBatch(xb)
 			gb = tensor.EnsureMatrix(gb, len(batch), 1)
 			for s, i := range batch {
@@ -480,10 +466,7 @@ func TrainClassifier(X *tensor.Matrix, y []int, cfg TrainConfig) *Classifier {
 				gb.Set(s, 0, g/float64(len(batch)))
 			}
 			net.BackwardBatch(gb)
-			if cfg.ClipNorm > 0 {
-				ClipGrads(net.Params(), cfg.ClipNorm)
-			}
-			opt.Step(net.Params())
+			opt.Step(cfg.ClipNorm)
 		}
 	}
 	return &Classifier{net: net}
@@ -522,7 +505,6 @@ func (r *Regressor) UpdateBatch(xs []tensor.Vector, targets []float64) float64 {
 	if len(xs) != len(targets) || len(xs) == 0 {
 		panic("nn: UpdateBatch needs a non-empty batch with matching targets")
 	}
-	r.net.ZeroGrad()
 	total := 0.0
 	for i, x := range xs {
 		pred := r.net.Forward(x)
@@ -531,8 +513,7 @@ func (r *Regressor) UpdateBatch(xs []tensor.Vector, targets []float64) float64 {
 		r.gbuf[0] = g / float64(len(xs))
 		r.net.Backward(r.gbuf)
 	}
-	ClipGrads(r.params, 5)
-	r.opt.Step(r.params)
+	r.opt.Step(5)
 	return total / float64(len(xs))
 }
 

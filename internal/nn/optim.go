@@ -2,100 +2,21 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients. Step does
-// not clear gradients; callers ZeroGrad between minibatches.
-type Optimizer interface {
-	Step(params []Param)
-}
+// The optimizers are bound to one parameter list at construction and keep
+// their per-parameter state in flat slices indexed by that list's order.
+// Each Step makes two passes over the gradients (one with clipping off):
+// the global L2 norm, then one pass that clips, updates the weights and
+// zeroes the gradient it consumed, so the next backward pass accumulates
+// into clean tensors. No caller may read G after Step.
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[*float64][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []Param) {
-	if s.Momentum == 0 {
-		for _, p := range params {
-			for i := range p.W {
-				g := p.G[i] + s.WeightDecay*p.W[i]
-				p.W[i] -= s.LR * g
-			}
-		}
-		return
+// clipScale returns the factor that brings the global L2 norm of params'
+// gradients down to maxNorm, and whether any scaling applies: none when
+// maxNorm is non-positive or the norm is within it. A NaN norm scales
+// every gradient to NaN, as a separate clip pass would.
+func clipScale(params []Param, maxNorm float64) (scale float64, clip bool) {
+	if maxNorm <= 0 {
+		return 1, false
 	}
-	if s.velocity == nil {
-		s.velocity = make(map[*float64][]float64)
-	}
-	for _, p := range params {
-		key := &p.W[0]
-		v, ok := s.velocity[key]
-		if !ok {
-			v = make([]float64, len(p.W))
-			s.velocity[key] = v
-		}
-		for i := range p.W {
-			g := p.G[i] + s.WeightDecay*p.W[i]
-			v[i] = s.Momentum*v[i] - s.LR*g
-			p.W[i] += v[i]
-		}
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
-type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-	t                     int
-	m, v                  map[*float64][]float64
-}
-
-// NewAdam returns an Adam optimizer with standard defaults for the moment
-// coefficients.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// Step applies one Adam update.
-func (a *Adam) Step(params []Param) {
-	if a.m == nil {
-		a.m = make(map[*float64][]float64)
-		a.v = make(map[*float64][]float64)
-	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params {
-		if len(p.W) == 0 {
-			continue
-		}
-		key := &p.W[0]
-		m, ok := a.m[key]
-		if !ok {
-			m = make([]float64, len(p.W))
-			a.m[key] = m
-			a.v[key] = make([]float64, len(p.W))
-		}
-		v := a.v[key]
-		for i := range p.W {
-			g := p.G[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
-	}
-}
-
-// ClipGrads scales gradients down so their global L2 norm does not exceed
-// maxNorm; it returns the pre-clip norm. A non-positive maxNorm is a no-op.
-func ClipGrads(params []Param, maxNorm float64) float64 {
 	sum := 0.0
 	for _, p := range params {
 		for _, g := range p.G {
@@ -103,14 +24,103 @@ func ClipGrads(params []Param, maxNorm float64) float64 {
 		}
 	}
 	norm := math.Sqrt(sum)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
+	if norm <= maxNorm {
+		return 1, false
 	}
-	scale := maxNorm / norm
+	return maxNorm / norm, true
+}
+
+// numWeights is the total weight count of params.
+func numWeights(params []Param) int {
+	n := 0
 	for _, p := range params {
-		for i := range p.G {
-			p.G[i] *= scale
+		n += len(p.W)
+	}
+	return n
+}
+
+// SGD is minibatch stochastic gradient descent with momentum.
+type SGD struct {
+	LR, Momentum float64
+	params       []Param
+	velocity     []float64
+}
+
+// NewSGD returns a momentum SGD optimizer over params.
+func NewSGD(params []Param, lr, momentum float64) *SGD {
+	return &SGD{LR: lr, Momentum: momentum, params: params, velocity: make([]float64, numWeights(params))}
+}
+
+// Step clips the gradients to a global L2 norm of maxNorm (maxNorm <= 0
+// disables clipping), applies one momentum update and zeroes the gradients.
+func (s *SGD) Step(maxNorm float64) {
+	scale, clip := clipScale(s.params, maxNorm)
+	lr, mom := s.LR, s.Momentum
+	off := 0
+	for _, p := range s.params {
+		w := p.W
+		g := p.G[:len(w)]
+		v := s.velocity[off : off+len(w)]
+		off += len(w)
+		for i := range w {
+			gi := g[i]
+			if clip {
+				gi *= scale
+			}
+			g[i] = 0
+			v[i] = mom*v[i] - lr*gi
+			w[i] += v[i]
 		}
 	}
-	return norm
+}
+
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+type Adam struct {
+	LR, Beta1, Beta2, Eps float64
+	params                []Param
+	t                     int
+	m, v                  []float64
+}
+
+// NewAdam returns an Adam optimizer over params with standard defaults for
+// the moment coefficients.
+func NewAdam(params []Param, lr float64) *Adam {
+	n := numWeights(params)
+	return &Adam{
+		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
+		params: params,
+		m:      make([]float64, n),
+		v:      make([]float64, n),
+	}
+}
+
+// Step clips the gradients to a global L2 norm of maxNorm (maxNorm <= 0
+// disables clipping), applies one Adam update and zeroes the gradients.
+func (a *Adam) Step(maxNorm float64) {
+	scale, clip := clipScale(a.params, maxNorm)
+	a.t++
+	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	d1, d2 := 1-b1, 1-b2
+	off := 0
+	for _, p := range a.params {
+		w := p.W
+		g := p.G[:len(w)]
+		m := a.m[off : off+len(w)]
+		v := a.v[off : off+len(w)]
+		off += len(w)
+		for i := range w {
+			gi := g[i]
+			if clip {
+				gi *= scale
+			}
+			g[i] = 0
+			m[i] = b1*m[i] + d1*gi
+			v[i] = b2*v[i] + d2*gi*gi
+			mHat := m[i] / c1
+			vHat := v[i] / c2
+			w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+		}
+	}
 }

@@ -5,8 +5,8 @@ import "fmt"
 // This file is the snapshot surface of the package: enough state access to
 // freeze a training run mid-stream and continue it bit-identically in
 // another process. A model's state is its parameter tensors in Params()
-// order plus its optimizer's moments; gradients are transient (every Update
-// starts with ZeroGrad) and are not part of it.
+// order plus its optimizer's moments; gradients are transient (every
+// optimizer Step zeroes the gradients it consumed) and are not part of it.
 
 // CaptureParams deep-copies the weight tensors of params, in order.
 func CaptureParams(params []Param) [][]float64 {
@@ -32,52 +32,44 @@ func RestoreParams(params []Param, weights [][]float64) error {
 	return nil
 }
 
-// AdamState is a deep copy of an Adam optimizer's moments, expressed in the
-// order of the parameter list it was captured against (the map keyed by
-// weight pointers does not survive a process boundary, the order does).
+// AdamState is a deep copy of an Adam optimizer's moments, one tensor per
+// entry of the parameter list the optimizer is bound to, in its order.
 type AdamState struct {
 	T    int
 	M, V [][]float64
 }
 
-// State captures the optimizer's moments for the given parameter list.
-// Parameters the optimizer has never stepped capture as zero moments, which
-// is exactly the state a fresh Adam would give them.
-func (a *Adam) State(params []Param) AdamState {
-	st := AdamState{T: a.t, M: make([][]float64, len(params)), V: make([][]float64, len(params))}
-	for i, p := range params {
-		st.M[i] = make([]float64, len(p.W))
-		st.V[i] = make([]float64, len(p.W))
-		if len(p.W) == 0 || a.m == nil {
-			continue
-		}
-		if m, ok := a.m[&p.W[0]]; ok {
-			copy(st.M[i], m)
-			copy(st.V[i], a.v[&p.W[0]])
-		}
+// State captures the optimizer's moments. Parameters it has never stepped
+// capture as zero moments, which is exactly the state a fresh Adam holds.
+func (a *Adam) State() AdamState {
+	st := AdamState{T: a.t, M: make([][]float64, len(a.params)), V: make([][]float64, len(a.params))}
+	off := 0
+	for i, p := range a.params {
+		n := len(p.W)
+		st.M[i] = append(make([]float64, 0, n), a.m[off:off+n]...)
+		st.V[i] = append(make([]float64, 0, n), a.v[off:off+n]...)
+		off += n
 	}
 	return st
 }
 
 // Restore overwrites the optimizer's moments from a capture taken against
 // an identically shaped parameter list.
-func (a *Adam) Restore(params []Param, st AdamState) error {
-	if len(st.M) != len(params) || len(st.V) != len(params) {
-		return fmt.Errorf("nn: adam restore: %d moment tensors, model has %d params", len(st.M), len(params))
+func (a *Adam) Restore(st AdamState) error {
+	if len(st.M) != len(a.params) || len(st.V) != len(a.params) {
+		return fmt.Errorf("nn: adam restore: %d moment tensors, model has %d params", len(st.M), len(a.params))
+	}
+	off := 0
+	for i, p := range a.params {
+		n := len(p.W)
+		if len(st.M[i]) != n || len(st.V[i]) != n {
+			return fmt.Errorf("nn: adam restore: tensor %d has %d moments, model wants %d", i, len(st.M[i]), n)
+		}
+		copy(a.m[off:off+n], st.M[i])
+		copy(a.v[off:off+n], st.V[i])
+		off += n
 	}
 	a.t = st.T
-	a.m = make(map[*float64][]float64, len(params))
-	a.v = make(map[*float64][]float64, len(params))
-	for i, p := range params {
-		if len(st.M[i]) != len(p.W) || len(st.V[i]) != len(p.W) {
-			return fmt.Errorf("nn: adam restore: tensor %d has %d moments, model wants %d", i, len(st.M[i]), len(p.W))
-		}
-		if len(p.W) == 0 {
-			continue
-		}
-		a.m[&p.W[0]] = append([]float64(nil), st.M[i]...)
-		a.v[&p.W[0]] = append([]float64(nil), st.V[i]...)
-	}
 	return nil
 }
 
@@ -88,4 +80,4 @@ func (a *Adam) Restore(params []Param, st AdamState) error {
 func (r *Regressor) Params() []Param { return r.params }
 
 // Optimizer exposes the regressor's optimizer for state capture.
-func (r *Regressor) Optimizer() Optimizer { return r.opt }
+func (r *Regressor) Optimizer() *Adam { return r.opt }

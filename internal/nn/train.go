@@ -44,7 +44,7 @@ func MSEGrad(pred, target float64) (loss, grad float64) {
 // performance-gain estimators.
 type Regressor struct {
 	net    *MLP
-	opt    Optimizer
+	opt    *Adam
 	params []Param       // cached net.Params(), shared backing with the live tensors
 	gbuf   tensor.Vector // 1-element output-gradient scratch for Update
 }
@@ -55,10 +55,11 @@ type Regressor struct {
 func NewRegressor(in int, hidden []int, lr float64, seed uint64) *Regressor {
 	sizes := append(append([]int{in}, hidden...), 1)
 	net := NewMLP(sizes, ReLU, Identity, rng.New(seed))
+	params := net.Params()
 	return &Regressor{
 		net:    net,
-		opt:    NewAdam(lr),
-		params: net.Params(),
+		opt:    NewAdam(params, lr),
+		params: params,
 		gbuf:   make(tensor.Vector, 1),
 	}
 }
@@ -69,12 +70,10 @@ func (r *Regressor) Predict(x tensor.Vector) float64 { return r.net.Forward(x)[0
 // Update performs one gradient step on a single (x, target) pair and returns
 // the pre-update squared error.
 func (r *Regressor) Update(x tensor.Vector, target float64) float64 {
-	r.net.ZeroGrad()
 	pred := r.net.Forward(x)
 	loss, g := MSEGrad(pred[0], target)
 	r.gbuf[0] = g
 	r.net.Backward(r.gbuf)
-	ClipGrads(r.params, 5)
-	r.opt.Step(r.params)
+	r.opt.Step(5)
 	return loss
 }

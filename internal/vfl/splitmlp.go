@@ -108,14 +108,6 @@ func (m *SplitMLP) backwardBatch(grad *tensor.Matrix) {
 	}
 }
 
-func (m *SplitMLP) zeroGrad() {
-	m.taskBottom.ZeroGrad()
-	m.top.ZeroGrad()
-	if m.dataBottom != nil {
-		m.dataBottom.ZeroGrad()
-	}
-}
-
 func (m *SplitMLP) params() []nn.Param {
 	ps := append(m.taskBottom.Params(), m.top.Params()...)
 	if m.dataBottom != nil {
@@ -134,8 +126,7 @@ func (m *SplitMLP) Train(task *TaskParty, data *DataParty) {
 	if (data == nil) != (m.dataBottom == nil) {
 		panic("vfl: SplitMLP built for a different party configuration")
 	}
-	opt := nn.NewSGD(m.cfg.LR)
-	opt.Momentum = 0.9
+	opt := nn.NewSGD(m.ps, m.cfg.LR, 0.9)
 	shuffle := rng.New(m.cfg.Seed).Split(4)
 	n := task.X.Rows
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
@@ -152,7 +143,6 @@ func (m *SplitMLP) Train(task *TaskParty, data *DataParty) {
 				m.xdB = tensor.GatherRowsInto(m.xdB, data.X, batch)
 				xd = m.xdB
 			}
-			m.zeroGrad()
 			out := m.forwardBatch(m.xtB, xd)
 			m.gradB = tensor.EnsureMatrix(m.gradB, len(batch), 1)
 			for s, i := range batch {
@@ -160,8 +150,7 @@ func (m *SplitMLP) Train(task *TaskParty, data *DataParty) {
 				m.gradB.Set(s, 0, g/float64(len(batch)))
 			}
 			m.backwardBatch(m.gradB)
-			nn.ClipGrads(m.ps, 5)
-			opt.Step(m.ps)
+			opt.Step(5)
 			if data != nil {
 				// One activation batch up, one gradient batch down.
 				m.Comm.FloatsExchange += len(batch) * 2 * m.cfg.Hidden1

@@ -112,12 +112,13 @@ func TestGainOracleWarmPropagatesPanic(t *testing.T) {
 	_ = o.Warm(context.Background(), [][]int{{0}, {99}}, 2)
 }
 
-// referenceTrain is the pre-refactor per-sample training loop, kept
-// verbatim as the ground truth the vectorized SplitMLP.Train must match
-// bit-for-bit.
+// referenceTrain is the pre-refactor per-sample training loop, kept as the
+// ground truth the vectorized SplitMLP.Train must match bit-for-bit. Only
+// its optimizer calls follow the fused step (clip, update and zeroed
+// gradients in one call), which internal/nn pins against the separate
+// ZeroGrad, ClipGrads and momentum step it replaced.
 func referenceTrain(m *SplitMLP, task *TaskParty, data *DataParty) {
-	opt := nn.NewSGD(m.cfg.LR)
-	opt.Momentum = 0.9
+	opt := nn.NewSGD(m.params(), m.cfg.LR, 0.9)
 	shuffle := rng.New(m.cfg.Seed).Split(4)
 	n := task.X.Rows
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
@@ -127,7 +128,6 @@ func referenceTrain(m *SplitMLP, task *TaskParty, data *DataParty) {
 			if end > n {
 				end = n
 			}
-			m.zeroGrad()
 			for _, i := range perm[start:end] {
 				var xd tensor.Vector
 				if data != nil {
@@ -140,8 +140,7 @@ func referenceTrain(m *SplitMLP, task *TaskParty, data *DataParty) {
 					m.Comm.FloatsExchange += 2 * m.cfg.Hidden1
 				}
 			}
-			nn.ClipGrads(m.params(), 5)
-			opt.Step(m.params())
+			opt.Step(5)
 			if data != nil {
 				m.Comm.Rounds++
 			}
