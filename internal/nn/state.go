@@ -39,8 +39,7 @@ type AdamState struct {
 	M, V [][]float64
 }
 
-// State captures the optimizer's moments. Parameters it has never stepped
-// capture as zero moments, which is exactly the state a fresh Adam holds.
+// State captures the optimizer's step count and moments.
 func (a *Adam) State() AdamState {
 	st := AdamState{T: a.t, M: make([][]float64, len(a.params)), V: make([][]float64, len(a.params))}
 	off := 0
