@@ -133,20 +133,6 @@ func BenchmarkFigure4EstimatorMSE(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGainCache quantifies the gain-memoization design choice:
-// it plays a real-VFL bargaining session and reports trained courses with
-// and without the cache.
-func BenchmarkAblationGainCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ab, err := exp.RunGainCacheAblation(dataset.Titanic, vfl.RandomForest, 0.25, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(ab.TrainingsWithCache), "trainings-cached")
-		b.ReportMetric(float64(ab.TrainingsWithout), "trainings-uncached")
-	}
-}
-
 // BenchmarkAblationPriceSampler compares candidate-pool sizes for the
 // strategic task party (Algorithm 1 line 16): finer pools converge closer
 // to the reserved price at the cost of more rounds.

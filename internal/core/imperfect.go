@@ -84,17 +84,6 @@ type MSEReporter interface {
 // the wire therefore cannot change the streams.
 
 // RunImperfect plays the estimation-based bargaining of §3.5 over the
-// catalog. The catalog's gains stand in for the VFL courses: each round the
-// selected bundle's gain is "realized" by running VFL (a catalog lookup
-// here, since the oracle memoizes training) and then used to update both
-// estimators.
-//
-// It is the blocking, observer-free form of Session.RunImperfect.
-func RunImperfect(cat *Catalog, cfg SessionConfig, params ImperfectParams) (*ImperfectResult, error) {
-	return NewSession(cat, cfg).RunImperfect(context.Background(), params)
-}
-
-// RunImperfect plays the estimation-based bargaining of §3.5 over the
 // session's catalog: the same unified quote → offer → realize → settle loop
 // as RunPerfect, with the estimator-driven buyer policy playing against an
 // in-process EstimatorSeller. The context is checked between rounds;

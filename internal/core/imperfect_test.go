@@ -230,3 +230,14 @@ func TestEstimatorSellerExplorationNeverTerminates(t *testing.T) {
 		t.Fatalf("DataMSE has %d entries, want %d", got, params.ExplorationRounds)
 	}
 }
+
+// RunImperfect plays the estimation-based bargaining of §3.5 over the
+// catalog. The catalog's gains stand in for the VFL courses: each round the
+// selected bundle's gain is "realized" by running VFL (a catalog lookup
+// here, since the oracle memoizes training) and then used to update both
+// estimators.
+//
+// It is the blocking, observer-free form of Session.RunImperfect.
+func RunImperfect(cat *Catalog, cfg SessionConfig, params ImperfectParams) (*ImperfectResult, error) {
+	return NewSession(cat, cfg).RunImperfect(context.Background(), params)
+}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -17,12 +18,12 @@ func toyDataset() *Dataset {
 			{Name: "color", Kind: Categorical, Categories: []string{"r", "g", "b"}},
 			{Name: "y2", Kind: Numeric},
 		},
-		Raw: tensor.FromRows([][]float64{
-			{1, 0, 10},
-			{2, 1, 20},
-			{3, 2, 30},
-			{4, 0, 40},
-		}),
+		Raw: &tensor.Matrix{Rows: 4, Cols: 3, Data: []float64{
+			1, 0, 10,
+			2, 1, 20,
+			3, 2, 30,
+			4, 0, 40,
+		}},
 		Y: []int{0, 1, 0, 1},
 	}
 }
@@ -90,9 +91,12 @@ func TestEncodeOneHotRows(t *testing.T) {
 
 func TestEncodeStandardizesNumeric(t *testing.T) {
 	e := toyDataset().Encode()
-	col := e.X.Col(0)
-	if math.Abs(col.Mean()) > 1e-12 {
-		t.Fatalf("standardized mean = %v", col.Mean())
+	col := make(tensor.Vector, e.X.Rows)
+	for i := range col {
+		col[i] = e.X.At(i, 0)
+	}
+	if mean := col.Sum() / float64(len(col)); math.Abs(mean) > 1e-12 {
+		t.Fatalf("standardized mean = %v", mean)
 	}
 	sumSq := 0.0
 	for _, v := range col {
@@ -107,7 +111,7 @@ func TestEncodeConstantNumericBecomesZero(t *testing.T) {
 	d := &Dataset{
 		Name: "const",
 		Cols: []Column{{Name: "c", Kind: Numeric}},
-		Raw:  tensor.FromRows([][]float64{{5}, {5}, {5}}),
+		Raw:  &tensor.Matrix{Rows: 3, Cols: 1, Data: []float64{5, 5, 5}},
 		Y:    []int{0, 1, 0},
 	}
 	e := d.Encode()
@@ -211,7 +215,7 @@ func TestTable2Schemas(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Titanic, 42, 100)
 	b := Generate(Titanic, 42, 100)
-	if !tensor.Equal(a.Dataset.Raw, b.Dataset.Raw, 0) {
+	if !slices.Equal(a.Dataset.Raw.Data, b.Dataset.Raw.Data) {
 		t.Fatal("generator is not deterministic")
 	}
 	for i := range a.Dataset.Y {
@@ -220,7 +224,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	c := Generate(Titanic, 43, 100)
-	if tensor.Equal(a.Dataset.Raw, c.Dataset.Raw, 0) {
+	if slices.Equal(a.Dataset.Raw.Data, c.Dataset.Raw.Data) {
 		t.Fatal("different seeds produced identical data")
 	}
 }

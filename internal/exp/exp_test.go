@@ -427,3 +427,50 @@ func Table2Expected() []dataset.Stats {
 		{Name: "adult", Samples: 48842, OriginalFeatures: 14, TaskPartyEncoded: 52, DataPartyEncoded: 36},
 	}
 }
+
+// BenchmarkAblationGainCache quantifies the gain-memoization design choice:
+// it plays a real-VFL bargaining session and reports trained courses with
+// and without the cache.
+func BenchmarkAblationGainCache(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ab, err := RunGainCacheAblation(dataset.Titanic, vfl.RandomForest, 0.25, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(ab.TrainingsWithCache), "trainings-cached")
+		b.ReportMetric(float64(ab.TrainingsWithout), "trainings-uncached")
+	}
+}
+
+// GainCacheAblation measures what the gain-memoizing oracle saves: it plays
+// one strategic bargaining session and reports how many VFL trainings were
+// run versus how many a cache-less implementation would have run (one per
+// bargaining round plus the catalog's pre-training and the baseline).
+type GainCacheAblation struct {
+	Rounds             int
+	TrainingsWithCache int
+	TrainingsWithout   int
+}
+
+// RunGainCacheAblation runs the ablation on a real-VFL environment.
+func RunGainCacheAblation(name dataset.Name, model vfl.BaseModel, scale float64, seed uint64) (*GainCacheAblation, error) {
+	p := DefaultProfile(name, model).Scaled(scale)
+	p.GainSource = GainVFL
+	env, err := BuildEnv(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg := env.Session
+	cfg.Seed = seed
+	res, err := core.RunPerfect(env.Catalog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &GainCacheAblation{
+		Rounds:             len(res.Rounds),
+		TrainingsWithCache: env.Oracle.Trainings(),
+		// Without memoization: the catalog pre-training, the baseline, and a
+		// fresh VFL course every bargaining round.
+		TrainingsWithout: env.Oracle.CacheSize() + 1 + len(res.Rounds),
+	}, nil
+}

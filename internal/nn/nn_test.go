@@ -227,7 +227,7 @@ func TestBCEGradientMatchesNumeric(t *testing.T) {
 
 // The classic sanity check: a small MLP must be able to learn XOR.
 func TestClassifierLearnsXOR(t *testing.T) {
-	X := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	X := &tensor.Matrix{Rows: 4, Cols: 2, Data: []float64{0, 0, 0, 1, 1, 0, 1, 1}}
 	y := []int{0, 1, 1, 0}
 	c := TrainClassifier(X, y, TrainConfig{
 		Hidden: []int{8}, LR: 0.5, Epochs: 2000, BatchSize: 4, Seed: 11,
@@ -374,7 +374,7 @@ func TestZeroGradClears(t *testing.T) {
 }
 
 func TestDeterministicTraining(t *testing.T) {
-	X := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
+	X := &tensor.Matrix{Rows: 4, Cols: 2, Data: []float64{0, 0, 0, 1, 1, 0, 1, 1}}
 	y := []int{0, 1, 1, 0}
 	cfg := TrainConfig{Hidden: []int{4}, LR: 0.3, Epochs: 50, BatchSize: 4, Seed: 77}
 	a := TrainClassifier(X, y, cfg)

@@ -51,7 +51,7 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 		dxB := batched.BackwardBatch(G)
 
 		for s := 0; s < X.Rows; s++ {
-			out := sample.Forward(X.Row(s).Clone())
+			out := sample.Forward(append(tensor.Vector(nil), X.Row(s)...))
 			for o, v := range out {
 				if math.Float64bits(v) != math.Float64bits(outB.At(s, o)) {
 					t.Fatalf("%v: forward[%d][%d] %v != %v", act, s, o, outB.At(s, o), v)
@@ -88,7 +88,7 @@ func TestMLPBatchMatchesPerSample(t *testing.T) {
 	outB := batched.ForwardBatch(X)
 	batched.BackwardBatch(G)
 	for s := 0; s < X.Rows; s++ {
-		out := sample.Forward(X.Row(s).Clone())
+		out := sample.Forward(append(tensor.Vector(nil), X.Row(s)...))
 		if math.Float64bits(out[0]) != math.Float64bits(outB.At(s, 0)) {
 			t.Fatalf("forward[%d] %v != %v", s, outB.At(s, 0), out[0])
 		}

@@ -7,7 +7,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/rng"
 )
@@ -17,13 +16,6 @@ type Vector []float64
 
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
 
 // Fill sets every element to c.
 func (v Vector) Fill(c float64) {
@@ -70,21 +62,6 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
-}
-
-// Map applies f element-wise in place.
-func (v Vector) Map(f func(float64) float64) {
-	for i, x := range v {
-		v[i] = f(x)
-	}
-}
-
 // Matrix is a dense row-major float64 matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -100,22 +77,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all share one length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("tensor: ragged rows (%d vs %d)", len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -124,15 +85,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a Vector sharing the matrix's storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
 
 // Fill sets every element to c.
 func (m *Matrix) Fill(c float64) {
@@ -373,17 +325,4 @@ func GatherRowsInto(dst, src *Matrix, rows []int) *Matrix {
 		copy(dst.Data[i*dst.Cols:(i+1)*dst.Cols], src.Data[r*src.Cols:(r+1)*src.Cols])
 	}
 	return dst
-}
-
-// Equal reports whether a and b have the same shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

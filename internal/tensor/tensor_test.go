@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -283,4 +284,66 @@ func BenchmarkMatMul64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = MatMul(a, c)
 	}
+}
+
+// Conveniences no served path calls, kept for the tests above.
+
+// Clone returns a copy of v.
+func (v Vector) Clone() Vector {
+	out := make(Vector, len(v))
+	copy(out, v)
+	return out
+}
+
+// Mean returns the arithmetic mean of v, or 0 for an empty vector.
+func (v Vector) Mean() float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	return v.Sum() / float64(len(v))
+}
+
+// Map applies f element-wise in place.
+func (v Vector) Map(f func(float64) float64) {
+	for i, x := range v {
+		v[i] = f(x)
+	}
+}
+
+// FromRows builds a matrix from row slices, which must all share one length.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			panic(fmt.Sprintf("tensor: ragged rows (%d vs %d)", len(r), cols))
+		}
+		copy(m.Data[i*cols:(i+1)*cols], r)
+	}
+	return m
+}
+
+// Col returns a copy of column j.
+func (m *Matrix) Col(j int) Vector {
+	out := make(Vector, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		out[i] = m.Data[i*m.Cols+j]
+	}
+	return out
+}
+
+// Equal reports whether a and b have the same shape and elements within tol.
+func Equal(a, b *Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

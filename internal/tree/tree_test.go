@@ -56,7 +56,7 @@ func TestTreeLearnsAxisSplit(t *testing.T) {
 }
 
 func TestTreePureLeafStopsEarly(t *testing.T) {
-	X := tensor.FromRows([][]float64{{1}, {2}, {3}})
+	X := &tensor.Matrix{Rows: 3, Cols: 1, Data: []float64{1, 2, 3}}
 	y := []int{1, 1, 1}
 	tr := Grow(X, y, nil, Config{}, nil)
 	if tr.NumNodes() != 1 || !tr.nodes[0].leaf || tr.nodes[0].prob != 1 {
@@ -92,7 +92,7 @@ func TestTreeRespectsMinLeaf(t *testing.T) {
 }
 
 func TestTreeConstantFeaturesYieldLeaf(t *testing.T) {
-	X := tensor.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}})
+	X := &tensor.Matrix{Rows: 4, Cols: 2, Data: []float64{1, 1, 1, 1, 1, 1, 1, 1}}
 	y := []int{0, 1, 0, 1}
 	tr := Grow(X, y, nil, Config{}, nil)
 	if !tr.nodes[0].leaf {

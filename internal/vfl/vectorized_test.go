@@ -301,17 +301,16 @@ func BenchmarkSplitMLPCourse(b *testing.B) {
 // forward runs one sample through the split model. xd must be nil exactly
 // when the model was built without a data party.
 func (m *SplitMLP) forward(xt, xd tensor.Vector) tensor.Vector {
-	z := m.taskBottom.Forward(xt).Clone()
+	z := append(tensor.Vector(nil), m.taskBottom.Forward(xt)...)
 	if m.dataBottom != nil {
 		// Data party computes its partial activation and sends h1 floats.
 		z.AddScaled(1, m.dataBottom.Forward(xd))
 	}
-	z.Map(func(v float64) float64 {
+	for i, v := range z {
 		if v < 0 {
-			return 0
+			z[i] = 0
 		}
-		return v
-	})
+	}
 	m.lastFused = z
 	return m.top.Forward(z)
 }

@@ -13,9 +13,11 @@ import (
 
 // The wire frames every envelope: a 4-byte big-endian length followed by
 // that many payload bytes in the negotiated encoding. The frame boundary is
-// what makes multiplexing safe — the demux loop can hand whole envelopes to
-// per-session inboxes without any session's decoder reading past its own
-// bytes.
+// what makes multiplexing safe: whichever session holds the mux's read
+// baton takes whole envelopes off the connection, keeps its own and routes
+// the rest to their sessions, and no decoder reads past its frame. A frame
+// is buffered whole before any of it is consumed, so a read deadline that
+// interrupts the reader loses nothing.
 //
 // Two encodings ride the frames. CodecBinary is the wire's own: the
 // hand-rolled layout of envelope.go, encoded by appending into one reused
@@ -99,8 +101,9 @@ func tornAt(got int, err error) error {
 // its own bufio.Reader, which reads ahead past frame boundaries it knows
 // nothing about.
 type frameReader struct {
-	br *bufio.Reader
-	n  int // payload bytes remaining in the current frame
+	br  *bufio.Reader
+	big *bytes.Buffer // the payload of a frame too large for br, read out whole
+	n   int           // payload bytes remaining in the current frame
 }
 
 func (f *frameReader) next() (err error) {
@@ -111,6 +114,9 @@ func (f *frameReader) next() (err error) {
 func (f *frameReader) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
+	}
+	if f.n == 0 && f.big.Len() > 0 {
+		return f.big.Read(p)
 	}
 	for f.n == 0 {
 		if err := f.next(); err != nil {
@@ -126,6 +132,9 @@ func (f *frameReader) Read(p []byte) (int, error) {
 }
 
 func (f *frameReader) ReadByte() (byte, error) {
+	if f.n == 0 && f.big.Len() > 0 {
+		return f.big.ReadByte()
+	}
 	for f.n == 0 {
 		if err := f.next(); err != nil {
 			return 0, err
@@ -158,10 +167,11 @@ type framedCodec struct {
 	br   *bufio.Reader
 
 	// buf is the reused send scratch: the length prefix, followed by the
-	// envelope for CodecBinary. big receives the rare binary frame larger
-	// than br's buffer.
-	buf []byte
-	big bytes.Buffer
+	// envelope for CodecBinary. big receives the payload of the rare frame
+	// larger than br's buffer; spill counts its bytes still to read.
+	buf   []byte
+	big   bytes.Buffer
+	spill int
 
 	gob *gobFrames // non-nil only for CodecGob
 }
@@ -174,7 +184,7 @@ func newFramedCodec(name string, br *bufio.Reader, w io.Writer) (*framedCodec, e
 	switch name {
 	case CodecBinary:
 	case CodecGob:
-		g := &gobFrames{fr: frameReader{br: br}}
+		g := &gobFrames{fr: frameReader{br: br, big: &f.big}}
 		g.enc = gob.NewEncoder(&g.buf)
 		g.dec = gob.NewDecoder(&g.fr)
 		f.gob = g
@@ -220,35 +230,66 @@ func (f *framedCodec) sendGob(e *Envelope) error {
 	return err
 }
 
-// Recv reads the next envelope. A binary frame is decoded in place from the
-// reader's buffer (Peek, decode, Discard); only a frame larger than the
-// buffer is copied out first.
+// Recv reads the next envelope. The whole frame is buffered first (see
+// fill), so an error before it decodes — a read deadline included —
+// consumes nothing, and the next Recv resumes the same frame. A binary
+// frame is then decoded in place from the reader's buffer; one larger than
+// the buffer is decoded from its copy.
 func (f *framedCodec) Recv() (*Envelope, error) {
-	if f.gob != nil {
-		var e Envelope
-		if err := f.gob.dec.Decode(&e); err != nil {
-			return nil, err
-		}
-		return &e, nil
-	}
-	n, err := readFrameHeader(f.br)
+	p, err := f.fill()
 	if err != nil {
 		return nil, err
 	}
-	if n > f.br.Size() {
-		f.big.Reset()
-		if _, err := io.CopyN(&f.big, f.br, int64(n)); err != nil {
-			return nil, tornAt(1, err)
+	if f.gob != nil {
+		// The frame is one Encode's whole output, so Decode reads it and
+		// nothing more; an error here is the payload's, not the stream's.
+		var e Envelope
+		if err := f.gob.dec.Decode(&e); err != nil {
+			return nil, fmt.Errorf("%w: gob: %v", ErrBadFrame, err)
 		}
-		return decodeEnvelope(f.big.Bytes())
-	}
-	p, err := f.br.Peek(n)
-	if err != nil {
-		return nil, tornAt(1, err)
+		return &e, nil
 	}
 	e, err := decodeEnvelope(p)
-	_, _ = f.br.Discard(n)
+	if f.big.Len() > 0 {
+		f.big.Reset()
+	} else {
+		_, _ = f.br.Discard(4 + len(p))
+	}
 	return e, err
+}
+
+// fill makes the next whole frame readable without blocking and returns
+// its payload. A frame that fits br's buffer stays there behind its length
+// prefix; a larger one is read out to big. On error the stream is left
+// where a retry resumes it.
+func (f *framedCodec) fill() ([]byte, error) {
+	if f.spill == 0 && f.big.Len() == 0 {
+		h, err := f.br.Peek(4)
+		if err != nil {
+			return nil, tornAt(len(h), err)
+		}
+		n := int(binary.BigEndian.Uint32(h))
+		if n == 0 || n > maxFrameSize {
+			return nil, fmt.Errorf("%w: frame length %d", ErrBadFrame, n)
+		}
+		if 4+n <= f.br.Size() {
+			p, err := f.br.Peek(4 + n)
+			if err != nil {
+				return nil, tornAt(1, err)
+			}
+			return p[4:], nil
+		}
+		_, _ = f.br.Discard(4)
+		f.spill = n
+	}
+	for f.spill > 0 {
+		n, err := io.CopyN(&f.big, f.br, int64(f.spill))
+		f.spill -= int(n)
+		if err != nil {
+			return nil, tornAt(1, err)
+		}
+	}
+	return f.big.Bytes(), nil
 }
 
 // Flush pushes buffered frames to the connection. The framed wire's flush

@@ -6,6 +6,7 @@ package wire
 // and every imperfect-specific failure path must end sessions cleanly.
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -69,7 +70,7 @@ func runImperfectSession(t *testing.T, seed uint64) (*core.ImperfectResult, *Ses
 
 func TestWireImperfectMatchesInProcess(t *testing.T) {
 	cat, cfg, _, params := imperfectMarket(t, 83)
-	want, err := core.RunImperfect(cat, cfg, params)
+	want, err := core.NewSession(cat, cfg).RunImperfect(context.Background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,13 +15,23 @@ import (
 
 // The session mux turns one framed connection into a fabric of
 // independent bargaining sessions. Both ends are built from one core,
-// muxEnd: a single reader goroutine routes inbound frames by session ID
-// into bounded per-session inboxes, one mutex-serialized writer shares the
-// buffered send path, and every session — a client MuxSession or a server
-// MuxStream — is a muxSlot. Stall detection is per session: receive timers,
-// not connection read deadlines (which would kill idle pooled connections
-// and let one wedged session starve its siblings), so no stream can
-// head-of-line-block another.
+// muxEnd: one mutex-serialized writer shares the buffered send path, and
+// every session — a client MuxSession or a server MuxStream — is a
+// muxSlot. No goroutine sits between a session and the socket. A receive
+// that finds nothing queued takes the connection's read baton and reads
+// for itself: it keeps its own frame and routes any other to that
+// session's bounded inbox, so a lone session's round crosses no goroutine
+// hand-off on either end. A receive that finds the baton taken waits on
+// its inbox until the holder routes it a frame or hands the baton over.
+//
+// Stall detection is per session: a waiting receive runs its own timer,
+// and the holder arms the same deadline as the connection's read
+// deadline. The framed codec consumes nothing until a whole frame is
+// buffered, so a holder that times out leaves the stream intact for the
+// next reader, and no wedged session can starve its siblings. The
+// connection's own loop reads only while no session is registered: it
+// notices an idle connection's death, admits a server's first session,
+// and reaps an abandoned server connection after the idle deadline.
 
 // muxInboxCap bounds the per-session inbox. The protocol is half-duplex
 // per session with at most two server frames in flight (a pipelined Ack
@@ -31,6 +42,12 @@ const muxInboxCap = 16
 // read deadline on a mux conn: active sessions' own receive timers must
 // fire first, but an abandoned connection is still reaped.
 const idleFactor = 4
+
+// aLongTimeAgo is the read deadline that interrupts a blocked reader.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// connLoop stands for the connection's own loop as the baton holder.
+var connLoop muxSlot
 
 // ErrMuxClosed reports an operation on a mux connection that was closed
 // locally.
@@ -78,18 +95,34 @@ func (f *fate) err() error {
 }
 
 // muxEnd is the core both ends of a mux connection share: the framed codec
-// behind one locked write path, the table that routes inbound frames to
-// open sessions by SID, and the connection's fate.
+// behind one locked write path, the table of open sessions by SID, the
+// read baton, and the connection's fate.
 type muxEnd struct {
 	conn net.Conn
 	fc   *framedCodec
 	io   time.Duration // the write deadline of every send and flush
+	idle time.Duration // the own loop's read deadline; <= 0 means none
 	fate fate
+
+	// control takes a server's connection-level frames (KindOpen,
+	// KindCancel) off the read path, reporting whether it did; nil on a
+	// client.
+	control func(e *Envelope) bool
 
 	wmu sync.Mutex // serializes fc's send path and flushes
 
-	mu    sync.Mutex // guards slots
-	slots map[uint64]*muxSlot
+	// baton holds its one token while nobody reads: a session's receive or
+	// the own loop takes it to call fc.Recv and puts it back after.
+	// Receives that find it taken queue on the channel in arrival order.
+	baton chan struct{}
+
+	// mu guards slots and reader, the baton's holder (a session's slot or
+	// &connLoop; nil while free). A holder arms its read deadline under
+	// mu, so a poke under mu is never overwritten.
+	mu     sync.Mutex
+	slots  map[uint64]*muxSlot
+	reader *muxSlot
+	wake   chan struct{} // tells the own loop the last session left
 }
 
 func (m *muxEnd) init(conn net.Conn, fc *framedCodec, ioTimeout time.Duration) {
@@ -97,10 +130,14 @@ func (m *muxEnd) init(conn net.Conn, fc *framedCodec, ioTimeout time.Duration) {
 	m.fate.closer = conn
 	m.fate.dead = make(chan struct{})
 	m.slots = make(map[uint64]*muxSlot)
+	m.baton = make(chan struct{}, 1)
+	m.baton <- struct{}{}
+	m.wake = make(chan struct{}, 1)
 }
 
-// fail ends the connection with err: its fate closes the conn, and every
-// open session fails with it.
+// fail ends the connection with err: its fate closes the conn, every open
+// session fails with it, and the reader is interrupted even where closing
+// the conn does not unblock its read.
 func (m *muxEnd) fail(err error) {
 	if !m.fate.fail(err) {
 		return
@@ -108,6 +145,9 @@ func (m *muxEnd) fail(err error) {
 	m.mu.Lock()
 	for _, s := range m.slots {
 		s.fate.fail(err)
+	}
+	if m.reader != nil {
+		_ = m.conn.SetReadDeadline(aLongTimeAgo)
 	}
 	m.mu.Unlock()
 }
@@ -154,16 +194,101 @@ func (m *muxEnd) reply(kind Kind, sid uint64, msg *ErrorMsg) {
 	putEnvelope(env)
 }
 
-// shutdown fails the connection with the error that ended its read side
-// and returns the codec's pooled buffers. The write path checks the fate
-// before it touches the codec, so they can go once the writer lock is free.
-func (m *muxEnd) shutdown(err error) error {
-	err = classify(fmt.Errorf("wire: mux conn: %w", err))
-	m.fail(err)
+// run is the connection's own loop. It reads while no session is
+// registered and parks while sessions read for themselves. Once the
+// connection is dead it keeps the baton for good and returns the codec's
+// pooled buffers, so no reader touches them afterwards; the write path
+// checks the fate before it touches the codec.
+func (m *muxEnd) run() error {
+	for {
+		alive, err := m.loopTurn()
+		if !alive {
+			break
+		}
+		var e *Envelope
+		if err == nil {
+			e, err = m.fc.Recv()
+		}
+		if err != nil {
+			m.fail(classify(fmt.Errorf("wire: mux conn: %w", err)))
+		} else {
+			m.deliver(e, nil)
+		}
+		m.release()
+	}
 	m.wmu.Lock()
 	m.fc.release()
 	m.wmu.Unlock()
-	return err
+	return m.fate.err()
+}
+
+// loopTurn blocks until the own loop holds the baton: alive with no
+// session registered, its idle read deadline armed (or err if arming it
+// failed), or on a dead connection.
+func (m *muxEnd) loopTurn() (alive bool, err error) {
+	for {
+		m.mu.Lock()
+		busy := len(m.slots) > 0
+		m.mu.Unlock()
+		if busy && m.fate.err() == nil {
+			select {
+			case <-m.wake:
+			case <-m.fate.dead:
+			}
+			continue
+		}
+		<-m.baton
+		m.mu.Lock()
+		alive = m.fate.err() == nil
+		if alive && len(m.slots) > 0 {
+			m.mu.Unlock()
+			m.baton <- struct{}{} // a session opened meanwhile: it reads
+			continue
+		}
+		m.reader = &connLoop
+		if alive {
+			var dl time.Time
+			if m.idle > 0 {
+				dl = time.Now().Add(m.idle)
+			}
+			err = m.conn.SetReadDeadline(dl)
+		}
+		m.mu.Unlock()
+		return alive, err
+	}
+}
+
+// release puts the baton back, handing it to the longest-waiting receive.
+func (m *muxEnd) release() {
+	m.mu.Lock()
+	m.reader = nil
+	m.mu.Unlock()
+	m.baton <- struct{}{}
+}
+
+// poke interrupts s if it holds the baton, by moving the read deadline
+// into the past. The holder checks why it might stop under mu before it
+// re-arms its deadline, so a poke that lands first is seen, not lost.
+func (m *muxEnd) poke(s *muxSlot) {
+	m.mu.Lock()
+	if m.reader == s {
+		_ = m.conn.SetReadDeadline(aLongTimeAgo)
+	}
+	m.mu.Unlock()
+}
+
+// deliver takes a frame off the read path: a server's control frames to
+// control, the holder's own frame back to it (true), any other to its
+// session's inbox.
+func (m *muxEnd) deliver(e *Envelope, holder *muxSlot) bool {
+	if m.control != nil && m.control(e) {
+		return false
+	}
+	if holder != nil && e.SID == holder.sid {
+		return true
+	}
+	m.route(e)
+	return false
 }
 
 func (m *muxEnd) lookup(sid uint64) *muxSlot {
@@ -193,22 +318,37 @@ func (m *muxEnd) slot(ctx context.Context, sid uint64, io time.Duration, f *fate
 	return muxSlot{m: m, sid: sid, io: io, ctx: ctx, fate: f, inbox: make(chan *Envelope, muxInboxCap)}
 }
 
-func (m *muxEnd) drop(s *muxSlot) {
+// drop unregisters s and returns how many sessions remain. The last one
+// out hands the read path back to the own loop.
+func (m *muxEnd) drop(s *muxSlot) int {
+	if s.stop != nil {
+		s.stop()
+	}
 	m.mu.Lock()
 	delete(m.slots, s.sid)
+	n := len(m.slots)
 	m.mu.Unlock()
+	if n == 0 {
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+	return n
 }
 
 // muxSlot is one session's end of a mux connection, the same on both ends.
 // It implements Codec: sends stamp the session ID and buffer on the shared
 // writer, receives flush pending output first (the framed wire's
-// flush-before-blocking-read discipline) and then wait on this session's
-// inbox under its own timer — a stalled sibling cannot block it.
+// flush-before-blocking-read discipline) and then either read the
+// connection under the baton or wait on this session's inbox, both under
+// this session's own deadline — a stalled sibling cannot block it.
 type muxSlot struct {
 	m     *muxEnd
 	sid   uint64
 	io    time.Duration
 	ctx   context.Context // a client session's; Background on a server stream
+	stop  func() bool     // unhooks the poke on ctx's cancellation; nil if none
 	fate  *fate           // a client session's is its connection's
 	inbox chan *Envelope
 	timer *time.Timer // reused across Recvs; Recv is serialized per session
@@ -235,27 +375,123 @@ func (s *muxSlot) Recv() (*Envelope, error) {
 	if err := s.m.flush(); err != nil {
 		return queuedOr(s.inbox, err)
 	}
-	var timerC <-chan time.Time
+	var deadline time.Time
 	if s.io > 0 {
+		deadline = time.Now().Add(s.io)
+	}
+	e, err := s.recv(deadline)
+	if err != nil && err == s.ctx.Err() {
+		s.cancel()
+	}
+	return e, err
+}
+
+// recv waits for this session's next envelope until deadline (zero means
+// none), reading the connection itself whenever it can take the baton.
+func (s *muxSlot) recv(deadline time.Time) (*Envelope, error) {
+	select {
+	case <-s.m.baton:
+	default:
+		if e, held, err := s.wait(deadline); !held {
+			return e, err
+		}
+	}
+	defer s.m.release()
+	return s.read(deadline)
+}
+
+// wait blocks a receive that found the baton taken until its inbox fills,
+// it must stop, or it takes the baton (held).
+func (s *muxSlot) wait(deadline time.Time) (e *Envelope, held bool, err error) {
+	var timerC <-chan time.Time
+	if !deadline.IsZero() {
 		if s.timer == nil {
-			s.timer = time.NewTimer(s.io)
+			s.timer = time.NewTimer(time.Until(deadline))
 		} else {
-			s.timer.Reset(s.io)
+			s.timer.Reset(time.Until(deadline))
 		}
 		defer s.timer.Stop()
 		timerC = s.timer.C
 	}
 	select {
 	case e := <-s.inbox:
-		return e, nil
+		return e, false, nil
+	case <-s.m.baton:
+		return nil, true, nil
 	case <-timerC:
-		return nil, fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, s.sid, s.io)
+		return nil, false, s.timeout()
 	case <-s.fate.dead:
-		return queuedOr(s.inbox, s.fate.err())
+		e, err = queuedOr(s.inbox, s.fate.err())
+		return e, false, err
 	case <-s.ctx.Done():
-		s.cancel()
-		return nil, s.ctx.Err()
+		return nil, false, s.ctx.Err()
 	}
+}
+
+// read reads the connection as the baton's holder until a frame of its
+// own arrives, routing every other frame; it stops early on its session's
+// end, a cancellation or its deadline. A frame routed to it before it took
+// the baton comes first.
+func (s *muxSlot) read(deadline time.Time) (*Envelope, error) {
+	m := s.m
+	for {
+		m.mu.Lock()
+		m.reader = s
+		if e, ok := queued(s.inbox); ok {
+			m.mu.Unlock()
+			return e, nil
+		}
+		if err := s.stopped(deadline); err != nil {
+			m.mu.Unlock()
+			return nil, err
+		}
+		err := m.conn.SetReadDeadline(deadline)
+		m.mu.Unlock()
+		var e *Envelope
+		if err == nil {
+			e, err = m.fc.Recv()
+		}
+		switch {
+		case err == nil:
+			if m.deliver(e, s) {
+				return e, nil
+			}
+			continue
+		case errors.Is(err, os.ErrDeadlineExceeded) && m.fate.err() == nil:
+			continue // the deadline or a poke: the next pass says which
+		}
+		m.fail(classify(fmt.Errorf("wire: mux conn: %w", err)))
+		// A stream's own fate may still be on its way from a concurrent fail.
+		if err = s.fate.err(); err == nil {
+			err = m.fate.err()
+		}
+		return queuedOr(s.inbox, err)
+	}
+}
+
+// stopped reports, with m.mu held, why the holder must stop reading: its
+// session's end, its context's cancellation, or its deadline.
+func (s *muxSlot) stopped(deadline time.Time) error {
+	if err := s.fate.err(); err != nil {
+		return err
+	}
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return s.timeout()
+	}
+	return nil
+}
+
+func (s *muxSlot) timeout() error {
+	return fmt.Errorf("%w: session %d idle past %v", ErrPeerTimeout, s.sid, s.io)
+}
+
+// kill ends this session alone with err, interrupting it mid-read.
+func (s *muxSlot) kill(err error) {
+	s.fate.fail(err)
+	s.m.poke(s)
 }
 
 // cancel unregisters the session and tells the peer with a KindCancel to
@@ -277,10 +513,10 @@ func queued(inbox chan *Envelope) (*Envelope, bool) {
 }
 
 // queuedOr prefers an envelope already delivered to inbox over the
-// connection error err. The demux loop queues a peer's last frame before it
-// reads the EOF behind it, so when a receive wakes on a dead connection
-// while that frame is queued — select picks at random between ready cases —
-// the frame wins and a session that completed is not reported as dropped.
+// connection error err. A reader routes a peer's last frame before it reads
+// the EOF behind it, so when a receive wakes on a dead connection while
+// that frame is queued — select picks at random between ready cases — the
+// frame wins and a session that completed is not reported as dropped.
 func queuedOr(inbox chan *Envelope, err error) (*Envelope, error) {
 	if e, ok := queued(inbox); ok {
 		return e, nil
@@ -351,7 +587,7 @@ func OpenMux(conn net.Conn, codecName string, ch ClientHello, ioTimeout time.Dur
 	}
 	m := &MuxConn{hello: e.Hello}
 	m.init(conn, fc, ioTimeout)
-	go m.readLoop()
+	go m.run()
 	return m, e.Hello, nil
 }
 
@@ -403,17 +639,6 @@ func (m *MuxConn) Close() error {
 	return nil
 }
 
-func (m *MuxConn) readLoop() {
-	for {
-		e, err := m.fc.Recv()
-		if err != nil {
-			m.shutdown(err)
-			return
-		}
-		m.route(e)
-	}
-}
-
 func (m *MuxConn) register(ctx context.Context, ioTimeout time.Duration) (*MuxSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -425,6 +650,9 @@ func (m *MuxConn) register(ctx context.Context, ioTimeout time.Duration) (*MuxSe
 	}
 	m.nextSID++
 	s := &MuxSession{m.slot(ctx, m.nextSID, ioTimeout, &m.fate)}
+	if ctx.Done() != nil {
+		s.stop = context.AfterFunc(ctx, func() { m.poke(&s.muxSlot) })
+	}
 	m.slots[s.sid] = &s.muxSlot
 	return s, nil
 }
@@ -496,22 +724,23 @@ func (s *MuxSession) CloseClean() {
 	_ = s.m.flush()
 }
 
-// MuxServerConn is the server end of a multiplexed connection: it owns
-// the demux loop, spawns one handler per KindOpen, and shares the framed
+// MuxServerConn is the server end of a multiplexed connection: it admits
+// one stream per KindOpen, runs a handler for each, and shares the framed
 // send path between the streams.
 type MuxServerConn struct {
 	muxEnd
-	idle     time.Duration
 	max      int
 	draining bool // guarded by mu
+	handler  func(st *MuxStream, ch *ClientHello)
+	handlers sync.WaitGroup
 }
 
 // NewMuxServerConn wraps a connection whose handshake AcceptHandshakeMux
 // already completed, with the codec it returned; Serve takes the codec over
 // and releases it. maxSessions bounds concurrently open streams per
 // connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
-// idle is the whole-connection read deadline between envelopes: 0 picks the
-// default of idleFactor x the IO timeout, < 0 disables the idle deadline.
+// idle is the read deadline of a connection with no open stream: 0 picks
+// the default of idleFactor x the IO timeout, < 0 disables it.
 func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, error) {
 	fc, ok := c.(*framedCodec)
 	if !ok {
@@ -520,8 +749,10 @@ func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, max
 	if idle == 0 && ioTimeout > 0 {
 		idle = idleFactor * ioTimeout
 	}
-	sc := &MuxServerConn{idle: idle, max: maxSessions}
+	sc := &MuxServerConn{max: maxSessions}
 	sc.init(conn, fc, ioTimeout)
+	sc.idle = idle
+	sc.control = sc.dispatch
 	return sc, nil
 }
 
@@ -534,54 +765,54 @@ func (sc *MuxServerConn) SendHello(h *Hello) error {
 	return sc.flush()
 }
 
-// Serve runs the demux loop until the connection dies or is closed: every
-// KindOpen spawns handler in its own goroutine with a MuxStream scoped to
-// that session. Serve returns after all handlers have finished. The idle
-// read deadline defaults to a generous idleFactor x the IO timeout (see
-// NewMuxServerConn) so active streams' own receive timers fire first,
-// while abandoned connections are still reaped.
+// Serve runs the connection until it dies or is closed: every KindOpen
+// spawns handler in its own goroutine with a MuxStream scoped to that
+// session. Serve's own loop reads while no stream is open, under the idle
+// read deadline (see NewMuxServerConn), so an abandoned connection is
+// reaped; open streams read for themselves. Serve returns the error that
+// ended the connection after all handlers have finished.
 func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) error {
-	var wg sync.WaitGroup
-	var err error
-	for {
-		if sc.idle > 0 {
-			if err = sc.conn.SetReadDeadline(time.Now().Add(sc.idle)); err != nil {
-				break
-			}
-		}
-		var e *Envelope
-		if e, err = sc.fc.Recv(); err != nil {
-			break
-		}
-		switch e.Kind {
-		case KindOpen:
-			if e.Client == nil {
-				sc.reply(KindError, e.SID, &ErrorMsg{Msg: "open without a client hello"})
-				continue
-			}
-			st, ok := sc.admit(e.SID)
-			if !ok {
-				sc.reply(KindBusy, e.SID, &ErrorMsg{Msg: "connection session limit reached"})
-				continue
-			}
-			wg.Add(1)
-			go func(st *MuxStream, ch *ClientHello) {
-				defer wg.Done()
-				handler(st, ch)
-				_ = sc.flush() // push any buffered closing frames
-				sc.dropStream(st)
-			}(st, e.Client)
-		case KindCancel:
-			if s := sc.lookup(e.SID); s != nil {
-				s.fate.fail(fmt.Errorf("%w: session %d", ErrSessionCancelled, e.SID))
-			}
-		default:
-			sc.route(e)
-		}
-	}
-	err = sc.shutdown(err)
-	wg.Wait()
+	sc.handler = handler
+	err := sc.run()
+	sc.handlers.Wait()
 	return err
+}
+
+// dispatch takes the connection-level frames off the read path, for
+// Serve's loop and a stream reading under the baton alike: a KindOpen
+// admits a stream and starts its handler, a KindCancel ends the stream it
+// names. It reports whether e was one of them.
+func (sc *MuxServerConn) dispatch(e *Envelope) bool {
+	switch e.Kind {
+	case KindOpen:
+		if e.Client == nil {
+			sc.reply(KindError, e.SID, &ErrorMsg{Msg: "open without a client hello"})
+			return true
+		}
+		st, ok := sc.admit(e.SID)
+		if !ok {
+			sc.reply(KindBusy, e.SID, &ErrorMsg{Msg: "connection session limit reached"})
+			return true
+		}
+		// The reader is Serve's loop, before Serve waits, or a stream whose
+		// own handler is still counted: Add never races Wait at zero.
+		sc.handlers.Add(1)
+		go sc.serveStream(st, e.Client)
+	case KindCancel:
+		if s := sc.lookup(e.SID); s != nil {
+			s.kill(fmt.Errorf("%w: session %d", ErrSessionCancelled, e.SID))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+func (sc *MuxServerConn) serveStream(st *MuxStream, ch *ClientHello) {
+	defer sc.handlers.Done()
+	sc.handler(st, ch)
+	_ = sc.flush() // push any buffered closing frames
+	sc.dropStream(st)
 }
 
 // admit registers a stream for a client-chosen SID, enforcing the drain
@@ -600,11 +831,13 @@ func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
 }
 
 func (sc *MuxServerConn) dropStream(st *MuxStream) {
+	if sc.drop(&st.muxSlot) > 0 {
+		return
+	}
 	sc.mu.Lock()
-	delete(sc.slots, st.sid)
-	idle := sc.draining && len(sc.slots) == 0
+	draining := sc.draining
 	sc.mu.Unlock()
-	if idle {
+	if draining {
 		_ = sc.conn.Close()
 	}
 }
@@ -622,8 +855,12 @@ func (sc *MuxServerConn) Drain() {
 	}
 }
 
-// Close severs the connection; Serve unwinds and fails every open stream.
-func (sc *MuxServerConn) Close() error { return sc.conn.Close() }
+// Close severs the connection: every open stream fails with ErrMuxClosed
+// and Serve unwinds.
+func (sc *MuxServerConn) Close() error {
+	sc.fail(ErrMuxClosed)
+	return nil
+}
 
 // MuxStream is one server-side session of a multiplexed connection. It
 // implements Codec through its muxSlot, with a fate of its own: a cancel,
@@ -646,6 +883,6 @@ func (st *MuxStream) Close() error {
 		return nil
 	}
 	st.m.reply(KindBusy, st.sid, &ErrorMsg{Msg: "session severed: market evicted for migration"})
-	st.own.fail(ErrSessionEvicted)
+	st.kill(ErrSessionEvicted)
 	return nil
 }

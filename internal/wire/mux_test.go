@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -390,3 +392,378 @@ func TestMuxServerWriteFailureFailsConnection(t *testing.T) {
 
 // SID returns the session's ID on its connection.
 func (s *muxSlot) SID() uint64 { return s.sid }
+
+// TestMuxIdleConnNoticesPeerClose pins what a client pool prunes on: a
+// pooled connection with no session open learns promptly that its server
+// closed it. Nothing reads for a session here, so the connection's own
+// loop must.
+func TestMuxIdleConnNoticesPeerClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	closeServer := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		c, _, err := AcceptHandshakeMux(conn, 5*time.Second)
+		if err != nil {
+			t.Errorf("mux handshake: %v", err)
+			return
+		}
+		sc, err := NewMuxServerConn(conn, c, 5*time.Second, -1, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
+			t.Error(err)
+			return
+		}
+		go func() {
+			<-closeServer
+			sc.Close()
+		}()
+		_ = sc.Serve(func(*MuxStream, *ClientHello) {})
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, _, err := OpenMux(conn, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	if err := mc.Err(); err != nil {
+		t.Fatalf("fresh pooled connection: Err() = %v", err)
+	}
+	close(closeServer)
+	<-served
+	deadline := time.Now().Add(2 * time.Second)
+	for mc.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("idle connection still reports healthy 2s after its server closed it")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !IsTransportError(mc.Err()) {
+		t.Fatalf("idle connection died with %v, want a transport error", mc.Err())
+	}
+}
+
+// holding waits until s holds its connection's read baton.
+func holding(t *testing.T, s *muxSlot) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s.m.mu.Lock()
+		held := s.m.reader == s
+		s.m.mu.Unlock()
+		if held {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %d never took the read baton", s.sid)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// echoRound sends one Quote on s and expects its echo.
+func echoRound(t *testing.T, s *MuxSession, round int) {
+	t.Helper()
+	l := link{s}
+	if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Round: round}}); err != nil {
+		t.Fatalf("round %d send: %v", round, err)
+	}
+	e, err := l.recv(KindAck)
+	if err != nil {
+		t.Fatalf("round %d recv: %v", round, err)
+	}
+	if e.Ack.Round != round {
+		t.Fatalf("round %d echoed as %d", round, e.Ack.Round)
+	}
+}
+
+// startMuxMute is startMuxEcho except that a session whose hello names the
+// market "mute" is never answered after its Hello: its server end parks in
+// Recv, and it reports there on parked.
+func startMuxMute(t *testing.T, ioTimeout time.Duration, parked chan<- *MuxStream, parkedErr chan<- error) (*MuxConn, func()) {
+	return startMux(t, ioTimeout, func(st *MuxStream, ch *ClientHello) {
+		if err := st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: ch.Market}}); err != nil {
+			return
+		}
+		if ch.Market == "mute" {
+			parked <- st
+			_, err := st.Recv()
+			parkedErr <- err
+			return
+		}
+		for {
+			e, err := st.Recv()
+			if err != nil {
+				return
+			}
+			if err := st.Send(&Envelope{Kind: KindAck, Ack: &Ack{Round: e.Quote.Round}}); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// TestMuxCancelWhileHoldingBaton: a client session blocked reading the
+// connection for itself returns ctx.Err() as soon as its context is
+// cancelled, far inside its IO timeout, and leaves the connection to a
+// sibling.
+func TestMuxCancelWhileHoldingBaton(t *testing.T) {
+	const ioTimeout = 5 * time.Second
+	parked, parkedErr := make(chan *MuxStream, 1), make(chan error, 1)
+	mc, shutdown := startMuxMute(t, ioTimeout, parked, parkedErr)
+	defer shutdown()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s1, _, err := mc.Open(ctx, ClientHello{Market: "mute"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	done := make(chan result, 1)
+	go func() {
+		start := time.Now()
+		_, err := s1.Recv()
+		done <- result{err, time.Since(start)}
+	}()
+	holding(t, &s1.muxSlot)
+	cancel()
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled holder Recv = %v, want context.Canceled", r.err)
+	}
+	if r.took > ioTimeout/4 {
+		t.Fatalf("cancelled holder returned after %v", r.took)
+	}
+	// The cancel reached the server end too, without touching the conn.
+	if err := <-parkedErr; !errors.Is(err, ErrSessionCancelled) {
+		t.Fatalf("server end of the cancelled session: %v, want ErrSessionCancelled", err)
+	}
+	if err := mc.Err(); err != nil {
+		t.Fatalf("cancel killed the connection: %v", err)
+	}
+	s2, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 5; round++ {
+		echoRound(t, s2, round)
+	}
+	s2.CloseClean()
+}
+
+// TestMuxCloseEvictsBatonHolder: evicting the server stream that is
+// reading for the whole connection unwinds it with ErrSessionEvicted at
+// once, while a sibling whose frames it was routing carries on.
+func TestMuxCloseEvictsBatonHolder(t *testing.T) {
+	const ioTimeout = 5 * time.Second
+	parked, parkedErr := make(chan *MuxStream, 1), make(chan error, 1)
+	mc, shutdown := startMuxMute(t, ioTimeout, parked, parkedErr)
+	defer shutdown()
+
+	victim, _, err := mc.Open(context.Background(), ClientHello{Market: "mute"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := <-parked
+	holding(t, &st.muxSlot)
+
+	// The sibling's server end waits while the victim reads: every frame
+	// of these rounds is routed by the victim's stream.
+	s2, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 10; round++ {
+		echoRound(t, s2, round)
+	}
+	holding(t, &st.muxSlot)
+
+	start := time.Now()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-parkedErr; !errors.Is(err, ErrSessionEvicted) {
+		t.Fatalf("evicted holder Recv = %v, want ErrSessionEvicted", err)
+	}
+	if took := time.Since(start); took > ioTimeout/4 {
+		t.Fatalf("evicted holder unwound after %v", took)
+	}
+	if _, err := (link{victim}).recv(KindAck); !errors.Is(err, ErrServerBusy) {
+		t.Fatalf("client of the evicted stream: %v, want ErrServerBusy", err)
+	}
+	victim.CloseClean()
+	for round := 11; round <= 20; round++ {
+		echoRound(t, s2, round)
+	}
+	if err := mc.Err(); err != nil {
+		t.Fatalf("eviction killed the connection: %v", err)
+	}
+	s2.CloseClean()
+}
+
+// TestMuxInterleavedStreamsGetOwnFrames runs many sessions at once on one
+// connection, each with several frames in flight each way, so whichever
+// session reads routes its siblings' frames. Every session must see
+// exactly its own replies, in order.
+func TestMuxInterleavedStreamsGetOwnFrames(t *testing.T) {
+	const (
+		ioTimeout = 5 * time.Second
+		streams   = 6
+		batches   = 30
+		inFlight  = 3
+	)
+	mc, shutdown := startMuxEcho(t, ioTimeout)
+	defer shutdown()
+	errs := make(chan error, streams)
+	for i := 0; i < streams; i++ {
+		go func(i int) {
+			s, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer s.CloseClean()
+			l := link{s}
+			for b := 0; b < batches; b++ {
+				base := i*1_000_000 + b*inFlight
+				for k := 0; k < inFlight; k++ {
+					if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Round: base + k}}); err != nil {
+						errs <- err
+						return
+					}
+				}
+				for k := 0; k < inFlight; k++ {
+					e, err := l.recv(KindAck)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if e.Ack.Round != base+k {
+						errs <- fmt.Errorf("session %d got round %d, want %d", i, e.Ack.Round, base+k)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(i)
+	}
+	for i := 0; i < streams; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mc.Err(); err != nil {
+		t.Fatalf("connection died: %v", err)
+	}
+}
+
+// TestMuxHolderTimeoutKeepsConnection: a session whose peer never answers
+// times out while it reads the connection itself. The receive deadline
+// it armed on the connection is its own, not the connection's: Recv
+// returns ErrPeerTimeout, and the connection stays healthy for a sibling.
+func TestMuxHolderTimeoutKeepsConnection(t *testing.T) {
+	const ioTimeout, stall = 5 * time.Second, 150 * time.Millisecond
+	parked, parkedErr := make(chan *MuxStream, 1), make(chan error, 1)
+	mc, shutdown := startMuxMute(t, ioTimeout, parked, parkedErr)
+	defer shutdown()
+
+	s1, _, err := mc.Open(context.Background(), ClientHello{Market: "mute"}, stall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	start := time.Now()
+	_, err = s1.Recv()
+	took := time.Since(start)
+	if !errors.Is(err, ErrPeerTimeout) {
+		t.Fatalf("stalled holder Recv = %v, want ErrPeerTimeout", err)
+	}
+	if took < stall || took > ioTimeout/4 {
+		t.Fatalf("stalled holder returned after %v, want about %v", took, stall)
+	}
+	if err := mc.Err(); err != nil {
+		t.Fatalf("holder timeout killed the connection: %v", err)
+	}
+	s1.Close()
+	s2, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 5; round++ {
+		echoRound(t, s2, round)
+	}
+	s2.CloseClean()
+}
+
+// TestFrameRecvResumesAfterDeadline is the premise of reading under a
+// receive deadline: a deadline that fires mid-frame consumes nothing, and
+// the next Recv returns the whole envelope. Both encodings, for a frame
+// that fits the reader's buffer and one that does not.
+func TestFrameRecvResumesAfterDeadline(t *testing.T) {
+	want := &Envelope{Kind: KindQuote, SID: 7, Quote: &Quote{Round: 3, Rate: 12.5}}
+	for _, codec := range framedCodecs {
+		for _, size := range []int{16, 4096} {
+			t.Run(fmt.Sprintf("%s/buf%d", codec, size), func(t *testing.T) {
+				stream := validFrameStream(t, codec, want)
+				if size == 16 && len(stream) <= 16+4 {
+					t.Fatalf("a %d-byte frame fits a %d-byte buffer", len(stream), size)
+				}
+				client, server := net.Pipe()
+				defer client.Close()
+				defer server.Close()
+				rest := make(chan struct{})
+				go func() {
+					half := len(stream) / 2
+					if _, err := server.Write(stream[:half]); err != nil {
+						return
+					}
+					<-rest
+					_, _ = server.Write(stream[half:])
+				}()
+				fc, err := newFramedCodec(codec, bufio.NewReaderSize(client, size), io.Discard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if err := client.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := fc.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+						t.Fatalf("half a frame: Recv = %v, want a deadline error", err)
+					}
+				}
+				close(rest)
+				if err := client.SetReadDeadline(time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := fc.Recv()
+				if err != nil {
+					t.Fatalf("Recv after the deadline: %v", err)
+				}
+				if got.SID != want.SID || got.Quote == nil || *got.Quote != *want.Quote {
+					t.Fatalf("Recv after the deadline = %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+}

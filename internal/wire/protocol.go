@@ -34,7 +34,8 @@
 // Paillier-settling servers.
 //
 // Both ends of a connection run on one mux core (mux.go): one locked write
-// path, one demux routing frames by SID into bounded per-session inboxes,
+// path, one read baton passed between the sessions' receives (the holder
+// routes other sessions' frames by SID into bounded per-session inboxes),
 // one session receive, and one opener each for connections and sessions.
 // A client MuxSession and a server MuxStream are the same session type;
 // they differ only in values (a ctx, and whether a session shares its
@@ -404,7 +405,7 @@ type StatsReport struct {
 type Envelope struct {
 	Kind Kind
 	// SID is the session ID: every frame of a session carries the ID its
-	// KindOpen allocated, and the per-conn demux on both ends routes by it.
+	// KindOpen allocated, and the reader on either end routes by it.
 	// 0 on the connection-level hello exchange.
 	SID      uint64
 	Hello    *Hello

@@ -8,6 +8,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"errors"
 	"net"
@@ -68,7 +69,7 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	clientCut func(conn net.Conn, ck *core.ImperfectCheckpoint)) (*core.ImperfectResult, *core.ImperfectResult) {
 	t.Helper()
 	cat, cfg, gains, params := imperfectMarket(t, seed)
-	want, err := core.RunImperfect(cat, cfg, params)
+	want, err := core.NewSession(cat, cfg).RunImperfect(context.Background(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
