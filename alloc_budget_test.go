@@ -5,12 +5,17 @@
 
 package vflmarket
 
-import "testing"
+import (
+	crand "crypto/rand"
+	"testing"
 
-// TestAllocationBudgets holds three hot paths to committed allocs/op
-// budgets. Each budget is the measured value plus about half the rounds
-// one session plays, so runner noise fits under it and one accidental
-// allocation per round does not: that adds a whole round count.
+	"repro/internal/secure"
+)
+
+// TestAllocationBudgets holds four hot paths to committed allocs/op
+// budgets. Each session budget is the measured value plus about half the
+// rounds one session plays, so runner noise fits under it and one
+// accidental allocation per round does not: that adds a whole round count.
 //
 //   - BenchmarkServiceRoundTrip/bin, 400: one networked perfect session
 //     over the binary mux wire, measured at ~349 (345–366 across b.N);
@@ -26,10 +31,21 @@ import "testing"
 //     at 240 for every b.N; its sessions settle ~41 rounds (one more
 //     allocation a round reads 281), and a per-candidate allocation (100
 //     candidates a round) adds thousands.
+//   - BenchmarkSecureSettlement/secure-pooled, 90: one secure settlement
+//     round at 256-bit primes, a seal drawn from a primed pool plus one
+//     blinded open, measured at 75. A full-width r^n mod n² factor costs
+//     ~38 allocations, so a round that computes one anywhere (an open
+//     that blinds with a pool factor, or a seal that misses the pool)
+//     reads ~113.
 func TestAllocationBudgets(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three benchmarks for about a second each")
+		t.Skip("runs four benchmarks for about a second each")
 	}
+	sk, err := secure.GenerateKey(crand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := secure.NewDataReceiver(sk)
 	for _, c := range []struct {
 		name   string
 		bench  func(*testing.B)
@@ -40,6 +56,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{"BenchmarkServiceRoundTrip/bin", BenchmarkServiceRoundTrip, 400},
 		{"BenchmarkImperfectServiceRoundTrip/bin", BenchmarkImperfectServiceRoundTrip, 570},
 		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 260},
+		{"BenchmarkSecureSettlement/secure-pooled", func(b *testing.B) { benchSecurePooled(b, recv, 2.54) }, 90},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

@@ -457,7 +457,8 @@ func BenchmarkBatchOverWire(b *testing.B) {
 //     pool's fallback, and the pre-rebuild per-round encryption cost).
 //   - secure-pooled:  the pipelined regime — seals draw precomputed
 //     randomizers (one mulmod in steady state, refilled in the
-//     background), opening runs the blinded CRT decryption.
+//     background), opening runs the CRT decryption blinded by powers of
+//     the key's own primes.
 //
 // Both secure variants open through the CRT path; the CRT-vs-classic
 // decryption gap is isolated by BenchmarkPaillierDecrypt.
@@ -503,43 +504,47 @@ func BenchmarkSecureSettlement(b *testing.B) {
 		}
 	})
 
-	b.Run("secure-pooled", func(b *testing.B) {
-		// A prime-only pool (no background workers) refilled outside the
-		// timer isolates the steady-state per-round cost. In production
-		// the pool's workers refill it in the background, within the
-		// process-wide refill budget that leaves one core to the sessions.
-		const chunk = 128 // two draws per round (seal + blind)
-		ns := secure.NewNoiseSource(recv.PublicKey(), chunk, -1, crand.Reader)
-		defer ns.Close()
-		if err := ns.Prime(context.Background()); err != nil {
+	b.Run("secure-pooled", func(b *testing.B) { benchSecurePooled(b, recv, pay) })
+}
+
+// benchSecurePooled runs one secure settlement round per op: a seal drawn
+// from a primed pool and one blinded open. A prime-only pool (no
+// background workers) refilled outside the timer isolates the steady-state
+// per-round cost. In production the pool's workers refill it in the
+// background, within the process-wide refill budget that leaves one core
+// to the sessions.
+func benchSecurePooled(b *testing.B, recv *secure.DataReceiver, pay float64) {
+	const chunk = 64 // one draw per round (the seal)
+	ns := secure.NewNoiseSource(recv.PublicKey(), chunk, -1, crand.Reader)
+	defer ns.Close()
+	if err := ns.Prime(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%chunk == 0 && i > 0 {
+			b.StopTimer()
+			if err := ns.Prime(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		m, err := secure.EncodeFixed(recv.PublicKey(), pay)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%(chunk/2) == 0 && i > 0 {
-				b.StopTimer()
-				if err := ns.Prime(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			m, err := secure.EncodeFixed(recv.PublicKey(), pay)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ct, err := ns.Encrypt(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := recv.OpenPayment(&secure.GainReport{EncPayment: ns.Blind(ct)}); err != nil {
-				b.Fatal(err)
-			}
+		ct, err := ns.Encrypt(m)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if st := ns.Stats(); st.Inline > 0 {
-			b.Fatalf("steady-state bench drained its pool (%d inline draws)", st.Inline)
+		if _, err := recv.OpenPayment(&secure.GainReport{EncPayment: ct}); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
+	if st := ns.Stats(); st.Inline > 0 {
+		b.Fatalf("steady-state bench drained its pool (%d inline draws)", st.Inline)
+	}
 }
 
 // BenchmarkBargainPerfect measures one strategic perfect-information game.

@@ -80,7 +80,7 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	srvSec, addrSec, shutdownSec := startServer(t, map[string]*Engine{"titanic": secEngine},
-		WithIOTimeout(2*time.Second), WithSecureSettlement(128), WithEagerSecureKeys(), WithNoisePool(16))
+		WithIOTimeout(2*time.Second), WithSecureSettlement(128), WithEagerSecureKeys())
 	defer shutdownSec()
 	proxySec, err := chaos.NewProxy(addrSec, chaos.NewPlan(seed+1, 6))
 	if err != nil {

@@ -47,7 +47,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent sessions (0 = GOMAXPROCS)")
 	secure := flag.Bool("secure", false, "settle under Paillier encryption (§3.6)")
 	keyBits := flag.Int("keybits", 256, "Paillier prime bits with -secure (production wants 1536+)")
-	noisePool := flag.Int("noisepool", 0, "per-market pool of precomputed Paillier randomizers with -secure (0 = default)")
 	eagerKeys := flag.Bool("eagerkeys", false, "generate Paillier keys at registration instead of in the background")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-read/write IO deadline")
 	idle := flag.Duration("idletimeout", 0, "close idle multiplexed connections after this long (0 = 4x -timeout, negative = never)")
@@ -64,7 +63,7 @@ func main() {
 		vflmarket.WithIdleTimeout(*idle),
 	}
 	if *secure {
-		opts = append(opts, vflmarket.WithSecureSettlement(*keyBits), vflmarket.WithNoisePool(*noisePool))
+		opts = append(opts, vflmarket.WithSecureSettlement(*keyBits))
 		if *eagerKeys {
 			opts = append(opts, vflmarket.WithEagerSecureKeys())
 		}

@@ -58,7 +58,7 @@ func (c *paillierCipher) Seal(payment float64) ([]byte, error) {
 }
 
 func (c *paillierCipher) Open(ciphertext []byte) (float64, error) {
-	ct := c.noise.Blind(&secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)})
+	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)}
 	return c.recv.OpenPayment(&secure.GainReport{EncPayment: ct})
 }
 

@@ -1,8 +1,10 @@
 package secure
 
 // Before/after evidence for the CRT + amortized-randomness rebuild:
-// BenchmarkPaillierDecrypt pits the CRT path against the preserved classic
-// reference (the acceptance bar is >= 3x at 1024-bit primes), and
+// BenchmarkPaillierDecrypt pits the CRT path against the classic reference
+// (the acceptance bar is >= 3x at 1024-bit primes) and prices the blinded
+// open a DataReceiver serves; BenchmarkBlinding prices a fresh blinding
+// pair against the full-width r^n factor a pool would spend on it; and
 // BenchmarkPaillierEncrypt pits the amortized path — the one modular
 // multiplication left once the r^n factor is precomputed, which is what a
 // steady-state NoiseSource draw costs — against the inline modexp. The
@@ -99,6 +101,43 @@ func BenchmarkPaillierDecrypt(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sk.Decrypt(ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The served path: CRT decryption of a blinded ciphertext plus the
+		// fixed-point decode, with a fresh pair every blindRefresh opens.
+		b.Run(sizeName(bits)+"/blinded", func(b *testing.B) {
+			d := NewDataReceiver(sk)
+			rep := &GainReport{EncPayment: ct}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.OpenPayment(rep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBlinding prices the two ways to blind a decryption: a fresh
+// pair of half-width prime powers (what a DataReceiver draws every
+// blindRefresh opens) and a full-width r^n mod n² factor.
+func BenchmarkBlinding(b *testing.B) {
+	for _, bits := range []int{256, 1024} {
+		sk := benchKey(b, bits)
+		b.Run(sizeName(bits)+"/pair", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sk.blindingPair(rand.Reader); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(sizeName(bits)+"/noisefactor", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.NoiseFactor(rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -183,6 +183,13 @@ func TestNewPrivateKeyFromPrimesRejectsBadInput(t *testing.T) {
 	if _, err := NewPrivateKeyFromPrimes(p, notPrime); err == nil {
 		t.Fatal("composite accepted")
 	}
+	// q = 2p'+1 with p' prime: p' divides q-1, so gcd(n, φ(n)) = p' and
+	// encryption under n = p'q would not be injective.
+	sg, _ := new(big.Int).SetString("d387fd9fefeff729b24c09034794374d", 16)
+	safe, _ := new(big.Int).SetString("1a70ffb3fdfdfee53649812068f286e9b", 16)
+	if _, err := NewPrivateKeyFromPrimes(sg, safe); err == nil {
+		t.Fatal("primes with gcd(n, φ(n)) ≠ 1 accepted")
+	}
 }
 
 func TestEncodeFixedRangeErrors(t *testing.T) {

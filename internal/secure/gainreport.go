@@ -1,10 +1,12 @@
 package secure
 
 import (
+	"crypto/rand"
 	"fmt"
 	"io"
 	"math"
 	"math/big"
+	"sync"
 )
 
 // GainScale is the fixed-point resolution for encoding performance gains
@@ -128,24 +130,86 @@ func (t *TaskReporter) Report(rate, base, high, gain float64) (*GainReport, erro
 	return &GainReport{EncPayment: ct}, nil
 }
 
-// DataReceiver is the data party's side: it owns the private key.
+// blindRefresh is how many opens one blinding pair serves: a
+// DataReceiver squares its pair after every use and draws a fresh one on
+// every blindRefresh-th.
+const blindRefresh = 32
+
+// DataReceiver is the data party's side: it owns the private key, and the
+// pair (up, uq) that blinds every decryption. up is a p-th power mod p² and
+// uq a q-th power mod q², so multiplying the ciphertext's residues by them
+// changes each exponentiation's operand but not the plaintext. A
+// DataReceiver is safe for concurrent use.
 type DataReceiver struct {
-	sk *PrivateKey
+	sk     *PrivateKey
+	random io.Reader
+
+	mu     sync.Mutex // guards the pair and the use count
+	up, uq *big.Int   // the next open's pair; nil until the first draw
+	uses   uint64
 }
 
 // NewDataReceiver wraps the data party's private key.
 func NewDataReceiver(sk *PrivateKey) *DataReceiver {
-	return &DataReceiver{sk: sk}
+	return &DataReceiver{sk: sk, random: rand.Reader}
 }
 
 // PublicKey returns the key the task party should encrypt under.
 func (d *DataReceiver) PublicKey() *PublicKey { return &d.sk.PublicKey }
 
-// OpenPayment decrypts a payment report.
+// blinding hands one open its blinding pair. The current pair is taken and
+// squared in place under the lock; every blindRefresh-th use (and the
+// first) draws a fresh pair outside the lock instead, while concurrent
+// opens go on squaring the old one. A failed draw drops the pair, so the
+// next open draws again.
+func (d *DataReceiver) blinding() (up, uq *big.Int, err error) {
+	d.mu.Lock()
+	d.uses++
+	if d.up != nil && d.uses%blindRefresh != 0 {
+		up, uq = new(big.Int).Set(d.up), new(big.Int).Set(d.uq)
+		d.setSquares(up, uq)
+		d.mu.Unlock()
+		return up, uq, nil
+	}
+	d.mu.Unlock()
+	up, uq, err = d.sk.blindingPair(d.random)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		d.up, d.uq = nil, nil
+		return nil, nil, err
+	}
+	d.setSquares(up, uq)
+	return up, uq, nil
+}
+
+// setSquares makes the squares of a handed-out pair the next open's pair,
+// two half-width mulmods. Callers hold mu.
+func (d *DataReceiver) setSquares(up, uq *big.Int) {
+	if d.up == nil {
+		d.up, d.uq = new(big.Int), new(big.Int)
+	}
+	d.up.Mul(up, up).Mod(d.up, d.sk.p2)
+	d.uq.Mul(uq, uq).Mod(d.uq, d.sk.q2)
+}
+
+// OpenPayment decrypts a payment report. The ciphertext's residues mod p²
+// and q² are blinded before the CRT exponentiations, so neither operand is
+// the wire ciphertext; a settlement whose blinding cannot be drawn fails
+// rather than decrypt unblinded.
 func (d *DataReceiver) OpenPayment(r *GainReport) (float64, error) {
-	m, err := d.sk.Decrypt(r.EncPayment)
+	sk := d.sk
+	if err := sk.checkCiphertext(r.EncPayment); err != nil {
+		return 0, err
+	}
+	up, uq, err := d.blinding()
 	if err != nil {
 		return 0, err
 	}
-	return DecodeFixed(&d.sk.PublicKey, m), nil
+	c := r.EncPayment.C
+	cp := new(big.Int).Mod(c, sk.p2)
+	cp.Mul(cp, up).Mod(cp, sk.p2)
+	cq := new(big.Int).Mod(c, sk.q2)
+	cq.Mul(cq, uq).Mod(cq, sk.q2)
+	return DecodeFixed(&sk.PublicKey, sk.decrypt(cp, cq)), nil
 }

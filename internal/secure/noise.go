@@ -11,12 +11,13 @@ import (
 
 // NoiseSource is a bounded concurrent pool of precomputed encryption
 // randomizers r^n mod n² — the message-independent modexp that dominates
-// Paillier encryption. Background workers keep the pool topped up, so
-// steady-state settlement encryption (Encrypt, Blind) costs one modular
+// Paillier encryption under a bare public key. Background workers keep the
+// pool topped up, so steady-state settlement encryption costs one modular
 // multiplication per draw; when the pool is drained faster than it
 // refills, draws fall back to computing the factor inline, so a
 // NoiseSource never blocks and never fails where plain encryption would
-// succeed.
+// succeed. (The key holder needs no pool: a DataReceiver blinds its
+// decryptions with powers of its own primes.)
 //
 // Every source in the process shares one budget of max(1, GOMAXPROCS−1)
 // concurrent refill modexps (workers and Prime take a slot per factor), so
@@ -44,8 +45,8 @@ type NoiseSource struct {
 // NoiseStats is a point-in-time snapshot of a NoiseSource's counters.
 type NoiseStats struct {
 	// Pooled counts draws served by a precomputed factor (one mulmod
-	// each); Inline counts draws the pool could not serve — a fallback
-	// modexp on the encryption paths, a skipped blinding on Blind.
+	// each); Inline counts draws the pool could not serve, each a fallback
+	// modexp.
 	Pooled, Inline uint64
 	// Produced counts factors the background workers computed.
 	Produced uint64
@@ -204,21 +205,6 @@ func (s *NoiseSource) Encrypt(m *big.Int) (*Ciphertext, error) {
 		return nil, err
 	}
 	return s.pk.encryptWithFactor(m, rn)
-}
-
-// Blind multiplies the ciphertext by a pooled randomizer when one is
-// available, returning the input unchanged otherwise. Decryptors apply it
-// before exponentiating so the decryption's operand is unlinked from the
-// wire ciphertext (the side-channel blinding classically applied to RSA);
-// the plaintext is unchanged either way, so a drained pool degrades
-// hardening, never correctness — and never costs an inline modexp on the
-// decryption path.
-func (s *NoiseSource) Blind(a *Ciphertext) *Ciphertext {
-	rn := s.draw()
-	if rn == nil {
-		return a
-	}
-	return s.pk.Add(a, &Ciphertext{C: rn})
 }
 
 // Close stops the background workers. Pending pooled factors remain

@@ -66,7 +66,7 @@ func TestPooledEncryptRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestNoiseRerandomizeAndBlindPreservePlaintext(t *testing.T) {
+func TestNoiseRerandomizePreservesPlaintext(t *testing.T) {
 	sk := testKeyPair(t)
 	ns := NewNoiseSource(&sk.PublicKey, 8, 1, rand.Reader)
 	defer ns.Close()
@@ -83,27 +83,6 @@ func TestNoiseRerandomizeAndBlindPreservePlaintext(t *testing.T) {
 	}
 	if got := decryptBothWays(t, sk, b); got.Int64() != 5555 {
 		t.Fatalf("rerandomized plaintext = %v", got)
-	}
-	c := ns.Blind(a)
-	if got := decryptBothWays(t, sk, c); got.Int64() != 5555 {
-		t.Fatalf("blinded plaintext = %v", got)
-	}
-}
-
-// TestNoiseBlindWithoutPoolIsIdentity: Blind never pays an inline modexp —
-// with the pool drained it returns the ciphertext unchanged.
-func TestNoiseBlindWithoutPoolIsIdentity(t *testing.T) {
-	sk := testKeyPair(t)
-	ns := NewNoiseSource(&sk.PublicKey, 4, 1, rand.Reader)
-	ns.Close()
-	// Drain whatever the worker parked before Close.
-	a, _ := sk.Encrypt(rand.Reader, big.NewInt(7))
-	for i := 0; i < 8; i++ {
-		ns.Blind(a)
-	}
-	b := ns.Blind(a)
-	if b.C.Cmp(a.C) != 0 {
-		t.Fatal("Blind on a drained pool must be the identity")
 	}
 }
 

@@ -7,13 +7,17 @@
 // payment without ever seeing the plaintext gain, and the task party never
 // reveals more than the payment itself.
 //
-// The subsystem is performance-engineered for settlement-heavy workloads:
-// decryption runs in CRT form over the half-width prime moduli (two small
-// modexps instead of one full-width one; DecryptClassic preserves the
-// textbook path as the reference the CRT path is pinned against), and the
-// message-independent factor r^n mod n² of encryption can be precomputed by
-// a concurrent NoiseSource so steady-state settlement encryption costs one
-// modular multiplication instead of a modexp.
+// The subsystem is performance-engineered for settlement-heavy workloads.
+// The data party, which holds the factorization, decrypts in CRT form over
+// the half-width prime moduli (two small modexps instead of one full-width
+// one), and blinds each ciphertext with its own primes: a DataReceiver keeps
+// a pair of p-th and q-th powers mod p² and q², which vanish under the CRT
+// exponents p−1 and q−1, squares the pair after every use and redraws it
+// every 32nd, so blinding costs four half-width mulmods per settlement. The
+// task party has only the public key, so the message-independent factor
+// r^n mod n² of its encryption is precomputed by a concurrent NoiseSource,
+// and steady-state settlement encryption costs one modular multiplication
+// instead of a modexp.
 package secure
 
 import (
@@ -73,14 +77,11 @@ func (pk *PublicKey) halfN() *big.Int {
 	return new(big.Int).Rsh(pk.N, 1)
 }
 
-// PrivateKey is a Paillier private key. Keys built by GenerateKey or
-// NewPrivateKeyFromPrimes retain the prime factorization and the
-// precomputed CRT constants, so Decrypt runs two half-width modexps; the
-// textbook full-width path remains available as DecryptClassic.
+// PrivateKey is a Paillier private key. Every key retains the prime
+// factorization and the precomputed CRT constants, so decryption runs two
+// half-width modexps (see DataReceiver.OpenPayment).
 type PrivateKey struct {
 	PublicKey
-	lambda *big.Int // lcm(p-1, q-1)
-	mu     *big.Int // (L(g^lambda mod n²))⁻¹ mod n
 
 	// CRT constants. p2/q2 are p²/q², pOrder/qOrder the per-prime λ = p-1
 	// and q-1, hp/hq the per-prime μ, and qInvP = q⁻¹ mod p for the Garner
@@ -110,7 +111,7 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		}
 		sk, err := newPrivateKey(p, q)
 		if err != nil {
-			continue // degenerate draw (p = q, or λ not invertible); redraw
+			continue // degenerate draw (p = q); redraw
 		}
 		return sk, nil
 	}
@@ -130,7 +131,7 @@ func NewPrivateKeyFromPrimes(p, q *big.Int) (*PrivateKey, error) {
 	return newPrivateKey(new(big.Int).Set(p), new(big.Int).Set(q))
 }
 
-// newPrivateKey derives every classic and CRT constant from the primes.
+// newPrivateKey derives every CRT constant from the primes.
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if p.Cmp(q) == 0 {
 		return nil, errors.New("secure: primes must be distinct")
@@ -138,15 +139,11 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
 	pm1 := new(big.Int).Sub(p, one)
 	qm1 := new(big.Int).Sub(q, one)
-	gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-	lambda := new(big.Int).Div(new(big.Int).Mul(pm1, qm1), gcd)
-
-	// mu = (L(g^lambda mod n²))⁻¹ mod n with g = n+1:
-	// g^lambda mod n² = 1 + lambda·n (binomial), so L(..) = lambda mod n.
-	lmod := new(big.Int).Mod(lambda, n)
-	mu := new(big.Int).ModInverse(lmod, n)
-	if mu == nil {
-		return nil, errors.New("secure: lambda not invertible mod n")
+	// Paillier with g = n+1 needs gcd(n, (p-1)(q-1)) = 1, or encryption is
+	// not injective: neither prime may divide the other's predecessor.
+	// Equal-size primes never do; imported ones (2p+1 and p) can.
+	if new(big.Int).Mod(qm1, p).Sign() == 0 || new(big.Int).Mod(pm1, q).Sign() == 0 {
+		return nil, errors.New("secure: a prime divides the other's predecessor (gcd(n, φ(n)) ≠ 1)")
 	}
 
 	// Per-prime μ with g = n+1: g^(p-1) mod p² = 1 + (p-1)·n (binomial), so
@@ -165,8 +162,6 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	}
 	sk := &PrivateKey{
 		PublicKey: *NewPublicKey(n),
-		lambda:    lambda,
-		mu:        mu,
 		p:         p, q: q,
 		p2:     new(big.Int).Mul(p, p),
 		q2:     new(big.Int).Mul(q, q),
@@ -243,64 +238,55 @@ func (sk *PrivateKey) checkCiphertext(ct *Ciphertext) error {
 	return nil
 }
 
-// Decrypt recovers the plaintext. Keys carrying the prime factorization
-// (every key this package builds) decrypt in CRT form — two modexps over
-// the half-width moduli p² and q² with half-width exponents, recombined by
-// Garner's formula — which is bit-identical to the textbook path at a
-// fraction of the cost. Keys without CRT constants fall back to
-// DecryptClassic.
-func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
-	if sk.p == nil {
-		return sk.DecryptClassic(ct)
-	}
-	if err := sk.checkCiphertext(ct); err != nil {
-		return nil, err
-	}
+// decrypt finishes a CRT decryption from the ciphertext's residues
+// cp ≡ c mod p² and cq ≡ c mod q², overwriting both: two modexps over the
+// half-width moduli with half-width exponents, recombined by Garner's
+// formula. It is bit-identical to the textbook m = L(c^λ mod n²)·μ mod n.
+// A residue multiplied by any p-th power mod p² (q-th power mod q²)
+// decrypts the same, since such a power raised to p−1 (q−1) is 1.
+func (sk *PrivateKey) decrypt(cp, cq *big.Int) *big.Int {
 	// m mod p = L_p(c^(p-1) mod p²) · hp mod p, and symmetrically mod q.
-	mp := new(big.Int).Mod(ct.C, sk.p2)
-	mp.Exp(mp, sk.pOrder, sk.p2)
+	mp := cp.Exp(cp, sk.pOrder, sk.p2)
 	mp.Sub(mp, one)
 	mp.Div(mp, sk.p)
 	mp.Mul(mp, sk.hp)
 	mp.Mod(mp, sk.p)
 
-	mq := new(big.Int).Mod(ct.C, sk.q2)
-	mq.Exp(mq, sk.qOrder, sk.q2)
+	mq := cq.Exp(cq, sk.qOrder, sk.q2)
 	mq.Sub(mq, one)
 	mq.Div(mq, sk.q)
 	mq.Mul(mq, sk.hq)
 	mq.Mod(mq, sk.q)
 
 	// Garner recombination: m = mq + q·((mp − mq)·q⁻¹ mod p) ∈ [0, n).
-	m := new(big.Int).Sub(mp, mq)
+	m := mp.Sub(mp, mq)
 	m.Mul(m, sk.qInvP)
 	m.Mod(m, sk.p)
 	m.Mul(m, sk.q)
 	m.Add(m, mq)
-	return m, nil
+	return m
 }
 
-// DecryptClassic is the textbook decryption m = L(c^lambda mod n²) · mu
-// mod n: one full-width modexp over n². It is preserved as the reference
-// implementation the CRT path is pinned against (see the package's
-// property and golden tests) and as the fallback for keys without the
-// prime factorization.
-func (sk *PrivateKey) DecryptClassic(ct *Ciphertext) (*big.Int, error) {
-	if err := sk.checkCiphertext(ct); err != nil {
-		return nil, err
+// blindingPair draws a fresh decryption blinding pair: up = x^p mod p² and
+// uq = y^q mod q² for x uniform in [1, p) and y uniform in [1, q). Each is
+// a unit whose order divides p−1 (q−1), so it vanishes under decrypt's
+// exponent.
+func (sk *PrivateKey) blindingPair(random io.Reader) (up, uq *big.Int, err error) {
+	if up, err = primePower(random, sk.p, sk.pOrder, sk.p2); err != nil {
+		return nil, nil, err
 	}
-	u := new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
-	// L(u) = (u - 1)/n
-	l := u.Sub(u, one)
-	l.Div(l, sk.N)
-	m := l.Mul(l, sk.mu)
-	m.Mod(m, sk.N)
-	return m, nil
+	if uq, err = primePower(random, sk.q, sk.qOrder, sk.q2); err != nil {
+		return nil, nil, err
+	}
+	return up, uq, nil
 }
 
-// Add returns the ciphertext of m1 + m2 (mod n): c1·c2 mod n².
-func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(a.C, b.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
+// primePower returns x^p mod p² for x uniform in [1, p); pm1 is p−1.
+func primePower(random io.Reader, p, pm1, p2 *big.Int) (*big.Int, error) {
+	x, err := rand.Int(random, pm1)
+	if err != nil {
+		return nil, fmt.Errorf("secure: sampling blinding: %w", err)
+	}
+	x.Add(x, one)
+	return x.Exp(x, p, p2), nil
 }

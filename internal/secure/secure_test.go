@@ -284,6 +284,13 @@ func BenchmarkSecureReport(b *testing.B) {
 // Homomorphic operations no settlement path uses, kept to check the
 // scheme's algebra and CRT decryption of homomorphic results.
 
+// Add returns the ciphertext of m1 + m2 (mod n): c1·c2 mod n².
+func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
+	c := new(big.Int).Mul(a.C, b.C)
+	c.Mod(c, pk.N2)
+	return &Ciphertext{C: c}
+}
+
 // AddPlain returns the ciphertext of m + k (mod n).
 func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) *Ciphertext {
 	kk := new(big.Int).Mod(k, pk.N)

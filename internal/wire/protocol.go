@@ -50,10 +50,11 @@
 // Secure key handling is pipelined: the server's Paillier key pair is a
 // secure.RotatingKey (generation runs off the registration path;
 // the first Hello of a market blocks until it lands), clients rebuild the
-// public key from Hello.PubN via secure.NewPublicKey, and both endpoints
-// draw precomputed r^n randomizers from secure.NoiseSource pools — the
-// client to encrypt settlements (one mulmod per settled round in steady
-// state), the server to blind ciphertexts before CRT decryption.
+// public key from Hello.PubN via secure.NewPublicKey and encrypt settlements
+// with precomputed r^n randomizers from a secure.NoiseSource pool (one
+// mulmod per settled round in steady state), and the server blinds each
+// ciphertext with powers of its own primes before the CRT decryption (four
+// half-width mulmods; see secure.DataReceiver).
 package wire
 
 import (

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
 	"math"
@@ -29,11 +28,6 @@ type DataServer struct {
 	// construction never blocks on prime search; NewDataServerWithKeys
 	// takes an eager or persisted one).
 	Secure bool
-	// NoisePool sizes the per-server pool of precomputed decryption
-	// blinding factors (see secure.NoiseSource); concurrent secure
-	// sessions share it. <= 0 means secure.DefaultNoisePool. Set before
-	// the first session; PrimeNoise warms it.
-	NoisePool int
 	// MaxRounds guards against runaway clients. <= 0 means 1000.
 	MaxRounds int
 	// MaxExplorationRounds caps the client-supplied N of the imperfect
@@ -60,22 +54,19 @@ type DataServer struct {
 
 	keys *secure.RotatingKey
 	// rotMu serializes RotateKey from key generation through the swap of
-	// secCur/secOld, so concurrent rotations neither skip a generation nor
-	// strand a replaced generation's pool unclosed.
+	// secCur/secOld, so concurrent rotations never skip a generation.
 	rotMu sync.Mutex
 
-	// secCur/secOld are the decryption machinery of the current and the
-	// previous key generation: settled ciphertexts are blinded with pooled
-	// factors before CRT decryption (side-channel hardening at mulmod
-	// cost), and a session resolves the state whose modulus it captured at
-	// hello time — which is how RotateKey drains in-flight sessions
-	// gracefully. secMu orders the lazy build and rotation against Close —
-	// a pool first needed after Close is built workerless so nothing leaks.
-	secMu     sync.Mutex
-	secClosed bool
-	secCur    *secureState
-	secErr    error
-	secOld    *secureState
+	// secCur/secOld decrypt settlements under the current and the previous
+	// key generation. Each is the generation's secure.DataReceiver, which
+	// blinds every ciphertext with powers of its own primes before the CRT
+	// decryption. A session resolves the receiver whose modulus it captured
+	// at hello time, which is how RotateKey drains in-flight sessions
+	// gracefully. secMu orders the lazy build against rotation.
+	secMu  sync.Mutex
+	secCur *secure.DataReceiver
+	secErr error
+	secOld *secure.DataReceiver
 
 	listingOnce sync.Once
 	listing     []BundleInfo
@@ -87,13 +78,6 @@ type DataServer struct {
 type SellerCheckpoints interface {
 	Save(clientID string, ck *core.SellerCheckpoint)
 	Load(clientID string) (*core.SellerCheckpoint, bool)
-}
-
-// secureState is one key generation's settlement machinery: the CRT
-// decryptor and its blinding pool.
-type secureState struct {
-	recv  *secure.DataReceiver
-	noise *secure.NoiseSource
 }
 
 // Default server-side caps on the client-supplied work factors of the
@@ -157,24 +141,9 @@ func (s *DataServer) key() (*secure.PrivateKey, error) {
 	return s.keys.Key()
 }
 
-// newSecureStateLocked builds one key generation's settlement machinery;
-// callers hold secMu (the pool is built workerless after Close so nothing
-// leaks).
-func (s *DataServer) newSecureStateLocked(sk *secure.PrivateKey) *secureState {
-	workers := 0
-	if s.secClosed {
-		workers = -1 // post-Close: a drawable-but-never-refilled shell
-	}
-	recv := secure.NewDataReceiver(sk)
-	return &secureState{
-		recv:  recv,
-		noise: secure.NewNoiseSource(recv.PublicKey(), s.NoisePool, workers, rand.Reader),
-	}
-}
-
-// current resolves the current key generation's settlement state, building
-// it lazily once the key lands.
-func (s *DataServer) current() (*secureState, error) {
+// current resolves the current key generation's receiver, building it
+// lazily once the key lands.
+func (s *DataServer) current() (*secure.DataReceiver, error) {
 	s.secMu.Lock()
 	if s.secCur != nil || s.secErr != nil {
 		cur, err := s.secCur, s.secErr
@@ -192,27 +161,27 @@ func (s *DataServer) current() (*secureState, error) {
 		s.secErr = err
 		return nil, err
 	}
-	s.secCur = s.newSecureStateLocked(sk)
+	s.secCur = secure.NewDataReceiver(sk)
 	return s.secCur, nil
 }
 
-// secureFor resolves the settlement state whose modulus the session
-// captured at hello time: the current generation, or — after a RotateKey —
-// the one retained previous generation. A modulus rotated further away
-// fails the session; the client must reconnect under the announced key.
-func (s *DataServer) secureFor(pubN []byte) (*secureState, error) {
+// secureFor resolves the receiver whose modulus the session captured at
+// hello time: the current generation, or — after a RotateKey — the one
+// retained previous generation. A modulus rotated further away fails the
+// session; the client must reconnect under the announced key.
+func (s *DataServer) secureFor(pubN []byte) (*secure.DataReceiver, error) {
 	cur, err := s.current()
 	if err != nil {
 		return nil, err
 	}
 	want := new(big.Int).SetBytes(pubN)
-	if cur.recv.PublicKey().N.Cmp(want) == 0 {
+	if cur.PublicKey().N.Cmp(want) == 0 {
 		return cur, nil
 	}
 	s.secMu.Lock()
 	old := s.secOld
 	s.secMu.Unlock()
-	if old != nil && old.recv.PublicKey().N.Cmp(want) == 0 {
+	if old != nil && old.PublicKey().N.Cmp(want) == 0 {
 		return old, nil
 	}
 	return nil, fmt.Errorf("wire: session key rotated away; reconnect under the current key")
@@ -221,7 +190,7 @@ func (s *DataServer) secureFor(pubN []byte) (*secureState, error) {
 // RotateKey rotates the server's Paillier key pair: the key generates and
 // persists a fresh pair, new sessions are announced the fresh modulus in
 // their Hello, and sessions opened under the previous key drain against its
-// retained state. One prior generation is kept: rotating twice strands
+// retained receiver. One prior generation is kept: rotating twice strands
 // sessions of the first key, which then fail their settlements cleanly.
 // Concurrent rotations run one after another.
 func (s *DataServer) RotateKey() (pubN []byte, err error) {
@@ -241,44 +210,10 @@ func (s *DataServer) RotateKey() (pubN []byte, err error) {
 		return nil, err
 	}
 	s.secMu.Lock()
-	evicted := s.secOld
 	s.secOld = cur
-	s.secCur = s.newSecureStateLocked(sk)
+	s.secCur = secure.NewDataReceiver(sk)
 	s.secMu.Unlock()
-	if evicted != nil {
-		evicted.noise.Close()
-	}
 	return sk.N.Bytes(), nil
-}
-
-// PrimeNoise resolves the key (blocking on an asynchronous generation) and
-// fills the blinding pool to capacity, so the first secure settlements hit
-// a warm pool. Market frontends run it in the background at registration.
-func (s *DataServer) PrimeNoise(ctx context.Context) error {
-	if !s.Secure {
-		return nil
-	}
-	sec, err := s.current()
-	if err != nil {
-		return err
-	}
-	return sec.noise.Prime(ctx)
-}
-
-// Close releases the server's background resources (the blinding pools'
-// workers, across key generations). Serving after Close still works: pool
-// draws fall back inline.
-func (s *DataServer) Close() {
-	s.secMu.Lock()
-	s.secClosed = true
-	cur, old := s.secCur, s.secOld
-	s.secMu.Unlock()
-	if cur != nil {
-		cur.noise.Close()
-	}
-	if old != nil {
-		old.noise.Close()
-	}
 }
 
 // SessionSummary is what the server records about one completed session.
@@ -642,11 +577,11 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 }
 
 // settledPayment extracts the payment from a settlement message. In secure
-// mode the ciphertext is blinded with a pooled randomizer (when one is
-// available — a mulmod, never a modexp) before the CRT decryption, so the
-// exponentiation operand is unlinked from the wire bytes; the plaintext is
-// identical either way. The session decrypts under the key generation its
-// hello announced, so settlements survive a concurrent RotateKey.
+// mode the receiver blinds the ciphertext with powers of its own primes (four
+// half-width mulmods, no modexp) before the CRT decryption, so the
+// exponentiation operands are unlinked from the wire bytes; the plaintext is
+// identical. The session decrypts under the key generation its hello
+// announced, so settlements survive a concurrent RotateKey.
 func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle) (float64, error) {
 	if !s.Secure {
 		return q.Payment(st.Gain), nil
@@ -654,10 +589,10 @@ func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle
 	if len(st.EncPayment) == 0 {
 		return 0, fmt.Errorf("wire: secure session settled without ciphertext")
 	}
-	sec, err := s.secureFor(hello.PubN)
+	recv, err := s.secureFor(hello.PubN)
 	if err != nil {
 		return 0, err
 	}
-	ct := sec.noise.Blind(&secure.Ciphertext{C: new(big.Int).SetBytes(st.EncPayment)})
-	return sec.recv.OpenPayment(&secure.GainReport{EncPayment: ct})
+	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(st.EncPayment)}
+	return recv.OpenPayment(&secure.GainReport{EncPayment: ct})
 }

@@ -34,7 +34,6 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 	_, addr, shutdown := startServer(t, engines,
 		WithSecureSettlement(128),
 		WithEagerSecureKeys(),
-		WithNoisePool(16),
 		WithSessionHook(func(ev SessionEvent) {
 			if ev.Summary != nil {
 				events <- ev

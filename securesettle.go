@@ -15,10 +15,9 @@ import (
 // encryption randomizers. It implements the settlement boundary that
 // Engine.BargainBatchSecure routes every realized round through — the task
 // side seals payments (one modular multiplication each in steady state,
-// drawn from the pool), the data side opens them with a blinded CRT
-// decryption — so a batch's sessions amortize the pool across the worker
-// pool exactly as a secure wire server amortizes its per-market pool
-// across connections.
+// drawn from the pool, as a secure wire client does), the data side opens
+// them with a CRT decryption blinded by powers of the key's own primes, as
+// a secure wire server does.
 //
 // A Settlement is safe for concurrent use. Close releases the pool's
 // background workers; sealing keeps working inline afterwards.
@@ -72,14 +71,14 @@ func (s *Settlement) Seal(payment float64) ([]byte, error) {
 	return ct.C.Bytes(), nil
 }
 
-// Open implements core.SettlementCipher: the ciphertext is blinded with a
-// pooled randomizer (plaintext unchanged) and CRT-decrypted. The returned
-// payment is the sealed value quantized to 1/GainScale.
+// Open implements core.SettlementCipher: the ciphertext is blinded
+// (plaintext unchanged) and CRT-decrypted. The returned payment is the
+// sealed value quantized to 1/GainScale.
 func (s *Settlement) Open(ciphertext []byte) (float64, error) {
 	if len(ciphertext) == 0 {
 		return 0, fmt.Errorf("vflmarket: empty settlement ciphertext")
 	}
-	ct := s.noise.Blind(&secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)})
+	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)}
 	return s.recv.OpenPayment(&secure.GainReport{EncPayment: ct})
 }
 

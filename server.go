@@ -107,7 +107,6 @@ type serverConfig struct {
 	ioTimeout      time.Duration
 	secureBits     int
 	eagerKeys      bool
-	noisePool      int
 	maxExploration int
 	maxReplay      int
 	hook           func(SessionEvent)
@@ -149,9 +148,8 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 // fine for demos; production wants 1536+), the public key travels in the
 // Hello, and realized gains then never cross the wire in clear.
 //
-// Register no longer blocks on prime search: the key size is validated
-// synchronously, generation runs in the background, and the market's
-// randomizer pool is primed as soon as the key lands; the first secure
+// Register does not block on prime search: the key size is validated
+// synchronously and generation runs in the background; the first secure
 // session (or listing) of a market blocks until its key is ready. Use
 // WithEagerSecureKeys to generate at Register instead.
 func WithSecureSettlement(keyBits int) ServerOption {
@@ -160,20 +158,9 @@ func WithSecureSettlement(keyBits int) ServerOption {
 
 // WithEagerSecureKeys makes Register generate each market's Paillier key
 // pair synchronously instead of in the background — for tests and for
-// deployments that want a market fully settled-in (key and primed noise
-// pool) before it is announced.
+// deployments that want a market's key in place before it is announced.
 func WithEagerSecureKeys() ServerOption {
 	return func(c *serverConfig) { c.eagerKeys = true }
-}
-
-// WithNoisePool sizes each secure market's pool of precomputed Paillier
-// randomizers (r^n mod n² factors used to blind settlement decryptions).
-// Concurrent sessions of a market share its pool. Every pool in the
-// process refills within one shared budget that leaves a core to the
-// sessions, so more markets add stock, not refill cores. <= 0 keeps the
-// default (secure.DefaultNoisePool); inert without WithSecureSettlement.
-func WithNoisePool(n int) ServerOption {
-	return func(c *serverConfig) { c.noisePool = n }
 }
 
 // WithImperfectCaps caps the client-supplied work factors of the imperfect
@@ -251,15 +238,11 @@ type Server struct {
 }
 
 // market is one registry entry: the wire endpoint, the engine behind it
-// (for oracle metrics), and per-market session counters. stopPrime
-// cancels the background pool priming kicked off at registration, so a
-// server shut down before a slow key generation lands does not go on to
-// fill a pool nothing will draw from.
+// (for oracle metrics), and per-market session counters.
 type market struct {
-	ds        *wire.DataServer
-	engine    *Engine
-	stopPrime context.CancelFunc
-	book      *ckptBook // nil without a bound state
+	ds     *wire.DataServer
+	engine *Engine
+	book   *ckptBook // nil without a bound state
 
 	sessions  atomic.Uint64
 	imperfect atomic.Uint64
@@ -368,13 +351,9 @@ func (s *Server) Register(name string, e *Engine) error {
 	st := s.cfg.state
 	tmpl := e.Session()
 	var ds *wire.DataServer
-	var stopPrime context.CancelFunc
 	if s.cfg.secureBits > 0 {
 		// Key generation stays off the Register path: the key searches
-		// primes in the background and the market's randomizer pool is
-		// primed as soon as the key lands (the priming is cancelled if the
-		// server shuts down first). Eager mode generates the key AND fills
-		// the pool here, so the market is fully settled-in on return. A
+		// primes in the background, unless eager mode generates it here. A
 		// state-bound market persists its key: a restart reloads it and
 		// re-announces the same modulus. Either way the key rotates at
 		// runtime through RotateMarketKey.
@@ -383,16 +362,6 @@ func (s *Server) Register(name string, e *Engine) error {
 			return fmt.Errorf("vflmarket: market %q: %w", name, err)
 		}
 		ds = wire.NewDataServerWithKeys(e.Catalog(), tmpl.EpsData, keys)
-		ds.NoisePool = s.cfg.noisePool
-		if s.cfg.eagerKeys {
-			if err := ds.PrimeNoise(context.Background()); err != nil {
-				return fmt.Errorf("vflmarket: market %q: %w", name, err)
-			}
-		} else {
-			var primeCtx context.Context
-			primeCtx, stopPrime = context.WithCancel(context.Background())
-			go ds.PrimeNoise(primeCtx) //nolint:errcheck // best-effort; sessions prime lazily
-		}
 	} else {
 		var err error
 		ds, err = wire.NewDataServer(e.Catalog(), tmpl.EpsData, false, 0)
@@ -422,14 +391,9 @@ func (s *Server) Register(name string, e *Engine) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.markets[name]; dup {
-		// The rejected entry's background work must not outlive it.
-		if stopPrime != nil {
-			stopPrime()
-		}
-		ds.Close()
 		return fmt.Errorf("vflmarket: market %q already registered", name)
 	}
-	s.markets[name] = &market{ds: ds, engine: e, stopPrime: stopPrime, book: book}
+	s.markets[name] = &market{ds: ds, engine: e, book: book}
 	s.order = append(s.order, name)
 	return nil
 }
@@ -570,10 +534,6 @@ func (s *Server) Unregister(name string) error {
 	for mkt.active.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if mkt.stopPrime != nil {
-		mkt.stopPrime()
-	}
-	mkt.ds.Close()
 	if n := mkt.active.Load(); n > 0 {
 		return fmt.Errorf("vflmarket: market %q still has %d active sessions after eviction", name, n)
 	}
@@ -695,21 +655,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	if ferr := s.FlushState(); ferr != nil && err == nil {
 		err = ferr
-	}
-	// Release per-market background resources (secure randomizer pools) —
-	// but only on deliberate shutdown: closing a pool is permanent, and a
-	// transient listener error should leave the markets warm for the
-	// operator's retry Serve. A market served after its pool closed still
-	// settles correctly: pool draws fall back to inline computation.
-	if ctx.Err() != nil {
-		s.mu.RLock()
-		for _, m := range s.markets {
-			if m.stopPrime != nil {
-				m.stopPrime()
-			}
-			m.ds.Close()
-		}
-		s.mu.RUnlock()
 	}
 	return err
 }
