@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -326,9 +326,22 @@ func (s *Session) preparePerfect() (*perfectPolicy, error) {
 	var pool []QuotedPrice
 	if cfg.TaskStrategy == TaskStrategic || cfg.TaskStrategy == TaskBisection {
 		pool = samplePricePool(cfg, cfg.PriceSamples, src.Split(0x9001))
-		sort.Slice(pool, func(i, j int) bool { return pool[i].High < pool[j].High })
+		slices.SortFunc(pool, byHigh)
 	}
 	return &perfectPolicy{cfg: cfg, src: src, pool: pool, open: quote}, nil
+}
+
+// byHigh orders quotes by ascending ceiling for the strategic pool sort.
+// It compares with < both ways, so a NaN ceiling ties with everything (as
+// under the less function it replaced; cmp.Compare would order NaN first).
+func byHigh(a, b QuotedPrice) int {
+	switch {
+	case a.High < b.High:
+		return -1
+	case b.High < a.High:
+		return 1
+	}
+	return 0
 }
 
 // play drives the unified quote → offer → realize → settle protocol of one

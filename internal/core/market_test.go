@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -370,5 +372,38 @@ func TestFinalNetRevenue(t *testing.T) {
 	task, data := r.FinalNetRevenue()
 	if task != 4 || data != 1.5 {
 		t.Fatalf("FinalNetRevenue = %v, %v", task, data)
+	}
+}
+
+// TestPoolSortMatchesSortSlice: the strategic pool sort (slices.SortFunc
+// with byHigh) leaves every pool in the order the reflection-based
+// sort.Slice with a < on High did, ties included: both are the same
+// pattern-defeating quicksort, and equal ceilings with different rates
+// or bases would show any difference in where ties land.
+func TestPoolSortMatchesSortSlice(t *testing.T) {
+	src := rng.New(41)
+	for trial := 0; trial < 2000; trial++ {
+		n := src.IntN(140)
+		pool := make([]QuotedPrice, n)
+		for i := range pool {
+			// Few distinct ceilings, so most pools hold long runs of ties.
+			pool[i] = QuotedPrice{Rate: src.Float64(), Base: float64(i), High: float64(src.IntN(1 + n/4))}
+			if trial%7 == 0 {
+				pool[i].High = src.Float64()
+			}
+		}
+		want := slices.Clone(pool)
+		sort.Slice(want, func(i, j int) bool { return want[i].High < want[j].High })
+		slices.SortFunc(pool, byHigh)
+		if !slices.Equal(pool, want) {
+			t.Fatalf("trial %d (n=%d): SortFunc order differs from sort.Slice", trial, n)
+		}
+	}
+	pool := make([]QuotedPrice, 100)
+	for i := range pool {
+		pool[i] = QuotedPrice{Rate: 1, Base: 1, High: src.Float64()}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { slices.SortFunc(pool, byHigh) }); allocs != 0 {
+		t.Fatalf("pool sort allocates %v times", allocs)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // disturbs the training caches (lastX/lastY and the minibatch buffers),
 // which belong to the gradient paths. The zero value is ready to use.
 type PredictScratch struct {
-	a, b *tensor.Matrix // ping-pong activation buffers
+	a, b tensor.Matrix // ping-pong activation buffers
+	wt   []float64     // a layer's weights transposed for the product
 }
 
 // PredictBatchInto runs every row of X through the network using the
@@ -29,13 +30,12 @@ func (m *MLP) PredictBatchInto(sc *PredictScratch, X *tensor.Matrix) *tensor.Mat
 	}
 	cur := X
 	for li, l := range m.Layers {
-		buf := &sc.a
+		out := &sc.a
 		if li%2 == 1 {
-			buf = &sc.b
+			out = &sc.b
 		}
-		*buf = tensor.EnsureMatrix(*buf, cur.Rows, l.Out)
-		out := *buf
-		tensor.MulABtInto(out, cur, l.W)
+		tensor.EnsureMatrix(out, cur.Rows, l.Out)
+		tensor.MulABtInto(out, cur, l.W, &sc.wt)
 		for s := 0; s < cur.Rows; s++ {
 			row := out.Row(s)
 			for o := range row {

@@ -71,7 +71,7 @@ func (a Activation) derivFromOutput(y float64) float64 {
 	case Sigmoid:
 		return y * (1 - y)
 	case Tanh:
-		return 1 - y*y
+		return 1 - float64(y*y)
 	default:
 		return 1
 	}
@@ -111,6 +111,7 @@ type Dense struct {
 	bY  *tensor.Matrix // cached activated outputs
 	bDZ *tensor.Matrix // pre-activation gradients
 	bDX *tensor.Matrix // input gradients handed back to the previous layer
+	bWt []float64      // W transposed for ForwardBatch's product
 }
 
 // NewDense creates a dense layer with He-style initialisation (std
@@ -134,7 +135,9 @@ func NewDense(in, out int, act Activation, src *rng.Source) *Dense {
 // Forward computes the layer output for one sample and caches the
 // intermediates needed by Backward. The returned vector is a layer-owned
 // buffer, valid until the next Forward call on this layer; callers that
-// need it longer must Clone it.
+// need it longer must Clone it. Outputs are computed four at a time, so
+// four independent add chains advance through x together; each is still
+// the Dot of its weight row with x, in Dot's order.
 func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("nn: Dense forward input %d, want %d", len(x), d.In))
@@ -143,8 +146,28 @@ func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 		d.fy = make(tensor.Vector, d.Out)
 	}
 	y := d.fy[:d.Out]
-	for i := 0; i < d.Out; i++ {
-		y[i] = d.Act.forward(tensor.Vector(d.W.Data[i*d.In:(i+1)*d.In]).Dot(x) + d.B[i])
+	W, n := d.W.Data, len(x)
+	i := 0
+	for ; i+4 <= d.Out; i += 4 {
+		w0 := W[i*n : (i+1)*n]
+		w1 := W[(i+1)*n : (i+2)*n][:n]
+		w2 := W[(i+2)*n : (i+3)*n][:n]
+		w3 := W[(i+3)*n : (i+4)*n][:n]
+		var s0, s1, s2, s3 float64
+		for k, xk := range x {
+			s0 += float64(w0[k] * xk)
+			s1 += float64(w1[k] * xk)
+			s2 += float64(w2[k] * xk)
+			s3 += float64(w3[k] * xk)
+		}
+		b := d.B[i : i+4]
+		y[i] = d.Act.forward(s0 + b[0])
+		y[i+1] = d.Act.forward(s1 + b[1])
+		y[i+2] = d.Act.forward(s2 + b[2])
+		y[i+3] = d.Act.forward(s3 + b[3])
+	}
+	for ; i < d.Out; i++ {
+		y[i] = d.Act.forward(tensor.Vector(W[i*n:(i+1)*n]).Dot(x) + d.B[i])
 	}
 	d.lastX, d.lastY = x, y
 	return y
@@ -184,7 +207,7 @@ func (d *Dense) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: Dense batch forward input %d, want %d", X.Cols, d.In))
 	}
 	d.bY = tensor.EnsureMatrix(d.bY, X.Rows, d.Out)
-	tensor.MulABtInto(d.bY, X, d.W)
+	tensor.MulABtInto(d.bY, X, d.W, &d.bWt)
 	for s := 0; s < X.Rows; s++ {
 		row := d.bY.Row(s)
 		for o := range row {

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // The optimizers are bound to one parameter list at construction and keep
 // their per-parameter state in flat slices indexed by that list's order.
@@ -20,7 +24,7 @@ func clipScale(params []Param, maxNorm float64) (scale float64, clip bool) {
 	sum := 0.0
 	for _, p := range params {
 		for _, g := range p.G {
-			sum += g * g
+			sum += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sum)
@@ -68,7 +72,7 @@ func (s *SGD) Step(maxNorm float64) {
 				gi *= scale
 			}
 			g[i] = 0
-			v[i] = mom*v[i] - lr*gi
+			v[i] = float64(mom*v[i]) - float64(lr*gi)
 			w[i] += v[i]
 		}
 	}
@@ -99,28 +103,16 @@ func NewAdam(params []Param, lr float64) *Adam {
 func (a *Adam) Step(maxNorm float64) {
 	scale, clip := clipScale(a.params, maxNorm)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
-	d1, d2 := 1-b1, 1-b2
+	b1, b2 := a.Beta1, a.Beta2
+	st := tensor.AdamStep{
+		B1: b1, D1: 1 - b1, B2: b2, D2: 1 - b2,
+		C1: 1 - math.Pow(b1, float64(a.t)), C2: 1 - math.Pow(b2, float64(a.t)),
+		LR: a.LR, Eps: a.Eps, Scale: scale, Clip: clip,
+	}
 	off := 0
 	for _, p := range a.params {
-		w := p.W
-		g := p.G[:len(w)]
-		m := a.m[off : off+len(w)]
-		v := a.v[off : off+len(w)]
-		off += len(w)
-		for i := range w {
-			gi := g[i]
-			if clip {
-				gi *= scale
-			}
-			g[i] = 0
-			m[i] = b1*m[i] + d1*gi
-			v[i] = b2*v[i] + d2*gi*gi
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
-		}
+		n := len(p.W)
+		st.Apply(p.W, p.G, a.m[off:off+n], a.v[off:off+n])
+		off += n
 	}
 }

@@ -74,13 +74,13 @@ func (s *Source) Split(label uint64) *Source {
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
 // Uniform returns a uniform value in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*s.r.Float64() }
+func (s *Source) Uniform(lo, hi float64) float64 { return lo + float64((hi-lo)*s.r.Float64()) }
 
 // Norm returns a standard normal variate.
 func (s *Source) Norm() float64 { return s.r.NormFloat64() }
 
 // Gauss returns a normal variate with the given mean and standard deviation.
-func (s *Source) Gauss(mean, std float64) float64 { return mean + std*s.r.NormFloat64() }
+func (s *Source) Gauss(mean, std float64) float64 { return mean + float64(std*s.r.NormFloat64()) }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }

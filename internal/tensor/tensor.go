@@ -1,8 +1,23 @@
 // Package tensor implements the small dense linear-algebra substrate used by
 // the neural-network and estimator code: float64 vectors and row-major
-// matrices with the handful of BLAS-like kernels training needs. It is
-// deliberately minimal — no views, no sparse formats — because the models in
-// this repository are small MLPs over tabular data.
+// matrices with the handful of BLAS-like kernels training needs, and the
+// fused Adam update. It is deliberately minimal — no views, no sparse
+// formats — because the models in this repository are small MLPs over
+// tabular data.
+//
+// Every kernel fixes the order of its rounded operations, and the batched
+// kernels are bit-identical to the per-sample operations they replace. On
+// amd64 CPUs with AVX2 (detected once, at start-up, from CPUID) the hot
+// loops run in assembly four float64 lanes wide under an order-preserving
+// contract: each lane holds one output or one weight, starts from the same
+// +0 and takes exactly the scalar code's operations in the scalar code's
+// order, every product rounded by its own multiply before its add. Nothing
+// is reassociated across lanes and nothing is fused into an FMA, so the
+// SIMD path is bit-identical to the scalar Go loop, which also finishes
+// every kernel's tail (the last len%4 lanes) and is the whole kernel on
+// other CPUs. The scalar loops wrap each product in an explicit float64
+// conversion, which the Go spec defines to round it, so no architecture's
+// compiler fuses it into a multiply-add either.
 package tensor
 
 import (
@@ -31,7 +46,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	s := 0.0
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -41,9 +56,7 @@ func (v Vector) AddScaled(alpha float64, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(v), len(w)))
 	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
+	axpy(alpha, w, v)
 }
 
 // Scale multiplies every element by alpha in place.
@@ -120,10 +133,7 @@ func (m *Matrix) MulVecTInto(dst, v Vector) {
 		if vi == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, mv := range row {
-			dst[j] += vi * mv
-		}
+		axpy(vi, m.Data[i*m.Cols:(i+1)*m.Cols], dst)
 	}
 }
 
@@ -137,26 +147,26 @@ func (m *Matrix) AddOuter(alpha float64, u, v Vector) {
 		if ui == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		a := alpha * ui
-		for j, vj := range v {
-			row[j] += a * vj
-		}
+		axpy(alpha*ui, v, m.Data[i*m.Cols:(i+1)*m.Cols])
 	}
 }
 
-// EnsureMatrix reshapes m to rows×cols reusing its backing storage when it
-// is large enough, and allocates a fresh matrix otherwise. It is the buffer
-// primitive of the minibatch training kernels: activation and gradient
-// matrices are carried across epochs and resized to the (occasionally
-// shorter) tail batch without reallocating. The returned matrix's contents
-// are unspecified; callers overwrite them.
+// EnsureMatrix reshapes m to rows×cols in place, reusing its backing
+// storage when it is large enough and growing it otherwise, and returns
+// m; a nil m gets a fresh matrix. It is the buffer primitive of the
+// minibatch training kernels: activation and gradient matrices are carried
+// across epochs and resized to the (occasionally shorter) tail batch
+// without reallocating. The returned matrix's contents are unspecified;
+// callers overwrite them.
 func EnsureMatrix(m *Matrix, rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic("tensor: negative matrix dimension")
 	}
-	if m == nil || cap(m.Data) < rows*cols {
+	if m == nil {
 		return NewMatrix(rows, cols)
+	}
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float64, rows*cols)
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:rows*cols]
@@ -170,24 +180,42 @@ func EnsureMatrix(m *Matrix, rows, cols int) *Matrix {
 // row of the result is bit-identical to the per-sample Dot of every b row
 // with that a row: this is the batched forward kernel.
 //
-// The kernel is register-blocked: it computes a 2-row × 4-column block of
-// dst at once, so eight independent add chains advance through k together
-// instead of one chain waiting on each add's latency. Every chain still
-// performs the same rounded operations in the same order, so blocking
-// changes no bit. Leftover rows and columns use Dot.
-func MulABtInto(dst, a, b *Matrix) {
+// With AVX2, the first N&^3 columns run four to a register: b's first
+// N&^3 rows are transposed into bt (grown as needed and kept by the
+// caller, so a warm call allocates nothing), and each lane carries one
+// output's chain. Otherwise, and for the last N%4 columns, the kernel is
+// register-blocked Go: a 2-row × 4-column block of dst at once, so eight
+// independent add chains advance through k together instead of one chain
+// waiting on each add's latency. Every chain performs the same rounded
+// operations in the same order either way, so neither changes a bit.
+// Leftover rows and columns use Dot.
+func MulABtInto(dst, a, b *Matrix, bt *[]float64) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MulABtInto shape mismatch (%dx%d)×(%dx%d)ᵀ→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	K, N := a.Cols, b.Rows
+	j0 := 0
+	if haveAVX2 && N >= 4 && a.Rows > 0 {
+		j0 = N &^ 3
+		if cap(*bt) < K*j0 {
+			*bt = make([]float64, K*j0)
+		}
+		t := (*bt)[:K*j0]
+		for j := 0; j < j0; j++ {
+			for k, x := range b.Data[j*K : (j+1)*K] {
+				t[k*j0+j] = x
+			}
+		}
+		mulABtAVX2(dst.Data[:a.Rows*N], a.Data[:a.Rows*K], t, a.Rows, K, N)
+	}
 	i := 0
 	for ; i+2 <= a.Rows; i += 2 {
 		a0 := a.Data[i*K : (i+1)*K]
 		a1 := a.Data[(i+1)*K : (i+2)*K][:len(a0)]
 		d0 := dst.Data[i*N : (i+1)*N]
 		d1 := dst.Data[(i+1)*N : (i+2)*N][:len(d0)]
-		j := 0
+		j := j0
 		for ; j+4 <= N; j += 4 {
 			b0 := b.Data[j*K : (j+1)*K][:len(a0)]
 			b1 := b.Data[(j+1)*K : (j+2)*K][:len(a0)]
@@ -196,14 +224,14 @@ func MulABtInto(dst, a, b *Matrix) {
 			var s00, s01, s02, s03, s10, s11, s12, s13 float64
 			for k, x0 := range a0 {
 				x1 := a1[k]
-				s00 += x0 * b0[k]
-				s01 += x0 * b1[k]
-				s02 += x0 * b2[k]
-				s03 += x0 * b3[k]
-				s10 += x1 * b0[k]
-				s11 += x1 * b1[k]
-				s12 += x1 * b2[k]
-				s13 += x1 * b3[k]
+				s00 += float64(x0 * b0[k])
+				s01 += float64(x0 * b1[k])
+				s02 += float64(x0 * b2[k])
+				s03 += float64(x0 * b3[k])
+				s10 += float64(x1 * b0[k])
+				s11 += float64(x1 * b1[k])
+				s12 += float64(x1 * b2[k])
+				s13 += float64(x1 * b3[k])
 			}
 			d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
 			d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
@@ -217,7 +245,7 @@ func MulABtInto(dst, a, b *Matrix) {
 	if i < a.Rows {
 		arow := Vector(a.Data[i*K : (i+1)*K])
 		drow := dst.Data[i*N : (i+1)*N]
-		for j := range drow {
+		for j := j0; j < N; j++ {
 			drow[j] = arow.Dot(Vector(b.Data[j*K : (j+1)*K]))
 		}
 	}
@@ -282,15 +310,13 @@ func addRowCombination(drow, coef []float64, off, stride int, b *Matrix) {
 		}
 	}
 	for t := 0; t < n; t++ {
-		c, brow := cs[t], b.Data[ks[t]*len(drow):][:len(drow)]
-		for j := range drow {
-			drow[j] += c * brow[j]
-		}
+		axpy(cs[t], b.Data[ks[t]*len(drow):][:len(drow)], drow)
 	}
 }
 
 // addRows8 is addRowCombination's blocked step: drow[j] += cs[t]·b[ks[t]][j]
-// for t = 0..7 in order, with drow[j] held in a local across the eight steps.
+// for t = 0..7 in order, with drow[j] held in a register across the eight
+// steps (four elements to a register with AVX2).
 func addRows8(drow []float64, cs *[8]float64, ks *[8]int, b *Matrix) {
 	N := len(drow)
 	b0 := b.Data[ks[0]*N:][:N]
@@ -301,17 +327,39 @@ func addRows8(drow []float64, cs *[8]float64, ks *[8]int, b *Matrix) {
 	b5 := b.Data[ks[5]*N:][:N]
 	b6 := b.Data[ks[6]*N:][:N]
 	b7 := b.Data[ks[7]*N:][:N]
+	j := 0
+	if haveAVX2 && N >= 4 {
+		j = N &^ 3
+		rows := [8][]float64{b0, b1, b2, b3, b4, b5, b6, b7}
+		addRows8AVX2(drow[:j], cs, &rows)
+	}
 	c0, c1, c2, c3, c4, c5, c6, c7 := cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7]
-	for j, v := range drow {
-		v += c0 * b0[j]
-		v += c1 * b1[j]
-		v += c2 * b2[j]
-		v += c3 * b3[j]
-		v += c4 * b4[j]
-		v += c5 * b5[j]
-		v += c6 * b6[j]
-		v += c7 * b7[j]
+	for ; j < N; j++ {
+		v := drow[j]
+		v += float64(c0 * b0[j])
+		v += float64(c1 * b1[j])
+		v += float64(c2 * b2[j])
+		v += float64(c3 * b3[j])
+		v += float64(c4 * b4[j])
+		v += float64(c5 * b5[j])
+		v += float64(c6 * b6[j])
+		v += float64(c7 * b7[j])
 		drow[j] = v
+	}
+}
+
+// axpy adds alpha·x[j] to y[j] for every j of y (x at least as long), each
+// element as y[j] + (alpha·x[j]) with the product rounded first: the inner
+// loop of the rank-1 update, the transposed product and Vector.AddScaled.
+func axpy(alpha float64, x, y []float64) {
+	x = x[:len(y)]
+	j := 0
+	if haveAVX2 && len(y) >= 4 {
+		j = len(y) &^ 3
+		axpyAVX2(alpha, x[:j], y[:j])
+	}
+	for ; j < len(y); j++ {
+		y[j] += float64(alpha * x[j])
 	}
 }
 

@@ -30,7 +30,8 @@ func TestMulABtIntoMatchesMulVec(t *testing.T) {
 	X := randMatrix(1, 6, 4, false)
 	W := randMatrix(2, 5, 4, true)
 	dst := NewMatrix(6, 5)
-	MulABtInto(dst, X, W)
+	var bt []float64
+	MulABtInto(dst, X, W, &bt)
 	for s := 0; s < X.Rows; s++ {
 		want := W.MulVec(X.Row(s))
 		for o, v := range want {
@@ -117,15 +118,26 @@ func TestGatherRowsInto(t *testing.T) {
 }
 
 // The sweep tests below drive the register-blocked kernels through every
-// edge of their blocking: row counts on both sides of the 2-row block and
-// of a 128-sample minibatch, widths on both sides of the 4-column and
-// 8-coefficient blocks, coefficient groups long enough to fill several
-// 8-blocks, zero and negative-zero coefficients, and ±Inf/NaN operands
-// that only a zero coefficient ever meets.
+// edge of their blocking, on every kernel path the CPU has (onEachPath):
+// row counts on both sides of the 2-row block and of a 128-sample
+// minibatch, widths on both sides of the 4-column, 4-lane, 16-column and
+// 8-coefficient blocks (the estimators' 3, 16, 32 and 64 among them),
+// operands that start off a 32-byte boundary, coefficient groups long
+// enough to fill several 8-blocks, zero and negative-zero coefficients,
+// and ±Inf/NaN operands that only a zero coefficient ever meets. Each
+// path must match a reference computed by the scalar code.
 var (
 	sweepRows   = []int{1, 2, 3, 127, 128, 129}
-	sweepWidths = []int{1, 3, 4, 5, 7, 8, 9, 10, 14, 19, 32, 64}
+	sweepWidths = []int{1, 3, 4, 5, 7, 8, 9, 10, 14, 16, 19, 32, 64}
 )
+
+// unaligned returns a copy of m whose data starts off elements into its
+// allocation, so that for off%4 != 0 no row of it is 32-byte aligned.
+func unaligned(m *Matrix, off int) *Matrix {
+	buf := make([]float64, off+len(m.Data))
+	copy(buf[off:], m.Data)
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: buf[off:]}
+}
 
 // sweepMatrix fills a rows×cols matrix with Gaussian values, a quarter of
 // them replaced by 0 or -0.
@@ -204,16 +216,19 @@ func TestMulABtIntoSweep(t *testing.T) {
 	for _, m := range sweepRows {
 		for _, n := range sweepWidths {
 			for _, k := range sweepWidths {
-				X := sweepMatrix(src, m, k)
-				W := sweepMatrix(src, n, k)
-				dst := NewMatrix(m, n)
-				dst.Fill(math.NaN()) // stale contents must be overwritten
-				MulABtInto(dst, X, W)
+				X := unaligned(sweepMatrix(src, m, k), (m+k)%4)
+				W := unaligned(sweepMatrix(src, n, k), (n+k)%3)
 				want := NewMatrix(m, n)
 				for s := 0; s < m; s++ {
 					copy(want.Row(s), W.MulVec(X.Row(s)))
 				}
-				sameBits(t, fmt.Sprintf("MulABtInto %dx%d·(%dx%d)ᵀ", m, k, n, k), dst, want)
+				var bt []float64
+				onEachPath(func(path string) {
+					dst := NewMatrix(m, n)
+					dst.Fill(math.NaN()) // stale contents must be overwritten
+					MulABtInto(dst, X, W, &bt)
+					sameBits(t, fmt.Sprintf("%s MulABtInto %dx%d·(%dx%d)ᵀ", path, m, k, n, k), dst, want)
+				})
 			}
 		}
 	}
@@ -228,21 +243,24 @@ func TestMatMulIntoSweep(t *testing.T) {
 				DZ := sweepMatrix(src, m, k)
 				W := sweepMatrix(src, k, n)
 				poisonBehindZeros(DZ, W, k/2, true)
+				W = unaligned(W, (k+n)%4)
 				filled = filled || maxNonzero(DZ, false) >= 8
-				dst := NewMatrix(m, n)
-				dst.Fill(99) // stale contents must be overwritten
-				MatMulInto(dst, DZ, W)
 				want := NewMatrix(m, n)
 				for s := 0; s < m; s++ {
 					copy(want.Row(s), W.MulVecT(DZ.Row(s)))
 				}
-				what := fmt.Sprintf("MatMulInto %dx%d·%dx%d", m, k, k, n)
-				sameBits(t, what, dst, want)
-				for i, v := range dst.Data {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+				onEachPath(func(path string) {
+					dst := unaligned(NewMatrix(m, n), m%4)
+					dst.Fill(99) // stale contents must be overwritten
+					MatMulInto(dst, DZ, W)
+					what := fmt.Sprintf("%s MatMulInto %dx%d·%dx%d", path, m, k, k, n)
+					sameBits(t, what, dst, want)
+					for i, v := range dst.Data {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+						}
 					}
-				}
+				})
 			}
 		}
 	}
@@ -262,19 +280,23 @@ func TestAddMulAtBSweep(t *testing.T) {
 				poisonBehindZeros(DZ, X, s/2, false)
 				filled = filled || maxNonzero(DZ, true) >= 8
 				start := sweepMatrix(src, m, n) // accumulate onto nonzero contents
-				got := start.Clone()
-				AddMulAtB(got, DZ, X)
 				want := start.Clone()
-				for r := 0; r < s; r++ {
-					want.AddOuter(1, DZ.Row(r), X.Row(r))
-				}
-				what := fmt.Sprintf("AddMulAtB (%dx%d)ᵀ·%dx%d", s, m, s, n)
-				sameBits(t, what, got, want)
-				for i, v := range got.Data {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+				withAVX2(false, func() {
+					for r := 0; r < s; r++ {
+						want.AddOuter(1, DZ.Row(r), X.Row(r))
 					}
-				}
+				})
+				onEachPath(func(path string) {
+					got := unaligned(start, (m+n)%4)
+					AddMulAtB(got, DZ, X)
+					what := fmt.Sprintf("%s AddMulAtB (%dx%d)ᵀ·%dx%d", path, s, m, s, n)
+					sameBits(t, what, got, want)
+					for i, v := range got.Data {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("%s: Data[%d] = %v: a zero coefficient met the poisoned row", what, i, v)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -284,44 +306,59 @@ func TestAddMulAtBSweep(t *testing.T) {
 }
 
 // TestKernelsAllocateNothing: the training kernels run once per layer per
-// minibatch and must not touch the heap.
+// minibatch, and the axpy and Adam kernels once per tensor per sample, and
+// none may touch the heap on any kernel path (MulABtInto's transpose
+// buffer is the caller's, grown on the first call).
 func TestKernelsAllocateNothing(t *testing.T) {
 	src := rng.New(24)
 	X, W, DZ := sweepMatrix(src, 128, 19), sweepMatrix(src, 64, 19), sweepMatrix(src, 128, 64)
 	Y, DX, DW := NewMatrix(128, 64), NewMatrix(128, 19), NewMatrix(64, 19)
-	for name, f := range map[string]func(){
-		"MulABtInto": func() { MulABtInto(Y, X, W) },
-		"MatMulInto": func() { MatMulInto(DX, DZ, W) },
-		"AddMulAtB":  func() { AddMulAtB(DW, DZ, X) },
-	} {
-		if allocs := testing.AllocsPerRun(5, f); allocs != 0 {
-			t.Errorf("%s allocates %v times per call", name, allocs)
+	u, v, w := sweepMatrix(src, 1, 64).Row(0), sweepMatrix(src, 1, 19).Row(0), sweepMatrix(src, 1, 19).Row(0)
+	wts, grads, m1, m2 := sweepMatrix(src, 1, 67).Row(0), NewVector(67), NewVector(67), NewVector(67)
+	adam := AdamStep{B1: 0.9, D1: 0.1, B2: 0.999, D2: 0.001, C1: 0.1, C2: 0.001, LR: 1e-3, Eps: 1e-8, Scale: 0.5, Clip: true}
+	var bt []float64
+	onEachPath(func(path string) {
+		for name, f := range map[string]func(){
+			"MulABtInto":     func() { MulABtInto(Y, X, W, &bt) },
+			"MatMulInto":     func() { MatMulInto(DX, DZ, W) },
+			"AddMulAtB":      func() { AddMulAtB(DW, DZ, X) },
+			"AddOuter":       func() { DW.AddOuter(1e-3, u, v) },
+			"MulVecTInto":    func() { DW.MulVecTInto(w, u) },
+			"AddScaled":      func() { w.AddScaled(-1e-3, v) },
+			"AdamStep.Apply": func() { adam.Apply(wts, grads, m1, m2) },
+		} {
+			if allocs := testing.AllocsPerRun(5, f); allocs != 0 {
+				t.Errorf("%s %s allocates %v times per call", path, name, allocs)
+			}
 		}
-	}
+	})
 }
 
 // TestKernelsEmptyShapes: an empty batch or an empty inner dimension is a
 // no-op for the accumulating kernel and yields zeros for the overwriting
 // ones.
 func TestKernelsEmptyShapes(t *testing.T) {
-	dw := NewMatrix(3, 2)
-	dw.Fill(7)
-	AddMulAtB(dw, NewMatrix(0, 3), NewMatrix(0, 2))
-	dx := NewMatrix(4, 2)
-	dx.Fill(7)
-	MatMulInto(dx, NewMatrix(4, 0), NewMatrix(0, 2))
-	y := NewMatrix(4, 3)
-	y.Fill(7)
-	MulABtInto(y, NewMatrix(4, 0), NewMatrix(3, 0))
-	for _, c := range []struct {
-		name string
-		m    *Matrix
-		want float64
-	}{{"AddMulAtB", dw, 7}, {"MatMulInto", dx, 0}, {"MulABtInto", y, 0}} {
-		for i, v := range c.m.Data {
-			if v != c.want {
-				t.Fatalf("%s: Data[%d] = %v, want %v", c.name, i, v, c.want)
+	onEachPath(func(path string) {
+		dw := NewMatrix(3, 6)
+		dw.Fill(7)
+		AddMulAtB(dw, NewMatrix(0, 3), NewMatrix(0, 6))
+		dx := NewMatrix(4, 6)
+		dx.Fill(7)
+		MatMulInto(dx, NewMatrix(4, 0), NewMatrix(0, 6))
+		y := NewMatrix(4, 5)
+		y.Fill(7)
+		var bt []float64
+		MulABtInto(y, NewMatrix(4, 0), NewMatrix(5, 0), &bt)
+		for _, c := range []struct {
+			name string
+			m    *Matrix
+			want float64
+		}{{"AddMulAtB", dw, 7}, {"MatMulInto", dx, 0}, {"MulABtInto", y, 0}} {
+			for i, v := range c.m.Data {
+				if math.Float64bits(v) != math.Float64bits(c.want) {
+					t.Fatalf("%s %s: Data[%d] = %v, want %v", path, c.name, i, v, c.want)
+				}
 			}
 		}
-	}
+	})
 }
