@@ -695,20 +695,13 @@ func (c *Client) BargainWith(ctx context.Context, cfg SessionConfig, gains GainP
 // unfinished slots are left nil and the error is returned alongside the
 // partial results.
 func (c *Client) BargainBatch(ctx context.Context, specs []BatchSpec, opts BatchOptions) ([]*Result, error) {
-	results := make([]*Result, len(specs))
-	err := core.ForEach(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) error {
+	return core.Batch(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) (*Result, error) {
 		cfg, err := c.batchConfig(specs[i], opts, i)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		res, err := c.BargainWith(ctx, cfg, c.cfg.gains, specs[i].Observer)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		return c.BargainWith(ctx, cfg, c.cfg.gains, specs[i].Observer)
 	})
-	return results, err
 }
 
 // BargainImperfectBatch plays one imperfect-information session per spec
@@ -724,24 +717,17 @@ func (c *Client) BargainImperfectBatch(ctx context.Context, specs []BatchSpec, o
 	if c.cfg.imperfect != nil {
 		params = *c.cfg.imperfect
 	}
-	results := make([]*ImperfectResult, len(specs))
-	err := core.ForEach(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) error {
+	return core.Batch(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) (*ImperfectResult, error) {
 		cfg, err := c.batchConfig(specs[i], opts, i)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		identity := c.cfg.identity
 		if identity != "" {
 			identity = fmt.Sprintf("%s-%d", identity, i)
 		}
-		res, err := c.bargainImperfect(ctx, cfg, params, c.cfg.gains, identity, []RoundObserver{specs[i].Observer})
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+		return c.bargainImperfect(ctx, cfg, params, c.cfg.gains, identity, []RoundObserver{specs[i].Observer})
 	})
-	return results, err
 }
 
 // batchConfig resolves one batch spec against the dial template with the

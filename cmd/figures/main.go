@@ -8,10 +8,9 @@
 //
 //	go run ./cmd/figures -fig 2 [-runs 100] [-scale 1] [-synthetic] [-csv] [-out DIR] [-workers N]
 //
-// Repeated runs fan out over the in-process batch runners (-workers bounds
-// the pool; 0 means GOMAXPROCS): Figure 4's imperfect sessions ride
-// core.RunBatchImperfect, playing through the batched estimator-scan
-// kernels. Results are deterministic in -seed alone — the worker count
+// Repeated runs fan out over core.Batch's in-process worker pool (-workers
+// bounds the pool; 0 means GOMAXPROCS): Figure 4's imperfect sessions play
+// through the batched estimator-scan kernels. Results are deterministic in -seed alone — the worker count
 // never changes outcomes.
 package main
 

@@ -7,10 +7,9 @@
 //
 //	go run ./cmd/tables -table 3 [-runs 100] [-scale 1] [-synthetic] [-csv] [-workers N]
 //
-// Repeated runs fan out over the in-process batch runners (-workers bounds
-// the pool; 0 means GOMAXPROCS): Table 4's imperfect columns ride
-// core.RunBatchImperfect, whose sessions play through the batched
-// estimator-scan kernels. Results are deterministic in -seed alone — the
+// Repeated runs fan out over core.Batch's in-process worker pool (-workers
+// bounds the pool; 0 means GOMAXPROCS): Table 4's imperfect sessions play
+// through the batched estimator-scan kernels. Results are deterministic in -seed alone — the
 // worker count never changes outcomes.
 package main
 

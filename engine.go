@@ -296,21 +296,9 @@ type BatchOptions struct {
 // unfinished slots are left nil and the error is returned alongside the
 // partial results.
 func (e *Engine) BargainBatch(ctx context.Context, specs []BatchSpec, opts BatchOptions) ([]*Result, error) {
-	return core.RunBatch(ctx, e.env.Catalog, e.batchJobs(specs, opts), opts.Workers)
-}
-
-// batchJobs resolves batch specs against the engine template and the
-// seed-derivation convention — shared by BargainBatch and
-// BargainBatchSecure so both paths play identical sessions.
-func (e *Engine) batchJobs(specs []BatchSpec, opts BatchOptions) []core.BatchJob {
-	jobs := make([]core.BatchJob, len(specs))
-	for i, sp := range specs {
-		jobs[i] = core.BatchJob{
-			Config:   resolveBatchConfig(e.env.Session, sp, opts, i),
-			Observer: sp.Observer,
-		}
-	}
-	return jobs
+	return core.Batch(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) (*Result, error) {
+		return e.BargainWith(ctx, resolveBatchConfig(e.env.Session, specs[i], opts, i), specs[i].Observer)
+	})
 }
 
 // resolveBatchConfig overlays one batch spec on a template session under
@@ -349,13 +337,7 @@ func resolveBatchConfig(tmpl SessionConfig, sp BatchSpec, opts BatchOptions, i i
 // partial results.
 func (e *Engine) BargainImperfectBatch(ctx context.Context, specs []BatchSpec, params ImperfectParams, opts BatchOptions) ([]*ImperfectResult, error) {
 	tmpl := e.SessionImperfect()
-	jobs := make([]core.ImperfectBatchJob, len(specs))
-	for i, sp := range specs {
-		jobs[i] = core.ImperfectBatchJob{
-			Config:   resolveBatchConfig(tmpl, sp, opts, i),
-			Params:   params,
-			Observer: sp.Observer,
-		}
-	}
-	return core.RunBatchImperfect(ctx, e.env.Catalog, jobs, opts.Workers)
+	return core.Batch(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) (*ImperfectResult, error) {
+		return e.BargainImperfectWith(ctx, resolveBatchConfig(tmpl, specs[i], opts, i), params, specs[i].Observer)
+	})
 }

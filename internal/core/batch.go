@@ -4,138 +4,62 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// BatchJob is one perfect-information bargaining session of a batch: a full
-// session configuration plus an optional per-session observer.
-type BatchJob struct {
-	Config SessionConfig
-	// Observer, when non-nil, streams this session's rounds and outcome.
-	// It is invoked from the worker goroutine playing the session; jobs run
-	// concurrently, so an observer shared between jobs must be safe for
-	// concurrent use.
-	Observer RoundObserver
-}
-
-// ForEach executes fn(ctx, 0..n-1) across a bounded worker pool
-// (workers <= 0 means GOMAXPROCS). fn must write only to its own index's
-// state. The first error cancels the context handed to the remaining calls
-// and is returned; when the parent context ends first, its cause is
-// returned instead.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+// Batch calls play(ctx, 0..n-1) across a bounded worker pool (workers <= 0
+// means GOMAXPROCS) and returns the results in index order. play must touch
+// only its own index's state. Outcomes depend only on what play does with
+// its index, never on the worker count: a session seeded from its own
+// configuration plays the same at one worker or at many.
+//
+// The first error cancels the context handed to the calls still running,
+// skips the calls not yet started, and is returned together with the
+// partial results; a slot whose call failed or never ran stays zero. When
+// the parent context ends first, its cause is returned instead.
+func Batch[T any](ctx context.Context, n, workers int, play func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
+		out      = make([]T, n)
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if err := fn(ctx, i); err != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				v, err := play(ctx, i)
+				if err != nil {
 					errOnce.Do(func() { firstErr = err; cancel() })
 					return
 				}
+				out[i] = v
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
-	if firstErr == nil {
-		// The parent context may have ended after the last feed.
-		if err := ctx.Err(); err != nil {
-			firstErr = context.Cause(ctx)
-		}
+	if firstErr == nil && ctx.Err() != nil {
+		// The parent context ended: no call failed, so cancel has not run.
+		firstErr = context.Cause(ctx)
 	}
-	return firstErr
-}
-
-// ImperfectBatchJob is one imperfect-information bargaining session of a
-// batch: a full session configuration, the §3.5 regime knobs, and an
-// optional per-session observer.
-type ImperfectBatchJob struct {
-	Config SessionConfig
-	// Params are the regime knobs; zero values resolve to the paper's
-	// defaults through WithDefaults.
-	Params ImperfectParams
-	// Observer, when non-nil, streams this session's rounds and outcome
-	// from the worker goroutine playing the session; an observer shared
-	// between jobs must be safe for concurrent use.
-	Observer RoundObserver
-}
-
-// RunBatch plays every job's perfect-information game over the catalog with
-// a bounded worker pool. workers <= 0 means GOMAXPROCS. Results are indexed
-// like jobs and depend only on each job's configuration — identical inputs
-// produce identical outputs regardless of the worker count or scheduling,
-// because every session derives its randomness from its own Seed.
-//
-// The first session error (an invalid configuration, or the context being
-// cancelled) stops the batch: remaining sessions are abandoned, their slots
-// are left nil, and the error is returned alongside the partial results.
-func RunBatch(ctx context.Context, cat *Catalog, jobs []BatchJob, workers int) ([]*Result, error) {
-	results := make([]*Result, len(jobs))
-	err := ForEach(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
-		sess := NewSession(cat, jobs[i].Config).Observe(jobs[i].Observer)
-		res, err := sess.RunPerfect(ctx)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, err
-}
-
-// RunBatchImperfect plays every job's imperfect-information game (§3.5)
-// over the catalog with a bounded worker pool: per session, both parties
-// learn their gain estimators online through the batched scan kernels, and
-// the result carries both Figure 4 learning curves. workers <= 0 means
-// GOMAXPROCS. Results are indexed like jobs and depend only on each job's
-// configuration — every session derives all randomness from its own Seed
-// per the imperfect seed convention, so the worker count never changes
-// outcomes, and each result is bit-identical to a standalone
-// Session.RunImperfect with the same configuration.
-//
-// The first session error (an invalid configuration, or the context being
-// cancelled between rounds) stops the batch: remaining sessions are
-// abandoned, their slots are left nil, and the error is returned alongside
-// the partial results.
-func RunBatchImperfect(ctx context.Context, cat *Catalog, jobs []ImperfectBatchJob, workers int) ([]*ImperfectResult, error) {
-	results := make([]*ImperfectResult, len(jobs))
-	err := ForEach(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
-		sess := NewSession(cat, jobs[i].Config).Observe(jobs[i].Observer)
-		res, err := sess.RunImperfect(ctx, jobs[i].Params)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, err
+	return out, firstErr
 }

@@ -231,6 +231,14 @@ func TestEstimatorSellerExplorationNeverTerminates(t *testing.T) {
 	}
 }
 
+// RunPerfect plays Algorithm 1: bargaining under perfect performance
+// information over the catalog, returning the full trace.
+//
+// It is the blocking, observer-free form of Session.RunPerfect.
+func RunPerfect(cat *Catalog, cfg SessionConfig) (*Result, error) {
+	return NewSession(cat, cfg).RunPerfect(context.Background())
+}
+
 // RunImperfect plays the estimation-based bargaining of §3.5 over the
 // catalog. The catalog's gains stand in for the VFL courses: each round the
 // selected bundle's gain is "realized" by running VFL (a catalog lookup

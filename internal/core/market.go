@@ -198,15 +198,6 @@ func (r *Result) FinalNetRevenue() (task, data float64) {
 }
 
 // RunPerfect plays Algorithm 1: bargaining under perfect performance
-// information over the catalog, returning the full trace.
-//
-// It is the blocking, observer-free form of Session.RunPerfect, kept for
-// callers that need neither cancellation nor streaming.
-func RunPerfect(cat *Catalog, cfg SessionConfig) (*Result, error) {
-	return NewSession(cat, cfg).RunPerfect(context.Background())
-}
-
-// RunPerfect plays Algorithm 1: bargaining under perfect performance
 // information over the session's catalog, returning the full trace. The
 // context is checked between bargaining rounds: once it is cancelled or its
 // deadline passes, the run stops and returns the context's error instead of

@@ -105,27 +105,3 @@ func (s *Session) RunPerfectSecure(ctx context.Context, cipher SettlementCipher)
 	}
 	return res, nil
 }
-
-// RunBatchSecure is RunBatch with every session settling through the
-// shared cipher — the batched secure settlement path. Sessions run across
-// the bounded worker pool and draw concurrently on the cipher (and on the
-// randomizer pool behind it), which is where a precomputing cipher
-// amortizes: the pool refills while sessions bargain. Results are
-// deterministic in the jobs alone, exactly as RunBatch, except that
-// settled payments carry the cipher's fixed-point quantization.
-func RunBatchSecure(ctx context.Context, cat *Catalog, jobs []BatchJob, workers int, cipher SettlementCipher) ([]*Result, error) {
-	if cipher == nil {
-		return nil, fmt.Errorf("core: RunBatchSecure needs a settlement cipher")
-	}
-	results := make([]*Result, len(jobs))
-	err := ForEach(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
-		sess := NewSession(cat, jobs[i].Config).Observe(jobs[i].Observer)
-		res, err := sess.RunPerfectSecure(ctx, cipher)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, err
-}

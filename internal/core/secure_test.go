@@ -1,7 +1,7 @@
 package core
 
-// Tests of the batched secure settlement path: RunPerfectSecure /
-// RunBatchSecure must replay the exact game RunPerfect plays — same
+// Tests of the batched secure settlement path: RunPerfectSecure, alone or
+// fanned out by Batch, must replay the exact game RunPerfect plays — same
 // rounds, outcome, and bundle — with settled payments carrying only the
 // cipher's fixed-point quantization.
 
@@ -78,23 +78,33 @@ func secureBatchMarket(seed uint64) (*Catalog, SessionConfig) {
 	return cat, cfg
 }
 
-func TestRunBatchSecureMatchesClearBatch(t *testing.T) {
+// secureBatch plays one session per config through Batch, settling each
+// through the cipher when it is non-nil and in the clear otherwise.
+func secureBatch(ctx context.Context, cat *Catalog, cfgs []SessionConfig, workers int, cipher SettlementCipher) ([]*Result, error) {
+	return Batch(ctx, len(cfgs), workers, func(ctx context.Context, i int) (*Result, error) {
+		if cipher == nil {
+			return NewSession(cat, cfgs[i]).RunPerfect(ctx)
+		}
+		return NewSession(cat, cfgs[i]).RunPerfectSecure(ctx, cipher)
+	})
+}
+
+func TestBatchSecureMatchesClearBatch(t *testing.T) {
 	cat, cfg := secureBatchMarket(41)
-	jobs := make([]BatchJob, 12)
-	for i := range jobs {
-		c := cfg
-		c.Seed = uint64(100 + i)
-		jobs[i] = BatchJob{Config: c}
+	cfgs := make([]SessionConfig, 12)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].Seed = uint64(100 + i)
 	}
-	clear, err := RunBatch(context.Background(), cat, jobs, 4)
+	clear, err := secureBatch(context.Background(), cat, cfgs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := RunBatchSecure(context.Background(), cat, jobs, 4, testCipher(t))
+	sec, err := secureBatch(context.Background(), cat, cfgs, 4, testCipher(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
+	for i := range cfgs {
 		want, got := clear[i], sec[i]
 		if got.Outcome != want.Outcome || got.Final.BundleID != want.Final.BundleID ||
 			len(got.Rounds) != len(want.Rounds) || got.TargetBundleID != want.TargetBundleID {
@@ -126,17 +136,17 @@ func TestRunPerfectSecureRejectsNilCipher(t *testing.T) {
 	if _, err := NewSession(cat, cfg).RunPerfectSecure(context.Background(), nil); err == nil {
 		t.Fatal("nil cipher accepted")
 	}
-	if _, err := RunBatchSecure(context.Background(), cat, []BatchJob{{Config: cfg}}, 1, nil); err == nil {
-		t.Fatal("nil cipher accepted by batch")
-	}
 }
 
-func TestRunBatchSecureCancellation(t *testing.T) {
+func TestBatchSecureCancellation(t *testing.T) {
 	cat, cfg := secureBatchMarket(47)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := []BatchJob{{Config: cfg}, {Config: cfg}}
-	if _, err := RunBatchSecure(ctx, cat, jobs, 2, testCipher(t)); err == nil {
+	cipher := testCipher(t)
+	if _, err := NewSession(cat, cfg).RunPerfectSecure(ctx, cipher); err == nil {
+		t.Fatal("cancelled secure session reported success")
+	}
+	if _, err := secureBatch(ctx, cat, []SessionConfig{cfg, cfg}, 2, cipher); err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
 }

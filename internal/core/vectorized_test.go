@@ -9,6 +9,7 @@ package core
 // preserve that implementation verbatim for direct comparison.
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -349,32 +350,31 @@ func TestCaseTwoChoiceMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunBatchImperfectMatchesStandaloneSessions pins the core runner to
-// the single-session path: every slot of a batch must be DeepEqual to a
-// standalone RunImperfect with the same configuration, regardless of the
-// worker count.
-func TestRunBatchImperfectMatchesStandaloneSessions(t *testing.T) {
+// TestBatchImperfectMatchesStandaloneSessions pins imperfect sessions
+// fanned out by Batch to the single-session path: every slot must be
+// DeepEqual to a standalone RunImperfect with the same configuration,
+// regardless of the worker count.
+func TestBatchImperfectMatchesStandaloneSessions(t *testing.T) {
 	cat := testCatalog(t, 6, 61)
 	params := ImperfectParams{ExplorationRounds: 12, PricePool: 60}
-	jobs := make([]ImperfectBatchJob, 6)
-	for i := range jobs {
-		cfg := sessionFor(cat, uint64(100+i))
-		jobs[i] = ImperfectBatchJob{Config: cfg, Params: params}
-	}
-	ref := make([]*ImperfectResult, len(jobs))
-	for i := range jobs {
-		res, err := RunImperfect(cat, jobs[i].Config, params)
+	cfgs := make([]SessionConfig, 6)
+	ref := make([]*ImperfectResult, len(cfgs))
+	for i := range cfgs {
+		cfgs[i] = sessionFor(cat, uint64(100+i))
+		res, err := RunImperfect(cat, cfgs[i], params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref[i] = res
 	}
 	for _, workers := range []int{1, 3, 0} {
-		got, err := RunBatchImperfect(t.Context(), cat, jobs, workers)
+		got, err := Batch(t.Context(), len(cfgs), workers, func(ctx context.Context, i int) (*ImperfectResult, error) {
+			return NewSession(cat, cfgs[i]).RunImperfect(ctx, params)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range jobs {
+		for i := range cfgs {
 			if !reflect.DeepEqual(got[i], ref[i]) {
 				t.Fatalf("workers %d: batch slot %d differs from the standalone session", workers, i)
 			}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -462,7 +463,7 @@ func RunGainCacheAblation(name dataset.Name, model vfl.BaseModel, scale float64,
 	}
 	cfg := env.Session
 	cfg.Seed = seed
-	res, err := core.RunPerfect(env.Catalog, cfg)
+	res, err := core.NewSession(env.Catalog, cfg).RunPerfect(context.Background())
 	if err != nil {
 		return nil, err
 	}

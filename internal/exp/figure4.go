@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/vfl"
 )
@@ -66,22 +65,17 @@ func RunFigure4(ctx context.Context, opts Figure4Options) (*Figure4, error) {
 				return nil, err
 			}
 			panel := Figure4Panel{Dataset: name, Model: model}
-			// Runs execute across the imperfect batch runner's worker pool —
-			// each session plays through the vectorized estimator scans —
-			// with per-run seeds derived exactly as before, keeping the
+			// Runs execute across core.Batch's worker pool — each session
+			// plays through the vectorized estimator scans — keeping the
 			// averaged curves deterministic in the seed.
-			jobs := make([]core.ImperfectBatchJob, opts.Runs)
-			for r := range jobs {
-				cfg := env.Session
+			cfgs := env.SessionConfigs(opts.Runs, opts.Seed, func(_ int, cfg *core.SessionConfig) {
 				cfg.EpsTask, cfg.EpsData = p.EpsImperfect, p.EpsImperfect
 				cfg.MaxRounds = opts.Rounds
-				cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(r))
-				jobs[r] = core.ImperfectBatchJob{
-					Config: cfg,
-					Params: core.ImperfectParams{ExplorationRounds: opts.ExplorationRounds},
-				}
-			}
-			results, err := core.RunBatchImperfect(ctx, env.Catalog, jobs, opts.Workers)
+			})
+			params := core.ImperfectParams{ExplorationRounds: opts.ExplorationRounds}
+			results, err := core.Batch(ctx, opts.Runs, opts.Workers, func(ctx context.Context, r int) (*core.ImperfectResult, error) {
+				return core.NewSession(env.Catalog, cfgs[r]).RunImperfect(ctx, params)
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -261,8 +261,8 @@ func BuildEnv(p Profile, seed uint64) (*Env, error) {
 // SessionConfigs derives the per-run session configurations of a repeated
 // experiment from the env's template: run r gets the independent seed
 // rng.DeriveSeed(seed, r), then mutate (when non-nil) adjusts the config.
-// The slice feeds RunBatch, so repeated studies are deterministic in seed
-// alone regardless of worker count.
+// The slice feeds RunBatch or core.Batch, so repeated studies are
+// deterministic in seed alone regardless of worker count.
 func (e *Env) SessionConfigs(runs int, seed uint64, mutate func(r int, cfg *core.SessionConfig)) []core.SessionConfig {
 	cfgs := make([]core.SessionConfig, runs)
 	for r := range cfgs {
@@ -276,16 +276,14 @@ func (e *Env) SessionConfigs(runs int, seed uint64, mutate func(r int, cfg *core
 	return cfgs
 }
 
-// RunBatch plays the session configurations concurrently over the env's
-// catalog with a bounded worker pool (workers <= 0 means GOMAXPROCS),
-// returning results in config order. See core.RunBatch for the error and
-// cancellation contract.
+// RunBatch plays the perfect-information game of every session
+// configuration concurrently over the env's catalog with a bounded worker
+// pool (workers <= 0 means GOMAXPROCS), returning results in config order.
+// See core.Batch for the error and cancellation contract.
 func (e *Env) RunBatch(ctx context.Context, cfgs []core.SessionConfig, workers int) ([]*core.Result, error) {
-	jobs := make([]core.BatchJob, len(cfgs))
-	for i, cfg := range cfgs {
-		jobs[i] = core.BatchJob{Config: cfg}
-	}
-	return core.RunBatch(ctx, e.Catalog, jobs, workers)
+	return core.Batch(ctx, len(cfgs), workers, func(ctx context.Context, i int) (*core.Result, error) {
+		return core.NewSession(e.Catalog, cfgs[i]).RunPerfect(ctx)
+	})
 }
 
 // openingPrice picks the task party's lowball opening quote: it must afford

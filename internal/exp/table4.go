@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/rng"
 	"repro/internal/vfl"
 )
 
@@ -89,54 +88,39 @@ func runTable4Col(ctx context.Context, env *Env, p Profile, imperfect bool, opts
 	target := env.Catalog.TargetBundle(env.Session.TargetGain)
 	reserved := env.Catalog.Bundles[target].Reserved
 
-	// Runs execute across the batch runners' worker pools; results come
-	// back in run order, so aggregation stays deterministic in the seed.
-	finals := make([]core.RoundRecord, opts.Runs)
-	outcomes := make([]core.Outcome, opts.Runs)
-	if imperfect {
-		// The imperfect column rides the in-process batched runner: every
-		// session plays through the vectorized estimator scans with per-run
-		// seeds derived exactly as before.
-		jobs := make([]core.ImperfectBatchJob, opts.Runs)
-		for r := range jobs {
-			cfg := env.Session
-			cfg.MaxRounds = opts.MaxRounds
-			cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(r))
+	// Runs execute across core.Batch's worker pool; results come back in
+	// run order, so aggregation stays deterministic in the seed. The
+	// imperfect column plays every session through the vectorized
+	// estimator scans.
+	cfgs := env.SessionConfigs(opts.Runs, opts.Seed, func(_ int, cfg *core.SessionConfig) {
+		cfg.MaxRounds = opts.MaxRounds
+		if imperfect {
 			cfg.EpsTask, cfg.EpsData = p.EpsImperfect, p.EpsImperfect
-			jobs[r] = core.ImperfectBatchJob{
-				Config: cfg,
-				Params: core.ImperfectParams{ExplorationRounds: opts.ExplorationRounds},
+		}
+	})
+	var results []*core.Result
+	var err error
+	if imperfect {
+		params := core.ImperfectParams{ExplorationRounds: opts.ExplorationRounds}
+		results, err = core.Batch(ctx, opts.Runs, opts.Workers, func(ctx context.Context, r int) (*core.Result, error) {
+			res, err := core.NewSession(env.Catalog, cfgs[r]).RunImperfect(ctx, params)
+			if err != nil {
+				return nil, err
 			}
-		}
-		results, err := core.RunBatchImperfect(ctx, env.Catalog, jobs, opts.Workers)
-		if err != nil {
-			return col, err
-		}
-		for r, res := range results {
-			finals[r], outcomes[r] = res.Final, res.Outcome
-		}
+			return &res.Result, nil
+		})
 	} else {
-		jobs := make([]core.BatchJob, opts.Runs)
-		for r := range jobs {
-			cfg := env.Session
-			cfg.MaxRounds = opts.MaxRounds
-			cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(r))
-			jobs[r] = core.BatchJob{Config: cfg}
-		}
-		results, err := core.RunBatch(ctx, env.Catalog, jobs, opts.Workers)
-		if err != nil {
-			return col, err
-		}
-		for r, res := range results {
-			finals[r], outcomes[r] = res.Final, res.Outcome
-		}
+		results, err = env.RunBatch(ctx, cfgs, opts.Workers)
+	}
+	if err != nil {
+		return col, err
 	}
 
 	var rates, bases, highs, dRates, dBases, gains, nets, pays []float64
 	successes := 0
-	for r := 0; r < opts.Runs; r++ {
-		final, outcome := finals[r], outcomes[r]
-		if outcome != core.Success {
+	for _, res := range results {
+		final := res.Final
+		if res.Outcome != core.Success {
 			continue
 		}
 		successes++

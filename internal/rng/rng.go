@@ -164,18 +164,21 @@ func (s *Source) Gamma(shape float64) float64 {
 	}
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
+	// Every product that feeds an add or a subtraction is rounded by an
+	// explicit float64 conversion, so arm64 fuses none of them into a
+	// multiply-add and draws the same variates as amd64.
 	for {
 		x := s.Norm()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
 		u := s.r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}

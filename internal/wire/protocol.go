@@ -220,7 +220,7 @@ type Hello struct {
 	Market string
 	// Markets lists every market the server serves.
 	Markets []string
-	// Modes lists the information regimes the server serves (v3; secure
+	// Modes lists the information regimes the server serves (secure
 	// servers omit ModeImperfect, which needs cleartext settlement).
 	Modes   []string
 	Bundles []BundleInfo

@@ -158,7 +158,7 @@ func TestWireSessionReachesEquilibrium(t *testing.T) {
 
 func TestWireMatchesInProcessEngine(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 9)
-	want, err := core.RunPerfect(cat, cfg)
+	want, err := core.NewSession(cat, cfg).RunPerfect(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,18 +168,15 @@ func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Close()
-			got := make([]*Result, len(specs))
-			err = core.ForEach(context.Background(), len(specs), opts.Workers,
-				func(ctx context.Context, i int) error {
+			got, err := core.Batch(context.Background(), len(specs), opts.Workers,
+				func(ctx context.Context, i int) (*Result, error) {
 					cfg := engine.Session()
 					if seedIsSet(specs[i].Seed) {
 						cfg.Seed = specs[i].Seed
 					} else if !seedIsSet(cfg.Seed) {
 						cfg.Seed = rng.DeriveSeed(opts.Seed, uint64(i))
 					}
-					res, err := rt.bargain(ctx, cfg, engine.CatalogGains(), -1)
-					got[i] = res
-					return err
+					return rt.bargain(ctx, cfg, engine.CatalogGains(), -1)
 				})
 			if err != nil {
 				t.Fatal(err)

@@ -96,5 +96,8 @@ func (e *Engine) BargainBatchSecure(ctx context.Context, specs []BatchSpec, opts
 	if st == nil {
 		return nil, fmt.Errorf("vflmarket: BargainBatchSecure needs a Settlement (NewSettlement)")
 	}
-	return core.RunBatchSecure(ctx, e.env.Catalog, e.batchJobs(specs, opts), opts.Workers, st)
+	return core.Batch(ctx, len(specs), opts.Workers, func(ctx context.Context, i int) (*Result, error) {
+		cfg := resolveBatchConfig(e.env.Session, specs[i], opts, i)
+		return core.NewSession(e.env.Catalog, cfg).Observe(specs[i].Observer).RunPerfectSecure(ctx, st)
+	})
 }

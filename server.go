@@ -261,8 +261,8 @@ type market struct {
 	evicted bool
 }
 
-// track registers a live session carrier (a conn, or one mux stream) with
-// the market so an eviction can sever it. Returns false when the market
+// track registers a live session's mux stream with the market so an
+// eviction can sever it. Returns false when the market
 // has already been evicted: the caller answers with a retryable busy, and
 // the client's redial lands on the directory's redirect to the new owner.
 func (m *market) track(c io.Closer) bool {
@@ -908,8 +908,8 @@ func (s *Server) admit(c wire.Codec, ch *wire.ClientHello, remote string) *admis
 // read resolves no market and opens no session: the rebalancer's periodic
 // poll must stay cheap and must work even when every market is mid-move.
 func (s *Server) resolve(ch *wire.ClientHello) (*admission, *refusal) {
-	if ch.Version < 1 || ch.Version > wire.ProtocolVersion {
-		return nil, reject("", fmt.Errorf("vflmarket: unsupported protocol version %d (serving <= %d)", ch.Version, wire.ProtocolVersion))
+	if ch.Version != wire.ProtocolVersion {
+		return nil, reject("", fmt.Errorf("vflmarket: unsupported protocol version %d (serving %d)", ch.Version, wire.ProtocolVersion))
 	}
 	if ch.StatsOnly {
 		return &admission{stats: s.statsReport()}, nil

@@ -331,6 +331,31 @@ func TestServiceUnknownMarketAndCodec(t *testing.T) {
 	}
 }
 
+// TestResolveAdmitsOnlyTheServedVersion: the server speaks one protocol
+// version, so a hello naming any other is refused with a terminal error
+// before its market is looked at.
+func TestResolveAdmitsOnlyTheServedVersion(t *testing.T) {
+	srv := NewServer()
+	if err := srv.Register("titanic", testEngines(t)["titanic"]); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{0, 1, 5, wire.ProtocolVersion, wire.ProtocolVersion + 1} {
+		adm, rf := srv.resolve(&wire.ClientHello{Version: v, Market: "titanic", ListOnly: true})
+		if v == wire.ProtocolVersion {
+			if rf != nil {
+				t.Fatalf("version %d refused: %v", v, rf.err)
+			}
+			if adm == nil || adm.hello == nil {
+				t.Fatalf("version %d admitted without a hello", v)
+			}
+			continue
+		}
+		if rf == nil || rf.kind != wire.KindError {
+			t.Fatalf("version %d admitted (refusal %+v)", v, rf)
+		}
+	}
+}
+
 // TestServiceGracefulShutdown: cancelling the serve context must close the
 // listener and return promptly when idle.
 func TestServiceGracefulShutdown(t *testing.T) {
