@@ -244,14 +244,12 @@ func BenchmarkBargainBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleGain is the valuation parallelism sweep: each iteration
-// prices a fresh 9-bundle catalog of real VFL courses (8 bundles + the
-// isolated baseline) through GainOracle.Warm at the given worker count —
-// the pre-bargaining training pass catalog construction runs. Under the
-// singleflight oracle, distinct bundles train concurrently, so ns/op
-// should fall near-linearly from workers=1 to min(GOMAXPROCS, 8);
-// allocations/op track the vectorized trainer's buffer reuse. The forest
-// and MLP sub-sweeps cover both base models' training kernels.
+// BenchmarkOracleGain prices a fresh 9-bundle catalog of real VFL courses
+// (8 bundles + the isolated baseline) through GainOracle.Warm per
+// iteration — the pre-bargaining training pass catalog construction runs,
+// on its GOMAXPROCS-wide pool. Allocations/op track the vectorized
+// trainer's buffer reuse; the forest and MLP rows cover both base models'
+// training kernels.
 func BenchmarkOracleGain(b *testing.B) {
 	spec := dataset.Generate(dataset.Titanic, 11, 300)
 	problem := vfl.NewProblem(spec, 11, 0.3)
@@ -265,45 +263,31 @@ func BenchmarkOracleGain(b *testing.B) {
 			Forest: tree.ForestConfig{NumTrees: 8, MaxDepth: 6}}},
 	}
 	for _, c := range configs {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(c.name+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					o := vfl.NewGainOracle(problem, c.cfg)
-					if err := o.Warm(context.Background(), bundles, workers); err != nil {
-						b.Fatal(err)
-					}
-					if o.Trainings() != len(bundles)+1 {
-						b.Fatalf("trainings = %d, want %d", o.Trainings(), len(bundles)+1)
-					}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o := vfl.NewGainOracle(problem, c.cfg)
+				if err := o.Warm(context.Background(), bundles); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if o.Trainings() != len(bundles)+1 {
+					b.Fatalf("trainings = %d, want %d", o.Trainings(), len(bundles)+1)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkEngineConstruction measures building a real-gain engine end to
 // end — dataset, problem, catalog with every bundle priced by actual VFL
-// training — serial (ValuationWorkers 1) vs the warmed worker pool (0 =
-// min(GOMAXPROCS, bundles) workers). This is the cold-start cost a market
-// service pays per registered market.
+// training on the valuation worker pool. This is the cold-start cost a
+// market service pays per registered market.
 func BenchmarkEngineConstruction(b *testing.B) {
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"warmed", 0},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewEngine("titanic", WithModel("mlp"), WithScale(0.25),
-					WithSeed(11), WithValuationWorkers(bench.workers)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine("titanic", WithModel("mlp"), WithScale(0.25), WithSeed(11)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -353,10 +337,8 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 // through the v6 fast wire, the networked analogue of
 // BenchmarkBargainBatch and the transport behind EXPERIMENTS.md Table 4:
 //
-//   - mux-1conn:        all 8 sessions multiplexed over ONE warm TCP
-//     connection (WithConnsPerAddr(1)).
-//   - pooled-8conns:    the same batch spread across a pool of 8 warm
-//     connections — isolates mux framing overhead from TCP fan-out.
+//   - mux-1conn:        all 8 sessions multiplexed over the Client's one
+//     warm TCP connection.
 //   - dial-per-session: the v5 regime — every session pays its own dial
 //     and handshake, 8 concurrent goroutines.
 //
@@ -390,30 +372,24 @@ func BenchmarkBatchOverWire(b *testing.B) {
 	const sessions = 8
 	specs := make([]BatchSpec, sessions)
 
-	for _, bc := range []struct {
-		name  string
-		conns int
-	}{{"mux-1conn", 1}, {"pooled-8conns", sessions}} {
-		b.Run(bc.name, func(b *testing.B) {
-			client, err := Dial(context.Background(), addr,
-				WithConnsPerAddr(bc.conns),
-				WithSession(session),
-				WithGains(engine.CatalogGains()),
-			)
-			if err != nil {
+	b.Run("mux-1conn", func(b *testing.B) {
+		client, err := Dial(context.Background(), addr,
+			WithSession(session),
+			WithGains(engine.CatalogGains()),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.BargainBatch(context.Background(), specs,
+				BatchOptions{Workers: sessions, Seed: uint64(i + 1)}); err != nil {
 				b.Fatal(err)
 			}
-			defer client.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := client.BargainBatch(context.Background(), specs,
-					BatchOptions{Workers: sessions, Seed: uint64(i + 1)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 
 	b.Run("dial-per-session", func(b *testing.B) {
 		b.ReportAllocs()

@@ -19,18 +19,16 @@ import (
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	market       string
-	dialTimeout  time.Duration
-	ioTimeout    time.Duration
-	session      *SessionConfig
-	gains        GainProvider
-	imperfect    *ImperfectParams
-	noisePool    int
-	identity     string
-	backoff      RetryPolicy
-	breaker      BreakerPolicy
-	fallbacks    []string
-	connsPerAddr int
+	market      string
+	dialTimeout time.Duration
+	ioTimeout   time.Duration
+	session     *SessionConfig
+	gains       GainProvider
+	imperfect   *ImperfectParams
+	identity    string
+	backoff     RetryPolicy
+	breaker     BreakerPolicy
+	fallbacks   []string
 }
 
 // WithRetryPolicy sets the client's shared retry schedule (see
@@ -45,7 +43,7 @@ func WithRetryPolicy(p RetryPolicy) DialOption {
 // connection pool: after Threshold consecutive dial failures an address
 // is suppressed (dials fast-fail with ErrCircuitOpen) until the Cooldown
 // admits a half-open probe. Zero-valued fields keep the defaults
-// (threshold 5, cooldown 1s); Disabled turns the breakers off.
+// (threshold 5, cooldown 1s).
 func WithCircuitBreaker(p BreakerPolicy) DialOption {
 	return func(c *dialConfig) { c.breaker = p }
 }
@@ -78,20 +76,6 @@ func WithSessionTimeout(d time.Duration) DialOption {
 	return func(c *dialConfig) {
 		if d > 0 {
 			c.ioTimeout = d
-		}
-	}
-}
-
-// WithConnsPerAddr sets how many warm multiplexed connections the client
-// keeps per server address. Sessions are spread across the pool
-// least-loaded-first, and the pool only grows when every pooled connection
-// is in use up to the cap. 1 (the default) funnels all concurrent sessions
-// through a single connection; raise it when many concurrent sessions
-// saturate one connection's framing throughput. n <= 0 keeps the default.
-func WithConnsPerAddr(n int) DialOption {
-	return func(c *dialConfig) {
-		if n > 0 {
-			c.connsPerAddr = n
 		}
 	}
 }
@@ -134,29 +118,19 @@ func WithImperfect(p ImperfectParams) DialOption {
 // for exactly that reason.
 func WithIdentity(id string) DialOption { return func(c *dialConfig) { c.identity = id } }
 
-// WithClientNoisePool sizes the client's pool of precomputed Paillier
-// randomizers when the server settles securely: background workers keep
-// r^n mod n² factors ready for the server's key, so each settled round's
-// encryption costs one modular multiplication in steady state instead of
-// a full-width modexp. All of the client's sessions share the pool, and
-// its refill shares the process-wide budget of every other pool in the
-// process, which always leaves one core to the sessions. n = 0
-// (the default) keeps the default size (secure.DefaultNoisePool); n < 0
-// disables pooling, restoring the inline modexp per settlement. Inert
-// against clear-settling servers. Call Client.Close to release the pool's
-// workers when done.
-func WithClientNoisePool(n int) DialOption {
-	return func(c *dialConfig) { c.noisePool = n }
-}
-
 // Client is the task party's connection point to a market Server. A Client
-// is safe for concurrent use: it keeps a pool of warm multiplexed
-// connections (one per server address by default, WithConnsPerAddr for
-// more) and every Bargain call opens one session stream over a pooled
-// connection — dialing and handshaking happen once per connection, not per
-// session. The session itself mirrors Engine.Bargain's contract exactly
-// (options merging over the template session, observers, cancellation
-// between rounds) over the network.
+// is safe for concurrent use: it keeps one warm multiplexed connection per
+// server address, and every Bargain call opens one session stream over it
+// — dialing and handshaking happen once per connection, not per session.
+// The session itself mirrors Engine.Bargain's contract exactly (options
+// merging over the template session, observers, cancellation between
+// rounds) over the network.
+//
+// Against a Paillier-settling server the client keeps a pool of
+// precomputed randomizers (secure.DefaultNoisePool r^n mod n² factors for
+// the server's key), so each settled round's encryption costs one modular
+// multiplication in steady state instead of a full-width modexp. All of
+// the client's sessions share it; Close releases its workers.
 type Client struct {
 	cfg   dialConfig
 	hello *wire.Hello
@@ -165,13 +139,24 @@ type Client struct {
 	// mu guards addr and the connection pool: against a sharded fabric the
 	// client learns the market's current home from redirect answers and
 	// re-points itself, so concurrent Bargain calls must read a coherent
-	// address and share the warm connections at it.
+	// address and share the warm connection at it.
 	mu       sync.Mutex
 	addr     string
-	pool     map[string][]*wire.MuxConn
-	pending  map[string]int // in-flight dials per addr, so racing callers don't overshoot the pool cap
+	pool     map[string]*wire.MuxConn // at most one live connection per addr
+	dialing  map[string]*dialCall     // the one in-flight dial per addr, shared by every caller that found no connection
 	breakers map[string]*breaker
 	known    []string // every address seen (dial, fallbacks, redirects), in discovery order — the failover rotation set
+}
+
+// dialCall is one in-flight dial that every caller needing the same
+// address waits on; done closes once mc/err are set.
+type dialCall struct {
+	done chan struct{}
+	mc   *wire.MuxConn
+	err  error
+	// abandoned marks a dial that failed because its own caller's context
+	// ended: the waiters, whose contexts still run, dial again.
+	abandoned bool
 }
 
 // noteAddr adds addr to the failover rotation set, once.
@@ -225,7 +210,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := dialConfig{ioTimeout: 30 * time.Second, connsPerAddr: 1}
+	cfg := dialConfig{ioTimeout: 30 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -235,8 +220,8 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	c := &Client{
 		addr:     addr,
 		cfg:      cfg,
-		pool:     make(map[string][]*wire.MuxConn),
-		pending:  make(map[string]int),
+		pool:     make(map[string]*wire.MuxConn),
+		dialing:  make(map[string]*dialCall),
 		breakers: make(map[string]*breaker),
 	}
 	c.noteAddr(addr)
@@ -260,9 +245,9 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	// Against a Paillier-settling server, start the shared randomizer pool
 	// for its key: every session's settlement encryptions draw from it, so
 	// steady-state secure settlement costs one mulmod per round.
-	if c.hello.Secure && cfg.noisePool >= 0 && len(c.hello.PubN) > 0 {
+	if c.hello.Secure && len(c.hello.PubN) > 0 {
 		pk := secure.NewPublicKey(new(big.Int).SetBytes(c.hello.PubN))
-		c.noise = secure.NewNoiseSource(pk, cfg.noisePool, 0, rand.Reader)
+		c.noise = secure.NewNoiseSource(pk, 0, 0, rand.Reader)
 	}
 	return c, nil
 }
@@ -274,11 +259,8 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 // bursts as well as at the end.
 func (c *Client) Close() {
 	c.mu.Lock()
-	var conns []*wire.MuxConn
-	for _, l := range c.pool {
-		conns = append(conns, l...)
-	}
-	c.pool = make(map[string][]*wire.MuxConn)
+	conns := c.pool
+	c.pool = make(map[string]*wire.MuxConn)
 	c.mu.Unlock()
 	for _, mc := range conns {
 		mc.Close()
@@ -313,54 +295,59 @@ func (c *Client) dialMux(ctx context.Context, addr string) (*wire.MuxConn, error
 	return mc, nil
 }
 
-// muxFor returns a live pooled connection to addr, pruning dead ones and
-// dialing a fresh connection while the pool is under its per-address cap.
-// At the cap, sessions pile onto the least-loaded pooled connection. Every
-// dial passes through addr's circuit breaker: a tripped breaker fast-fails
-// with ErrCircuitOpen instead of hammering a dead address — unless a live
-// pooled connection exists, which is always preferred anyway.
+// muxFor returns the live pooled connection to addr, or dials one when
+// there is none. Callers that find no connection share one in-flight dial,
+// each waiting under its own ctx, so recovering a dead connection costs one
+// dial however many sessions were waiting on it. Every dial passes through
+// addr's circuit breaker: a tripped breaker fast-fails with ErrCircuitOpen
+// instead of hammering a dead address.
 func (c *Client) muxFor(ctx context.Context, addr string) (*wire.MuxConn, error) {
-	c.mu.Lock()
-	live := c.pool[addr][:0]
-	for _, mc := range c.pool[addr] {
-		if mc.Err() != nil {
-			continue // fail() already closed the socket
-		}
-		live = append(live, mc)
-	}
-	c.pool[addr] = live
-	best := func() *wire.MuxConn {
-		b := live[0]
-		for _, mc := range live[1:] {
-			if mc.Active() < b.Active() {
-				b = mc
+	for {
+		c.mu.Lock()
+		if mc := c.pool[addr]; mc != nil {
+			if mc.Err() == nil {
+				c.mu.Unlock()
+				return mc, nil
 			}
+			delete(c.pool, addr) // fail() already closed the socket
 		}
-		return b
-	}
-	if len(live) > 0 && len(live)+c.pending[addr] >= c.cfg.connsPerAddr {
-		mc := best()
+		if d := c.dialing[addr]; d != nil {
+			c.mu.Unlock()
+			select {
+			case <-d.done:
+			case <-ctx.Done():
+				return nil, fmt.Errorf("vflmarket: dial %s: %w", addr, context.Cause(ctx))
+			}
+			if d.abandoned {
+				continue
+			}
+			return d.mc, d.err
+		}
+		d := &dialCall{done: make(chan struct{})}
+		c.dialing[addr] = d
 		c.mu.Unlock()
-		return mc, nil
-	}
-	c.mu.Unlock()
 
+		d.mc, d.err = c.dialBreaker(ctx, addr)
+		d.abandoned = d.err != nil && ctx.Err() != nil
+		c.mu.Lock()
+		delete(c.dialing, addr)
+		if d.err == nil {
+			c.pool[addr] = d.mc
+		}
+		c.mu.Unlock()
+		close(d.done)
+		return d.mc, d.err
+	}
+}
+
+// dialBreaker dials addr through its circuit breaker and reports the
+// outcome to it.
+func (c *Client) dialBreaker(ctx context.Context, addr string) (*wire.MuxConn, error) {
 	br := c.breakerFor(addr)
 	if berr := br.allow(); berr != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if len(live) > 0 {
-			return best(), nil // suppressed dial, but a warm conn still flows
-		}
 		return nil, fmt.Errorf("%w (%s)", berr, addr)
 	}
-
-	c.mu.Lock()
-	c.pending[addr]++
-	c.mu.Unlock()
-
 	mc, err := c.dialMux(ctx, addr)
-
 	if err == nil {
 		br.success()
 	} else if ctx.Err() == nil && wire.IsTransportError(err) {
@@ -374,24 +361,15 @@ func (c *Client) muxFor(ctx context.Context, addr string) (*wire.MuxConn, error)
 		// half-open probe slot so the next dial can still probe.
 		br.releaseProbe()
 	}
-	c.mu.Lock()
-	c.pending[addr]--
-	if err == nil {
-		c.pool[addr] = append(c.pool[addr], mc)
-	}
-	c.mu.Unlock()
 	return mc, err
 }
 
 // dropConn evicts a dead connection from the pool and closes it.
 func (c *Client) dropConn(dead *wire.MuxConn) {
 	c.mu.Lock()
-	for addr, conns := range c.pool {
-		for i, mc := range conns {
-			if mc == dead {
-				c.pool[addr] = append(conns[:i], conns[i+1:]...)
-				break
-			}
+	for addr, mc := range c.pool {
+		if mc == dead {
+			delete(c.pool, addr)
 		}
 	}
 	c.mu.Unlock()

@@ -29,16 +29,6 @@ func WithScale(scale float64) Option { return func(c *Config) { c.Scale = scale 
 // quote) is generated from.
 func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithValuationWorkers bounds the valuation oracle's worker pool during
-// catalog construction: real-gain engines pre-price the catalog's bundles
-// with this many concurrent VFL training courses through
-// vfl.GainOracle.Warm. 0 (the default) means min(GOMAXPROCS, bundles); 1
-// restores serial pricing. Synthetic engines never train, so the knob is
-// inert for them.
-func WithValuationWorkers(n int) Option {
-	return func(c *Config) { c.ValuationWorkers = n }
-}
-
 // WithState binds the engine to a durable MarketState: its valuation
 // oracle is resolved through the state's registry — preloading any memo a
 // previous process flushed, so a warm store prices the catalog with zero
@@ -95,7 +85,6 @@ func NewEngineFromConfig(cfg Config) (*Engine, error) {
 	if cfg.Synthetic {
 		p.GainSource = exp.GainSynthetic
 	}
-	p.ValuationWorkers = cfg.ValuationWorkers
 	if cfg.State != nil {
 		// Route the valuation oracle through the durable registry BEFORE the
 		// environment prices its catalog: a warm store then answers every

@@ -16,7 +16,9 @@ import (
 // The first error cancels the context handed to the calls still running,
 // skips the calls not yet started, and is returned together with the
 // partial results; a slot whose call failed or never ran stays zero. When
-// the parent context ends first, its cause is returned instead.
+// the parent context ends first, its cause is returned instead. A panic in
+// play stops the pool the same way and is re-raised on the caller's
+// goroutine once the calls still running have returned.
 func Batch[T any](ctx context.Context, n, workers int, play func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -37,11 +39,20 @@ func Batch[T any](ctx context.Context, n, workers int, play func(ctx context.Con
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		// A panic on a bare worker goroutine would abort the process;
+		// the first one is kept and re-raised where a serial loop would.
+		panicOnce sync.Once
+		panicked  any
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r; cancel() })
+				}
+			}()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -57,6 +68,9 @@ func Batch[T any](ctx context.Context, n, workers int, play func(ctx context.Con
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	if firstErr == nil && ctx.Err() != nil {
 		// The parent context ended: no call failed, so cancel has not run.
 		firstErr = context.Cause(ctx)

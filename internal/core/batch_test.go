@@ -175,3 +175,29 @@ func TestBatchStartsAtMostNWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBatchPanicStopsPoolAndReraisesOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var calls atomic.Int32
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			Batch(t.Context(), 50, workers, func(ctx context.Context, i int) (int, error) {
+				calls.Add(1)
+				if i == 2 {
+					panic("boom")
+				}
+				if workers > 1 {
+					<-ctx.Done() // keep the other workers busy until the pool stops
+				}
+				return i, nil
+			})
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("workers %d: recovered %v, want the play panic", workers, got)
+		}
+		if n := calls.Load(); n > int32(workers)+2 {
+			t.Fatalf("workers %d: %d calls after a panic at index 2: the pool kept going", workers, n)
+		}
+	}
+}

@@ -33,30 +33,11 @@ type GainFunc func(features []int) float64
 func (f GainFunc) Gain(features []int) float64 { return f(features) }
 
 // Warmer is implemented by gain providers that can pre-price many bundles
-// concurrently (vfl.GainOracle does). Catalog construction uses it to
-// replace the serial pre-bargaining training pass with a worker pool.
+// concurrently (vfl.GainOracle does). NewCatalog warms such a provider
+// with every bundle before it reads the gains, so the pre-bargaining
+// training runs on a worker pool instead of serially.
 type Warmer interface {
-	Warm(ctx context.Context, bundles [][]int, workers int) error
-}
-
-// WarmBundles pre-prices every bundle's features through the provider's
-// Warmer, when it has one and more than one worker is allowed (workers 0
-// means the warmer's default pool, 1 disables warming). Pricing is
-// memoized by the provider, so gain queries that follow all hit cache;
-// providers without a Warmer (synthetic gains, plain closures) are left
-// to be queried serially as before. NewCatalog calls it with
-// CatalogConfig.ValuationWorkers; callers of NewCatalogFromBundles who
-// want concurrent pricing call it themselves first.
-func WarmBundles(bundles []Bundle, gains GainProvider, workers int) {
-	w, ok := gains.(Warmer)
-	if !ok || workers == 1 || len(bundles) == 0 {
-		return
-	}
-	sets := make([][]int, len(bundles))
-	for i, b := range bundles {
-		sets[i] = b.Features
-	}
-	_ = w.Warm(context.Background(), sets, workers)
+	Warm(ctx context.Context, bundles [][]int) error
 }
 
 // Catalog is the data party's sell-side inventory F: the finite set of
@@ -83,12 +64,6 @@ type CatalogConfig struct {
 	CostSlope float64
 	// Noise is the multiplicative jitter on reserved prices. <= 0 means 0.08.
 	Noise float64
-	// ValuationWorkers bounds the worker pool pre-pricing the catalog when
-	// the gain provider supports concurrent warming (core.Warmer): the
-	// trusted third party trains distinct bundles in parallel instead of 32
-	// sequential VFL courses. 0 means min(GOMAXPROCS, bundles); 1 disables
-	// warming (serial pricing, the pre-warming behavior).
-	ValuationWorkers int
 }
 
 func (c CatalogConfig) withDefaults() CatalogConfig {
@@ -157,7 +132,13 @@ func NewCatalog(numFeatures int, cfg CatalogConfig, src *rng.Source, gains GainP
 		}
 		add(src.Sample(numFeatures, k))
 	}
-	WarmBundles(cat.Bundles, gains, cfg.ValuationWorkers)
+	if w, ok := gains.(Warmer); ok {
+		sets := make([][]int, len(cat.Bundles))
+		for i, b := range cat.Bundles {
+			sets[i] = b.Features
+		}
+		_ = w.Warm(context.Background(), sets)
+	}
 	cat.gains = make([]float64, len(cat.Bundles))
 	for i, b := range cat.Bundles {
 		cat.gains[i] = gains.Gain(b.Features)
@@ -167,10 +148,8 @@ func NewCatalog(numFeatures int, cfg CatalogConfig, src *rng.Source, gains GainP
 }
 
 // NewCatalogFromBundles builds a catalog from explicit bundles, querying
-// the provider for gains. Bundle IDs are reassigned to positions. It is
-// the serial construction path — callers wanting the pre-priced worker
-// pool warm the provider first (WarmBundles) or build via NewCatalog with
-// CatalogConfig.ValuationWorkers.
+// the provider for gains, serially. Bundle IDs are reassigned to
+// positions.
 func NewCatalogFromBundles(bundles []Bundle, gains GainProvider) *Catalog {
 	cat := &Catalog{Bundles: append([]Bundle(nil), bundles...)}
 	cat.gains = make([]float64, len(cat.Bundles))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -122,13 +123,30 @@ func (s *EstimatorSeller) Snapshot() (*SellerCheckpoint, error) {
 	}, nil
 }
 
+// ErrCheckpointCatalog reports a seller checkpoint that names a feature or
+// bundle outside the catalog it is restored over: the checkpoint belongs to
+// another catalog or is damaged, and the session must start fresh.
+var ErrCheckpointCatalog = errors.New("core: seller checkpoint does not fit the catalog")
+
 // RestoreEstimatorSeller rebuilds a seller over cat from a checkpoint,
 // positioned to serve round ck.Round+1. Its DataMSE series restarts empty:
 // a resumed session reports only post-resume errors (the checkpoint's
 // LastMSE covers the one settlement a resuming client may still need
-// acknowledged).
+// acknowledged). A checkpoint whose replay buffer or last offer lies
+// outside the catalog is refused with ErrCheckpointCatalog.
 func RestoreEstimatorSeller(cat *Catalog, ck *SellerCheckpoint) (*EstimatorSeller, error) {
 	s := NewEstimatorSeller(cat, ck.Config)
+	for i, h := range ck.History {
+		for _, f := range h.Features {
+			if f < 0 || f >= s.g.emb.NumIDs {
+				return nil, fmt.Errorf("%w: replay sample %d names feature %d, want [0,%d)", ErrCheckpointCatalog, i, f, s.g.emb.NumIDs)
+			}
+		}
+	}
+	// A failed offer carries bundle -1; any other names a catalog bundle.
+	if id := ck.LastOffer.BundleID; (id < 0 || id >= cat.Len()) && !(id == -1 && ck.LastOffer.Fail) {
+		return nil, fmt.Errorf("%w: last offer names bundle %d, want [0,%d)", ErrCheckpointCatalog, id, cat.Len())
+	}
 	if err := s.g.SetState(ck.G); err != nil {
 		return nil, fmt.Errorf("core: restore seller estimator: %w", err)
 	}

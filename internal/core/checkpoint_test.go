@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -147,6 +148,53 @@ func TestSellerCheckpointMatches(t *testing.T) {
 		mut(&cfg)
 		if ck.Matches(cfg) {
 			t.Fatalf("mismatched config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestRestoreRefusesCheckpointOutsideCatalog: a seller checkpoint whose
+// replay buffer names a feature the catalog lacks, or whose last offer
+// names a bundle it lacks, is refused with ErrCheckpointCatalog instead of
+// restoring into a seller whose next settlement would panic.
+func TestRestoreRefusesCheckpointOutsideCatalog(t *testing.T) {
+	cat := testCatalog(t, 6, 61)
+	cfg, params := imperfectFor(cat, 61)
+	var last *SellerCheckpoint
+	seller := imperfectSellerFor(cat, cfg, params)
+	sess := NewSession(cat, cfg).OnCheckpoint(func(*ImperfectCheckpoint) {
+		ck, err := seller.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = ck
+	})
+	if _, err := sess.RunImperfectWith(context.Background(), params, seller, catGains(t, cat)); err != nil {
+		t.Fatal(err)
+	}
+	if last == nil || len(last.History) == 0 {
+		t.Fatal("no checkpoint with a replay buffer captured")
+	}
+	if _, err := RestoreEstimatorSeller(cat, last); err != nil {
+		t.Fatalf("valid checkpoint refused: %v", err)
+	}
+	failed := *last
+	failed.LastOffer = SellerOffer{BundleID: -1, Fail: true}
+	if _, err := RestoreEstimatorSeller(cat, &failed); err != nil {
+		t.Fatalf("checkpoint ending on a failed offer refused: %v", err)
+	}
+
+	for name, damage := range map[string]func(ck *SellerCheckpoint){
+		"feature 99":        func(ck *SellerCheckpoint) { ck.History[0].Features = []int{99} },
+		"feature -1":        func(ck *SellerCheckpoint) { ck.History[0].Features = []int{0, -1} },
+		"bundle Len":        func(ck *SellerCheckpoint) { ck.LastOffer.BundleID = cat.Len() },
+		"bundle -1 offered": func(ck *SellerCheckpoint) { ck.LastOffer = SellerOffer{BundleID: -1} },
+		"bundle -2 failed":  func(ck *SellerCheckpoint) { ck.LastOffer = SellerOffer{BundleID: -2, Fail: true} },
+	} {
+		ck := *last
+		ck.History = append([]BundleSample(nil), last.History...)
+		damage(&ck)
+		if _, err := RestoreEstimatorSeller(cat, &ck); !errors.Is(err, ErrCheckpointCatalog) {
+			t.Errorf("%s: err = %v, want ErrCheckpointCatalog", name, err)
 		}
 	}
 }

@@ -56,10 +56,6 @@ type Profile struct {
 	// GainRepeats averages each bundle's gain evaluation over independent
 	// trainings; datasets with tiny relative gains need more.
 	GainRepeats int
-	// ValuationWorkers bounds the oracle worker pool pre-pricing the
-	// catalog under GainVFL: 0 means min(GOMAXPROCS, bundles), 1 restores
-	// serial pricing.
-	ValuationWorkers int
 	// Registry, when non-nil, resolves the profile's GainVFL oracle through
 	// the process-wide registry instead of building a private one: profiles
 	// with the same OracleKey share one oracle (and its valuation memo), and
@@ -208,10 +204,9 @@ func BuildEnv(p Profile, seed uint64) (*Env, error) {
 		provider = oracle
 	}
 	catalog := core.NewCatalog(numFeatures, core.CatalogConfig{
-		Size:             p.CatalogSize,
-		BaseRate:         8.5,
-		BaseBase:         1.25,
-		ValuationWorkers: p.ValuationWorkers,
+		Size:     p.CatalogSize,
+		BaseRate: 8.5,
+		BaseBase: 1.25,
 	}, src.Split(2), provider)
 	if p.GainSource == GainVFL {
 		catalog = repriceAndFilter(catalog, provider, src.Split(3))

@@ -110,12 +110,6 @@ func (r *RotatingKey) Rotate() (*PrivateKey, error) {
 	return sk, nil
 }
 
-// NewRotatingKey builds a memory-only key whose boot key generates in the
-// background.
-func NewRotatingKey(random io.Reader, bits int) (*RotatingKey, error) {
-	return PersistedKey(nil, "", random, bits, false)
-}
-
 // PersistedKey builds a key backed by the store under the snapshot name:
 // the boot key is restored from st (a damaged, missing or mismatched record
 // means a cold start) or generated — in the background, unless eager — and

@@ -153,9 +153,6 @@ func TestRotatingKeyValidatesBitsSynchronously(t *testing.T) {
 			t.Fatalf("PersistedKey(eager=%v) accepted a weak key size", eager)
 		}
 	}
-	if _, err := NewRotatingKey(rand.Reader, 64); err == nil {
-		t.Fatal("NewRotatingKey accepted a weak key size")
-	}
 }
 
 // TestRotateConcurrentAdvancesGenerationByK: k concurrent Rotates run one

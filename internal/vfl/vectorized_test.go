@@ -64,7 +64,7 @@ func TestGainOracleSingleflightConcurrent(t *testing.T) {
 	}
 }
 
-// TestGainOracleWarm pre-prices a bundle set across a worker pool: every
+// TestGainOracleWarm pre-prices a bundle set on the worker pool: every
 // distinct bundle trains exactly once, later Gain calls are all cache hits,
 // and an already-cancelled context trains nothing.
 func TestGainOracleWarm(t *testing.T) {
@@ -73,7 +73,7 @@ func TestGainOracleWarm(t *testing.T) {
 	bundles := [][]int{{0}, {1}, {2}, {3}, {1, 0}, {0, 1}}
 	const distinct = 5
 
-	if err := o.Warm(context.Background(), bundles, 4); err != nil {
+	if err := o.Warm(context.Background(), bundles); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Trainings(); got != distinct+1 {
@@ -90,7 +90,7 @@ func TestGainOracleWarm(t *testing.T) {
 	cold := NewGainOracle(p, fastRF())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := cold.Warm(ctx, bundles, 2); err != context.Canceled {
+	if err := cold.Warm(ctx, bundles); err != context.Canceled {
 		t.Fatalf("Warm on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if cold.Trainings() != 0 {
@@ -109,7 +109,7 @@ func TestGainOracleWarmPropagatesPanic(t *testing.T) {
 			t.Fatal("Warm swallowed the training panic")
 		}
 	}()
-	_ = o.Warm(context.Background(), [][]int{{0}, {99}}, 2)
+	_ = o.Warm(context.Background(), [][]int{{0}, {99}})
 }
 
 // referenceTrain is the pre-refactor per-sample training loop, kept as the

@@ -18,10 +18,10 @@ package vfl
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/bundlekey"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -455,74 +455,30 @@ func (o *GainOracle) fly(key string, features []int, f *flight) float64 {
 	return g
 }
 
-// Warm pre-prices a set of bundles across a bounded worker pool (workers
-// <= 0 means min(GOMAXPROCS, len(bundles)) — training is CPU-bound, so
+// Warm pre-prices a set of bundles on core.Batch's worker pool
+// (GOMAXPROCS workers, fewer for fewer bundles: training is CPU-bound, so
 // more workers than cores only multiplies peak memory), so a catalog build
-// — 32 sequential VFL courses before this existed — saturates the hardware
-// instead. Already cached bundles cost a map hit; duplicate bundles in the
+// saturates the hardware instead of running its VFL courses one after
+// another. Already cached bundles cost a map hit; duplicate bundles in the
 // input coalesce through the singleflight. Warm returns the first context
 // error once the bundles already being priced finish; bundles not yet
 // started are skipped. A panic in a training course (e.g. an out-of-range
 // feature index) is re-raised on the caller's goroutine.
-func (o *GainOracle) Warm(ctx context.Context, bundles [][]int, workers int) error {
+func (o *GainOracle) Warm(ctx context.Context, bundles [][]int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(bundles) == 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(bundles) {
-		workers = len(bundles)
+	if err := ctx.Err(); err != nil || len(bundles) == 0 {
+		return err
 	}
 	// Price the baseline first: every gain evaluation needs M0, so warming
 	// it up-front keeps the workers from all queueing on its flight.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	o.Baseline()
-
-	var (
-		panicOnce sync.Once
-		panicked  any
-	)
-	next := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range next {
-				func() {
-					// A panic on a bare goroutine would abort the whole
-					// process; capture the first one and re-raise it on the
-					// caller's goroutine instead, as a serial build would.
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicked = r })
-						}
-					}()
-					o.Gain(b)
-				}()
-			}
-		}()
-	}
-feed:
-	for _, b := range bundles {
-		select {
-		case next <- b:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return ctx.Err()
+	_, err := core.Batch(ctx, len(bundles), 0, func(_ context.Context, i int) (struct{}, error) {
+		o.Gain(bundles[i])
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // Trainings returns the number of actual (non-cached) training courses run

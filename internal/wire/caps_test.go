@@ -55,10 +55,7 @@ func TestValidateImperfectHelloCaps(t *testing.T) {
 
 func TestServeImperfectRefusesAbusiveHello(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 97)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	abusive := &ImperfectHello{Seed: 1, Target: cfg.TargetGain,
 		ExplorationRounds: DefaultMaxExplorationRounds + 1}
 	if _, err := srv.AdmitImperfect(abusive); err == nil {

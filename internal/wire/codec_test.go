@@ -92,10 +92,7 @@ func TestHandshakeRoundTrip(t *testing.T) {
 // timer with an ErrPeerTimeout-classified error, instead of hanging it.
 func TestServeConnTimesOutOnStalledClient(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 61)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	hello := mustHello(t, srv)
 	errCh := make(chan error, 1)
 	mc, shutdown := startMux(t, 50*time.Millisecond, func(st *MuxStream, _ *ClientHello) {

@@ -17,7 +17,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/envelope-v1.golden and the FuzzEnvelopeDecode seed corpus")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/envelope-v1.golden and the FuzzEnvelopeDecode, FuzzHandshake and FuzzAdmitImperfect seed corpora")
 
 // everyKindEnvelopes holds one envelope of every Kind with every payload
 // field set to a non-zero value, in Kind order. It is the content of the
@@ -325,8 +325,8 @@ func TestEnvelopeCountsCappedBeforeAlloc(t *testing.T) {
 // must match testdata/envelope-v1.golden, one "kind hex" line per
 // envelope. The file doubles as test vectors for implementations of the
 // layout in other languages. Run with -update after an intentional layout
-// change; that also regenerates the FuzzEnvelopeDecode and FuzzHandshake
-// seed corpora.
+// change; that also regenerates the FuzzEnvelopeDecode, FuzzHandshake and
+// FuzzAdmitImperfect seed corpora.
 func TestEnvelopeGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Binary envelope layout v1: one envelope per line, \"<kind> <frame payload hex>\".\n")
@@ -337,6 +337,7 @@ func TestEnvelopeGolden(t *testing.T) {
 	if *updateGolden {
 		writeCorpus(t, "FuzzEnvelopeDecode", envelopeCorpus()) // creates testdata/ on the way
 		writeCorpus(t, "FuzzHandshake", handshakeCorpus(t))
+		writeAdmitCorpus(t, admitCorpus(t))
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

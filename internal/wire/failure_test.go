@@ -12,10 +12,7 @@ import (
 
 func TestServerSurvivesClientDisconnectAfterHello(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 41)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	c, done := serveCatalogPipe(t, srv)
 	if _, err := (link{c}).recv(KindHello); err != nil {
 		t.Fatal(err)
@@ -33,10 +30,7 @@ func TestServerSurvivesClientDisconnectAfterHello(t *testing.T) {
 
 func TestServerSurvivesClientDisconnectMidRound(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 43)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
@@ -111,10 +105,7 @@ func TestClientRejectsMalformedHello(t *testing.T) {
 
 func TestServerRoundCapEndsRunawaySession(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 59)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	srv.MaxRounds = 3
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}

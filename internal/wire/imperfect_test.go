@@ -39,10 +39,7 @@ func admitted(t testing.TB, srv *DataServer, hello *Hello, ih *ImperfectHello) f
 func runImperfectSession(t *testing.T, seed uint64) (*core.ImperfectResult, *SessionSummary) {
 	t.Helper()
 	cat, cfg, gains, params := imperfectMarket(t, seed)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	srv.EpsImperfect = cfg.EpsData
 	ih := &ImperfectHello{
 		Seed: cfg.Seed, Target: cfg.TargetGain,
@@ -90,10 +87,7 @@ func TestWireImperfectMatchesInProcess(t *testing.T) {
 
 func TestServeImperfectRefusesSecure(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 87)
-	srv, err := NewDataServer(cat, cfg.EpsData, true, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, testKeys(t))
 	if _, err := srv.AdmitImperfect(&ImperfectHello{Seed: 1, Target: 0.1}); err == nil {
 		t.Fatal("secure server admitted an imperfect session")
 	}
@@ -101,10 +95,7 @@ func TestServeImperfectRefusesSecure(t *testing.T) {
 
 func TestServeImperfectRejectsBadHello(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 89)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	if _, err := srv.AdmitImperfect(nil); err == nil {
 		t.Fatal("server admitted an imperfect session without parameters")
 	}
@@ -119,10 +110,7 @@ func TestServeImperfectRejectsBadHello(t *testing.T) {
 // server's estimator; the session must fail cleanly instead.
 func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 91)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	hello := mustHello(t, srv)
 	c, done := servePipe(t, admitted(t, srv, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain}))
 	l := link{c}
@@ -148,10 +136,7 @@ func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 // the session cleanly, not panic the server.
 func TestServeImperfectRejectsPayloadlessSettle(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 93)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	hello := mustHello(t, srv)
 	c, done := servePipe(t, admitted(t, srv, hello, &ImperfectHello{Seed: 3, Target: cfg.TargetGain}))
 	l := link{c}

@@ -78,10 +78,7 @@ func resumeHarness(t *testing.T, seed uint64, reg *memCheckpoints, cut *int,
 	}
 	*cut = want.Rounds[len(want.Rounds)/2].Round
 
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	srv.EpsImperfect = cfg.EpsData
 	srv.Checkpoints = reg
 	ih := &ImperfectHello{
@@ -193,10 +190,7 @@ func TestWireResumeReplaysServerAheadRound(t *testing.T) {
 
 func TestServeImperfectRefusesBadResume(t *testing.T) {
 	cat, cfg, _, _ := imperfectMarket(t, 97)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	base := ImperfectHello{Seed: 7, Target: cfg.TargetGain}
 
 	anon := base
@@ -286,11 +280,7 @@ func TestBusyAndRejectedSentinels(t *testing.T) {
 // rotated twice away fails its settlements cleanly.
 func TestWireKeyRotationDrainsOldSessions(t *testing.T) {
 	cat, cfg, gains := buildMarket(t, 51)
-	keys, err := secure.NewRotatingKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewDataServerWithKeys(cat, cfg.EpsData, keys)
+	srv := NewDataServer(cat, cfg.EpsData, testKeys(t))
 
 	helloOld := mustHello(t, srv)
 	newPubN, err := srv.RotateKey()
@@ -371,7 +361,7 @@ func TestWireConcurrentKeyRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewDataServerWithKeys(cat, cfg.EpsData, keys)
+	srv := NewDataServer(cat, cfg.EpsData, keys)
 
 	const k = 4
 	var wg sync.WaitGroup

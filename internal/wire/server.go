@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"crypto/rand"
 	"fmt"
 	"math"
 	"math/big"
@@ -22,12 +21,6 @@ type DataServer struct {
 	// estimation error, so it is typically much larger than EpsData). 0
 	// falls back to EpsData.
 	EpsImperfect float64
-	// Secure enables Paillier settlement: the server publishes the public
-	// key in Hello and refuses cleartext settlements. The key pair is a
-	// secure.RotatingKey (NewDataServer generates one in the background so
-	// construction never blocks on prime search; NewDataServerWithKeys
-	// takes an eager or persisted one).
-	Secure bool
 	// MaxRounds guards against runaway clients. <= 0 means 1000.
 	MaxRounds int
 	// MaxExplorationRounds caps the client-supplied N of the imperfect
@@ -52,6 +45,8 @@ type DataServer struct {
 	// store.
 	Checkpoints SellerCheckpoints
 
+	// keys, when non-nil, makes the server settle under Paillier: it
+	// publishes the public key in Hello and refuses cleartext settlements.
 	keys *secure.RotatingKey
 	// rotMu serializes RotateKey from key generation through the swap of
 	// secCur/secOld, so concurrent rotations never skip a generation.
@@ -109,36 +104,13 @@ func ValidateClientID(id string) error {
 	return nil
 }
 
-// NewDataServer builds a server over the catalog. keyBits sizes the
-// Paillier primes when secureMode is on (256 is fine for tests and demos;
-// production wants 1536+). The key size is validated here, but generation
-// itself runs in the background: construction returns immediately and the
-// first use of the key (a Hello or a settlement) blocks until it lands.
-func NewDataServer(cat *core.Catalog, epsData float64, secureMode bool, keyBits int) (*DataServer, error) {
-	if !secureMode {
-		return &DataServer{Catalog: cat, EpsData: epsData}, nil
-	}
-	keys, err := secure.NewRotatingKey(rand.Reader, keyBits)
-	if err != nil {
-		return nil, err
-	}
-	return NewDataServerWithKeys(cat, epsData, keys), nil
-}
-
-// NewDataServerWithKeys builds a Paillier-settling server over the catalog
-// with an explicit key: secure.PersistedKey for an eager or persisted one,
-// secure.NewRotatingKey (what NewDataServer uses) to keep prime search off
-// the construction path.
-func NewDataServerWithKeys(cat *core.Catalog, epsData float64, keys *secure.RotatingKey) *DataServer {
-	return &DataServer{Catalog: cat, EpsData: epsData, Secure: true, keys: keys}
-}
-
-// key resolves the server's key pair, blocking on an in-flight generation.
-func (s *DataServer) key() (*secure.PrivateKey, error) {
-	if s.keys == nil {
-		return nil, fmt.Errorf("wire: secure server has no key")
-	}
-	return s.keys.Key()
+// NewDataServer builds a server over the catalog. A nil keys settles in
+// clear; otherwise the server settles under Paillier with that key pair
+// (secure.PersistedKey builds one, eagerly or with prime search in the
+// background, in which case the first Hello or settlement blocks until the
+// key lands).
+func NewDataServer(cat *core.Catalog, epsData float64, keys *secure.RotatingKey) *DataServer {
+	return &DataServer{Catalog: cat, EpsData: epsData, keys: keys}
 }
 
 // current resolves the current key generation's receiver, building it
@@ -151,7 +123,7 @@ func (s *DataServer) current() (*secure.DataReceiver, error) {
 		return cur, err
 	}
 	s.secMu.Unlock()
-	sk, err := s.key() // may block on generation; never under secMu
+	sk, err := s.keys.Key() // may block on generation; never under secMu
 	s.secMu.Lock()
 	defer s.secMu.Unlock()
 	if s.secCur != nil || s.secErr != nil { // raced build
@@ -194,7 +166,7 @@ func (s *DataServer) secureFor(pubN []byte) (*secure.DataReceiver, error) {
 // sessions of the first key, which then fail their settlements cleanly.
 // Concurrent rotations run one after another.
 func (s *DataServer) RotateKey() (pubN []byte, err error) {
-	if !s.Secure {
+	if s.keys == nil {
 		return nil, fmt.Errorf("wire: cannot rotate keys on a cleartext server")
 	}
 	s.rotMu.Lock()
@@ -239,9 +211,9 @@ func (s *DataServer) Hello() (*Hello, error) {
 			s.listing = append(s.listing, BundleInfo{ID: b.ID, Features: b.Features})
 		}
 	})
-	hello := &Hello{Secure: s.Secure, Bundles: s.listing}
-	if s.Secure {
-		sk, err := s.key()
+	hello := &Hello{Secure: s.keys != nil, Bundles: s.listing}
+	if s.keys != nil {
+		sk, err := s.keys.Key()
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +250,7 @@ type ImperfectSession struct {
 // a server capped below the defaults cannot be bypassed by asking for
 // "default".
 func (s *DataServer) AdmitImperfect(ih *ImperfectHello) (*ImperfectSession, error) {
-	if s.Secure {
+	if s.keys != nil {
 		return nil, fmt.Errorf("wire: the imperfect regime trains on realized gains and needs cleartext settlement; this server settles under Paillier")
 	}
 	if ih == nil {
@@ -364,7 +336,7 @@ func (s *DataServer) restoreSeller(ih *ImperfectHello, cfg core.EstimatorSellerC
 	}
 	seller, err := core.RestoreEstimatorSeller(s.Catalog, ck)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wire: restore checkpoint for identity %q: %v", ih.ClientID, err)
+		return nil, nil, fmt.Errorf("wire: restore checkpoint for identity %q: %w; start fresh", ih.ClientID, err)
 	}
 	return seller, ck, nil
 }
@@ -583,7 +555,7 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 // identical. The session decrypts under the key generation its hello
 // announced, so settlements survive a concurrent RotateKey.
 func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle) (float64, error) {
-	if !s.Secure {
+	if s.keys == nil {
 		return q.Payment(st.Gain), nil
 	}
 	if len(st.EncPayment) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/rand"
 	"math"
 	"net"
 	"testing"
@@ -11,7 +12,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/secure"
 )
+
+// testKeys is a memory-only 128-bit Paillier key whose primes generate in
+// the background: small and fast, for tests only.
+func testKeys(tb testing.TB) *secure.RotatingKey {
+	tb.Helper()
+	keys, err := secure.PersistedKey(nil, "", rand.Reader, 128, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return keys
+}
 
 // mustHello resolves the server's announcement, failing the test on a key
 // error (only possible on secure servers whose generation failed).
@@ -122,10 +135,11 @@ func bargainPipe(t *testing.T, srv *DataServer, client *TaskClient, hello *Hello
 func runSession(t *testing.T, secureMode bool, seed uint64) (*core.Result, *SessionSummary) {
 	t.Helper()
 	cat, cfg, gains := buildMarket(t, seed)
-	srv, err := NewDataServer(cat, cfg.EpsData, secureMode, 128)
-	if err != nil {
-		t.Fatal(err)
+	var keys *secure.RotatingKey
+	if secureMode {
+		keys = testKeys(t)
 	}
+	srv := NewDataServer(cat, cfg.EpsData, keys)
 	res, srvSide, err := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, mustHello(t, srv))
 	if err != nil {
 		t.Fatalf("client: %v", err)
@@ -191,10 +205,7 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 	cfg.InitRate, cfg.InitBase = 0.2, 0.01
 	cfg.Budget = 0.3
 	cfg.U = 10
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	res, _, err := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, mustHello(t, srv))
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +219,7 @@ func TestWireFailDataWhenBudgetTooSmall(t *testing.T) {
 // handshake over loopback TCP, one stream, DataServer.ServeCodec behind it.
 func TestWireOverTCP(t *testing.T) {
 	cat, cfg, gains := buildMarket(t, 17)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	hello := mustHello(t, srv)
 	done := make(chan served, 1)
 	mc, shutdown := startMux(t, 5*time.Second, func(st *MuxStream, _ *ClientHello) {
@@ -240,10 +248,7 @@ func TestWireOverTCP(t *testing.T) {
 
 func TestServerRejectsInvalidQuote(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 19)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
@@ -260,10 +265,7 @@ func TestServerRejectsInvalidQuote(t *testing.T) {
 
 func TestServerRejectsWrongMessageKind(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 23)
-	srv, err := NewDataServer(cat, cfg.EpsData, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
@@ -280,10 +282,7 @@ func TestServerRejectsWrongMessageKind(t *testing.T) {
 
 func TestSecureSessionRequiresCiphertext(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 29)
-	srv, err := NewDataServer(cat, cfg.EpsData, true, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewDataServer(cat, cfg.EpsData, testKeys(t))
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {

@@ -1,9 +1,10 @@
 package vflmarket
 
 // End-to-end tests of the multiplexed wire through the public API:
-// single-dial clients whose handshake doubles as the listing probe, batch
-// bargaining multiplexed over pooled connections bit-identical to the
-// in-process engine across connection counts and encodings, round
+// single-dial clients whose handshake doubles as the listing probe, one
+// pooled connection per address that a severed fleet of sessions replaces
+// with one dial, batch bargaining multiplexed over pooled connections
+// bit-identical to the in-process engine across encodings, round
 // pipelining (one client write per steady-state round), per-session
 // teardown that leaves sibling sessions untouched, eviction severing
 // exactly the evicted market's streams on a shared connection, the
@@ -118,12 +119,113 @@ func TestServiceDialSingleConnection(t *testing.T) {
 	}
 }
 
-// TestServiceBatchOverMuxBitIdentity is the tentpole acceptance scenario:
-// Client.BargainBatch fans its specs over pooled multiplexed connections,
-// and the result slice is bit-identical to Engine.BargainBatch — same seed
-// derivation, same sessions — whether the batch rode one connection or
-// four, over the Client's bin encoding or the framed gob the server keeps
-// for other callers.
+// TestClientPoolOneConnPerAddr: the client keeps one live connection per
+// address. When the server severs it under eight concurrent sessions, the
+// sessions that find it dead share one replacement dial, so every
+// recovery leaves exactly one pooled connection and one more dial.
+func TestClientPoolOneConnPerAddr(t *testing.T) {
+	engines := testEngines(t)
+	srv, addr, shutdown := startServer(t, engines)
+	defer shutdown()
+
+	engine := engines["titanic"]
+	client, err := Dial(context.Background(), addr,
+		WithSession(engine.Session()), WithGains(engine.CatalogGains()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	const sessions = 8
+	for round := range 3 {
+		dials := client.PoolStats()[addr].Dials
+		srv.Sever()
+		errs := make(chan error, sessions)
+		for i := range sessions {
+			go func() {
+				_, err := client.Bargain(context.Background(),
+					BargainOptions{Seed: uint64(round*sessions + i + 1)})
+				errs <- err
+			}()
+		}
+		for range sessions {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		st := client.PoolStats()[addr]
+		if st.Conns != 1 || st.Dials != dials+1 {
+			t.Fatalf("round %d: recovery left %d pooled conns after %d dials, want 1 after 1",
+				round, st.Conns, st.Dials-dials)
+		}
+	}
+}
+
+// TestClientSharedDialOutlivesItsCaller: a caller waiting on another
+// caller's dial is not failed by that caller's cancellation — it dials
+// again under its own context.
+func TestClientSharedDialOutlivesItsCaller(t *testing.T) {
+	// A listener that accepts and never answers the handshake, so every
+	// dial hangs until its caller's context ends.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	addr := ln.Addr().String()
+	c := &Client{
+		cfg:      dialConfig{ioTimeout: 5 * time.Second},
+		pool:     make(map[string]*wire.MuxConn),
+		dialing:  make(map[string]*dialCall),
+		breakers: make(map[string]*breaker),
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := c.muxFor(leaderCtx, addr)
+		leaderErr <- err
+	}()
+	first := <-accepted
+	defer first.Close()
+	waiterCtx, cancelWaiter := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelWaiter()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := c.muxFor(waiterCtx, addr)
+		waiterErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter queue on the leader's dial
+	cancelLeader()
+	if err := <-leaderErr; err == nil {
+		t.Fatal("the cancelled dial succeeded")
+	}
+	select {
+	case second := <-accepted:
+		second.Close() // fails the waiter's own dial
+	case err := <-waiterErr:
+		t.Fatalf("waiter failed with its leader's dial (%v) instead of dialing again", err)
+	}
+	if err := <-waiterErr; err == nil {
+		t.Fatal("the waiter's dial succeeded against a server that never answers")
+	}
+}
+
+// TestServiceBatchOverMuxBitIdentity: Client.BargainBatch fans its specs
+// over the client's one multiplexed connection, and the result slice is
+// bit-identical to Engine.BargainBatch — same seed derivation, same
+// sessions — over the Client's bin encoding, and over one or four
+// connections of the framed gob the server keeps for other callers.
 func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 	engines := testEngines(t)
 	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
@@ -138,26 +240,23 @@ func TestServiceBatchOverMuxBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, conns := range []int{1, 4} {
-		t.Run(fmt.Sprintf("%s/conns=%d", wire.CodecBinary, conns), func(t *testing.T) {
-			client, err := Dial(context.Background(), addr,
-				WithConnsPerAddr(conns),
-				WithSession(engine.Session()),
-				WithGains(engine.CatalogGains()),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			got, err := client.BargainBatch(context.Background(), specs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch over %d conns diverges from Engine.BargainBatch", conns)
-			}
-		})
-	}
+	t.Run(wire.CodecBinary+"/conns=1", func(t *testing.T) {
+		client, err := Dial(context.Background(), addr,
+			WithSession(engine.Session()),
+			WithGains(engine.CatalogGains()),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		got, err := client.BargainBatch(context.Background(), specs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("batch over the client's connection diverges from Engine.BargainBatch")
+		}
+	})
 
 	// Framed gob, which the Client no longer speaks but wire.OpenMux
 	// callers may name, plays the same batch bit-identically.
@@ -218,8 +317,8 @@ func dialRawTransport(addr, market string, conns int) (*rawTransport, error) {
 }
 
 // bargain plays one session. pool sizes the task party's randomizer pool
-// against a secure server exactly as WithClientNoisePool does: 0 is the
-// default size, and pool < 0 encrypts inline.
+// against a secure server: 0 is the default size the Client uses, and
+// pool < 0 encrypts inline.
 func (rt *rawTransport) bargain(ctx context.Context, cfg SessionConfig, gains GainProvider, pool int) (*Result, error) {
 	mc := rt.mcs[rt.next.Add(1)%uint64(len(rt.mcs))]
 	s, hello, err := mc.Open(ctx, wire.ClientHello{Market: rt.market}, 10*time.Second)
@@ -689,7 +788,6 @@ func TestClusterBatchSurvivesMidBatchMigration(t *testing.T) {
 
 	client, err := cluster.Dial(context.Background(), "titanic",
 		WithIdentity("fleet"),
-		WithConnsPerAddr(2),
 		WithSession(engine.SessionImperfect()),
 		WithGains(engine.CatalogGains()),
 		WithImperfect(params),

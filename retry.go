@@ -129,8 +129,6 @@ type BreakerPolicy struct {
 	// Cooldown is how long a tripped breaker suppresses dials before
 	// half-opening for a single probe. <= 0 keeps the default (1s).
 	Cooldown time.Duration
-	// Disabled turns the breaker off: every dial is attempted.
-	Disabled bool
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
@@ -182,9 +180,6 @@ func newBreaker(p BreakerPolicy) *breaker {
 func (b *breaker) allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.policy.Disabled {
-		return nil
-	}
 	switch b.state {
 	case BreakerOpen:
 		if time.Since(b.openedAt) < b.policy.Cooldown {
@@ -232,9 +227,6 @@ func (b *breaker) failure() {
 	b.dials++
 	b.dialFails++
 	b.fails++
-	if b.policy.Disabled {
-		return
-	}
 	switch b.state {
 	case BreakerHalfOpen:
 		// The probe itself failed: back to fully open for another cooldown.
@@ -255,8 +247,8 @@ func (b *breaker) failure() {
 // occupancy plus the circuit breaker's state and counters, the client-side
 // mirror of ServerMetrics.
 type AddrPoolStats struct {
-	Conns            int    // pooled live connections
-	Active           int    // sessions currently open across them
+	Conns            int    // pooled connections (at most one)
+	Active           int    // sessions currently open on it
 	Breaker          string // BreakerClosed, BreakerOpen, or BreakerHalfOpen
 	ConsecutiveFails int    // dial failures since the last success
 	Trips            uint64 // times the breaker tripped open
@@ -275,13 +267,8 @@ func (c *Client) PoolStats() PoolStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(PoolStats, len(c.breakers))
-	for addr, conns := range c.pool {
-		st := out[addr]
-		st.Conns = len(conns)
-		for _, mc := range conns {
-			st.Active += mc.Active()
-		}
-		out[addr] = st
+	for addr, mc := range c.pool {
+		out[addr] = AddrPoolStats{Conns: 1, Active: mc.Active()}
 	}
 	for addr, b := range c.breakers {
 		st := out[addr]

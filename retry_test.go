@@ -105,24 +105,6 @@ func TestBreakerProbeRelease(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabled: a disabled breaker admits every dial no matter how
-// many consecutive failures it has seen, but still keeps its counters.
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(BreakerPolicy{Threshold: 1, Disabled: true})
-	for i := 0; i < 10; i++ {
-		if err := b.allow(); err != nil {
-			t.Fatalf("disabled breaker refused dial %d: %v", i, err)
-		}
-		b.failure()
-	}
-	if b.state != BreakerClosed || b.trips != 0 {
-		t.Fatalf("disabled breaker state %q trips %d, want closed/0", b.state, b.trips)
-	}
-	if b.dialFails != 10 {
-		t.Fatalf("disabled breaker counted %d failures, want 10", b.dialFails)
-	}
-}
-
 // TestRetryPolicySeededJitter is the determinism satellite: two policies
 // sharing a seed produce the identical wait schedule, jitter included —
 // so a chaos run's retry timing is replayable — while every jittered wait

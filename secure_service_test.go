@@ -22,12 +22,12 @@ func quantize(p float64) float64 {
 }
 
 // TestSecureSettlementQuantizedParityOverWire is the wire golden: for the
-// Client's bin encoding and for the framed gob the server still serves,
-// and for both the pooled and the inline client encryption paths, the
-// payment the server decrypts must equal the client's cleartext
-// payment quantized to the fixed-point grid — exactly, which pins the
-// pooled-encrypt and CRT-decrypt rebuild to the pre-refactor settlement
-// values bit for bit.
+// Client's bin encoding (which always encrypts from its randomizer pool)
+// and for the framed gob the server still serves, over both the pooled and
+// the inline encryption paths, the payment the server decrypts must equal
+// the client's cleartext payment quantized to the fixed-point grid —
+// exactly, which pins the pooled-encrypt and CRT-decrypt rebuild to the
+// pre-refactor settlement values bit for bit.
 func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 	engines := testEngines(t)
 	events := make(chan SessionEvent, 16)
@@ -55,10 +55,9 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec string
-		pool  int // WithClientNoisePool argument
+		pool  int // rawTransport.bargain's pool size; the Client always pools
 	}{
 		{"bin-pooled", wire.CodecBinary, 0},
-		{"bin-inline", wire.CodecBinary, -1},
 		{"gob-pooled", wire.CodecGob, 0},
 		{"gob-inline", wire.CodecGob, -1},
 	} {
@@ -66,7 +65,6 @@ func TestSecureSettlementQuantizedParityOverWire(t *testing.T) {
 			var res *Result
 			if tc.codec == wire.CodecBinary {
 				client, err := Dial(context.Background(), addr,
-					WithClientNoisePool(tc.pool),
 					WithSession(engine.Session()),
 					WithGains(engine.CatalogGains()),
 				)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/secure"
 	"repro/internal/wire"
 )
 
@@ -350,25 +351,19 @@ func (s *Server) Register(name string, e *Engine) error {
 	}
 	st := s.cfg.state
 	tmpl := e.Session()
-	var ds *wire.DataServer
+	var keys *secure.RotatingKey
 	if s.cfg.secureBits > 0 {
 		// Key generation stays off the Register path: the key searches
 		// primes in the background, unless eager mode generates it here. A
 		// state-bound market persists its key: a restart reloads it and
 		// re-announces the same modulus. Either way the key rotates at
 		// runtime through RotateMarketKey.
-		keys, err := st.marketKey(name, s.cfg.secureBits, s.cfg.eagerKeys)
-		if err != nil {
-			return fmt.Errorf("vflmarket: market %q: %w", name, err)
-		}
-		ds = wire.NewDataServerWithKeys(e.Catalog(), tmpl.EpsData, keys)
-	} else {
 		var err error
-		ds, err = wire.NewDataServer(e.Catalog(), tmpl.EpsData, false, 0)
-		if err != nil {
+		if keys, err = st.marketKey(name, s.cfg.secureBits, s.cfg.eagerKeys); err != nil {
 			return fmt.Errorf("vflmarket: market %q: %w", name, err)
 		}
 	}
+	ds := wire.NewDataServer(e.Catalog(), tmpl.EpsData, keys)
 	ds.MaxExplorationRounds = s.cfg.maxExploration
 	ds.MaxReplaySteps = s.cfg.maxReplay
 	// Carry the template's data-party cost model so Case 3 (Eq. 6)

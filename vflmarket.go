@@ -134,11 +134,6 @@ type Config struct {
 	// Scale in (0, 1] shrinks data and model sizes; 0 means 1 (paper scale).
 	Scale float64
 	Seed  uint64
-	// ValuationWorkers bounds the valuation oracle's worker pool when
-	// catalog construction pre-prices bundles with real VFL training: 0
-	// means min(GOMAXPROCS, bundles), 1 restores the serial pre-warming
-	// behavior. Synthetic engines never train, so it is inert for them.
-	ValuationWorkers int
 	// State, when non-nil, binds the engine to a durable MarketState (see
 	// OpenMarketState): the engine's valuation oracle is resolved through
 	// the state's registry, so its memoized gains survive restarts and are
