@@ -12,7 +12,7 @@ import (
 	"repro/internal/secure"
 )
 
-// TestAllocationBudgets holds four hot paths to committed allocs/op
+// TestAllocationBudgets holds five hot paths to committed allocs/op
 // budgets. Each session budget is the measured value plus about half the
 // rounds one session plays, so runner noise fits under it and one
 // accidental allocation per round does not: that adds a whole round count.
@@ -37,9 +37,15 @@ import (
 //     ~38 allocations, so a round that computes one anywhere (an open
 //     that blinds with a pool factor, or a seal that misses the pool)
 //     reads ~113.
+//   - BenchmarkSecureServiceRoundTrip/bin, 225: one networked secure
+//     perfect session at 256-bit primes, client pool primed, measured at
+//     ~218 (237 at b.N = 1); its sessions settle ~12 rounds and seal and
+//     open only the closing one. A client that seals every round again
+//     adds ~47 allocations a round and reads ~750; a server that also
+//     opens every round adds ~70 more a round and reads ~1 560.
 func TestAllocationBudgets(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four benchmarks for about a second each")
+		t.Skip("runs five benchmarks for about a second each")
 	}
 	sk, err := secure.GenerateKey(crand.Reader, 256)
 	if err != nil {
@@ -57,6 +63,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{"BenchmarkImperfectServiceRoundTrip/bin", BenchmarkImperfectServiceRoundTrip, 570},
 		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 260},
 		{"BenchmarkSecureSettlement/secure-pooled", func(b *testing.B) { benchSecurePooled(b, recv, 2.54) }, 90},
+		{"BenchmarkSecureServiceRoundTrip/bin", BenchmarkSecureServiceRoundTrip, 225},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

@@ -333,6 +333,47 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkSecureServiceRoundTrip measures one full networked secure
+// perfect session against a loopback Server settling under Paillier at
+// 256-bit primes, over the binary mux wire. Like the secure load
+// workload, sessions walk a 30-price pool, so each closes in about a dozen
+// rounds. The client's randomizer pool is primed before the timer starts;
+// its background refill of the factor each session draws counts in the
+// session's allocations. TestAllocationBudgets holds its allocs/op to a
+// committed budget.
+func BenchmarkSecureServiceRoundTrip(b *testing.B) {
+	engine, err := NewEngine("titanic", WithSynthetic(true), WithScale(0.25), WithSeed(11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	session := engine.Session()
+	session.PriceSamples = 30
+	_, addr, shutdown := startServer(b, map[string]*Engine{"titanic": engine},
+		WithSecureSettlement(256), WithEagerSecureKeys())
+	defer shutdown()
+
+	b.Run(wire.CodecBinary, func(b *testing.B) {
+		client, err := Dial(context.Background(), addr,
+			WithSession(session),
+			WithGains(engine.CatalogGains()),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer client.Close()
+		if err := client.noise.Prime(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.Bargain(context.Background(), BargainOptions{Seed: uint64(i + 1)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkBatchOverWire measures a batch of 8 deterministic sessions
 // through the v6 fast wire, the networked analogue of
 // BenchmarkBargainBatch and the transport behind EXPERIMENTS.md Table 4:

@@ -128,8 +128,8 @@ func WithIdentity(id string) DialOption { return func(c *dialConfig) { c.identit
 //
 // Against a Paillier-settling server the client keeps a pool of
 // precomputed randomizers (secure.DefaultNoisePool r^n mod n² factors for
-// the server's key), so each settled round's encryption costs one modular
-// multiplication in steady state instead of a full-width modexp. All of
+// the server's key), so a closing round's encryption, the one a secure
+// session makes, costs one modular multiplication in steady state. All of
 // the client's sessions share it; Close releases its workers.
 type Client struct {
 	cfg   dialConfig

@@ -40,7 +40,7 @@ func (q QuotedPrice) TargetGain() float64 { return (q.High - q.Base) / q.Rate }
 
 // Payment implements Eq. 2: min{max{P0, P0 + p·ΔG}, Ph}.
 func (q QuotedPrice) Payment(gain float64) float64 {
-	pay := q.Base + q.Rate*gain
+	pay := q.Base + float64(q.Rate*gain) // rounded product: arm64 does not fuse it, so it pays amd64's bits
 	if pay < q.Base {
 		pay = q.Base
 	}
@@ -54,7 +54,7 @@ func (q QuotedPrice) Payment(gain float64) float64 {
 // whose ceiling places the payment-function knee exactly at targetGain,
 // i.e. (Ph - P0)/p = targetGain (Theorem 3.1).
 func EquilibriumPrice(rate, base, targetGain float64) QuotedPrice {
-	return QuotedPrice{Rate: rate, Base: base, High: base + rate*targetGain}
+	return QuotedPrice{Rate: rate, Base: base, High: base + float64(rate*targetGain)}
 }
 
 // BreakEvenGain returns P0/(u - p), the gain below which the task party's

@@ -167,7 +167,7 @@ func TestBlindedOpenConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				want := float64(g*perG+i) / 1000
-				rep, err := task.Report(1, want, want+1, 0)
+				rep, err := task.Report(want)
 				if err != nil {
 					t.Error(err)
 					return
@@ -216,7 +216,7 @@ func (f *failAfter) Read(p []byte) (int, error) {
 func TestBlindedOpenFailsWithoutEntropy(t *testing.T) {
 	sk := testKeyPair(t)
 	task := NewTaskReporter(&sk.PublicKey, rand.Reader)
-	rep, err := task.Report(9.5, 1.4, 3.0, 0.12)
+	rep, err := task.Report(2.54)
 	if err != nil {
 		t.Fatal(err)
 	}

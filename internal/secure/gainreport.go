@@ -105,21 +105,13 @@ func (t *TaskReporter) encrypt(m *big.Int) (*Ciphertext, error) {
 	return t.pk.Encrypt(t.rand, m)
 }
 
-// Report encrypts the payment the realized gain implies under the quote
-// (p, P0, Ph): min{max{P0, P0 + p·ΔG}, Ph} (Eq. 2). The clamping happens on
-// the task party's plaintext side — it knows ΔG — and only the final
-// payment value is encrypted, so the data party learns exactly the payment
-// and nothing else about the gain beyond what the payment function already
-// reveals.
-func (t *TaskReporter) Report(rate, base, high, gain float64) (*GainReport, error) {
-	pay := base + rate*gain
-	if pay < base {
-		pay = base
-	}
-	if pay > high {
-		pay = high
-	}
-	m, err := EncodeFixed(t.pk, pay)
+// Report encrypts an Eq. 2 payment under the data party's key. The task
+// party computes the payment on its plaintext side — it knows ΔG — and
+// only that value is encrypted, so the data party learns exactly the
+// payment and nothing else about the gain beyond what the payment function
+// already reveals.
+func (t *TaskReporter) Report(payment float64) (*GainReport, error) {
+	m, err := EncodeFixed(t.pk, payment)
 	if err != nil {
 		return nil, err
 	}

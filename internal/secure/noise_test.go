@@ -172,7 +172,7 @@ func TestReporterIgnoresMismatchedPool(t *testing.T) {
 	}
 	data := NewDataReceiver(sk)
 	task := NewTaskReporter(data.PublicKey(), rand.Reader, WithNoise(stale))
-	rep, err := task.Report(9.5, 1.4, 3.0, 0.12)
+	rep, err := task.Report(2.54)
 	if err != nil {
 		t.Fatal(err)
 	}

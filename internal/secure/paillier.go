@@ -5,7 +5,8 @@
 // (the paper's reference [19]) over math/big, fixed-point encoding of gains,
 // and a secure gain-report protocol in which the data party learns its
 // payment without ever seeing the plaintext gain, and the task party never
-// reveals more than the payment itself.
+// reveals more than the payment it makes: a wire session seals and opens
+// only its closing round's payment, none if it fails.
 //
 // The subsystem is performance-engineered for settlement-heavy workloads.
 // The data party, which holds the factorization, decrypts in CRT form over

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 // testKey caches one key pair across the package's tests: generation is the
@@ -183,7 +185,7 @@ func TestSecurePaymentReport(t *testing.T) {
 
 	// Quote (p=9.5, P0=1.4, Ph=3.0), realized gain 0.12:
 	// payment = 1.4 + 9.5·0.12 = 2.54.
-	rep, err := task.Report(9.5, 1.4, 3.0, 0.12)
+	rep, err := task.Report(2.54)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,50 +198,21 @@ func TestSecurePaymentReport(t *testing.T) {
 	}
 }
 
-func TestSecurePaymentClamps(t *testing.T) {
-	sk := testKeyPair(t)
-	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader)
-
-	// Gain far above the knee: clamp to Ph.
-	rep, err := task.Report(9.5, 1.4, 3.0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pay, _ := data.OpenPayment(rep)
-	if math.Abs(pay-3.0) > 1e-5 {
-		t.Fatalf("payment = %v, want ceiling 3.0", pay)
-	}
-	// Negative gain: clamp to P0.
-	rep, err = task.Report(9.5, 1.4, 3.0, -0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pay, _ = data.OpenPayment(rep)
-	if math.Abs(pay-1.4) > 1e-5 {
-		t.Fatalf("payment = %v, want base 1.4", pay)
-	}
-}
-
-// Property: the secure path and the plaintext Eq. 2 payment agree for
-// random quotes and gains.
+// Property: for random quotes and gains, the opened report of the Eq. 2
+// payment is that payment quantized to 1/GainScale, exactly.
 func TestSecurePaymentMatchesEq2Property(t *testing.T) {
 	sk := testKeyPair(t)
 	data := NewDataReceiver(sk)
 	task := NewTaskReporter(data.PublicKey(), rand.Reader)
 	f := func(rateRaw, baseRaw, spanRaw, gainRaw uint16) bool {
-		rate := 0.1 + float64(rateRaw%2000)/100
 		base := float64(baseRaw%500) / 100
-		high := base + float64(spanRaw%400)/100
-		gain := float64(gainRaw)/20000 - 0.5
-		want := base + rate*gain
-		if want < base {
-			want = base
+		q := core.QuotedPrice{
+			Rate: 0.1 + float64(rateRaw%2000)/100,
+			Base: base,
+			High: base + float64(spanRaw%400)/100,
 		}
-		if want > high {
-			want = high
-		}
-		rep, err := task.Report(rate, base, high, gain)
+		want := q.Payment(float64(gainRaw)/20000 - 0.5)
+		rep, err := task.Report(want)
 		if err != nil {
 			return false
 		}
@@ -247,7 +220,7 @@ func TestSecurePaymentMatchesEq2Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(got-want) < 1e-4
+		return got == math.Round(want*GainScale)/GainScale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -271,7 +244,7 @@ func BenchmarkSecureReport(b *testing.B) {
 	task := NewTaskReporter(data.PublicKey(), rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := task.Report(9.5, 1.4, 3.0, 0.12)
+		rep, err := task.Report(2.54)
 		if err != nil {
 			b.Fatal(err)
 		}

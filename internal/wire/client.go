@@ -218,14 +218,16 @@ func (r *remoteSeller) Offer(round int, q core.QuotedPrice) (core.SellerOffer, e
 
 func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDecision) error {
 	r.settle = Settle{Round: round, Decision: decisionOf(d)}
-	if r.reporter != nil {
-		rep, err := r.reporter.Report(rec.Price.Rate, rec.Price.Base, rec.Price.High, rec.Gain)
+	switch {
+	case r.reporter == nil:
+		r.settle.Gain = rec.Gain
+	case d == core.SettleAccept:
+		// Only the closing round is paid, so only its payment is sealed.
+		rep, err := r.reporter.Report(rec.Payment)
 		if err != nil {
 			return err
 		}
 		r.settle.EncPayment = rep.EncPayment.C.Bytes()
-	} else {
-		r.settle.Gain = rec.Gain
 	}
 	if err := r.sendScratch(Envelope{Kind: KindSettle, Settle: &r.settle}); err != nil {
 		return err

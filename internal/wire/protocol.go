@@ -52,9 +52,10 @@
 // the first Hello of a market blocks until it lands), clients rebuild the
 // public key from Hello.PubN via secure.NewPublicKey and encrypt settlements
 // with precomputed r^n randomizers from a secure.NoiseSource pool (one
-// mulmod per settled round in steady state), and the server blinds each
-// ciphertext with powers of its own primes before the CRT decryption (four
-// half-width mulmods; see secure.DataReceiver).
+// mulmod in steady state), and the server blinds each ciphertext with
+// powers of its own primes before the CRT decryption (four half-width
+// mulmods; see secure.DataReceiver). Only the closing round is sealed and
+// opened.
 package wire
 
 import (
@@ -270,14 +271,15 @@ const (
 )
 
 // Settle reports the VFL course's outcome back to the data party. In clear
-// mode it carries the realized ΔG; in secure mode only the encrypted Eq. 2
-// payment. A Settle sent in place of a Quote is a clean walk-away notice
-// (the buyer leaves without a settlement).
+// mode it carries the realized ΔG; in secure mode the encrypted Eq. 2
+// payment, on the closing round only (the only one paid; a server never
+// opens another). A Settle sent in place of a Quote is a clean walk-away
+// notice (the buyer leaves without a settlement).
 type Settle struct {
 	Round      int
 	Decision   Decision
 	Gain       float64 // clear mode only
-	EncPayment []byte  // secure mode: Paillier ciphertext of the payment
+	EncPayment []byte  // secure mode, closing round only: Paillier ciphertext of the payment
 }
 
 // Ack is the server's answer to a settlement in imperfect mode: it

@@ -514,7 +514,10 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 		if err != nil {
 			return sum, err
 		}
-		pay, err := s.settledPayment(hello, q, se.Settle)
+		// An accept, or the data party's Case-2 commitment not walked away from.
+		closes := se.Settle.Decision == DecisionAccept ||
+			(offer.Accept && se.Settle.Decision != DecisionFail)
+		pay, err := s.settledPayment(hello, q, se.Settle, closes)
 		if err != nil {
 			return sum, err
 		}
@@ -531,32 +534,30 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 				return sum, err
 			}
 		}
-		switch se.Settle.Decision {
-		case DecisionAccept:
-			sum.Closed = true
-			sum.Payment = pay
+		if closes {
+			sum.Closed, sum.Payment = true, pay
 			return sum, nil
-		case DecisionFail:
-			return sum, nil // Case 4
 		}
-		if offer.Accept {
-			// Case 2: the data party already committed at this quote.
-			sum.Closed = true
-			sum.Payment = pay
-			return sum, nil
+		if se.Settle.Decision == DecisionFail {
+			return sum, nil // Case 4
 		}
 	}
 }
 
-// settledPayment extracts the payment from a settlement message. In secure
-// mode the receiver blinds the ciphertext with powers of its own primes (four
-// half-width mulmods, no modexp) before the CRT decryption, so the
-// exponentiation operands are unlinked from the wire bytes; the plaintext is
-// identical. The session decrypts under the key generation its hello
-// announced, so settlements survive a concurrent RotateKey.
-func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle) (float64, error) {
+// settledPayment extracts the payment from a settlement message. A secure
+// session is paid only on the round that closes, so only that ciphertext is
+// required and opened; other rounds settle at 0. The receiver blinds it
+// with powers of its own primes (four half-width mulmods, no modexp) before
+// the CRT decryption, so the exponentiation operands are unlinked from the
+// wire bytes; the plaintext is identical. The session decrypts under the key
+// generation its hello announced, so settlements survive a concurrent
+// RotateKey.
+func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle, closes bool) (float64, error) {
 	if s.keys == nil {
 		return q.Payment(st.Gain), nil
+	}
+	if !closes {
+		return 0, nil
 	}
 	if len(st.EncPayment) == 0 {
 		return 0, fmt.Errorf("wire: secure session settled without ciphertext")
