@@ -281,13 +281,25 @@ func BenchmarkOracleGain(b *testing.B) {
 // BenchmarkEngineConstruction measures building a real-gain engine end to
 // end — dataset, problem, catalog with every bundle priced by actual VFL
 // training on the valuation worker pool. This is the cold-start cost a
-// market service pays per registered market.
+// market service pays per registered market. "quarter" is a quarter-scale
+// Titanic market; "paper" is the load generator's market (Titanic, split
+// MLP, paper scale, seed 1), whose 16 courses are a service's setup time.
 func BenchmarkEngineConstruction(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewEngine("titanic", WithModel("mlp"), WithScale(0.25), WithSeed(11)); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"quarter", []Option{WithModel("mlp"), WithScale(0.25), WithSeed(11)}},
+		{"paper", []Option{WithModel("mlp"), WithSeed(1)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewEngine("titanic", c.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

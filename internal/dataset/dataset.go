@@ -133,10 +133,10 @@ func columnMoments(m *tensor.Matrix, j int) (mean, std float64) {
 	for i := 0; i < m.Rows; i++ {
 		v := m.At(i, j)
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	mean = sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}

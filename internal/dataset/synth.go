@@ -108,7 +108,7 @@ func GenerateTitanic(seed uint64, n int) *Spec {
 		age := math.Max(0.5, src.Gauss(29.7, 14.5))
 		sibsp := float64(src.Choice([]float64{0.68, 0.21, 0.06, 0.03, 0.02}))
 		parch := float64(src.Choice([]float64{0.76, 0.13, 0.09, 0.02}))
-		fare := src.LogNormal(3.0-0.8*float64(pclass), 0.9)
+		fare := src.LogNormal(3.0-float64(0.8*float64(pclass)), 0.9)
 		family := sibsp + parch + 1
 
 		// Title correlates with sex and age.
@@ -149,8 +149,8 @@ func GenerateTitanic(seed uint64, n int) *Spec {
 		// location, boarding port, cabin sharing), which produces Titanic's
 		// big-ΔG regime.
 		logit := -0.7 +
-			1.1*float64(sex) - 0.5*float64(pclass) - 0.016*(age-30) -
-			0.25*math.Max(family-4, 0) + 0.10*math.Log1p(fare)
+			float64(1.1*float64(sex)) - float64(0.5*float64(pclass)) - float64(0.016*(age-30)) -
+			float64(0.25*math.Max(family-4, 0)) + float64(0.10*math.Log1p(fare))
 		switch title {
 		case 1, 2: // Mrs, Miss
 			logit += 0.5
@@ -212,7 +212,7 @@ func GenerateCredit(seed uint64, n int) *Spec {
 		// Latent repayment discipline drives both the PAY_* history and the
 		// default label; most of it is already visible to the task party via
 		// LIMIT_BAL/EDUCATION, so the data-party increment is small.
-		discipline := 0.5*math.Log(limit/1e5) - 0.25*float64(edu) + 0.01*(age-35) + src.Gauss(0, 1)
+		discipline := float64(0.5*math.Log(limit/1e5)) - float64(0.25*float64(edu)) + float64(0.01*(age-35)) + src.Gauss(0, 1)
 
 		pays := make([]float64, 6)
 		for k := range pays {
@@ -223,12 +223,12 @@ func GenerateCredit(seed uint64, n int) *Spec {
 		bills := make([]float64, 5)
 		prev := bill1
 		for k := range bills {
-			prev = math.Max(0, prev*src.Uniform(0.85, 1.1)+src.Gauss(0, 0.02*limit))
+			prev = math.Max(0, float64(prev*src.Uniform(0.85, 1.1))+src.Gauss(0, 0.02*limit))
 			bills[k] = prev
 		}
 		payAmts := make([]float64, 6)
 		for k := range payAmts {
-			payAmts[k] = math.Max(0, (0.05+0.04*discipline+src.Gauss(0, 0.02))*bill1)
+			payAmts[k] = math.Max(0, (0.05+float64(0.04*discipline)+src.Gauss(0, 0.02))*bill1)
 		}
 		payRatio := payAmts[0] / math.Max(1, bill1)
 
@@ -241,9 +241,9 @@ func GenerateCredit(seed uint64, n int) *Spec {
 
 		// Default label: dominated by task-visible signal; PAY_* history adds
 		// a small increment on top.
-		logit := -1.35 - 0.5*math.Log(limit/1.2e5) + 0.22*float64(edu) - 0.008*(age-35)
-		logit += 0.1 * (pays[0] + 0.5*pays[1] + 0.25*pays[2]) // small data-party signal
-		logit += 0.3 * (0.1 - math.Min(payRatio, 0.3))
+		logit := -1.35 - float64(0.5*math.Log(limit/1.2e5)) + float64(0.22*float64(edu)) - float64(0.008*(age-35))
+		logit += float64(0.1 * (pays[0] + float64(0.5*pays[1]) + float64(0.25*pays[2]))) // small data-party signal
+		logit += float64(0.3 * (0.1 - math.Min(payRatio, 0.3)))
 		if marriage == 1 {
 			logit -= 0.04
 		}
@@ -340,8 +340,8 @@ func GenerateAdult(seed uint64, n int) *Spec {
 
 		// Income > 50k: mostly task-visible (education, occupation, age,
 		// hours, capital); relationship/sex add a moderate increment.
-		logit := -3.1 + 0.33*(eduNum[edu]-9) + 0.035*(age-38) + 0.028*(hours-40) +
-			0.9*math.Log1p(capGain/1e4) + 0.45*math.Log1p(capLoss/2e3)
+		logit := -3.1 + float64(0.33*(eduNum[edu]-9)) + float64(0.035*(age-38)) + float64(0.028*(hours-40)) +
+			float64(0.9*math.Log1p(capGain/1e4)) + float64(0.45*math.Log1p(capLoss/2e3))
 		switch occ {
 		case 4, 5: // Exec-managerial, Prof-specialty
 			logit += 0.55

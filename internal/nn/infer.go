@@ -36,12 +36,7 @@ func (m *MLP) PredictBatchInto(sc *PredictScratch, X *tensor.Matrix) *tensor.Mat
 		}
 		tensor.EnsureMatrix(out, cur.Rows, l.Out)
 		tensor.MulABtInto(out, cur, l.W, &sc.wt)
-		for s := 0; s < cur.Rows; s++ {
-			row := out.Row(s)
-			for o := range row {
-				row[o] = l.Act.forward(row[o] + l.B[o])
-			}
-		}
+		l.Act.addBiasAct(out.Data, l.B)
 		cur = out
 	}
 	return cur

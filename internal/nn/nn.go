@@ -60,21 +60,46 @@ func (a Activation) forward(x float64) float64 {
 	}
 }
 
-// derivative in terms of the activation output y (cheaper for sigmoid/tanh).
-func (a Activation) derivFromOutput(y float64) float64 {
+// addBiasAct sets x to act(x + b) in place, x holding whole rows of len(b)
+// elements: the epilogue of Forward, ForwardBatch and PredictBatchInto.
+// Identity and ReLU run as the tensor package's vectorized passes, which
+// give forward's results exactly; sigmoid and tanh call forward.
+func (a Activation) addBiasAct(x, b []float64) {
+	switch a {
+	case Identity:
+		tensor.AddBias(x, b)
+	case ReLU:
+		tensor.AddBiasReLU(x, b)
+	default:
+		for r := 0; r < len(x); r += len(b) {
+			row := x[r : r+len(b)]
+			for o := range row {
+				row[o] = a.forward(row[o] + b[o])
+			}
+		}
+	}
+}
+
+// gradInto sets dz to the pre-activation gradient for upstream gradients
+// g and activated outputs y — g times the activation's derivative, taken
+// from its output — and returns dz; for Identity, whose g·1 is g, it
+// returns g itself and leaves dz untouched.
+func (a Activation) gradInto(dz, g, y []float64) []float64 {
 	switch a {
 	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
+		tensor.ReLUGrad(dz, g, y)
 	case Sigmoid:
-		return y * (1 - y)
+		for i, yi := range y[:len(dz)] {
+			dz[i] = g[i] * (yi * (1 - yi))
+		}
 	case Tanh:
-		return 1 - float64(y*y)
+		for i, yi := range y[:len(dz)] {
+			dz[i] = g[i] * (1 - float64(yi*yi))
+		}
 	default:
-		return 1
+		return g
 	}
+	return dz
 }
 
 // Param is a flat view of one parameter tensor and its gradient accumulator,
@@ -112,6 +137,7 @@ type Dense struct {
 	bDZ *tensor.Matrix // pre-activation gradients
 	bDX *tensor.Matrix // input gradients handed back to the previous layer
 	bWt []float64      // W transposed for ForwardBatch's product
+	bGt []float64      // dW transposed for AccumulateBatch's product
 }
 
 // NewDense creates a dense layer with He-style initialisation (std
@@ -137,7 +163,8 @@ func NewDense(in, out int, act Activation, src *rng.Source) *Dense {
 // buffer, valid until the next Forward call on this layer; callers that
 // need it longer must Clone it. Outputs are computed four at a time, so
 // four independent add chains advance through x together; each is still
-// the Dot of its weight row with x, in Dot's order.
+// the Dot of its weight row with x, in Dot's order. The bias and the
+// activation follow in the epilogue ForwardBatch also ends in.
 func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("nn: Dense forward input %d, want %d", len(x), d.In))
@@ -160,15 +187,12 @@ func (d *Dense) Forward(x tensor.Vector) tensor.Vector {
 			s2 += float64(w2[k] * xk)
 			s3 += float64(w3[k] * xk)
 		}
-		b := d.B[i : i+4]
-		y[i] = d.Act.forward(s0 + b[0])
-		y[i+1] = d.Act.forward(s1 + b[1])
-		y[i+2] = d.Act.forward(s2 + b[2])
-		y[i+3] = d.Act.forward(s3 + b[3])
+		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
 	}
 	for ; i < d.Out; i++ {
-		y[i] = d.Act.forward(tensor.Vector(W[i*n:(i+1)*n]).Dot(x) + d.B[i])
+		y[i] = tensor.Vector(W[i*n : (i+1)*n]).Dot(x)
 	}
+	d.Act.addBiasAct(y, d.B)
 	d.lastX, d.lastY = x, y
 	return y
 }
@@ -183,10 +207,7 @@ func (d *Dense) Backward(grad tensor.Vector) tensor.Vector {
 	if cap(d.dz) < d.Out {
 		d.dz = make(tensor.Vector, d.Out)
 	}
-	dz := d.dz[:d.Out]
-	for i, g := range grad {
-		dz[i] = g * d.Act.derivFromOutput(d.lastY[i])
-	}
+	dz := d.Act.gradInto(d.dz[:d.Out], grad, d.lastY)
 	d.dW.AddOuter(1, dz, d.lastX)
 	d.dB.AddScaled(1, dz)
 	if cap(d.dx) < d.In {
@@ -208,12 +229,7 @@ func (d *Dense) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 	}
 	d.bY = tensor.EnsureMatrix(d.bY, X.Rows, d.Out)
 	tensor.MulABtInto(d.bY, X, d.W, &d.bWt)
-	for s := 0; s < X.Rows; s++ {
-		row := d.bY.Row(s)
-		for o := range row {
-			row[o] = d.Act.forward(row[o] + d.B[o])
-		}
-	}
+	d.Act.addBiasAct(d.bY.Data, d.B)
 	d.bX = X
 	return d.bY
 }
@@ -223,30 +239,34 @@ func (d *Dense) ForwardBatch(X *tensor.Matrix) *tensor.Matrix {
 // without the input gradient. It is the backward step of a first layer,
 // whose dL/dX nothing reads. The accumulated gradients are bit-identical to
 // running Backward over the batch one sample at a time in the same order.
-func (d *Dense) AccumulateBatch(grad *tensor.Matrix) {
+func (d *Dense) AccumulateBatch(grad *tensor.Matrix) { d.accumulate(grad) }
+
+// accumulate is AccumulateBatch, returning the pre-activation gradients
+// it accumulated: grad itself for Identity, else the bDZ buffer.
+func (d *Dense) accumulate(grad *tensor.Matrix) *tensor.Matrix {
 	if grad.Cols != d.Out || grad.Rows != d.bY.Rows {
 		panic(fmt.Sprintf("nn: Dense batch backward grad %dx%d, want %dx%d",
 			grad.Rows, grad.Cols, d.bY.Rows, d.Out))
 	}
-	d.bDZ = tensor.EnsureMatrix(d.bDZ, grad.Rows, d.Out)
-	for s := 0; s < grad.Rows; s++ {
-		grow, yrow, zrow := grad.Row(s), d.bY.Row(s), d.bDZ.Row(s)
-		for o, g := range grow {
-			zrow[o] = g * d.Act.derivFromOutput(yrow[o])
-		}
+	dz := grad
+	if d.Act != Identity {
+		d.bDZ = tensor.EnsureMatrix(d.bDZ, grad.Rows, d.Out)
+		d.Act.gradInto(d.bDZ.Data, grad.Data, d.bY.Data)
+		dz = d.bDZ
 	}
-	tensor.AddMulAtB(d.dW, d.bDZ, d.bX)
-	for s := 0; s < d.bDZ.Rows; s++ {
-		d.dB.AddScaled(1, d.bDZ.Row(s))
+	tensor.AddMulAtB(d.dW, dz, d.bX, &d.bGt)
+	for s := 0; s < dz.Rows; s++ {
+		d.dB.AddScaled(1, dz.Row(s))
 	}
+	return dz
 }
 
 // BackwardBatch is AccumulateBatch followed by the input gradient: it
 // returns dL/dX (an internal buffer, valid until the next BackwardBatch).
 func (d *Dense) BackwardBatch(grad *tensor.Matrix) *tensor.Matrix {
-	d.AccumulateBatch(grad)
+	dz := d.accumulate(grad)
 	d.bDX = tensor.EnsureMatrix(d.bDX, grad.Rows, d.In)
-	tensor.MatMulInto(d.bDX, d.bDZ, d.W)
+	tensor.MatMulInto(d.bDX, dz, d.W)
 	return d.bDX
 }
 

@@ -36,42 +36,68 @@ func gaussMatrix(seed uint64, n, d int) (*tensor.Matrix, []int) {
 	return X, y
 }
 
+// sameBitsOrNaN reports whether a and b are the same float64 bits or both
+// NaN (which NaN operand's payload an add keeps is the compiler's choice).
+func sameBitsOrNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
 // TestDenseBatchMatchesPerSample runs the same minibatch through the
 // batched and per-sample Dense paths and demands bit-identical outputs,
-// parameter gradients, and input gradients.
+// parameter gradients, and input gradients. Besides Gaussian rows the
+// batch carries an all −0 input row (every pre-activation is then
+// exactly 0 + b, on the ReLU's boundary; a Dense pre-activation is never
+// itself −0, since its dot product starts at +0) with a −0 upstream
+// gradient, and, in the "nan" case, a row with one NaN input, whose
+// pre-activations are all NaN: ReLU keeps NaN forward and its derivative
+// zeroes it backward, so that row's gradient must be skipped, not added.
 func TestDenseBatchMatchesPerSample(t *testing.T) {
-	for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
-		batched := NewDense(7, 5, act, rng.New(12))
-		sample := NewDense(7, 5, act, rng.New(12))
+	for _, nanRow := range []bool{false, true} {
+		for _, act := range []Activation{Identity, ReLU, Sigmoid, Tanh} {
+			batched := NewDense(7, 5, act, rng.New(12))
+			sample := NewDense(7, 5, act, rng.New(12))
 
-		X, _ := gaussMatrix(5, 9, 7)
-		G, _ := gaussMatrix(6, 9, 5)
+			X, _ := gaussMatrix(5, 9, 7)
+			G, _ := gaussMatrix(6, 9, 5)
+			X.Row(2).Fill(math.Copysign(0, -1))
+			G.Set(2, 1, math.Copysign(0, -1))
+			if nanRow {
+				X.Set(6, 3, math.NaN())
+			}
 
-		outB := batched.ForwardBatch(X)
-		dxB := batched.BackwardBatch(G)
+			outB := batched.ForwardBatch(X)
+			dxB := batched.BackwardBatch(G)
 
-		for s := 0; s < X.Rows; s++ {
-			out := sample.Forward(append(tensor.Vector(nil), X.Row(s)...))
-			for o, v := range out {
-				if math.Float64bits(v) != math.Float64bits(outB.At(s, o)) {
-					t.Fatalf("%v: forward[%d][%d] %v != %v", act, s, o, outB.At(s, o), v)
+			for s := 0; s < X.Rows; s++ {
+				out := sample.Forward(append(tensor.Vector(nil), X.Row(s)...))
+				for o, v := range out {
+					if !sameBitsOrNaN(v, outB.At(s, o)) {
+						t.Fatalf("%v nan=%v: forward[%d][%d] %v != %v", act, nanRow, s, o, outB.At(s, o), v)
+					}
+				}
+				dx := sample.Backward(G.Row(s))
+				for j, v := range dx {
+					if !sameBitsOrNaN(v, dxB.At(s, j)) {
+						t.Fatalf("%v nan=%v: dX[%d][%d] %v != %v", act, nanRow, s, j, dxB.At(s, j), v)
+					}
 				}
 			}
-			dx := sample.Backward(G.Row(s))
-			for j, v := range dx {
-				if math.Float64bits(v) != math.Float64bits(dxB.At(s, j)) {
-					t.Fatalf("%v: dX[%d][%d] %v != %v", act, s, j, dxB.At(s, j), v)
+			for i := range batched.dW.Data {
+				if !sameBitsOrNaN(batched.dW.Data[i], sample.dW.Data[i]) {
+					t.Fatalf("%v nan=%v: dW[%d] diverged: %v, per-sample %v", act, nanRow, i, batched.dW.Data[i], sample.dW.Data[i])
 				}
 			}
-		}
-		for i := range batched.dW.Data {
-			if math.Float64bits(batched.dW.Data[i]) != math.Float64bits(sample.dW.Data[i]) {
-				t.Fatalf("%v: dW[%d] diverged", act, i)
+			for i := range batched.dB {
+				if !sameBitsOrNaN(batched.dB[i], sample.dB[i]) {
+					t.Fatalf("%v nan=%v: dB[%d] diverged", act, nanRow, i)
+				}
 			}
-		}
-		for i := range batched.dB {
-			if math.Float64bits(batched.dB[i]) != math.Float64bits(sample.dB[i]) {
-				t.Fatalf("%v: dB[%d] diverged", act, i)
+			if act == ReLU {
+				for i, v := range batched.dW.Data {
+					if math.IsNaN(v) {
+						t.Fatalf("ReLU nan=%v: dW[%d] is NaN: the NaN row's zeroed gradient was added", nanRow, i)
+					}
+				}
 			}
 		}
 	}

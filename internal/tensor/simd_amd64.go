@@ -36,11 +36,11 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
 
-// addRows8AVX2 sets drow[j] = (…(drow[j] + cs[0]·rows[0][j]) + …) +
-// cs[7]·rows[7][j] for j < len(drow).
+// addRows8AVX2 sets drow[j] = (…(drow[j] + cs[0]·r0[j]) + …) + cs[7]·r7[j]
+// for j < len(drow), where rt is b[ks[t]·stride:].
 //
 //go:noescape
-func addRows8AVX2(drow []float64, cs *[8]float64, rows *[8][]float64)
+func addRows8AVX2(drow []float64, cs *[8]float64, b []float64, ks *[8]int, stride int)
 
 // mulABtAVX2 sets dst[i][j] to the sum of a[i][t]·bt[t][j] for t = 0..k-1,
 // added to +0 in ascending t, for every row i < rows and column j < n&^3.
@@ -54,3 +54,35 @@ func mulABtAVX2(dst, a, bt []float64, rows, k, n int)
 //
 //go:noescape
 func adamAVX2(w, g, m, v []float64, s *AdamStep)
+
+// biasAVX2 sets x[j] = x[j] + bias[j%n] in the first n&^3 columns of
+// every row of x (n = len(bias)), then +0 wherever that is below 0 when
+// relu is set.
+//
+//go:noescape
+func biasAVX2(x, bias []float64, relu bool)
+
+// reluSumAVX2 sets dst[i] = x[i] + y[i] (x[i] when y is empty), or +0
+// where that is below 0, for i < len(dst).
+//
+//go:noescape
+func reluSumAVX2(dst, x, y []float64)
+
+// reluMaskAVX2 sets g[i] = +0 wherever v[i] <= 0, for i < len(g).
+//
+//go:noescape
+func reluMaskAVX2(g, v []float64)
+
+// reluGradAVX2 sets dst[i] = g[i]·1 where y[i] > 0 and g[i]·(+0)
+// elsewhere, for i < len(dst).
+//
+//go:noescape
+func reluGradAVX2(dst, g, y []float64)
+
+// addMulAtBAVX2 adds a[s][i]·b[s][j] to t[j][i] for s = 0..rows-1 in
+// order, skipping a coefficient a[s][i] that is ±0, for every output
+// i < m&^3 and column j < n. The row lengths are m for a, n for b and
+// m&^3 for t; rows must be at least 1.
+//
+//go:noescape
+func addMulAtBAVX2(t, a, b []float64, rows, m, n int)

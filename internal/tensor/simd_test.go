@@ -288,3 +288,148 @@ func BenchmarkAdamStep(b *testing.B) {
 		})
 	})
 }
+
+// The activation passes and the narrow accumulate are swept at every
+// width 1–17 and at 64, so each four-lane block and every tail length of
+// the assembly meet the scalar loop.
+var actWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64}
+
+// edgeValues are the operands on which a ReLU compare or a zero skip can
+// go wrong: ±0, ±Inf, NaN and the smallest values either side of 0.
+var edgeValues = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324}
+
+// edgeOperand draws a length-n slice starting off elements into its
+// allocation, every element an edge value or (one in three) a Gaussian.
+func edgeOperand(src *rng.Source, n, off int) []float64 {
+	x := kernelOperand(src, n, off, false)
+	for i := range x {
+		if src.IntN(3) != 0 {
+			x[i] = edgeValues[src.IntN(len(edgeValues))]
+		}
+	}
+	return x
+}
+
+// reluRef is Go's ReLU as the forward passes define it: v < 0 is false on
+// NaN and −0, which pass through.
+func reluRef(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+func TestActivationKernelsSweep(t *testing.T) {
+	src := rng.New(35)
+	for _, n := range actWidths {
+		for off := 0; off < 4; off++ {
+			for _, edges := range []bool{false, true} {
+				operand := func(n, off int) []float64 {
+					if edges {
+						return edgeOperand(src, n, off)
+					}
+					return kernelOperand(src, n, off, true)
+				}
+				const rows = 3
+				x, bias := operand(rows*n, off), operand(n, (off+1)%4)
+				y, g := operand(rows*n, (off+2)%4), operand(rows*n, (off+3)%4)
+				// The written-out scalar definitions.
+				wantBias := make([]float64, len(x))
+				wantBiasReLU := make([]float64, len(x))
+				wantSum := make([]float64, len(x))
+				wantReLU := make([]float64, len(x))
+				wantMask := make([]float64, len(x))
+				wantGrad := make([]float64, len(x))
+				for i := range x {
+					wantBias[i] = x[i] + bias[i%n]
+					wantBiasReLU[i] = reluRef(x[i] + bias[i%n])
+					wantSum[i] = reluRef(x[i] + y[i])
+					wantReLU[i] = reluRef(x[i])
+					wantMask[i] = g[i]
+					if y[i] <= 0 {
+						wantMask[i] = 0
+					}
+					d := 0.0
+					if y[i] > 0 {
+						d = 1
+					}
+					wantGrad[i] = g[i] * d
+				}
+				onEachPath(func(path string) {
+					what := fmt.Sprintf("%s n=%d off=%d edges=%v", path, n, off, edges)
+					got := cloneAt(x, off)
+					AddBias(got, bias)
+					sameFloats(t, what+" AddBias", got, wantBias)
+					got = cloneAt(x, off)
+					AddBiasReLU(got, bias)
+					sameFloats(t, what+" AddBiasReLU", got, wantBiasReLU)
+					got = cloneAt(g, off+1) // overwritten
+					ReLUSum(got, x, y)
+					sameFloats(t, what+" ReLUSum", got, wantSum)
+					ReLUSum(got, x, nil)
+					sameFloats(t, what+" ReLUSum(nil)", got, wantReLU)
+					got = cloneAt(g, off+2)
+					ReLUMask(got, y)
+					sameFloats(t, what+" ReLUMask", got, wantMask)
+					got = cloneAt(x, off+3) // overwritten
+					ReLUGrad(got, g, y)
+					sameFloats(t, what+" ReLUGrad", got, wantGrad)
+				})
+			}
+		}
+	}
+}
+
+// TestActivationKernelsEmpty: zero-length operands are no-ops, and a bias
+// that does not divide the rows is refused.
+func TestActivationKernelsEmpty(t *testing.T) {
+	onEachPath(func(path string) {
+		AddBias(nil, nil)
+		AddBiasReLU(nil, []float64{1})
+		ReLUSum(nil, nil, nil)
+		ReLUMask(nil, nil)
+		ReLUGrad(nil, nil, nil)
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: AddBias accepted 5 elements for a bias of 2", path)
+			}
+		}()
+		AddBias(make([]float64, 5), make([]float64, 2))
+	})
+}
+
+// TestNarrowAccumulateSweep drives AddMulAtB's transposed pass through
+// every output count 1–17 and 64 against every narrow width, with ±0 and
+// NaN coefficients and ±Inf and NaN operands: a zero coefficient must be
+// skipped (never its product added, which would turn a −0 start into +0
+// or meet an infinite operand), and a NaN coefficient must be applied, as
+// Go's c != 0 does. The reference is the per-sample AddOuter sum on the
+// scalar path.
+func TestNarrowAccumulateSweep(t *testing.T) {
+	src := rng.New(36)
+	var widths []int
+	for n := 1; n < narrowCols; n++ {
+		widths = append(widths, n)
+	}
+	for _, s := range []int{1, 2, 5, 128} {
+		for _, m := range actWidths {
+			for _, n := range widths {
+				a := &Matrix{Rows: s, Cols: m, Data: edgeOperand(src, s*m, 0)}
+				b := &Matrix{Rows: s, Cols: n, Data: kernelOperand(src, s*n, 0, true)}
+				start := &Matrix{Rows: m, Cols: n, Data: edgeOperand(src, m*n, 0)}
+				want := start.Clone()
+				withAVX2(false, func() {
+					for r := 0; r < s; r++ {
+						want.AddOuter(1, a.Row(r), b.Row(r))
+					}
+				})
+				var gt []float64
+				onEachPath(func(path string) {
+					got := unaligned(start, (m+n)%4)
+					AddMulAtB(got, a, b, &gt)
+					sameFloats(t, fmt.Sprintf("%s AddMulAtB s=%d m=%d n=%d", path, s, m, n), got.Data, want.Data)
+				})
+			}
+		}
+	}
+}

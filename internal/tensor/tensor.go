@@ -18,6 +18,19 @@
 // other CPUs. The scalar loops wrap each product in an explicit float64
 // conversion, which the Go spec defines to round it, so no architecture's
 // compiler fuses it into a multiply-add either.
+//
+// The assembly covers the forward product (MulABtInto), the weight and
+// input gradients (AddMulAtB, with a transposed pass for narrow inputs,
+// and MatMulInto), axpy, the Adam update, and a layer's elementwise
+// passes: the bias-and-activation epilogue (AddBias, AddBiasReLU), the
+// split model's fused ReLU (ReLUSum) and the ReLU gradient masks (ReLUMask,
+// ReLUGrad). Where the scalar code branches per element — a ReLU test, a
+// skipped zero coefficient — the lanes compare and select instead, with
+// compare predicates whose answers on NaN and −0 are Go's: v < 0 and
+// v <= 0 and y > 0 are false on NaN, c != 0 is true on NaN and false on
+// −0. A skipped coefficient keeps the lane's value by select rather than
+// adding a zero product, which would turn a −0 into +0 or meet an
+// infinite operand.
 package tensor
 
 import (
@@ -272,17 +285,54 @@ func MatMulInto(dst, a, b *Matrix) {
 // coefficients of a — exactly the sum of the per-sample rank-1 updates
 // dst.AddOuter(1, a.Row(s), b.Row(s)) for s = 0..S-1, in that order. This
 // is the batched weight-gradient kernel; the fixed order keeps vectorized
-// training bit-identical to the per-sample loop it replaced. It walks dst
-// row by row: row i gathers column i of a as its coefficients.
-func AddMulAtB(dst, a, b *Matrix) {
+// training bit-identical to the per-sample loop it replaced.
+//
+// With AVX2 and a narrow b (N < narrowCols), the first M&^3 rows of dst
+// are transposed into t (grown as needed and kept by the caller, so a
+// warm call allocates nothing) and accumulated in one pass over the
+// batch, four outputs to a register: each lane adds its product or, for
+// a ±0 coefficient, keeps its value by select. Otherwise, and for the
+// last M%4 rows, the kernel walks dst row by row: row i gathers column i
+// of a as its coefficients. Either way every element takes the same
+// rounded steps.
+func AddMulAtB(dst, a, b *Matrix, t *[]float64) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: AddMulAtB shape mismatch (%dx%d)ᵀ×(%dx%d)→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	for i := 0; i < dst.Rows; i++ {
-		addRowCombination(dst.Data[i*dst.Cols:(i+1)*dst.Cols], a.Data, i, a.Cols, b)
+	M, N := a.Cols, b.Cols
+	i0 := 0
+	if haveAVX2 && M >= 4 && N < narrowCols && a.Rows > 0 {
+		i0 = M &^ 3
+		if cap(*t) < N*i0 {
+			*t = make([]float64, N*i0)
+		}
+		tt := (*t)[:N*i0]
+		for i := 0; i < i0; i++ {
+			for j, x := range dst.Data[i*N : (i+1)*N] {
+				tt[j*i0+i] = x
+			}
+		}
+		addMulAtBAVX2(tt, a.Data[:a.Rows*M], b.Data[:a.Rows*N], a.Rows, M, N)
+		for i := 0; i < i0; i++ {
+			drow := dst.Data[i*N : (i+1)*N]
+			for j := range drow {
+				drow[j] = tt[j*i0+i]
+			}
+		}
+	}
+	for i := i0; i < dst.Rows; i++ {
+		addRowCombination(dst.Data[i*N:(i+1)*N], a.Data, i, M, b)
 	}
 }
+
+// narrowCols bounds the b width AddMulAtB accumulates in one transposed
+// pass. The pass computes every product, a zero coefficient's too, where
+// the row-by-row walk skips them but gathers each row's coefficients
+// first; with half the coefficients zero (a ReLU-masked gradient), 64
+// outputs and 128 samples, the pass takes ~0.5× the walk's time at 10
+// columns and breaks even at 19.
+const narrowCols = 20
 
 // addRowCombination adds c_k·b.Row(k) to drow for k = 0..b.Rows-1 in
 // ascending order, where c_k = coef[off+k*stride], never applying a zero (or
@@ -330,8 +380,7 @@ func addRows8(drow []float64, cs *[8]float64, ks *[8]int, b *Matrix) {
 	j := 0
 	if haveAVX2 && N >= 4 {
 		j = N &^ 3
-		rows := [8][]float64{b0, b1, b2, b3, b4, b5, b6, b7}
-		addRows8AVX2(drow[:j], cs, &rows)
+		addRows8AVX2(drow[:j], cs, b.Data, ks, N)
 	}
 	c0, c1, c2, c3, c4, c5, c6, c7 := cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7]
 	for ; j < N; j++ {

@@ -62,7 +62,8 @@ func TestAddMulAtBMatchesAddOuter(t *testing.T) {
 	DZ := randMatrix(5, 6, 5, true)
 	X := randMatrix(6, 6, 4, false)
 	got := NewMatrix(5, 4)
-	AddMulAtB(got, DZ, X)
+	var gt []float64
+	AddMulAtB(got, DZ, X, &gt)
 	want := NewMatrix(5, 4)
 	for s := 0; s < DZ.Rows; s++ {
 		want.AddOuter(1, DZ.Row(s), X.Row(s))
@@ -288,7 +289,8 @@ func TestAddMulAtBSweep(t *testing.T) {
 				})
 				onEachPath(func(path string) {
 					got := unaligned(start, (m+n)%4)
-					AddMulAtB(got, DZ, X)
+					var gt []float64
+					AddMulAtB(got, DZ, X, &gt)
 					what := fmt.Sprintf("%s AddMulAtB (%dx%d)ᵀ·%dx%d", path, s, m, s, n)
 					sameBits(t, what, got, want)
 					for i, v := range got.Data {
@@ -316,12 +318,12 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	u, v, w := sweepMatrix(src, 1, 64).Row(0), sweepMatrix(src, 1, 19).Row(0), sweepMatrix(src, 1, 19).Row(0)
 	wts, grads, m1, m2 := sweepMatrix(src, 1, 67).Row(0), NewVector(67), NewVector(67), NewVector(67)
 	adam := AdamStep{B1: 0.9, D1: 0.1, B2: 0.999, D2: 0.001, C1: 0.1, C2: 0.001, LR: 1e-3, Eps: 1e-8, Scale: 0.5, Clip: true}
-	var bt []float64
+	var bt, gt []float64
 	onEachPath(func(path string) {
 		for name, f := range map[string]func(){
 			"MulABtInto":     func() { MulABtInto(Y, X, W, &bt) },
 			"MatMulInto":     func() { MatMulInto(DX, DZ, W) },
-			"AddMulAtB":      func() { AddMulAtB(DW, DZ, X) },
+			"AddMulAtB":      func() { AddMulAtB(DW, DZ, X, &gt) },
 			"AddOuter":       func() { DW.AddOuter(1e-3, u, v) },
 			"MulVecTInto":    func() { DW.MulVecTInto(w, u) },
 			"AddScaled":      func() { w.AddScaled(-1e-3, v) },
@@ -341,7 +343,8 @@ func TestKernelsEmptyShapes(t *testing.T) {
 	onEachPath(func(path string) {
 		dw := NewMatrix(3, 6)
 		dw.Fill(7)
-		AddMulAtB(dw, NewMatrix(0, 3), NewMatrix(0, 6))
+		var gt []float64
+		AddMulAtB(dw, NewMatrix(0, 3), NewMatrix(0, 6), &gt)
 		dx := NewMatrix(4, 6)
 		dx.Fill(7)
 		MatMulInto(dx, NewMatrix(4, 0), NewMatrix(0, 6))

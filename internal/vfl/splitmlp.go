@@ -73,20 +73,13 @@ func NewSplitMLP(taskD, dataD int, cfg Config) *SplitMLP {
 func (m *SplitMLP) forwardBatch(xt, xd *tensor.Matrix) *tensor.Matrix {
 	zt := m.taskBottom.ForwardBatch(xt)
 	m.fusedB = tensor.EnsureMatrix(m.fusedB, xt.Rows, m.cfg.Hidden1)
-	copy(m.fusedB.Data, zt.Data)
+	var zd []float64
 	if m.dataBottom != nil {
 		// Data party computes its partial activations and sends rows×h1
 		// floats in one message.
-		zd := m.dataBottom.ForwardBatch(xd)
-		for i, v := range zd.Data {
-			m.fusedB.Data[i] += v
-		}
+		zd = m.dataBottom.ForwardBatch(xd).Data
 	}
-	for i, v := range m.fusedB.Data {
-		if v < 0 {
-			m.fusedB.Data[i] = 0
-		}
-	}
+	tensor.ReLUSum(m.fusedB.Data, zt.Data, zd)
 	return m.top.ForwardBatch(m.fusedB)
 }
 
@@ -97,11 +90,7 @@ func (m *SplitMLP) forwardBatch(xt, xd *tensor.Matrix) *tensor.Matrix {
 // their parameter gradients only: their input gradient has no reader.
 func (m *SplitMLP) backwardBatch(grad *tensor.Matrix) {
 	gz := m.top.BackwardBatch(grad)
-	for i, v := range m.fusedB.Data {
-		if v <= 0 {
-			gz.Data[i] = 0
-		}
-	}
+	tensor.ReLUMask(gz.Data, m.fusedB.Data)
 	m.taskBottom.AccumulateBatch(gz)
 	if m.dataBottom != nil {
 		m.dataBottom.AccumulateBatch(gz)

@@ -173,6 +173,58 @@ func splitParties(n, td, dd int) (*TaskParty, *DataParty) {
 	return &TaskParty{X: Xt, Y: y}, &DataParty{X: Xd}
 }
 
+// TestSplitMLPBatchEdgeRows runs one minibatch through forwardBatch and
+// backwardBatch, and the same samples through the per-sample forward and
+// backward, with output gradients taken from the BCE loss as Train takes
+// them. Row 3 is −0 in both parties' inputs, so its fused pre-activations
+// are exactly 0 + b, on the ReLU's boundary. In the "nan" case row 7 has
+// one NaN data-party input: its fused pre-activations, output and loss
+// gradient are NaN, the fused ReLU keeps NaN, and the backward mask
+// (v <= 0, false on NaN) keeps the NaN gradient, which must then reach
+// both bottoms' weight gradients as it does per sample. Outputs and every
+// parameter gradient must agree, a NaN matching any NaN.
+func TestSplitMLPBatchEdgeRows(t *testing.T) {
+	const n, td, dd = 12, 5, 6
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, nanRow := range []bool{false, true} {
+		task, data := splitParties(n, td, dd)
+		task.X.Row(3).Fill(math.Copysign(0, -1))
+		data.X.Row(3).Fill(math.Copysign(0, -1))
+		if nanRow {
+			data.X.Set(7, 2, math.NaN())
+		}
+		cfg := Config{Model: MLP, Seed: 31, Hidden1: 24, Hidden2: 12}
+		vec, ref := NewSplitMLP(td, dd, cfg), NewSplitMLP(td, dd, cfg)
+
+		out := vec.forwardBatch(task.X, data.X)
+		grad := tensor.NewMatrix(n, 1)
+		for s := 0; s < n; s++ {
+			_, g := nn.BCEWithLogitsGrad(out.At(s, 0), task.Y[s])
+			grad.Set(s, 0, g/n)
+			z := ref.forward(task.X.Row(s), data.X.Row(s))
+			if !same(z[0], out.At(s, 0)) {
+				t.Fatalf("nan=%v: output %d = %v, per-sample %v", nanRow, s, out.At(s, 0), z[0])
+			}
+			ref.backward(tensor.Vector{g / n})
+		}
+		vec.backwardBatch(grad)
+
+		pv, pr := vec.params(), ref.params()
+		for k := range pv {
+			for i := range pv[k].G {
+				if !same(pv[k].G[i], pr[k].G[i]) {
+					t.Fatalf("nan=%v: param %d grad %d = %v, per-sample %v", nanRow, k, i, pv[k].G[i], pr[k].G[i])
+				}
+			}
+		}
+		if dataGrad := pv[len(pv)-2].G; nanRow != math.IsNaN(dataGrad[2]) {
+			t.Fatalf("nan=%v: data bottom dW[0][2] = %v", nanRow, dataGrad[2])
+		}
+	}
+}
+
 // TestSplitMLPVectorizedMatchesPerSample trains the same split model twice
 // — once through the vectorized batch path, once through the preserved
 // per-sample reference loop — and demands bit-identical predictions,

@@ -64,7 +64,7 @@ func NewProblem(spec *dataset.Spec, seed uint64, testFrac float64) *Problem {
 	_, split := spec.Split()
 	n := len(split.Y)
 	perm := rng.New(seed).Split(0x9999).Perm(n)
-	nTest := int(float64(n)*testFrac + 0.5)
+	nTest := int(float64(float64(n)*testFrac) + 0.5)
 	return &Problem{
 		Split:     split,
 		TestRows:  perm[:nTest],
@@ -456,14 +456,18 @@ func (o *GainOracle) fly(key string, features []int, f *flight) float64 {
 }
 
 // Warm pre-prices a set of bundles on core.Batch's worker pool
-// (GOMAXPROCS workers, fewer for fewer bundles: training is CPU-bound, so
+// (GOMAXPROCS workers, fewer for fewer jobs: training is CPU-bound, so
 // more workers than cores only multiplies peak memory), so a catalog build
 // saturates the hardware instead of running its VFL courses one after
-// another. Already cached bundles cost a map hit; duplicate bundles in the
-// input coalesce through the singleflight. Warm returns the first context
-// error once the bundles already being priced finish; bundles not yet
-// started are skipped. A panic in a training course (e.g. an out-of-range
-// feature index) is re-raised on the caller's goroutine.
+// another. The baseline M0 is the batch's job 0, trained alongside the
+// bundles rather than before them: a bundle's gain reads Baseline only
+// after its own course, so a bundle that finishes first joins the
+// baseline's flight instead of idling a worker while it trains. Already
+// cached bundles cost a map hit; duplicate bundles in the input coalesce
+// through the singleflight. Warm returns the first context error once the
+// courses already being trained finish; jobs not yet started are skipped.
+// A panic in a training course (e.g. an out-of-range feature index) is
+// re-raised on the caller's goroutine.
 func (o *GainOracle) Warm(ctx context.Context, bundles [][]int) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -471,11 +475,12 @@ func (o *GainOracle) Warm(ctx context.Context, bundles [][]int) error {
 	if err := ctx.Err(); err != nil || len(bundles) == 0 {
 		return err
 	}
-	// Price the baseline first: every gain evaluation needs M0, so warming
-	// it up-front keeps the workers from all queueing on its flight.
-	o.Baseline()
-	_, err := core.Batch(ctx, len(bundles), 0, func(_ context.Context, i int) (struct{}, error) {
-		o.Gain(bundles[i])
+	_, err := core.Batch(ctx, len(bundles)+1, 0, func(_ context.Context, i int) (struct{}, error) {
+		if i == 0 {
+			o.Baseline()
+		} else {
+			o.Gain(bundles[i-1])
+		}
 		return struct{}{}, nil
 	})
 	return err
