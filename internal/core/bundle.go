@@ -105,14 +105,14 @@ func NewCatalog(numFeatures int, cfg CatalogConfig, src *rng.Source, gains GainP
 		}
 		seen[key] = true
 		frac := float64(len(features)) / float64(numFeatures)
-		jr := 1 + cfg.Noise*src.Gauss(0, 1)
-		jb := 1 + cfg.Noise*src.Gauss(0, 1)
+		jr := 1 + float64(cfg.Noise*src.Gauss(0, 1))
+		jb := 1 + float64(cfg.Noise*src.Gauss(0, 1))
 		cat.Bundles = append(cat.Bundles, Bundle{
 			ID:       len(cat.Bundles),
 			Features: features,
 			Reserved: ReservedPrice{
-				Rate: math.Max(0.1, cfg.BaseRate*(0.6+cfg.CostSlope*frac)*jr),
-				Base: math.Max(0.01, cfg.BaseBase*(0.6+cfg.CostSlope*frac)*jb),
+				Rate: math.Max(0.1, cfg.BaseRate*(0.6+float64(cfg.CostSlope*frac))*jr),
+				Base: math.Max(0.01, cfg.BaseBase*(0.6+float64(cfg.CostSlope*frac))*jb),
 			},
 		})
 	}
@@ -260,7 +260,7 @@ func (c *Catalog) SuggestInitialPrice() (rate, base float64) {
 		panic("core: SuggestInitialPrice on empty catalog")
 	}
 	best := 0
-	score := func(r ReservedPrice) float64 { return r.Rate + 5*r.Base }
+	score := func(r ReservedPrice) float64 { return r.Rate + float64(5*r.Base) }
 	for i, b := range c.Bundles {
 		if score(b.Reserved) < score(c.Bundles[best].Reserved) {
 			best = i
@@ -345,7 +345,7 @@ func (s *SyntheticGains) Gain(features []int) float64 {
 	}
 	g := s.MaxGain * (1 - keep)
 	if s.noise > 0 {
-		g += s.src.Uniform(-s.noise, s.noise)
+		g = float64(g) + s.src.Uniform(-s.noise, s.noise)
 		if g < 0 {
 			g = 0
 		}

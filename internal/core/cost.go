@@ -88,8 +88,8 @@ func dataAcceptsUnderCost(cat *Catalog, q QuotedPrice, offeredGain float64,
 		gainJ = target // payment saturates at the knee
 	}
 	res := cat.Bundles[j].Reserved
-	lhs := q.Base + q.Rate*offeredGain - cost.At(T)
-	rhs := math.Max(res.Base, q.Base) + math.Max(res.Rate, q.Rate)*gainJ - cost.At(T+1) - epsDC
+	lhs := q.Base + float64(q.Rate*offeredGain) - cost.At(T)
+	rhs := math.Max(res.Base, q.Base) + float64(math.Max(res.Rate, q.Rate)*gainJ) - cost.At(T+1) - epsDC
 	return lhs >= rhs
 }
 
@@ -103,7 +103,7 @@ func taskAcceptsUnderCost(u float64, q QuotedPrice, gain float64,
 	if cost.Kind == NoCost {
 		return false
 	}
-	lhs := u*gain - (q.Base + q.Rate*gain) - cost.At(T)
-	rhs := u*q.TargetGain() - q.High - cost.At(T+1) - epsTC
+	lhs := float64(u*gain) - (q.Base + float64(q.Rate*gain)) - cost.At(T)
+	rhs := float64(u*q.TargetGain()) - q.High - cost.At(T+1) - epsTC
 	return lhs >= rhs
 }

@@ -235,7 +235,7 @@ func nextImperfectQuote(s SessionConfig, f *PriceEstimator, pool []QuotedPrice,
 	var bestFilteredProfit, bestAnyProfit float64
 	for i, q := range pool {
 		pred := preds[i]
-		profit := s.U*pred - q.Payment(pred)
+		profit := float64(s.U*pred) - q.Payment(pred)
 		if bestAny < 0 || profit > bestAnyProfit {
 			bestAny, bestAnyProfit = i, profit
 		}
@@ -244,7 +244,7 @@ func nextImperfectQuote(s SessionConfig, f *PriceEstimator, pool []QuotedPrice,
 			// any predicted overshoot is estimation noise that Lemma 3.1
 			// says cannot be monetized, so evaluate the profit at the knee —
 			// u·ΔG* − Ph — making this an argmin over ceilings.
-			atKnee := s.U*q.TargetGain() - q.High
+			atKnee := float64(s.U*q.TargetGain()) - q.High
 			if bestFiltered < 0 || atKnee > bestFilteredProfit {
 				bestFiltered, bestFilteredProfit = i, atKnee
 			}

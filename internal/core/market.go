@@ -159,9 +159,9 @@ func (c SessionConfig) Validate() error {
 	if c.InitRate <= 0 || c.InitBase < 0 {
 		return fmt.Errorf("core: initial price (p0=%v, P0=%v) invalid", c.InitRate, c.InitBase)
 	}
-	if c.Budget < c.InitBase+c.InitRate*c.TargetGain {
+	if c.Budget < c.InitBase+float64(c.InitRate*c.TargetGain) {
 		return fmt.Errorf("core: budget %v cannot fund the initial equilibrium quote %v",
-			c.Budget, c.InitBase+c.InitRate*c.TargetGain)
+			c.Budget, c.InitBase+float64(c.InitRate*c.TargetGain))
 	}
 	return nil
 }
@@ -364,7 +364,7 @@ func (s *Session) playFrom(ctx context.Context, cfg SessionConfig, policy buyerP
 		return RoundRecord{
 			Round: T, Price: q, BundleID: bundleID, Gain: gain,
 			Payment:   q.Payment(gain),
-			NetProfit: cfg.U*gain - q.Payment(gain),
+			NetProfit: float64(cfg.U*gain) - q.Payment(gain),
 			TaskCost:  cfg.TaskCost.At(T),
 			DataCost:  cfg.DataCost.At(T),
 		}
@@ -373,6 +373,11 @@ func (s *Session) playFrom(ctx context.Context, cfg SessionConfig, policy buyerP
 		res.Outcome = outcome
 		if n := len(res.Rounds); n > 0 {
 			res.Final = res.Rounds[n-1]
+		}
+		// The result may be kept long after the session: drop the spare
+		// capacity append grew the rounds to.
+		if cap(res.Rounds) > len(res.Rounds) {
+			res.Rounds = slices.Clone(res.Rounds)
 		}
 		s.notifyOutcome(*res)
 		return nil
@@ -537,7 +542,7 @@ func nextQuote(cfg SessionConfig, cur QuotedPrice, pool []QuotedPrice, poolIdx *
 // monotone diagonal through the reserve-price plane, so the set of
 // affordable bundles (almost) only grows from round to round.
 func samplePricePool(s SessionConfig, size int, src *rng.Source) []QuotedPrice {
-	minHigh := s.InitBase + s.InitRate*s.TargetGain
+	minHigh := s.InitBase + float64(s.InitRate*s.TargetGain)
 	maxHigh := math.Min(s.Budget, 0.99*s.U*s.TargetGain)
 	if maxHigh <= minHigh {
 		return nil // no rational escalation exists above the opening quote
@@ -551,9 +556,9 @@ func samplePricePool(s SessionConfig, size int, src *rng.Source) []QuotedPrice {
 			continue
 		}
 		t := (high - minHigh) / (maxHigh - minHigh)
-		rate := s.InitRate + (rcap-s.InitRate)*t + src.Uniform(-0.06, 0.06)*(rcap-s.InitRate)
+		rate := s.InitRate + float64((rcap-s.InitRate)*t) + float64(src.Uniform(-0.06, 0.06)*(rcap-s.InitRate))
 		rate = math.Min(math.Max(rate, s.InitRate*1.0001), maxRate)
-		q := QuotedPrice{Rate: rate, High: high, Base: high - rate*s.TargetGain}
+		q := QuotedPrice{Rate: rate, High: high, Base: high - float64(rate*s.TargetGain)}
 		if q.Base < s.InitBase {
 			continue
 		}

@@ -98,7 +98,7 @@ func (s *Session) RunPerfectSecure(ctx context.Context, cipher SettlementCipher)
 	for i := range res.Rounds {
 		rec := &res.Rounds[i]
 		rec.Payment = sec.opened[i]
-		rec.NetProfit = pol.cfg.U*rec.Gain - rec.Payment
+		rec.NetProfit = float64(pol.cfg.U*rec.Gain) - rec.Payment
 	}
 	if n := len(res.Rounds); n > 0 {
 		res.Final = res.Rounds[n-1]

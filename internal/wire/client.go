@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -46,6 +47,7 @@ func (t *TaskClient) BargainCodec(ctx context.Context, c Codec, hello *Hello) (*
 	}
 	seller := &remoteSeller{
 		l:        link{c},
+		listing:  hello.Bundles,
 		reporter: reporter,
 		u:        t.Session.U,
 		target:   t.Session.TargetGain,
@@ -97,11 +99,12 @@ func (t *TaskClient) imperfectSession(c Codec, hello *Hello) (*core.Session, *re
 		return nil, nil, fmt.Errorf("wire: the imperfect regime needs cleartext settlement; the server settles under Paillier")
 	}
 	seller := &remoteSeller{
-		l:      link{c},
-		u:      t.Session.U,
-		target: t.Session.TargetGain,
-		ackMSE: true,
-		sink:   t.Checkpoint,
+		l:       link{c},
+		listing: hello.Bundles,
+		u:       t.Session.U,
+		target:  t.Session.TargetGain,
+		ackMSE:  true,
+		sink:    t.Checkpoint,
 	}
 	sess := core.NewSession(nil, t.Session).Observe(t.Observers...)
 	if t.Checkpoint != nil {
@@ -130,6 +133,7 @@ func (t *TaskClient) imperfectSession(c Codec, hello *Hello) (*core.Session, *re
 // checkpoint a lockstep run would have produced.
 type remoteSeller struct {
 	l        link
+	listing  []BundleInfo // the session Hello's
 	reporter *secure.TaskReporter
 	u        float64
 	target   float64
@@ -210,10 +214,26 @@ func (r *remoteSeller) Offer(round int, q core.QuotedPrice) (core.SellerOffer, e
 	}
 	o := e.Offer
 	return core.SellerOffer{
-		BundleID: o.BundleID, Features: o.Features,
+		BundleID: o.BundleID, Features: r.features(o),
 		Accept: o.Accept, Fail: o.Fail, Reason: o.Reason,
 		TargetBundleID: o.TargetBundleID,
 	}, nil
+}
+
+// features returns the offered bundle's features as the session Hello
+// lists them, or a copy of the offer's own when the listing has no equal
+// entry: the offer's slice lives in a receive envelope that a later round
+// reuses, and core hands it to the gain provider and observers.
+func (r *remoteSeller) features(o *Offer) []int {
+	for _, b := range r.listing {
+		if b.ID == o.BundleID {
+			if slices.Equal(b.Features, o.Features) {
+				return b.Features
+			}
+			break
+		}
+	}
+	return slices.Clone(o.Features)
 }
 
 func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDecision) error {

@@ -203,7 +203,7 @@ const (
 // fast.
 const maxHandshakeLen = 64
 
-// writeMuxHandshake sends the preamble: after it, every envelope on the
+// writeMuxHandshake writes the preamble: after it, every envelope on the
 // connection travels in a length-prefixed frame and carries a session ID.
 func writeMuxHandshake(w io.Writer, codecName string) error {
 	if _, err := fmt.Fprintf(w, "%s %s %s\n", handshakeMagic, codecName, muxToken); err != nil {

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // The binary envelope encoding (CodecBinary) is a hand-rolled layout for the
@@ -351,8 +352,12 @@ func (d *envelopeDecoder) strings() []string {
 }
 
 // decodeEnvelope decodes one frame payload. The result never aliases b, so
-// the caller may recycle the frame bytes as soon as it returns.
-func decodeEnvelope(b []byte) (*Envelope, error) {
+// the caller may recycle the frame bytes as soon as it returns. A frame
+// whose mask names exactly one per-round payload decodes into a box of its
+// session's (boxFor, when non-nil, returns the session's boxes by SID)
+// while that box is free, and onto the heap otherwise; a frame that fails
+// to decode frees the box it took.
+func decodeEnvelope(b []byte, boxFor func(sid uint64) *envBoxes) (*Envelope, error) {
 	d := envelopeDecoder{b: b}
 	kind := d.int()
 	sid := d.uint()
@@ -364,7 +369,16 @@ func decodeEnvelope(b []byte) (*Envelope, error) {
 		d.fail("unknown payload bits %#x", mask&^bitsAll)
 		return nil, d.err
 	}
-	e := newEnvelope(mask)
+	var boxes *envBoxes
+	var e *Envelope
+	if boxFor != nil && perRound(mask) {
+		if boxes = boxFor(sid); boxes != nil {
+			e = boxes.take(mask)
+		}
+	}
+	if e == nil {
+		e = newEnvelope(mask)
+	}
 	e.Kind, e.SID = Kind(kind), sid
 	if mask&bitHello != 0 {
 		h := new(Hello)
@@ -445,6 +459,9 @@ func decodeEnvelope(b []byte) (*Envelope, error) {
 		d.fail("%d trailing bytes", len(b)-d.off)
 	}
 	if d.err != nil {
+		if boxes != nil {
+			boxes.put(e)
+		}
 		return nil, d.err
 	}
 	return e, nil
@@ -484,10 +501,12 @@ func (d *envelopeDecoder) stats() *StatsReport {
 	return s
 }
 
-// boxed is an envelope allocated together with its only payload.
+// boxed is an envelope allocated together with its only payload. busy
+// marks a session's box (envBoxes) taken; a heap one never sets it.
 type boxed[T any] struct {
-	e Envelope
-	p T
+	e    Envelope
+	p    T
+	busy atomic.Bool
 }
 
 // offerBox is an Offer envelope allocated together with its payload and
@@ -541,4 +560,71 @@ func newEnvelope(mask uint64) *Envelope {
 		e.Ack = new(Ack)
 	}
 	return e
+}
+
+// perRound reports whether mask names exactly one per-round payload.
+func perRound(mask uint64) bool {
+	switch mask {
+	case bitQuote, bitOffer, bitSettle, bitAck:
+		return true
+	}
+	return false
+}
+
+// envBoxes are one session's receive envelopes for the per-round kinds,
+// allocated with the session and reused every round. The decoder takes
+// the box of a frame's payload kind while it is free; it then stays busy
+// while it waits in the session's inbox and while the session holds it,
+// until the session's next Recv puts it back. The decoder may run on any
+// session's goroutine (the read baton's holder decodes its siblings'
+// frames), so a box is taken and put back atomically.
+type envBoxes struct {
+	quote  boxed[Quote]
+	offer  offerBox
+	settle boxed[Settle]
+	ack    boxed[Ack]
+}
+
+// take claims the box for a per-round mask and resets it to hold only its
+// payload, or returns nil when the box is busy.
+func (b *envBoxes) take(mask uint64) *Envelope {
+	switch mask {
+	case bitQuote:
+		if b.quote.busy.CompareAndSwap(false, true) {
+			b.quote.e = Envelope{Quote: &b.quote.p}
+			return &b.quote.e
+		}
+	case bitOffer:
+		if b.offer.busy.CompareAndSwap(false, true) {
+			b.offer.e = Envelope{Offer: &b.offer.p}
+			b.offer.p.Features = b.offer.f[:0]
+			return &b.offer.e
+		}
+	case bitSettle:
+		if b.settle.busy.CompareAndSwap(false, true) {
+			b.settle.e = Envelope{Settle: &b.settle.p}
+			return &b.settle.e
+		}
+	case bitAck:
+		if b.ack.busy.CompareAndSwap(false, true) {
+			b.ack.e = Envelope{Ack: &b.ack.p}
+			return &b.ack.e
+		}
+	}
+	return nil
+}
+
+// put frees the box e is, if e is one of b's; any other envelope is left
+// to the collector.
+func (b *envBoxes) put(e *Envelope) {
+	switch e {
+	case &b.quote.e:
+		b.quote.busy.Store(false)
+	case &b.offer.e:
+		b.offer.busy.Store(false)
+	case &b.settle.e:
+		b.settle.busy.Store(false)
+	case &b.ack.e:
+		b.ack.busy.Store(false)
+	}
 }

@@ -73,7 +73,7 @@ func TestEnvelopeRoundTripEveryKind(t *testing.T) {
 		if want.Kind != Kind(i+1) {
 			t.Fatalf("sample %d is %v, want Kind order", i, want.Kind)
 		}
-		got, err := decodeEnvelope(encodeOne(want))
+		got, err := decodeEnvelope(encodeOne(want), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", want.Kind, err)
 		}
@@ -122,7 +122,7 @@ func TestEnvelopeFloatBitsExact(t *testing.T) {
 	for _, bits := range specials {
 		f := math.Float64frombits(bits)
 		e := &Envelope{Kind: KindQuote, Quote: &Quote{Rate: f, Base: f, High: f, U: f, Target: f}}
-		got, err := decodeEnvelope(encodeOne(e))
+		got, err := decodeEnvelope(encodeOne(e), nil)
 		if err != nil {
 			t.Fatalf("%#016x: %v", bits, err)
 		}
@@ -137,7 +137,7 @@ func TestEnvelopeFloatBitsExact(t *testing.T) {
 			{Kind: KindAck, Ack: &Ack{DataMSE: f}},
 			{Kind: KindClientHello, Client: &ClientHello{Imperfect: &ImperfectHello{Target: f}}},
 		} {
-			got, err := decodeEnvelope(encodeOne(e))
+			got, err := decodeEnvelope(encodeOne(e), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestEnvelopeNilVersusEmpty(t *testing.T) {
 		{Kind: KindError, Err: &ErrorMsg{}},
 		{},
 	} {
-		got, err := decodeEnvelope(encodeOne(want))
+		got, err := decodeEnvelope(encodeOne(want), nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", want, err)
 		}
@@ -207,7 +207,7 @@ func TestEnvelopeOfferFeatures(t *testing.T) {
 	for _, n := range []int{-1, 0, 1, offerInline, offerInline + 1} {
 		want := offerWith(n)
 		raw := encodeOne(want)
-		got, err := decodeEnvelope(raw)
+		got, err := decodeEnvelope(raw, nil)
 		if err != nil {
 			t.Fatalf("%d features: %v", n, err)
 		}
@@ -226,7 +226,7 @@ func TestEnvelopeOfferDecodeAllocatesOnce(t *testing.T) {
 	for n, want := range map[int]float64{0: 1, 3: 1, offerInline: 1, offerInline + 1: 2} {
 		raw := encodeOne(offerWith(n))
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := decodeEnvelope(raw); err != nil {
+			if _, err := decodeEnvelope(raw, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -257,7 +257,7 @@ func TestEnvelopeStatsBytesDeterministic(t *testing.T) {
 	// A hand-built payload listing markets out of order is refused, so every
 	// decodable report has exactly one encoding.
 	swapped := bytes.Replace(bytes.Replace(first, []byte("m00"), []byte("mXX"), 1), []byte("m01"), []byte("m00"), 1)
-	if _, err := decodeEnvelope(swapped); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeEnvelope(swapped, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("out-of-order markets: err = %v, want ErrBadFrame", err)
 	}
 }
@@ -281,7 +281,7 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 			append(appendCount(nil, 1<<40, false), bytes.Repeat([]byte{0}, 12)...)...),
 	}
 	for name, payload := range cases {
-		e, err := decodeEnvelope(payload)
+		e, err := decodeEnvelope(payload, nil)
 		var ee *EnvelopeError
 		if e != nil || !errors.As(err, &ee) || !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: got %+v, %v; want a nil envelope and an *EnvelopeError", name, e, err)
@@ -311,7 +311,7 @@ func TestEnvelopeCountsCappedBeforeAlloc(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i, p := range payloads {
-		if _, err := decodeEnvelope(p); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "count") {
+		if _, err := decodeEnvelope(p, nil); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "count") {
 			t.Fatalf("payload %d: err = %v, want a count refusal", i, err)
 		}
 	}
@@ -357,7 +357,7 @@ func TestEnvelopeGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeEnvelope(raw)
+		got, err := decodeEnvelope(raw, nil)
 		if err != nil || !reflect.DeepEqual(got, envs[i]) {
 			t.Fatalf("golden line %d decodes to %+v, %v", i+1, got, err)
 		}
@@ -404,10 +404,23 @@ func writeCorpus(t *testing.T, target string, seeds [][]byte) {
 // FuzzEnvelopeDecode feeds arbitrary frame payloads to the binary decoder.
 // It must never panic, and whatever it accepts must re-encode to bytes
 // that decode again and re-encode identically — the decoder and encoder
-// agree on one layout.
+// agree on one layout. Each payload is decoded onto the heap and into a
+// session's receive boxes: both must agree, and a payload that fails
+// leaves every box free.
 func FuzzEnvelopeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := decodeEnvelope(data)
+		e, err := decodeEnvelope(data, nil)
+		var boxes envBoxes
+		be, berr := decodeEnvelope(data, func(uint64) *envBoxes { return &boxes })
+		switch {
+		case (err == nil) != (berr == nil):
+			t.Fatalf("heap decode error %v, box decode error %v", err, berr)
+		case berr != nil && (be != nil || boxes.quote.busy.Load() || boxes.offer.busy.Load() ||
+			boxes.settle.busy.Load() || boxes.ack.busy.Load()):
+			t.Fatalf("box decode error %v left envelope %+v or a busy box", berr, be)
+		case err == nil && !bytes.Equal(encodeOne(be), encodeOne(e)):
+			t.Fatalf("heap and box decodes differ:\n%x\n%x", encodeOne(e), encodeOne(be))
+		}
 		if err != nil {
 			if e != nil || !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decode error %v with envelope %+v; want a nil envelope and ErrBadFrame", err, e)
@@ -415,7 +428,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			return
 		}
 		first := encodeOne(e)
-		again, err := decodeEnvelope(first)
+		again, err := decodeEnvelope(first, nil)
 		if err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}

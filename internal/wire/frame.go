@@ -174,6 +174,10 @@ type framedCodec struct {
 	spill int
 
 	gob *gobFrames // non-nil only for CodecGob
+
+	// boxes, when non-nil, returns the receive boxes of the session a
+	// binary frame names (see decodeEnvelope); a mux end sets it.
+	boxes func(sid uint64) *envBoxes
 }
 
 // newFramedCodec builds the framed codec over a connection whose preamble
@@ -199,8 +203,28 @@ func newFramedCodec(name string, br *bufio.Reader, w io.Writer) (*framedCodec, e
 func (f *framedCodec) Name() string { return f.name }
 
 func (f *framedCodec) Send(e *Envelope) error {
+	if err := f.frame(e); err != nil {
+		return err
+	}
+	return f.push()
+}
+
+// frame encodes e's whole frame, length prefix and payload, into the send
+// scratch; push then writes it to the buffered writer. Between the two,
+// framed says how many bytes the push writes.
+func (f *framedCodec) frame(e *Envelope) error {
 	if f.gob != nil {
-		return f.sendGob(e)
+		g := f.gob
+		g.buf.Reset()
+		if err := g.enc.Encode(e); err != nil {
+			// A failed encode may leave half a payload in the scratch buffer
+			// but nothing on the wire; the connection is still framed
+			// correctly. gob stream state could be inconsistent though, so
+			// callers treat this as fatal for the connection.
+			return err
+		}
+		f.buf = binary.BigEndian.AppendUint32(f.buf[:0], uint32(g.buf.Len()))
+		return nil
 	}
 	f.buf = appendEnvelope(append(f.buf[:0], 0, 0, 0, 0), e)
 	n := len(f.buf) - 4
@@ -208,25 +232,21 @@ func (f *framedCodec) Send(e *Envelope) error {
 		return fmt.Errorf("%w: %v envelope of %d bytes exceeds the frame limit", ErrBadFrame, e.Kind, n)
 	}
 	binary.BigEndian.PutUint32(f.buf, uint32(n))
-	_, err := f.bw.Write(f.buf)
-	return err
+	return nil
 }
 
-func (f *framedCodec) sendGob(e *Envelope) error {
-	g := f.gob
-	g.buf.Reset()
-	if err := g.enc.Encode(e); err != nil {
-		// A failed encode may leave half a payload in the scratch buffer but
-		// nothing on the wire; the connection is still framed correctly. gob
-		// stream state could be inconsistent though, so callers treat this
-		// as fatal for the connection.
+func (f *framedCodec) framed() int {
+	if f.gob != nil {
+		return len(f.buf) + f.gob.buf.Len()
+	}
+	return len(f.buf)
+}
+
+func (f *framedCodec) push() error {
+	if _, err := f.bw.Write(f.buf); err != nil || f.gob == nil {
 		return err
 	}
-	f.buf = binary.BigEndian.AppendUint32(f.buf[:0], uint32(g.buf.Len()))
-	if _, err := f.bw.Write(f.buf); err != nil {
-		return err
-	}
-	_, err := f.bw.Write(g.buf.Bytes())
+	_, err := f.bw.Write(f.gob.buf.Bytes())
 	return err
 }
 
@@ -249,7 +269,7 @@ func (f *framedCodec) Recv() (*Envelope, error) {
 		}
 		return &e, nil
 	}
-	e, err := decodeEnvelope(p)
+	e, err := decodeEnvelope(p, f.boxes)
 	if f.big.Len() > 0 {
 		f.big.Reset()
 	} else {

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -36,7 +38,9 @@ var framedCodecs = []string{CodecBinary, CodecGob}
 // FuzzFrameDecode feeds arbitrary bytes to the framed decoder: truncated,
 // oversized, zero-length, and bit-flipped frames must all surface as
 // errors — never a panic, a hang, or a giant allocation. The seeds are
-// binary frame streams; every input is also fed to framed gob.
+// binary frame streams; every input is also fed to framed gob. The binary
+// stream is decoded twice, onto the heap and into one session's receive
+// boxes, and both must yield the same envelopes and the same error.
 func FuzzFrameDecode(f *testing.F) {
 	valid := validFrameStream(f, CodecBinary,
 		&Envelope{Kind: KindClientHello, Client: &ClientHello{Version: ProtocolVersion, Market: "titanic"}},
@@ -56,21 +60,41 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(validFrameStream(f, CodecGob, &Envelope{Kind: KindQuote, Quote: &Quote{Round: 3, Rate: 12.5}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range framedCodecs {
-			fc, err := newFramedCodec(codec, bufio.NewReader(bytes.NewReader(data)), io.Discard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Bounded decode loop: each Recv either yields an envelope or a
-			// typed/wrapped error; a stream of len(data) bytes can hold at
-			// most len(data)/5 non-empty frames, so this cannot spin.
-			for i := 0; i <= len(data)/5+1; i++ {
-				if _, err := fc.Recv(); err != nil {
-					break
-				}
-			}
+		heap, herr := recvAll(t, CodecBinary, data, nil)
+		var boxes envBoxes
+		boxed, berr := recvAll(t, CodecBinary, data, &boxes)
+		if fmt.Sprint(herr) != fmt.Sprint(berr) || !slices.EqualFunc(heap, boxed, bytes.Equal) {
+			t.Fatalf("heap and box decodes differ:\nheap %x, %v\nbox  %x, %v", heap, herr, boxed, berr)
 		}
+		_, _ = recvAll(t, CodecGob, data, nil)
 	})
+}
+
+// recvAll decodes data as a frame stream until the first error and returns
+// every envelope re-encoded in the binary layout. The loop is bounded: a
+// stream of len(data) bytes holds at most len(data)/5 non-empty frames, so
+// it cannot spin. With boxes set, they take every per-round frame, and each
+// envelope goes back to them before the next Recv, as a session's does.
+func recvAll(t *testing.T, codec string, data []byte, boxes *envBoxes) ([][]byte, error) {
+	fc, err := newFramedCodec(codec, bufio.NewReader(bytes.NewReader(data)), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boxes != nil {
+		fc.boxes = func(uint64) *envBoxes { return boxes }
+	}
+	var out [][]byte
+	for i := 0; i <= len(data)/5+1; i++ {
+		e, err := fc.Recv()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, appendEnvelope(nil, e))
+		if boxes != nil {
+			boxes.put(e)
+		}
+	}
+	return out, nil
 }
 
 // A zero or oversized length prefix is a typed ErrBadFrame, and a torn

@@ -25,10 +25,20 @@ import (
 // its inbox until the holder routes it a frame or hands the baton over.
 //
 // Stall detection is per session: a waiting receive runs its own timer,
-// and the holder arms the same deadline as the connection's read
-// deadline. The framed codec consumes nothing until a whole frame is
-// buffered, so a holder that times out leaves the stream intact for the
-// next reader, and no wedged session can starve its siblings. The
+// and the holder reads under the connection's read deadline, which it
+// re-arms only when the armed one has passed, is later than its own
+// deadline, or is missing. An earlier one that interrupts the read only
+// sends the holder back to its checks. The framed codec consumes nothing
+// until a whole frame is buffered, so a holder that times out leaves the
+// stream intact for the next reader, and no wedged session can starve its
+// siblings. Writes arm the write deadline only when bytes reach the
+// connection: a flush with bytes buffered, or a send that overflows the
+// buffer.
+//
+// The binary codec decodes each Quote, Offer, Settle or Ack frame into its
+// session's box for that kind, whichever session's goroutine reads it, and
+// onto the heap while that box is still queued or held. A session holds
+// the envelope its Recv returned until its next Recv. The
 // connection's own loop reads only while no session is registered: it
 // notices an idle connection's death, admits a server's first session,
 // and reaps an abandoned server connection after the idle deadline.
@@ -116,12 +126,14 @@ type muxEnd struct {
 	// Receives that find it taken queue on the channel in arrival order.
 	baton chan struct{}
 
-	// mu guards slots and reader, the baton's holder (a session's slot or
-	// &connLoop; nil while free). A holder arms its read deadline under
-	// mu, so a poke under mu is never overwritten.
+	// mu guards slots, reader, the baton's holder (a session's slot or
+	// &connLoop; nil while free), and rdl, the connection's armed read
+	// deadline (zero: none). A holder arms its read deadline under mu, so
+	// a poke under mu is never overwritten.
 	mu     sync.Mutex
 	slots  map[uint64]*muxSlot
 	reader *muxSlot
+	rdl    time.Time
 	wake   chan struct{} // tells the own loop the last session left
 }
 
@@ -133,6 +145,16 @@ func (m *muxEnd) init(conn net.Conn, fc *framedCodec, ioTimeout time.Duration) {
 	m.baton = make(chan struct{}, 1)
 	m.baton <- struct{}{}
 	m.wake = make(chan struct{}, 1)
+	fc.boxes = m.boxesFor
+}
+
+// boxesFor returns the receive boxes of the session sid names, or nil if
+// it is not open.
+func (m *muxEnd) boxesFor(sid uint64) *envBoxes {
+	if s := m.lookup(sid); s != nil {
+		return &s.boxes
+	}
+	return nil
 }
 
 // fail ends the connection with err: its fate closes the conn, every open
@@ -147,15 +169,18 @@ func (m *muxEnd) fail(err error) {
 		s.fate.fail(err)
 	}
 	if m.reader != nil {
+		m.rdl = aLongTimeAgo
 		_ = m.conn.SetReadDeadline(aLongTimeAgo)
 	}
 	m.mu.Unlock()
 }
 
 // send buffers e on the shared writer and flush pushes the buffer to the
-// connection, both under the writer lock and the write deadline. A failed
-// write fails the whole connection: bufio.Writer errors are sticky, so no
-// sibling session could send after it anyway.
+// connection, both under the writer lock. The write deadline is armed only
+// where bytes reach the connection: a send whose frame overflows the
+// buffer, or a flush with bytes buffered (an empty flush writes nothing).
+// A failed write fails the whole connection: bufio.Writer errors are
+// sticky, so no sibling session could send after it anyway.
 func (m *muxEnd) send(e *Envelope) error { return m.write(e) }
 
 func (m *muxEnd) flush() error { return m.write(nil) }
@@ -166,22 +191,40 @@ func (m *muxEnd) write(e *Envelope) error {
 	if err := m.fate.err(); err != nil {
 		return err
 	}
-	if m.io > 0 {
-		if err := m.conn.SetWriteDeadline(time.Now().Add(m.io)); err != nil {
+	fc := m.fc
+	var err error
+	switch {
+	case e != nil:
+		if err = fc.frame(e); err == nil {
+			if fc.framed() > fc.bw.Available() {
+				if err := m.armWrite(); err != nil {
+					return err
+				}
+			}
+			err = fc.push()
+		}
+	case fc.bw.Buffered() == 0:
+		return nil
+	default:
+		if err := m.armWrite(); err != nil {
 			return err
 		}
-	}
-	var err error
-	if e != nil {
-		err = m.fc.Send(e)
-	} else {
-		err = m.fc.Flush()
+		err = fc.Flush()
 	}
 	if err != nil {
 		err = classify(fmt.Errorf("wire: mux write: %w", err))
 		m.fail(err)
 	}
 	return err
+}
+
+// armWrite sets the write deadline of a write about to reach the
+// connection.
+func (m *muxEnd) armWrite() error {
+	if m.io <= 0 {
+		return nil
+	}
+	return m.conn.SetWriteDeadline(time.Now().Add(m.io))
 }
 
 // reply sends one control envelope on sid and flushes it, best effort.
@@ -251,6 +294,7 @@ func (m *muxEnd) loopTurn() (alive bool, err error) {
 			if m.idle > 0 {
 				dl = time.Now().Add(m.idle)
 			}
+			m.rdl = dl
 			err = m.conn.SetReadDeadline(dl)
 		}
 		m.mu.Unlock()
@@ -272,9 +316,24 @@ func (m *muxEnd) release() {
 func (m *muxEnd) poke(s *muxSlot) {
 	m.mu.Lock()
 	if m.reader == s {
+		m.rdl = aLongTimeAgo
 		_ = m.conn.SetReadDeadline(aLongTimeAgo)
 	}
 	m.mu.Unlock()
+}
+
+// armRead, with mu held, lets the holder read until its deadline d (zero
+// means none). The armed read deadline stays while it is ahead of now and
+// no later than d: a read it interrupts before d loops back to the
+// holder's checks, which find it passed and re-arm. It is re-armed when it
+// has passed, is later than d, or is missing while d is set.
+func (m *muxEnd) armRead(d, now time.Time) error {
+	a := m.rdl
+	if a.IsZero() && d.IsZero() || !a.IsZero() && now.Before(a) && (d.IsZero() || !d.Before(a)) {
+		return nil
+	}
+	m.rdl = d
+	return m.conn.SetReadDeadline(d)
 }
 
 // deliver takes a frame off the read path: a server's control frames to
@@ -313,9 +372,10 @@ func (m *muxEnd) route(e *Envelope) {
 	}
 }
 
-// slot builds a session's end of the connection; the caller registers it.
-func (m *muxEnd) slot(ctx context.Context, sid uint64, io time.Duration, f *fate) muxSlot {
-	return muxSlot{m: m, sid: sid, io: io, ctx: ctx, fate: f, inbox: make(chan *Envelope, muxInboxCap)}
+// init builds a session's end of m; the caller registers it.
+func (s *muxSlot) init(m *muxEnd, ctx context.Context, sid uint64, io time.Duration, f *fate) {
+	s.m, s.sid, s.io, s.ctx, s.fate = m, sid, io, ctx, f
+	s.inbox = make(chan *Envelope, muxInboxCap)
 }
 
 // drop unregisters s and returns how many sessions remain. The last one
@@ -352,6 +412,8 @@ type muxSlot struct {
 	fate  *fate           // a client session's is its connection's
 	inbox chan *Envelope
 	timer *time.Timer // reused across Recvs; Recv is serialized per session
+	boxes envBoxes    // the per-round receive envelopes
+	held  *Envelope   // what the last Recv returned, a box or not
 }
 
 func (s *muxSlot) Name() string { return s.m.fc.name }
@@ -368,7 +430,19 @@ func (s *muxSlot) Send(e *Envelope) error {
 // siblings', to the peer.
 func (s *muxSlot) Flush() error { return s.m.flush() }
 
+// Recv returns the session's next envelope, valid until its next Recv: a
+// per-round one may be a box of the session's, which that call puts back
+// for the decoder to reuse.
 func (s *muxSlot) Recv() (*Envelope, error) {
+	if s.held != nil {
+		s.boxes.put(s.held)
+	}
+	e, err := s.next()
+	s.held = e
+	return e, err
+}
+
+func (s *muxSlot) next() (*Envelope, error) {
 	if e, ok := queued(s.inbox); ok {
 		return e, nil
 	}
@@ -441,11 +515,12 @@ func (s *muxSlot) read(deadline time.Time) (*Envelope, error) {
 			m.mu.Unlock()
 			return e, nil
 		}
-		if err := s.stopped(deadline); err != nil {
+		now := time.Now()
+		if err := s.stopped(deadline, now); err != nil {
 			m.mu.Unlock()
 			return nil, err
 		}
-		err := m.conn.SetReadDeadline(deadline)
+		err := m.armRead(deadline, now)
 		m.mu.Unlock()
 		var e *Envelope
 		if err == nil {
@@ -469,16 +544,16 @@ func (s *muxSlot) read(deadline time.Time) (*Envelope, error) {
 	}
 }
 
-// stopped reports, with m.mu held, why the holder must stop reading: its
-// session's end, its context's cancellation, or its deadline.
-func (s *muxSlot) stopped(deadline time.Time) error {
+// stopped reports, with m.mu held, why the holder must stop reading at
+// now: its session's end, its context's cancellation, or its deadline.
+func (s *muxSlot) stopped(deadline, now time.Time) error {
 	if err := s.fate.err(); err != nil {
 		return err
 	}
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
+	if !deadline.IsZero() && !now.Before(deadline) {
 		return s.timeout()
 	}
 	return nil
@@ -535,9 +610,6 @@ func openConn(conn net.Conn, codecName string, ch *ClientHello, ioTimeout time.D
 			return nil, nil, err
 		}
 	}
-	if err := writeMuxHandshake(conn, codecName); err != nil {
-		return nil, nil, err
-	}
 	br := frameReaderPool.Get().(*bufio.Reader)
 	br.Reset(conn)
 	fc, err := newFramedCodec(codecName, br, conn)
@@ -548,10 +620,16 @@ func openConn(conn net.Conn, codecName string, ch *ClientHello, ioTimeout time.D
 	ch.Version = ProtocolVersion
 	l := link{fc}
 	var e *Envelope
-	if err = l.send(&Envelope{Kind: KindClientHello, Client: ch}); err == nil {
-		if err = classify(fc.Flush()); err == nil {
-			e, err = l.recv(want)
-		}
+	// The preamble and the ClientHello leave in one write.
+	err = writeMuxHandshake(fc.bw, codecName)
+	if err == nil {
+		err = l.send(&Envelope{Kind: KindClientHello, Client: ch})
+	}
+	if err == nil {
+		err = classify(fc.Flush())
+	}
+	if err == nil {
+		e, err = l.recv(want)
 	}
 	if err != nil {
 		fc.release()
@@ -649,7 +727,8 @@ func (m *MuxConn) register(ctx context.Context, ioTimeout time.Duration) (*MuxSe
 		return nil, err
 	}
 	m.nextSID++
-	s := &MuxSession{m.slot(ctx, m.nextSID, ioTimeout, &m.fate)}
+	s := new(MuxSession)
+	s.init(&m.muxEnd, ctx, m.nextSID, ioTimeout, &m.fate)
 	if ctx.Done() != nil {
 		s.stop = context.AfterFunc(ctx, func() { m.poke(&s.muxSlot) })
 	}
@@ -825,7 +904,7 @@ func (sc *MuxServerConn) admit(sid uint64) (*MuxStream, bool) {
 		return nil, false
 	}
 	st := &MuxStream{own: fate{dead: make(chan struct{})}}
-	st.muxSlot = sc.slot(context.Background(), sid, sc.io, &st.own)
+	st.init(&sc.muxEnd, context.Background(), sid, sc.io, &st.own)
 	sc.slots[sid] = &st.muxSlot
 	return st, true
 }

@@ -2,15 +2,22 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // startMux runs a MuxServerConn over loopback that calls handler for every
@@ -764,6 +771,358 @@ func TestFrameRecvResumesAfterDeadline(t *testing.T) {
 					t.Fatalf("Recv after the deadline = %+v, want %+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// boxedConn builds a client mux end over conn whose codec reads the given
+// frame stream, with sessions 1 and 2 registered on it. Nothing runs the
+// connection's own loop, so the first Recv takes the read baton.
+func boxedConn(t *testing.T, conn net.Conn, stream []byte, ioTimeout time.Duration) (m *MuxConn, s1, s2 *MuxSession) {
+	t.Helper()
+	fc, err := newFramedCodec(CodecBinary, bufio.NewReader(bytes.NewReader(stream)), conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = &MuxConn{}
+	m.init(conn, fc, ioTimeout)
+	if s1, err = m.register(context.Background(), ioTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err = m.register(context.Background(), ioTimeout); err != nil {
+		t.Fatal(err)
+	}
+	return m, s1, s2
+}
+
+// TestMuxQueuedSameKindFramesStayIntact: a reader routes two Acks for one
+// session before that session receives either. The first is decoded into
+// the session's Ack box and waits in its inbox; the second finds the box
+// busy and decodes onto the heap. Both come out whole, in order.
+func TestMuxQueuedSameKindFramesStayIntact(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	stream := validFrameStream(t, CodecBinary,
+		&Envelope{Kind: KindAck, SID: 1, Ack: &Ack{Round: 1, DataMSE: 0.5}},
+		&Envelope{Kind: KindAck, SID: 1, Ack: &Ack{Round: 2, DataMSE: 0.25}},
+		&Envelope{Kind: KindAck, SID: 2, Ack: &Ack{Round: 3}},
+	)
+	_, s1, s2 := boxedConn(t, client, stream, 0)
+	// Session 2 reads the connection and routes session 1's two frames.
+	if e, err := s2.Recv(); err != nil || e.Ack.Round != 3 {
+		t.Fatalf("session 2 Recv = %+v, %v", e, err)
+	}
+	first, err := s1.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != &s1.boxes.ack.e {
+		t.Fatal("the first queued Ack was not decoded into the session's box")
+	}
+	if *first.Ack != (Ack{Round: 1, DataMSE: 0.5}) {
+		t.Fatalf("first queued Ack = %+v, overwritten by its sibling", *first.Ack)
+	}
+	second, err := s1.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Fatal("the second queued Ack reused the busy box")
+	}
+	if *second.Ack != (Ack{Round: 2, DataMSE: 0.25}) {
+		t.Fatalf("second queued Ack = %+v", *second.Ack)
+	}
+}
+
+// TestMuxHolderDecodesIntoSiblingBoxes: while one session holds the read
+// baton (its peer never answers), siblings run echo rounds, and every
+// sibling frame is decoded by the holder's goroutine. A lone sibling gets
+// every Ack in its own box, which it put back when it called Recv again.
+// Then three siblings run at once: one's Recv flushes the others' Quotes,
+// so an Ack may find its box still held and decode onto the heap, but
+// every Ack must carry its own round. The race detector watches the
+// hand-over of the boxes between goroutines.
+func TestMuxHolderDecodesIntoSiblingBoxes(t *testing.T) {
+	const ioTimeout, rounds = 5 * time.Second, 50
+	parked, parkedErr := make(chan *MuxStream, 1), make(chan error, 1)
+	mc, shutdown := startMuxMute(t, ioTimeout, parked, parkedErr)
+	defer shutdown()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	holder, _, err := mc.Open(ctx, ClientHello{Market: "mute"}, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	held := make(chan error, 1)
+	go func() {
+		_, err := holder.Recv()
+		held <- err
+	}()
+	holding(t, &holder.muxSlot)
+
+	echo := func(i int, alone bool) error {
+		s, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, ioTimeout)
+		if err != nil {
+			return err
+		}
+		defer s.CloseClean()
+		l := link{s}
+		for r := 1; r <= rounds; r++ {
+			round := i*1000 + r
+			if err := l.send(&Envelope{Kind: KindQuote, Quote: &Quote{Round: round}}); err != nil {
+				return err
+			}
+			e, err := l.recv(KindAck)
+			if err != nil {
+				return err
+			}
+			if alone && e != &s.boxes.ack.e {
+				return fmt.Errorf("lone sibling round %d: Ack decoded off its box", r)
+			}
+			if e.Ack.Round != round {
+				return fmt.Errorf("sibling %d got round %d, want %d", i, e.Ack.Round, round)
+			}
+		}
+		return nil
+	}
+	if err := echo(0, true); err != nil {
+		t.Fatal(err)
+	}
+	const siblings = 3
+	errs := make(chan error, siblings)
+	for i := 1; i <= siblings; i++ {
+		go func(i int) { errs <- echo(i, false) }(i)
+	}
+	for i := 0; i < siblings; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	holding(t, &holder.muxSlot)
+	cancel()
+	if err := <-held; !errors.Is(err, context.Canceled) {
+		t.Fatalf("holder Recv = %v, want context.Canceled", err)
+	}
+}
+
+// TestMuxCorruptFrameFreesBox: a per-round frame that fails to decode
+// after its box was taken hands out no envelope and frees the box, so the
+// next frame of that kind decodes into it whole, with nothing left over
+// from the torn one.
+func TestMuxCorruptFrameFreesBox(t *testing.T) {
+	want := &Envelope{Kind: KindQuote, SID: 1, Quote: &Quote{Round: 4, Rate: 1.5, Base: 0.25, High: 3, U: 1000, Target: 0.75}}
+	torn := appendEnvelope(nil, &Envelope{Kind: KindQuote, SID: 1, Quote: &Quote{Round: 9, Rate: 9, Base: 9, High: 9, U: 9, Target: 9}})
+	torn = torn[:len(torn)-12] // the payload ends inside its fifth float
+	stream := binary.BigEndian.AppendUint32(nil, uint32(len(torn)))
+	stream = append(stream, torn...)
+	stream = append(stream, validFrameStream(t, CodecBinary, want)...)
+
+	var boxes envBoxes
+	fc, err := newFramedCodec(CodecBinary, bufio.NewReader(bytes.NewReader(stream)), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.boxes = func(uint64) *envBoxes { return &boxes }
+	e, err := fc.Recv()
+	if e != nil || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("torn Quote: Recv = %+v, %v; want no envelope and ErrBadFrame", e, err)
+	}
+	if boxes.quote.busy.Load() {
+		t.Fatal("the torn frame left the Quote box busy")
+	}
+	got, err := fc.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != &boxes.quote.e {
+		t.Fatal("the next Quote did not decode into the freed box")
+	}
+	if got.Kind != want.Kind || got.SID != want.SID || *got.Quote != *want.Quote {
+		t.Fatalf("Quote after a torn one = %+v %+v, want %+v", got, *got.Quote, *want.Quote)
+	}
+}
+
+// TestMuxShortTimeoutUnderLaterReadDeadline: a session's Recv leaves its
+// long deadline armed on the connection; a sibling with a short IO
+// timeout then reads under the baton and must time out on its own
+// deadline, not the later one it found armed.
+func TestMuxShortTimeoutUnderLaterReadDeadline(t *testing.T) {
+	const long, short = 10 * time.Second, 150 * time.Millisecond
+	parked, parkedErr := make(chan *MuxStream, 1), make(chan error, 1)
+	mc, shutdown := startMuxMute(t, long, parked, parkedErr)
+	defer shutdown()
+
+	s1, _, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoRound(t, s1, 1) // s1 read for itself: its deadline is armed
+	mc.mu.Lock()
+	armed := mc.rdl
+	mc.mu.Unlock()
+	if time.Until(armed) < long/2 {
+		t.Fatalf("armed read deadline %v ahead, want about %v", time.Until(armed), long)
+	}
+	s2, _, err := mc.Open(context.Background(), ClientHello{Market: "mute"}, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	start := time.Now()
+	_, err = s2.Recv()
+	took := time.Since(start)
+	if !errors.Is(err, ErrPeerTimeout) {
+		t.Fatalf("short-timeout holder Recv = %v, want ErrPeerTimeout", err)
+	}
+	if took < short || took > long/10 {
+		t.Fatalf("short-timeout holder returned after %v, want about %v", took, short)
+	}
+	s2.Close()
+	echoRound(t, s1, 2)
+	s1.CloseClean()
+}
+
+// TestMuxOverflowSendHonorsWriteTimeout: a Send whose frame does not fit
+// the buffered writer reaches the connection at once, so it arms the write
+// deadline itself; against a peer that never reads it fails within the IO
+// timeout instead of blocking.
+func TestMuxOverflowSendHonorsWriteTimeout(t *testing.T) {
+	const ioTimeout = 100 * time.Millisecond
+	client, server := net.Pipe() // unbuffered, and nobody reads server
+	defer server.Close()
+	m, s1, _ := boxedConn(t, client, nil, ioTimeout)
+	defer m.Close()
+	big := &Envelope{Kind: KindError, Err: &ErrorMsg{Msg: strings.Repeat("x", connBufSize+1)}}
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- s1.Send(big) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPeerTimeout) {
+			t.Fatalf("overflowing Send = %v, want ErrPeerTimeout", err)
+		}
+		if took := time.Since(start); took > 20*ioTimeout {
+			t.Fatalf("overflowing Send failed after %v, want about %v", took, ioTimeout)
+		}
+	case <-time.After(50 * ioTimeout):
+		client.Close()
+		t.Fatal("overflowing Send still blocked against a peer that never reads")
+	}
+}
+
+// countingConn counts the writes that reach a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestMuxOpenWritesOnce: a dial's opening, the mux preamble and the
+// connection-level ClientHello, leaves in one write, in both encodings.
+func TestMuxOpenWritesOnce(t *testing.T) {
+	for _, codec := range framedCodecs {
+		t.Run(codec, func(t *testing.T) {
+			client, server := net.Pipe()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				defer server.Close()
+				c, _, err := AcceptHandshakeMux(server, 5*time.Second)
+				if err != nil {
+					t.Errorf("mux handshake: %v", err)
+					return
+				}
+				sc, err := NewMuxServerConn(server, c, 5*time.Second, -1, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = sc.Serve(func(*MuxStream, *ClientHello) {})
+			}()
+			conn := &countingConn{Conn: client}
+			mc, hello, err := OpenMux(conn, codec, ClientHello{Market: "echo", ListOnly: true}, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := conn.writes.Load(); n != 1 {
+				t.Fatalf("OpenMux wrote %d times before its Hello, want 1", n)
+			}
+			if hello.Market != "echo" {
+				t.Fatalf("hello market = %q", hello.Market)
+			}
+			mc.Close()
+			<-served
+		})
+	}
+}
+
+// retainingGains is a gain provider that keeps every features slice core
+// hands it, and a copy of what each held when handed over.
+type retainingGains struct {
+	core.GainProvider
+	seen, copies [][]int
+}
+
+func (g *retainingGains) Gain(features []int) float64 {
+	g.seen = append(g.seen, features)
+	g.copies = append(g.copies, slices.Clone(features))
+	return g.GainProvider.Gain(features)
+}
+
+// TestMuxOfferFeaturesOutliveTheirBox: the features of an Offer decoded
+// into a session's box reach core as the Hello listing's slice, or a copy
+// when the listing does not match, never as the box's own memory, which
+// the next round overwrites. A gain provider that keeps every slice finds
+// each one unchanged after the session, and the session matches the
+// in-process engine.
+func TestMuxOfferFeaturesOutliveTheirBox(t *testing.T) {
+	cat, cfg, gains := buildMarket(t, 9)
+	want, err := core.NewSession(cat, cfg).RunPerfect(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewDataServer(cat, cfg.EpsData, nil)
+	hello := mustHello(t, srv)
+	mc, shutdown := startMux(t, 5*time.Second, func(st *MuxStream, _ *ClientHello) {
+		_, _ = srv.ServeCodec(st, hello)
+	})
+	defer shutdown()
+	for _, listed := range []bool{true, false} {
+		s, he, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !listed {
+			he.Bundles = nil // every offer's features are copied
+		}
+		g := &retainingGains{GainProvider: gains}
+		res, err := (&TaskClient{Session: cfg, Gains: g}).BargainCodec(context.Background(), s, he)
+		s.CloseClean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.seen) < 2 {
+			t.Fatalf("listed=%v: %d rounds realized, want several", listed, len(g.seen))
+		}
+		for i := range g.seen {
+			if !slices.Equal(g.seen[i], g.copies[i]) {
+				t.Fatalf("listed=%v: round %d's features now read %v, were %v", listed, i+1, g.seen[i], g.copies[i])
+			}
+		}
+		if res.Outcome != want.Outcome || !reflect.DeepEqual(res.Rounds, want.Rounds) {
+			t.Fatalf("listed=%v: wire session differs from the engine's: %v, %d rounds vs %v, %d rounds",
+				listed, res.Outcome, len(res.Rounds), want.Outcome, len(want.Rounds))
 		}
 	}
 }

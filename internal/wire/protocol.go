@@ -40,6 +40,17 @@
 // A client MuxSession and a server MuxStream are the same session type;
 // they differ only in values (a ctx, and whether a session shares its
 // connection's fate). A failed write fails the connection on either end.
+// The write deadline is armed only when bytes reach the connection (a
+// flush with bytes buffered, or a send that overflows the buffer), and a
+// reading session re-arms the connection's read deadline only when the
+// armed one has passed, is later than its own, or is missing.
+//
+// Envelope lifetime: every session owns one receive box per per-round
+// kind (Quote, Offer, Settle, Ack), and the binary codec decodes such a
+// frame into its session's box unless that box is still queued or held.
+// An envelope a session's Recv returns is valid until the session's next
+// Recv; callers copy whatever they keep longer. Every other kind, and
+// every framed-gob frame, is decoded onto the heap.
 //
 // Envelopes travel in the binary layout of envelope.go (CodecBinary), which
 // non-Go task parties implement from the README's byte table; framed gob

@@ -364,9 +364,9 @@ func (p *ImperfectSession) Serve(c Codec, hello *Hello) (*SessionSummary, error)
 // whatever it learns from settlements.
 type answerer interface {
 	answer(round int, q core.QuotedPrice, u float64) core.SellerOffer
-	// settled absorbs a realized round; ack (when non-nil) is sent back to
-	// the client before the session advances.
-	settled(round int, rec core.RoundRecord, d core.SettleDecision) (ack *Ack, err error)
+	// settled absorbs a realized round; an acked ack is sent back to the
+	// client before the session advances.
+	settled(round int, rec core.RoundRecord, d core.SettleDecision) (ack Ack, acked bool, err error)
 }
 
 // catalogAnswerer is the perfect-information data party: the strategic
@@ -377,8 +377,8 @@ func (a catalogAnswerer) answer(round int, q core.QuotedPrice, u float64) core.S
 	return core.AnswerQuote(a.s.Catalog, q, u, a.s.EpsData, a.s.DataCost, round, a.s.EpsDataC)
 }
 
-func (a catalogAnswerer) settled(int, core.RoundRecord, core.SettleDecision) (*Ack, error) {
-	return nil, nil
+func (a catalogAnswerer) settled(int, core.RoundRecord, core.SettleDecision) (Ack, bool, error) {
+	return Ack{}, false, nil
 }
 
 // estimatorAnswerer adapts core.EstimatorSeller to the serve loop: every
@@ -408,23 +408,23 @@ func (a *estimatorAnswerer) answer(round int, q core.QuotedPrice, _ float64) cor
 	return so
 }
 
-func (a *estimatorAnswerer) settled(round int, rec core.RoundRecord, d core.SettleDecision) (*Ack, error) {
+func (a *estimatorAnswerer) settled(round int, rec core.RoundRecord, d core.SettleDecision) (Ack, bool, error) {
 	if a.replayRound > 0 && round == a.replayRound {
 		// Already absorbed before the crash: acknowledge idempotently.
-		return &Ack{Round: round, DataMSE: a.replayMSE}, nil
+		return Ack{Round: round, DataMSE: a.replayMSE}, true, nil
 	}
 	if math.IsNaN(rec.Gain) || math.IsInf(rec.Gain, 0) {
-		return nil, fmt.Errorf("wire: round %d settled with non-finite realized gain %v", round, rec.Gain)
+		return Ack{}, false, fmt.Errorf("wire: round %d settled with non-finite realized gain %v", round, rec.Gain)
 	}
 	if err := a.seller.Settle(round, rec, d); err != nil {
-		return nil, err
+		return Ack{}, false, err
 	}
 	if a.save != nil {
 		if ck, err := a.seller.Snapshot(); err == nil {
 			a.save(ck)
 		}
 	}
-	return &Ack{Round: round, DataMSE: a.seller.LastMSE()}, nil
+	return Ack{Round: round, DataMSE: a.seller.LastMSE()}, true, nil
 }
 
 // serve runs one bargaining session over an established link with the
@@ -433,7 +433,16 @@ func (a *estimatorAnswerer) settled(round int, rec core.RoundRecord, d core.Sett
 // resumed round when resuming (where the very first exchange may already
 // be a walk-away Settle).
 func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*SessionSummary, error) {
-	if err := l.send(&Envelope{Kind: KindHello, Hello: hello}); err != nil {
+	// Send scratch: the codec does not retain its argument past Send, so
+	// one envelope, Offer and Ack serve the Hello and every round of the
+	// session.
+	var (
+		env   Envelope
+		offer Offer
+		ack   Ack
+	)
+	env = Envelope{Kind: KindHello, Hello: hello}
+	if err := l.send(&env); err != nil {
 		return nil, err
 	}
 	maxRounds := s.MaxRounds
@@ -442,10 +451,6 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 	}
 
 	sum := &SessionSummary{BundleID: -1}
-	// Per-round send scratch: the codec does not retain its argument past
-	// Send, so one Offer and one envelope serve every round of the session.
-	var offer Offer
-	var oenv Envelope
 	// The buyer's target gain is constant for a session (clients send it
 	// verbatim; an Eq. 5 quote's knee equals it when they do not), so the
 	// closest-bundle hint is computed once and refreshed only if the
@@ -498,8 +503,8 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			Accept: so.Accept, Fail: so.Fail, Reason: so.Reason,
 			TargetBundleID: so.TargetBundleID,
 		}
-		oenv = Envelope{Kind: KindOffer, Offer: &offer}
-		if err := l.send(&oenv); err != nil {
+		env = Envelope{Kind: KindOffer, Offer: &offer}
+		if err := l.send(&env); err != nil {
 			return sum, err
 		}
 		if offer.Fail {
@@ -525,12 +530,14 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			Round: quotes, Price: q, BundleID: offer.BundleID,
 			Gain: se.Settle.Gain, Payment: pay,
 		}
-		ack, aerr := a.settled(quotes, rec, coreDecision(se.Settle.Decision))
-		if aerr != nil {
-			return sum, aerr
+		var acked bool
+		ack, acked, err = a.settled(quotes, rec, coreDecision(se.Settle.Decision))
+		if err != nil {
+			return sum, err
 		}
-		if ack != nil {
-			if err := l.send(&Envelope{Kind: KindAck, Ack: ack}); err != nil {
+		if acked {
+			env = Envelope{Kind: KindAck, Ack: &ack}
+			if err := l.send(&env); err != nil {
 				return sum, err
 			}
 		}
