@@ -35,13 +35,13 @@ import (
 //     candidates a round) adds thousands.
 //   - BenchmarkSecureSettlement/secure-pooled, 90: one secure settlement
 //     round at 256-bit primes, a seal drawn from a primed pool plus one
-//     blinded open, measured at 75. A full-width r^n mod n² factor costs
+//     blinded open, measured at 76. A full-width r^n mod n² factor costs
 //     ~38 allocations, so a round that computes one anywhere (an open
 //     that blinds with a pool factor, or a seal that misses the pool)
 //     reads ~113.
 //   - BenchmarkSecureServiceRoundTrip/bin, 190: one networked secure
 //     perfect session at 256-bit primes, client pool primed, measured at
-//     ~182 (268 at b.N = 1, which primes the pool); its sessions settle
+//     ~179 (268 at b.N = 1, which primes the pool); its sessions settle
 //     ~12 rounds and seal and open only the closing one. A client that
 //     seals every round again adds ~47 allocations a round (~530 a
 //     session); a server that also opens every round adds ~70 more a

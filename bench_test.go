@@ -519,15 +519,11 @@ func BenchmarkSecureSettlement(b *testing.B) {
 	b.Run("secure-inline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m, err := secure.EncodeFixed(recv.PublicKey(), pay)
+			ct, err := secure.Seal(recv.PublicKey(), nil, pay)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ct, err := recv.PublicKey().Encrypt(crand.Reader, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := recv.OpenPayment(&secure.GainReport{EncPayment: ct}); err != nil {
+			if _, err := recv.Open(ct); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -559,15 +555,11 @@ func benchSecurePooled(b *testing.B, recv *secure.DataReceiver, pay float64) {
 			}
 			b.StartTimer()
 		}
-		m, err := secure.EncodeFixed(recv.PublicKey(), pay)
+		ct, err := secure.Seal(recv.PublicKey(), ns, pay)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ct, err := ns.Encrypt(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := recv.OpenPayment(&secure.GainReport{EncPayment: ct}); err != nil {
+		if _, err := recv.Open(ct); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"crypto/rand"
 	"math"
-	"math/big"
 	"sync"
 	"testing"
 
@@ -46,20 +45,11 @@ func testCipher(t testing.TB) *paillierCipher {
 }
 
 func (c *paillierCipher) Seal(payment float64) ([]byte, error) {
-	m, err := secure.EncodeFixed(c.recv.PublicKey(), payment)
-	if err != nil {
-		return nil, err
-	}
-	ct, err := c.noise.Encrypt(m)
-	if err != nil {
-		return nil, err
-	}
-	return ct.C.Bytes(), nil
+	return secure.Seal(c.recv.PublicKey(), c.noise, payment)
 }
 
 func (c *paillierCipher) Open(ciphertext []byte) (float64, error) {
-	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)}
-	return c.recv.OpenPayment(&secure.GainReport{EncPayment: ct})
+	return c.recv.Open(ciphertext)
 }
 
 // secureBatchMarket mirrors the synthetic market the wire tests bargain

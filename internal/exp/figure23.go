@@ -40,7 +40,7 @@ type Options struct {
 	Runs       int     // repeated bargaining games; the paper uses 100
 	Seed       uint64  // master seed
 	Scale      float64 // profile scale in (0, 1]; 1 is the paper setting
-	Horizon    int     // rounds plotted in the series; <= 0 means 80
+	Horizon    int     // rounds plotted in the series; <= 0 means 120
 	GainSource GainSource
 	Datasets   []dataset.Name // nil means all three
 	// Workers bounds the batch worker pool of the repeated runs; <= 0

@@ -51,22 +51,21 @@ type Transfer struct {
 	Reason string
 }
 
-// Planner weights, exported as variables so operators can tune the policy
-// without forking the package.
-var (
-	// BusyWeight scores one admission-control refusal relative to one
+// Planner weights.
+const (
+	// busyWeight scores one admission-control refusal relative to one
 	// served session: turned-away demand is worth more than served demand
 	// because it is user-visible failure.
-	BusyWeight = 4.0
-	// TrainingWeight scores one oracle training relative to one session: a
+	busyWeight = 4.0
+	// trainingWeight scores one oracle training relative to one session: a
 	// VFL course dominates a session's compute on real-gain markets.
-	TrainingWeight = 8.0
-	// ImbalanceRatio is how much hotter than the fleet mean a shard must
+	trainingWeight = 8.0
+	// imbalanceRatio is how much hotter than the fleet mean a shard must
 	// run before the planner moves a market off it.
-	ImbalanceRatio = 1.5
-	// MinScore is the absolute load floor below which the planner never
+	imbalanceRatio = 1.5
+	// minScore is the absolute load floor below which the planner never
 	// plans: an idle fleet stays put no matter how uneven its zeros are.
-	MinScore = 4.0
+	minScore = 4.0
 )
 
 // Rebalancer watches per-shard load through a StatsFunc and plans market
@@ -111,7 +110,7 @@ func (rb *Rebalancer) Observe(ctx context.Context) []ShardLoad {
 				Active:    ms.ActiveSessions,
 				Trainings: ms.OracleTrainings - pm.OracleTrainings,
 			}
-			ml.Score = float64(ml.Sessions) + float64(ml.Active) + TrainingWeight*float64(ml.Trainings)
+			ml.Score = float64(ml.Sessions) + float64(ml.Active) + trainingWeight*float64(ml.Trainings)
 			load.Score += ml.Score
 			load.Markets = append(load.Markets, ml)
 		}
@@ -121,7 +120,7 @@ func (rb *Rebalancer) Observe(ctx context.Context) []ShardLoad {
 			}
 			return load.Markets[i].Market < load.Markets[j].Market
 		})
-		load.Score += BusyWeight * float64(load.Busy)
+		load.Score += busyWeight * float64(load.Busy)
 		rb.prev[s.ID] = rep
 		loads = append(loads, load)
 	}
@@ -161,7 +160,7 @@ func (rb *Rebalancer) Plan(ctx context.Context) []Transfer {
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Score > live[j].Score })
 	hot, cold := live[0], live[len(live)-1]
-	if hot.Score < MinScore {
+	if hot.Score < minScore {
 		return nil
 	}
 	mean := 0.0
@@ -169,7 +168,7 @@ func (rb *Rebalancer) Plan(ctx context.Context) []Transfer {
 		mean += l.Score
 	}
 	mean /= float64(len(live))
-	if hot.Score <= ImbalanceRatio*mean {
+	if hot.Score <= imbalanceRatio*mean {
 		return nil
 	}
 	// Move the hottest market whose departure actually lowers the fleet's
@@ -187,7 +186,7 @@ func (rb *Rebalancer) Plan(ctx context.Context) []Transfer {
 			From:   hot.Shard,
 			To:     cold.Shard,
 			Reason: fmt.Sprintf("shard %s score %.1f > %.1f×mean %.1f; market %q carries %.1f",
-				hot.Shard.Name, hot.Score, ImbalanceRatio, mean, m.Market, m.Score),
+				hot.Shard.Name, hot.Score, imbalanceRatio, mean, m.Market, m.Score),
 		}}
 	}
 	return nil

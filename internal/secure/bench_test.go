@@ -109,10 +109,10 @@ func BenchmarkPaillierDecrypt(b *testing.B) {
 		// fixed-point decode, with a fresh pair every blindRefresh opens.
 		b.Run(sizeName(bits)+"/blinded", func(b *testing.B) {
 			d := NewDataReceiver(sk)
-			rep := &GainReport{EncPayment: ct}
+			sealed := ct.C.Bytes()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.OpenPayment(rep); err != nil {
+				if _, err := d.Open(sealed); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func TestBlindedOpenMatchesClassic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.OpenPayment(&GainReport{EncPayment: ct})
+		got, err := d.Open(ct.C.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,6 @@ func TestBlindingPairSequence(t *testing.T) {
 func TestBlindedOpenConcurrent(t *testing.T) {
 	sk := testKeyPair(t)
 	d := NewDataReceiver(sk)
-	task := NewTaskReporter(d.PublicKey(), rand.Reader)
 	const goroutines, perG = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -167,12 +166,12 @@ func TestBlindedOpenConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				want := float64(g*perG+i) / 1000
-				rep, err := task.Report(want)
+				ct, err := Seal(d.PublicKey(), nil, want)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := d.OpenPayment(rep)
+				got, err := d.Open(ct)
 				if err != nil {
 					t.Error(err)
 					return
@@ -215,15 +214,14 @@ func (f *failAfter) Read(p []byte) (int, error) {
 // open after a failed draw draws again.
 func TestBlindedOpenFailsWithoutEntropy(t *testing.T) {
 	sk := testKeyPair(t)
-	task := NewTaskReporter(&sk.PublicKey, rand.Reader)
-	rep, err := task.Report(2.54)
+	ct, err := Seal(&sk.PublicKey, nil, 2.54)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	d := NewDataReceiver(sk)
 	d.random = &failAfter{}
-	if _, err := d.OpenPayment(rep); !errors.Is(err, errEntropy) {
+	if _, err := d.Open(ct); !errors.Is(err, errEntropy) {
 		t.Fatalf("first open without entropy returned %v", err)
 	}
 
@@ -231,23 +229,23 @@ func TestBlindedOpenFailsWithoutEntropy(t *testing.T) {
 	d = NewDataReceiver(sk)
 	d.random = src
 	for i := 1; i < blindRefresh; i++ {
-		if _, err := d.OpenPayment(rep); err != nil {
+		if _, err := d.Open(ct); err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
 	}
 	src.mu.Lock()
 	src.n = 0
 	src.mu.Unlock()
-	if _, err := d.OpenPayment(rep); !errors.Is(err, errEntropy) {
+	if _, err := d.Open(ct); !errors.Is(err, errEntropy) {
 		t.Fatalf("refreshing open without entropy returned %v", err)
 	}
-	if _, err := d.OpenPayment(rep); !errors.Is(err, errEntropy) {
+	if _, err := d.Open(ct); !errors.Is(err, errEntropy) {
 		t.Fatalf("open after a failed draw returned %v; it must draw again", err)
 	}
 	src.mu.Lock()
 	src.n = 1 << 20
 	src.mu.Unlock()
-	pay, err := d.OpenPayment(rep)
+	pay, err := d.Open(ct)
 	if err != nil || pay < 2.54-1e-5 || pay > 2.54+1e-5 {
 		t.Fatalf("open after entropy returned = %v, %v; want 2.54", pay, err)
 	}

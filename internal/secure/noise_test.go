@@ -160,8 +160,8 @@ func TestNoisePrimeHonorsCancellation(t *testing.T) {
 }
 
 // TestReporterIgnoresMismatchedPool: a pool built for another key (the
-// server rotated between sessions) must not poison the settlement — the
-// reporter falls back to inline encryption under its session key.
+// server rotated between sessions) must not poison the settlement — Seal
+// falls back to inline encryption under the session key.
 func TestReporterIgnoresMismatchedPool(t *testing.T) {
 	sk := testKeyPair(t)
 	other := goldenKey(t)
@@ -171,12 +171,11 @@ func TestReporterIgnoresMismatchedPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader, WithNoise(stale))
-	rep, err := task.Report(2.54)
+	ct, err := Seal(data.PublicKey(), stale, 2.54)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pay, err := data.OpenPayment(rep)
+	pay, err := data.Open(ct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,14 @@
 // prescribes for the bargaining phase: the realized performance gain ΔG is
 // exchanged between the parties, so a party could run inference attacks on
 // it. The package provides the Paillier additively homomorphic cryptosystem
-// (the paper's reference [19]) over math/big, fixed-point encoding of gains,
-// and a secure gain-report protocol in which the data party learns its
-// payment without ever seeing the plaintext gain, and the task party never
-// reveals more than the payment it makes: a wire session seals and opens
-// only its closing round's payment, none if it fails.
+// (the paper's reference [19]) over math/big, fixed-point encoding of
+// payments, and the secure settlement in which the task party seals its
+// Eq. 2 payment (Seal) and the data party opens it (DataReceiver.Open):
+// the data party learns its payment without ever seeing the plaintext
+// gain, and the task party never reveals more than the payment it makes.
+// A wire session seals and opens only its closing round's payment, none if
+// it fails. A RotatingKey owns the data party's key generations and their
+// receivers.
 //
 // The subsystem is performance-engineered for settlement-heavy workloads.
 // The data party, which holds the factorization, decrypts in CRT form over
@@ -80,7 +83,7 @@ func (pk *PublicKey) halfN() *big.Int {
 
 // PrivateKey is a Paillier private key. Every key retains the prime
 // factorization and the precomputed CRT constants, so decryption runs two
-// half-width modexps (see DataReceiver.OpenPayment).
+// half-width modexps (see DataReceiver.Open).
 type PrivateKey struct {
 	PublicKey
 

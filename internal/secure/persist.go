@@ -3,6 +3,7 @@ package secure
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -30,12 +31,14 @@ func (sk *PrivateKey) Primes() (p, q *big.Int) {
 
 // RotatingKey is a market's Paillier key pair: generated at boot (in the
 // background, or eagerly), optionally persisted, and replaceable at
-// runtime. Key always returns the current generation's key (blocking until
-// the first generation lands); Rotate synchronously generates a fresh pair,
-// persists it, and makes it current. Sessions that captured the previous
-// key keep decrypting with it — rotation changes what new sessions are
-// announced, it does not revoke in-flight ones; the wire layer drains
-// old-key sessions against their captured key state.
+// runtime. It owns the key generations: each installed key gets its
+// DataReceiver, and the previous generation's is kept. Key always returns
+// the current generation's key (blocking until the first generation
+// lands); Rotate synchronously generates a fresh pair, persists it, and
+// makes it current. Rotation changes what new sessions are announced, it
+// does not revoke in-flight ones: Receiver resolves a session's settlement
+// under the modulus its hello announced, the current one or the one before
+// it.
 type RotatingKey struct {
 	random io.Reader
 	bits   int
@@ -46,12 +49,12 @@ type RotatingKey struct {
 	// concurrent Rotates advance the generation by exactly k.
 	rot sync.Mutex
 
-	mu       sync.Mutex
-	ready    chan struct{} // closed once the first generation lands
-	cur      *PrivateKey
-	gen      int
-	err      error
-	restored bool
+	mu        sync.Mutex
+	ready     chan struct{} // closed once the first generation lands
+	cur, prev *DataReceiver // the current and the previous generation
+	gen       int
+	err       error
+	restored  bool
 }
 
 // Key returns the current generation's key, blocking until the first
@@ -61,7 +64,31 @@ func (r *RotatingKey) Key() (*PrivateKey, error) {
 	<-r.ready
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cur, r.err
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.cur.sk, nil
+}
+
+// Receiver returns the DataReceiver of the generation whose modulus pubN a
+// session's hello announced: the current generation, or the one before it,
+// so sessions opened before a Rotate drain against their key. A modulus
+// rotated further away fails the session; the client must reconnect under
+// the announced key. It blocks until the first generation lands.
+func (r *RotatingKey) Receiver(pubN []byte) (*DataReceiver, error) {
+	<-r.ready
+	want := new(big.Int).SetBytes(pubN)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return nil, r.err
+	}
+	for _, d := range [...]*DataReceiver{r.cur, r.prev} {
+		if d != nil && d.sk.N.Cmp(want) == 0 {
+			return d, nil
+		}
+	}
+	return nil, errors.New("secure: session key rotated away; reconnect under the current key")
 }
 
 // Generation reports the current key generation: 1 for the boot key
@@ -73,7 +100,8 @@ func (r *RotatingKey) Generation() int {
 	return r.gen
 }
 
-// install makes sk current and persists it; callers hold no lock.
+// install persists sk and makes its receiver current, keeping the one it
+// replaces; callers hold no lock.
 func (r *RotatingKey) install(sk *PrivateKey, gen int, restored bool) error {
 	if r.st != nil {
 		p, q := sk.Primes()
@@ -87,15 +115,19 @@ func (r *RotatingKey) install(sk *PrivateKey, gen int, restored bool) error {
 			return err
 		}
 	}
+	d := NewDataReceiver(sk)
 	r.mu.Lock()
-	r.cur, r.gen, r.err, r.restored = sk, gen, nil, restored
+	r.cur, r.prev = d, r.cur
+	r.gen, r.err, r.restored = gen, nil, restored
 	r.mu.Unlock()
 	return nil
 }
 
 // Rotate synchronously generates a fresh key pair, persists it, and makes
 // it the current key. The previous key remains valid for sessions that
-// already captured it. Concurrent rotations run one after another.
+// already captured it; the one before that is dropped. A boot that failed
+// is repaired by a Rotate that succeeds. Concurrent rotations run one
+// after another.
 func (r *RotatingKey) Rotate() (*PrivateKey, error) {
 	<-r.ready // never interleave with boot generation
 	r.rot.Lock()

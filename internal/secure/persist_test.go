@@ -3,6 +3,7 @@ package secure
 import (
 	"crypto/rand"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 
@@ -183,6 +184,116 @@ func TestRotateConcurrentAdvancesGenerationByK(t *testing.T) {
 	restarted, _ := PersistedKey(st, "keys/m", rand.Reader, MinKeyBits, true)
 	if stored, _ := restarted.Key(); stored.N.Cmp(live.N) != 0 {
 		t.Fatal("the store does not hold the live key")
+	}
+}
+
+// TestRotatingKeyReceiverResolvesGenerations: a session's receiver is
+// found by the modulus its hello announced: the boot key's, after one
+// Rotate the old and the new key's, and after a second Rotate the first
+// modulus is rotated away. A generation keeps one receiver.
+func TestRotatingKeyReceiverResolvesGenerations(t *testing.T) {
+	k, err := PersistedKey(nil, "", rand.Reader, MinKeyBits, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves := func(sk *PrivateKey) {
+		t.Helper()
+		d, err := k.Receiver(sk.N.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := k.Receiver(sk.N.Bytes()); again != d {
+			t.Fatal("one generation resolved to two receivers")
+		}
+		ct, err := Seal(&sk.PublicKey, nil, 1.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pay, err := d.Open(ct); err != nil || pay != 1.25 {
+			t.Fatalf("receiver opened %v, %v; want 1.25", pay, err)
+		}
+	}
+	boot, err := k.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves(boot)
+	second, err := k.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves(boot)
+	resolves(second)
+	third, err := k.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves(second)
+	resolves(third)
+	if _, err := k.Receiver(boot.N.Bytes()); err == nil || !strings.Contains(err.Error(), "rotated away") {
+		t.Fatalf("twice-rotated modulus resolved: %v", err)
+	}
+}
+
+// TestRotatingKeyReceiverConcurrent: while rotations run, every modulus Key
+// returned resolves to its own receiver unless two rotations have landed
+// since the call. Run under -race.
+func TestRotatingKeyReceiverConcurrent(t *testing.T) {
+	k, err := PersistedKey(nil, "", rand.Reader, MinKeyBits, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rotators, rotations, readers = 2, 5, 2
+	done := make(chan struct{})
+	var readWG sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		readWG.Add(1)
+		go func() {
+			defer readWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				before := k.Generation()
+				sk, err := k.Key()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d, err := k.Receiver(sk.N.Bytes())
+				if err != nil {
+					if g := k.Generation(); g-before < 2 {
+						t.Errorf("a key of generation >= %d failed to resolve at generation %d: %v", before, g, err)
+						return
+					}
+					continue
+				}
+				if d.PublicKey().N.Cmp(sk.N) != 0 {
+					t.Error("Receiver returned another generation's receiver")
+					return
+				}
+			}
+		}()
+	}
+	var rotWG sync.WaitGroup
+	for i := 0; i < rotators; i++ {
+		rotWG.Add(1)
+		go func() {
+			defer rotWG.Done()
+			for j := 0; j < rotations; j++ {
+				if _, err := k.Rotate(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	rotWG.Wait()
+	close(done)
+	readWG.Wait()
+	if g := k.Generation(); g != 1+rotators*rotations {
+		t.Fatalf("generation = %d, want %d", g, 1+rotators*rotations)
 	}
 }
 

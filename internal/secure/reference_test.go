@@ -2,7 +2,7 @@ package secure
 
 // The reference decryptions the served path is pinned against. No
 // settlement decrypts this way: a DataReceiver blinds every ciphertext
-// before the CRT exponentiations (OpenPayment).
+// before the CRT exponentiations (DataReceiver.Open).
 
 import "math/big"
 

@@ -181,15 +181,14 @@ func TestFixedPointEncodeDecode(t *testing.T) {
 func TestSecurePaymentReport(t *testing.T) {
 	sk := testKeyPair(t)
 	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader)
 
 	// Quote (p=9.5, P0=1.4, Ph=3.0), realized gain 0.12:
 	// payment = 1.4 + 9.5·0.12 = 2.54.
-	rep, err := task.Report(2.54)
+	ct, err := Seal(data.PublicKey(), nil, 2.54)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pay, err := data.OpenPayment(rep)
+	pay, err := data.Open(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +197,11 @@ func TestSecurePaymentReport(t *testing.T) {
 	}
 }
 
-// Property: for random quotes and gains, the opened report of the Eq. 2
+// Property: for random quotes and gains, the opened seal of the Eq. 2
 // payment is that payment quantized to 1/GainScale, exactly.
 func TestSecurePaymentMatchesEq2Property(t *testing.T) {
 	sk := testKeyPair(t)
 	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader)
 	f := func(rateRaw, baseRaw, spanRaw, gainRaw uint16) bool {
 		base := float64(baseRaw%500) / 100
 		q := core.QuotedPrice{
@@ -212,11 +210,11 @@ func TestSecurePaymentMatchesEq2Property(t *testing.T) {
 			High: base + float64(spanRaw%400)/100,
 		}
 		want := q.Payment(float64(gainRaw)/20000 - 0.5)
-		rep, err := task.Report(want)
+		ct, err := Seal(data.PublicKey(), nil, want)
 		if err != nil {
 			return false
 		}
-		got, err := data.OpenPayment(rep)
+		got, err := data.Open(ct)
 		if err != nil {
 			return false
 		}
@@ -241,14 +239,13 @@ func BenchmarkEncrypt(b *testing.B) {
 func BenchmarkSecureReport(b *testing.B) {
 	sk := testKeyPair(b)
 	data := NewDataReceiver(sk)
-	task := NewTaskReporter(data.PublicKey(), rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := task.Report(2.54)
+		ct, err := Seal(data.PublicKey(), nil, 2.54)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := data.OpenPayment(rep); err != nil {
+		if _, err := data.Open(ct); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,72 +54,31 @@ func DecodeFixed(pk *PublicKey, m *big.Int) float64 {
 	return f / GainScale
 }
 
-// GainReport is the encrypted settlement message the task party sends after
-// a VFL course. Only the holder of the private key — the data party — can
-// decrypt the payment; the raw ΔG never crosses the boundary in clear.
-type GainReport struct {
-	// EncPayment encrypts the Eq. 2 payment under the data party's key,
-	// computed by the task party from its plaintext gain.
-	EncPayment *Ciphertext
-}
-
-// TaskReporter is the task party's side of the secure exchange: it holds
-// the data party's public key and the agreed quote.
-type TaskReporter struct {
-	pk    *PublicKey
-	rand  io.Reader
-	noise *NoiseSource
-}
-
-// ReporterOption configures a TaskReporter at construction time.
-type ReporterOption func(*TaskReporter)
-
-// WithNoise attaches a randomizer pool to the reporter: Report then draws
-// precomputed r^n factors from it — one mulmod per settlement instead of a
-// modexp — falling back inline when drained. A nil source is ignored. The
-// pool must have been built for the same public key the reporter encrypts
-// under.
-func WithNoise(ns *NoiseSource) ReporterOption {
-	return func(t *TaskReporter) { t.noise = ns }
-}
-
-// NewTaskReporter builds the task party's reporter under the data party's
-// public key.
-func NewTaskReporter(pk *PublicKey, random io.Reader, opts ...ReporterOption) *TaskReporter {
-	t := &TaskReporter{pk: pk, rand: random}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
-}
-
-// encrypt routes through the noise pool when one is attached — but only
-// when the pool was built for this reporter's key. A pooled factor under a
-// stale key (the server rotated between sessions) would decrypt to
-// garbage with no error, Paillier being unauthenticated; falling back to
-// inline encryption under the session key keeps the settlement correct.
-func (t *TaskReporter) encrypt(m *big.Int) (*Ciphertext, error) {
-	if t.noise != nil && t.noise.Key().N.Cmp(t.pk.N) == 0 {
-		return t.noise.Encrypt(m)
-	}
-	return t.pk.Encrypt(t.rand, m)
-}
-
-// Report encrypts an Eq. 2 payment under the data party's key. The task
-// party computes the payment on its plaintext side — it knows ΔG — and
-// only that value is encrypted, so the data party learns exactly the
-// payment and nothing else about the gain beyond what the payment function
-// already reveals.
-func (t *TaskReporter) Report(payment float64) (*GainReport, error) {
-	m, err := EncodeFixed(t.pk, payment)
+// Seal is the task party's side of the secure exchange: it encrypts an
+// Eq. 2 payment under the data party's public key and returns the
+// ciphertext's bytes. The task party computes the payment on its plaintext
+// side (it knows ΔG), so the data party learns exactly the payment and
+// nothing else about the gain beyond what the payment function already
+// reveals. A noise pool, when given, supplies the randomizer (one mulmod
+// instead of a modexp), but only when it was built for pk: a pooled factor
+// under a stale key (the server rotated between sessions) would decrypt to
+// garbage with no error, Paillier being unauthenticated, so Seal encrypts
+// inline under pk instead.
+func Seal(pk *PublicKey, noise *NoiseSource, payment float64) ([]byte, error) {
+	m, err := EncodeFixed(pk, payment)
 	if err != nil {
 		return nil, err
 	}
-	ct, err := t.encrypt(m)
+	var ct *Ciphertext
+	if noise != nil && noise.Key().N.Cmp(pk.N) == 0 {
+		ct, err = noise.Encrypt(m)
+	} else {
+		ct, err = pk.Encrypt(rand.Reader, m)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &GainReport{EncPayment: ct}, nil
+	return ct.C.Bytes(), nil
 }
 
 // blindRefresh is how many opens one blinding pair serves: a
@@ -185,23 +144,23 @@ func (d *DataReceiver) setSquares(up, uq *big.Int) {
 	d.uq.Mul(uq, uq).Mod(d.uq, d.sk.q2)
 }
 
-// OpenPayment decrypts a payment report. The ciphertext's residues mod p²
-// and q² are blinded before the CRT exponentiations, so neither operand is
-// the wire ciphertext; a settlement whose blinding cannot be drawn fails
+// Open decrypts a sealed payment. The ciphertext's residues mod p² and q²
+// are blinded before the CRT exponentiations, so neither operand is the
+// wire ciphertext; a settlement whose blinding cannot be drawn fails
 // rather than decrypt unblinded.
-func (d *DataReceiver) OpenPayment(r *GainReport) (float64, error) {
+func (d *DataReceiver) Open(ciphertext []byte) (float64, error) {
 	sk := d.sk
-	if err := sk.checkCiphertext(r.EncPayment); err != nil {
+	c := new(big.Int).SetBytes(ciphertext)
+	if err := sk.checkCiphertext(&Ciphertext{C: c}); err != nil {
 		return 0, err
 	}
 	up, uq, err := d.blinding()
 	if err != nil {
 		return 0, err
 	}
-	c := r.EncPayment.C
 	cp := new(big.Int).Mod(c, sk.p2)
 	cp.Mul(cp, up).Mod(cp, sk.p2)
-	cq := new(big.Int).Mod(c, sk.q2)
+	cq := c.Mod(c, sk.q2)
 	cq.Mul(cq, uq).Mod(cq, sk.q2)
 	return DecodeFixed(&sk.PublicKey, sk.decrypt(cp, cq)), nil
 }

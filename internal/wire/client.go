@@ -2,7 +2,6 @@ package wire
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"math/big"
 	"slices"
@@ -40,17 +39,15 @@ type TaskClient struct {
 // BargainCodec runs one perfect-information session over an established
 // codec (a mux session) after the server's Hello has been received.
 func (t *TaskClient) BargainCodec(ctx context.Context, c Codec, hello *Hello) (*core.Result, error) {
-	var reporter *secure.TaskReporter
-	if hello.Secure {
-		pk := secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
-		reporter = secure.NewTaskReporter(pk, rand.Reader, secure.WithNoise(t.Noise))
-	}
 	seller := &remoteSeller{
-		l:        link{c},
-		listing:  hello.Bundles,
-		reporter: reporter,
-		u:        t.Session.U,
-		target:   t.Session.TargetGain,
+		l:       link{c},
+		listing: hello.Bundles,
+		u:       t.Session.U,
+		target:  t.Session.TargetGain,
+	}
+	if hello.Secure {
+		seller.pk = secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
+		seller.noise = t.Noise
 	}
 	sess := core.NewSession(nil, t.Session).Observe(t.Observers...)
 	return sess.RunPerfectWith(ctx, seller, t.Gains)
@@ -132,13 +129,14 @@ func (t *TaskClient) imperfectSession(c Codec, hello *Hello) (*core.Session, *re
 // MSE before reaching the caller's sink, so a resumed run sees the same
 // checkpoint a lockstep run would have produced.
 type remoteSeller struct {
-	l        link
-	listing  []BundleInfo // the session Hello's
-	reporter *secure.TaskReporter
-	u        float64
-	target   float64
-	ackMSE   bool
-	mse      []float64
+	l       link
+	listing []BundleInfo      // the session Hello's
+	pk      *secure.PublicKey // the session Hello's key; nil settles in clear
+	noise   *secure.NoiseSource
+	u       float64
+	target  float64
+	ackMSE  bool
+	mse     []float64
 
 	ackWait bool
 	held    *core.ImperfectCheckpoint
@@ -239,15 +237,15 @@ func (r *remoteSeller) features(o *Offer) []int {
 func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDecision) error {
 	r.settle = Settle{Round: round, Decision: decisionOf(d)}
 	switch {
-	case r.reporter == nil:
+	case r.pk == nil:
 		r.settle.Gain = rec.Gain
 	case d == core.SettleAccept:
 		// Only the closing round is paid, so only its payment is sealed.
-		rep, err := r.reporter.Report(rec.Payment)
+		ct, err := secure.Seal(r.pk, r.noise, rec.Payment)
 		if err != nil {
 			return err
 		}
-		r.settle.EncPayment = rep.EncPayment.C.Bytes()
+		r.settle.EncPayment = ct
 	}
 	if err := r.sendScratch(Envelope{Kind: KindSettle, Settle: &r.settle}); err != nil {
 		return err

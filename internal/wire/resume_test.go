@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,6 +327,50 @@ func TestWireKeyRotationDrainsOldSessions(t *testing.T) {
 	_, _, _, srvErr = run(helloOld)
 	if srvErr == nil || !strings.Contains(srvErr.Error(), "rotated away") {
 		t.Fatalf("twice-rotated key settled: %v", srvErr)
+	}
+}
+
+// entropyGate is an entropy source that fails every read until it is
+// opened.
+type entropyGate struct{ open atomic.Bool }
+
+func (g *entropyGate) Read(p []byte) (int, error) {
+	if !g.open.Load() {
+		return 0, errors.New("entropy down")
+	}
+	return rand.Read(p)
+}
+
+// TestWireKeyRotationRepairsFailedBoot: a secure server whose background
+// boot key failed to generate refuses every Hello until a RotateKey
+// succeeds; the rotated key is then announced and settles a session.
+func TestWireKeyRotationRepairsFailedBoot(t *testing.T) {
+	cat, cfg, gains := buildMarket(t, 55)
+	gate := &entropyGate{}
+	keys, err := secure.PersistedKey(nil, "", gate, 128, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewDataServer(cat, cfg.EpsData, keys)
+	if _, err := srv.Hello(); err == nil {
+		t.Fatal("Hello announced a key whose generation failed")
+	}
+
+	gate.open.Store(true)
+	pubN, err := srv.RotateKey()
+	if err != nil {
+		t.Fatalf("rotation after a failed boot: %v", err)
+	}
+	hello := mustHello(t, srv)
+	if !bytes.Equal(hello.PubN, pubN) {
+		t.Fatal("hello does not announce the rotated modulus")
+	}
+	res, srvSide, cliErr := bargainPipe(t, srv, &TaskClient{Session: cfg, Gains: gains}, hello)
+	if cliErr != nil || srvSide.err != nil {
+		t.Fatalf("session under the repaired key failed: client=%v server=%v", cliErr, srvSide.err)
+	}
+	if res.Outcome != core.Success || !srvSide.sum.Closed {
+		t.Fatalf("session under the repaired key did not close: %v / %+v", res.Outcome, srvSide.sum)
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"sync"
 
 	"repro/internal/core"
@@ -47,21 +46,10 @@ type DataServer struct {
 
 	// keys, when non-nil, makes the server settle under Paillier: it
 	// publishes the public key in Hello and refuses cleartext settlements.
+	// The key holds each generation's secure.DataReceiver, and a session
+	// settles under the one its hello announced, which is how RotateKey
+	// drains in-flight sessions gracefully.
 	keys *secure.RotatingKey
-	// rotMu serializes RotateKey from key generation through the swap of
-	// secCur/secOld, so concurrent rotations never skip a generation.
-	rotMu sync.Mutex
-
-	// secCur/secOld decrypt settlements under the current and the previous
-	// key generation. Each is the generation's secure.DataReceiver, which
-	// blinds every ciphertext with powers of its own primes before the CRT
-	// decryption. A session resolves the receiver whose modulus it captured
-	// at hello time, which is how RotateKey drains in-flight sessions
-	// gracefully. secMu orders the lazy build against rotation.
-	secMu  sync.Mutex
-	secCur *secure.DataReceiver
-	secErr error
-	secOld *secure.DataReceiver
 
 	listingOnce sync.Once
 	listing     []BundleInfo
@@ -113,52 +101,6 @@ func NewDataServer(cat *core.Catalog, epsData float64, keys *secure.RotatingKey)
 	return &DataServer{Catalog: cat, EpsData: epsData, keys: keys}
 }
 
-// current resolves the current key generation's receiver, building it
-// lazily once the key lands.
-func (s *DataServer) current() (*secure.DataReceiver, error) {
-	s.secMu.Lock()
-	if s.secCur != nil || s.secErr != nil {
-		cur, err := s.secCur, s.secErr
-		s.secMu.Unlock()
-		return cur, err
-	}
-	s.secMu.Unlock()
-	sk, err := s.keys.Key() // may block on generation; never under secMu
-	s.secMu.Lock()
-	defer s.secMu.Unlock()
-	if s.secCur != nil || s.secErr != nil { // raced build
-		return s.secCur, s.secErr
-	}
-	if err != nil {
-		s.secErr = err
-		return nil, err
-	}
-	s.secCur = secure.NewDataReceiver(sk)
-	return s.secCur, nil
-}
-
-// secureFor resolves the receiver whose modulus the session captured at
-// hello time: the current generation, or — after a RotateKey — the one
-// retained previous generation. A modulus rotated further away fails the
-// session; the client must reconnect under the announced key.
-func (s *DataServer) secureFor(pubN []byte) (*secure.DataReceiver, error) {
-	cur, err := s.current()
-	if err != nil {
-		return nil, err
-	}
-	want := new(big.Int).SetBytes(pubN)
-	if cur.PublicKey().N.Cmp(want) == 0 {
-		return cur, nil
-	}
-	s.secMu.Lock()
-	old := s.secOld
-	s.secMu.Unlock()
-	if old != nil && old.PublicKey().N.Cmp(want) == 0 {
-		return old, nil
-	}
-	return nil, fmt.Errorf("wire: session key rotated away; reconnect under the current key")
-}
-
 // RotateKey rotates the server's Paillier key pair: the key generates and
 // persists a fresh pair, new sessions are announced the fresh modulus in
 // their Hello, and sessions opened under the previous key drain against its
@@ -169,22 +111,10 @@ func (s *DataServer) RotateKey() (pubN []byte, err error) {
 	if s.keys == nil {
 		return nil, fmt.Errorf("wire: cannot rotate keys on a cleartext server")
 	}
-	s.rotMu.Lock()
-	defer s.rotMu.Unlock()
-	// Materialize the current generation first so draining sessions find it
-	// in the old slot.
-	cur, err := s.current()
-	if err != nil {
-		return nil, err
-	}
 	sk, err := s.keys.Rotate()
 	if err != nil {
 		return nil, err
 	}
-	s.secMu.Lock()
-	s.secOld = cur
-	s.secCur = secure.NewDataReceiver(sk)
-	s.secMu.Unlock()
 	return sk.N.Bytes(), nil
 }
 
@@ -569,10 +499,9 @@ func (s *DataServer) settledPayment(hello *Hello, q core.QuotedPrice, st *Settle
 	if len(st.EncPayment) == 0 {
 		return 0, fmt.Errorf("wire: secure session settled without ciphertext")
 	}
-	recv, err := s.secureFor(hello.PubN)
+	recv, err := s.keys.Receiver(hello.PubN)
 	if err != nil {
 		return 0, err
 	}
-	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(st.EncPayment)}
-	return recv.OpenPayment(&secure.GainReport{EncPayment: ct})
+	return recv.Open(st.EncPayment)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"math/big"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -60,27 +59,13 @@ func (s *Settlement) NoiseStats() secure.NoiseStats { return s.noise.Stats() }
 // encoded and encrypted under the settlement key, drawing the randomizer
 // from the pool.
 func (s *Settlement) Seal(payment float64) ([]byte, error) {
-	m, err := secure.EncodeFixed(s.recv.PublicKey(), payment)
-	if err != nil {
-		return nil, err
-	}
-	ct, err := s.noise.Encrypt(m)
-	if err != nil {
-		return nil, err
-	}
-	return ct.C.Bytes(), nil
+	return secure.Seal(s.recv.PublicKey(), s.noise, payment)
 }
 
 // Open implements core.SettlementCipher: the ciphertext is blinded
 // (plaintext unchanged) and CRT-decrypted. The returned payment is the
 // sealed value quantized to 1/GainScale.
-func (s *Settlement) Open(ciphertext []byte) (float64, error) {
-	if len(ciphertext) == 0 {
-		return 0, fmt.Errorf("vflmarket: empty settlement ciphertext")
-	}
-	ct := &secure.Ciphertext{C: new(big.Int).SetBytes(ciphertext)}
-	return s.recv.OpenPayment(&secure.GainReport{EncPayment: ct})
-}
+func (s *Settlement) Open(ciphertext []byte) (float64, error) { return s.recv.Open(ciphertext) }
 
 // BargainBatchSecure is BargainBatch with every session settling through
 // the shared Settlement: each realized round's payment is sealed by the
