@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "engine seed")
 	scale := flag.Float64("scale", 0.5, "profile scale in (0,1]")
 	synthetic := flag.Bool("synthetic", true, "use synthetic gains (fast startup)")
-	workers := flag.Int("workers", 0, "max concurrent sessions per shard (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "per-shard admission bound: busy past workers+128 handshakes in flight or sessions per connection (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-read/write IO deadline")
 	idle := flag.Duration("idletimeout", 0, "close idle multiplexed connections after this long (0 = 4x -timeout, negative = never)")
 	stateDir := flag.String("state", "", "fleet state root (each shard persists under DIR/shard-N; empty = memory-only)")

@@ -1,7 +1,7 @@
 // Command serve runs the multi-market bargaining service: one listener
-// serving any number of named market engines, with a bounded session
-// worker pool, per-connection IO deadlines, optional Paillier settlement,
-// and graceful Ctrl-C shutdown.
+// serving any number of named market engines, with admission control
+// (busy past -workers+128 handshakes in flight), per-connection IO
+// deadlines, optional Paillier settlement, and graceful Ctrl-C shutdown.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "engine seed")
 	scale := flag.Float64("scale", 0.5, "profile scale in (0,1]")
 	synthetic := flag.Bool("synthetic", true, "use synthetic gains (fast startup)")
-	workers := flag.Int("workers", 0, "max concurrent sessions (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "admission bound: busy past workers+128 handshakes in flight or sessions per connection (0 = GOMAXPROCS)")
 	secure := flag.Bool("secure", false, "settle under Paillier encryption (§3.6)")
 	keyBits := flag.Int("keybits", 256, "Paillier prime bits with -secure (production wants 1536+)")
 	eagerKeys := flag.Bool("eagerkeys", false, "generate Paillier keys at registration instead of in the background")

@@ -9,7 +9,6 @@ import (
 	"net"
 	"strings"
 	"syscall"
-	"time"
 )
 
 // CodecGob names framed gob in the mux preamble: one persistent gob
@@ -259,47 +258,4 @@ func acceptHello(br *bufio.Reader, w io.Writer) (*framedCodec, *ClientHello, err
 		return fc, nil, fmt.Errorf("%w: %w", ErrBadHandshake, err)
 	}
 	return fc, e.Client, nil
-}
-
-// AcceptHandshakeMux performs the server side of a fresh connection's
-// opening: the preamble and the connection-level ClientHello, both read
-// under one ioTimeout deadline. It returns the framed codec the caller
-// hands to NewMuxServerConn, whose Serve owns deadlines from then on. On
-// error the pooled buffers are already released and the caller closes the
-// connection; a failed exchange wraps ErrBadHandshake.
-//
-// Ownership of the returned codec follows one rule: the accepting side
-// calls Release on it unless MuxServerConn.Serve took it over, which
-// releases on its own.
-func AcceptHandshakeMux(conn net.Conn, ioTimeout time.Duration) (Codec, *ClientHello, error) {
-	if ioTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(ioTimeout)); err != nil {
-			return nil, nil, err
-		}
-	}
-	br := frameReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	fc, ch, err := acceptHello(br, conn)
-	if err == nil && ioTimeout > 0 {
-		err = conn.SetReadDeadline(time.Time{})
-	}
-	if err != nil {
-		if fc != nil {
-			fc.release()
-		} else {
-			putReader(br)
-		}
-		return nil, nil, err
-	}
-	return fc, ch, nil
-}
-
-// Release returns the pooled buffers of a codec AcceptHandshakeMux returned
-// when the connection ends before MuxServerConn.Serve took the codec over:
-// a stats answer, a refusal, a failed Hello. Serve releases on its own, so
-// a codec it ran must not be released again.
-func Release(c Codec) {
-	if fc, ok := c.(*framedCodec); ok {
-		fc.release()
-	}
 }

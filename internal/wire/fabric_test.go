@@ -7,6 +7,7 @@ package wire
 // binary mux wire.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -91,18 +92,13 @@ func TestFetchStatsOverConnection(t *testing.T) {
 	defer clientConn.Close()
 	go func() {
 		defer serverConn.Close()
-		codec, ch, err := AcceptHandshakeMux(serverConn, 5*time.Second)
-		if err != nil {
-			return
-		}
-		defer Release(codec)
-		if codec.Name() != CodecBinary || !ch.StatsOnly || ch.Version != ProtocolVersion {
-			_ = codec.Send(&Envelope{Kind: KindError, Err: &ErrorMsg{Msg: "not a binary mux stats hello"}})
-			_ = codec.Flush()
-			return
-		}
-		_ = codec.Send(&Envelope{Kind: KindStats, Stats: want})
-		_ = codec.Flush()
+		rec := &readRecorder{Conn: serverConn}
+		_, _ = AcceptMux(rec, 5*time.Second, 0, 0, func(ch *ClientHello) *Envelope {
+			if !bytes.HasPrefix(rec.got.Bytes(), []byte("VFLM/6 bin mux\n")) || !ch.StatsOnly || ch.Version != ProtocolVersion {
+				return &Envelope{Kind: KindError, Err: &ErrorMsg{Msg: "not a binary mux stats hello"}}
+			}
+			return &Envelope{Kind: KindStats, Stats: want}
+		})
 	}()
 	got, err := FetchStats(context.Background(), clientConn, 5*time.Second)
 	if err != nil {
@@ -111,4 +107,16 @@ func TestFetchStatsOverConnection(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats mangled over the wire:\ngot  %+v\nwant %+v", got, want)
 	}
+}
+
+// readRecorder keeps every byte read from its connection.
+type readRecorder struct {
+	net.Conn
+	got bytes.Buffer
+}
+
+func (r *readRecorder) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.got.Write(p[:n])
+	return n, err
 }

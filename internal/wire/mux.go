@@ -814,17 +814,64 @@ type MuxServerConn struct {
 	handlers sync.WaitGroup
 }
 
-// NewMuxServerConn wraps a connection whose handshake AcceptHandshakeMux
-// already completed, with the codec it returned; Serve takes the codec over
-// and releases it. maxSessions bounds concurrently open streams per
-// connection (<= 0 means unbounded); opens beyond it are answered KindBusy.
-// idle is the read deadline of a connection with no open stream: 0 picks
-// the default of idleFactor x the IO timeout, < 0 disables it.
-func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, maxSessions int) (*MuxServerConn, error) {
-	fc, ok := c.(*framedCodec)
-	if !ok {
-		return nil, fmt.Errorf("wire: mux serve needs the framed codec from AcceptHandshakeMux, got %T", c)
+// AcceptMux opens the server end of a freshly accepted connection. It
+// reads the mux preamble and the connection-level ClientHello under one
+// ioTimeout read deadline and sends the envelope answer returns for that
+// hello. A KindHello answer opens the connection, which comes back ready
+// to Serve; Serve owns deadlines and the pooled buffers from then on. Any
+// other answer (a refusal, a stats report) is the connection's last word:
+// it is sent best effort, and AcceptMux returns neither a connection nor
+// an error. A failed opening wraps ErrBadHandshake and never reaches
+// answer; a Hello that cannot be sent returns its write error. Whenever no
+// connection comes back the pooled buffers are already released, and the
+// caller closes conn in every case.
+//
+// maxSessions bounds concurrently open streams per connection (<= 0 means
+// unbounded); opens beyond it are answered KindBusy. idle is the read
+// deadline of a connection with no open stream: 0 picks the default of
+// idleFactor x the IO timeout, < 0 disables it.
+func AcceptMux(conn net.Conn, ioTimeout, idle time.Duration, maxSessions int, answer func(*ClientHello) *Envelope) (*MuxServerConn, error) {
+	if ioTimeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(ioTimeout)); err != nil {
+			return nil, err
+		}
 	}
+	br := frameReaderPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	fc, ch, err := acceptHello(br, conn)
+	if err == nil && ioTimeout > 0 {
+		err = conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		if fc != nil {
+			fc.release()
+		} else {
+			putReader(br)
+		}
+		return nil, err
+	}
+	e := answer(ch)
+	if e.Kind != KindHello {
+		if fc.Send(e) == nil {
+			_ = fc.Flush()
+		}
+		fc.release()
+		return nil, nil
+	}
+	sc := newMuxServerConn(conn, fc, ioTimeout, idle, maxSessions)
+	if err = sc.send(e); err == nil {
+		err = sc.flush()
+	}
+	if err != nil {
+		fc.release()
+		return nil, err
+	}
+	return sc, nil
+}
+
+// newMuxServerConn builds the server end over a codec whose opening has
+// been read; AcceptMux takes its parameters.
+func newMuxServerConn(conn net.Conn, fc *framedCodec, ioTimeout, idle time.Duration, maxSessions int) *MuxServerConn {
 	if idle == 0 && ioTimeout > 0 {
 		idle = idleFactor * ioTimeout
 	}
@@ -832,22 +879,13 @@ func NewMuxServerConn(conn net.Conn, c Codec, ioTimeout, idle time.Duration, max
 	sc.init(conn, fc, ioTimeout)
 	sc.idle = idle
 	sc.control = sc.dispatch
-	return sc, nil
-}
-
-// SendHello writes the connection-level Hello that answers the handshake
-// probe, flushing it to the client.
-func (sc *MuxServerConn) SendHello(h *Hello) error {
-	if err := sc.send(&Envelope{Kind: KindHello, Hello: h}); err != nil {
-		return err
-	}
-	return sc.flush()
+	return sc
 }
 
 // Serve runs the connection until it dies or is closed: every KindOpen
 // spawns handler in its own goroutine with a MuxStream scoped to that
 // session. Serve's own loop reads while no stream is open, under the idle
-// read deadline (see NewMuxServerConn), so an abandoned connection is
+// read deadline (see AcceptMux), so an abandoned connection is
 // reaped; open streams read for themselves. Serve returns the error that
 // ended the connection after all handlers have finished.
 func (sc *MuxServerConn) Serve(handler func(st *MuxStream, ch *ClientHello)) error {

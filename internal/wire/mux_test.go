@@ -20,10 +20,16 @@ import (
 	"repro/internal/core"
 )
 
+// answerEcho opens every connection with the Hello of the market "echo".
+func answerEcho(*ClientHello) *Envelope {
+	return &Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: "echo"}}
+}
+
 // startMux runs a MuxServerConn over loopback that calls handler for every
 // stream, and returns the client end of the connection. ioTimeout is the
-// per-stream receive timer on both ends; the handshake itself gets a fixed
-// 5s. The connection hello names the market "echo".
+// per-stream receive timer on both ends and bounds the server's handshake
+// read; the client's opening gets a fixed 5s. The connection hello names
+// the market "echo".
 func startMux(t *testing.T, ioTimeout time.Duration, handler func(st *MuxStream, ch *ClientHello)) (*MuxConn, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -38,18 +44,9 @@ func startMux(t *testing.T, ioTimeout time.Duration, handler func(st *MuxStream,
 			return
 		}
 		defer conn.Close()
-		c, _, err := AcceptHandshakeMux(conn, 5*time.Second)
-		if err != nil {
+		sc, err := AcceptMux(conn, ioTimeout, 0, 0, answerEcho)
+		if err != nil || sc == nil {
 			t.Errorf("mux handshake: %v", err)
-			return
-		}
-		sc, err := NewMuxServerConn(conn, c, ioTimeout, 0, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
-			t.Error(err)
 			return
 		}
 		_ = sc.Serve(handler)
@@ -189,15 +186,8 @@ func TestMuxSessionCapAnswersBusy(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		c, _, err := AcceptHandshakeMux(conn, ioTimeout)
-		if err != nil {
-			return
-		}
-		sc, err := NewMuxServerConn(conn, c, ioTimeout, 0, 1) // one stream only
-		if err != nil {
-			return
-		}
-		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
+		sc, err := AcceptMux(conn, ioTimeout, 0, 1, answerEcho) // one stream only
+		if err != nil || sc == nil {
 			return
 		}
 		_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
@@ -271,10 +261,7 @@ func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
 
 	t.Run("server-stream", func(t *testing.T) {
 		for i := 0; i < 1000; i++ {
-			sc, err := NewMuxServerConn(conn, newCodec(), 0, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := newMuxServerConn(conn, newCodec(), 0, 0, 0)
 			st, ok := sc.admit(1)
 			if !ok {
 				t.Fatal("admit refused")
@@ -341,10 +328,7 @@ func TestMuxServerWriteFailureFailsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewMuxServerConn(conn, fc, ioTimeout, -1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newMuxServerConn(conn, fc, ioTimeout, -1, 0)
 	type recvResult struct {
 		err  error
 		took time.Duration
@@ -419,18 +403,9 @@ func TestMuxIdleConnNoticesPeerClose(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		c, _, err := AcceptHandshakeMux(conn, 5*time.Second)
-		if err != nil {
+		sc, err := AcceptMux(conn, 5*time.Second, -1, 0, answerEcho)
+		if err != nil || sc == nil {
 			t.Errorf("mux handshake: %v", err)
-			return
-		}
-		sc, err := NewMuxServerConn(conn, c, 5*time.Second, -1, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
-			t.Error(err)
 			return
 		}
 		go func() {
@@ -1034,18 +1009,9 @@ func TestMuxOpenWritesOnce(t *testing.T) {
 			go func() {
 				defer close(served)
 				defer server.Close()
-				c, _, err := AcceptHandshakeMux(server, 5*time.Second)
-				if err != nil {
+				sc, err := AcceptMux(server, 5*time.Second, -1, 0, answerEcho)
+				if err != nil || sc == nil {
 					t.Errorf("mux handshake: %v", err)
-					return
-				}
-				sc, err := NewMuxServerConn(server, c, 5*time.Second, -1, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := sc.SendHello(&Hello{Version: ProtocolVersion, Market: "echo"}); err != nil {
-					t.Error(err)
 					return
 				}
 				_ = sc.Serve(func(*MuxStream, *ClientHello) {})
@@ -1063,6 +1029,98 @@ func TestMuxOpenWritesOnce(t *testing.T) {
 			}
 			mc.Close()
 			<-served
+		})
+	}
+}
+
+// TestMuxAcceptOutcomes pins the three ways AcceptMux ends: a Hello
+// answer opens a connection that serves streams; a refusal or stats answer
+// reaches the client as the connection's last word and no connection comes
+// back; a torn preamble wraps ErrBadHandshake without reaching answer.
+func TestMuxAcceptOutcomes(t *testing.T) {
+	stats := &StatsReport{Server: ServerStats{Accepted: 7, Busy: 1}, Epoch: 2}
+	openErr := func(want error) func(net.Conn) error {
+		return func(c net.Conn) error {
+			if _, _, err := OpenMux(c, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, 5*time.Second); !errors.Is(err, want) {
+				return fmt.Errorf("OpenMux = %v, want %v", err, want)
+			}
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		answer *Envelope // nil: answer must not be called
+		conn   bool      // a connection comes back
+		err    error     // AcceptMux's error matches it (nil: no error)
+		client func(net.Conn) error
+	}{
+		{"hello", answerEcho(nil), true, nil, func(c net.Conn) error {
+			mc, hello, err := OpenMux(c, CodecBinary, ClientHello{Market: "echo", ListOnly: true}, 5*time.Second)
+			if err != nil {
+				return err
+			}
+			defer mc.Close()
+			if hello.Market != "echo" {
+				return fmt.Errorf("hello market = %q", hello.Market)
+			}
+			s, sh, err := mc.Open(context.Background(), ClientHello{Market: "echo"}, 5*time.Second)
+			if err != nil {
+				return fmt.Errorf("stream open: %w", err)
+			}
+			s.CloseClean()
+			if sh.Market != "echo" {
+				return fmt.Errorf("stream hello market = %q", sh.Market)
+			}
+			return nil
+		}},
+		{"refusal", &Envelope{Kind: KindError, Err: &ErrorMsg{Msg: "unknown market"}}, false, nil, openErr(ErrRejected)},
+		{"busy", &Envelope{Kind: KindBusy, Err: &ErrorMsg{Msg: "saturated"}}, false, nil, openErr(ErrServerBusy)},
+		{"stats", &Envelope{Kind: KindStats, Stats: stats}, false, nil, func(c net.Conn) error {
+			got, err := FetchStats(context.Background(), c, 5*time.Second)
+			if err == nil && !reflect.DeepEqual(got, stats) {
+				err = fmt.Errorf("stats = %+v, want %+v", got, stats)
+			}
+			return err
+		}},
+		{"torn preamble", nil, false, ErrBadHandshake, func(c net.Conn) error {
+			_, err := c.Write([]byte("VFLM/6 bi"))
+			c.Close()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			type outcome struct {
+				conn, answered bool
+				err            error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer server.Close()
+				var answered bool
+				sc, err := AcceptMux(server, 5*time.Second, -1, 0, func(*ClientHello) *Envelope {
+					answered = true
+					return tc.answer
+				})
+				done <- outcome{sc != nil, answered, err}
+				if sc != nil {
+					_ = sc.Serve(func(st *MuxStream, ch *ClientHello) {
+						_ = st.Send(&Envelope{Kind: KindHello, Hello: &Hello{Version: ProtocolVersion, Market: ch.Market}})
+					})
+				}
+			}()
+			if err := tc.client(client); err != nil {
+				t.Fatal(err)
+			}
+			got := <-done
+			if got.conn != tc.conn || got.answered != (tc.answer != nil) {
+				t.Fatalf("AcceptMux returned a connection: %v (want %v), called answer: %v (want %v)",
+					got.conn, tc.conn, got.answered, tc.answer != nil)
+			}
+			if (tc.err == nil) != (got.err == nil) || !errors.Is(got.err, tc.err) {
+				t.Fatalf("AcceptMux error = %v, want %v", got.err, tc.err)
+			}
 		})
 	}
 }

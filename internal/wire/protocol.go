@@ -342,8 +342,8 @@ type ServerStats struct {
 	// Rejected counts connections turned away before bargaining: malformed
 	// handshakes, unsupported versions, unknown markets.
 	Rejected uint64
-	// Busy counts connections refused by admission control (the worker
-	// pool and its backlog were saturated): load, not in Rejected.
+	// Busy counts connections refused by admission control (every
+	// handshake slot was taken): load, not in Rejected.
 	Busy uint64
 	// Redirected counts connections answered with a redirect to another
 	// shard (directory-attached servers only); not in Rejected.

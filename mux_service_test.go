@@ -13,6 +13,7 @@ package vflmarket
 // in CI.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -727,6 +728,197 @@ func TestServiceHelloOnlyConnsRecyclePooledBuffers(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// parkHandshakes opens n connections that send the mux preamble and then
+// go silent, and waits until srv has accepted them: each one sits in its
+// handshake until the IO timeout. The returned func closes them; call it
+// before the server shuts down, which otherwise waits them out.
+func parkHandshakes(t *testing.T, srv *Server, addr string, n int) func() {
+	t.Helper()
+	base := srv.Metrics().Accepted
+	conns := make([]net.Conn, 0, n)
+	closeAll := func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			closeAll()
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		fmt.Fprintf(conn, "VFLM/6 %s mux\n", wire.CodecBinary)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Accepted < base+uint64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			closeAll()
+			t.Fatalf("server accepted %d of %d parked connections", srv.Metrics().Accepted-base, n)
+		}
+	}
+	return closeAll
+}
+
+// TestServiceHalfOpenHandshakesDoNotBlockDial: connections that send the
+// preamble and go silent hold nothing another client waits on. With two
+// workers and two such connections parked for the whole IO timeout, a
+// third client's Dial still completes at once.
+func TestServiceHalfOpenHandshakesDoNotBlockDial(t *testing.T) {
+	srv, addr, shutdown := startServer(t, testEngines(t), WithWorkers(2), WithIOTimeout(3*time.Second))
+	defer shutdown()
+	defer parkHandshakes(t, srv, addr, 2)()
+
+	start := time.Now()
+	c, err := Dial(context.Background(), addr)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	t.Logf("Dial took %v behind two half-open handshakes", took)
+	if took >= time.Second {
+		t.Fatalf("Dial took %v behind two half-open handshakes, want < 1s", took)
+	}
+}
+
+// gatedConn lets the first line of its first write (a connection's
+// preamble) out at once and holds the rest of that write until open is
+// closed.
+type gatedConn struct {
+	net.Conn
+	open chan struct{}
+	sent bool
+}
+
+func (g *gatedConn) Write(p []byte) (int, error) {
+	if g.sent {
+		return g.Conn.Write(p)
+	}
+	g.sent = true
+	i := bytes.IndexByte(p, '\n') + 1
+	if n, err := g.Conn.Write(p[:i]); err != nil {
+		return n, err
+	}
+	<-g.open
+	n, err := g.Conn.Write(p[i:])
+	return i + n, err
+}
+
+// TestServiceShutdownMidHandshake: Serve's drain covers connections still
+// in their handshake. One whose hello arrives after the cancel gets its
+// Hello and then closes as an idle drained connection; one that never
+// sends its hello holds Serve no longer than the IO timeout.
+func TestServiceShutdownMidHandshake(t *testing.T) {
+	const ioTimeout = 2 * time.Second
+	srv := NewServer(WithIOTimeout(ioTimeout))
+	if err := srv.Register("titanic", testEngines(t)["titanic"]); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	gate := &gatedConn{Conn: conn, open: make(chan struct{})}
+	type opened struct {
+		mc    *wire.MuxConn
+		hello *wire.Hello
+		err   error
+	}
+	open := make(chan opened, 1)
+	go func() {
+		mc, hello, err := wire.OpenMux(gate, wire.CodecBinary, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+		open <- opened{mc, hello, err}
+	}()
+	defer parkHandshakes(t, srv, addr, 1)() // the silent one; waits for both accepts
+
+	cancel()
+	start := time.Now()
+	for { // the listener is closed: shutdown has begun
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.open)
+	o := <-open
+	if o.err != nil {
+		t.Fatalf("hello sent during shutdown: %v, want the Hello", o.err)
+	}
+	defer o.mc.Close()
+	if o.hello.Market != "titanic" {
+		t.Fatalf("hello market = %q", o.hello.Market)
+	}
+	for o.mc.Err() == nil {
+		if time.Since(start) > ioTimeout/2 {
+			t.Fatal("the drained connection stayed open")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-served:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Serve = %v, want context.Canceled", err)
+		}
+		if took := time.Since(start); took > ioTimeout+time.Second {
+			t.Fatalf("Serve returned %v after the cancel, want within %v", took, ioTimeout+time.Second)
+		}
+	case <-time.After(ioTimeout + 5*time.Second):
+		t.Fatal("Serve did not return: a connection in its handshake outlived the drain")
+	}
+}
+
+// TestServiceConnHelloIsAListing: the connection-level hello starts no
+// session, so it is vetted as a listing whatever it carries. An imperfect
+// hello past the server's caps, one resuming a checkpoint that does not
+// exist, or one without parameters still gets the Hello, while the
+// market and the mode are checked as before.
+func TestServiceConnHelloIsAListing(t *testing.T) {
+	_, addr, shutdown := startServer(t, testEngines(t))
+	defer shutdown()
+	open := func(ch wire.ClientHello) error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		mc, _, err := wire.OpenMux(conn, wire.CodecBinary, ch, 5*time.Second)
+		if err == nil {
+			mc.Close()
+		}
+		return err
+	}
+	for _, ih := range []*wire.ImperfectHello{
+		{Target: 0.1, ExplorationRounds: 5000},
+		{Target: 0.1, ClientID: "buyer-7", ResumeRound: 3},
+		nil,
+	} {
+		if err := open(wire.ClientHello{Market: "titanic", Mode: wire.ModeImperfect, Imperfect: ih}); err != nil {
+			t.Errorf("imperfect connection hello %+v: %v, want the Hello", ih, err)
+		}
+	}
+	for _, ch := range []wire.ClientHello{
+		{Market: "nasdaq"},
+		{Market: "titanic", Mode: "clairvoyant"},
+	} {
+		if err := open(ch); !errors.Is(err, ErrRejected) {
+			t.Errorf("connection hello %+v: %v, want ErrRejected", ch, err)
+		}
+	}
 }
 
 // raceBuild reports whether the test binary was built with -race.

@@ -40,8 +40,9 @@ type (
 var ErrPeerTimeout = wire.ErrPeerTimeout
 
 // ErrServerBusy marks a connection the server's admission control turned
-// away: its session pool and backlog were saturated. Retrying after a
-// backoff is reasonable (identified imperfect clients do so themselves).
+// away: too many connections were mid-handshake, or its connection held
+// too many sessions. Retrying after a backoff is reasonable (identified
+// imperfect clients do so themselves).
 var ErrServerBusy = wire.ErrServerBusy
 
 // ErrRejected marks a session the server refused with a typed error
@@ -112,21 +113,21 @@ type serverConfig struct {
 	maxReplay      int
 	hook           func(SessionEvent)
 	state          *MarketState
-	backlog        int
 	directory      MarketDirectory
 	idleTimeout    time.Duration
 }
 
-// WithWorkers bounds the accept-side worker pool: at most n connections
-// run their handshake concurrently, further ones queue in the backlog (see
-// WithBacklog), and each connection admits at most n plus the backlog
-// concurrent sessions. <= 0 means GOMAXPROCS.
+// WithWorkers sizes admission control. Every connection runs on its own
+// goroutine; at most n+128 of them may be in their handshake at once, and
+// each connection admits at most n+128 concurrent sessions. A connection or
+// session past either bound is answered busy (ErrServerBusy on the client).
+// <= 0 means GOMAXPROCS.
 func WithWorkers(n int) ServerOption { return func(c *serverConfig) { c.workers = n } }
 
 // WithIOTimeout bounds every read and write on served connections: a
 // stalled or vanished client fails its session with an
 // ErrPeerTimeout-wrapped error, counted in ServerMetrics.Watchdog, instead
-// of pinning a worker forever. The default is 30 seconds; <= 0 keeps the
+// of pinning a goroutine forever. The default is 30 seconds; <= 0 keeps the
 // default.
 func WithIOTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) {
@@ -190,19 +191,6 @@ func WithImperfectCaps(maxExploration, maxReplay int) ServerOption {
 // their valuation memos persist alongside.
 func WithMarketState(ms *MarketState) ServerOption { return func(c *serverConfig) { c.state = ms } }
 
-// WithBacklog sizes the accept-side session queue: connections beyond the
-// worker pool wait in a queue of n before the server starts refusing them
-// with a KindBusy envelope (ErrServerBusy on the client, which may retry
-// with backoff). 0 means no queue — a connection is refused the moment
-// every worker is busy; < 0 keeps the default (128).
-func WithBacklog(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n >= 0 {
-			c.backlog = n
-		}
-	}
-}
-
 // WithSessionHook installs a per-session callback, invoked once per
 // connection after it completes (or is rejected). Sessions run
 // concurrently, so the hook must be safe for concurrent use.
@@ -226,16 +214,16 @@ type Server struct {
 	redirected, evicted, dropped, watchdog             atomic.Uint64
 	active                                             atomic.Int64
 
-	// muxMu guards the registry of live connections past their handshake.
-	// They serve sessions on their own goroutines, off the worker pool —
-	// the per-conn session cap is their admission control — and Serve
-	// drains them at shutdown. muxDraining is set from that drain until
-	// the next Serve, so a connection whose handshake finished while Serve
-	// was draining drains itself on registration instead of outliving it.
+	// muxMu guards the registry of live connections past their handshake,
+	// which Serve drains at shutdown. muxDraining is set from that drain
+	// until the next Serve, so a connection whose handshake finished while
+	// Serve was draining drains itself on registration instead of
+	// outliving it. connWG counts every accepted connection's goroutine,
+	// handshake included.
 	muxMu       sync.Mutex
 	muxConns    map[*wire.MuxServerConn]struct{}
 	muxDraining bool
-	muxWG       sync.WaitGroup
+	connWG      sync.WaitGroup
 }
 
 // market is one registry entry: the wire endpoint, the engine behind it
@@ -315,6 +303,11 @@ func (s *Server) Sever() {
 	}
 }
 
+// backlog is the admission headroom past the worker count: a server answers
+// busy once workers+backlog connections are in their handshake, and a
+// connection once it holds workers+backlog sessions.
+const backlog = 128
+
 // stateFlushInterval is how often Serve spills a bound state's dirty
 // estimator checkpoints and valuation memos to disk.
 const stateFlushInterval = time.Minute
@@ -322,7 +315,7 @@ const stateFlushInterval = time.Minute
 // NewServer builds an empty multi-market server. Register at least one
 // market before calling Serve.
 func NewServer(opts ...ServerOption) *Server {
-	cfg := serverConfig{ioTimeout: 30 * time.Second, backlog: 128}
+	cfg := serverConfig{ioTimeout: 30 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -535,10 +528,10 @@ func (s *Server) Unregister(name string) error {
 	return s.FlushState()
 }
 
-// Serve accepts connections on the listener and bargains with each across
-// the bounded worker pool until ctx is cancelled, then shuts down
-// gracefully: the listener closes, queued and in-flight sessions finish
-// (each bounded by the IO timeout and session round cap), and Serve
+// Serve accepts connections on the listener and serves each on its own
+// goroutine until ctx is cancelled, then shuts down gracefully: the
+// listener closes, connections in their handshake and in-flight sessions
+// finish (each bounded by the IO timeout and session round cap), and Serve
 // returns the cancellation cause. A listener error other than shutdown is
 // returned as-is. The listener is closed by the time Serve returns.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
@@ -583,26 +576,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		}()
 	}
 
-	// Admission control: sem counts in-flight connections (queued plus
-	// being served) against the pool size plus the backlog. A connection
-	// that finds every slot taken is refused on a side goroutine with a
-	// typed busy envelope instead of queueing unboundedly or silently
-	// stalling the accept loop. The slot count — not channel readiness —
-	// is the admission test, so an idle pool never spuriously refuses.
-	sem := make(chan struct{}, s.cfg.workers+s.cfg.backlog)
-	conns := make(chan net.Conn, s.cfg.backlog)
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for conn := range conns {
-				s.handle(conn)
-				<-sem
-			}
-		}()
-	}
-
+	// Admission control: sem counts connections in their handshake against
+	// workers+backlog. A connection that finds every slot taken is answered
+	// busy on its own goroutine instead of stalling the accept loop, and a
+	// slot frees as soon as its handshake is answered, so a half-open
+	// connection holds one slot for at most the IO timeout.
+	sem := make(chan struct{}, s.cfg.workers+backlog)
 	var err error
 	for {
 		conn, aerr := ln.Accept()
@@ -619,32 +598,28 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			conn.Close()
 			continue
 		}
+		var slot bool
 		select {
 		case sem <- struct{}{}:
-			// A held slot bounds the queue: at most backlog connections sit
-			// in the channel when every worker is busy, so this send can
-			// only block momentarily (a worker between sessions).
-			conns <- conn
+			slot = true
 		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.rejectBusy(conn)
-			}()
 		}
+		s.connWG.Add(1)
+		go func() {
+			defer s.connWG.Done()
+			s.serveConn(conn, sem, slot)
+		}()
 	}
-	close(conns)
-	wg.Wait()
-	// Multiplexed connections serve sessions off the worker pool; drain
-	// them symmetrically — no new session opens, in-flight ones finish
-	// (each bounded by its per-stream IO timer), idle conns close now.
+	// Drain: no session opens on a connection past its handshake, in-flight
+	// ones finish (each bounded by its per-stream IO timer), idle conns close
+	// now, and a connection still in its handshake drains itself once open.
 	s.muxMu.Lock()
 	s.muxDraining = true
 	for sc := range s.muxConns {
 		sc.Drain()
 	}
 	s.muxMu.Unlock()
-	s.muxWG.Wait()
+	s.connWG.Wait()
 	if flushDone != nil {
 		<-flushDone
 	}
@@ -654,65 +629,60 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return err
 }
 
-// rejectBusy turns away one connection whose arrival found the handshake
-// pool and backlog saturated: it still reads the client's handshake (so the
-// refusal lands on a framed codec), answers with the busy envelope, and
-// closes. Runs on its own goroutine so a slow-writing client cannot stall
-// the accept loop.
-func (s *Server) rejectBusy(conn net.Conn) {
+// serveConn carries one connection from accept to close. slot reports
+// whether it won an admission slot of sem, which it gives back once its
+// handshake is answered; without one it is answered busy. Past its Hello
+// every KindOpen becomes an independent session. The connection itself is
+// never tracked by a market — only its per-session streams are — so
+// evicting a migrating market severs exactly that market's sessions and
+// leaves the connection warm for the rest.
+func (s *Server) serveConn(conn net.Conn, sem <-chan struct{}, slot bool) {
 	defer conn.Close()
-	// A failed handshake leaves no codec: the refusal is counted, not sent.
-	codec, _, _ := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
-	s.refuse(codec, remoteAddr(conn), &refusal{kind: wire.KindBusy, err: fmt.Errorf("vflmarket: session pool saturated; retry later")})
-	wire.Release(codec)
-}
-
-// handle completes one connection's handshake on a pool worker, then hands
-// the connection to its own goroutine — the worker slot frees immediately,
-// and the connection serves many concurrent sessions under its per-conn
-// cap.
-func (s *Server) handle(conn net.Conn) {
 	remote := remoteAddr(conn)
-	codec, ch, err := wire.AcceptHandshakeMux(conn, s.cfg.ioTimeout)
-	if err != nil {
-		conn.Close()
-		s.refuse(nil, remote, reject("", err))
+	var adm *admission
+	var rf *refusal
+	if !slot {
+		rf = &refusal{kind: wire.KindBusy, err: fmt.Errorf("vflmarket: server saturated; retry later")}
+	}
+	sc, err := wire.AcceptMux(conn, s.cfg.ioTimeout, s.cfg.idleTimeout, s.cfg.workers+backlog, func(ch *wire.ClientHello) *wire.Envelope {
+		// The connection hello doubles as the listing probe — market
+		// resolution included, so a wrong-door dial is redirected before
+		// any session starts — and never starts a session itself.
+		if rf == nil {
+			adm, rf = s.resolve(ch, true)
+		}
+		switch {
+		case rf != nil:
+			return s.tally(rf)
+		case adm.stats != nil:
+			return &wire.Envelope{Kind: wire.KindStats, Stats: adm.stats}
+		}
+		return &wire.Envelope{Kind: wire.KindHello, Hello: adm.hello}
+	})
+	if slot {
+		<-sem
+	}
+	if err != nil && rf == nil {
+		rf = reject("", err) // the handshake, or the Hello write, failed
+		if adm != nil {
+			rf.market = adm.name
+		}
+	}
+	switch {
+	case err != nil:
+		// Nothing can be framed: the refusal is counted, not sent. A busy
+		// connection whose handshake failed still counts as busy.
+		s.refuse(nil, remote, rf)
+		return
+	case rf != nil:
+		s.notify(rf.market, remote, nil, rf.err)
+		return
+	case sc == nil:
+		s.notify("", remote, nil, nil) // a stats report
 		return
 	}
-	s.muxWG.Add(1)
-	go func() {
-		defer s.muxWG.Done()
-		defer conn.Close()
-		s.serveMux(conn, codec, ch, remote)
-	}()
-}
+	s.notify(adm.name, remote, nil, nil) // the probe half: a listing, like ListOnly
 
-func remoteAddr(conn net.Conn) string {
-	if addr := conn.RemoteAddr(); addr != nil {
-		return addr.String()
-	}
-	return ""
-}
-
-// notify delivers one session event to the configured hook.
-func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
-	if s.cfg.hook != nil {
-		s.cfg.hook(SessionEvent{Market: market, Remote: remote, Summary: sum, Err: err})
-	}
-}
-
-// serveMux drives one connection: openMux answers the connection-level
-// hello, then every KindOpen becomes an independent session. The
-// connection itself is never tracked by a market — only its per-session
-// streams are — so evicting a migrating market severs exactly that
-// market's sessions and leaves the connection warm for the rest. The codec
-// goes back to its pool here unless Serve took it over.
-func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) {
-	sc := s.openMux(conn, codec, ch, remote)
-	if sc == nil {
-		wire.Release(codec)
-		return
-	}
 	s.muxMu.Lock()
 	if s.muxConns == nil {
 		s.muxConns = make(map[*wire.MuxServerConn]struct{})
@@ -727,31 +697,23 @@ func (s *Server) serveMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello,
 		delete(s.muxConns, sc)
 		s.muxMu.Unlock()
 	}()
-
 	_ = sc.Serve(func(st *wire.MuxStream, sch *wire.ClientHello) {
 		s.serveSession(st, sch, remote)
 	})
 }
 
-// openMux answers a connection's hello. The hello doubles as the listing
-// probe — market resolution included, so a wrong-door dial is redirected
-// before any session starts. It returns the connection ready to Serve, or
-// nil when the exchange ended at the hello (answered, refused, or failed).
-func (s *Server) openMux(conn net.Conn, codec wire.Codec, ch *wire.ClientHello, remote string) *wire.MuxServerConn {
-	adm := s.admit(codec, ch, remote)
-	if adm == nil {
-		return nil
+func remoteAddr(conn net.Conn) string {
+	if addr := conn.RemoteAddr(); addr != nil {
+		return addr.String()
 	}
-	sc, err := wire.NewMuxServerConn(conn, codec, s.cfg.ioTimeout, s.cfg.idleTimeout, s.cfg.workers+s.cfg.backlog)
-	if err == nil {
-		err = sc.SendHello(adm.hello)
+	return ""
+}
+
+// notify delivers one session event to the configured hook.
+func (s *Server) notify(market, remote string, sum *SessionSummary, err error) {
+	if s.cfg.hook != nil {
+		s.cfg.hook(SessionEvent{Market: market, Remote: remote, Summary: sum, Err: err})
 	}
-	if err != nil {
-		s.refuse(nil, remote, reject(adm.name, err))
-		return nil
-	}
-	s.notify(adm.name, remote, nil, nil) // the probe half: a listing, like ListOnly
-	return sc
 }
 
 // serveSession runs one session — one stream of a connection — end to end.
@@ -850,12 +812,10 @@ func migrating(name string) *refusal {
 	return &refusal{kind: wire.KindBusy, market: name, err: fmt.Errorf("vflmarket: market %q is migrating; retry shortly", name)}
 }
 
-// refuse turns a hello away: it counts the refusal, answers it on c in
-// place of the Hello — a nil c means nothing can be framed (the handshake
-// or the Hello write itself failed) — and reports it to the session hook.
-// The count lands before the envelope, so a refused client always finds
-// its refusal in the metrics.
-func (s *Server) refuse(c wire.Codec, remote string, r *refusal) {
+// tally counts a refusal and returns the envelope that carries it in place
+// of the Hello. The count lands before the envelope goes out, so a refused
+// client always finds its refusal in the metrics.
+func (s *Server) tally(r *refusal) *wire.Envelope {
 	switch r.kind {
 	case wire.KindBusy:
 		s.busy.Add(1)
@@ -864,13 +824,21 @@ func (s *Server) refuse(c wire.Codec, remote string, r *refusal) {
 	default:
 		s.rejected.Add(1)
 	}
+	e := &wire.Envelope{Kind: r.kind}
+	if rd, ok := r.err.(*wire.RedirectError); ok {
+		e.Redirect = &wire.Redirect{Market: rd.Market, Addr: rd.Addr, Epoch: rd.Epoch}
+	} else {
+		e.Err = &wire.ErrorMsg{Msg: r.err.Error()}
+	}
+	return e
+}
+
+// refuse turns a hello away: it tallies the refusal, answers it on c — a
+// nil c means nothing can be framed (the handshake or the Hello write
+// itself failed) — and reports it to the session hook.
+func (s *Server) refuse(c wire.Codec, remote string, r *refusal) {
+	e := s.tally(r)
 	if c != nil {
-		e := &wire.Envelope{Kind: r.kind}
-		if rd, ok := r.err.(*wire.RedirectError); ok {
-			e.Redirect = &wire.Redirect{Market: rd.Market, Addr: rd.Addr, Epoch: rd.Epoch}
-		} else {
-			e.Err = &wire.ErrorMsg{Msg: r.err.Error()}
-		}
 		_ = c.Send(e)
 		_ = c.Flush()
 	}
@@ -881,7 +849,7 @@ func (s *Server) refuse(c wire.Codec, remote string, r *refusal) {
 // hello: a refusal or a stats report. It returns the admission when a
 // Hello is still to go out, nil when the exchange is over.
 func (s *Server) admit(c wire.Codec, ch *wire.ClientHello, remote string) *admission {
-	adm, rf := s.resolve(ch)
+	adm, rf := s.resolve(ch, ch.ListOnly)
 	switch {
 	case rf != nil:
 		s.refuse(c, remote, rf)
@@ -902,7 +870,8 @@ func (s *Server) admit(c wire.Codec, ch *wire.ClientHello, remote string) *admis
 // refusal, whatever its cause, can still take the Hello's place. The stats
 // read resolves no market and opens no session: the rebalancer's periodic
 // poll must stay cheap and must work even when every market is mid-move.
-func (s *Server) resolve(ch *wire.ClientHello) (*admission, *refusal) {
+// A listing starts no session, so it skips the imperfect vetting.
+func (s *Server) resolve(ch *wire.ClientHello, listing bool) (*admission, *refusal) {
 	if ch.Version != wire.ProtocolVersion {
 		return nil, reject("", fmt.Errorf("vflmarket: unsupported protocol version %d (serving %d)", ch.Version, wire.ProtocolVersion))
 	}
@@ -924,7 +893,7 @@ func (s *Server) resolve(ch *wire.ClientHello) (*admission, *refusal) {
 	// The imperfect handshake's seed, target and work factors are client
 	// input: an abusive or unservable ask is refused here, before any
 	// session state exists, and counted as a rejection, not a failed session.
-	if mode == wire.ModeImperfect && !ch.ListOnly {
+	if mode == wire.ModeImperfect && !listing {
 		var err error
 		if adm.imperfect, err = mkt.ds.AdmitImperfect(ch.Imperfect); err != nil {
 			return nil, reject(name, err)

@@ -340,7 +340,7 @@ func TestResolveAdmitsOnlyTheServedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []int{0, 1, 5, wire.ProtocolVersion, wire.ProtocolVersion + 1} {
-		adm, rf := srv.resolve(&wire.ClientHello{Version: v, Market: "titanic", ListOnly: true})
+		adm, rf := srv.resolve(&wire.ClientHello{Version: v, Market: "titanic", ListOnly: true}, true)
 		if v == wire.ProtocolVersion {
 			if rf != nil {
 				t.Fatalf("version %d refused: %v", v, rf.err)

@@ -6,8 +6,8 @@ package vflmarket
 // and the reconnecting identified buyer continues bit-identically),
 // warm-store valuation (a restarted engine prices its catalog from the
 // persisted memo with zero new VFL trainings), Paillier key rotation that
-// survives a restart, admission control under a saturated pool, and cold
-// boot over corrupt snapshots.
+// survives a restart, admission control once every handshake slot is
+// taken, and cold boot over corrupt snapshots.
 //
 // Set VFLMARKET_STATE_DIR to pin the state directories to a shared
 // location across runs: CI runs this file twice against one directory, so
@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -27,8 +26,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // stateTestDir resolves this test's durable state directory: a per-test
@@ -348,27 +345,22 @@ func TestServiceStateKeyRotation(t *testing.T) {
 	}
 }
 
-// TestServiceStateBusyAdmission pins a one-worker, zero-backlog server
-// with a half-open handshake and checks the next connection is refused with
-// the typed busy envelope — surfaced as ErrServerBusy, counted in
-// ServerMetrics.Busy, and distinct from a protocol rejection.
+// TestServiceStateBusyAdmission fills a one-worker server's admission
+// slots with 1+backlog half-open handshakes and checks the next connection
+// is refused with the typed busy envelope — surfaced as ErrServerBusy,
+// counted in ServerMetrics.Busy, and distinct from a protocol rejection.
 func TestServiceStateBusyAdmission(t *testing.T) {
 	engines := testEngines(t)
-	srv, addr, shutdown := startServer(t, engines, WithWorkers(1), WithBacklog(0))
+	srv, addr, shutdown := startServer(t, engines, WithWorkers(1))
 	defer shutdown()
 
-	// Send the preamble and then go silent: the lone worker is now parked
-	// in the handshake waiting for a hello that never comes.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "VFLM/6 %s mux\n", wire.CodecBinary)
+	// Each parked connection sends the preamble and then goes silent,
+	// holding its slot in the handshake until the IO timeout.
+	defer parkHandshakes(t, srv, addr, 1+backlog)()
 
-	_, err = Dial(context.Background(), addr)
+	_, err := Dial(context.Background(), addr)
 	if err == nil {
-		t.Fatal("dial against a saturated pool succeeded, want busy refusal")
+		t.Fatal("dial against a saturated server succeeded, want busy refusal")
 	}
 	if !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("saturated dial failed with %v, want ErrServerBusy", err)
