@@ -16,22 +16,30 @@ import (
 // budgets. Each session budget is the measured value plus about half the
 // rounds one session plays, so runner noise fits under it and one
 // accidental allocation per round does not: that adds a whole round count.
+// testing.Benchmark reports its last, largest b.N; the first run, at
+// b.N = 1, reads higher, because its one session fills the pools and
+// caches the later sessions draw from.
 //
-//   - BenchmarkServiceRoundTrip/bin, 105: one networked perfect session
-//     over the binary mux wire, measured at 58 (73 at b.N = 1); its
+//   - BenchmarkServiceRoundTrip/bin, 90: one networked perfect session
+//     over the binary mux wire, measured at 44 (56–58 at b.N = 1); its
 //     sessions settle ~95 rounds, so one more allocation a round reads
-//     ~153. Every per-round envelope decodes into its session's box: a
+//     ~139. Every per-round envelope decodes into its session's box: a
 //     build that decodes them onto the heap again adds three allocations
-//     a round and reads ~340.
-//   - BenchmarkImperfectServiceRoundTrip/bin, 315: one networked
-//     estimation-based session without an identity, measured at 293
-//     (301 at b.N = 1, whose one session is the longest); its sessions
-//     settle ~41 rounds, so one more allocation a round reads ~334. A
-//     session that checkpointed every round although it can never resume
-//     adds ~1 350.
-//   - BenchmarkImperfectBargain, 260: one estimation-based game, measured
-//     at 241 for every b.N; its sessions settle ~41 rounds (one more
-//     allocation a round reads 282), and a per-candidate allocation (100
+//     a round and reads ~330.
+//   - BenchmarkImperfectServiceRoundTrip/bin, 135: one networked
+//     estimation-based session without an identity, measured at 112–114
+//     (~260 at b.N = 1, whose session finds the estimator pools cold and
+//     builds both estimators); its sessions settle ~41 rounds, so one more
+//     allocation a round reads ~155. Each session re-seeds a pooled price
+//     estimator on the client and a pooled bundle estimator on the server:
+//     a build that never recycles them reads ~250, one whose server never
+//     releases its seller's estimator ~183, and a session that
+//     checkpointed every round although it can never resume adds ~1 350.
+//   - BenchmarkImperfectBargain, 90: one estimation-based game, measured
+//     at 67–68 (71–213 at b.N = 1, by whether the estimator pools are
+//     cold); its sessions settle ~41 rounds (one more allocation a round
+//     reads ~109). A game that builds its two estimators instead of
+//     recycling them reads ~206, and a per-candidate allocation (100
 //     candidates a round) adds thousands.
 //   - BenchmarkSecureSettlement/secure-pooled, 90: one secure settlement
 //     round at 256-bit primes, a seal drawn from a primed pool plus one
@@ -39,11 +47,11 @@ import (
 //     ~38 allocations, so a round that computes one anywhere (an open
 //     that blinds with a pool factor, or a seal that misses the pool)
 //     reads ~113.
-//   - BenchmarkSecureServiceRoundTrip/bin, 190: one networked secure
+//   - BenchmarkSecureServiceRoundTrip/bin, 175: one networked secure
 //     perfect session at 256-bit primes, client pool primed, measured at
-//     ~179 (268 at b.N = 1, which primes the pool); its sessions settle
-//     ~12 rounds and seal and open only the closing one. A client that
-//     seals every round again adds ~47 allocations a round (~530 a
+//     165 (224–231 at b.N = 1, which primes the pool); its sessions
+//     settle ~12 rounds and seal and open only the closing one. A client
+//     that seals every round again adds ~47 allocations a round (~530 a
 //     session); a server that also opens every round adds ~70 more a
 //     round.
 func TestAllocationBudgets(t *testing.T) {
@@ -62,11 +70,11 @@ func TestAllocationBudgets(t *testing.T) {
 	}{
 		// bin is each service benchmark's only sub-benchmark, so the
 		// aggregate testing.Benchmark returns is bin's own allocs/op.
-		{"BenchmarkServiceRoundTrip/bin", BenchmarkServiceRoundTrip, 105},
-		{"BenchmarkImperfectServiceRoundTrip/bin", BenchmarkImperfectServiceRoundTrip, 315},
-		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 260},
+		{"BenchmarkServiceRoundTrip/bin", BenchmarkServiceRoundTrip, 90},
+		{"BenchmarkImperfectServiceRoundTrip/bin", BenchmarkImperfectServiceRoundTrip, 135},
+		{"BenchmarkImperfectBargain", BenchmarkImperfectBargain, 90},
 		{"BenchmarkSecureSettlement/secure-pooled", func(b *testing.B) { benchSecurePooled(b, recv, 2.54) }, 90},
-		{"BenchmarkSecureServiceRoundTrip/bin", BenchmarkSecureServiceRoundTrip, 190},
+		{"BenchmarkSecureServiceRoundTrip/bin", BenchmarkSecureServiceRoundTrip, 175},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

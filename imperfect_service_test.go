@@ -153,6 +153,55 @@ func TestServiceImperfectCancelMidExploration(t *testing.T) {
 	}
 }
 
+// TestServiceImperfectRecycledAfterEviction cuts an imperfect session
+// mid-bargain by evicting its market, so both parties' half-trained
+// estimators go back to their pools, then registers the market again on
+// the same server: the fresh sessions that follow draw recycled
+// estimators, and each must equal the in-process engine bit for bit.
+func TestServiceImperfectRecycledAfterEviction(t *testing.T) {
+	engines := testEngines(t)
+	srv, addr, shutdown := startServer(t, engines)
+	defer shutdown()
+
+	engine := engines["titanic"]
+	client, err := dialImperfect(addr, "titanic", engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	var evictErr error
+	obs := ObserverFuncs{Round: func(RoundRecord) {
+		if rounds++; rounds == 8 { // mid-exploration, both estimators trained
+			evictErr = srv.Unregister("titanic")
+		}
+	}}
+	if _, err := client.BargainImperfect(context.Background(), BargainOptions{Seed: 7, Observers: []RoundObserver{obs}}); err == nil {
+		t.Fatal("the evicted session finished")
+	}
+	if evictErr != nil {
+		t.Fatalf("evict: %v", evictErr)
+	}
+	if err := srv.Register("titanic", engine); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(40); seed < 43; seed++ {
+		got, err := client.BargainImperfect(context.Background(), BargainOptions{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d after the eviction: %v", seed, err)
+		}
+		cfg := engine.SessionImperfect()
+		cfg.Seed = seed
+		want, err := engine.BargainImperfectWith(context.Background(), cfg, imperfectTestParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: networked result after the eviction diverges from in-process: wire %v rounds=%d, engine %v rounds=%d",
+				seed, got.Outcome, len(got.Rounds), want.Outcome, len(want.Rounds))
+		}
+	}
+}
+
 // TestServiceImperfectStalledPeer wedges a hand-rolled client mid-
 // exploration: the stream's receive timer must end the session with an
 // ErrPeerTimeout-wrapped error instead of pinning it forever, and the

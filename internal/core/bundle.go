@@ -273,20 +273,20 @@ func (c *Catalog) SuggestInitialPrice() (rate, base float64) {
 // TargetBundle returns the bundle whose gain is nearest to target (from
 // below if any, else overall nearest) — the good the bargaining should
 // converge to, whose reserved price the Figure 2/3 density panels compare
-// final quotes against.
+// final quotes against. The below-target pick is ClosestBelow over every
+// bundle, inlined so that the call allocates no ID slice.
 func (c *Catalog) TargetBundle(target float64) int {
-	all := make([]int, c.Len())
-	for i := range all {
-		all[i] = i
-	}
-	if id, ok := c.ClosestBelow(all, target); ok {
-		return id
-	}
-	best := 0
+	below, best := -1, 0
 	for i, g := range c.gains {
+		if !(g > target) && (below < 0 || g > c.gains[below]) {
+			below = i
+		}
 		if math.Abs(g-target) < math.Abs(c.gains[best]-target) {
 			best = i
 		}
+	}
+	if below >= 0 {
+		return below
 	}
 	return best
 }

@@ -156,6 +156,15 @@ func TestTargetBundle(t *testing.T) {
 	if got := cat.TargetBundle(0.01); got != 0 {
 		t.Fatalf("TargetBundle(0.01) = %d", got)
 	}
+	// A tie below the target keeps the first bundle, as ClosestBelow over
+	// every ID does, and the call allocates nothing.
+	cat.gains = []float64{0.10, 0.05, 0.10}
+	if got := cat.TargetBundle(0.12); got != 0 {
+		t.Fatalf("TargetBundle(0.12) over a tie = %d", got)
+	}
+	if n := testing.AllocsPerRun(20, func() { cat.TargetBundle(0.12) }); n != 0 {
+		t.Fatalf("TargetBundle allocates %v times", n)
+	}
 }
 
 func TestSyntheticGainsDeterministicAndMemoized(t *testing.T) {

@@ -284,6 +284,7 @@ func (sess *Session) ResumeImperfectWith(ctx context.Context, params ImperfectPa
 	if err != nil {
 		return nil, err
 	}
+	defer pol.f.release()
 	if err := pol.restore(ck); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -11,6 +12,31 @@ import (
 // estimatorHidden is the architecture of both performance-gain estimators:
 // a 3-layer MLP with embedding dimensions 64, 32, 16 (§4.4).
 var estimatorHidden = []int{64, 32, 16}
+
+// Estimator lifetime: NewPriceEstimator and NewBundleEstimator re-seed an
+// idle estimator of the same shape in place when one is pooled — weights
+// drawn as construction draws them, gradients and Adam state zeroed — so a
+// recycled estimator cannot be told from a fresh one. Whoever drew one
+// releases it when its session ends, and nothing may keep its memory after:
+// runImperfect and ResumeImperfectWith release the policy's f on every exit,
+// errors included; EstimatorSeller.Release returns g, called by RunImperfect
+// for the seller it builds and by the wire server once a session's serve
+// loop returns, while a seller passed to RunImperfectWith stays its
+// caller's. State, Snapshot and checkpoints copy, so none holds pooled
+// memory. An idle process keeps nothing: sync.Pool drops idle entries at GC.
+var priceEstimators sync.Pool
+
+// bundleEstimators holds one *sync.Pool per feature count, so a bundle
+// estimator of the wrong shape never comes out.
+var bundleEstimators sync.Map
+
+func bundlePool(numFeatures int) *sync.Pool {
+	if p, ok := bundleEstimators.Load(numFeatures); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := bundleEstimators.LoadOrStore(numFeatures, new(sync.Pool))
+	return p.(*sync.Pool)
+}
 
 // PriceEstimator is the task party's estimation function f(p, P0, Ph; θ_f)
 // → ΔG of Eq. 9. It learns, from the realized gains of past rounds, how
@@ -37,14 +63,17 @@ func NewPriceEstimator(rateScale, payScale, gainScale float64, seed uint64) *Pri
 	if rateScale <= 0 || payScale <= 0 || gainScale <= 0 {
 		panic("core: PriceEstimator scales must be positive")
 	}
-	return &PriceEstimator{
-		reg:       nn.NewRegressor(3, estimatorHidden, 1e-3, seed),
-		rateScale: rateScale,
-		payScale:  payScale,
-		gainScale: gainScale,
-		in:        make(tensor.Vector, 3),
+	e, _ := priceEstimators.Get().(*PriceEstimator)
+	if e == nil {
+		e = &PriceEstimator{reg: nn.NewRegressor(3, estimatorHidden, 1e-3, seed), in: make(tensor.Vector, 3)}
+	} else {
+		e.reg.Reseed(seed)
 	}
+	e.rateScale, e.payScale, e.gainScale = rateScale, payScale, gainScale
+	return e
 }
+
+func (e *PriceEstimator) release() { priceEstimators.Put(e) }
 
 // input fills the estimator's input scratch with the normalized quote. The
 // returned vector is reused by the next input call; Predict and Update
@@ -65,10 +94,7 @@ func (e *PriceEstimator) input(q QuotedPrice) tensor.Vector {
 func (e *PriceEstimator) PredictPool(pool []QuotedPrice) []float64 {
 	e.poolX = tensor.EnsureMatrix(e.poolX, len(pool), 3)
 	for i, q := range pool {
-		row := e.poolX.Row(i)
-		row[0] = q.Rate / e.rateScale
-		row[1] = q.Base / e.payScale
-		row[2] = q.High / e.payScale
+		copy(e.poolX.Row(i), e.input(q))
 	}
 	e.preds = e.reg.PredictBatchInto(&e.scratch, e.poolX, e.preds)
 	for i := range e.preds {
@@ -118,17 +144,27 @@ func NewBundleEstimator(numFeatures int, gainScale float64, seed uint64) *Bundle
 		panic("core: BundleEstimator gainScale must be positive")
 	}
 	src := rng.New(seed)
-	sizes := append(append([]int{BundleEmbeddingDim}, estimatorHidden...), 1)
-	e := &BundleEstimator{
-		emb:       nn.NewEmbedding(numFeatures, BundleEmbeddingDim, src.Split(1)),
-		mlp:       nn.NewMLP(sizes, nn.ReLU, nn.Identity, src.Split(2)),
-		gainScale: gainScale,
-		gbuf:      make(tensor.Vector, 1),
+	embSrc, mlpSrc := src.Split(1), src.Split(2)
+	e, _ := bundlePool(numFeatures).Get().(*BundleEstimator)
+	if e == nil {
+		sizes := append(append([]int{BundleEmbeddingDim}, estimatorHidden...), 1)
+		e = &BundleEstimator{
+			emb:  nn.NewEmbedding(numFeatures, BundleEmbeddingDim, embSrc),
+			mlp:  nn.NewMLP(sizes, nn.ReLU, nn.Identity, mlpSrc),
+			gbuf: make(tensor.Vector, 1),
+		}
+		e.params = append(e.mlp.Params(), e.emb.Params()...)
+		e.opt = nn.NewAdam(e.params, 1e-3)
+	} else {
+		e.emb.Reseed(embSrc)
+		e.mlp.Reseed(mlpSrc)
+		e.opt.Reset()
 	}
-	e.params = append(e.mlp.Params(), e.emb.Params()...)
-	e.opt = nn.NewAdam(e.params, 1e-3)
+	e.gainScale = gainScale
 	return e
 }
+
+func (e *BundleEstimator) release() { bundlePool(e.emb.NumIDs).Put(e) }
 
 // PredictAll predicts the estimated ΔG of every feature bundle through one
 // batched forward pass — mean-pool every bundle's embeddings into one

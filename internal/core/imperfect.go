@@ -104,6 +104,7 @@ func (sess *Session) RunImperfect(ctx context.Context, params ImperfectParams) (
 		EpsData: pol.cfg.EpsData,
 		Params:  pol.params,
 	})
+	defer seller.Release()
 	realize := func(o SellerOffer) float64 { return cat.Gain(o.BundleID) }
 	return sess.runImperfect(ctx, pol, seller, realize)
 }
@@ -133,9 +134,11 @@ func (sess *Session) RunImperfectWith(ctx context.Context, params ImperfectParam
 }
 
 // runImperfect plays the prepared policy against the seller through the
-// unified loop and assembles the learning curves.
+// unified loop and assembles the learning curves. It releases the policy's
+// f on every exit; the seller stays its caller's.
 func (sess *Session) runImperfect(ctx context.Context, pol *imperfectPolicy, seller Seller,
 	realize func(SellerOffer) float64) (*ImperfectResult, error) {
+	defer pol.f.release()
 	res := &ImperfectResult{}
 	res.TargetBundleID = -1 // filled from the seller's offer hints
 	if err := sess.play(ctx, pol.cfg, pol, seller, realize, &res.Result); err != nil {

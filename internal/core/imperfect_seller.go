@@ -93,6 +93,16 @@ func NewEstimatorSeller(cat *Catalog, cfg EstimatorSellerConfig) *EstimatorSelle
 	}
 }
 
+// Release hands the seller's estimator back for reuse once its session and
+// last Snapshot are over; a later use panics on the nil estimator instead
+// of sharing weights. A second Release does nothing.
+func (s *EstimatorSeller) Release() {
+	if s.g != nil {
+		s.g.release()
+		s.g = nil
+	}
+}
+
 // Offer implements Seller: estimation-based bundle choice. During the Case
 // VII exploration phase it keeps the game (and the estimator training)
 // alive with random coverage bundles; afterwards it applies the Case II

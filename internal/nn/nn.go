@@ -143,19 +143,33 @@ type Dense struct {
 // NewDense creates a dense layer with He-style initialisation (std
 // sqrt(2/in) for ReLU, sqrt(1/in) otherwise).
 func NewDense(in, out int, act Activation, src *rng.Source) *Dense {
-	d := &Dense{
+	d := newDense(in, out, act)
+	d.Reseed(src)
+	return d
+}
+
+// newDense allocates a layer for Reseed to draw.
+func newDense(in, out int, act Activation) *Dense {
+	return &Dense{
 		In: in, Out: out, Act: act,
 		W:  tensor.NewMatrix(out, in),
 		B:  tensor.NewVector(out),
 		dW: tensor.NewMatrix(out, in),
 		dB: tensor.NewVector(out),
 	}
-	std := math.Sqrt(1 / float64(in))
-	if act == ReLU {
-		std = math.Sqrt(2 / float64(in))
+}
+
+// Reseed puts the layer in the state NewDense(…, src) leaves it in. It
+// keeps its buffers and caches: each is written before it is read.
+func (d *Dense) Reseed(src *rng.Source) {
+	std := math.Sqrt(1 / float64(d.In))
+	if d.Act == ReLU {
+		std = math.Sqrt(2 / float64(d.In))
 	}
 	d.W.RandInit(src, std)
-	return d
+	clear(d.B)
+	clear(d.dW.Data)
+	clear(d.dB)
 }
 
 // Forward computes the layer output for one sample and caches the
@@ -292,9 +306,17 @@ func NewMLP(sizes []int, hidden, outAct Activation, src *rng.Source) *MLP {
 		if i+2 == len(sizes) {
 			act = outAct
 		}
-		m.Layers = append(m.Layers, NewDense(sizes[i], sizes[i+1], act, src.Split(uint64(i))))
+		m.Layers = append(m.Layers, newDense(sizes[i], sizes[i+1], act))
 	}
+	m.Reseed(src)
 	return m
+}
+
+// Reseed puts the MLP in the state NewMLP(…, src) leaves it in.
+func (m *MLP) Reseed(src *rng.Source) {
+	for i, l := range m.Layers {
+		l.Reseed(src.Split(uint64(i)))
+	}
 }
 
 // Forward runs the sample through all layers.
@@ -365,8 +387,14 @@ func NewEmbedding(numIDs, dim int, src *rng.Source) *Embedding {
 		Table:  tensor.NewMatrix(numIDs, dim),
 		dTable: tensor.NewMatrix(numIDs, dim),
 	}
-	e.Table.RandInit(src, 0.1)
+	e.Reseed(src)
 	return e
+}
+
+// Reseed puts the table in the state NewEmbedding(…, src) leaves it in.
+func (e *Embedding) Reseed(src *rng.Source) {
+	e.Table.RandInit(src, 0.1)
+	clear(e.dTable.Data)
 }
 
 // ForwardMean returns the mean embedding of ids and caches them for

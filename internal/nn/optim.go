@@ -98,6 +98,14 @@ func NewAdam(params []Param, lr float64) *Adam {
 	}
 }
 
+// Reset returns the optimizer to step 0 with zero moments, as NewAdam
+// leaves it.
+func (a *Adam) Reset() {
+	a.t = 0
+	clear(a.m)
+	clear(a.v)
+}
+
 // Step clips the gradients to a global L2 norm of maxNorm (maxNorm <= 0
 // disables clipping), applies one Adam update and zeroes the gradients.
 func (a *Adam) Step(maxNorm float64) {

@@ -64,6 +64,13 @@ func NewRegressor(in int, hidden []int, lr float64, seed uint64) *Regressor {
 	}
 }
 
+// Reseed puts the regressor in the state NewRegressor(…, seed) leaves it
+// in, allocating no tensor.
+func (r *Regressor) Reseed(seed uint64) {
+	r.net.Reseed(rng.New(seed))
+	r.opt.Reset()
+}
+
 // Predict returns the regression output for x.
 func (r *Regressor) Predict(x tensor.Vector) float64 { return r.net.Forward(x)[0] }
 

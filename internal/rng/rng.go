@@ -13,24 +13,29 @@ import (
 // Source is a deterministic random stream. It wraps a PCG generator and adds
 // the distribution helpers the simulators need. Source is not safe for
 // concurrent use; split independent children instead of sharing one stream.
+// It holds its generator by value, so a stream is one allocation, and must
+// not be copied by value: the copy would draw from the original's PCG.
 type Source struct {
-	r *rand.Rand
+	r rand.Rand
 	// pcg is the same generator r draws from, retained so the stream's
 	// position can be snapshotted and restored (State/SetState). rand.Rand
 	// in math/rand/v2 keeps no state of its own — every variate, including
 	// NormFloat64's ziggurat, draws directly from the source — so the PCG
 	// state is the complete stream state.
-	pcg *rand.PCG
+	pcg rand.PCG
 }
 
 // New returns a Source seeded from seed. Two Sources created with the same
 // seed produce identical streams.
 func New(seed uint64) *Source {
-	return fromPCG(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return newSource(seed, seed^0x9e3779b97f4a7c15)
 }
 
-func fromPCG(p *rand.PCG) *Source {
-	return &Source{r: rand.New(p), pcg: p}
+func newSource(seed1, seed2 uint64) *Source {
+	s := new(Source)
+	s.pcg.Seed(seed1, seed2)
+	s.r = *rand.New(&s.pcg)
+	return s
 }
 
 // State returns an opaque snapshot of the stream's position. A Source
@@ -67,7 +72,7 @@ func (s *Source) Split(label uint64) *Source {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return fromPCG(rand.NewPCG(s.r.Uint64()^z, z))
+	return newSource(s.r.Uint64()^z, z)
 }
 
 // Float64 returns a uniform value in [0, 1).

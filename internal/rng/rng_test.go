@@ -409,3 +409,16 @@ func (s *Source) Exp(rate float64) float64 {
 	}
 	return -math.Log(1-s.r.Float64()) / rate
 }
+
+// TestSourceOneAllocation: a stream holds its generator by value, so New
+// and Split each cost one allocation (TestStateRoundTrip covers that a
+// restored stream still continues the same variates).
+func TestSourceOneAllocation(t *testing.T) {
+	parent := New(7)
+	if n := testing.AllocsPerRun(50, func() { New(3) }); n != 1 {
+		t.Errorf("New allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { parent.Split(2) }); n != 1 {
+		t.Errorf("Split allocates %v times, want 1", n)
+	}
+}

@@ -318,8 +318,6 @@ func (d *envelopeDecoder) bytes() []byte {
 	return append(make([]byte, 0, n), d.raw(uint64(n))...)
 }
 
-func (d *envelopeDecoder) ints() []int { return d.intsInto(nil) }
-
 // intsInto decodes an int slice into dst's backing array when dst is
 // non-nil and its capacity holds the count, and into a fresh array
 // otherwise, so an empty slice never decodes as nil. The count is checked
@@ -337,6 +335,32 @@ func (d *envelopeDecoder) intsInto(dst []int) []int {
 		vs[i] = d.int()
 	}
 	return vs
+}
+
+// bundles decodes n bundles whose features share one array, sized by a
+// scan of a copy of d that reads every feature (so it cannot outgrow the
+// frame) and fails as d would. Each bundle's features are capped at their
+// length, so an append to one cannot write into the next.
+func (d *envelopeDecoder) bundles(n int) []BundleInfo {
+	scan, total := *d, 0
+	for range n {
+		scan.int()
+		m, _ := scan.count(1)
+		for total += m; m > 0; m-- {
+			scan.int()
+		}
+	}
+	if scan.err != nil {
+		*d = scan
+		return nil
+	}
+	bs, all := make([]BundleInfo, n), make([]int, total)
+	for i := range bs {
+		bs[i].ID = d.int()
+		f := d.intsInto(all)
+		bs[i].Features, all = f[:len(f):len(f)], all[len(f):]
+	}
+	return bs
 }
 
 func (d *envelopeDecoder) strings() []string {
@@ -387,10 +411,7 @@ func decodeEnvelope(b []byte, boxFor func(sid uint64) *envBoxes) (*Envelope, err
 		h.Markets = d.strings()
 		h.Modes = d.strings()
 		if n, isNil := d.count(2); !isNil {
-			h.Bundles = make([]BundleInfo, n)
-			for i := range h.Bundles {
-				h.Bundles[i] = BundleInfo{ID: d.int(), Features: d.ints()}
-			}
+			h.Bundles = d.bundles(n)
 		}
 		h.Secure = d.bool()
 		h.PubN = d.bytes()

@@ -236,6 +236,47 @@ func TestEnvelopeOfferDecodeAllocatesOnce(t *testing.T) {
 	}
 }
 
+// helloListing returns a Hello envelope listing n bundles of three
+// features each.
+func helloListing(n int) *Envelope {
+	bs := make([]BundleInfo, n)
+	for i := range bs {
+		bs[i] = BundleInfo{ID: i, Features: []int{i, i + 1, i + 2}}
+	}
+	return &Envelope{Kind: KindHello, Hello: &Hello{Version: 6, Market: "m", Bundles: bs}}
+}
+
+// TestEnvelopeHelloListingOneBackingArray: a Hello's bundle features
+// decode into one backing array, so a listing's allocations do not grow
+// with its bundle count, and each bundle's features are capped at their
+// own length, so an append to one leaves the next intact.
+func TestEnvelopeHelloListingOneBackingArray(t *testing.T) {
+	allocs := func(n int) float64 {
+		raw := encodeOne(helloListing(n))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decodeEnvelope(raw, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(32); many != one {
+		t.Errorf("decoding a Hello of 32 bundles allocates %v times, of one bundle %v", many, one)
+	}
+	want := helloListing(32)
+	got, err := decodeEnvelope(encodeOne(want), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\ngot  %#v\nwant %#v", got.Hello, want.Hello)
+	}
+	bs := got.Hello.Bundles
+	_ = append(bs[0].Features, 99, 98, 97)
+	if !reflect.DeepEqual(bs[1], want.Hello.Bundles[1]) {
+		t.Fatalf("an append to bundle 0's features changed bundle 1: %+v", bs[1])
+	}
+}
+
 // TestEnvelopeStatsBytesDeterministic: map iteration order is random, but
 // a StatsReport encodes to the same bytes every time, keys ascending.
 func TestEnvelopeStatsBytesDeterministic(t *testing.T) {

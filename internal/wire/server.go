@@ -277,8 +277,10 @@ func (s *DataServer) restoreSeller(ih *ImperfectHello, cfg core.EstimatorSellerC
 // realized gains the client settles with and acknowledging every
 // settlement with the estimator's pre-update MSE — the feedback loop that
 // keeps a networked ImperfectResult bit-identical to an in-process one. A
-// resumed session confirms its round in the Hello.
+// resumed session confirms its round in the Hello. It releases the
+// seller's estimator on return, so a session is served once.
 func (p *ImperfectSession) Serve(c Codec, hello *Hello) (*SessionSummary, error) {
+	defer p.a.seller.Release()
 	if p.resumed > 0 {
 		resumed := *hello
 		resumed.Resumed = p.resumed
