@@ -494,7 +494,8 @@ func (c *Client) Markets() []string { return append([]string(nil), c.hello.Marke
 func (c *Client) Modes() []string { return append([]string(nil), c.hello.Modes...) }
 
 // Listing returns the market's public bundle listing (features only; the
-// reserved prices stay private to the data party).
+// reserved prices stay private to the data party). Each bundle's Features
+// are shared with the client's sessions and read-only.
 func (c *Client) Listing() []BundleInfo { return append([]BundleInfo(nil), c.hello.Bundles...) }
 
 // Secure reports whether the server settles under Paillier encryption; the

@@ -21,7 +21,9 @@ type Bundle struct {
 
 // GainProvider supplies the performance gain ΔG a VFL course on a bundle
 // would realize. vfl.GainOracle satisfies it via GainFunc; tests use the
-// fast SyntheticGains.
+// fast SyntheticGains. The features slice is shared and read-only: the
+// catalog's own bundle, or over the wire the session Hello's listing,
+// which every session of a connection shares.
 type GainProvider interface {
 	Gain(features []int) float64
 }

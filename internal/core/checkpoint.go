@@ -289,7 +289,7 @@ func (sess *Session) ResumeImperfectWith(ctx context.Context, params ImperfectPa
 		return nil, err
 	}
 	res := &ImperfectResult{}
-	res.Rounds = append([]RoundRecord(nil), ck.Rounds...)
+	res.Rounds = ck.Rounds // playFrom copies the prefix and never writes it
 	res.TargetBundleID = ck.TargetBundleID
 	realize := func(o SellerOffer) float64 { return gains.Gain(o.Features) }
 	if err := sess.playFrom(ctx, pol.cfg, pol, seller, realize, &res.Result, ck.Round+1); err != nil {

@@ -198,3 +198,35 @@ func TestRestoreRefusesCheckpointOutsideCatalog(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRoundRange pins the resumable checkpoint rounds to
+// [1, MaxRounds): the last round a session can still play after is
+// MaxRounds-1.
+func TestRestoreRoundRange(t *testing.T) {
+	cat := testCatalog(t, 6, 61)
+	cfg, params := imperfectFor(cat, 61)
+	var last *ImperfectCheckpoint
+	sess := NewSession(cat, cfg).OnCheckpoint(func(ck *ImperfectCheckpoint) { last = ck })
+	if _, err := sess.RunImperfect(context.Background(), params); err != nil {
+		t.Fatal(err)
+	}
+	if last == nil {
+		t.Fatal("no checkpoint captured")
+	}
+	for _, c := range []struct {
+		round int
+		ok    bool
+	}{{0, false}, {1, true}, {cfg.MaxRounds - 1, true}, {cfg.MaxRounds, false}} {
+		pol, err := NewSession(cat, cfg).prepareImperfect(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := *last
+		ck.Round = c.round
+		err = pol.restore(&ck)
+		pol.f.release()
+		if (err == nil) != c.ok {
+			t.Errorf("restore at round %d of MaxRounds %d: err %v, want ok %v", c.round, cfg.MaxRounds, err, c.ok)
+		}
+	}
+}

@@ -24,6 +24,13 @@ var estimatorHidden = []int{64, 32, 16}
 // loop returns, while a seller passed to RunImperfectWith stays its
 // caller's. State, Snapshot and checkpoints copy, so none holds pooled
 // memory. An idle process keeps nothing: sync.Pool drops idle entries at GC.
+//
+// Rounds lifetime: a session's rounds grow in a pooled scratch
+// (roundScratch), a resume's prefix copied in first, and every exit of
+// playFrom, errors and cancellation included, hands the result an
+// exact-size copy (nil for no rounds) that observers see too. Nothing may
+// hold the scratch: snapshot copies res.Rounds, and a checkpoint sharing a
+// trace prefix must slice the copies, never the scratch.
 var priceEstimators sync.Pool
 
 // bundleEstimators holds one *sync.Pool per feature count, so a bundle

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -369,17 +370,23 @@ func (s *Session) playFrom(ctx context.Context, cfg SessionConfig, policy buyerP
 			DataCost:  cfg.DataCost.At(T),
 		}
 	}
+	// The rounds lifetime rule in estimator.go: a pooled scratch, and an
+	// exact-size copy for res and the outcome observers on every exit.
+	scratch := roundScratch.Get().(*[]RoundRecord)
+	res.Rounds = append((*scratch)[:0], res.Rounds...)
+	finished := false
+	defer func() {
+		*scratch, res.Rounds = res.Rounds[:0], exactRounds(res.Rounds)
+		roundScratch.Put(scratch)
+		if finished {
+			s.notifyOutcome(*res)
+		}
+	}()
 	finish := func(outcome Outcome) error {
-		res.Outcome = outcome
+		res.Outcome, finished = outcome, true
 		if n := len(res.Rounds); n > 0 {
 			res.Final = res.Rounds[n-1]
 		}
-		// The result may be kept long after the session: drop the spare
-		// capacity append grew the rounds to.
-		if cap(res.Rounds) > len(res.Rounds) {
-			res.Rounds = slices.Clone(res.Rounds)
-		}
-		s.notifyOutcome(*res)
 		return nil
 	}
 	// Abandon is best-effort: the walk-away outcome is decided locally, so
@@ -477,6 +484,17 @@ func (s *Session) playFrom(ctx context.Context, cfg SessionConfig, policy buyerP
 	}
 	abandon(cfg.MaxRounds)
 	return finish(FailMaxRounds)
+}
+
+// roundScratch recycles the slices a session's rounds grow in.
+var roundScratch = sync.Pool{New: func() any { return new([]RoundRecord) }}
+
+// exactRounds copies rounds into a slice of their exact length; none is nil.
+func exactRounds(r []RoundRecord) []RoundRecord {
+	if len(r) == 0 {
+		return nil
+	}
+	return append(make([]RoundRecord, 0, len(r)), r...)
 }
 
 // nextQuote produces the task party's escalated offer. For TaskStrategic it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sort"
@@ -405,5 +406,50 @@ func TestPoolSortMatchesSortSlice(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { slices.SortFunc(pool, byHigh) }); allocs != 0 {
 		t.Fatalf("pool sort allocates %v times", allocs)
+	}
+}
+
+// barrenSeller offers one bundle in round 1 and nothing after, recording
+// how many offers it made and the round the buyer walked away at.
+type barrenSeller struct{ offers, abandoned int }
+
+func (s *barrenSeller) Offer(round int, _ QuotedPrice) (SellerOffer, error) {
+	s.offers++
+	if round == 1 {
+		return SellerOffer{BundleID: 0, Features: []int{0}, TargetBundleID: -1}, nil
+	}
+	return SellerOffer{Fail: true, TargetBundleID: -1}, nil
+}
+
+func (s *barrenSeller) Settle(int, RoundRecord, SettleDecision) error { return nil }
+
+func (s *barrenSeller) Abandon(round int) error {
+	s.abandoned = round
+	return nil
+}
+
+// TestPerfectToleratesPatienceBarrenOffers pins Case 1 after round 1: a
+// perfect session tolerates exactly barrenPatience() consecutive barren
+// offers and walks away with FailData on the next one.
+func TestPerfectToleratesPatienceBarrenOffers(t *testing.T) {
+	cfg := SessionConfig{
+		U: 1000, Budget: 8, TargetGain: 0.3, InitRate: 1, InitBase: 0.5,
+		EpsTask: 1e-3, EpsData: 1e-3, MaxRounds: 500, Seed: 9,
+	}
+	// Round 1 realizes half the target: above break-even, short of the
+	// target, so the buyer escalates.
+	gains := GainFunc(func([]int) float64 { return 0.15 })
+	seller := &barrenSeller{}
+	res, err := NewSession(nil, cfg).RunPerfectWith(context.Background(), seller, gains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patience := (&perfectPolicy{}).barrenPatience()
+	if res.Outcome != FailData || len(res.Rounds) != 1 {
+		t.Fatalf("outcome %v after %d realized rounds, want FailData after 1", res.Outcome, len(res.Rounds))
+	}
+	if want := 2 + patience; seller.offers != want || seller.abandoned != want {
+		t.Fatalf("walked away at round %d after %d offers, want both %d (round 1 plus %d tolerated barren offers plus one)",
+			seller.abandoned, seller.offers, want, patience)
 	}
 }

@@ -1,6 +1,7 @@
 package secure
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/big"
@@ -30,6 +31,7 @@ import (
 // closed source. A NoiseSource is safe for concurrent use.
 type NoiseSource struct {
 	pk     *PublicKey
+	n      []byte // pk.N, big-endian, for KeyFor
 	random io.Reader
 
 	pool chan *big.Int
@@ -85,6 +87,7 @@ func NewNoiseSource(pk *PublicKey, size, workers int, random io.Reader) *NoiseSo
 	}
 	s := &NoiseSource{
 		pk:     pk,
+		n:      pk.N.Bytes(),
 		random: random,
 		pool:   make(chan *big.Int, size),
 		done:   make(chan struct{}),
@@ -195,6 +198,16 @@ func (s *NoiseSource) factor() (*big.Int, error) {
 
 // Key returns the public key the source precomputes randomizers for.
 func (s *NoiseSource) Key() *PublicKey { return s.pk }
+
+// KeyFor returns the public key whose big-endian modulus is pubN: the
+// source's own when the moduli match, so a seal under it draws from the
+// pool, and a new key otherwise (a nil source has none).
+func (s *NoiseSource) KeyFor(pubN []byte) *PublicKey {
+	if s != nil && bytes.Equal(s.n, pubN) {
+		return s.pk
+	}
+	return NewPublicKey(new(big.Int).SetBytes(pubN))
+}
 
 // Encrypt encrypts m ∈ [0, n) under the source's key, drawing the
 // randomizer from the pool (one mulmod) and falling back to inline

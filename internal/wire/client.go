@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"slices"
 
 	"repro/internal/core"
@@ -26,7 +25,8 @@ type TaskClient struct {
 	// for the server's public key: secure settlements then cost one mulmod
 	// each in steady state instead of a full modexp. Callers running many
 	// sessions against one server share a pool across their TaskClients
-	// (see vflmarket.Client). The pool's key must match the server's.
+	// (see vflmarket.Client). A session whose Hello announces another key
+	// (the server rotated) seals under that key without the pool.
 	Noise *secure.NoiseSource
 	// Checkpoint, when non-nil, receives the task party's frozen session
 	// state after every mutually settled non-terminal round of an imperfect
@@ -46,7 +46,7 @@ func (t *TaskClient) BargainCodec(ctx context.Context, c Codec, hello *Hello) (*
 		target:  t.Session.TargetGain,
 	}
 	if hello.Secure {
-		seller.pk = secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
+		seller.pk = t.Noise.KeyFor(hello.PubN)
 		seller.noise = t.Noise
 	}
 	sess := core.NewSession(nil, t.Session).Observe(t.Observers...)

@@ -178,6 +178,11 @@ type framedCodec struct {
 	// boxes, when non-nil, returns the receive boxes of the session a
 	// binary frame names (see decodeEnvelope); a mux end sets it.
 	boxes func(sid uint64) *envBoxes
+
+	// hello is the last Hello-only frame decoded, shared by every frame
+	// that repeats helloBody, its payload after the kind, SID and mask.
+	hello     *Hello
+	helloBody []byte
 }
 
 // newFramedCodec builds the framed codec over a connection whose preamble
@@ -269,13 +274,32 @@ func (f *framedCodec) Recv() (*Envelope, error) {
 		}
 		return &e, nil
 	}
-	e, err := decodeEnvelope(p, f.boxes)
+	e, err := f.decode(p)
 	if f.big.Len() > 0 {
 		f.big.Reset()
 	} else {
 		_, _ = f.br.Discard(4 + len(p))
 	}
 	return e, err
+}
+
+// decode decodes a binary frame payload. A Hello-only frame that repeats
+// the last one returns its Hello again, read-only, in a fresh envelope: a
+// connection's session Hellos repeat its connection Hello.
+func (f *framedCodec) decode(p []byte) (*Envelope, error) {
+	d := envelopeDecoder{b: p}
+	kind, sid, mask := d.int(), d.uint(), d.uint()
+	if d.err != nil || mask != bitHello {
+		return decodeEnvelope(p, f.boxes)
+	}
+	if body := p[d.off:]; f.hello == nil || !bytes.Equal(body, f.helloBody) {
+		e, err := decodeEnvelope(p, nil)
+		if err == nil {
+			f.hello, f.helloBody = e.Hello, append(f.helloBody[:0], body...)
+		}
+		return e, err
+	}
+	return &Envelope{Kind: Kind(kind), SID: sid, Hello: f.hello}, nil
 }
 
 // fill makes the next whole frame readable without blocking and returns

@@ -695,7 +695,8 @@ func FetchStats(ctx context.Context, conn net.Conn, ioTimeout time.Duration) (*S
 }
 
 // Hello returns the connection-level Hello — the market listing the
-// handshake probe used to require a second dial for.
+// handshake probe used to require a second dial for. It is read-only: the
+// connection's session Hellos that repeat it share it (see Open).
 func (m *MuxConn) Hello() *Hello { return m.hello }
 
 // Err returns the terminal connection error, or nil while the connection
@@ -763,7 +764,9 @@ func (m *MuxConn) open(ctx context.Context, ch *ClientHello, ioTimeout time.Dura
 // per-session ClientHello, answered on the same SID with the server's
 // Hello (or a typed refusal — rejection, busy, redirect — surfaced as
 // ErrRejected, ErrServerBusy or a *RedirectError). The session's receives
-// are bounded by ioTimeout and watch ctx.
+// are bounded by ioTimeout and watch ctx. The Hello, and the Features its
+// listing holds, are shared and read-only: a Hello that repeats the last
+// one the connection decoded is that same *Hello.
 func (m *MuxConn) Open(ctx context.Context, ch ClientHello, ioTimeout time.Duration) (*MuxSession, *Hello, error) {
 	s, e, err := m.open(ctx, &ch, ioTimeout, KindHello)
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
 	"os"
 	"reflect"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/secure"
 )
 
 // answerEcho opens every connection with the Hello of the market "echo".
@@ -1162,7 +1165,12 @@ func TestMuxOfferFeaturesOutliveTheirBox(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !listed {
-			he.Bundles = nil // every offer's features are copied
+			// The Hello is shared with the connection's other sessions:
+			// strip the listing from a copy, so every offer's features
+			// are copied.
+			bare := *he
+			bare.Bundles = nil
+			he = &bare
 		}
 		g := &retainingGains{GainProvider: gains}
 		res, err := (&TaskClient{Session: cfg, Gains: g}).BargainCodec(context.Background(), s, he)
@@ -1182,5 +1190,73 @@ func TestMuxOfferFeaturesOutliveTheirBox(t *testing.T) {
 			t.Fatalf("listed=%v: wire session differs from the engine's: %v, %d rounds vs %v, %d rounds",
 				listed, res.Outcome, len(res.Rounds), want.Outcome, len(want.Rounds))
 		}
+	}
+}
+
+// TestMuxHelloSharedUntilRotation: a connection decodes a repeated session
+// Hello once, so two sessions on one MuxConn receive the same *Hello. After
+// RotateKey the next session's Hello differs (the new modulus), is decoded
+// fresh, and settles under the new key: the client's randomizer pool, built
+// for the old key, serves the seals before the rotation and none after, and
+// the server opens each closing payment to the client's, quantized.
+func TestMuxHelloSharedUntilRotation(t *testing.T) {
+	cat, cfg, gains := buildMarket(t, 51)
+	srv := NewDataServer(cat, cfg.EpsData, testKeys(t))
+	sums := make(chan *SessionSummary, 4)
+	mc, shutdown := startMux(t, 5*time.Second, func(st *MuxStream, _ *ClientHello) {
+		h, err := srv.Hello()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sum, err := srv.ServeCodec(st, h)
+		if err != nil {
+			t.Error(err)
+		}
+		sums <- sum
+	})
+	defer shutdown()
+	bootKey := secure.NewPublicKey(new(big.Int).SetBytes(mustHello(t, srv).PubN))
+	noise := secure.NewNoiseSource(bootKey, 8, -1, crand.Reader)
+	defer noise.Close()
+	if err := noise.Prime(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// session plays one session and checks its settlement.
+	session := func(name string) *Hello {
+		s, h, err := mc.Open(context.Background(), ClientHello{}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&TaskClient{Session: cfg, Gains: gains, Noise: noise}).BargainCodec(context.Background(), s, h)
+		s.CloseClean()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := <-sums
+		if res.Outcome != core.Success || !sum.Closed || sum.Payment != quantizeGain(res.Final.Payment) {
+			t.Fatalf("%s: outcome %v, server closed %v at %v, want the quantized %v",
+				name, res.Outcome, sum.Closed, sum.Payment, quantizeGain(res.Final.Payment))
+		}
+		return h
+	}
+	first, second := session("first session"), session("second session")
+	if first != second {
+		t.Fatal("two sessions on one connection decoded the same Hello twice")
+	}
+	if pooled := noise.Stats().Pooled; pooled != 2 {
+		t.Fatalf("%d seals drew from the pool before the rotation, want 2", pooled)
+	}
+	pubN, err := srv.RotateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated := session("session after the rotation")
+	if rotated == first || !bytes.Equal(rotated.PubN, pubN) || bytes.Equal(first.PubN, pubN) {
+		t.Fatal("the session after the rotation did not get a fresh Hello announcing the new key")
+	}
+	if pooled := noise.Stats().Pooled; pooled != 2 {
+		t.Fatalf("a seal under the rotated key drew from the old key's pool (%d draws)", pooled)
 	}
 }

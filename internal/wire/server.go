@@ -3,7 +3,7 @@ package wire
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/secure"
@@ -51,8 +51,12 @@ type DataServer struct {
 	// drains in-flight sessions gracefully.
 	keys *secure.RotatingKey
 
-	listingOnce sync.Once
-	listing     []BundleInfo
+	hello atomic.Pointer[keyedHello] // the last Hello built, by its key
+}
+
+type keyedHello struct {
+	sk    *secure.PrivateKey // nil in clear
+	hello *Hello
 }
 
 // SellerCheckpoints is the durable registry imperfect sessions checkpoint
@@ -128,27 +132,31 @@ type SessionSummary struct {
 	Payment  float64 // the settled payment (decrypted in secure mode)
 }
 
-// Hello builds the server's announcement: the public listing and, in
-// secure mode, the Paillier public key. Frontends fill the
-// Version/Market/Markets/Modes fields before sending. The listing is
-// built once per server (the catalog is immutable) and shared across
-// concurrent sessions; receivers must not mutate it. In secure mode Hello
-// blocks until an in-flight key generation lands — the only error path.
+// Hello returns the server's announcement: the public listing and, in
+// secure mode, the Paillier public key. It is built once per key
+// generation (the catalog is immutable) and shared across concurrent
+// sessions, so it is read-only: frontends announce a copy with the
+// Version/Market/Markets/Modes fields filled. In secure mode Hello blocks
+// until an in-flight key generation lands — the only error path.
 func (s *DataServer) Hello() (*Hello, error) {
-	s.listingOnce.Do(func() {
-		s.listing = make([]BundleInfo, 0, s.Catalog.Len())
-		for _, b := range s.Catalog.Bundles {
-			s.listing = append(s.listing, BundleInfo{ID: b.ID, Features: b.Features})
-		}
-	})
-	hello := &Hello{Secure: s.keys != nil, Bundles: s.listing}
+	var sk *secure.PrivateKey
 	if s.keys != nil {
-		sk, err := s.keys.Key()
-		if err != nil {
+		var err error
+		if sk, err = s.keys.Key(); err != nil {
 			return nil, err
 		}
+	}
+	if kh := s.hello.Load(); kh != nil && kh.sk == sk {
+		return kh.hello, nil
+	}
+	hello := &Hello{Secure: sk != nil, Bundles: make([]BundleInfo, 0, s.Catalog.Len())}
+	for _, b := range s.Catalog.Bundles {
+		hello.Bundles = append(hello.Bundles, BundleInfo{ID: b.ID, Features: b.Features})
+	}
+	if sk != nil {
 		hello.PubN = sk.N.Bytes()
 	}
+	s.hello.Store(&keyedHello{sk: sk, hello: hello})
 	return hello, nil
 }
 
@@ -367,14 +375,16 @@ func (a *estimatorAnswerer) settled(round int, rec core.RoundRecord, d core.Sett
 func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*SessionSummary, error) {
 	// Send scratch: the codec does not retain its argument past Send, so
 	// one envelope, Offer and Ack serve the Hello and every round of the
-	// session.
-	var (
+	// session, allocated with the summary.
+	sc := &struct {
+		sum   SessionSummary
 		env   Envelope
 		offer Offer
 		ack   Ack
-	)
-	env = Envelope{Kind: KindHello, Hello: hello}
-	if err := l.send(&env); err != nil {
+	}{sum: SessionSummary{BundleID: -1}}
+	env, offer, ack, sum := &sc.env, &sc.offer, &sc.ack, &sc.sum
+	*env = Envelope{Kind: KindHello, Hello: hello}
+	if err := l.send(env); err != nil {
 		return nil, err
 	}
 	maxRounds := s.MaxRounds
@@ -382,7 +392,6 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 		maxRounds = 1000
 	}
 
-	sum := &SessionSummary{BundleID: -1}
 	// The buyer's target gain is constant for a session (clients send it
 	// verbatim; an Eq. 5 quote's knee equals it when they do not), so the
 	// closest-bundle hint is computed once and refreshed only if the
@@ -430,13 +439,13 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			}
 			so.TargetBundleID = targetBundle
 		}
-		offer = Offer{
+		*offer = Offer{
 			BundleID: so.BundleID, Features: so.Features,
 			Accept: so.Accept, Fail: so.Fail, Reason: so.Reason,
 			TargetBundleID: so.TargetBundleID,
 		}
-		env = Envelope{Kind: KindOffer, Offer: &offer}
-		if err := l.send(&env); err != nil {
+		*env = Envelope{Kind: KindOffer, Offer: offer}
+		if err := l.send(env); err != nil {
 			return sum, err
 		}
 		if offer.Fail {
@@ -463,13 +472,13 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			Gain: se.Settle.Gain, Payment: pay,
 		}
 		var acked bool
-		ack, acked, err = a.settled(quotes, rec, coreDecision(se.Settle.Decision))
+		*ack, acked, err = a.settled(quotes, rec, coreDecision(se.Settle.Decision))
 		if err != nil {
 			return sum, err
 		}
 		if acked {
-			env = Envelope{Kind: KindAck, Ack: &ack}
-			if err := l.send(&env); err != nil {
+			*env = Envelope{Kind: KindAck, Ack: ack}
+			if err := l.send(env); err != nil {
 				return sum, err
 			}
 		}

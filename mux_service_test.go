@@ -24,6 +24,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1010,5 +1011,46 @@ func TestClusterBatchSurvivesMidBatchMigration(t *testing.T) {
 	}
 	if cluster.Markets()["titanic"] != to {
 		t.Fatalf("market still owned by shard %d, want %d", cluster.Markets()["titanic"], to)
+	}
+}
+
+// TestServiceRoundsNeverAliased: a networked session's rounds are its own
+// and exactly sized. Session A's rounds, kept with a deep copy, are
+// unchanged after a batch of 16 sessions at 4 workers and a few serial
+// ones have played over the same connection.
+func TestServiceRoundsNeverAliased(t *testing.T) {
+	engines := testEngines(t)
+	_, addr, shutdown := startServer(t, engines, WithWorkers(4))
+	defer shutdown()
+	engine := engines["titanic"]
+	client, err := Dial(context.Background(), addr, WithSession(engine.Session()), WithGains(engine.CatalogGains()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	a, err := client.Bargain(context.Background(), BargainOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Rounds) == 0 || cap(a.Rounds) != len(a.Rounds) {
+		t.Fatalf("session A: %d rounds in a slice of capacity %d", len(a.Rounds), cap(a.Rounds))
+	}
+	aCopy := slices.Clone(a.Rounds)
+	batch, err := client.BargainBatch(context.Background(), make([]BatchSpec, 16), BatchOptions{Workers: 4, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch {
+		if cap(r.Rounds) != len(r.Rounds) {
+			t.Fatalf("batch session %d: %d rounds in a slice of capacity %d", i, len(r.Rounds), cap(r.Rounds))
+		}
+	}
+	for seed := uint64(5); seed < 8; seed++ {
+		if _, err := client.Bargain(context.Background(), BargainOptions{Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(a.Rounds, aCopy) {
+		t.Fatal("session A's rounds changed while later sessions played")
 	}
 }

@@ -6,8 +6,11 @@ package vflmarket
 // oracle flight metrics surfaced per market.
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -185,4 +188,88 @@ func TestMarketMetricsSurfaceOracleFlightStats(t *testing.T) {
 		mm.OracleHits != om.Hits || mm.OracleCoalesced != om.Coalesced {
 		t.Fatalf("MarketMetrics %+v does not mirror OracleMetrics %+v", mm, om)
 	}
+}
+
+// TestSecureHelloFollowsRegistryAndRotation: the server builds a market's
+// admission Hello once and rebuilds it when the market list or the key
+// changes, and a client whose randomizer pool was built for the boot key
+// seals its next session under the rotated one, which the server opens to
+// the quantized payment.
+func TestSecureHelloFollowsRegistryAndRotation(t *testing.T) {
+	engines := testEngines(t)
+	events := make(chan SessionEvent, 16)
+	srv, addr, shutdown := startServer(t, engines,
+		WithSecureSettlement(128),
+		WithEagerSecureKeys(),
+		WithSessionHook(func(ev SessionEvent) {
+			if ev.Summary != nil {
+				events <- ev
+			}
+		}),
+	)
+	defer shutdown()
+	engine := engines["titanic"]
+	client, err := Dial(context.Background(), addr, WithSession(engine.Session()), WithGains(engine.CatalogGains()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	settles := func(name string) {
+		t.Helper()
+		res, err := client.Bargain(context.Background(), BargainOptions{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		select {
+		case ev := <-events:
+			if res.Outcome != Success || !ev.Summary.Closed || ev.Summary.Payment != quantize(res.Final.Payment) {
+				t.Fatalf("%s: outcome %v, server closed %v at %v, want the quantized %v",
+					name, res.Outcome, ev.Summary.Closed, ev.Summary.Payment, quantize(res.Final.Payment))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no session event", name)
+		}
+	}
+	settles("session under the boot key")
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, _, err := wire.OpenMux(conn, wire.CodecBinary, wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	hello := func() *wire.Hello {
+		t.Helper()
+		s, h, err := mc.Open(context.Background(), wire.ClientHello{Market: "titanic", ListOnly: true}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.CloseClean()
+		return h
+	}
+	boot := hello()
+	if err := srv.Register("third", engines["credit"]); err != nil {
+		t.Fatal(err)
+	}
+	if h := hello(); !slices.Equal(h.Markets, []string{"titanic", "credit", "third"}) || !bytes.Equal(h.PubN, boot.PubN) {
+		t.Fatalf("after a Register the Hello lists %v", h.Markets)
+	}
+	if err := srv.Unregister("third"); err != nil {
+		t.Fatal(err)
+	}
+	if h := hello(); !slices.Equal(h.Markets, []string{"titanic", "credit"}) {
+		t.Fatalf("after an Unregister the Hello lists %v", h.Markets)
+	}
+	pubN, err := srv.RotateMarketKey("titanic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := hello(); !bytes.Equal(h.PubN, pubN) {
+		t.Fatal("after a rotation the Hello announces the old key")
+	}
+	settles("session under the rotated key")
 }

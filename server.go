@@ -1,6 +1,7 @@
 package vflmarket
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -208,7 +209,7 @@ type Server struct {
 
 	mu      sync.RWMutex
 	markets map[string]*market
-	order   []string // registration order; the first market is the default
+	order   []string // registration order, the default first; replaced, never written, as Hellos share it
 
 	accepted, sessions, closed, failed, rejected, busy atomic.Uint64
 	redirected, evicted, dropped, watchdog             atomic.Uint64
@@ -231,7 +232,8 @@ type Server struct {
 type market struct {
 	ds     *wire.DataServer
 	engine *Engine
-	book   *ckptBook // nil without a bound state
+	book   *ckptBook                  // nil without a bound state
+	hello  atomic.Pointer[wire.Hello] // the last admission Hello; see announce
 
 	sessions  atomic.Uint64
 	imperfect atomic.Uint64
@@ -382,7 +384,7 @@ func (s *Server) Register(name string, e *Engine) error {
 		return fmt.Errorf("vflmarket: market %q already registered", name)
 	}
 	s.markets[name] = &market{ds: ds, engine: e, book: book}
-	s.order = append(s.order, name)
+	s.order = append(s.order[:len(s.order):len(s.order)], name)
 	return nil
 }
 
@@ -505,12 +507,7 @@ func (s *Server) Unregister(name string) error {
 		return fmt.Errorf("vflmarket: unknown market %q", name)
 	}
 	delete(s.markets, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.order = slices.DeleteFunc(slices.Clone(s.order), func(n string) bool { return n == name })
 	s.mu.Unlock()
 
 	mkt.evict()
@@ -901,16 +898,25 @@ func (s *Server) resolve(ch *wire.ClientHello, listing bool) (*admission, *refus
 	}
 	// In secure mode the Hello carries the market's public key, so this
 	// blocks until a background key generation lands (first use only).
-	hello, err := mkt.ds.Hello()
+	base, err := mkt.ds.Hello()
 	if err != nil {
 		return nil, reject(name, err)
 	}
-	hello.Version = wire.ProtocolVersion
-	hello.Market = name
-	hello.Markets = markets
-	hello.Modes = s.modes
-	adm.hello = hello
+	adm.hello = mkt.announce(name, base, markets, s.modes)
 	return adm, nil
+}
+
+// announce returns the market's admission Hello, base with the version,
+// name, market list and modes filled in. It is reused, read-only, while
+// its key and market list stay the same.
+func (m *market) announce(name string, base *wire.Hello, markets, modes []string) *wire.Hello {
+	if h := m.hello.Load(); h != nil && bytes.Equal(h.PubN, base.PubN) && slices.Equal(h.Markets, markets) {
+		return h
+	}
+	h := *base
+	h.Version, h.Market, h.Markets, h.Modes = wire.ProtocolVersion, name, markets, modes
+	m.hello.Store(&h)
+	return &h
 }
 
 // resolveMarket resolves the hello's market against the registry. A
@@ -923,8 +929,7 @@ func (s *Server) resolveMarket(ch *wire.ClientHello) (*market, string, []string,
 	if name == "" && len(s.order) > 0 {
 		name = s.order[0]
 	}
-	mkt := s.markets[name]
-	markets := append([]string(nil), s.order...)
+	mkt, markets := s.markets[name], s.order
 	s.mu.RUnlock()
 	if mkt != nil {
 		return mkt, name, markets, nil
