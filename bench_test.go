@@ -373,7 +373,7 @@ func BenchmarkSecureServiceRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer client.Close()
-		if err := client.noise.Prime(context.Background()); err != nil {
+		if err := client.noise[0].Prime(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()

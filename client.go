@@ -130,22 +130,25 @@ func WithIdentity(id string) DialOption { return func(c *dialConfig) { c.identit
 // precomputed randomizers (secure.DefaultNoisePool r^n mod n² factors for
 // the server's key), so a closing round's encryption, the one a secure
 // session makes, costs one modular multiplication in steady state. All of
-// the client's sessions share it; Close releases its workers.
+// the client's sessions share it; after the server rotates its key, the
+// first session announced the new modulus starts a pool for it, and the
+// previous key's pool serves the sessions still draining under that key.
+// Close releases the pools' workers.
 type Client struct {
 	cfg   dialConfig
 	hello *wire.Hello
-	noise *secure.NoiseSource
 
-	// mu guards addr and the connection pool: against a sharded fabric the
-	// client learns the market's current home from redirect answers and
-	// re-points itself, so concurrent Bargain calls must read a coherent
-	// address and share the warm connection at it.
+	// mu guards addr, the connection pool and the randomizer pools: against
+	// a sharded fabric the client learns the market's current home from
+	// redirect answers and re-points itself, so concurrent Bargain calls
+	// must read a coherent address and share the warm connection at it.
 	mu       sync.Mutex
 	addr     string
 	pool     map[string]*wire.MuxConn // at most one live connection per addr
 	dialing  map[string]*dialCall     // the one in-flight dial per addr, shared by every caller that found no connection
 	breakers map[string]*breaker
-	known    []string // every address seen (dial, fallbacks, redirects), in discovery order — the failover rotation set
+	known    []string               // every address seen (dial, fallbacks, redirects), in discovery order — the failover rotation set
+	noise    [2]*secure.NoiseSource // the randomizer pools for the current key and the one before it; see noiseFor
 }
 
 // dialCall is one in-flight dial that every caller needing the same
@@ -245,28 +248,51 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	// Against a Paillier-settling server, start the shared randomizer pool
 	// for its key: every session's settlement encryptions draw from it, so
 	// steady-state secure settlement costs one mulmod per round.
-	if c.hello.Secure && len(c.hello.PubN) > 0 {
-		pk := secure.NewPublicKey(new(big.Int).SetBytes(c.hello.PubN))
-		c.noise = secure.NewNoiseSource(pk, 0, 0, rand.Reader)
-	}
+	c.noiseFor(c.hello)
 	return c, nil
 }
 
+// noiseFor returns the randomizer pool for the key a session Hello
+// announced, nil in clear. A modulus neither pool serves means the server
+// rotated: the older pool closes and one for the new key takes its place,
+// so sessions still draining under the previous key keep theirs, as
+// secure.RotatingKey keeps the previous receiver.
+func (c *Client) noiseFor(hello *wire.Hello) *secure.NoiseSource {
+	if !hello.Secure || len(hello.PubN) == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.noise {
+		if s != nil && s.KeyFor(hello.PubN) == s.Key() {
+			return s
+		}
+	}
+	if c.noise[1] != nil {
+		c.noise[1].Close()
+	}
+	pk := secure.NewPublicKey(new(big.Int).SetBytes(hello.PubN))
+	c.noise[0], c.noise[1] = secure.NewNoiseSource(pk, 0, 0, rand.Reader), c.noise[0]
+	return c.noise[0]
+}
+
 // Close releases the client's background resources: the warm connection
-// pool and the secure-settlement randomizer pool (when the server settles
+// pool and the secure-settlement randomizer pools (when the server settles
 // under Paillier). Bargaining after Close still works — the next session
 // dials and pools a fresh connection — so Close is safe to call between
 // bursts as well as at the end.
 func (c *Client) Close() {
 	c.mu.Lock()
-	conns := c.pool
+	conns, noise := c.pool, c.noise
 	c.pool = make(map[string]*wire.MuxConn)
 	c.mu.Unlock()
 	for _, mc := range conns {
 		mc.Close()
 	}
-	if c.noise != nil {
-		c.noise.Close()
+	for _, s := range noise {
+		if s != nil {
+			s.Close()
+		}
 	}
 }
 
@@ -744,7 +770,7 @@ func (c *Client) withSession(ctx context.Context, gains GainProvider, hs wire.Cl
 	if err != nil {
 		return wrapCtx(ctx, err)
 	}
-	tc := &wire.TaskClient{Session: cfg, Gains: gains, Observers: toCoreObservers(obs), Noise: c.noise}
+	tc := &wire.TaskClient{Session: cfg, Gains: gains, Observers: toCoreObservers(obs), Noise: c.noiseFor(hello)}
 	if err := run(ctx, tc, s, hello); err != nil {
 		s.Close()
 		return wrapCtx(ctx, err)

@@ -19,8 +19,8 @@ import (
 // EngineFactory builds the engine for a market when it lands on a shard —
 // at boot-time registration and again on the destination shard of a
 // migration. The factory receives the shard's MarketState so the engine
-// binds its valuation memo to the shard's directory (WithState), which is
-// what lets a migrated market price warm from the snapshots the move
+// binds its valuation memo to the shard's directory (Config.State), which
+// is what lets a migrated market price warm from the snapshots the move
 // copied over.
 type EngineFactory func(market string, state *MarketState) (*Engine, error)
 
@@ -79,28 +79,20 @@ type Cluster struct {
 	closeErr  error
 }
 
-// registryDirectory adapts the fabric registry to the Server's
-// MarketDirectory. Only markets actually registered somewhere in the
-// cluster resolve: a consistent-hash ring would happily name an owner for
-// any string, and redirecting a client toward a shard that has never heard
-// of the market either would bounce it in a loop instead of rejecting it.
-type registryDirectory struct {
-	c *Cluster
-}
-
-// Epoch exposes the registry's shard-map version to the Server's stats
-// report (the optional interface statsReport sniffs).
-func (d registryDirectory) Epoch() uint64 { return d.c.reg.Epoch() }
-
-func (d registryDirectory) Route(market string) (Route, bool) {
-	d.c.mu.Lock()
-	known := d.c.markets[market]
-	d.c.mu.Unlock()
+// route answers a shard asked for a market it does not serve: the
+// registry's route to the owner. Only markets actually registered
+// somewhere in the cluster resolve: a consistent-hash ring would happily
+// name an owner for any string, and redirecting a client toward a shard
+// that has never heard of the market either would bounce it in a loop
+// instead of rejecting it.
+func (c *Cluster) route(market string) (fabric.Route, bool) {
+	c.mu.Lock()
+	known := c.markets[market]
+	c.mu.Unlock()
 	if !known {
-		return Route{}, false
+		return fabric.Route{}, false
 	}
-	rt := d.c.reg.RouteFor(market)
-	return Route{Addr: rt.Shard.Addr, Epoch: rt.Epoch, Moving: rt.Moving}, true
+	return c.reg.RouteFor(market), true
 }
 
 // NewCluster starts n in-process shards listening on loopback. baseDir is
@@ -109,7 +101,7 @@ func (d registryDirectory) Route(market string) (Route, bool) {
 // in-memory state even in one process; "" runs the fleet memory-only
 // (migrations then lose checkpoints, exactly like restarting a stateless
 // server). opts apply to every shard's Server; the cluster adds the state
-// binding and the directory itself.
+// binding and makes each server its shard.
 func NewCluster(n int, baseDir string, factory EngineFactory, opts ...ServerOption) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("vflmarket: a cluster needs at least one shard")
@@ -154,11 +146,12 @@ func NewCluster(n int, baseDir string, factory EngineFactory, opts ...ServerOpti
 	c.rb = fabric.NewRebalancer(reg, c.fetchStats)
 
 	for _, sh := range c.shards {
-		shOpts := append(append([]ServerOption(nil), opts...), WithDirectory(registryDirectory{c}))
+		shOpts := append([]ServerOption(nil), opts...)
 		if sh.state != nil {
 			shOpts = append(shOpts, WithMarketState(sh.state))
 		}
 		sh.server = NewServer(shOpts...)
+		sh.server.fleet = c
 		ctx, cancel := context.WithCancel(context.Background())
 		sh.cancel = cancel
 		sh.done = make(chan error, 1)

@@ -29,13 +29,6 @@ func WithScale(scale float64) Option { return func(c *Config) { c.Scale = scale 
 // quote) is generated from.
 func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithState binds the engine to a durable MarketState: its valuation
-// oracle is resolved through the state's registry — preloading any memo a
-// previous process flushed, so a warm store prices the catalog with zero
-// new trainings — and Engine.FlushState spills the memo back. Hand the
-// server (WithMarketState) the same handle.
-func WithState(ms *MarketState) Option { return func(c *Config) { c.State = ms } }
-
 // Engine is a built market environment — the data party's priced catalog
 // plus the task party's session template — ready to run any number of
 // bargaining sessions. An Engine is immutable after construction and safe

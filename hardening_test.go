@@ -13,13 +13,13 @@ import (
 	"time"
 )
 
-// TestServiceRefusesAbusiveImperfectHello dials a server with tight
-// imperfect caps using an abusive exploration budget: the session must be
+// TestServiceRefusesAbusiveImperfectHello dials a server with an abusive
+// exploration budget, past wire.MaxExplorationRounds: the session must be
 // refused with the cap named in the error, counted as rejected, and leave
 // the server fully serviceable for a compliant client.
 func TestServiceRefusesAbusiveImperfectHello(t *testing.T) {
 	engines := testEngines(t)
-	srv, addr, shutdown := startServer(t, engines, WithImperfectCaps(60, 8))
+	srv, addr, shutdown := startServer(t, engines)
 	defer shutdown()
 	engine := engines["titanic"]
 

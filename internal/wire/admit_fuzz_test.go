@@ -82,7 +82,7 @@ func admitCorpus(tb testing.TB) []ImperfectHello {
 		with(func(ih *ImperfectHello) { ih.Target = math.NaN() }),
 		with(func(ih *ImperfectHello) { ih.Target = math.Inf(1) }),
 		with(func(ih *ImperfectHello) { ih.Target = -0.5 }),
-		with(func(ih *ImperfectHello) { ih.ExplorationRounds = DefaultMaxExplorationRounds + 1 }),
+		with(func(ih *ImperfectHello) { ih.ExplorationRounds = MaxExplorationRounds + 1 }),
 		with(func(ih *ImperfectHello) { ih.ReplaySteps = math.MaxInt }),
 		with(func(ih *ImperfectHello) { ih.ExplorationRounds, ih.ReplaySteps = -7, -7 }),
 	}

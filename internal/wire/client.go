@@ -235,7 +235,7 @@ func (r *remoteSeller) features(o *Offer) []int {
 }
 
 func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDecision) error {
-	r.settle = Settle{Round: round, Decision: decisionOf(d)}
+	r.settle = Settle{Round: round, Decision: d}
 	switch {
 	case r.pk == nil:
 		r.settle.Gain = rec.Gain
@@ -263,7 +263,7 @@ func (r *remoteSeller) Settle(round int, rec core.RoundRecord, d core.SettleDeci
 }
 
 func (r *remoteSeller) Abandon(round int) error {
-	r.settle = Settle{Round: round, Decision: DecisionFail}
+	r.settle = Settle{Round: round, Decision: core.SettleFail}
 	if err := r.sendScratch(Envelope{Kind: KindSettle, Settle: &r.settle}); err != nil {
 		return err
 	}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func sampleEnvelopes() []*Envelope {
@@ -22,7 +24,7 @@ func sampleEnvelopes() []*Envelope {
 		{Kind: KindQuote, Quote: &Quote{Round: 3, Rate: 1.25, Base: 0.5, High: 2.75, U: 1000, Target: 0.125}},
 		{Kind: KindOffer, Offer: &Offer{BundleID: 4, Features: []int{1, 3}, Accept: true, TargetBundleID: 7}},
 		{Kind: KindOffer, Offer: &Offer{BundleID: -1, Fail: true, Reason: "Case 1", TargetBundleID: 2}},
-		{Kind: KindSettle, Settle: &Settle{Round: 3, Decision: DecisionAccept, Gain: 0.1119}},
+		{Kind: KindSettle, Settle: &Settle{Round: 3, Decision: core.SettleAccept, Gain: 0.1119}},
 		{Kind: KindError, Err: &ErrorMsg{Msg: "unknown market"}},
 	}
 }

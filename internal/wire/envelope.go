@@ -7,6 +7,8 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"repro/internal/core"
 )
 
 // The binary envelope encoding (CodecBinary) is a hand-rolled layout for the
@@ -439,7 +441,7 @@ func decodeEnvelope(b []byte, boxFor func(sid uint64) *envBoxes) (*Envelope, err
 	if mask&bitSettle != 0 {
 		s := e.Settle
 		s.Round = d.int()
-		s.Decision = Decision(d.int())
+		s.Decision = core.SettleDecision(d.int())
 		s.Gain = d.float()
 		s.EncPayment = d.bytes()
 	}

@@ -14,6 +14,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/envelope-v1.golden and the FuzzEnvelopeDecode, FuzzHandshake and FuzzAdmitImperfect seed corpora")
@@ -32,7 +34,7 @@ func everyKindEnvelopes() []*Envelope {
 		{Kind: KindQuote, SID: 2, Quote: &Quote{Round: 3, Rate: 1.25, Base: 0.5, High: 2.75, U: 1000, Target: 0.125}},
 		{Kind: KindOffer, SID: 2, Offer: &Offer{BundleID: 4, Features: []int{1, 3}, Accept: true, Fail: true,
 			Reason: "Case 1", TargetBundleID: -7}},
-		{Kind: KindSettle, SID: 2, Settle: &Settle{Round: 3, Decision: DecisionAccept, Gain: 0.1119,
+		{Kind: KindSettle, SID: 2, Settle: &Settle{Round: 3, Decision: core.SettleAccept, Gain: 0.1119,
 			EncPayment: []byte{9, 8, 7}}},
 		{Kind: KindClientHello, Client: &ClientHello{Version: ProtocolVersion, Market: "credit", Mode: ModeImperfect,
 			Imperfect: &ImperfectHello{Seed: 1 << 63, Target: 0.25, ExplorationRounds: 60, ReplaySteps: 8,

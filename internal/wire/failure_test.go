@@ -2,8 +2,11 @@ package wire
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Failure injection: the protocol endpoints must fail cleanly — returning
@@ -106,14 +109,13 @@ func TestClientRejectsMalformedHello(t *testing.T) {
 func TestServerRoundCapEndsRunawaySession(t *testing.T) {
 	cat, cfg, _ := buildMarket(t, 59)
 	srv := NewDataServer(cat, cfg.EpsData, nil)
-	srv.MaxRounds = 3
 	c, done := serveCatalogPipe(t, srv)
 	l := link{c}
 	if _, err := l.recv(KindHello); err != nil {
 		t.Fatal(err)
 	}
 	// A client that quotes forever without ever accepting.
-	for i := 0; i < 4; i++ {
+	for i := 0; i <= maxSessionRounds; i++ {
 		if err := l.send(&Envelope{Kind: KindQuote,
 			Quote: &Quote{Rate: 10, Base: 2, High: 4 + float64(i)*0.01}}); err != nil {
 			break // server already gave up — also acceptable
@@ -126,15 +128,15 @@ func TestServerRoundCapEndsRunawaySession(t *testing.T) {
 			t.Fatal("unexpected Case 1")
 		}
 		if err := l.send(&Envelope{Kind: KindSettle,
-			Settle: &Settle{Gain: 0.01, Decision: DecisionContinue}}); err != nil {
+			Settle: &Settle{Gain: 0.01, Decision: core.SettleContinue}}); err != nil {
 			break
 		}
 	}
 	_ = c.Flush()
 	select {
 	case r := <-done:
-		if r.err == nil {
-			t.Fatal("server allowed a runaway session past its round cap")
+		if r.err == nil || !strings.Contains(r.err.Error(), "exceeded") {
+			t.Fatalf("server ended the runaway session with %v, want its round cap", r.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server hung past its round cap")

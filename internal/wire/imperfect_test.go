@@ -123,7 +123,7 @@ func TestServeImperfectRejectsNonFiniteGain(t *testing.T) {
 	if _, err := l.recv(KindOffer); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: math.NaN(), Decision: DecisionContinue}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: math.NaN(), Decision: core.SettleContinue}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.Flush()

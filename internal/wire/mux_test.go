@@ -252,7 +252,7 @@ func (c *hookConn) Close() error { return nil }
 // connection before Recv reaches its select. Every other iteration the
 // flush itself fails too.
 func TestMuxRecvPrefersQueuedEnvelope(t *testing.T) {
-	want := &Envelope{Kind: KindSettle, Settle: &Settle{Round: 9, Decision: DecisionAccept}}
+	want := &Envelope{Kind: KindSettle, Settle: &Settle{Round: 9, Decision: core.SettleAccept}}
 	conn := &hookConn{}
 	newCodec := func() *framedCodec {
 		fc, err := newFramedCodec(CodecBinary, bufio.NewReader(eofReader{}), conn)

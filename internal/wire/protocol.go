@@ -271,16 +271,6 @@ type Offer struct {
 	TargetBundleID int
 }
 
-// Decision is the task party's settlement verdict.
-type Decision int
-
-// Task-party settlement decisions.
-const (
-	DecisionContinue Decision = iota // Case 6: escalate next round
-	DecisionAccept                   // Case 5: pay and close
-	DecisionFail                     // Case 4: walk away
-)
-
 // Settle reports the VFL course's outcome back to the data party. In clear
 // mode it carries the realized ΔG; in secure mode the encrypted Eq. 2
 // payment, on the closing round only (the only one paid; a server never
@@ -288,7 +278,7 @@ const (
 // notice (the buyer leaves without a settlement).
 type Settle struct {
 	Round      int
-	Decision   Decision
+	Decision   core.SettleDecision
 	Gain       float64 // clear mode only
 	EncPayment []byte  // secure mode, closing round only: Paillier ciphertext of the payment
 }
@@ -431,26 +421,4 @@ type Envelope struct {
 	Ack      *Ack
 	Redirect *Redirect
 	Stats    *StatsReport
-}
-
-func decisionOf(d core.SettleDecision) Decision {
-	switch d {
-	case core.SettleAccept:
-		return DecisionAccept
-	case core.SettleFail:
-		return DecisionFail
-	default:
-		return DecisionContinue
-	}
-}
-
-func coreDecision(d Decision) core.SettleDecision {
-	switch d {
-	case DecisionAccept:
-		return core.SettleAccept
-	case DecisionFail:
-		return core.SettleFail
-	default:
-		return core.SettleContinue
-	}
 }

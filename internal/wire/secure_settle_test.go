@@ -99,8 +99,8 @@ func TestSecureSealsOnlyTheClosingRound(t *testing.T) {
 					continue
 				}
 				st := ev.settle
-				closes := st.Decision == DecisionAccept ||
-					(last.Accept && !last.Fail && st.Decision != DecisionFail)
+				closes := st.Decision == core.SettleAccept ||
+					(last.Accept && !last.Fail && st.Decision != core.SettleFail)
 				if sealed := len(st.EncPayment) > 0; sealed != closes {
 					t.Fatalf("seed %d %s: round %d settle (decision %d, offer accept %v) sealed=%v, closes=%v",
 						seed, variant, st.Round, st.Decision, last.Accept, sealed, closes)
@@ -111,10 +111,10 @@ func TestSecureSealsOnlyTheClosingRound(t *testing.T) {
 				switch {
 				case closes:
 					closing++
-					if last.Accept && st.Decision == DecisionAccept {
+					if last.Accept && st.Decision == core.SettleAccept {
 						case2++
 					}
-				case st.Decision == DecisionContinue:
+				case st.Decision == core.SettleContinue:
 					continues++
 				}
 			}
@@ -184,9 +184,9 @@ func TestSecureOpensOnlyTheClosingRound(t *testing.T) {
 		settle  Settle
 		wantErr string // "" when the session must end cleanly
 	}{
-		{"continue-out-of-range", false, Settle{Round: 1, Decision: DecisionContinue, EncPayment: outOfRange}, ""},
-		{"walkaway-out-of-range", false, Settle{Round: 1, Decision: DecisionFail, EncPayment: outOfRange}, ""},
-		{"case2-without-ciphertext", true, Settle{Round: 1, Decision: DecisionContinue}, "without ciphertext"},
+		{"continue-out-of-range", false, Settle{Round: 1, Decision: core.SettleContinue, EncPayment: outOfRange}, ""},
+		{"walkaway-out-of-range", false, Settle{Round: 1, Decision: core.SettleFail, EncPayment: outOfRange}, ""},
+		{"case2-without-ciphertext", true, Settle{Round: 1, Decision: core.SettleContinue}, "without ciphertext"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, done := serveCatalogPipe(t, srv)
@@ -204,10 +204,10 @@ func TestSecureOpensOnlyTheClosingRound(t *testing.T) {
 			if err := l.send(&Envelope{Kind: KindSettle, Settle: &settle}); err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantErr == "" && settle.Decision == DecisionContinue {
+			if tc.wantErr == "" && settle.Decision == core.SettleContinue {
 				// The round did not close: walk away in place of the next
 				// quote, which ends the session cleanly.
-				if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Round: 2, Decision: DecisionFail}}); err != nil {
+				if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Round: 2, Decision: core.SettleFail}}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -20,18 +20,6 @@ type DataServer struct {
 	// estimation error, so it is typically much larger than EpsData). 0
 	// falls back to EpsData.
 	EpsImperfect float64
-	// MaxRounds guards against runaway clients. <= 0 means 1000.
-	MaxRounds int
-	// MaxExplorationRounds caps the client-supplied N of the imperfect
-	// handshake (ImperfectHello.ExplorationRounds): every exploration round
-	// is estimator compute the server pays for, so a production server
-	// refuses abusive asks instead of serving them. <= 0 means
-	// DefaultMaxExplorationRounds.
-	MaxExplorationRounds int
-	// MaxReplaySteps caps the client-supplied per-round experience-replay
-	// budget (ImperfectHello.ReplaySteps), the multiplier on the server's
-	// per-settlement estimator compute. <= 0 means DefaultMaxReplaySteps.
-	MaxReplaySteps int
 	// DataCost and EpsDataC enable the Eq. 6 cost-aware acceptance (Case 3)
 	// on the server, mirroring SessionConfig.DataCost/EpsDataC in-process.
 	DataCost core.CostModel
@@ -67,13 +55,22 @@ type SellerCheckpoints interface {
 	Load(clientID string) (*core.SellerCheckpoint, bool)
 }
 
-// Default server-side caps on the client-supplied work factors of the
-// imperfect handshake. Both sit well above the paper's settings (N = 100,
-// 4 replay steps) while bounding what one hello can make the server compute.
+// The server's caps on the client-supplied work factors of the imperfect
+// handshake. MaxExplorationRounds bounds N (ImperfectHello.ExplorationRounds),
+// the Case VII rounds the server keeps its estimator alive for, and
+// MaxReplaySteps the per-round experience-replay budget
+// (ImperfectHello.ReplaySteps), the multiplier on the server's
+// per-settlement estimator compute. Both sit well above the paper's
+// settings (N = 100, 4 replay steps) while bounding what one hello can
+// make the server compute.
 const (
-	DefaultMaxExplorationRounds = 1000
-	DefaultMaxReplaySteps       = 64
+	MaxExplorationRounds = 1000
+	MaxReplaySteps       = 64
 )
+
+// maxSessionRounds ends a session whose client quotes past it: the guard
+// against runaway clients.
+const maxSessionRounds = 1000
 
 // ValidateClientID checks a client identity: empty (checkpointing off)
 // or 1–64 bytes of [A-Za-z0-9_-]. The charset is filename-safe by
@@ -180,13 +177,12 @@ type ImperfectSession struct {
 // written, and returns either the session ready to serve or the refusal a
 // frontend sends back in an error envelope in place of the Hello. It
 // checks the cleartext regime, the parameters' presence, the work factors
-// against the server's caps, the client identity, the resume round, the
-// target gain, and — for a resume — the checkpoint's load, match and
-// restore. The caps apply to the values the session will actually run
-// with: a zero hello field means the core default (100 exploration rounds,
-// 4 replay steps), and that resolved value is what must clear the cap, so
-// a server capped below the defaults cannot be bypassed by asking for
-// "default".
+// against MaxExplorationRounds and MaxReplaySteps, the client identity, the
+// resume round, the target gain, and — for a resume — the checkpoint's
+// load, match and restore. The caps apply to the values the session will
+// actually run with: a zero hello field means the core default (100
+// exploration rounds, 4 replay steps), and that resolved value is what
+// must clear the cap.
 func (s *DataServer) AdmitImperfect(ih *ImperfectHello) (*ImperfectSession, error) {
 	if s.keys != nil {
 		return nil, fmt.Errorf("wire: the imperfect regime trains on realized gains and needs cleartext settlement; this server settles under Paillier")
@@ -196,19 +192,11 @@ func (s *DataServer) AdmitImperfect(ih *ImperfectHello) (*ImperfectSession, erro
 	}
 	params := core.ImperfectParams{ExplorationRounds: ih.ExplorationRounds, ReplaySteps: ih.ReplaySteps}
 	eff := params.WithDefaults()
-	maxN := s.MaxExplorationRounds
-	if maxN <= 0 {
-		maxN = DefaultMaxExplorationRounds
+	if eff.ExplorationRounds > MaxExplorationRounds {
+		return nil, fmt.Errorf("wire: refused: %d exploration rounds exceed this server's cap of %d", eff.ExplorationRounds, MaxExplorationRounds)
 	}
-	if eff.ExplorationRounds > maxN {
-		return nil, fmt.Errorf("wire: refused: %d exploration rounds exceed this server's cap of %d", eff.ExplorationRounds, maxN)
-	}
-	maxReplay := s.MaxReplaySteps
-	if maxReplay <= 0 {
-		maxReplay = DefaultMaxReplaySteps
-	}
-	if eff.ReplaySteps > maxReplay {
-		return nil, fmt.Errorf("wire: refused: %d replay steps per round exceed this server's cap of %d", eff.ReplaySteps, maxReplay)
+	if eff.ReplaySteps > MaxReplaySteps {
+		return nil, fmt.Errorf("wire: refused: %d replay steps per round exceed this server's cap of %d", eff.ReplaySteps, MaxReplaySteps)
 	}
 	if err := ValidateClientID(ih.ClientID); err != nil {
 		return nil, err
@@ -387,10 +375,6 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 	if err := l.send(env); err != nil {
 		return nil, err
 	}
-	maxRounds := s.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1000
-	}
 
 	// The buyer's target gain is constant for a session (clients send it
 	// verbatim; an Eq. 5 quote's knee equals it when they do not), so the
@@ -416,8 +400,8 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			// clean.
 			return sum, nil
 		}
-		if quotes > maxRounds {
-			return sum, fmt.Errorf("wire: session exceeded %d rounds", maxRounds)
+		if quotes > maxSessionRounds {
+			return sum, fmt.Errorf("wire: session exceeded %d rounds", maxSessionRounds)
 		}
 		q := core.QuotedPrice{Rate: e.Quote.Rate, Base: e.Quote.Base, High: e.Quote.High}
 		if err := q.Validate(); err != nil {
@@ -461,8 +445,8 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			return sum, err
 		}
 		// An accept, or the data party's Case-2 commitment not walked away from.
-		closes := se.Settle.Decision == DecisionAccept ||
-			(offer.Accept && se.Settle.Decision != DecisionFail)
+		closes := se.Settle.Decision == core.SettleAccept ||
+			(offer.Accept && se.Settle.Decision != core.SettleFail)
 		pay, err := s.settledPayment(hello, q, se.Settle, closes)
 		if err != nil {
 			return sum, err
@@ -472,7 +456,7 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			Gain: se.Settle.Gain, Payment: pay,
 		}
 		var acked bool
-		*ack, acked, err = a.settled(quotes, rec, coreDecision(se.Settle.Decision))
+		*ack, acked, err = a.settled(quotes, rec, se.Settle.Decision)
 		if err != nil {
 			return sum, err
 		}
@@ -486,7 +470,7 @@ func (s *DataServer) serve(l link, hello *Hello, a answerer, start int) (*Sessio
 			sum.Closed, sum.Payment = true, pay
 			return sum, nil
 		}
-		if se.Settle.Decision == DecisionFail {
+		if se.Settle.Decision == core.SettleFail {
 			return sum, nil // Case 4
 		}
 	}

@@ -295,7 +295,7 @@ func TestSecureSessionRequiresCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Settle in clear on a secure session: the server must refuse.
-	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: 0.1, Decision: DecisionAccept}}); err != nil {
+	if err := l.send(&Envelope{Kind: KindSettle, Settle: &Settle{Gain: 0.1, Decision: core.SettleAccept}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.Flush()

@@ -194,7 +194,8 @@ func TestMarketMetricsSurfaceOracleFlightStats(t *testing.T) {
 // admission Hello once and rebuilds it when the market list or the key
 // changes, and a client whose randomizer pool was built for the boot key
 // seals its next session under the rotated one, which the server opens to
-// the quantized payment.
+// the quantized payment. That session starts the client's pool for the
+// new key, and the sessions after it draw from that pool.
 func TestSecureHelloFollowsRegistryAndRotation(t *testing.T) {
 	engines := testEngines(t)
 	events := make(chan SessionEvent, 16)
@@ -272,4 +273,19 @@ func TestSecureHelloFollowsRegistryAndRotation(t *testing.T) {
 		t.Fatal("after a rotation the Hello announces the old key")
 	}
 	settles("session under the rotated key")
+
+	client.mu.Lock()
+	pool := client.noise[0]
+	client.mu.Unlock()
+	if !bytes.Equal(pool.Key().N.Bytes(), pubN) {
+		t.Fatal("after a rotation the client's pool is still the boot key's")
+	}
+	if err := pool.Prime(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := pool.Stats().Pooled
+	settles("pooled session under the rotated key")
+	if pool.Stats().Pooled <= before {
+		t.Fatal("the rotated key's pool served no draw")
+	}
 }

@@ -51,42 +51,6 @@ var ErrServerBusy = wire.ErrServerBusy
 // replays the same refusal.
 var ErrRejected = wire.ErrRejected
 
-// Route is a directory answer: the dialable address of the shard that owns
-// a market, the shard-map epoch that knowledge is versioned at, and
-// whether the market is mid-migration (in which case the server answers
-// clients with a retryable busy instead of a redirect — the new owner is
-// not serving yet).
-type Route struct {
-	// Addr is the owning shard's address ("" while Moving if the
-	// destination is not yet known to the directory).
-	Addr string
-	// Epoch is the shard-map version of this answer.
-	Epoch uint64
-	// Moving marks a market whose migration is in flight.
-	Moving bool
-}
-
-// MarketDirectory tells a shard where markets it does not serve live. A
-// directory-attached server answers a hello for an unregistered market
-// with a redirect to the owning shard (or a retryable busy
-// while the market migrates) instead of a terminal unknown-market error.
-// Implementations must be safe for concurrent use; vflmarket.Cluster backs
-// it with the fabric registry.
-type MarketDirectory interface {
-	// Route resolves a market this server does not have registered. ok =
-	// false means the directory has never heard of it either, and the
-	// server falls back to the unknown-market rejection.
-	Route(market string) (Route, bool)
-}
-
-// WithDirectory attaches the server to a market directory — the shard-map
-// half of the fabric. Helloes for markets the server does not serve are
-// answered with a redirect to the owner named by the directory, or with a
-// retryable busy while the directory reports the market mid-migration.
-func WithDirectory(d MarketDirectory) ServerOption {
-	return func(c *serverConfig) { c.directory = d }
-}
-
 // SessionEvent is the per-session notification delivered to the hook
 // installed with WithSessionHook.
 type SessionEvent struct {
@@ -106,16 +70,13 @@ type SessionEvent struct {
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	workers        int
-	ioTimeout      time.Duration
-	secureBits     int
-	eagerKeys      bool
-	maxExploration int
-	maxReplay      int
-	hook           func(SessionEvent)
-	state          *MarketState
-	directory      MarketDirectory
-	idleTimeout    time.Duration
+	workers     int
+	ioTimeout   time.Duration
+	secureBits  int
+	eagerKeys   bool
+	hook        func(SessionEvent)
+	state       *MarketState
+	idleTimeout time.Duration
 }
 
 // WithWorkers sizes admission control. Every connection runs on its own
@@ -166,21 +127,6 @@ func WithEagerSecureKeys() ServerOption {
 	return func(c *serverConfig) { c.eagerKeys = true }
 }
 
-// WithImperfectCaps caps the client-supplied work factors of the imperfect
-// handshake: maxExploration bounds N (the Case VII exploration rounds the
-// server must keep its estimator alive for) and maxReplay bounds the
-// per-round experience-replay budget — together, the per-session estimator
-// compute one hello can demand. A hello exceeding either cap is refused
-// with an error envelope before any session state is built, and counts as
-// a rejected connection. <= 0 keeps the wire defaults (1000 exploration
-// rounds, 64 replay steps).
-func WithImperfectCaps(maxExploration, maxReplay int) ServerOption {
-	return func(c *serverConfig) {
-		c.maxExploration = maxExploration
-		c.maxReplay = maxReplay
-	}
-}
-
 // WithMarketState binds the server to a durable MarketState (see
 // OpenMarketState). Every registered market persists its side of the
 // bargain there: estimator checkpoints keyed by client identity (so
@@ -188,8 +134,8 @@ func WithImperfectCaps(maxExploration, maxReplay int) ServerOption {
 // under WithSecureSettlement — the market's Paillier key, so a restarted
 // server re-announces the modulus its clients already knew. Serve flushes
 // the state periodically and at shutdown; FlushState flushes on demand.
-// Hand the same MarketState to the engines (Config.State / WithState) so
-// their valuation memos persist alongside.
+// Hand the same MarketState to the engines (Config.State) so their
+// valuation memos persist alongside.
 func WithMarketState(ms *MarketState) ServerOption { return func(c *serverConfig) { c.state = ms } }
 
 // WithSessionHook installs a per-session callback, invoked once per
@@ -206,6 +152,10 @@ func WithSessionHook(hook func(SessionEvent)) ServerOption {
 type Server struct {
 	cfg   serverConfig
 	modes []string // the information regimes served, announced in every Hello
+	// fleet is the Cluster this server is a shard of, nil for a standalone
+	// server. NewCluster sets it before Serve starts; a shard answers a
+	// hello for a market it does not serve from the fleet's registry.
+	fleet *Cluster
 
 	mu      sync.RWMutex
 	markets map[string]*market
@@ -255,7 +205,7 @@ type market struct {
 // track registers a live session's mux stream with the market so an
 // eviction can sever it. Returns false when the market
 // has already been evicted: the caller answers with a retryable busy, and
-// the client's redial lands on the directory's redirect to the new owner.
+// the client's redial lands on the fleet's redirect to the new owner.
 func (m *market) track(c io.Closer) bool {
 	m.connMu.Lock()
 	defer m.connMu.Unlock()
@@ -359,8 +309,6 @@ func (s *Server) Register(name string, e *Engine) error {
 		}
 	}
 	ds := wire.NewDataServer(e.Catalog(), tmpl.EpsData, keys)
-	ds.MaxExplorationRounds = s.cfg.maxExploration
-	ds.MaxReplaySteps = s.cfg.maxReplay
 	// Carry the template's data-party cost model so Case 3 (Eq. 6)
 	// acceptance fires over the wire exactly as it does in-process.
 	ds.DataCost = tmpl.DataCost
@@ -480,25 +428,25 @@ func (s *Server) MarketMetrics() map[string]MarketMetrics {
 }
 
 // statsReport assembles the wire-level admin snapshot: server counters,
-// per-market counters, and — when the attached directory is versioned —
-// the shard-map epoch this shard is operating under.
+// per-market counters, and — for a fleet shard — the shard-map epoch this
+// shard is operating under.
 func (s *Server) statsReport() *wire.StatsReport {
 	rep := &wire.StatsReport{Server: s.Metrics(), Markets: s.MarketMetrics()}
-	if ep, ok := s.cfg.directory.(interface{ Epoch() uint64 }); ok {
-		rep.Epoch = ep.Epoch()
+	if s.fleet != nil {
+		rep.Epoch = s.fleet.reg.Epoch()
 	}
 	return rep
 }
 
 // Unregister removes a named market from the server: the source half of a
 // fabric migration. The market disappears from the registry first (new
-// helloes for it consult the directory and redirect or back off), its live
-// sessions are severed — counted as Evicted, not Failed; their clients
-// auto-resume against the new owner — and once the last handler drains,
-// the market's durable state is flushed so the destination shard opens on
-// the final settled checkpoint. The engine is NOT closed: it may be handed
-// to another server (in-process shards sharing a process) or garbage
-// collected.
+// helloes for it consult the fleet's registry and redirect or back off),
+// its live sessions are severed — counted as Evicted, not Failed; their
+// clients auto-resume against the new owner — and once the last handler
+// drains, the market's durable state is flushed so the destination shard
+// opens on the final settled checkpoint. The engine is NOT closed: it may
+// be handed to another server (in-process shards sharing a process) or
+// garbage collected.
 func (s *Server) Unregister(name string) error {
 	s.mu.Lock()
 	mkt := s.markets[name]
@@ -536,10 +484,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ctx = context.Background()
 	}
 	// A standalone server with nothing registered is a misconfiguration; a
-	// fabric shard legitimately serves empty — markets land on it later
-	// (boot-time assignment, incoming migrations) and its directory
+	// fleet shard legitimately serves empty — markets land on it later
+	// (boot-time assignment, incoming migrations) and the fleet's registry
 	// redirects everything else meanwhile.
-	if len(s.Markets()) == 0 && s.cfg.directory == nil {
+	if len(s.Markets()) == 0 && s.fleet == nil {
 		ln.Close()
 		return fmt.Errorf("vflmarket: serve with no registered markets")
 	}
@@ -921,7 +869,7 @@ func (m *market) announce(name string, base *wire.Hello, markets, modes []string
 
 // resolveMarket resolves the hello's market against the registry. A
 // market this server does not serve is refused: with a redirect to the
-// owner the directory names, a retryable busy while it migrates, or the
+// owner the fleet names, a retryable busy while it migrates, or the
 // terminal unknown-market rejection.
 func (s *Server) resolveMarket(ch *wire.ClientHello) (*market, string, []string, *refusal) {
 	s.mu.RLock()
@@ -934,18 +882,18 @@ func (s *Server) resolveMarket(ch *wire.ClientHello) (*market, string, []string,
 	if mkt != nil {
 		return mkt, name, markets, nil
 	}
-	// A directory-attached shard knows where markets it does not serve
-	// live: answer with the owner instead of a terminal rejection. While
-	// the directory reports the market mid-migration the answer is a
-	// retryable busy — the new owner is not serving yet, and the
-	// client's backoff loop bridges the gap.
-	if d := s.cfg.directory; d != nil && name != "" {
-		if rt, ok := d.Route(name); ok {
-			if rt.Moving || rt.Addr == "" {
+	// A fleet shard knows where markets it does not serve live: answer
+	// with the owner instead of a terminal rejection. While the fleet
+	// reports the market mid-migration the answer is a retryable busy —
+	// the new owner is not serving yet, and the client's backoff loop
+	// bridges the gap.
+	if s.fleet != nil && name != "" {
+		if rt, ok := s.fleet.route(name); ok {
+			if rt.Moving || rt.Shard.Addr == "" {
 				return nil, "", nil, migrating(name)
 			}
 			return nil, "", nil, &refusal{kind: wire.KindRedirect, market: name,
-				err: &wire.RedirectError{Market: name, Addr: rt.Addr, Epoch: rt.Epoch}}
+				err: &wire.RedirectError{Market: name, Addr: rt.Shard.Addr, Epoch: rt.Epoch}}
 		}
 	}
 	return nil, "", nil, reject("", fmt.Errorf("vflmarket: unknown market %q (serving %v)", ch.Market, markets))

@@ -18,10 +18,10 @@ import (
 // MarketState is a handle on one durable state directory: the versioned
 // snapshot store underneath, the valuation-cache registry over it, and the
 // per-market estimator checkpoint books. It is the only way a Server
-// (WithMarketState) or an Engine (Config.State / WithState) binds durable
-// state: components handed the same MarketState share one registry (one
-// oracle per dataset/seed/config — every VFL course trains at most once),
-// and Flush spills everything to disk so the next process boots warm.
+// (WithMarketState) or an Engine (Config.State) binds durable state:
+// components handed the same MarketState share one registry (one oracle
+// per dataset/seed/config — every VFL course trains at most once), and
+// Flush spills everything to disk so the next process boots warm.
 //
 // A directory's snapshots are named in one place, here:
 //
@@ -232,7 +232,8 @@ func (b *ckptBook) Load(clientID string) (*core.SellerCheckpoint, bool) {
 }
 
 // flush spills every dirty checkpoint; entries that fail stay dirty for the
-// next attempt.
+// next attempt, and so does one whose Save replaced the checkpoint while it
+// was being written.
 func (b *ckptBook) flush() error {
 	b.mu.Lock()
 	ids := make([]string, 0, len(b.dirty))
@@ -259,7 +260,9 @@ func (b *ckptBook) flush() error {
 			continue
 		}
 		b.mu.Lock()
-		delete(b.dirty, ids[i])
+		if b.cache[ids[i]] == ck {
+			delete(b.dirty, ids[i])
+		}
 		b.mu.Unlock()
 	}
 	return first

@@ -26,6 +26,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // stateTestDir resolves this test's durable state directory: a per-test
@@ -493,4 +495,46 @@ func (b *ckptBook) restoredCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.restored
+}
+
+// TestCheckpointFlushKeepsNewerSave: a checkpoint saved while flush writes
+// an older one of the same identity stays dirty, so the next flush writes
+// it and a restarted process resumes from the newest round. Its directory
+// is always fresh: a warm one would already hold the last round.
+func TestCheckpointFlushKeepsNewerSave(t *testing.T) {
+	dir := t.TempDir()
+	ms, err := OpenMarketState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := ms.book("titanic")
+	const last = 300
+	saved := make(chan struct{})
+	go func() {
+		defer close(saved)
+		for r := 1; r <= last; r++ {
+			book.Save("buyer-1", &core.SellerCheckpoint{Round: r})
+		}
+	}()
+	for flushing := true; flushing; {
+		select {
+		case <-saved:
+			flushing = false
+		default:
+		}
+		if err := book.flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restarted, err := OpenMarketState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, ok := restarted.book("titanic").Load("buyer-1")
+	if !ok {
+		t.Fatal("restarted process finds no checkpoint")
+	}
+	if ck.Round != last {
+		t.Fatalf("restarted process resumes from round %d, want %d", ck.Round, last)
+	}
 }
